@@ -5,7 +5,8 @@
 //! Usage: `campaigns [--seed <n>]`
 
 use netfi_bench::arg;
-use netfi_nftape::campaign::{paper_campaigns, run_campaigns_parallel};
+use netfi_nftape::campaign::{paper_campaigns, run_campaigns_with_workers};
+use netfi_nftape::default_workers;
 use netfi_nftape::Table;
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
     let specs = paper_campaigns(seed);
     eprintln!("running {} campaigns in parallel …", specs.len());
     let started = std::time::Instant::now();
-    let results = run_campaigns_parallel(&specs).unwrap();
+    let results = run_campaigns_with_workers(&specs, default_workers()).unwrap();
     eprintln!("done in {:.1?}", started.elapsed());
 
     let mut table = Table::new(

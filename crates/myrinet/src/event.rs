@@ -18,20 +18,20 @@ use crate::frame::Frame;
 
 /// A type-erased application message carried by [`Ev::App`].
 ///
-/// Blanket-implemented for every `Any + Send + Clone` type, so call sites
-/// construct messages exactly as they would a `Box<dyn Any>`:
+/// Blanket-implemented for every `Any + Send + Sync + Clone` type, so call
+/// sites construct messages exactly as they would a `Box<dyn Any>`:
 /// `Ev::App(Box::new(value))`. The extra [`fork_app`](AppMsg::fork_app)
 /// method is the type-erased seam that lets [`Ev`] implement
 /// [`netfi_sim::Fork`]: an engine snapshot must deep-copy pending app
 /// events without knowing their concrete types.
-pub trait AppMsg: Any + Send {
+pub trait AppMsg: Any + Send + Sync {
     /// Deep, deterministic copy of the message (see [`netfi_sim::Fork`]).
     fn fork_app(&self) -> Box<dyn AppMsg>;
     /// Converts the box into `Box<dyn Any>` for downcasting.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-impl<T: Any + Send + Clone> AppMsg for T {
+impl<T: Any + Send + Sync + Clone> AppMsg for T {
     fn fork_app(&self) -> Box<dyn AppMsg> {
         Box::new(self.clone())
     }
@@ -95,8 +95,10 @@ pub enum Ev {
     /// An application-level event; hosts downcast to their own types.
     /// Control-plane only (workload start, harness commands) — the
     /// per-packet paths use [`Ev::Deliver`] and [`Ev::Send`]. [`AppMsg`]
-    /// is `Send` (so the vocabulary crosses shard-worker boundaries) and
-    /// forkable (so pending app events survive an engine snapshot).
+    /// is `Send` (so the vocabulary crosses shard-worker boundaries),
+    /// `Sync` (so a snapshot holding pending app events can be shared by
+    /// campaign workers) and forkable (so those events survive the
+    /// snapshot).
     App(Box<dyn AppMsg>),
 }
 
@@ -123,7 +125,9 @@ impl Fork for Ev {
                 payload: payload.fork(),
             },
             Ev::Serial(b) => Ev::Serial(*b),
-            Ev::App(msg) => Ev::App(msg.fork_app()),
+            // Through the box: `&Box<dyn AppMsg>` itself satisfies the
+            // blanket impl's bounds, and that impl is not the fork we want.
+            Ev::App(msg) => Ev::App((**msg).fork_app()),
         }
     }
 }

@@ -218,29 +218,12 @@ pub fn paper_campaigns(seed: u64) -> Vec<CampaignSpec> {
     out
 }
 
-/// Executes many campaigns concurrently (each campaign owns its own
-/// engine, so they parallelize perfectly) and returns results in spec
-/// order, using one worker per available core.
+/// Executes many campaigns over `workers` threads and returns results in
+/// spec order.
 ///
-/// # Errors
-///
-/// Returns the first (in spec order) [`ScenarioError`], if any campaign
-/// failed to build or read its test bed.
-pub fn run_campaigns_parallel(
-    specs: &[CampaignSpec],
-) -> Result<Vec<Vec<RunResult>>, ScenarioError> {
-    run_campaigns_with_workers(specs, crate::runner::default_workers())
-}
-
-/// Executes many campaigns over exactly `workers` scoped threads and
-/// returns results in spec order.
-///
-/// Determinism does not depend on the worker count: every campaign runs
-/// on a private engine (its own RNG streams, its own event queue), workers
-/// claim scenario *indices* from a shared counter, and each result is
-/// written into its spec-index slot. Only the assignment of scenarios to
-/// threads — which no result depends on — varies between runs, so
-/// `workers == 1` and `workers == N` produce byte-identical output.
+/// Every campaign runs on a private engine (its own RNG streams, its own
+/// event queue), so [`fan_out`](crate::runner::fan_out) makes the output
+/// byte-identical for any worker count (DESIGN.md §10).
 ///
 /// # Errors
 ///
@@ -254,39 +237,7 @@ pub fn run_campaigns_with_workers(
     specs: &[CampaignSpec],
     workers: usize,
 ) -> Result<Vec<Vec<RunResult>>, ScenarioError> {
-    assert!(workers > 0, "worker count must be non-zero");
-    let workers = workers.min(specs.len().max(1));
-    if workers == 1 {
-        // One effective worker (a 1-core box, or a single spec): the
-        // thread scope is pure overhead — measured at ~0.93× serial on a
-        // 1-core host — so run the specs inline instead.
-        return specs.iter().map(run_campaign).collect();
-    }
-    let results = std::sync::Mutex::new(vec![Ok(Vec::new()); specs.len()]);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Each campaign runs on a private engine and lands in its spec-index
-    // slot, so the worker count cannot change any output byte (DESIGN.md
-    // §10 spells out the argument).
-    // lint: allow(thread-spawn) deterministic scenario fan-out over scoped workers
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                let Some(spec) = specs.get(i) else { break };
-                let rows = run_campaign(spec);
-                // Campaign workers never panic while holding the lock, but
-                // recover the data rather than unwrapping if one ever does.
-                results
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)[i] = rows;
-            });
-        }
-    });
-    results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .collect()
+    crate::runner::fan_out(workers, specs.len(), |i| run_campaign(&specs[i]))
 }
 
 #[cfg(test)]
@@ -334,7 +285,7 @@ mod tests {
             CampaignSpec::new("b", FaultSpec::DataType, 4),
             CampaignSpec::new("c", FaultSpec::Misroute, 5),
         ];
-        let parallel = run_campaigns_parallel(&specs).unwrap();
+        let parallel = run_campaigns_with_workers(&specs, 2).unwrap();
         let serial: Vec<Vec<RunResult>> = specs
             .iter()
             .map(|s| run_campaign(s).unwrap())

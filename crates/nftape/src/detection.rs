@@ -39,17 +39,17 @@ use netfi_detect::{
 };
 use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::event::Ev;
-use netfi_myrinet::switch::Switch;
 use netfi_netstack::{Host, HostCmd, UdpDatagram, SINK_PORT};
 use netfi_obs::{exact_percentiles, Registry};
 use netfi_phy::ControlSymbol;
 use netfi_sim::{
-    ComponentId, Engine, EngineSnapshot, NullProbe, RunBudget, RunOutcome, SimDuration, SimTime,
+    ComponentId, Engine, EngineSnapshot, Fnv1a, NullProbe, RunBudget, RunOutcome, SimDuration,
+    SimTime,
 };
 
 use crate::report::{registry_tables, Table};
 use crate::results::ScenarioError;
-use crate::runner::{program_injector, schedule_script};
+use crate::runner::{fan_out, power_off, program_injector, schedule_script, sever};
 use crate::topo::{build_fabric, TopoOptions};
 
 /// The 32-bit wire window every heartbeat carries in its UDP header:
@@ -392,23 +392,16 @@ pub fn fabric_graph(topo: &TopoOptions) -> TopoGraph {
     g
 }
 
-/// Component handles a scenario needs, detached from the donor so worker
-/// closures never capture the snapshot.
-#[derive(Debug, Clone)]
-struct DetectIds {
-    hosts: Vec<ComponentId>,
-    leaves: Vec<ComponentId>,
-    eth: Vec<EthAddr>,
-    injector: Option<ComponentId>,
-}
-
 /// A detection campaign warmed to steady state: the donor engine snapshot
 /// plus a monitor whose every accrual window is full of healthy samples.
 /// Fork both per scenario.
 pub struct WarmedDetect {
     snapshot: EngineSnapshot<Ev, NullProbe>,
     monitor: SuspicionMonitor,
-    ids: DetectIds,
+    hosts: Vec<ComponentId>,
+    leaves: Vec<ComponentId>,
+    eth: Vec<EthAddr>,
+    injector: Option<ComponentId>,
     options: DetectOptions,
     report: TopoReport,
 }
@@ -416,30 +409,10 @@ pub struct WarmedDetect {
 impl std::fmt::Debug for WarmedDetect {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WarmedDetect")
-            .field("hosts", &self.ids.hosts.len())
+            .field("hosts", &self.hosts.len())
             .field("pairs", &self.monitor.pairs())
             .field("thresholds", &self.monitor.thresholds().len())
             .finish()
-    }
-}
-
-impl WarmedDetect {
-    /// Forks the donor and runs one scenario on the fork. The donor is
-    /// untouched and can be forked again.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScenarioError`] if the spec needs an injector the
-    /// fabric does not have, or a forked component cannot be read.
-    pub fn fork_run(&self, spec: &DetectSpec) -> Result<DetectRun, ScenarioError> {
-        let mut engine = self.snapshot.fork();
-        let mut monitor = self.monitor.clone();
-        run_detect_phases(&mut engine, &mut monitor, &self.ids, &self.options, spec)
-    }
-
-    /// The static SPOF analysis of the same fabric the campaign runs on.
-    pub fn topo_report(&self) -> &TopoReport {
-        &self.report
     }
 }
 
@@ -481,12 +454,6 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
         .engine
         .schedule(SimTime::ZERO, beater, Ev::App(Box::new(HeartbeatCmd::Start)));
 
-    let ids = DetectIds {
-        hosts: fabric.hosts.clone(),
-        leaves: fabric.leaves.clone(),
-        eth: fabric.eth.clone(),
-        injector: fabric.injector,
-    };
     let mut monitor = SuspicionMonitor::new(topo.hosts, options.window, &options.thresholds);
     let mut engine = fabric.engine;
     let warm_end = SimTime::ZERO + options.warm;
@@ -494,7 +461,7 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
         let step = (engine.now() + options.poll).min(warm_end);
         let outcome =
             engine.run_budgeted(RunBudget::until(step).with_max_events(options.poll_event_budget));
-        scan_arrivals(&engine, &ids.hosts, &mut monitor);
+        scan_arrivals(&engine, &fabric.hosts, &mut monitor);
         if matches!(outcome, RunOutcome::BudgetExhausted) {
             break;
         }
@@ -502,7 +469,10 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
     Ok(WarmedDetect {
         snapshot: engine.snapshot(),
         monitor,
-        ids,
+        hosts: fabric.hosts,
+        leaves: fabric.leaves,
+        eth: fabric.eth,
+        injector: fabric.injector,
         options: options.clone(),
         report: analyze(&fabric_graph(topo)),
     })
@@ -559,160 +529,158 @@ fn drive(
     true
 }
 
-/// Applies `spec`'s fault and measures the monitor's verdicts: forked
-/// engine + cloned monitor in, one [`DetectRun`] out. Shared verbatim
-/// between the inline and fanned-out paths.
-fn run_detect_phases(
-    engine: &mut Engine<Ev, NullProbe>,
-    monitor: &mut SuspicionMonitor,
-    ids: &DetectIds,
-    options: &DetectOptions,
-    spec: &DetectSpec,
-) -> Result<DetectRun, ScenarioError> {
-    let t0 = engine.now();
-    let events0 = engine.events_processed();
-    let t_fault = t0 + options.margin;
-    let t_end = t_fault + options.tail;
+impl WarmedDetect {
+    /// Forks the donor and runs one scenario on the fork: applies `spec`'s
+    /// fault at the fault instant and measures the monitor's verdicts. The
+    /// donor is untouched and can be forked again, from any thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ScenarioError`] if the spec needs an injector the
+    /// fabric does not have, names a missing host, leaf or port, or a
+    /// forked component cannot be read.
+    pub fn fork_run(&self, spec: &DetectSpec) -> Result<DetectRun, ScenarioError> {
+        let engine = &mut self.snapshot.fork();
+        let monitor = &mut self.monitor.clone();
+        let options = &self.options;
+        let t0 = engine.now();
+        let events0 = engine.events_processed();
+        let t_fault = t0 + options.margin;
+        let t_end = t_fault + options.tail;
 
-    // Injector scenarios: write the (trigger-off) program over the serial
-    // line now, and schedule the one-command arming script for the fault
-    // instant — the margin exists to absorb the programming time.
-    if let DetectFault::Inject(dir, config) = &spec.fault {
-        let device = ids.injector.ok_or(ScenarioError::NoInjector)?;
-        let programmed = program_injector(engine, device, t0, *dir, config);
-        assert!(
-            programmed <= t_fault,
-            "margin too short for injector programming"
-        );
-        schedule_script(engine, device, t_fault, &[Command::MatchMode(MatchMode::On)]);
-    }
+        // Injector scenarios: write the (trigger-off) program over the serial
+        // line now, and schedule the one-command arming script for the fault
+        // instant — the margin exists to absorb the programming time.
+        if let DetectFault::Inject(dir, config) = &spec.fault {
+            let device = self.injector.ok_or(ScenarioError::NoInjector)?;
+            let programmed = program_injector(engine, device, t0, *dir, config);
+            assert!(
+                programmed <= t_fault,
+                "margin too short for injector programming"
+            );
+            schedule_script(engine, device, t_fault, &[Command::MatchMode(MatchMode::On)]);
+        }
 
-    let mut on_budget = drive(engine, monitor, &ids.hosts, options, t_fault);
+        let mut on_budget = drive(engine, monitor, &self.hosts, options, t_fault);
 
-    // Apply the fault at the fault instant.
-    match &spec.fault {
-        DetectFault::Healthy | DetectFault::Inject(..) => {}
-        DetectFault::Burst => {
-            let leaf0 = options.topo.hosts_per_leaf().min(options.topo.hosts);
-            for i in 0..leaf0 {
-                let dest = ids.eth[peer_of(&options.topo, i)];
-                for k in 0..BURST_SENDS {
-                    engine.schedule(
-                        t_fault + BURST_GAP * k,
-                        ids.hosts[i],
-                        Ev::App(Box::new(HostCmd::SendUdp {
-                            dest,
-                            datagram: UdpDatagram::new(
-                                BURST_SRC_PORT,
-                                SINK_PORT,
-                                vec![0x42; BURST_PAYLOAD],
-                            ),
-                        })),
-                    );
+        // Apply the fault at the fault instant.
+        match &spec.fault {
+            DetectFault::Healthy | DetectFault::Inject(..) => {}
+            DetectFault::Burst => {
+                let leaf0 = options.topo.hosts_per_leaf().min(options.topo.hosts);
+                for i in 0..leaf0 {
+                    let dest = self.eth[peer_of(&options.topo, i)];
+                    for k in 0..BURST_SENDS {
+                        engine.schedule(
+                            t_fault + BURST_GAP * k,
+                            self.hosts[i],
+                            Ev::App(Box::new(HostCmd::SendUdp {
+                                dest,
+                                datagram: UdpDatagram::new(
+                                    BURST_SRC_PORT,
+                                    SINK_PORT,
+                                    vec![0x42; BURST_PAYLOAD],
+                                ),
+                            })),
+                        );
+                    }
+                }
+            }
+            DetectFault::NodeOff(h) => {
+                let &id = self
+                    .hosts
+                    .get(*h)
+                    .ok_or(ScenarioError::WrongComponent("Host"))?;
+                power_off(engine, id)?;
+            }
+            DetectFault::HostLink(h) => {
+                let leaf = leaf_of(&options.topo, *h);
+                sever(engine, self.leaf(leaf)?, *h % options.topo.hosts_per_leaf())?;
+            }
+            DetectFault::Trunk { leaf, spine } => {
+                let spines = effective_spines(&options.topo);
+                if *spine < spines {
+                    let port = options.topo.radix - spines + spine;
+                    sever(engine, self.leaf(*leaf)?, port)?;
                 }
             }
         }
-        DetectFault::NodeOff(h) => {
-            let &id = ids
-                .hosts
-                .get(*h)
-                .ok_or(ScenarioError::WrongComponent("Host"))?;
-            engine
-                .component_as_mut::<Host>(id)
-                .ok_or(ScenarioError::WrongComponent("Host"))?
-                .power_off();
-        }
-        DetectFault::HostLink(h) => {
-            let leaf = leaf_of(&options.topo, *h);
-            let port = (*h % options.topo.hosts_per_leaf()) as u8;
-            let &id = ids
-                .leaves
-                .get(leaf)
-                .ok_or(ScenarioError::WrongComponent("Switch"))?;
-            engine
-                .component_as_mut::<Switch>(id)
-                .ok_or(ScenarioError::WrongComponent("Switch"))?
-                .sever_port(port);
-        }
-        DetectFault::Trunk { leaf, spine } => {
-            let spines = effective_spines(&options.topo);
-            if *spine < spines {
-                let port = (options.topo.radix - spines + spine) as u8;
-                let &id = ids
-                    .leaves
-                    .get(*leaf)
-                    .ok_or(ScenarioError::WrongComponent("Switch"))?;
-                engine
-                    .component_as_mut::<Switch>(id)
-                    .ok_or(ScenarioError::WrongComponent("Switch"))?
-                    .sever_port(port);
-            }
-        }
-    }
 
-    if on_budget {
-        on_budget = drive(engine, monitor, &ids.hosts, options, t_end);
-    }
-
-    // Extract per-threshold verdicts against the topology's prediction.
-    let predicted = predicted_pairs(&options.topo, &spec.fault);
-    let pairs = monitor.pairs() as u32;
-    let mut outcomes = Vec::with_capacity(options.thresholds.len());
-    for (t, &threshold) in options.thresholds.iter().enumerate() {
-        let t = t as u32;
-        let mut detected = Vec::new();
-        let mut missed = Vec::new();
-        let mut latencies_us = Vec::new();
-        for &pair in &predicted {
-            // The first post-fault crossing; pre-fault transients on a
-            // predicted pair must not shrink the measured latency.
-            let crossing = monitor
-                .events()
-                .iter()
-                .find(|e| e.pair == pair && e.threshold == t && e.suspected && e.time >= t_fault);
-            match crossing {
-                Some(e) => {
-                    detected.push(pair);
-                    latencies_us.push((e.time.as_ps() - t_fault.as_ps()) / 1_000_000);
-                }
-                None => missed.push(pair),
-            }
+        if on_budget {
+            on_budget = drive(engine, monitor, &self.hosts, options, t_end);
         }
-        let false_alarm_pairs: Vec<u32> = (0..pairs)
-            .filter(|p| !predicted.contains(p))
-            .filter(|&p| {
-                monitor
+
+        // Extract per-threshold verdicts against the topology's prediction.
+        let predicted = predicted_pairs(&options.topo, &spec.fault);
+        let pairs = monitor.pairs() as u32;
+        let mut outcomes = Vec::with_capacity(options.thresholds.len());
+        for (t, &threshold) in options.thresholds.iter().enumerate() {
+            let t = t as u32;
+            let mut detected = Vec::new();
+            let mut missed = Vec::new();
+            let mut latencies_us = Vec::new();
+            for &pair in &predicted {
+                // The first post-fault crossing; pre-fault transients on a
+                // predicted pair must not shrink the measured latency.
+                let crossing = monitor
                     .events()
                     .iter()
-                    .any(|e| e.pair == p && e.threshold == t && e.suspected)
-            })
-            .collect();
-        outcomes.push(ThresholdOutcome {
-            threshold,
-            detected,
-            missed,
-            false_alarm_pairs,
-            latencies_us,
-        });
+                    .find(|e| e.pair == pair && e.threshold == t && e.suspected && e.time >= t_fault);
+                match crossing {
+                    Some(e) => {
+                        detected.push(pair);
+                        latencies_us.push((e.time.as_ps() - t_fault.as_ps()) / 1_000_000);
+                    }
+                    None => missed.push(pair),
+                }
+            }
+            let false_alarm_pairs: Vec<u32> = (0..pairs)
+                .filter(|p| !predicted.contains(p))
+                .filter(|&p| {
+                    monitor
+                        .events()
+                        .iter()
+                        .any(|e| e.pair == p && e.threshold == t && e.suspected)
+                })
+                .collect();
+            outcomes.push(ThresholdOutcome {
+                threshold,
+                detected,
+                missed,
+                false_alarm_pairs,
+                latencies_us,
+            });
+        }
+
+        // Export the per-pair suspicion gauges the observability layer sees.
+        let mut registry = Registry::new();
+        monitor.export_to(&mut registry, |p| format!("h{p:03}"));
+        let registry_table = registry_tables(&format!("detect {}", spec.name), &registry)
+            .iter()
+            .map(Table::render)
+            .collect::<Vec<_>>()
+            .join("\n");
+
+        Ok(DetectRun {
+            spec: spec.name.clone(),
+            predicted,
+            outcomes,
+            registry_table,
+            events: engine.events_processed() - events0,
+            outcome: if on_budget { "complete" } else { "budget-exhausted" },
+        })
     }
 
-    // Export the per-pair suspicion gauges the observability layer sees.
-    let mut registry = Registry::new();
-    monitor.export_to(&mut registry, |p| format!("h{p:03}"));
-    let registry_table = registry_tables(&format!("detect {}", spec.name), &registry)
-        .iter()
-        .map(Table::render)
-        .collect::<Vec<_>>()
-        .join("\n");
+    /// The static SPOF analysis of the same fabric the campaign runs on.
+    pub fn topo_report(&self) -> &TopoReport {
+        &self.report
+    }
 
-    Ok(DetectRun {
-        spec: spec.name.clone(),
-        predicted,
-        outcomes,
-        registry_table,
-        events: engine.events_processed() - events0,
-        outcome: if on_budget { "complete" } else { "budget-exhausted" },
-    })
+    /// Leaf switch `leaf`'s component id.
+    fn leaf(&self, leaf: usize) -> Result<ComponentId, ScenarioError> {
+        let id = self.leaves.get(leaf).copied();
+        id.ok_or(ScenarioError::WrongComponent("Switch"))
+    }
 }
 
 /// One threshold's verdict for one scenario.
@@ -905,36 +873,30 @@ impl DetectResult {
     /// Equal fingerprints mean byte-identical campaigns — pinned across
     /// worker counts in `tests/determinism.rs` and gated by `check.sh`.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(self.render().as_bytes());
+        let mut hash = Fnv1a::new();
+        hash.write(self.render().as_bytes());
         for run in &self.runs {
-            eat(run.spec.as_bytes());
-            eat(run.registry_table.as_bytes());
-            eat(&run.events.to_le_bytes());
+            hash.write(run.spec.as_bytes());
+            hash.write(run.registry_table.as_bytes());
+            hash.write_u64(run.events);
             for o in &run.outcomes {
-                eat(&u64::from(o.threshold.raw()).to_le_bytes());
+                hash.write_u64(u64::from(o.threshold.raw()));
                 for &p in o.detected.iter().chain(&o.missed).chain(&o.false_alarm_pairs) {
-                    eat(&p.to_le_bytes());
+                    hash.write(&p.to_le_bytes());
                 }
                 for &l in &o.latencies_us {
-                    eat(&l.to_le_bytes());
+                    hash.write_u64(l);
                 }
             }
         }
-        hash
+        hash.finish()
     }
 }
 
-/// Runs every spec on a fork of one warmed donor, fanned over `workers`
-/// scoped threads — the [`crate::grid`] recipe: pre-fork serially,
-/// workers claim spec indices from an atomic counter, results fold in
-/// spec order, so the worker count cannot change any output byte.
+/// Runs every spec on a fork of one warmed donor over `workers` threads —
+/// the [`crate::grid`] recipe: each worker forks the shared donor where it
+/// runs and [`fan_out`] returns the runs in spec order, so the worker
+/// count cannot change any output byte.
 ///
 /// # Errors
 ///
@@ -949,70 +911,13 @@ pub fn run_detection(
     specs: &[DetectSpec],
     workers: usize,
 ) -> Result<DetectResult, ScenarioError> {
-    assert!(workers > 0, "worker count must be non-zero");
     let warm = warm_detect(options)?;
-    let topo_report = warm.report.render();
-    let finish = |runs| DetectResult {
-        runs,
+    Ok(DetectResult {
+        runs: fan_out(workers, specs.len(), |i| warm.fork_run(&specs[i]))?,
         thresholds: options.thresholds.clone(),
         reference: options.reference,
-        topo_report: topo_report.clone(),
-    };
-    let workers = workers.min(specs.len().max(1));
-    if workers == 1 {
-        // One effective worker: fork and run inline, no thread scope.
-        let mut runs = Vec::with_capacity(specs.len());
-        for spec in specs {
-            runs.push(warm.fork_run(spec)?);
-        }
-        return Ok(finish(runs));
-    }
-    let mut forks = Vec::with_capacity(specs.len());
-    for _ in specs {
-        forks.push(std::sync::Mutex::new(Some((
-            warm.snapshot.fork(),
-            warm.monitor.clone(),
-        ))));
-    }
-    let slots: Vec<std::sync::Mutex<Option<Result<DetectRun, ScenarioError>>>> =
-        specs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Each fork is private to the worker that claims its index, and the
-    // fold below walks slots in spec order.
-    // lint: allow(thread-spawn) deterministic detection fan-out over scoped workers
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                let Some(spec) = specs.get(i) else { break };
-                let Some((mut engine, mut monitor)) = forks[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                else {
-                    break;
-                };
-                let run =
-                    run_detect_phases(&mut engine, &mut monitor, &warm.ids, &warm.options, spec);
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(run);
-            });
-        }
-    });
-    let mut runs = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some(Ok(run)) => runs.push(run),
-            Some(Err(e)) => return Err(e),
-            // A worker can only skip a slot by panicking mid-scenario.
-            None => return Err(ScenarioError::WrongComponent("DetectRun")),
-        }
-    }
-    Ok(finish(runs))
+        topo_report: warm.report.render(),
+    })
 }
 
 #[cfg(test)]

@@ -24,18 +24,16 @@ use netfi_core::config::InjectorConfig;
 use netfi_core::trigger::MatchMode;
 use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::event::Ev;
-use netfi_myrinet::switch::Switch;
-use netfi_netstack::{build_testbed_probed, Host, HostCmd, UdpDatagram, SINK_PORT};
+use netfi_netstack::{HostCmd, UdpDatagram, SINK_PORT};
 use netfi_obs::{DispatchProbe, ObsEvent, Stamped};
 use netfi_phy::ControlSymbol;
-use netfi_sim::{ComponentId, Engine, EngineSnapshot, SimDuration};
+use netfi_sim::{ComponentId, Engine, EngineSnapshot, Fnv1a, SimDuration, SimTime, Simulation};
 
 use crate::observed::{
-    arm_recorders, campaign_options, campaign_workload, collect, drive_map_phase,
-    run_phase_budgeted, ObservedCampaign, RING,
+    armed_testbed, collect, drive_map_phase, run_phase_budgeted, ObservedCampaign,
 };
 use crate::results::ScenarioError;
-use crate::runner::program_injector;
+use crate::runner::{fan_out, power_off, program_injector, sever};
 use crate::scenarios::udpcheck::MESSAGE;
 
 /// One declarative failure scenario, applied to a fork of the warmed
@@ -93,6 +91,22 @@ impl FailureSpec {
     }
 }
 
+/// The observed campaign's fault, and the grid's "replace-crc-repaired"
+/// row: a detected corruption with CRC-8 repair, so the fault survives the
+/// link layer and is caught by the UDP checksum at the destination host.
+pub(crate) fn crc_repaired_spec() -> FailureSpec {
+    FailureSpec::inject(
+        "replace-crc-repaired",
+        DirSelect::B,
+        InjectorConfig::builder()
+            .match_mode(MatchMode::On)
+            .compare(u32::from_be_bytes(*b"Have"), 0xFFFF_FFFF)
+            .corrupt_replace(u32::from_be_bytes(*b"XaXe"), 0xFFFF_FFFF)
+            .recompute_crc(true)
+            .build(),
+    )
+}
+
 /// The default chaos grid: 19 scenarios over the fixed three-host
 /// topology, mirroring the 19-spec paper campaign — a healthy baseline,
 /// every single-node failure, every single-link failure, and twelve
@@ -111,16 +125,7 @@ pub fn grid_specs() -> Vec<FailureSpec> {
         ));
     }
     let inject = |name: &str, dir, config| FailureSpec::inject(name, dir, config);
-    specs.push(inject(
-        "replace-crc-repaired",
-        DirSelect::B,
-        InjectorConfig::builder()
-            .match_mode(MatchMode::On)
-            .compare(compare, 0xFFFF_FFFF)
-            .corrupt_replace(replace, 0xFFFF_FFFF)
-            .recompute_crc(true)
-            .build(),
-    ));
+    specs.push(crc_repaired_spec());
     specs.push(inject(
         "replace-crc-detected",
         DirSelect::B,
@@ -249,21 +254,15 @@ impl GridResult {
     /// determinism tests compare this across worker counts and between
     /// [`fork_grid`] and [`fresh_grid`].
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut hash = Fnv1a::new();
         for run in &self.runs {
-            eat(run.spec.as_bytes());
-            eat(run.chrome_trace.as_bytes());
-            eat(run.text_table.as_bytes());
-            eat(&run.dispatches.to_le_bytes());
-            eat(&run.dropped.to_le_bytes());
+            hash.write(run.spec.as_bytes());
+            hash.write(run.chrome_trace.as_bytes());
+            hash.write(run.text_table.as_bytes());
+            hash.write_u64(run.dispatches);
+            hash.write_u64(run.dropped);
         }
-        hash
+        hash.finish()
     }
 }
 
@@ -294,16 +293,24 @@ impl std::fmt::Debug for WarmedCampaign {
 impl WarmedCampaign {
     /// Forks the donor and runs one scenario on the fork: apply the spec,
     /// drive the fault phases, collect the exports. The donor is left
-    /// untouched and can be forked again.
+    /// untouched and can be forked again — from any thread, since the
+    /// snapshot is `Sync`.
     ///
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] if the spec names a missing host or
-    /// the forked test bed cannot be read.
+    /// port, or the forked test bed cannot be read.
     pub fn fork_run(&self, spec: &FailureSpec) -> Result<GridRun, ScenarioError> {
-        let mut engine = self.snapshot.fork();
-        run_fault_phases(
-            &mut engine,
+        Ok(render(spec, self.fork_observed(spec)?))
+    }
+
+    /// [`fork_run`](WarmedCampaign::fork_run), before rendering.
+    pub(crate) fn fork_observed(
+        &self,
+        spec: &FailureSpec,
+    ) -> Result<ObservedCampaign, ScenarioError> {
+        run_and_collect(
+            &mut self.snapshot.fork(),
             spec,
             &self.hosts,
             self.switch,
@@ -314,7 +321,8 @@ impl WarmedCampaign {
 
     /// Forks the donor engine without running anything — the O(state)
     /// unit the grid's amortization argument prices (benchmarked by
-    /// `bench_campaign --mode fork`).
+    /// `bench_campaign --mode fork`), and the starting point for callers
+    /// that drive their own fault phases (the `netfi-sample` sampler).
     pub fn fork_engine(&self) -> Engine<Ev, DispatchProbe> {
         self.snapshot.fork()
     }
@@ -322,12 +330,6 @@ impl WarmedCampaign {
     /// The number of pending events captured in the donor snapshot.
     pub fn pending_events(&self) -> usize {
         self.snapshot.pending_events()
-    }
-
-    /// The donor snapshot itself, for callers that drive their own fault
-    /// phases on forks (the `netfi-sample` fault-injection sampler).
-    pub fn snapshot(&self) -> &EngineSnapshot<Ev, DispatchProbe> {
-        &self.snapshot
     }
 
     /// Component ids of the campaign's hosts, in test-bed order.
@@ -359,18 +361,11 @@ impl WarmedCampaign {
 ///
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn warm_campaign(seed: u64) -> Result<WarmedCampaign, ScenarioError> {
-    let mut tb = build_testbed_probed(
-        campaign_options(seed),
-        DispatchProbe::new(RING),
-        campaign_workload,
-    )?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    let hosts = tb.hosts.clone();
-    arm_recorders(&mut tb.engine, &hosts, tb.switch, device)?;
+    let (mut tb, device) = armed_testbed(seed)?;
     let map_phases = drive_map_phase(&mut tb.engine);
     Ok(WarmedCampaign {
         snapshot: tb.engine.snapshot(),
-        hosts,
+        hosts: tb.hosts,
         switch: tb.switch,
         device,
         map_phases,
@@ -386,77 +381,86 @@ pub fn warm_campaign(seed: u64) -> Result<WarmedCampaign, ScenarioError> {
 ///
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn fresh_run(seed: u64, spec: &FailureSpec) -> Result<GridRun, ScenarioError> {
-    let mut tb = build_testbed_probed(
-        campaign_options(seed),
-        DispatchProbe::new(RING),
-        campaign_workload,
-    )?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    let hosts = tb.hosts.clone();
-    arm_recorders(&mut tb.engine, &hosts, tb.switch, device)?;
-    let map_phases = drive_map_phase(&mut tb.engine);
-    run_fault_phases(&mut tb.engine, spec, &hosts, tb.switch, device, map_phases)
+    Ok(render(spec, fresh_observed(seed, spec)?))
 }
 
-/// Applies the spec's failures, drives the program + inject phases, and
-/// collects the exports. Shared verbatim between the fork and fresh
-/// paths, so any divergence between them is the snapshot's fault alone.
-fn run_fault_phases(
+/// [`fresh_run`], before rendering.
+pub(crate) fn fresh_observed(
+    seed: u64,
+    spec: &FailureSpec,
+) -> Result<ObservedCampaign, ScenarioError> {
+    let (mut tb, device) = armed_testbed(seed)?;
+    let map_phases = drive_map_phase(&mut tb.engine);
+    run_and_collect(
+        &mut tb.engine,
+        spec,
+        &tb.hosts,
+        tb.switch,
+        device,
+        map_phases,
+    )
+}
+
+/// The fault phases plus collection on a serial engine. Shared verbatim
+/// between the fork and fresh paths, so any divergence between them is
+/// the snapshot's fault alone.
+fn run_and_collect(
     engine: &mut Engine<Ev, DispatchProbe>,
     spec: &FailureSpec,
     hosts: &[ComponentId],
     switch: ComponentId,
     device: ComponentId,
     mut phases: Vec<Stamped<ObsEvent>>,
-) -> Result<GridRun, ScenarioError> {
+) -> Result<ObservedCampaign, ScenarioError> {
+    run_fault_phases(engine, spec, hosts, switch, device, &mut phases)?;
+    collect(engine, hosts, switch, device, phases, engine.probe())
+}
+
+/// Applies the spec's failures and drives the program + inject phases on
+/// any [`Simulation`] executor, appending their spans to `phases`. Every
+/// test-bed campaign — observed, forked, sharded, grid — runs its faults
+/// through this one function.
+pub(crate) fn run_fault_phases(
+    sim: &mut impl Simulation<Ev>,
+    spec: &FailureSpec,
+    hosts: &[ComponentId],
+    switch: ComponentId,
+    device: ComponentId,
+    phases: &mut Vec<Stamped<ObsEvent>>,
+) -> Result<(), ScenarioError> {
+    let mut mark = |time: SimTime, value: ObsEvent| phases.push(Stamped { time, value });
+
     // Apply the declarative failures, in spec order, before any fault
     // traffic: the scenario starts from a network that has already broken.
     for &n in &spec.deactivate_nodes {
         let &id = hosts.get(n).ok_or(ScenarioError::WrongComponent("Host"))?;
-        engine
-            .component_as_mut::<Host>(id)
-            .ok_or(ScenarioError::WrongComponent("Host"))?
-            .power_off();
-        phases.push(Stamped {
-            time: engine.now(),
-            value: ObsEvent::instant("grid", "node_off", n as u64),
-        });
+        power_off(sim, id)?;
+        mark(sim.now(), ObsEvent::instant("grid", "node_off", n as u64));
     }
     for &port in &spec.deactivate_links {
-        engine
-            .component_as_mut::<Switch>(switch)
-            .ok_or(ScenarioError::WrongComponent("Switch"))?
-            .sever_port(port);
-        phases.push(Stamped {
-            time: engine.now(),
-            value: ObsEvent::instant("grid", "link_severed", u64::from(port)),
-        });
+        sever(sim, switch, usize::from(port))?;
+        mark(
+            sim.now(),
+            ObsEvent::instant("grid", "link_severed", u64::from(port)),
+        );
     }
 
     // Program the injector over its serial line, if the spec asks for it.
     if let Some((dir, config)) = &spec.injector {
-        phases.push(Stamped {
-            time: engine.now(),
-            value: ObsEvent::begin("campaign", "program", 0),
-        });
-        let programmed = program_injector(engine, device, engine.now(), *dir, config);
-        run_phase_budgeted(engine, programmed);
-        phases.push(Stamped {
-            time: engine.now(),
-            value: ObsEvent::end("campaign", "program", 0),
-        });
+        mark(sim.now(), ObsEvent::begin("campaign", "program", 0));
+        let program_at = sim.now();
+        let programmed = program_injector(sim, device, program_at, *dir, config);
+        run_phase_budgeted(sim, programmed);
+        mark(sim.now(), ObsEvent::end("campaign", "program", 0));
     }
 
-    // Inject: the same 40-message stream the observed campaign drives into
-    // host 1's link, plus settle time.
+    // Inject: stream the paper's message into host 1's link, plus settle
+    // time.
     let sends: u64 = 40;
-    phases.push(Stamped {
-        time: engine.now(),
-        value: ObsEvent::begin("campaign", "inject", sends),
-    });
+    mark(sim.now(), ObsEvent::begin("campaign", "inject", sends));
     for k in 0..sends {
-        let at = engine.now() + SimDuration::from_ms(5) * k;
-        engine.schedule(
+        let at = sim.now() + SimDuration::from_ms(5) * k;
+        sim.schedule(
             at,
             hosts[0],
             Ev::App(Box::new(HostCmd::SendUdp {
@@ -465,15 +469,10 @@ fn run_fault_phases(
             })),
         );
     }
-    let settle = engine.now() + SimDuration::from_ms(5) * sends + SimDuration::from_ms(100);
-    run_phase_budgeted(engine, settle);
-    phases.push(Stamped {
-        time: engine.now(),
-        value: ObsEvent::end("campaign", "inject", sends),
-    });
-
-    let run = collect(engine, hosts, switch, device, phases, engine.probe())?;
-    Ok(render(spec, run))
+    let settle = sim.now() + SimDuration::from_ms(5) * sends + SimDuration::from_ms(100);
+    run_phase_budgeted(sim, settle);
+    mark(sim.now(), ObsEvent::end("campaign", "inject", sends));
+    Ok(())
 }
 
 /// Renders a collected campaign into the grid's compact result form.
@@ -487,14 +486,9 @@ fn render(spec: &FailureSpec, run: ObservedCampaign) -> GridRun {
     }
 }
 
-/// Runs every spec on a fork of one warmed donor, fanned over `workers`
-/// scoped threads: 1 × warm-up + N × fault phases.
-///
-/// The coordinator warms the donor and pre-forks one engine per spec
-/// serially (forking is O(state); components are `Send` but the snapshot
-/// is not shareable across threads), then workers claim spec indices from
-/// an atomic counter and run the fault phases on their private forks. The
-/// fold walks result slots in spec order, so the worker count cannot
+/// Runs every spec on a fork of one warmed donor over `workers` threads:
+/// 1 × warm-up + N × fault phases. Each worker forks the shared donor
+/// where it runs ([`fan_out`], DESIGN.md §10), so the worker count cannot
 /// change any output byte — `tests/determinism.rs` pins workers 1/2/8
 /// against the same fingerprint.
 ///
@@ -510,59 +504,14 @@ pub fn fork_grid(
     specs: &[FailureSpec],
     workers: usize,
 ) -> Result<GridResult, ScenarioError> {
-    assert!(workers > 0, "worker count must be non-zero");
     let warm = warm_campaign(seed)?;
-    let workers = workers.min(specs.len().max(1));
-    if workers == 1 {
-        // One effective worker: fork and run inline, no thread scope.
-        let mut runs = Vec::with_capacity(specs.len());
-        for spec in specs {
-            runs.push(warm.fork_run(spec)?);
-        }
-        return Ok(GridResult { runs });
-    }
-    let mut forks = Vec::with_capacity(specs.len());
-    for _ in specs {
-        forks.push(std::sync::Mutex::new(Some(warm.snapshot.fork())));
-    }
-    let slots: Vec<std::sync::Mutex<Option<Result<GridRun, ScenarioError>>>> =
-        specs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Each fork is private to the worker that claims its index, and the
-    // fold below walks slots in spec order.
-    // lint: allow(thread-spawn) deterministic grid fan-out over scoped workers
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                let Some(spec) = specs.get(i) else { break };
-                let Some(mut engine) = forks[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                else {
-                    break;
-                };
-                let run = run_fault_phases(
-                    &mut engine,
-                    spec,
-                    &warm.hosts,
-                    warm.switch,
-                    warm.device,
-                    warm.map_phases.clone(),
-                );
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(run);
-            });
-        }
-    });
-    fold_grid(slots)
+    let runs = fan_out(workers, specs.len(), |i| warm.fork_run(&specs[i]))?;
+    Ok(GridResult { runs })
 }
 
 /// Runs every spec the expensive way — a private test bed and a full map
-/// phase each — fanned over `workers` scoped threads: N × (warm-up +
-/// fault phases). The baseline [`fork_grid`] is benchmarked against.
+/// phase each — over `workers` threads: N × (warm-up + fault phases). The
+/// baseline [`fork_grid`] is benchmarked against.
 ///
 /// # Errors
 ///
@@ -576,51 +525,7 @@ pub fn fresh_grid(
     specs: &[FailureSpec],
     workers: usize,
 ) -> Result<GridResult, ScenarioError> {
-    assert!(workers > 0, "worker count must be non-zero");
-    let workers = workers.min(specs.len().max(1));
-    if workers == 1 {
-        let mut runs = Vec::with_capacity(specs.len());
-        for spec in specs {
-            runs.push(fresh_run(seed, spec)?);
-        }
-        return Ok(GridResult { runs });
-    }
-    let slots: Vec<std::sync::Mutex<Option<Result<GridRun, ScenarioError>>>> =
-        specs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // lint: allow(thread-spawn) deterministic grid fan-out over scoped workers
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                let Some(spec) = specs.get(i) else { break };
-                let run = fresh_run(seed, spec);
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(run);
-            });
-        }
-    });
-    fold_grid(slots)
-}
-
-/// Walks result slots in spec order, surfacing the first error.
-fn fold_grid(
-    slots: Vec<std::sync::Mutex<Option<Result<GridRun, ScenarioError>>>>,
-) -> Result<GridResult, ScenarioError> {
-    let mut runs = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some(Ok(run)) => runs.push(run),
-            Some(Err(e)) => return Err(e),
-            // A worker can only skip a slot by panicking mid-scenario;
-            // treat it as a failed build.
-            None => return Err(ScenarioError::WrongComponent("GridRun")),
-        }
-    }
+    let runs = fan_out(workers, specs.len(), |i| fresh_run(seed, &specs[i]))?;
     Ok(GridResult { runs })
 }
 
@@ -687,6 +592,15 @@ mod tests {
             .fork_run(&FailureSpec::node_off("node-off-9", 9))
             .unwrap_err();
         assert!(matches!(err, ScenarioError::WrongComponent("Host")));
+    }
+
+    #[test]
+    fn bad_port_index_is_an_error() {
+        let warm = warm_campaign(11).unwrap();
+        let err = warm
+            .fork_run(&FailureSpec::link_severed("link-severed-200", 200))
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::WrongComponent("Switch port")));
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub mod scenarios;
 pub mod serialize;
 pub mod topo;
 
-pub use campaign::{
-    run_campaign, run_campaigns_parallel, run_campaigns_with_workers, CampaignSpec, FaultSpec,
-};
+pub use campaign::{run_campaign, run_campaigns_with_workers, CampaignSpec, FaultSpec};
 pub use detection::{
     detect_specs, fabric_graph, predicted_pairs, run_detection, warm_detect, DetectFault,
     DetectOptions, DetectResult, DetectRun, DetectSpec, ThresholdOutcome, WarmedDetect,

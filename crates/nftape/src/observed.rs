@@ -16,27 +16,24 @@
 //! registries are folded back in seed order, so the suite's exports are
 //! byte-identical for any `--workers` setting.
 
-use netfi_core::command::DirSelect;
-use netfi_core::config::InjectorConfig;
-use netfi_core::trigger::MatchMode;
 use netfi_core::InjectorDevice;
 use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::event::Ev;
 use netfi_myrinet::monitor::{InterfaceSnapshot, MmonReport, SwitchSnapshot};
 use netfi_myrinet::switch::Switch;
 use netfi_netstack::{
-    build_testbed, build_testbed_probed, Host, HostCmd, Testbed, TestbedOptions, UdpDatagram,
-    Workload, SINK_PORT,
+    build_testbed, build_testbed_probed, Host, Testbed, TestbedOptions, Workload,
 };
 use netfi_obs::event::sort_bundle;
 use netfi_obs::export::{chrome_trace, text_table};
 use netfi_obs::{DispatchProbe, EventKind, ObsEvent, Registry, Stamped};
 use netfi_sim::shard::{ShardSpec, ShardedEngine};
-use netfi_sim::{ComponentId, RunBudget, RunOutcome, SimDuration, SimTime, Simulation};
+use netfi_sim::{ComponentId, Fnv1a, RunBudget, RunOutcome, SimDuration, SimTime, Simulation};
 
+use crate::grid::{crc_repaired_spec, fresh_observed, run_fault_phases, warm_campaign};
 use crate::report::{registry_tables, Table};
 use crate::results::ScenarioError;
-use crate::scenarios::udpcheck::MESSAGE;
+use crate::runner::fan_out;
 
 /// Ring capacity armed on every component recorder.
 pub(crate) const RING: usize = 512;
@@ -160,83 +157,20 @@ pub(crate) fn drive_map_phase(sim: &mut impl Simulation<Ev>) -> Vec<Stamped<ObsE
     phases
 }
 
-/// Drives the fault phases — program, inject — that follow the map phase,
-/// appending their spans to `phases`. Runs identically on a freshly
-/// warmed engine and on a fork of a warmed engine's snapshot; the golden
-/// hashes in `tests/determinism.rs` pin that equivalence.
-fn drive_fault_phases(
-    sim: &mut impl Simulation<Ev>,
-    hosts: &[ComponentId],
-    device: ComponentId,
-    phases: &mut Vec<Stamped<ObsEvent>>,
-) {
-    let phase = |at: SimTime, ev: ObsEvent, phases: &mut Vec<Stamped<ObsEvent>>| {
-        phases.push(Stamped { time: at, value: ev });
-    };
-
-    // Phase 2: program the injector over its serial line — a detected
-    // corruption with CRC-8 repair, so the fault survives the link layer
-    // and is caught by the UDP checksum at the destination host.
-    phase(
-        sim.now(),
-        ObsEvent::begin("campaign", "program", 0),
-        phases,
-    );
-    let config = InjectorConfig::builder()
-        .match_mode(MatchMode::On)
-        .compare(u32::from_be_bytes(*b"Have"), 0xFFFF_FFFF)
-        .corrupt_replace(u32::from_be_bytes(*b"XaXe"), 0xFFFF_FFFF)
-        .recompute_crc(true)
-        .build();
-    let program_at = sim.now();
-    let programmed =
-        crate::runner::program_injector(sim, device, program_at, DirSelect::B, &config);
-    run_phase_budgeted(sim, programmed);
-    phase(
-        sim.now(),
-        ObsEvent::end("campaign", "program", 0),
-        phases,
-    );
-
-    // Phase 3: inject — stream the paper's message into the corrupted
-    // link.
-    let sends: u64 = 40;
-    phase(
-        sim.now(),
-        ObsEvent::begin("campaign", "inject", sends),
-        phases,
-    );
-    for k in 0..sends {
-        let at = sim.now() + SimDuration::from_ms(5) * k;
-        sim.schedule(
-            at,
-            hosts[0],
-            Ev::App(Box::new(HostCmd::SendUdp {
-                dest: EthAddr::myricom(2),
-                datagram: UdpDatagram::new(6_000, SINK_PORT, MESSAGE.to_vec()),
-            })),
-        );
-    }
-    let settle = sim.now() + SimDuration::from_ms(5) * sends + SimDuration::from_ms(100);
-    run_phase_budgeted(sim, settle);
-    phase(
-        sim.now(),
-        ObsEvent::end("campaign", "inject", sends),
-        phases,
-    );
-}
-
-/// Drives the full campaign — map, program, inject — on any
-/// [`Simulation`] executor, recording each phase as a span in the
-/// bundle's "campaign" scope.
-fn drive_phases(
-    sim: &mut impl Simulation<Ev>,
-    hosts: &[ComponentId],
-    device: ComponentId,
-) -> Vec<Stamped<ObsEvent>> {
-    let mut phases = drive_map_phase(sim);
-    drive_fault_phases(sim, hosts, device, &mut phases);
-    phases
+/// The one campaign set-up: builds the fixed test bed with a dispatch
+/// probe and arms every recorder. Returns it with the injector's id,
+/// ready for the map phase.
+pub(crate) fn armed_testbed(
+    seed: u64,
+) -> Result<(Testbed<DispatchProbe>, ComponentId), ScenarioError> {
+    let mut tb = build_testbed_probed(
+        campaign_options(seed),
+        DispatchProbe::new(RING),
+        campaign_workload,
+    )?;
+    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    arm_recorders(&mut tb.engine, &tb.hosts, tb.switch, device)?;
+    Ok((tb, device))
 }
 
 /// Collects the run: merges every recorder into one sorted bundle and
@@ -325,16 +259,7 @@ pub(crate) fn collect(
 ///
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn observed_campaign(seed: u64) -> Result<ObservedCampaign, ScenarioError> {
-    let mut tb = build_testbed_probed(
-        campaign_options(seed),
-        DispatchProbe::new(RING),
-        campaign_workload,
-    )?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    let hosts = tb.hosts.clone();
-    arm_recorders(&mut tb.engine, &hosts, tb.switch, device)?;
-    let phases = drive_phases(&mut tb.engine, &hosts, device);
-    collect(&tb.engine, &hosts, tb.switch, device, phases, tb.engine.probe())
+    fresh_observed(seed, &crc_repaired_spec())
 }
 
 /// [`observed_campaign`], with the fault phases executed on a **fork** of
@@ -351,19 +276,7 @@ pub fn observed_campaign(seed: u64) -> Result<ObservedCampaign, ScenarioError> {
 ///
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn observed_campaign_forked(seed: u64) -> Result<ObservedCampaign, ScenarioError> {
-    let mut tb = build_testbed_probed(
-        campaign_options(seed),
-        DispatchProbe::new(RING),
-        campaign_workload,
-    )?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    let hosts = tb.hosts.clone();
-    arm_recorders(&mut tb.engine, &hosts, tb.switch, device)?;
-    let mut phases = drive_map_phase(&mut tb.engine);
-    let snapshot = tb.engine.snapshot();
-    let mut fork = snapshot.fork();
-    drive_fault_phases(&mut fork, &hosts, device, &mut phases);
-    collect(&fork, &hosts, tb.switch, device, phases, fork.probe())
+    warm_campaign(seed)?.fork_observed(&crc_repaired_spec())
 }
 
 /// An [`ObservedCampaign`] produced by the sharded engine, plus the
@@ -428,7 +341,8 @@ pub fn observed_campaign_sharded(seed: u64, workers: usize) -> Result<ShardedObs
     };
     let mut sim = ShardedEngine::from_engine(engine, spec, |_| DispatchProbe::new(RING));
     arm_recorders(&mut sim, &hosts, switch, device)?;
-    let phases = drive_phases(&mut sim, &hosts, device);
+    let mut phases = drive_map_phase(&mut sim);
+    run_fault_phases(&mut sim, &crc_repaired_spec(), &hosts, switch, device, &mut phases)?;
     let probe = DispatchProbe::merged(sim.probes());
     let campaign = collect(&sim, &hosts, switch, device, phases, &probe)?;
     Ok(ShardedObserved {
@@ -440,12 +354,11 @@ pub fn observed_campaign_sharded(seed: u64, workers: usize) -> Result<ShardedObs
 }
 
 /// A multi-scenario observed campaign: one [`observed_campaign`] per seed,
-/// fanned out over scoped worker threads, folded back deterministically.
+/// fanned out over worker threads, folded back deterministically.
 ///
 /// Each scenario runs on a **private** engine, testbed and recorder set,
-/// so scenarios share no mutable state; workers claim scenario indices
-/// from an atomic counter and park each finished run in its index slot.
-/// The fold then walks the slots in index order: registries merge
+/// so scenarios share no mutable state, and [`fan_out`] returns the runs
+/// in seed order. The fold walks them in that order: registries merge
 /// left-to-right, drop/dispatch totals sum. Nothing in the output can
 /// observe which thread ran which scenario, so the suite is byte-identical
 /// for any worker count (pinned by `tests/determinism.rs`).
@@ -484,26 +397,20 @@ impl ObservedSuite {
     /// order. Two suites with the same fingerprint rendered the same
     /// bytes — the determinism tests compare this across worker counts.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(self.text_table().as_bytes());
+        let mut hash = Fnv1a::new();
+        hash.write(self.text_table().as_bytes());
         for table in self.report_tables() {
-            eat(table.render().as_bytes());
+            hash.write(table.render().as_bytes());
         }
         for trace in self.chrome_traces() {
-            eat(trace.as_bytes());
+            hash.write(trace.as_bytes());
         }
-        hash
+        hash.finish()
     }
 }
 
-/// Runs [`observed_campaign`] for every seed over `workers` scoped
-/// threads and folds the results in seed order.
+/// Runs [`observed_campaign`] for every seed over `workers` threads and
+/// folds the results in seed order.
 ///
 /// # Errors
 ///
@@ -514,51 +421,7 @@ impl ObservedSuite {
 ///
 /// Panics if `workers` is zero.
 pub fn observed_suite(seeds: &[u64], workers: usize) -> Result<ObservedSuite, ScenarioError> {
-    assert!(workers > 0, "worker count must be non-zero");
-    let workers = workers.min(seeds.len().max(1));
-    if workers == 1 {
-        // One effective worker (a 1-core box, or one seed): the thread
-        // scope would add spawn/join and mutex traffic for zero
-        // parallelism, so run the scenarios inline. Same fold, same
-        // bytes — only the scheduling differs.
-        let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            runs.push(observed_campaign(seed)?);
-        }
-        return Ok(fold_suite(runs, seeds));
-    }
-    let slots: Vec<std::sync::Mutex<Option<Result<ObservedCampaign, ScenarioError>>>> =
-        seeds.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Every run lands in its seed-index slot and the fold below walks
-    // slots in index order, so the worker count cannot change any output
-    // byte.
-    // lint: allow(thread-spawn) deterministic scenario fan-out over scoped workers
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                let Some(&seed) = seeds.get(i) else { break };
-                let run = observed_campaign(seed);
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(run);
-            });
-        }
-    });
-    let mut runs = Vec::with_capacity(seeds.len());
-    for slot in slots {
-        match slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some(Ok(run)) => runs.push(run),
-            Some(Err(e)) => return Err(e),
-            // A worker can only skip a slot by panicking mid-scenario, and
-            // scenario code is panic-checked; treat it as a build failure.
-            None => return Err(ScenarioError::WrongComponent("ObservedCampaign")),
-        }
-    }
+    let runs = fan_out(workers, seeds.len(), |i| observed_campaign(seeds[i]))?;
     Ok(fold_suite(runs, seeds))
 }
 

@@ -11,8 +11,12 @@ use netfi_core::config::InjectorConfig;
 use netfi_core::corrupt::CorruptMode;
 use netfi_core::trigger::MatchMode;
 use netfi_myrinet::event::Ev;
+use netfi_myrinet::switch::Switch;
+use netfi_netstack::Host;
 use netfi_phy::serial::UartConfig;
 use netfi_sim::{ComponentId, SimDuration, SimTime, Simulation};
+
+use crate::results::ScenarioError;
 
 /// The default campaign fan-out width: one worker per available core.
 ///
@@ -32,6 +36,91 @@ pub fn worker_count(requested: Option<usize>) -> usize {
         Some(n) if n > 0 => n,
         _ => default_workers(),
     }
+}
+
+/// Runs `run(i)` for every `i < n` over `workers` threads and returns the
+/// results in index order — the one fan-out every campaign driver uses
+/// (DESIGN.md §10).
+///
+/// The calling thread is the first worker, so `workers == 1` spawns
+/// nothing and runs the same loop as any other count. Workers claim
+/// indices from a shared iterator that hands each a disjoint `&mut`
+/// result slot; the claim lock is released before `run(i)` starts.
+/// Nothing in the output can observe which thread ran which index, so a
+/// `run` that is a pure function of `i` makes the result independent of
+/// `workers`.
+///
+/// # Errors
+///
+/// Every index runs; the error of the lowest failing index is returned.
+///
+/// # Panics
+///
+/// Panics if `workers` is zero. A panic inside `run` propagates once the
+/// remaining workers have finished and been joined.
+pub fn fan_out<T: Send, E: Send>(
+    workers: usize,
+    n: usize,
+    run: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    assert!(workers > 0, "worker count must be non-zero");
+    let mut slots: Vec<Option<Result<T, E>>> = (0..n).map(|_| None).collect();
+    {
+        let claims = std::sync::Mutex::new(slots.iter_mut().enumerate());
+        let work = || loop {
+            let claimed = claims
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .next();
+            let Some((i, slot)) = claimed else { break };
+            *slot = Some(run(i));
+        };
+        // lint: allow(thread-spawn) the one campaign fan-out: results land in index-ordered slots, so the schedule cannot reach any output byte
+        std::thread::scope(|scope| {
+            for _ in 1..workers.min(n) {
+                scope.spawn(work);
+            }
+            work();
+        });
+    }
+    // The scope re-raises a worker's panic, so here every slot is filled.
+    slots.into_iter().flatten().collect()
+}
+
+/// Powers off `host`: it stays wired but ignores every later event — the
+/// paper's silent node failure.
+///
+/// # Errors
+///
+/// Returns [`ScenarioError::WrongComponent`] if `host` is not a [`Host`].
+pub fn power_off(sim: &mut impl Simulation<Ev>, host: ComponentId) -> Result<(), ScenarioError> {
+    sim.component_as_mut::<Host>(host)
+        .ok_or(ScenarioError::WrongComponent("Host"))?
+        .power_off();
+    Ok(())
+}
+
+/// Severs `port` of `switch`: frames arriving on or routed out of it are
+/// dropped and counted — the paper's link failure.
+///
+/// # Errors
+///
+/// Returns [`ScenarioError::WrongComponent`] if `switch` is not a
+/// [`Switch`] or has no such port.
+pub fn sever(
+    sim: &mut impl Simulation<Ev>,
+    switch: ComponentId,
+    port: usize,
+) -> Result<(), ScenarioError> {
+    let sw = sim
+        .component_as_mut::<Switch>(switch)
+        .ok_or(ScenarioError::WrongComponent("Switch"))?;
+    let port = u8::try_from(port)
+        .ok()
+        .filter(|&p| usize::from(p) < sw.port_count())
+        .ok_or(ScenarioError::WrongComponent("Switch port"))?;
+    sw.sever_port(port);
+    Ok(())
 }
 
 /// Builds the serial command sequence that programs `config` on the
@@ -133,6 +222,80 @@ mod tests {
     use super::*;
     use netfi_core::trigger::MatchMode;
     use netfi_sim::Engine;
+
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn fan_out_returns_index_order_and_runs_each_index_once() {
+        for workers in [1, 2, 3, 8] {
+            for n in [0, 1, 5, 64] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out = fan_out(workers, n, |i| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    Ok::<_, ()>(i * 10)
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * 10).collect();
+                assert_eq!(out, Ok(want), "workers={workers} n={n}");
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::SeqCst) == 1),
+                    "workers={workers} n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_the_lowest_failing_index_even_when_it_finishes_last() {
+        // Index 1 blocks until index 7 starts. With two workers the other
+        // one runs 2..=7 in order, so index 6 has failed and been recorded
+        // before index 1 returns.
+        let seven_started = std::sync::Barrier::new(2);
+        let out: Result<Vec<usize>, usize> = fan_out(2, 8, |i| {
+            if i == 1 || i == 7 {
+                seven_started.wait();
+            }
+            if i == 1 || i == 6 {
+                Err(i)
+            } else {
+                Ok(i)
+            }
+        });
+        assert_eq!(out, Err(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "worker count")]
+    fn fan_out_rejects_zero_workers() {
+        let _ = fan_out(0, 3, Ok::<_, ()>);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 2")]
+    fn fan_out_propagates_an_item_panic_after_the_other_items_ran() {
+        let ran = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fan_out(3, 8, |i| {
+                assert_ne!(i, 2, "item 2");
+                ran.fetch_add(1, Ordering::SeqCst);
+                Ok::<_, ()>(i)
+            })
+        }));
+        // No hang, and the claim lock was never poisoned: the two
+        // surviving workers drained every other index before the scope
+        // re-raised the panic.
+        assert_eq!(ran.load(Ordering::SeqCst), 7);
+        assert!(outcome.is_ok(), "item 2 panicked out of fan_out");
+    }
+
+    #[test]
+    fn donors_are_sync() {
+        // `fan_out` shares the donor by reference; a component that grows
+        // an `Rc`/`Cell` field must fail here, at the trait bound.
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<netfi_sim::EngineSnapshot<Ev, netfi_obs::DispatchProbe>>();
+        assert_sync::<crate::WarmedCampaign>();
+        assert_sync::<crate::WarmedDetect>();
+    }
 
     #[test]
     fn config_script_roundtrip() {

@@ -53,7 +53,7 @@ use netfi_netstack::{Host, HostCmd, HostConfig, Workload, SINK_PORT};
 use netfi_phy::Link;
 use netfi_sim::shard::ShardSpec;
 use netfi_sim::{
-    ComponentId, Engine, NullProbe, Probe, SimDuration, SimTime, Simulation,
+    ComponentId, Engine, Fnv1a, NullProbe, Probe, SimDuration, SimTime, Simulation,
 };
 
 /// Parameters for [`build_fabric`].
@@ -385,35 +385,29 @@ pub fn fabric_digest(
     hosts: &[ComponentId],
     switches: &[ComponentId],
 ) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&sim.events_processed().to_le_bytes());
-    eat(&sim.now().as_ps().to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.write_u64(sim.events_processed());
+    h.write_u64(sim.now().as_ps());
     for &id in hosts {
         match sim.component_as::<Host>(id) {
             Some(host) => {
-                eat(&host.rx_count(SINK_PORT).to_le_bytes());
-                eat(&host.sender_sent().to_le_bytes());
+                h.write_u64(host.rx_count(SINK_PORT));
+                h.write_u64(host.sender_sent());
                 // Debug renderings of plain counter structs: stable,
                 // field-complete, and allocation is fine post-run.
-                eat(format!("{:?}", host.udp_stats()).as_bytes());
-                eat(format!("{:?}", host.nic().stats()).as_bytes());
+                h.write(format!("{:?}", host.udp_stats()).as_bytes());
+                h.write(format!("{:?}", host.nic().stats()).as_bytes());
             }
-            None => eat(b"missing-host"),
+            None => h.write(b"missing-host"),
         }
     }
     for &id in switches {
         match sim.component_as::<Switch>(id) {
-            Some(switch) => eat(format!("{:?}", switch.stats()).as_bytes()),
-            None => eat(b"missing-switch"),
+            Some(switch) => h.write(format!("{:?}", switch.stats()).as_bytes()),
+            None => h.write(b"missing-switch"),
         }
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

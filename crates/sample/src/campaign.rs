@@ -13,11 +13,10 @@
 //! baseline, and the only difference between two runs is the drawn
 //! fault itself.
 //!
-//! Fan-out mirrors the grid's determinism recipe: the coordinator
-//! pre-forks a bounded chunk of engines serially (forks are cheap but
-//! 2048 resident engines are not), workers claim point indices from an
-//! atomic counter, and records land in index slots folded in draw
-//! order. No output byte can depend on the worker count; the campaign
+//! Fan-out is the grid's: `netfi_nftape::runner::fan_out` runs every
+//! point on a fork made by the worker that runs it — at most one resident
+//! engine per worker — and returns the records in draw order. No output
+//! byte can depend on the worker count; the campaign
 //! [`fingerprint`](SampledCampaign::fingerprint) is compared across
 //! workers 1/2/8 in `tests/determinism.rs`.
 
@@ -31,10 +30,10 @@ use netfi_myrinet::switch::Switch;
 use netfi_netstack::{Host, HostCmd, UdpDatagram, SINK_PORT};
 use netfi_nftape::grid::{warm_campaign, WarmedCampaign};
 use netfi_nftape::results::ScenarioError;
-use netfi_nftape::runner::{program_injector, schedule_script};
+use netfi_nftape::runner::{fan_out, program_injector, schedule_script};
 use netfi_nftape::scenarios::udpcheck::MESSAGE;
 use netfi_obs::DispatchProbe;
-use netfi_sim::{ComponentId, Engine, RunBudget, RunOutcome, SimDuration, SimTime};
+use netfi_sim::{Engine, Fnv1a, RunBudget, RunOutcome, SimDuration, SimTime};
 
 use netfi_core::command::DirSelect;
 
@@ -62,8 +61,6 @@ pub const ARM_SPAN_NS: u64 = 37_500_000;
 /// Event budget per bounded point run. A healthy point finishes in well
 /// under 100k events; exhausting this classifies the run as a hang.
 const POINT_EVENT_BUDGET: u64 = 2_000_000;
-/// Engines pre-forked per fan-out round, bounding resident memory.
-const CHUNK: usize = 32;
 /// Source port of the streamed campaign datagrams.
 const SRC_PORT: u16 = 6_000;
 
@@ -74,7 +71,7 @@ pub struct SampleOptions {
     pub seed: u64,
     /// Number of injection points to draw and run.
     pub points: u64,
-    /// Fan-out width (must be non-zero; 1 runs inline).
+    /// Fan-out width (must be non-zero).
     pub workers: usize,
 }
 
@@ -170,19 +167,13 @@ impl SampledCampaign {
     /// produced the same bytes; the determinism tests compare this
     /// across worker counts.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&self.seed.to_le_bytes());
-        self.baseline.eat_into(&mut eat);
+        let mut hash = Fnv1a::new();
+        hash.write_u64(self.seed);
+        self.baseline.eat_into(&mut hash);
         for r in &self.records {
-            eat(&r.point.index.to_le_bytes());
-            eat(&r.point.t_arm_ns.to_le_bytes());
-            eat(&[
+            hash.write_u64(r.point.index);
+            hash.write_u64(r.point.t_arm_ns);
+            hash.write(&[
                 r.point.dir as u8,
                 matches!(r.point.plane, Plane::Control) as u8,
                 r.point.bit as u8,
@@ -191,11 +182,11 @@ impl SampledCampaign {
                 r.point.control_swap as u8,
                 r.class.index() as u8,
             ]);
-            eat(&(r.point.offset as u64).to_le_bytes());
-            r.evidence.eat_into(&mut eat);
+            hash.write_u64(r.point.offset as u64);
+            r.evidence.eat_into(&mut hash);
         }
-        eat(self.report().render().as_bytes());
-        hash
+        hash.write(self.report().render().as_bytes());
+        hash.finish()
     }
 }
 
@@ -203,25 +194,6 @@ impl SampledCampaign {
 /// compare windows slide over.
 pub fn campaign_wire() -> Vec<u8> {
     UdpDatagram::new(SRC_PORT, SINK_PORT, MESSAGE.to_vec()).encode()
-}
-
-/// Component ids a point run reads, detached from the donor so worker
-/// closures never capture the snapshot itself.
-#[derive(Debug, Clone)]
-struct CampaignIds {
-    hosts: Vec<ComponentId>,
-    switch: ComponentId,
-    device: ComponentId,
-}
-
-impl CampaignIds {
-    fn of(warm: &WarmedCampaign) -> CampaignIds {
-        CampaignIds {
-            hosts: warm.hosts().to_vec(),
-            switch: warm.switch(),
-            device: warm.device(),
-        }
-    }
 }
 
 /// The injector configuration a drawn point programs — always with the
@@ -271,11 +243,11 @@ fn point_config(point: &InjectionPoint, wire: &[u8]) -> InjectorConfig {
 /// `SENDS` from the intercepted host back to host 0 (direction A),
 /// interleaved half a gap apart so both directions of the spliced link
 /// carry the same wire image during the arming window.
-fn schedule_stream(engine: &mut Engine<Ev, DispatchProbe>, ids: &CampaignIds, t_stream: SimTime) {
+fn schedule_stream(engine: &mut Engine<Ev, DispatchProbe>, warm: &WarmedCampaign, t_stream: SimTime) {
     for k in 0..SENDS {
         engine.schedule(
             t_stream + SEND_GAP * k,
-            ids.hosts[0],
+            warm.hosts()[0],
             Ev::App(Box::new(HostCmd::SendUdp {
                 dest: EthAddr::myricom(2),
                 datagram: UdpDatagram::new(SRC_PORT, SINK_PORT, MESSAGE.to_vec()),
@@ -283,7 +255,7 @@ fn schedule_stream(engine: &mut Engine<Ev, DispatchProbe>, ids: &CampaignIds, t_
         );
         engine.schedule(
             t_stream + SEND_GAP * k + SEND_GAP / 2,
-            ids.hosts[1],
+            warm.hosts()[1],
             Ev::App(Box::new(HostCmd::SendUdp {
                 dest: EthAddr::myricom(1),
                 datagram: UdpDatagram::new(SRC_PORT, SINK_PORT, MESSAGE.to_vec()),
@@ -296,24 +268,24 @@ fn schedule_stream(engine: &mut Engine<Ev, DispatchProbe>, ids: &CampaignIds, t_
 /// its evidence.
 fn finish(
     engine: &mut Engine<Ev, DispatchProbe>,
-    ids: &CampaignIds,
+    warm: &WarmedCampaign,
     t_stream: SimTime,
 ) -> Result<RunEvidence, ScenarioError> {
     let deadline = t_stream + SEND_GAP * SENDS + SETTLE;
     let outcome = engine.run_budgeted(RunBudget::until(deadline).with_max_events(POINT_EVENT_BUDGET));
-    collect_evidence(engine, ids, outcome)
+    collect_evidence(engine, warm, outcome)
 }
 
 /// Reads the end-of-run evidence: obs recorder instants plus per-layer
 /// counters, summed exactly as documented on [`RunEvidence`].
 fn collect_evidence(
     engine: &Engine<Ev, DispatchProbe>,
-    ids: &CampaignIds,
+    warm: &WarmedCampaign,
     outcome: RunOutcome,
 ) -> Result<RunEvidence, ScenarioError> {
     let mut crc_detections = 0;
     let mut timeout_detections = 0;
-    for &h in &ids.hosts {
+    for &h in warm.hosts() {
         let host = engine
             .component_as::<Host>(h)
             .ok_or(ScenarioError::WrongComponent("Host"))?;
@@ -324,13 +296,13 @@ fn collect_evidence(
         timeout_detections += host.nic().egress_stats().timeout_recoveries;
     }
     let sw = engine
-        .component_as::<Switch>(ids.switch)
+        .component_as::<Switch>(warm.switch())
         .ok_or(ScenarioError::WrongComponent("Switch"))?;
     let s = sw.stats();
     crc_detections += s.framing_drops + s.truncation_drops + s.malformed_drops;
     timeout_detections += s.long_timeout_releases + s.gap_releases;
     let dev = engine
-        .component_as::<InjectorDevice>(ids.device)
+        .component_as::<InjectorDevice>(warm.device())
         .ok_or(ScenarioError::WrongComponent("InjectorDevice"))?;
     let injections = [Direction::AToB, Direction::BToA]
         .into_iter()
@@ -348,7 +320,7 @@ fn collect_evidence(
     let mut corrupt_payloads = 0;
     // Both stream endpoints are sinks: host 1 receives the forward burst,
     // host 0 the reverse one.
-    for &h in &ids.hosts[..2] {
+    for &h in &warm.hosts()[..2] {
         let sink = engine
             .component_as::<Host>(h)
             .ok_or(ScenarioError::WrongComponent("Host"))?;
@@ -371,39 +343,37 @@ fn collect_evidence(
 
 /// Runs the healthy baseline on a fork: the same stream at the same
 /// instants, no injector program, no arming.
-fn run_baseline(
-    engine: &mut Engine<Ev, DispatchProbe>,
-    ids: &CampaignIds,
-) -> Result<RunEvidence, ScenarioError> {
+fn run_baseline(warm: &WarmedCampaign) -> Result<RunEvidence, ScenarioError> {
+    let engine = &mut warm.fork_engine();
     let t_stream = engine.now() + PROGRAM_MARGIN;
-    schedule_stream(engine, ids, t_stream);
-    finish(engine, ids, t_stream)
+    schedule_stream(engine, warm, t_stream);
+    finish(engine, warm, t_stream)
 }
 
 /// Runs one drawn point on a fork: program disarmed, stream, arm `Once`
 /// at the drawn instant, run bounded, collect.
 fn run_point(
-    engine: &mut Engine<Ev, DispatchProbe>,
+    warm: &WarmedCampaign,
     point: &InjectionPoint,
-    ids: &CampaignIds,
     wire: &[u8],
 ) -> Result<RunEvidence, ScenarioError> {
+    let engine = &mut warm.fork_engine();
     let t0 = engine.now();
     let config = point_config(point, wire);
-    program_injector(engine, ids.device, t0, point.dir, &config);
+    program_injector(engine, warm.device(), t0, point.dir, &config);
     let t_stream = t0 + PROGRAM_MARGIN;
-    schedule_stream(engine, ids, t_stream);
+    schedule_stream(engine, warm, t_stream);
     // The programming script ended with the decoder's direction select
     // still on `point.dir`, so a lone MATCH-MODE command re-arms exactly
     // the drawn direction(s) at the drawn instant.
     let t_arm = t_stream + SimDuration::from_ns(point.t_arm_ns);
     schedule_script(
         engine,
-        ids.device,
+        warm.device(),
         t_arm,
         &[Command::MatchMode(MatchMode::Once)],
     );
-    finish(engine, ids, t_stream)
+    finish(engine, warm, t_stream)
 }
 
 /// Draws and runs a full sampled campaign.
@@ -419,9 +389,7 @@ fn run_point(
 ///
 /// Panics if `workers` is zero.
 pub fn run_sampled_campaign(opts: &SampleOptions) -> Result<SampledCampaign, ScenarioError> {
-    assert!(opts.workers > 0, "worker count must be non-zero");
-    let warm = warm_campaign(opts.seed)?;
-    sample_warmed(&warm, opts)
+    sample_warmed(&warm_campaign(opts.seed)?, opts)
 }
 
 /// [`run_sampled_campaign`] on an existing donor — callers running
@@ -439,99 +407,23 @@ pub fn sample_warmed(
     warm: &WarmedCampaign,
     opts: &SampleOptions,
 ) -> Result<SampledCampaign, ScenarioError> {
-    assert!(opts.workers > 0, "worker count must be non-zero");
     let wire = campaign_wire();
-    let ids = CampaignIds::of(warm);
-    let mut baseline_engine = warm.snapshot().fork();
-    let baseline = run_baseline(&mut baseline_engine, &ids)?;
-    let points: Vec<InjectionPoint> = (0..opts.points)
-        .map(|i| draw_point(opts.seed, i, wire.len(), ARM_SPAN_NS))
-        .collect();
-    let records = if opts.workers == 1 {
-        // One effective worker: fork and run inline, no thread scope.
-        let mut records = Vec::with_capacity(points.len());
-        for point in &points {
-            let mut engine = warm.snapshot().fork();
-            let evidence = run_point(&mut engine, point, &ids, &wire)?;
-            records.push(PointRecord {
-                point: point.clone(),
-                class: classify(&evidence, &baseline),
-                evidence,
-            });
-        }
-        records
-    } else {
-        fan_out(warm, &points, &ids, &wire, &baseline, opts.workers)?
-    };
+    let baseline = run_baseline(warm)?;
+    // Point `i` is a pure function of `(seed, i)`, so each worker draws
+    // the points it runs.
+    let records = fan_out(opts.workers, opts.points as usize, |i| {
+        let point = draw_point(opts.seed, i as u64, wire.len(), ARM_SPAN_NS);
+        run_point(warm, &point, &wire).map(|evidence| PointRecord {
+            class: classify(&evidence, &baseline),
+            point,
+            evidence,
+        })
+    })?;
     Ok(SampledCampaign {
         seed: opts.seed,
         baseline,
         records,
     })
-}
-
-/// The chunked fan-out: pre-fork a bounded chunk serially, let workers
-/// claim point indices from an atomic counter, fold record slots in
-/// draw order. The worker count cannot change any output byte.
-fn fan_out(
-    warm: &WarmedCampaign,
-    points: &[InjectionPoint],
-    ids: &CampaignIds,
-    wire: &[u8],
-    baseline: &RunEvidence,
-    workers: usize,
-) -> Result<Vec<PointRecord>, ScenarioError> {
-    let mut records = Vec::with_capacity(points.len());
-    for chunk in points.chunks(CHUNK) {
-        let mut forks = Vec::with_capacity(chunk.len());
-        for _ in chunk {
-            forks.push(std::sync::Mutex::new(Some(warm.snapshot().fork())));
-        }
-        let slots: Vec<std::sync::Mutex<Option<Result<PointRecord, ScenarioError>>>> =
-            chunk.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // Each fork is private to the worker that claims its index, and
-        // the fold below walks slots in draw order.
-        // lint: allow(thread-spawn) deterministic sampling fan-out over scoped workers
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(chunk.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                    let Some(point) = chunk.get(i) else { break };
-                    let Some(mut engine) = forks[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .take()
-                    else {
-                        break;
-                    };
-                    let run = run_point(&mut engine, point, ids, wire).map(|evidence| {
-                        PointRecord {
-                            point: point.clone(),
-                            class: classify(&evidence, baseline),
-                            evidence,
-                        }
-                    });
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(run);
-                });
-            }
-        });
-        for slot in slots {
-            match slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-            {
-                Some(Ok(r)) => records.push(r),
-                Some(Err(e)) => return Err(e),
-                // A worker can only skip a slot by panicking mid-run;
-                // surface it as a failed read.
-                None => return Err(ScenarioError::WrongComponent("PointRecord")),
-            }
-        }
-    }
-    Ok(records)
 }
 
 #[cfg(test)]
@@ -630,12 +522,9 @@ mod tests {
     fn crafted_points_hit_their_classes() {
         let warm = warm_campaign(11).expect("warm donor");
         let wire = campaign_wire();
-        let ids = CampaignIds::of(&warm);
-        let mut base_engine = warm.snapshot().fork();
-        let baseline = run_baseline(&mut base_engine, &ids).expect("baseline");
+        let baseline = run_baseline(&warm).expect("baseline");
         let run = |p: &InjectionPoint| {
-            let mut engine = warm.snapshot().fork();
-            let evidence = run_point(&mut engine, p, &ids, &wire).expect("point run");
+            let evidence = run_point(&warm, p, &wire).expect("point run");
             (classify(&evidence, &baseline), evidence)
         };
         // A word swap on the aligned "Have" window with the CRC repaired:

@@ -15,7 +15,7 @@
 //! relative to that baseline. Absolute thresholds would misclassify —
 //! the warmed campaign's map phase already put events in every recorder.
 
-use netfi_sim::RunOutcome;
+use netfi_sim::{Fnv1a, RunOutcome};
 
 /// The five-way outcome taxonomy of a sampled injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -110,16 +110,16 @@ pub struct RunEvidence {
 }
 
 impl RunEvidence {
-    /// Folds the evidence into an FNV-1a style byte stream for
-    /// fingerprinting. Field order is part of the fingerprint contract.
-    pub fn eat_into(&self, eat: &mut impl FnMut(&[u8])) {
-        eat(&[self.outcome as u8]);
-        eat(&self.injections.to_le_bytes());
-        eat(&self.obs_injects.to_le_bytes());
-        eat(&self.crc_detections.to_le_bytes());
-        eat(&self.timeout_detections.to_le_bytes());
-        eat(&self.delivered.to_le_bytes());
-        eat(&self.corrupt_payloads.to_le_bytes());
+    /// Folds the evidence into a campaign fingerprint. Field order is part
+    /// of the fingerprint contract.
+    pub fn eat_into(&self, hash: &mut Fnv1a) {
+        hash.write(&[self.outcome as u8]);
+        hash.write_u64(self.injections);
+        hash.write_u64(self.obs_injects);
+        hash.write_u64(self.crc_detections);
+        hash.write_u64(self.timeout_detections);
+        hash.write_u64(self.delivered);
+        hash.write_u64(self.corrupt_payloads);
     }
 }
 

@@ -72,10 +72,13 @@ impl fmt::Display for ComponentId {
 ///
 /// `Send` is a supertrait so any engine can be decomposed into a
 /// [`crate::shard::ShardedEngine`], whose affinity groups execute on scoped
-/// worker threads. Component state is plain owned data everywhere in this
-/// workspace, so the bound costs nothing; it rules out `Rc`/`RefCell`
-/// state, which would also defeat the determinism story.
-pub trait Component<M>: 'static + Send {
+/// worker threads. `Sync` is a supertrait so an [`EngineSnapshot`] can be
+/// shared by reference: every campaign worker forks the one donor on the
+/// thread that runs the fork. Component state is plain owned data
+/// everywhere in this workspace, so the bounds cost nothing; `Send` rules
+/// out `Rc` and `Sync` rules out `Cell`/`RefCell` state, either of which
+/// would also defeat the determinism story.
+pub trait Component<M>: 'static + Send + Sync {
     /// Called when an event addressed to this component becomes due.
     fn on_event(&mut self, ctx: &mut Context<'_, M>, payload: M);
 

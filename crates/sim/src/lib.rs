@@ -29,6 +29,8 @@
 //!   runnable engines in O(state) — the warm-up amortisation behind the
 //!   `nftape` fork grid. A fork replays bit-identically to a fresh run
 //!   reaching the same state.
+//! - [`Fnv1a`]: the one FNV-1a fold behind every campaign fingerprint and
+//!   fabric digest.
 //!
 //! # Example
 //!
@@ -64,6 +66,7 @@
 pub(crate) mod arena;
 pub mod bytes;
 pub mod engine;
+pub mod fnv;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
@@ -76,6 +79,7 @@ pub use engine::{
     Component, ComponentId, Context, Engine, EngineSnapshot, NullProbe, Probe, RunBudget,
     RunOutcome, Simulation,
 };
+pub use fnv::Fnv1a;
 pub use queue::TimingWheel;
 pub use rng::DetRng;
 pub use shard::{ShardSpec, ShardedEngine};
