@@ -1,9 +1,10 @@
 //! `netfi-bench` — experiment regenerators and micro-benchmarks.
 //!
-//! Benchmarks run on the dependency-free [`harness`] (monotonic clock,
-//! warmup, median-of-N); `cargo bench -p netfi-bench` runs them all, and
+//! The `bench_*` bins time themselves with the dependency-free
+//! [`harness`] (monotonic clock, warmup, median-of-N);
 //! `cargo run -p netfi-bench --release --bin bench_engine` emits
-//! `BENCH_engine.json` for perf-trend tracking.
+//! `BENCH_engine.json` for perf-trend tracking. Per-layer costs are rows
+//! of the `benchmark` bin's traced run.
 //!
 //! One binary per table/figure of the paper (see DESIGN.md's experiment
 //! index); `cargo run -p netfi-bench --bin <name> --release`:

@@ -99,14 +99,15 @@ fn workspace_has_no_lint_violations() {
         "nftape's allowlist entries vanished from the budget: {}",
         report.suppressions
     );
-    // 29 is the measured count: 13 expect, 11 hot-path-alloc (setup
-    // paths), 2 env-access (NETFI_DEBUG), 1 fork-skip and 2 thread-spawn
+    // 28 is the measured count: 13 expect, 10 hot-path-alloc (setup
+    // paths; `snapshot` and `fork` share the one in `Core::fork`),
+    // 2 env-access (NETFI_DEBUG), 1 fork-skip and 2 thread-spawn
     // (`sim::shard`'s window fan-out and `nftape::runner::fan_out`, the
     // one campaign fan-out). The ceiling sits exactly on it; it can only
     // move down, or up in the same commit that adds a justified (and
     // exercised) allow.
     assert!(
-        report.suppressions <= 29,
+        report.suppressions <= 28,
         "allow-comment suppressions grew to {} — review before raising the budget",
         report.suppressions
     );

@@ -11,7 +11,7 @@
 
 // netfi-lint: deny(hot-path-alloc)
 //
-// The event loop (`step`) is the simulator's innermost loop. The only
+// The event loop (`Core::run_window`) is the simulator's innermost loop. The only
 // allocations permitted here are one-time constructor ones (allowlisted
 // below); the timing-wheel queue and component table amortise to zero
 // allocations at steady state.
@@ -116,9 +116,9 @@ pub(crate) struct CrossSend<M> {
 
 /// Sharded-execution routing state threaded through a [`Context`].
 ///
-/// Present only while a [`crate::shard::ShardedEngine`] is delivering a
-/// window batch; the serial engine always runs with `route: None`, so its
-/// dispatch loop pays one always-false branch per send.
+/// Present only under a shard's `Part` placement; the serial engine's
+/// [`Whole`] placement always yields `route: None`, so its dispatch loop
+/// pays one always-false branch per send.
 pub(crate) struct ShardRoute<'a, M> {
     /// Component index → shard id, for the whole engine.
     pub(crate) affinity: &'a [u16],
@@ -223,31 +223,6 @@ impl<M> Context<'_, M> {
     }
 }
 
-impl<'a, M> Context<'a, M> {
-    /// Builds a context for one sharded-window delivery. Only
-    /// [`crate::shard`] calls this; the serial engine builds its contexts
-    /// inline with `route: None`.
-    pub(crate) fn for_shard(
-        now: SimTime,
-        self_id: ComponentId,
-        emit: &'a mut u64,
-        queue: &'a mut TimingWheel<Queued<M>>,
-        components: u32,
-        stop_requested: &'a mut bool,
-        route: ShardRoute<'a, M>,
-    ) -> Context<'a, M> {
-        Context {
-            now,
-            self_id,
-            emit,
-            queue,
-            components,
-            stop_requested,
-            route: Some(route),
-        }
-    }
-}
-
 /// An observation seam on the engine's dispatch loop.
 ///
 /// The probe is a *type parameter* of [`Engine`], so the choice of probe is
@@ -287,9 +262,10 @@ impl Probe for NullProbe {}
 /// deadline *and* a cap on delivered events. Both are pure functions of
 /// simulation state, so a budgeted run returns the same [`RunOutcome`] on
 /// the serial engine and on a [`crate::shard::ShardedEngine`] at any
-/// worker count (the sharded engine checks the event cap at window
-/// boundaries, so it may overrun `max_events` by at most one window's
-/// deliveries — deterministically).
+/// worker count. The sharded engine hands every shard the events still
+/// allowed as its cap for the window, so with one shard the cap is exact,
+/// and otherwise the overrun is below `shards × remaining` at the last
+/// window's start — deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// Latest simulated instant to deliver events at (inclusive).
@@ -329,6 +305,156 @@ pub enum RunOutcome {
     BudgetExhausted,
 }
 
+/// Where a [`Core`] finds a destination's slot and what its handlers'
+/// sends are routed through — the whole difference between the serial
+/// engine and a shard. Statically dispatched: each placement gets its own
+/// monomorphized [`Core::run_window`].
+pub(crate) trait Placement<M> {
+    /// The slot of component `dst` in the core's arena.
+    fn slot(&self, dst: ComponentId) -> usize;
+    /// The routing state for one delivery in the window ending at
+    /// `window_last`.
+    fn route(&mut self, window_last: SimTime) -> Option<ShardRoute<'_, M>>;
+}
+
+/// The serial placement: the core holds every component at its own index
+/// and nothing is routed.
+pub(crate) struct Whole;
+
+impl<M> Placement<M> for Whole {
+    #[inline(always)]
+    fn slot(&self, dst: ComponentId) -> usize {
+        dst.index()
+    }
+    #[inline(always)]
+    fn route(&mut self, _window_last: SimTime) -> Option<ShardRoute<'_, M>> {
+        None
+    }
+}
+
+/// One executor: a component table, the wheel that feeds it, a clock and
+/// a probe. The serial [`Engine`] is one core holding every component; a
+/// [`crate::shard::ShardedEngine`] is one core per affinity group.
+pub(crate) struct Core<M, P: Probe> {
+    /// One dense slot per component co-locating the component with its
+    /// emission counter (the low half of the sub-tick keys it mints), so
+    /// a delivery's counter read-modify-write and its vtable jump share a
+    /// cache line (see [`crate::arena`]). Counters are carried through
+    /// snapshots and shard decomposition: resetting one would re-issue
+    /// keys already spent on queued events.
+    pub(crate) arena: ComponentArena<M>,
+    /// A bucketed timing wheel (see [`crate::queue`]): exact `(time, key)`
+    /// delivery order at O(1) push/pop.
+    pub(crate) wheel: TimingWheel<Queued<M>>,
+    pub(crate) now: SimTime,
+    pub(crate) events: u64,
+    pub(crate) stop: bool,
+    pub(crate) probe: P,
+}
+
+impl<M: 'static, P: Probe> Core<M, P> {
+    /// An empty core at `now`.
+    pub(crate) fn new(now: SimTime, probe: P) -> Self {
+        Core {
+            arena: ComponentArena::new(),
+            wheel: TimingWheel::new(),
+            now,
+            events: 0,
+            stop: false,
+            probe,
+        }
+    }
+
+    /// Delivers events due at or before `window_last` until none is left,
+    /// a handler asks to stop, or `max_events` have been delivered;
+    /// returns how many were. `total` is the component count sends are
+    /// checked against. The only place in the crate that pops a wheel and
+    /// calls a handler; one wheel walk covers the due check and the pop.
+    #[inline]
+    pub(crate) fn run_window(
+        &mut self,
+        window_last: SimTime,
+        max_events: u64,
+        total: u32,
+        place: &mut impl Placement<M>,
+    ) -> u64 {
+        let mut delivered = 0;
+        while !self.stop && delivered < max_events {
+            let Some((time, _key, (dst, payload))) = self.wheel.pop_due(window_last) else {
+                break;
+            };
+            debug_assert!(time >= self.now);
+            self.now = time;
+            self.events += 1;
+            delivered += 1;
+            self.probe.on_dispatch(time, dst, self.events);
+            // One slot borrow covers the counter and the component: the
+            // context takes `&mut slot.emit`, the handler call takes
+            // `&mut slot.component` — disjoint fields of one dense record.
+            let emitted = {
+                let slot = self.arena.slot_mut(place.slot(dst));
+                let emit_before = slot.emit;
+                let mut ctx = Context {
+                    now: time,
+                    self_id: dst,
+                    emit: &mut slot.emit,
+                    queue: &mut self.wheel,
+                    components: total,
+                    stop_requested: &mut self.stop,
+                    route: place.route(window_last),
+                };
+                slot.component.on_event(&mut ctx, payload);
+                // Every send a handler makes goes through its own counter,
+                // so the delta is exactly what this delivery emitted.
+                (slot.emit - emit_before) as usize
+            };
+            self.probe.on_deliver(time, dst, emitted);
+        }
+        delivered
+    }
+}
+
+impl<M: Fork + 'static, P: Probe + Clone> Core<M, P> {
+    /// Deep-copies the core with `stop` cleared: the one copy behind both
+    /// [`Engine::snapshot`] and [`EngineSnapshot::fork`].
+    fn fork(&self) -> Core<M, P> {
+        Core {
+            arena: self.arena.fork(),
+            wheel: self.wheel.fork(),
+            now: self.now,
+            events: self.events,
+            stop: false,
+            // lint: allow(hot-path-alloc) snapshot capture and fork construction are campaign setup, not the event loop
+            probe: self.probe.clone(),
+        }
+    }
+}
+
+/// The tail of every budgeted run: classifies how it ended and, unless it
+/// was cut short, advances `now` to the deadline.
+pub(crate) fn run_outcome(
+    now: &mut SimTime,
+    stopped: bool,
+    budget_hit: bool,
+    deadline: SimTime,
+    pending: usize,
+) -> RunOutcome {
+    if stopped {
+        return RunOutcome::Stopped;
+    }
+    if budget_hit {
+        return RunOutcome::BudgetExhausted;
+    }
+    if *now < deadline {
+        *now = deadline;
+    }
+    if pending == 0 {
+        RunOutcome::Drained
+    } else {
+        RunOutcome::DeadlineReached
+    }
+}
+
 /// The event-driven simulation engine.
 ///
 /// See the [crate-level documentation](crate) for a complete example. The
@@ -336,33 +462,19 @@ pub enum RunOutcome {
 /// [`NullProbe`] (no observation, no overhead), so existing
 /// `Engine<M>`-typed code is unaffected.
 pub struct Engine<M, P: Probe = NullProbe> {
-    /// The component table: one dense slot per component co-locating the
-    /// component with its emission counter (the low half of the sub-tick
-    /// keys it mints), so a delivery's counter read-modify-write and its
-    /// vtable jump share a cache line (see [`crate::arena`]). Counters
-    /// are carried through snapshots and shard decomposition: resetting
-    /// one would re-issue keys already spent on queued events.
-    components: ComponentArena<M>,
-    /// The event queue: a bucketed timing wheel (see [`crate::queue`])
-    /// that preserves the exact `(time, seq)` delivery order the old
-    /// binary heap had, at O(1) push/pop instead of O(log n) sifts.
-    queue: TimingWheel<Queued<M>>,
-    now: SimTime,
+    pub(crate) core: Core<M, P>,
     /// Emission counter for the engine-level [`Engine::schedule`] stream
     /// (sub-tick source slot 0).
-    external_seq: u64,
-    events_processed: u64,
-    stop_requested: bool,
-    probe: P,
+    pub(crate) external_seq: u64,
 }
 
 impl<M, P: Probe> fmt::Debug for Engine<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
-            .field("components", &self.components.len())
-            .field("queued", &self.queue.len())
-            .field("now", &self.now)
-            .field("events_processed", &self.events_processed)
+            .field("components", &self.core.arena.len())
+            .field("queued", &self.core.wheel.len())
+            .field("now", &self.core.now)
+            .field("events_processed", &self.core.events)
             .finish()
     }
 }
@@ -384,24 +496,19 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     /// Creates an empty engine at time zero observed by `probe`.
     pub fn with_probe(probe: P) -> Self {
         Engine {
-            components: ComponentArena::new(),
-            queue: TimingWheel::new(),
-            now: SimTime::ZERO,
+            core: Core::new(SimTime::ZERO, probe),
             external_seq: 0,
-            events_processed: 0,
-            stop_requested: false,
-            probe,
         }
     }
 
     /// Borrows the observation probe.
     pub fn probe(&self) -> &P {
-        &self.probe
+        &self.core.probe
     }
 
     /// Mutably borrows the observation probe (e.g. to arm or drain it).
     pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
+        &mut self.core.probe
     }
 
     /// Registers a component and returns its id.
@@ -414,28 +521,28 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     pub fn add_component(&mut self, component: Box<dyn Component<M>>) -> ComponentId {
         // Slot `id + 1` must fit the 24 bits above the emission counter.
         assert!(
-            self.components.len() < (1usize << (64 - EMIT_BITS)) - 1,
+            self.core.arena.len() < (1usize << (64 - EMIT_BITS)) - 1,
             "too many components for the sub-tick key scheme"
         );
         // lint: allow(expect) the slot-capacity assert above already bounds the table
-        let id = ComponentId(u32::try_from(self.components.len()).expect("too many components"));
-        self.components.push(component);
+        let id = ComponentId(u32::try_from(self.core.arena.len()).expect("too many components"));
+        self.core.arena.push(component);
         id
     }
 
     /// The current simulated time (the time of the last delivered event).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// The total number of events delivered so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.core.events
     }
 
     /// The number of events still queued.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.core.wheel.len()
     }
 
     /// Schedules `payload` for delivery to `dst` at absolute time `time`.
@@ -444,65 +551,35 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     ///
     /// Panics if `time` is in the past or `dst` is not registered.
     pub fn schedule(&mut self, time: SimTime, dst: ComponentId, payload: M) {
-        assert!(time >= self.now, "cannot schedule into the past");
-        assert!(dst.index() < self.components.len(), "unknown component {dst}");
+        assert!(time >= self.core.now, "cannot schedule into the past");
+        assert!(dst.index() < self.core.arena.len(), "unknown component {dst}");
         let key = tick_key(0, self.external_seq);
         self.external_seq += 1;
-        self.queue.push(time, key, (dst, payload));
+        self.core.wheel.push(time, key, (dst, payload));
     }
 
     /// Schedules `payload` for delivery to `dst` after `delay` from now.
     pub fn schedule_after(&mut self, delay: SimDuration, dst: ComponentId, payload: M) {
-        self.schedule(self.now + delay, dst, payload);
+        self.schedule(self.core.now + delay, dst, payload);
+    }
+
+    /// Clears any earlier stop request and delivers at most `max_events`
+    /// events due at or before `deadline`: the core holding every
+    /// component, under the [`Whole`] placement.
+    fn deliver(&mut self, deadline: SimTime, max_events: u64) -> u64 {
+        self.core.stop = false;
+        let total = u32::try_from(self.core.arena.len()).unwrap_or(u32::MAX);
+        self.core.run_window(deadline, max_events, total, &mut Whole)
     }
 
     /// Delivers the next event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        self.step_due(SimTime::MAX)
-    }
-
-    /// Delivers the next event if it is due at or before `deadline`.
-    /// One queue walk covers both the deadline check and the pop.
-    #[inline]
-    fn step_due(&mut self, deadline: SimTime) -> bool {
-        let Some((time, _key, (dst, payload))) = self.queue.pop_due(deadline) else {
-            return false;
-        };
-        debug_assert!(time >= self.now);
-        self.now = time;
-        self.events_processed += 1;
-        self.probe.on_dispatch(self.now, dst, self.events_processed);
-
-        let idx = dst.index();
-        let registered = u32::try_from(self.components.len()).unwrap_or(u32::MAX);
-        // One slot borrow covers the counter and the component: the
-        // context takes `&mut slot.emit`, the handler call takes
-        // `&mut slot.component` — disjoint fields of one dense record.
-        let emitted = {
-            let slot = self.components.slot_mut(idx);
-            let emit_before = slot.emit;
-            let mut ctx = Context {
-                now: self.now,
-                self_id: dst,
-                emit: &mut slot.emit,
-                queue: &mut self.queue,
-                components: registered,
-                stop_requested: &mut self.stop_requested,
-                route: None,
-            };
-            slot.component.on_event(&mut ctx, payload);
-            // Every send a handler makes goes through its own counter,
-            // so the delta is exactly what this delivery emitted.
-            (slot.emit - emit_before) as usize
-        };
-        self.probe.on_deliver(self.now, dst, emitted);
-        true
+        self.deliver(SimTime::MAX, 1) == 1
     }
 
     /// Runs until the queue drains or a component calls [`Context::stop`].
     pub fn run(&mut self) {
-        self.stop_requested = false;
-        while !self.stop_requested && self.step() {}
+        self.deliver(SimTime::MAX, u64::MAX);
     }
 
     /// Runs until simulated time would exceed `deadline`, the queue drains,
@@ -524,33 +601,14 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     /// behaves exactly like [`Engine::run_until`]; on budget exhaustion
     /// the clock stays at the last delivered event.
     pub fn run_budgeted(&mut self, budget: RunBudget) -> RunOutcome {
-        self.stop_requested = false;
-        let mut delivered = 0u64;
-        while !self.stop_requested {
-            if delivered >= budget.max_events {
-                return RunOutcome::BudgetExhausted;
-            }
-            if !self.step_due(budget.deadline) {
-                break;
-            }
-            delivered += 1;
-        }
-        if self.stop_requested {
-            return RunOutcome::Stopped;
-        }
-        if self.now < budget.deadline {
-            self.now = budget.deadline;
-        }
-        if self.queue.is_empty() {
-            RunOutcome::Drained
-        } else {
-            RunOutcome::DeadlineReached
-        }
+        let budget_hit = self.deliver(budget.deadline, budget.max_events) >= budget.max_events;
+        let core = &mut self.core;
+        run_outcome(&mut core.now, core.stop, budget_hit, budget.deadline, core.wheel.len())
     }
 
     /// Runs for `span` of simulated time from now.
     pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now + span;
+        let deadline = self.core.now + span;
         self.run_until(deadline);
     }
 
@@ -558,7 +616,7 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     ///
     /// Returns `None` if `id` is stale/unknown.
     pub fn component(&self, id: ComponentId) -> Option<&dyn Component<M>> {
-        self.components.get(id.index())
+        self.core.arena.get(id.index())
     }
 
     /// Downcasts a component to its concrete type.
@@ -567,35 +625,23 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     ///
     /// See the [crate-level documentation](crate).
     pub fn component_as<T: 'static>(&self, id: ComponentId) -> Option<&T> {
-        self.components
+        self.core
+            .arena
             .get(id.index())
             .and_then(|c| c.as_any().downcast_ref::<T>())
     }
 
     /// Mutably downcasts a component to its concrete type.
     pub fn component_as_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
-        self.components
+        self.core
+            .arena
             .get_mut(id.index())
             .and_then(|c| c.as_any_mut().downcast_mut::<T>())
     }
 
     /// Number of registered components.
     pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
-    /// Decomposes the engine into the pieces a
-    /// [`crate::shard::ShardedEngine`] redistributes: the component table,
-    /// the pending event queue and the clock/sequence state. The donor's
-    /// probe is dropped — the sharded engine installs one probe per shard.
-    pub(crate) fn into_shard_parts(self) -> ShardParts<M> {
-        ShardParts {
-            components: self.components,
-            external_seq: self.external_seq,
-            queue: self.queue,
-            now: self.now,
-            events_processed: self.events_processed,
-        }
+        self.core.arena.len()
     }
 }
 
@@ -613,44 +659,27 @@ impl<M: Fork + 'static, P: Probe + Clone> Engine<M, P> {
     /// that reached the same state (pinned end-to-end by the golden
     /// export hashes in `tests/determinism.rs`).
     pub fn snapshot(&self) -> EngineSnapshot<M, P> {
-        EngineSnapshot {
-            components: self.components.fork(),
-            queue: self.queue.fork(),
-            now: self.now,
+        EngineSnapshot(Engine {
+            core: self.core.fork(),
             external_seq: self.external_seq,
-            events_processed: self.events_processed,
-            // lint: allow(hot-path-alloc) snapshot capture is campaign setup, not the event loop
-            probe: self.probe.clone(),
-        }
+        })
     }
 }
 
 /// An immutable capture of a warmed [`Engine`], forkable into independent
 /// runnable engines (see [`Engine::snapshot`] and [`crate::snapshot`]).
 ///
-/// The snapshot holds its own deep copy of every component, the full
-/// timing-wheel state (buckets in their exact order, lazy-sort flags, the
-/// overflow heap, the occupancy bitmap and cursor), the clock, the
-/// sequence counter, the delivery count, and the probe. It holds *no*
+/// The snapshot is a frozen engine: its own deep copy of every component,
+/// the full timing-wheel state (buckets in their exact order, lazy-sort
+/// flags, the overflow heap, the occupancy bitmap and cursor), the clock,
+/// the sequence counter, the delivery count, and the probe. It holds *no*
 /// reference back to the donor engine: the donor may keep running — or be
 /// dropped — without affecting any fork taken later.
-pub struct EngineSnapshot<M, P: Probe = NullProbe> {
-    components: ComponentArena<M>,
-    queue: TimingWheel<Queued<M>>,
-    now: SimTime,
-    external_seq: u64,
-    events_processed: u64,
-    probe: P,
-}
+pub struct EngineSnapshot<M, P: Probe = NullProbe>(Engine<M, P>);
 
 impl<M, P: Probe> fmt::Debug for EngineSnapshot<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EngineSnapshot")
-            .field("components", &self.components.len())
-            .field("queued", &self.queue.len())
-            .field("now", &self.now)
-            .field("events_processed", &self.events_processed)
-            .finish()
+        f.debug_tuple("EngineSnapshot").field(&self.0).finish()
     }
 }
 
@@ -663,46 +692,26 @@ impl<M: Fork + 'static, P: Probe + Clone> EngineSnapshot<M, P> {
     /// trajectory is exactly the donor's from the capture instant on —
     /// until the caller perturbs it (a failure spec, new stimulus).
     pub fn fork(&self) -> Engine<M, P> {
-        Engine {
-            components: self.components.fork(),
-            queue: self.queue.fork(),
-            now: self.now,
-            external_seq: self.external_seq,
-            events_processed: self.events_processed,
-            stop_requested: false,
-            // lint: allow(hot-path-alloc) fork construction is campaign setup, not the event loop
-            probe: self.probe.clone(),
-        }
+        // A snapshot of the frozen engine, thawed: the same `Core::fork`.
+        self.0.snapshot().0
     }
 }
 
 impl<M, P: Probe> EngineSnapshot<M, P> {
     /// The simulated time the capture was taken at.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.0.core.now
     }
 
     /// Events that were pending when the capture was taken.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.0.core.wheel.len()
     }
 
     /// Number of captured components.
     pub fn component_count(&self) -> usize {
-        self.components.len()
+        self.0.core.arena.len()
     }
-}
-
-/// What [`Engine::into_shard_parts`] yields (see [`crate::shard`]).
-pub(crate) struct ShardParts<M> {
-    /// The donor's dense slot table: each slot carries a component and
-    /// its emission counter (see [`crate::arena`]).
-    pub(crate) components: ComponentArena<M>,
-    /// The engine-level schedule stream's counter (source slot 0).
-    pub(crate) external_seq: u64,
-    pub(crate) queue: TimingWheel<Queued<M>>,
-    pub(crate) now: SimTime,
-    pub(crate) events_processed: u64,
 }
 
 /// The control surface shared by the serial [`Engine`] and the

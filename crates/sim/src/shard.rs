@@ -3,14 +3,16 @@
 //! A [`ShardedEngine`] partitions an engine's components into affinity
 //! groups ("shards") and executes them with conservative-window
 //! synchronization — the classic conservative parallel-DES recipe, shaped
-//! to this workspace's determinism contract:
+//! to this workspace's determinism contract. The model is one executor
+//! `Core` per affinity group; the serial engine is the one-core case of
+//! the same dispatch loop (`engine::Core::run_window`):
 //!
 //! 1. **Affinity partition.** Every component belongs to exactly one shard
 //!    (the paper's per-direction pipelines are the natural grouping: each
 //!    host-side pipeline is independent between link crossings). A shard
-//!    owns its components and a private [`TimingWheel`], so within a shard
-//!    execution is *exactly* the serial engine: `(time, seq)` order, seq
-//!    assigned at scheduling time.
+//!    is a `Core` — its components and a private `TimingWheel` — so
+//!    within a shard execution *is* the serial engine's loop: `(time,
+//!    key)` order, keys assigned at emission time.
 //! 2. **Conservative windows.** Each round, the engine takes the global
 //!    minimum due time `s` and lets every shard deliver all events in
 //!    `[s, s + lookahead)`. The lookahead is the minimum cross-shard
@@ -25,6 +27,11 @@
 //!    shard's wheel at the window barrier, key intact. No sequence
 //!    numbers are re-assigned anywhere, so the merge is pure placement
 //!    and its order is irrelevant.
+//! 4. **One round driver.** The calling thread is the first worker: it
+//!    runs the first chunk of shards inside each window and owns every
+//!    shard between windows, where it merges the mailboxes and opens the
+//!    next window. `workers = 1` spawns nothing and runs that same
+//!    function alone, so it is literally the reference for `workers = N`.
 //!
 //! Equality with the serial engine holds for *every* delivery, ties
 //! included. The argument is two short inductions. Per-source keys match:
@@ -106,15 +113,14 @@
 //! ```
 
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-use crate::arena::ComponentArena;
 use crate::engine::{
-    tick_key, ComponentId, Context, CrossSend, Probe, Queued, RunBudget, RunOutcome, ShardRoute,
-    Simulation,
+    run_outcome, tick_key, ComponentId, Core, CrossSend, Engine, NullProbe, Placement, Probe,
+    RunBudget, RunOutcome, ShardRoute, Simulation,
 };
-use crate::queue::TimingWheel;
 use crate::time::{SimDuration, SimTime};
 
 /// How to shard an engine: the partition, the time bound, the fan-out.
@@ -127,86 +133,72 @@ pub struct ShardSpec {
     /// cross-shard send. For components linked by a physical link this is
     /// the link's propagation delay (serialization only adds to it).
     pub lookahead: SimDuration,
-    /// Worker threads to execute window batches on. `1` runs every round
-    /// inline with no threads. The output is byte-identical for any value.
+    /// Threads to execute window batches on, the calling thread included:
+    /// `1` runs every round on the caller and spawns nothing. The output
+    /// is byte-identical for any value.
     pub workers: usize,
 }
 
-/// An event in flight between shards. Its sub-tick key was minted by the
-/// emitting component at send time, so the destination wheel orders it
-/// exactly as the serial engine's single wheel would — the mailbox needs
-/// no sorting and assigns nothing.
-struct Routed<M> {
-    time: SimTime,
-    key: u64,
-    dst: ComponentId,
-    payload: M,
+/// A shard's [`Placement`]: components sit at `locs[index]` of the
+/// shard's own arena, and sends leaving `home` are captured in `outbox`.
+struct Part<'a, M> {
+    affinity: &'a [u16],
+    locs: &'a [u32],
+    home: u16,
+    outbox: &'a mut Vec<CrossSend<M>>,
 }
 
-/// One affinity group: a slice of the component table plus a private
-/// clock, wheel and probe. Within a shard, dispatch is *identical* to the
-/// serial engine's.
+impl<M> Placement<M> for Part<'_, M> {
+    #[inline(always)]
+    fn slot(&self, dst: ComponentId) -> usize {
+        self.locs[dst.index()] as usize
+    }
+    #[inline(always)]
+    fn route(&mut self, window_last: SimTime) -> Option<ShardRoute<'_, M>> {
+        Some(ShardRoute {
+            affinity: self.affinity,
+            home: self.home,
+            window_last,
+            outbox: self.outbox,
+        })
+    }
+}
+
+/// One affinity group: a [`Core`] holding the group's slice of the donor's
+/// slot table (each slot re-homed with its emission counter intact, so
+/// the sub-tick keys minted here continue the serial sequences), plus
+/// the cross-shard sends of the window it last ran.
 struct Shard<M, P: Probe> {
+    core: Core<M, P>,
     home: u16,
-    /// The shard's slice of the donor's dense slot table: each slot
-    /// carries a component and its emission counter, re-homed intact by
-    /// the decomposition so the sub-tick keys minted here continue the
-    /// serial sequences (see [`crate::arena`]).
-    arena: ComponentArena<M>,
-    wheel: TimingWheel<Queued<M>>,
-    now: SimTime,
-    events: u64,
-    stop: bool,
-    probe: P,
     outbox: Vec<CrossSend<M>>,
 }
 
 impl<M: 'static, P: Probe> Shard<M, P> {
-    /// Delivers every due event in the window ending at `window_last`
-    /// (inclusive). Exactly the serial `step_due` loop, against the
-    /// shard's private wheel, with cross-shard sends diverted to the
-    /// outbox by the routed [`Context`].
-    fn run_window(&mut self, window_last: SimTime, affinity: &[u16], locs: &[u32], total: u32) {
-        while !self.stop {
-            let Some((time, _key, (dst, payload))) = self.wheel.pop_due(window_last) else {
-                break;
-            };
-            debug_assert!(time >= self.now);
-            self.now = time;
-            self.events += 1;
-            self.probe.on_dispatch(time, dst, self.events);
-            let loc = locs[dst.index()] as usize;
-            // Split one slot borrow across its fields, exactly like the
-            // serial dispatch loop: the context takes `&mut slot.emit`,
-            // the handler call takes `&mut slot.component`.
-            let emitted = {
-                let slot = self.arena.slot_mut(loc);
-                let emit_before = slot.emit;
-                let mut ctx = Context::for_shard(
-                    time,
-                    dst,
-                    &mut slot.emit,
-                    &mut self.wheel,
-                    total,
-                    &mut self.stop,
-                    ShardRoute {
-                        affinity,
-                        home: self.home,
-                        window_last,
-                        outbox: &mut self.outbox,
-                    },
-                );
-                slot.component.on_event(&mut ctx, payload);
-                (slot.emit - emit_before) as usize
-            };
-            self.probe.on_deliver(time, dst, emitted);
-        }
+    /// Delivers at most `cap` of the events due in the window ending at
+    /// `window_last` (inclusive): the serial loop, under [`Part`].
+    fn run_window(&mut self, window_last: SimTime, cap: u64, affinity: &[u16], locs: &[u32]) {
+        let mut part = Part {
+            affinity,
+            locs,
+            home: self.home,
+            outbox: &mut self.outbox,
+        };
+        self.core
+            .run_window(window_last, cap, affinity.len() as u32, &mut part);
     }
+}
 
-    /// Next due time of this shard's wheel, as picoseconds (`u64::MAX`
-    /// when empty) — the form the coordinator's min-reduction uses.
-    fn next_due_ps(&mut self) -> u64 {
-        self.wheel.peek_time().map_or(u64::MAX, |t| t.as_ps())
+/// Shard `sid` of the chunked table, between windows: the first chunk
+/// is the caller's own, the rest are the lent chunks it holds.
+fn shard_at<'s, M, P: Probe>(
+    mine: &'s mut [Shard<M, P>],
+    held: &'s mut [MutexGuard<'_, &mut [Shard<M, P>]>],
+    sid: usize,
+) -> &'s mut Shard<M, P> {
+    match sid.checked_sub(mine.len()) {
+        None => &mut mine[sid],
+        Some(rest) => &mut held[rest / mine.len()][rest % mine.len()],
     }
 }
 
@@ -216,14 +208,13 @@ impl<M: 'static, P: Probe> Shard<M, P> {
 /// Construct one with [`ShardedEngine::from_engine`] (see the
 /// [module docs](self) for the model and a compiled example). Drive it
 /// through the same [`Simulation`] surface the serial engine implements.
-pub struct ShardedEngine<M, P: Probe = crate::engine::NullProbe> {
+pub struct ShardedEngine<M, P: Probe = NullProbe> {
     shards: Vec<Shard<M, P>>,
     affinity: Vec<u16>,
     /// Component index → index within its shard's component table.
     locs: Vec<u32>,
     lookahead: SimDuration,
     workers: usize,
-    components_total: u32,
     now: SimTime,
     /// Events the donor engine had already delivered at conversion.
     base_events: u64,
@@ -232,7 +223,6 @@ pub struct ShardedEngine<M, P: Probe = crate::engine::NullProbe> {
     external_seq: u64,
     rounds: u64,
     cross_events: u64,
-    stopped: bool,
 }
 
 impl<M, P: Probe> fmt::Debug for ShardedEngine<M, P> {
@@ -264,12 +254,15 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
     /// Panics if the affinity table does not cover every component, the
     /// lookahead is zero, or `workers` is zero.
     pub fn from_engine<P0: Probe>(
-        engine: crate::Engine<M, P0>,
+        engine: Engine<M, P0>,
         spec: ShardSpec,
         mut probe_for: impl FnMut(usize) -> P,
     ) -> ShardedEngine<M, P> {
-        let parts = engine.into_shard_parts();
-        let n = parts.components.len();
+        let Engine {
+            core: donor,
+            external_seq,
+        } = engine;
+        let n = donor.arena.len();
         assert!(
             spec.affinity.len() == n,
             "affinity table must cover every component"
@@ -284,30 +277,25 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
             .unwrap_or(1);
         let mut shards: Vec<Shard<M, P>> = (0..nshards)
             .map(|i| Shard {
+                core: Core::new(donor.now, probe_for(i)),
                 home: i as u16,
-                arena: ComponentArena::new(),
-                wheel: TimingWheel::new(),
-                now: parts.now,
-                events: 0,
-                stop: false,
-                probe: probe_for(i),
                 outbox: Vec::new(),
             })
             .collect();
         let mut locs = vec![0u32; n];
-        for (idx, slot) in parts.components.into_slots().into_iter().enumerate() {
-            let shard = &mut shards[spec.affinity[idx] as usize];
-            locs[idx] = shard.arena.len() as u32;
+        for (idx, slot) in donor.arena.into_slots().into_iter().enumerate() {
+            let arena = &mut shards[spec.affinity[idx] as usize].core.arena;
+            locs[idx] = arena.len() as u32;
             // Slots move whole: each component keeps its emission counter.
-            shard.arena.push_slot(slot);
+            arena.push_slot(slot);
         }
         // Pending events keep the sub-tick keys they were emitted with;
         // re-routing is pure placement, so each destination wheel holds
         // exactly the ordered set the serial wheel would pop for it.
-        let mut queue = parts.queue;
+        let mut queue = donor.wheel;
         while let Some((time, key, (dst, payload))) = queue.pop() {
             let shard = &mut shards[spec.affinity[dst.index()] as usize];
-            shard.wheel.push(time, key, (dst, payload));
+            shard.core.wheel.push(time, key, (dst, payload));
         }
         ShardedEngine {
             shards,
@@ -315,13 +303,11 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
             locs,
             lookahead: spec.lookahead,
             workers: spec.workers,
-            components_total: n as u32,
-            now: parts.now,
-            base_events: parts.events_processed,
-            external_seq: parts.external_seq,
+            now: donor.now,
+            base_events: donor.events,
+            external_seq,
             rounds: 0,
             cross_events: 0,
-            stopped: false,
         }
     }
 
@@ -357,286 +343,164 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
 
     /// Borrows one shard's observation probe.
     pub fn probe(&self, shard: usize) -> Option<&P> {
-        self.shards.get(shard).map(|s| &s.probe)
+        self.shards.get(shard).map(|s| &s.core.probe)
     }
 
     /// Iterates over every shard's probe, in shard order.
     pub fn probes(&self) -> impl Iterator<Item = &P> + '_ {
-        self.shards.iter().map(|s| &s.probe)
+        self.shards.iter().map(|s| &s.core.probe)
     }
 
     /// Events delivered by one shard.
     pub fn shard_events(&self, shard: usize) -> u64 {
-        self.shards.get(shard).map_or(0, |s| s.events)
+        self.shards.get(shard).map_or(0, |s| s.core.events)
     }
 
-    fn window_last(start_ps: u64, lookahead: SimDuration, deadline: SimTime) -> SimTime {
-        let end = start_ps.saturating_add(lookahead.as_ps() - 1);
-        SimTime::from_ps(end.min(deadline.as_ps()))
-    }
-
-    /// Pushes mailbox entries into their destination shards' wheels with
-    /// their emission-time keys intact — pure placement, order-free.
-    fn distribute(shards: &mut [Shard<M, P>], affinity: &[u16], mailbox: &mut Vec<Routed<M>>) {
-        for routed in mailbox.drain(..) {
-            let shard = &mut shards[affinity[routed.dst.index()] as usize];
-            shard.wheel.push(routed.time, routed.key, (routed.dst, routed.payload));
-        }
-    }
-
-    /// The inline executor: same rounds, no threads. `workers == 1` (or a
-    /// single shard) takes this path; it is the reference the threaded
-    /// path must be indistinguishable from. Returns whether the event
-    /// budget ended the run.
-    fn run_rounds_inline(&mut self, deadline: SimTime, max_events: u64) -> bool {
-        let ShardedEngine {
-            ref mut shards,
-            ref affinity,
-            ref locs,
-            lookahead,
-            components_total,
-            ..
-        } = *self;
-        let start_events: u64 = shards.iter().map(|s| s.events).sum();
-        let mut mailbox: Vec<Routed<M>> = Vec::new();
-        loop {
-            // The budget is checked at round boundaries only, so the
-            // decision is a pure function of simulation state — the
-            // threaded executor evaluates the identical predicate at the
-            // identical boundaries.
-            let delivered: u64 = shards.iter().map(|s| s.events).sum::<u64>() - start_events;
-            if delivered >= max_events {
-                return true;
-            }
-            let start_ps = shards.iter_mut().map(Shard::next_due_ps).min().unwrap_or(u64::MAX);
-            if start_ps == u64::MAX || start_ps > deadline.as_ps() {
-                break;
-            }
-            let window_last = Self::window_last(start_ps, lookahead, deadline);
-            self.rounds += 1;
-            for shard in shards.iter_mut() {
-                shard.run_window(window_last, affinity, locs, components_total);
-            }
-            for shard in shards.iter_mut() {
-                for CrossSend { time, key, dst, payload } in shard.outbox.drain(..) {
-                    mailbox.push(Routed { time, key, dst, payload });
-                }
-            }
-            self.cross_events += mailbox.len() as u64;
-            Self::distribute(shards, affinity, &mut mailbox);
-            if shards.iter().any(|s| s.stop) {
-                self.stopped = true;
-                break;
-            }
-        }
-        false
-    }
-
-    /// The threaded executor: shards are statically chunked over at most
-    /// `workers` scoped threads (ceil-div chunking may need fewer threads
-    /// than workers); the coordinator (this thread) merges mailboxes and
-    /// opens windows between two barrier waits per round. Every decision
-    /// is a function of simulation state gathered at barriers, so this
-    /// path is byte-indistinguishable from [`Self::run_rounds_inline`].
-    fn run_rounds_threaded(&mut self, deadline: SimTime, max_events: u64) -> bool {
+    /// The round driver; returns whether the event budget ended the run.
+    ///
+    /// Shards are statically chunked over at most `workers` threads
+    /// (ceil-div chunking may need fewer). The calling thread is the
+    /// first of them: it runs chunk 0 inside each window and, between
+    /// windows, owns every shard — it pushes each outbox straight into
+    /// the destination wheels (keys intact, so the order is irrelevant)
+    /// and opens the next window from what it reads there. Chunks 1.. are
+    /// each lent to one scoped thread; with one chunk nothing is spawned
+    /// and the same code runs on the caller alone. Every decision is a
+    /// function of simulation state read between windows, so the worker
+    /// count cannot reach an output byte.
+    fn run_rounds(&mut self, deadline: SimTime, max_events: u64) -> bool {
         let nshards = self.shards.len();
-        let workers = self.workers.min(nshards);
-        let chunk = nshards.div_ceil(workers);
-        // Ceil-div chunking can produce fewer chunks than `workers`
-        // (5 shards over 4 workers → chunks of 2 → 3 threads); the
-        // barrier must count the threads actually spawned or every
-        // `wait` deadlocks.
-        let nthreads = nshards.div_ceil(chunk);
-        let affinity: &[u16] = &self.affinity;
-        let locs: &[u32] = &self.locs;
-        let lookahead = self.lookahead;
-        let components_total = self.components_total;
+        let chunk = nshards.div_ceil(self.workers.min(nshards));
+        let (affinity, locs): (&[u16], &[u32]) = (&self.affinity, &self.locs);
+        let (lookahead, rounds, cross_events) =
+            (self.lookahead, &mut self.rounds, &mut self.cross_events);
+        let start_events: u64 = self.shards.iter().map(|s| s.core.events).sum();
+        let (mine, rest) = self.shards.split_at_mut(chunk);
+        // Each further chunk is lent to one worker thread: the worker holds
+        // its lock while a window runs, the caller holds it between windows.
+        // The barriers order the hand-over, so no lock is ever contended.
+        let lent: Vec<Mutex<&mut [Shard<M, P>]>> = rest.chunks_mut(chunk).map(Mutex::new).collect();
 
-        // Shared round state. Barriers order every access: the window and
-        // inboxes are written by the coordinator before barrier A and read
-        // by workers after it; mins/outboxes/stop are written by workers
-        // before barrier B and read by the coordinator after it. Each
-        // access additionally carries its own acquire/release edge so the
-        // byte-identity argument never leans on barrier internals — every
-        // value that reaches an output byte is ordered by the access that
-        // published it (the workspace lint rejects `Ordering::Relaxed` in
-        // determinism-scope crates for exactly this reason).
-        let barrier = Barrier::new(nthreads + 1);
+        // Round state. The barrier orders every access: the caller writes
+        // the window, its cap and the exit order before barrier A and the
+        // workers read them after it; shard state changes hands under the
+        // lend locks. The atomics additionally carry their own
+        // acquire/release edge so the byte-identity argument never leans
+        // on barrier internals (the workspace lint rejects
+        // `Ordering::Relaxed` in determinism-scope crates for this reason).
+        let barrier = Barrier::new(lent.len() + 1);
+        // `Barrier::wait` wakes its condvar — a system call — even as the
+        // only party, so with no chunk lent there is nothing to wait for.
+        let solo = lent.is_empty();
+        let sync = || {
+            if !solo {
+                barrier.wait();
+            }
+        };
         let window_ps = AtomicU64::new(0);
+        let window_cap = AtomicU64::new(0);
         let exit = AtomicBool::new(false);
-        let stop_flag = AtomicBool::new(false);
         // A component panic (e.g. the conservative-window assert) must
-        // not strand the other threads at a barrier: the worker traps the
-        // payload here, keeps pacing the barriers, and the coordinator
-        // re-raises it after the scope joins.
-        let panicked = AtomicBool::new(false);
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let mins: Vec<AtomicU64> = self
-            .shards
-            .iter_mut()
-            .map(|s| AtomicU64::new(s.next_due_ps()))
-            .collect();
-        // Per-shard delivery counts, published at each barrier B so the
-        // coordinator can evaluate the event budget at round boundaries.
-        let counts: Vec<AtomicU64> = self
-            .shards
-            .iter()
-            .map(|s| AtomicU64::new(s.events))
-            .collect();
-        let start_events: u64 = self.shards.iter().map(|s| s.events).sum();
-        let inboxes: Vec<Mutex<Vec<Routed<M>>>> =
-            (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
-        let outboxes: Vec<Mutex<Vec<CrossSend<M>>>> =
-            (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
+        // not strand the other threads at a barrier: whoever ran the
+        // chunk traps the payload here and still reaches barrier B; the
+        // caller then orders the exit and re-raises it after the join.
+        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+        let run_chunk = |shards: &mut [Shard<M, P>]| {
+            let window_last = SimTime::from_ps(window_ps.load(Ordering::Acquire));
+            let cap = window_cap.load(Ordering::Acquire);
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                for shard in shards {
+                    shard.run_window(window_last, cap, affinity, locs);
+                }
+            }));
+            if let Err(payload) = ran {
+                panic_slot
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(payload);
+            }
+        };
 
-        let mut rounds = 0u64;
-        let mut cross_events = 0u64;
         let mut budget_hit = false;
-        let mut mailbox: Vec<Routed<M>> = Vec::new();
-
         // lint: allow(thread-spawn) conservative-window fan-out: workers only execute pre-determined per-shard batches between barriers; merge order is a pure function of simulation state, so the schedule cannot reach any output byte
         std::thread::scope(|scope| {
-            for shard_chunk in self.shards.chunks_mut(chunk) {
-                let barrier = &barrier;
-                let window_ps = &window_ps;
-                let exit = &exit;
-                let stop_flag = &stop_flag;
-                let panicked = &panicked;
-                let panic_payload = &panic_payload;
-                let mins = &mins;
-                let counts = &counts;
-                let inboxes = &inboxes;
-                let outboxes = &outboxes;
-                scope.spawn(move || {
-                    let mut dead = false;
-                    loop {
-                        barrier.wait(); // A: window opened (or exit).
-                        if exit.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // A dead worker still paces the barriers so the
-                        // others can reach the coordinator's exit order.
-                        if dead {
-                            barrier.wait(); // B (degenerate round).
-                            continue;
-                        }
-                        let window_last = SimTime::from_ps(window_ps.load(Ordering::Acquire));
-                        let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            for shard in shard_chunk.iter_mut() {
-                                let sid = shard.home as usize;
-                                {
-                                    let mut inbox = inboxes[sid]
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner);
-                                    for routed in inbox.drain(..) {
-                                        // Keys travel with the events; the
-                                        // merge assigns nothing.
-                                        shard.wheel.push(routed.time, routed.key, (routed.dst, routed.payload));
-                                    }
-                                }
-                                shard.run_window(window_last, affinity, locs, components_total);
-                                if shard.stop {
-                                    stop_flag.store(true, Ordering::Release);
-                                }
-                                {
-                                    let mut slot = outboxes[sid]
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner);
-                                    std::mem::swap(&mut *slot, &mut shard.outbox);
-                                }
-                                mins[sid].store(shard.next_due_ps(), Ordering::Release);
-                                counts[sid].store(shard.events, Ordering::Release);
-                            }
-                        }));
-                        if let Err(payload) = round {
-                            dead = true;
-                            let mut slot = panic_payload
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner);
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                            drop(slot);
-                            panicked.store(true, Ordering::Release);
-                        }
-                        barrier.wait(); // B: window drained, outboxes deposited.
+            for lend in &lent {
+                let (barrier, exit, run_chunk) = (&barrier, &exit, &run_chunk);
+                scope.spawn(move || loop {
+                    barrier.wait(); // A: window opened (or exit).
+                    if exit.load(Ordering::Acquire) {
+                        break;
                     }
+                    run_chunk(&mut lend.lock().unwrap_or_else(PoisonError::into_inner));
+                    barrier.wait(); // B: window drained, chunk handed back.
                 });
             }
 
+            let mut held = Vec::with_capacity(lent.len());
+            let mut mailbox = Vec::new();
             loop {
-                // A worker died mid-round: its shard state is suspect and
-                // its mins are stale, so release everyone and re-raise.
-                if panicked.load(Ordering::Acquire) {
-                    exit.store(true, Ordering::Release);
-                    barrier.wait(); // A: release workers into their exit.
-                    break;
-                }
-                // Gather deposited outboxes. The mailbox order is
-                // irrelevant: every entry carries its emission-time key.
-                for slot in outboxes.iter() {
-                    let mut deposited = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                    for CrossSend { time, key, dst, payload } in deposited.drain(..) {
-                        mailbox.push(Routed { time, key, dst, payload });
-                    }
-                }
-                cross_events += mailbox.len() as u64;
-                let mut next_ps = mins
-                    .iter()
-                    .map(|m| m.load(Ordering::Acquire))
-                    .min()
-                    .unwrap_or(u64::MAX);
-                for routed in &mailbox {
-                    next_ps = next_ps.min(routed.time.as_ps());
-                }
-                // The same round-boundary budget predicate the inline
-                // executor evaluates, from the counts published at the
-                // last barrier B.
-                let delivered = counts
-                    .iter()
-                    .map(|c| c.load(Ordering::Acquire))
-                    .sum::<u64>()
-                    - start_events;
-                if delivered >= max_events {
-                    budget_hit = true;
-                }
-                if stop_flag.load(Ordering::Acquire) || budget_hit || next_ps > deadline.as_ps() {
-                    exit.store(true, Ordering::Release);
-                    barrier.wait(); // A: release workers into their exit.
-                    break;
-                }
-                for routed in mailbox.drain(..) {
-                    inboxes[affinity[routed.dst.index()] as usize]
+                held.extend(
+                    lent.iter()
+                        .map(|l| l.lock().unwrap_or_else(PoisonError::into_inner)),
+                );
+                let open = 'decide: {
+                    // After a panic shard state is suspect: touch none of it.
+                    if panic_slot
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .push(routed);
+                        .is_some()
+                    {
+                        break 'decide false;
+                    }
+                    for sid in 0..nshards {
+                        std::mem::swap(&mut shard_at(mine, &mut held, sid).outbox, &mut mailbox);
+                        *cross_events += mailbox.len() as u64;
+                        for CrossSend { time, key, dst, payload } in mailbox.drain(..) {
+                            let to = shard_at(mine, &mut held, affinity[dst.index()] as usize);
+                            to.core.wheel.push(time, key, (dst, payload));
+                        }
+                    }
+                    let (mut next_ps, mut events, mut stopped) = (u64::MAX, 0u64, false);
+                    for sid in 0..nshards {
+                        let core = &mut shard_at(mine, &mut held, sid).core;
+                        next_ps =
+                            next_ps.min(core.wheel.peek_time().map_or(u64::MAX, |t| t.as_ps()));
+                        events += core.events;
+                        stopped |= core.stop;
+                    }
+                    // The budget is spent at round boundaries, and each
+                    // window runs under what is left of it, so the
+                    // decision is a pure function of simulation state.
+                    let delivered = events - start_events;
+                    budget_hit = delivered >= max_events;
+                    if stopped || budget_hit || next_ps == u64::MAX || next_ps > deadline.as_ps() {
+                        break 'decide false;
+                    }
+                    let last = next_ps.saturating_add(lookahead.as_ps() - 1);
+                    window_ps.store(last.min(deadline.as_ps()), Ordering::Release);
+                    window_cap.store(max_events - delivered, Ordering::Release);
+                    *rounds += 1;
+                    true
+                };
+                exit.store(!open, Ordering::Release);
+                held.clear();
+                sync(); // A: open the window, or release workers into their exit.
+                if !open {
+                    break;
                 }
-                window_ps.store(
-                    Self::window_last(next_ps, lookahead, deadline).as_ps(),
-                    Ordering::Release,
-                );
-                rounds += 1;
-                barrier.wait(); // A: open the window.
-                barrier.wait(); // B: wait for the batch.
+                run_chunk(mine);
+                sync(); // B: wait for the batch.
             }
         });
 
-        if let Some(payload) = panic_payload
+        if let Some(payload) = panic_slot
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
         {
-            // Fail as loudly as the inline path: the first component
-            // panic (its message intact) becomes this call's panic.
-            std::panic::resume_unwind(payload);
+            // The first component panic (its message intact) becomes
+            // this call's panic, whichever thread it happened on.
+            resume_unwind(payload);
         }
-        self.rounds += rounds;
-        self.cross_events += cross_events;
-        self.stopped = stop_flag.load(Ordering::Acquire);
-        // A stop can leave merged-but-undistributed mailbox entries (the
-        // serial engine likewise leaves its queue populated on stop); park
-        // them in the destination wheels (keys intact) so
-        // `pending_events` and any later run see them.
-        Self::distribute(&mut self.shards, &self.affinity, &mut mailbox);
         budget_hit
     }
 }
@@ -647,11 +511,11 @@ impl<M: Send + 'static, P: Probe + Send> Simulation<M> for ShardedEngine<M, P> {
     }
 
     fn events_processed(&self) -> u64 {
-        self.base_events + self.shards.iter().map(|s| s.events).sum::<u64>()
+        self.base_events + self.shards.iter().map(|s| s.core.events).sum::<u64>()
     }
 
     fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.wheel.len()).sum()
+        self.shards.iter().map(|s| s.core.wheel.len()).sum()
     }
 
     fn component_count(&self) -> usize {
@@ -666,7 +530,7 @@ impl<M: Send + 'static, P: Probe + Send> Simulation<M> for ShardedEngine<M, P> {
         let key = tick_key(0, self.external_seq);
         self.external_seq += 1;
         let shard = &mut self.shards[self.affinity[dst.index()] as usize];
-        shard.wheel.push(time, key, (dst, payload));
+        shard.core.wheel.push(time, key, (dst, payload));
     }
 
     fn run_until(&mut self, deadline: SimTime) {
@@ -674,33 +538,17 @@ impl<M: Send + 'static, P: Probe + Send> Simulation<M> for ShardedEngine<M, P> {
     }
 
     fn run_budgeted(&mut self, budget: RunBudget) -> RunOutcome {
-        self.stopped = false;
         for shard in &mut self.shards {
-            shard.stop = false;
+            shard.core.stop = false;
         }
-        let budget_hit = if self.workers <= 1 || self.shards.len() <= 1 {
-            self.run_rounds_inline(budget.deadline, budget.max_events)
-        } else {
-            self.run_rounds_threaded(budget.deadline, budget.max_events)
-        };
-        let max_now = self.shards.iter().map(|s| s.now).max().unwrap_or(self.now);
-        if max_now > self.now {
-            self.now = max_now;
+        let budget_hit = self.run_rounds(budget.deadline, budget.max_events);
+        let mut stopped = false;
+        for shard in &self.shards {
+            self.now = self.now.max(shard.core.now);
+            stopped |= shard.core.stop;
         }
-        if self.stopped {
-            return RunOutcome::Stopped;
-        }
-        if budget_hit {
-            return RunOutcome::BudgetExhausted;
-        }
-        if self.now < budget.deadline {
-            self.now = budget.deadline;
-        }
-        if self.pending_events() == 0 {
-            RunOutcome::Drained
-        } else {
-            RunOutcome::DeadlineReached
-        }
+        let pending = self.pending_events();
+        run_outcome(&mut self.now, stopped, budget_hit, budget.deadline, pending)
     }
 
     fn component_as<T: 'static>(&self, id: ComponentId) -> Option<&T> {
@@ -708,6 +556,7 @@ impl<M: Send + 'static, P: Probe + Send> Simulation<M> for ShardedEngine<M, P> {
         let loc = *self.locs.get(id.index())? as usize;
         self.shards
             .get(shard)?
+            .core
             .arena
             .get(loc)?
             .as_any()
@@ -719,6 +568,7 @@ impl<M: Send + 'static, P: Probe + Send> Simulation<M> for ShardedEngine<M, P> {
         let loc = *self.locs.get(id.index())? as usize;
         self.shards
             .get_mut(shard)?
+            .core
             .arena
             .get_mut(loc)?
             .as_any_mut()
@@ -730,7 +580,7 @@ impl<M: Send + 'static, P: Probe + Send> Simulation<M> for ShardedEngine<M, P> {
 mod tests {
     use super::*;
     use crate::engine::NullProbe;
-    use crate::{Component, Engine};
+    use crate::{Component, Context, Engine};
     use std::any::Any;
 
     /// Relays a countdown to its peer with a fixed delay, recording every
@@ -1014,6 +864,49 @@ mod tests {
             RunOutcome::Drained
         );
         assert_eq!(sharded.now(), deadline);
+    }
+
+    #[test]
+    fn budgeted_run_terminates_a_same_instant_livelock_inside_a_window() {
+        /// Re-arms itself at the same instant forever: it never leaves
+        /// the window it starts in, so only the window's cap can end it.
+        #[derive(Debug)]
+        struct Livelock;
+        impl Component<u64> for Livelock {
+            fn on_event(&mut self, ctx: &mut Context<'_, u64>, payload: u64) {
+                ctx.send_self(SimDuration::ZERO, payload);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+            fn fork(&self) -> Box<dyn Component<u64>> {
+                Box::new(Livelock)
+            }
+        }
+        for workers in [1, 2] {
+            let mut e = Engine::new();
+            let a = e.add_component(Box::new(Livelock));
+            let _idle = e.add_component(Box::new(Livelock));
+            e.schedule(SimTime::from_ns(10), a, 1);
+            let spec = ShardSpec {
+                affinity: vec![0, 1],
+                lookahead: SimDuration::from_ns(100),
+                workers,
+            };
+            let mut sharded = ShardedEngine::from_engine(e, spec, |_| NullProbe);
+            let budget = RunBudget::until(SimTime::from_ms(1)).with_max_events(10_000);
+            assert_eq!(
+                sharded.run_budgeted(budget),
+                RunOutcome::BudgetExhausted,
+                "workers={workers}"
+            );
+            // Exactly the serial engine's answer (`budgeted_run_terminates_a_livelock`).
+            assert_eq!(sharded.events_processed(), 10_000, "workers={workers}");
+            assert_eq!(sharded.now(), SimTime::from_ns(10), "workers={workers}");
+        }
     }
 
     #[test]

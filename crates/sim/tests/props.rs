@@ -4,8 +4,8 @@
 
 use netfi_sim::metrics::{Histogram, LossMeter, Summary};
 use netfi_sim::{
-    Component, ComponentId, Context, DetRng, Engine, NullProbe, ShardSpec, ShardedEngine,
-    SimDuration, SimTime, Simulation, TimingWheel,
+    Component, ComponentId, Context, DetRng, Engine, NullProbe, RunBudget, ShardSpec,
+    ShardedEngine, SimDuration, SimTime, Simulation, TimingWheel,
 };
 use std::any::Any;
 use std::cmp::Reverse;
@@ -458,6 +458,24 @@ fn sharded_engine_matches_serial_on_random_topologies() {
                     "component {i} delivery log diverged at workers={workers}"
                 );
             }
+            // The serial engine is the one-core case: with every component
+            // in shard 0 the event cap is exact, so a budgeted run ends on
+            // the very event the serial engine ends on.
+            let cap = rng.gen_range(0..serial.events_processed());
+            let budget = RunBudget::until(deadline).with_max_events(cap);
+            let (mut cut, _) = build(&seeds, &succ);
+            let (engine, _) = build(&seeds, &succ);
+            let spec = ShardSpec {
+                affinity: vec![0; n],
+                lookahead,
+                workers,
+            };
+            let mut one = ShardedEngine::from_engine(engine, spec, |_| NullProbe);
+            assert_eq!(
+                (one.run_budgeted(budget), one.events_processed(), one.now(), one.pending_events()),
+                (cut.run_budgeted(budget), cut.events_processed(), cut.now(), cut.pending_events()),
+                "one shard diverged at workers={workers}, max_events={cap}"
+            );
         }
     }
 }

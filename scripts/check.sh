@@ -42,49 +42,51 @@ for key in files suppressions violations; do
 done
 echo "artifact: target/LINT.json"
 
+extract() { awk -F'"'"$2"'": ' '/"'"$2"'"/ { gsub(/[,}].*/, "", $2); print $2 }' "$1"; }
+
+# ratchet "<bin + args>" <file> <key> <label>: the run already written to
+# target/<file> must sustain at least 0.9x the committed <file>'s <key>.
+# The slack absorbs scheduler noise, and the retries (re-running the
+# command) absorb sustained slow phases — shared hosts dip 20-30% for
+# minutes at a time, e.g. right after the build above; a genuine
+# regression fails every attempt. When a change makes the number better,
+# refresh the committed file in the same PR so the gate ratchets forward.
+ratchet() {
+    local cmd=$1 file=$2 key=$3 label=$4 committed current attempt
+    committed=$(extract "$file" "$key")
+    for attempt in 1 2 3; do
+        current=$(extract "target/$file" "$key")
+        if awk -v c="$current" -v b="$committed" -v a="$attempt" -v k="$key" -v f="$file" 'BEGIN {
+            ratio = c / b
+            printf "attempt %s: committed %.0f %s, this run %.0f (%.2fx)\n", a, b, k, c, ratio
+            if (ratio > 1.1) {
+                print "note: >1.1x the committed number — refresh " f " in this PR"
+            }
+            exit !(ratio >= 0.9)
+        }'; then
+            return 0
+        fi
+        if [ "$attempt" -lt 3 ]; then
+            echo "below 0.9x — letting the machine settle, then retrying"
+            sleep 15
+            $cmd --out "target/$file" > /dev/null
+        fi
+    done
+    echo "REGRESSION: $label stayed below 0.9x the committed $file"
+    echo "(if the machine is busy, re-run on an idle box before reverting anything)"
+    exit 1
+}
+
 echo "== engine bench =="
 # 31 samples: throughput is min-of-samples, and on a shared box the min
 # needs a wide net to dodge scheduler-noise phases (each sample is ~5 ms).
-./target/release/bench_engine --sim-ms 2000 --samples 31 --campaigns 0 \
-    --out target/BENCH_engine.json
+engine_bench="./target/release/bench_engine --sim-ms 2000 --samples 31 --campaigns 0"
+$engine_bench --out target/BENCH_engine.json
 echo "summary: target/BENCH_engine.json"
 cat target/BENCH_engine.json
 
 echo "== engine bench regression gate =="
-# The committed BENCH_engine.json is the reference: a run must sustain at
-# least 0.9x its events/sec. The slack absorbs scheduler noise, and the
-# retries absorb sustained slow phases (shared hosts dip 20-30% for
-# minutes at a time, e.g. right after the build above) — a genuine
-# regression fails every attempt. When a change makes the engine faster,
-# refresh the committed file in the same PR so the gate ratchets forward.
-extract() { awk -F'"'"$2"'": ' '/"'"$2"'"/ { gsub(/[,}].*/, "", $2); print $2 }' "$1"; }
-committed=$(extract BENCH_engine.json events_per_sec)
-gate_ok=0
-for attempt in 1 2 3; do
-    current=$(extract target/BENCH_engine.json events_per_sec)
-    if awk -v c="$current" -v b="$committed" -v a="$attempt" 'BEGIN {
-        ratio = c / b
-        printf "attempt %s: committed %.0f ev/s, this run %.0f (%.2fx)\n", a, b, c, ratio
-        if (ratio > 1.1) {
-            print "note: >1.1x the committed number — refresh BENCH_engine.json in this PR"
-        }
-        exit !(ratio >= 0.9)
-    }'; then
-        gate_ok=1
-        break
-    fi
-    if [ "$attempt" -lt 3 ]; then
-        echo "below 0.9x — letting the machine settle, then retrying"
-        sleep 15
-        ./target/release/bench_engine --sim-ms 2000 --samples 31 --campaigns 0 \
-            --out target/BENCH_engine.json > /dev/null
-    fi
-done
-if [ "$gate_ok" -ne 1 ]; then
-    echo "REGRESSION: engine throughput stayed below 0.9x the committed BENCH_engine.json"
-    echo "(if the machine is busy, re-run on an idle box before reverting anything)"
-    exit 1
-fi
+ratchet "$engine_bench" BENCH_engine.json events_per_sec "engine throughput"
 
 echo "== fabric scaling gate =="
 # The scaling curve's schema: every committed size must carry its full
@@ -153,9 +155,9 @@ echo "== sampled injection campaign gate =="
 # 1/2/8, and the fingerprint must match the committed artifact exactly —
 # same seed, same points, same bytes, on any box. Throughput: the
 # sampled rate must sustain 0.9x the committed injections/sec, same
-# retry discipline as the engine gate.
-./target/release/bench_injections --points 2048 --seed 11 \
-    --out target/BENCH_injections.json
+# retry discipline as the engine gate (`ratchet`).
+injections_bench="./target/release/bench_injections --points 2048 --seed 11"
+$injections_bench --out target/BENCH_injections.json
 echo "summary: target/BENCH_injections.json"
 cat target/BENCH_injections.json
 for key in injections_per_sec fingerprint \
@@ -173,33 +175,7 @@ if [ "$committed_fp" != "$current_fp" ]; then
     echo "(if a change legitimately altered sampled behaviour, refresh BENCH_injections.json in this PR)"
     exit 1
 fi
-committed_rate=$(extract BENCH_injections.json injections_per_sec)
-gate_ok=0
-for attempt in 1 2 3; do
-    current_rate=$(extract target/BENCH_injections.json injections_per_sec)
-    if awk -v c="$current_rate" -v b="$committed_rate" -v a="$attempt" 'BEGIN {
-        ratio = c / b
-        printf "attempt %s: committed %.0f inj/s, this run %.0f (%.2fx)\n", a, b, c, ratio
-        if (ratio > 1.1) {
-            print "note: >1.1x the committed number — refresh BENCH_injections.json in this PR"
-        }
-        exit !(ratio >= 0.9)
-    }'; then
-        gate_ok=1
-        break
-    fi
-    if [ "$attempt" -lt 3 ]; then
-        echo "below 0.9x — letting the machine settle, then retrying"
-        sleep 15
-        ./target/release/bench_injections --points 2048 --seed 11 \
-            --out target/BENCH_injections.json > /dev/null
-    fi
-done
-if [ "$gate_ok" -ne 1 ]; then
-    echo "REGRESSION: sampled injection throughput stayed below 0.9x the committed BENCH_injections.json"
-    echo "(if the machine is busy, re-run on an idle box before reverting anything)"
-    exit 1
-fi
+ratchet "$injections_bench" BENCH_injections.json injections_per_sec "sampled injection throughput"
 
 echo "== detection campaign gate =="
 # The failure-analysis layer's promise, hard-failed here. bench_detect
