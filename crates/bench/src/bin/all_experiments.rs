@@ -4,8 +4,11 @@
 //! Usage: `all_experiments [--quick 1]`
 
 use netfi_bench::arg;
+use netfi_nftape::detection::{detect_specs, run_detection, DetectOptions};
+use netfi_nftape::runner::default_workers;
 use netfi_nftape::scenarios::{address, control, latency, ptype, random, udpcheck};
 use netfi_nftape::Table;
+use netfi_sample::{run_sampled_campaign, SampleOptions};
 use netfi_sim::SimDuration;
 
 fn main() {
@@ -171,5 +174,26 @@ fn main() {
         caught.sent,
         caught.extra("checksum_drops").unwrap_or(0.0)
     );
-    println!("\n================ done ================");
+
+    // --- statistical injection (seed 11, the campaign EXPERIMENTS.md quotes) ---
+    eprintln!("[sample] 2048-point statistical injection campaign …");
+    let workers = default_workers();
+    let sampled = run_sampled_campaign(&SampleOptions {
+        seed: 11,
+        points: 2048,
+        workers,
+    })
+    .unwrap();
+    println!("\nsampled campaign fingerprint {:#018x}", sampled.fingerprint());
+    println!("{}", sampled.report().render());
+    println!("{}", sampled.direction_breakdown().render());
+    println!("{}", sampled.control_swap_breakdown().render());
+
+    // --- detection latency + SPOF (the render leads with the `analyze` report) ---
+    eprintln!("[detect] 100-host detection campaign …");
+    let options = DetectOptions::sized(100);
+    let detected = run_detection(&options, &detect_specs(&options), workers).unwrap();
+    println!("detection campaign fingerprint {:#018x}", detected.fingerprint());
+    println!("{}", detected.render());
+    println!("================ done ================");
 }

@@ -55,7 +55,7 @@
 //!
 //! The binary (`netfi-lint [--format json] [ROOT]`) exits 0 when clean, 1
 //! on violations, 2 on usage or I/O errors; `scripts/check.sh` runs it
-//! between clippy and the bench gate.
+//! between rustdoc and the benchmark compare stage.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

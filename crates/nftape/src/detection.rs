@@ -871,7 +871,7 @@ impl DetectResult {
     /// FNV-1a fingerprint over the rendered report, every run's raw
     /// latency samples and event counts, and the suspicion gauge tables.
     /// Equal fingerprints mean byte-identical campaigns — pinned across
-    /// worker counts in `tests/determinism.rs` and gated by `check.sh`.
+    /// worker counts, at 10 and 100 hosts, in `tests/determinism.rs`.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = Fnv1a::new();
         hash.write(self.render().as_bytes());

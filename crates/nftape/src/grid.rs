@@ -320,8 +320,8 @@ impl WarmedCampaign {
     }
 
     /// Forks the donor engine without running anything — the O(state)
-    /// unit the grid's amortization argument prices (benchmarked by
-    /// `bench_campaign --mode fork`), and the starting point for callers
+    /// unit the grid's amortization argument prices (the benchmark's
+    /// `nftape.grid.fork_us` row), and the starting point for callers
     /// that drive their own fault phases (the `netfi-sample` sampler).
     pub fn fork_engine(&self) -> Engine<Ev, DispatchProbe> {
         self.snapshot.fork()

@@ -5,8 +5,7 @@
 //! dependency-free. Two formats cover every need the derives served:
 //!
 //! - **JSON writer** for results ([`RunResult::to_json`]) and specs
-//!   ([`CampaignSpec::to_json`]) — machine-readable campaign archives and
-//!   the `BENCH_*.json` artifacts.
+//!   ([`CampaignSpec::to_json`]) — machine-readable campaign archives.
 //! - **Line codec** for specs ([`CampaignSpec::to_line`] /
 //!   [`CampaignSpec::from_line`]) — one campaign per line,
 //!   tab-separated `key=value` pairs, trivially diffable and replayable.

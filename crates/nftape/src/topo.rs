@@ -39,8 +39,8 @@
 //! into one FNV-1a hash. The digest is a pure function of simulation
 //! state, so serial and sharded runs of the same fabric must produce the
 //! same 64 bits at any worker count — pinned in `tests/determinism.rs`
-//! for the 10- and 100-host fabrics and cross-checked in-run by
-//! `bench_engine` at 1,000 hosts.
+//! for the 10-, 100- and 1,000-host fabrics and cross-checked in-run by
+//! the benchmark's `fabric1000` workload.
 
 use netfi_core::InjectorDevice;
 use netfi_myrinet::addr::{EthAddr, NodeAddress};

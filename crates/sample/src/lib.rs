@@ -23,8 +23,9 @@
 //! - [`stats`] turns the class histogram into a coverage report with
 //!   Wilson 95% intervals — honest bounds even for zero-draw classes.
 //!
-//! The `bench_injections` binary (in `netfi-bench`) drives a ≥2000-point
-//! campaign through this crate and reports the headline injections/sec.
+//! The `sample` workload of `netfi-bench`'s `benchmark` drives a
+//! 16,384-point campaign through this crate and reports the headline
+//! injections/sec; `tests/determinism.rs` pins the 2,048-point one.
 
 pub mod campaign;
 pub mod classify;

@@ -108,8 +108,8 @@ impl CoverageReport {
 /// [`OutcomeClass::index`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakdownRow {
-    /// Stable snake_case cell key — reused verbatim as a JSON key in
-    /// `BENCH_injections.json`, so it may never change spelling.
+    /// Stable snake_case cell key — `tests/determinism.rs` looks cells
+    /// up by it, so it may never change spelling.
     pub key: String,
     /// Outcome counts for draws landing in this cell.
     pub histogram: [u64; 5],

@@ -88,6 +88,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A committed 64-bit golden: on a mismatch, print the new value the way
+/// the constant is written. If a change legitimately alters simulation
+/// behaviour, update the constant in the same commit and say why.
+#[track_caller]
+fn assert_pinned(what: &str, got: u64, golden: u64) {
+    assert_eq!(got, golden, "{what} moved: {got:#018x}");
+}
+
 /// Runs the saturated testbed with the injector's full-traffic log on and
 /// hashes the observed event trace: every frame the device saw (time,
 /// direction, summary, length) plus the end-of-run counters.
@@ -224,16 +232,15 @@ fn sharded_observed_campaign_matches_serial_golden_hash() {
     assert_eq!(schedule[0], schedule[2]);
 }
 
-/// The generated-fabric determinism oracle, pinned. A 10-host and a
-/// 100-host leaf–spine fabric (`nftape::topo`, stride traffic, static
-/// ECMP routes) each carry a committed 64-bit `fabric_digest` — engine
-/// clock, delivery count, every host's sink/sender/UDP/NIC counters,
-/// every switch's forwarding counters. The serial engine and the sharded
-/// engine at workers 1, 2 and 4 must all land on that exact digest: the
+/// The generated-fabric determinism oracle, pinned. A 10-host, a
+/// 100-host and a 1,000-host leaf–spine fabric (`nftape::topo`, stride
+/// traffic, static ECMP routes) each carry a committed 64-bit
+/// `fabric_digest` — engine clock, delivery count, every host's
+/// sink/sender/UDP/NIC counters, every switch's forwarding counters. The
+/// serial engine and the sharded engine at workers 1, 2 and 4 (1 and 2
+/// at 1,000 hosts) must all land on that exact digest: the
 /// topology-derived affinity groups (one shard per leaf plus a spine
-/// shard, trunk-delay lookahead) may not perturb a single byte. The
-/// 1,000-host size is covered by `bench_engine`'s in-run cross-check —
-/// too heavy for a debug-mode tier-1 test.
+/// shard, trunk-delay lookahead) may not perturb a single byte.
 #[test]
 fn fabric_digests_identical_across_worker_counts() {
     use netfi::nftape::{build_fabric, fabric_digest, TopoOptions};
@@ -260,16 +267,17 @@ fn fabric_digests_identical_across_worker_counts() {
         }
     }
 
-    for (hosts, sim_ms, golden) in [
-        (10, 10, 0x8A12_0E12_4707_0A3A_u64),
-        (100, 5, 0x9E72_FF68_5C85_30ED_u64),
+    for (hosts, sim_ms, golden, workers) in [
+        (10, 10, 0x8A12_0E12_4707_0A3A_u64, &[1, 2, 4][..]),
+        (100, 5, 0x9E72_FF68_5C85_30ED_u64, &[1, 2, 4]),
+        (1_000, 20, 0xAE78_9754_1899_510F_u64, &[1, 2]),
     ] {
         assert_eq!(
             digest_at(hosts, sim_ms, None),
             golden,
             "serial digest moved: {hosts} hosts @ {sim_ms} ms"
         );
-        for w in [1, 2, 4] {
+        for &w in workers {
             assert_eq!(
                 digest_at(hosts, sim_ms, Some(w)),
                 golden,
@@ -298,11 +306,14 @@ fn forked_campaign_matches_fresh_golden_hash() {
 /// produces byte-identical results to building and warming a fresh test
 /// bed per spec, and the worker count (1, 2, 8) is invisible in the
 /// output — same fingerprint, same rendered exports, same row order.
+/// The seed-11 grid's 19 rows and fingerprint are pinned across commits.
 #[test]
 fn fork_grid_matches_fresh_grid_across_worker_counts() {
     use netfi::nftape::grid::{fork_grid, fresh_grid, grid_specs};
     let specs = grid_specs();
     let fresh = fresh_grid(11, &specs, 2).unwrap();
+    assert_eq!(fresh.runs.len(), 19);
+    assert_pinned("grid fingerprint", fresh.fingerprint(), 0xE9DB_441D_8938_C7E3);
     for workers in [1, 2, 8] {
         let forked = fork_grid(11, &specs, workers).unwrap();
         assert_eq!(
@@ -315,18 +326,20 @@ fn fork_grid_matches_fresh_grid_across_worker_counts() {
 }
 
 /// The parallel campaign runner's contract: the worker count is invisible
-/// in the output. A full observed suite (three seeded scenarios, every
+/// in the output. A full observed suite (four seeded scenarios, every
 /// recorder armed) run with 1, 2 and 8 workers must produce byte-identical
 /// merged report tables, text tables and Chrome-trace exports — the same
-/// guarantee, scenario-for-scenario, as a serial run.
+/// guarantee, scenario-for-scenario, as a serial run — and the suite
+/// fingerprint is pinned across commits.
 #[test]
 fn observed_suite_identical_across_worker_counts() {
     use netfi::nftape::observed::{observed_campaign, observed_suite};
-    let seeds = [11, 21, 31];
+    let seeds = [11, 21, 31, 41];
     let w1 = observed_suite(&seeds, 1).unwrap();
     let w2 = observed_suite(&seeds, 2).unwrap();
     let w8 = observed_suite(&seeds, 8).unwrap();
     // Fingerprint covers every export artifact (tables + traces).
+    assert_pinned("suite fingerprint", w1.fingerprint(), 0xBD1D_9456_C308_2445);
     assert_eq!(w1.fingerprint(), w2.fingerprint());
     assert_eq!(w1.fingerprint(), w8.fingerprint());
     // Spot-check the artifacts byte-for-byte, not just the hash.
@@ -364,21 +377,23 @@ fn campaign_rows_identical_across_worker_counts() {
     assert_eq!(fnv1a(text.as_bytes()), fnv1a(format!("{w8:?}").as_bytes()));
 }
 
-/// The statistical sampler's contract: a 512-point sampled injection
-/// campaign — points drawn from per-index RNG substreams, each run as a
-/// fork of one warm donor snapshot, classified against a healthy
-/// baseline fork — produces byte-identical results at workers 1, 2
-/// and 8. The campaign fingerprint covers every drawn point, its
-/// evidence counters and its outcome class; the rendered coverage
-/// report (class histogram + Wilson 95% intervals) is compared
-/// byte-for-byte on top.
+/// The statistical sampler's contract, pinned: the 2,048-point seed-11
+/// sampled injection campaign — points drawn from per-index RNG
+/// substreams, each run as a fork of one warm donor snapshot, classified
+/// against a healthy baseline fork — produces byte-identical results at
+/// workers 1, 2 and 8 and matches the committed fingerprint. The
+/// fingerprint covers every drawn point, its evidence counters and its
+/// outcome class; the rendered coverage report (class histogram + Wilson
+/// 95% intervals) is compared byte-for-byte on top. The histogram and the
+/// two breakdown facts README and EXPERIMENTS.md quote are asserted by
+/// value.
 #[test]
 fn sampled_campaign_identical_across_worker_counts() {
     use netfi::sample::{run_sampled_campaign, OutcomeClass, SampleOptions};
     let run = |workers: usize| {
         run_sampled_campaign(&SampleOptions {
             seed: 11,
-            points: 512,
+            points: 2048,
             workers,
         })
         .unwrap()
@@ -386,18 +401,51 @@ fn sampled_campaign_identical_across_worker_counts() {
     let w1 = run(1);
     let w2 = run(2);
     let w8 = run(8);
+    assert_pinned("sampler fingerprint", w1.fingerprint(), 0xDA8E_CB13_7032_8DAD);
     assert_eq!(w1.fingerprint(), w2.fingerprint());
     assert_eq!(w1.fingerprint(), w8.fingerprint());
     assert_eq!(w1.report().render(), w8.report().render());
     assert_eq!(w1, w2);
     assert_eq!(w1, w8);
-    // The taxonomy is fully rendered (zero-draw classes included) and
-    // the space is rich enough that several classes actually fire.
+    // The taxonomy is fully rendered (zero-draw classes included):
+    // masked / corrupted-delivered / CRC / timeout / hang.
     let report = w1.report();
     assert_eq!(report.rows.len(), OutcomeClass::ALL.len());
-    let populated = report.rows.iter().filter(|r| r.count > 0).count();
-    assert!(populated >= 3, "degenerate sample: {}", report.render());
-    assert_eq!(report.n, 512);
+    assert_eq!(report.n, 2048);
+    assert_eq!(w1.histogram(), [906, 199, 882, 61, 0]);
+    // Timeout detections per cell, over the cells where anything but
+    // `masked` fired: every one rode direction A (into the switch) …
+    let timeout = OutcomeClass::DetectedByTimeout.index();
+    let timeouts = |rows: Vec<netfi::sample::BreakdownRow>| -> Vec<String> {
+        rows.iter()
+            .filter(|r| r.histogram[1..].iter().any(|&n| n > 0))
+            .map(|r| format!("{}={}", r.key, r.histogram[timeout]))
+            .collect()
+    };
+    assert_eq!(timeouts(w1.direction_breakdown().rows), ["dir_a=61", "dir_b=0"]);
+    // … and only the three GAP-source swaps are anything but masked.
+    assert_eq!(
+        timeouts(w1.control_swap_breakdown().rows),
+        ["gap_to_go=19", "gap_to_idle=22", "gap_to_stop=20"]
+    );
+}
+
+/// Runs the detection campaign at every worker count in `workers`,
+/// requires byte-identical results, and returns the first.
+fn detection_across_workers(
+    options: &netfi::nftape::detection::DetectOptions,
+    workers: &[usize],
+) -> netfi::nftape::detection::DetectResult {
+    use netfi::nftape::detection::{detect_specs, run_detection};
+    let specs = detect_specs(options);
+    let first = run_detection(options, &specs, workers[0]).unwrap();
+    for &w in &workers[1..] {
+        let other = run_detection(options, &specs, w).unwrap();
+        assert_eq!(other.fingerprint(), first.fingerprint(), "workers={w}");
+        assert_eq!(other.render(), first.render(), "workers={w}");
+        assert_eq!(other, first, "workers={w}");
+    }
+    first
 }
 
 /// The detection campaign's contract, pinned: φ-accrual suspicion
@@ -407,12 +455,12 @@ fn sampled_campaign_identical_across_worker_counts() {
 /// verdict, latency sample and rendered registry table; it must be
 /// byte-identical at workers 1, 2 and 4 and must match the committed
 /// golden. If a change legitimately alters detection behaviour, update
-/// the constant in the same commit and say why (`BENCH_detect.json`
-/// carries the matching 100-host fingerprint, gated by check.sh).
+/// the constant in the same commit and say why (the 100-host campaign
+/// is pinned by the next test).
 #[test]
 fn detection_campaign_golden_fingerprint_across_worker_counts() {
     use netfi::detect::Phi;
-    use netfi::nftape::detection::{detect_specs, run_detection, DetectOptions};
+    use netfi::nftape::detection::DetectOptions;
     use netfi::nftape::TopoOptions;
 
     let options = DetectOptions {
@@ -432,19 +480,41 @@ fn detection_campaign_golden_fingerprint_across_worker_counts() {
         reference: 1,
         poll_event_budget: 5_000_000,
     };
-    let specs = detect_specs(&options);
-    let w1 = run_detection(&options, &specs, 1).unwrap();
-    for workers in [2, 4] {
-        let w = run_detection(&options, &specs, workers).unwrap();
-        assert_eq!(w.fingerprint(), w1.fingerprint(), "workers={workers}");
-        assert_eq!(w.render(), w1.render(), "workers={workers}");
-        assert_eq!(w, w1, "workers={workers}");
+    let w1 = detection_across_workers(&options, &[1, 2, 4]);
+    assert_pinned("detection fingerprint", w1.fingerprint(), 0x1000_121D_01AF_A971);
+}
+
+/// The 100-host detection campaign README and EXPERIMENTS.md quote,
+/// pinned: `DetectOptions::sized(100)`, 8 scenarios, byte-identical at
+/// workers 1, 2 and 4 with the committed fingerprint; the θ = 2/5/8
+/// latency ladder, a clean sheet (no miss, no false alarm, full
+/// agreement with the wiring-derived predictions), and the static SPOF
+/// analysis of the same fabric.
+#[test]
+fn detection_campaign_100_hosts_golden_fingerprint_and_ladder() {
+    use netfi::detect::{analyze, NodeKind};
+    use netfi::nftape::detection::{fabric_graph, DetectOptions};
+    use netfi::obs::exact_percentiles;
+
+    let options = DetectOptions::sized(100);
+    let w1 = detection_across_workers(&options, &[1, 2, 4]);
+    assert_pinned("detection fingerprint", w1.fingerprint(), 0xC27D_5B5F_D550_627A);
+    assert_eq!(w1.runs.len(), 8);
+    for (t, p50_us) in [6_000, 14_000, 146_000].into_iter().enumerate() {
+        assert_eq!(exact_percentiles(&mut w1.latency_samples(t)).p50, p50_us, "threshold #{t}");
+        assert_eq!((w1.missed_total(t), w1.false_alarm_total(t)), (0, 0), "threshold #{t}");
     }
+    assert_eq!(w1.mean_agreement_permille(), 1000);
+
+    let report = analyze(&fabric_graph(&options.topo));
+    assert_eq!(report.spofs.len(), 8);
+    assert!(report
+        .spofs
+        .iter()
+        .all(|s| s.kind == NodeKind::Switch && s.name.starts_with("leaf")));
     assert_eq!(
-        w1.fingerprint(),
-        0x1000_121D_01AF_A971,
-        "detection fingerprint moved: {:#018x}",
-        w1.fingerprint()
+        (report.diameter, report.redundancy_milli, report.health),
+        (4, 2133, 25)
     );
 }
 
