@@ -26,13 +26,15 @@
 //! contention and STOP/GO flow control rather than staying switch-local.
 //!
 //! **Sharding.** The fabric derives its own affinity partition: one shard
-//! per leaf switch together with its hosts, and (when present) one extra
-//! shard holding every spine. The only cross-shard links are the
-//! leaf–spine trunks, so the conservative lookahead is the *trunk* link's
-//! propagation delay — which is why [`TopoOptions`] splits `host_link`
-//! from `trunk_link`: short host cables keep per-hop latency realistic
-//! while longer trunk runs (machine-room scale) buy the sharded executor
-//! a wide synchronization window.
+//! per leaf switch together with its hosts, and one shard per spine
+//! switch — under the stride pattern a spine alone forwards about 1.6
+//! leaves' worth of events, so it is the heaviest shard as it is. The
+//! only cross-shard links are the leaf–spine trunks, so the conservative
+//! lookahead is the *trunk* link's propagation delay — which is why
+//! [`TopoOptions`] splits `host_link` from `trunk_link`: short host
+//! cables keep per-hop latency realistic while longer trunk runs
+//! (machine-room scale) buy the sharded executor a wide synchronization
+//! window.
 //!
 //! **Determinism oracle.** [`fabric_digest`] folds every host's and
 //! switch's end-of-run counters plus the engine clock and delivery count
@@ -153,8 +155,8 @@ pub struct Fabric<P: Probe = NullProbe> {
     pub eth: Vec<EthAddr>,
     /// The spliced injector device, when `intercept_host` asked for one.
     pub injector: Option<ComponentId>,
-    /// Shard id per component index: one shard per leaf (its switch and
-    /// hosts), plus one shard for all spines when trunks exist.
+    /// Shard id per component index: leaf `l`, its hosts and a spliced
+    /// injector are shard `l`; spine `s` is shard `leaves + s`.
     pub affinity: Vec<u16>,
     /// The conservative window bound: the trunk link's propagation
     /// delay, since trunks are the only cross-shard links.
@@ -162,7 +164,8 @@ pub struct Fabric<P: Probe = NullProbe> {
 }
 
 impl<P: Probe> Fabric<P> {
-    /// Number of affinity groups the fabric partitions into.
+    /// Number of affinity groups the fabric partitions into: one per
+    /// leaf plus one per spine.
     pub fn shard_count(&self) -> usize {
         self.affinity.iter().map(|&s| s as usize + 1).max().unwrap_or(1)
     }
@@ -250,8 +253,6 @@ pub fn build_fabric_probed<P: Probe>(
 
     let mut engine: Engine<Ev, P> = Engine::with_probe(probe);
     let mut affinity: Vec<u16> = Vec::new();
-    // The spine shard (if any) comes after the per-leaf shards.
-    let spine_shard = leaves as u16;
 
     let leaf_ids: Vec<ComponentId> = (0..leaves)
         .map(|l| {
@@ -265,7 +266,8 @@ pub fn build_fabric_probed<P: Probe>(
         .collect();
     let spine_ids: Vec<ComponentId> = (0..spines)
         .map(|s| {
-            affinity.push(spine_shard);
+            // One shard per spine, after the per-leaf shards.
+            affinity.push((leaves + s) as u16);
             engine.add_component(Box::new(Switch::new(
                 format!("spine{s}"),
                 leaves,
@@ -450,8 +452,8 @@ mod tests {
     fn affinity_groups_leaves_with_their_hosts() {
         let options = TopoOptions::sized(10);
         let fabric = build_fabric(&options, |_, _| {}).unwrap();
-        // 2 leaves + 1 spine shard.
-        assert_eq!(fabric.shard_count(), 3);
+        // 2 leaf shards + 2 spine shards.
+        assert_eq!(fabric.shard_count(), 4);
         for (i, &id) in fabric.hosts.iter().enumerate() {
             let leaf = i / options.hosts_per_leaf();
             assert_eq!(fabric.affinity[id.index()], leaf as u16, "host {i}");
@@ -460,9 +462,63 @@ mod tests {
                 leaf as u16
             );
         }
-        for &id in &fabric.spines {
-            assert_eq!(fabric.affinity[id.index()], fabric.leaves.len() as u16);
+        for (s, &id) in fabric.spines.iter().enumerate() {
+            assert_eq!(
+                fabric.affinity[id.index()],
+                (fabric.leaves.len() + s) as u16,
+                "spine {s}"
+            );
         }
+    }
+
+    #[test]
+    fn every_cross_shard_link_is_a_trunk() {
+        for hosts in [10, 100] {
+            let options = TopoOptions::sized(hosts);
+            let fabric = build_fabric(&options, |_, _| {}).unwrap();
+            let shard = |id: ComponentId| fabric.affinity[id.index()];
+            // No host ↔ leaf link crosses a shard …
+            for (i, &host) in fabric.hosts.iter().enumerate() {
+                let leaf = fabric.leaves[i / options.hosts_per_leaf()];
+                assert_eq!(shard(host), shard(leaf), "{hosts} hosts: host {i}");
+            }
+            // … every switch has a shard to itself, so only leaf ↔ spine
+            // trunks are left to cross …
+            let mut switch_shards: Vec<u16> = fabric
+                .leaves
+                .iter()
+                .chain(&fabric.spines)
+                .map(|&id| shard(id))
+                .collect();
+            switch_shards.sort_unstable();
+            switch_shards.dedup();
+            assert_eq!(switch_shards.len(), fabric.leaves.len() + fabric.spines.len());
+            assert_eq!(switch_shards.len(), fabric.shard_count());
+            // … and the window is what a trunk guarantees.
+            assert_eq!(fabric.lookahead, options.trunk_link.propagation_delay());
+        }
+    }
+
+    #[test]
+    fn a_shard_per_spine_lowers_the_imbalance() {
+        let fabric = build_fabric(&TopoOptions::sized(100), |_, _| {}).unwrap();
+        let spec = fabric.shard_spec(1);
+        let mut sharded = ShardedEngine::from_engine(fabric.engine, spec, |_| NullProbe);
+        sharded.run_until(SimTime::from_ms(5));
+        let events: Vec<u64> = (0..sharded.shard_count())
+            .map(|s| sharded.shard_events(s))
+            .collect();
+        // Seven full leaves, the short one, two spines.
+        assert_eq!(events, [1288, 1288, 1288, 1288, 1288, 1288, 1288, 184, 900, 900]);
+        // max / mean = max × shards / total and the total is shared, so
+        // compare max × shards: as built, and with both spines in one
+        // shard.
+        let (leaves, spines) = events.split_at(fabric.leaves.len());
+        let merged: u64 = spines.iter().sum();
+        let as_built = events.iter().max().unwrap() * events.len() as u64;
+        let one_spine_shard = merged.max(*leaves.iter().max().unwrap()) * (leaves.len() + 1) as u64;
+        assert_eq!((as_built, one_spine_shard), (12_880, 16_200));
+        assert!(as_built < one_spine_shard);
     }
 
     #[test]

@@ -82,6 +82,6 @@ pub use engine::{
 pub use fnv::Fnv1a;
 pub use queue::TimingWheel;
 pub use rng::DetRng;
-pub use shard::{ShardSpec, ShardedEngine};
+pub use shard::{ShardSpec, ShardedEngine, SyncStats};
 pub use snapshot::Fork;
 pub use time::{SimDuration, SimTime};

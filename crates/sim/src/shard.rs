@@ -27,11 +27,13 @@
 //!    shard's wheel at the window barrier, key intact. No sequence
 //!    numbers are re-assigned anywhere, so the merge is pure placement
 //!    and its order is irrelevant.
-//! 4. **One round driver.** The calling thread is the first worker: it
-//!    runs the first chunk of shards inside each window and owns every
-//!    shard between windows, where it merges the mailboxes and opens the
-//!    next window. `workers = 1` spawns nothing and runs that same
-//!    function alone, so it is literally the reference for `workers = N`.
+//! 4. **One round driver.** Shards are statically chunked over the
+//!    worker threads. The calling thread is the first worker: it runs
+//!    chunk 0 inside each window and owns every shard between windows,
+//!    where it merges the mailboxes and opens the next window. The
+//!    threads meet twice a round at one spin-then-block phase barrier.
+//!    `workers = 1` spawns nothing and runs that same function alone, so
+//!    it is literally the reference for `workers = N`.
 //!
 //! Equality with the serial engine holds for *every* delivery, ties
 //! included. The argument is two short inductions. Per-source keys match:
@@ -114,8 +116,8 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::engine::{
     run_outcome, tick_key, ComponentId, Core, CrossSend, Engine, NullProbe, Placement, Probe,
@@ -202,6 +204,128 @@ fn shard_at<'s, M, P: Probe>(
     }
 }
 
+/// Iterations a waiter spins on the barrier's generation before it
+/// blocks. A window of the 1,000-host fabric is ~25 µs of work per thread
+/// and a sleeper is back on its core only ~100 µs after the release (futex
+/// wake, inter-processor interrupt, a halted vCPU), so the wait is worth
+/// spinning through; the bound is in iterations, not time, because this
+/// crate reads no wall clock. It must outlast that wake-up: a thread that
+/// blocked once comes late to the next phase, and a peer whose budget is
+/// shorter than the delay blocks in turn, which makes *it* late — the two
+/// then take turns sleeping. 8,192 iterations (~170 µs on a 2-vCPU box)
+/// is the middle of the level range 4,096–16,384; 1,024 is slower
+/// than never spinning and 65,536 burns 1.4 ms whenever the peer really
+/// lost its core. DESIGN.md §11 has the sweep.
+const SPIN_BUDGET: u32 = 1 << 13;
+
+/// Locks a mutex whose data every critical section leaves valid, so a
+/// panic elsewhere while it was held is no reason to stop.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The round barrier: sense-reversing on a generation counter, waiters
+/// spin for a bounded iteration budget and then block.
+///
+/// Edges: every arrival is an `AcqRel` increment of `arrived`, so the
+/// last arriver has acquired what all the others released; it publishes
+/// the next `generation` with `Release`, and a waiter leaves on an
+/// `Acquire` load of it — whatever any thread wrote before `wait` is
+/// visible to every thread after it. A blocked waiter re-checks the
+/// generation under `parked`, and the releaser takes `parked` after the
+/// bump, so a wake-up cannot be lost; it notifies only when a sleeper is
+/// registered, because a condvar notify is a system call even with
+/// nobody waiting.
+struct PhaseBarrier {
+    parties: usize,
+    /// Spin iterations before blocking; 0 blocks at once.
+    spin: u32,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    parked: Mutex<Parked>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct Parked {
+    /// Waiters asleep (or about to be) on `wake`.
+    sleeping: usize,
+    /// Waits that took the block path, ever.
+    blocked: u64,
+}
+
+impl PhaseBarrier {
+    fn new(parties: usize, spin: u32) -> PhaseBarrier {
+        PhaseBarrier {
+            parties,
+            spin,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            parked: Mutex::default(),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Returns once all `parties` threads have called it this phase.
+    fn wait(&self) {
+        // Nobody can end this phase before this thread arrives, so the
+        // generation read here is the phase's own.
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Re-arm before publishing: the next phase's arrivals start
+            // only after they have seen the new generation.
+            self.arrived.store(0, Ordering::Release);
+            self.generation.store(generation + 1, Ordering::Release);
+            if lock(&self.parked).sleeping > 0 {
+                self.wake.notify_all();
+            }
+            return;
+        }
+        for _ in 0..self.spin {
+            if self.generation.load(Ordering::Acquire) != generation {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let mut parked = lock(&self.parked);
+        parked.blocked += 1;
+        parked.sleeping += 1;
+        while self.generation.load(Ordering::Acquire) == generation {
+            parked = self
+                .wake
+                .wait(parked)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        parked.sleeping -= 1;
+    }
+
+    /// `(spin_waits, blocked_waits)` so far: each phase has one last
+    /// arriver and `parties − 1` waiters, every one of which either saw
+    /// the release while spinning or took the block path.
+    fn waits(&self) -> (u64, u64) {
+        let phases = self.generation.load(Ordering::Acquire);
+        let blocked = lock(&self.parked).blocked;
+        (phases * (self.parties as u64 - 1) - blocked, blocked)
+    }
+}
+
+/// Placement and timing facts of the round protocol, for a person
+/// reading a slow run — see [`ShardedEngine::sync_stats`].
+///
+/// None of this is simulation state. Which thread ran a shard never
+/// reaches an output byte, and `spin_waits` / `blocked_waits` depend on
+/// the operating system's scheduler, so they differ from run to run:
+/// never fold any of it into a digest, an export or a report row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SyncStats {
+    /// Barrier waits that ended while the waiter was still spinning.
+    pub spin_waits: u64,
+    /// Barrier waits that took the mutex + condvar path.
+    pub blocked_waits: u64,
+    /// Events delivered by each thread, the caller first.
+    pub worker_events: Vec<u64>,
+}
+
 /// The sharded engine: affinity groups of an [`crate::Engine`], run under
 /// conservative-window scheduling with a deterministic mailbox merge.
 ///
@@ -223,10 +347,36 @@ pub struct ShardedEngine<M, P: Probe = NullProbe> {
     external_seq: u64,
     rounds: u64,
     cross_events: u64,
+    /// The round barrier's spin budget: [`SPIN_BUDGET`] while every
+    /// thread of a round can have a core of its own, else 0.
+    spin: u32,
+    /// Barrier waits of every run so far, `(spun, blocked)`.
+    waits: (u64, u64),
+}
+
+impl<M, P: Probe> ShardedEngine<M, P> {
+    /// Shards per thread: contiguous ceil-div chunks, the caller's first.
+    fn chunk(&self) -> usize {
+        self.shards.len().div_ceil(self.workers.min(self.shards.len()))
+    }
+
+    /// Where the round protocol's time and work went so far: barrier
+    /// waits by kind and events per thread. Placement and timing facts
+    /// only — see [`SyncStats`] for why they must stay out of every
+    /// digest, export and report row.
+    pub fn sync_stats(&self) -> SyncStats {
+        let events = |chunk: &[Shard<M, P>]| chunk.iter().map(|s| s.core.events).sum();
+        SyncStats {
+            spin_waits: self.waits.0,
+            blocked_waits: self.waits.1,
+            worker_events: self.shards.chunks(self.chunk()).map(events).collect(),
+        }
+    }
 }
 
 impl<M, P: Probe> fmt::Debug for ShardedEngine<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sync = self.sync_stats();
         f.debug_struct("ShardedEngine")
             .field("shards", &self.shards.len())
             .field("components", &self.affinity.len())
@@ -235,6 +385,9 @@ impl<M, P: Probe> fmt::Debug for ShardedEngine<M, P> {
             .field("now", &self.now)
             .field("rounds", &self.rounds)
             .field("cross_events", &self.cross_events)
+            .field("spin_waits", &sync.spin_waits)
+            .field("blocked_waits", &sync.blocked_waits)
+            .field("worker_events", &sync.worker_events)
             .finish()
     }
 }
@@ -297,6 +450,14 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
             let shard = &mut shards[spec.affinity[dst.index()] as usize];
             shard.core.wheel.push(time, key, (dst, payload));
         }
+        // Spinning pays only while every thread of a round has a core of
+        // its own; oversubscribed, a spinner burns the time slice the
+        // thread it waits for needs, so waiters block at once. Asked once,
+        // and only when there will be threads: the answer costs a system
+        // call and some file reads (~100 µs).
+        let threads = spec.workers.min(nshards);
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spin = if threads > 1 && threads <= cores() { SPIN_BUDGET } else { 0 };
         ShardedEngine {
             shards,
             affinity: spec.affinity,
@@ -308,6 +469,8 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
             external_seq,
             rounds: 0,
             cross_events: 0,
+            spin,
+            waits: (0, 0),
         }
     }
 
@@ -364,33 +527,36 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
     /// windows, owns every shard — it pushes each outbox straight into
     /// the destination wheels (keys intact, so the order is irrelevant)
     /// and opens the next window from what it reads there. Chunks 1.. are
-    /// each lent to one scoped thread; with one chunk nothing is spawned
-    /// and the same code runs on the caller alone. Every decision is a
-    /// function of simulation state read between windows, so the worker
-    /// count cannot reach an output byte.
+    /// each lent to one scoped thread; with one chunk nothing is spawned,
+    /// no barrier is taken and the same code runs on the caller alone.
+    /// Every decision is a function of simulation state read between
+    /// windows, so the worker count cannot reach an output byte.
     fn run_rounds(&mut self, deadline: SimTime, max_events: u64) -> bool {
         let nshards = self.shards.len();
-        let chunk = nshards.div_ceil(self.workers.min(nshards));
+        let chunk = self.chunk();
         let (affinity, locs): (&[u16], &[u32]) = (&self.affinity, &self.locs);
-        let (lookahead, rounds, cross_events) =
-            (self.lookahead, &mut self.rounds, &mut self.cross_events);
+        let (lookahead, rounds, cross_events, waits) = (
+            self.lookahead,
+            &mut self.rounds,
+            &mut self.cross_events,
+            &mut self.waits,
+        );
         let start_events: u64 = self.shards.iter().map(|s| s.core.events).sum();
         let (mine, rest) = self.shards.split_at_mut(chunk);
         // Each further chunk is lent to one worker thread: the worker holds
         // its lock while a window runs, the caller holds it between windows.
-        // The barriers order the hand-over, so no lock is ever contended.
+        // The barrier orders the hand-over, so no lock is ever contended.
         let lent: Vec<Mutex<&mut [Shard<M, P>]>> = rest.chunks_mut(chunk).map(Mutex::new).collect();
 
         // Round state. The barrier orders every access: the caller writes
         // the window, its cap and the exit order before barrier A and the
         // workers read them after it; shard state changes hands under the
-        // lend locks. The atomics additionally carry their own
-        // acquire/release edge so the byte-identity argument never leans
-        // on barrier internals (the workspace lint rejects
-        // `Ordering::Relaxed` in determinism-scope crates for this reason).
-        let barrier = Barrier::new(lent.len() + 1);
-        // `Barrier::wait` wakes its condvar — a system call — even as the
-        // only party, so with no chunk lent there is nothing to wait for.
+        // lend locks. The atomics carry their own acquire/release edge as
+        // well, so the byte-identity argument rests on each hand-over by
+        // itself (the workspace lint rejects `Ordering::Relaxed` in
+        // determinism-scope crates for this reason).
+        let barrier = PhaseBarrier::new(lent.len() + 1, self.spin);
+        // With no chunk lent there is nobody to wait for.
         let solo = lent.is_empty();
         let sync = || {
             if !solo {
@@ -401,9 +567,10 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
         let window_cap = AtomicU64::new(0);
         let exit = AtomicBool::new(false);
         // A component panic (e.g. the conservative-window assert) must
-        // not strand the other threads at a barrier: whoever ran the
-        // chunk traps the payload here and still reaches barrier B; the
-        // caller then orders the exit and re-raises it after the join.
+        // not strand the other threads at the barrier, spinning or
+        // blocked: whoever ran the chunk traps the payload here and still
+        // reaches barrier B; the caller then orders the exit and
+        // re-raises it after the join.
         let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
         let run_chunk = |shards: &mut [Shard<M, P>]| {
             let window_last = SimTime::from_ps(window_ps.load(Ordering::Acquire));
@@ -414,10 +581,7 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
                 }
             }));
             if let Err(payload) = ran {
-                panic_slot
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get_or_insert(payload);
+                lock(&panic_slot).get_or_insert(payload);
             }
         };
 
@@ -431,7 +595,7 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
                     if exit.load(Ordering::Acquire) {
                         break;
                     }
-                    run_chunk(&mut lend.lock().unwrap_or_else(PoisonError::into_inner));
+                    run_chunk(&mut lock(lend));
                     barrier.wait(); // B: window drained, chunk handed back.
                 });
             }
@@ -439,17 +603,10 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
             let mut held = Vec::with_capacity(lent.len());
             let mut mailbox = Vec::new();
             loop {
-                held.extend(
-                    lent.iter()
-                        .map(|l| l.lock().unwrap_or_else(PoisonError::into_inner)),
-                );
+                held.extend(lent.iter().map(lock));
                 let open = 'decide: {
                     // After a panic shard state is suspect: touch none of it.
-                    if panic_slot
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .is_some()
-                    {
+                    if lock(&panic_slot).is_some() {
                         break 'decide false;
                     }
                     for sid in 0..nshards {
@@ -493,6 +650,8 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
             }
         });
 
+        let (spun, blocked) = barrier.waits();
+        *waits = (waits.0 + spun, waits.1 + blocked);
         if let Some(payload) = panic_slot
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -771,6 +930,90 @@ mod tests {
         }
     }
 
+    /// Runs `threads` threads through `phases` barrier phases. Before each
+    /// wait a thread publishes the phase it finished; after it, every
+    /// thread must have published that phase and none can be more than
+    /// one ahead. Returns whether that held, and the barrier's wait split.
+    fn drive_barrier(threads: usize, phases: u64, spin: u32) -> (bool, (u64, u64)) {
+        let barrier = PhaseBarrier::new(threads, spin);
+        let done: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+        // Recorded, not asserted in place: a panicking thread would leave
+        // the others waiting for it forever.
+        let early = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for me in 0..threads {
+                let (barrier, done, early) = (&barrier, &done, &early);
+                scope.spawn(move || {
+                    for phase in 1..=phases {
+                        done[me].store(phase, Ordering::Release);
+                        barrier.wait();
+                        for other in done {
+                            let seen = other.load(Ordering::Acquire);
+                            if seen != phase && seen != phase + 1 {
+                                early.store(true, Ordering::Release);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        (!early.load(Ordering::Acquire), barrier.waits())
+    }
+
+    #[test]
+    fn barrier_block_path_holds_every_phase() {
+        let (held, waits) = drive_barrier(8, 10_000, 0);
+        assert!(held, "a thread passed the barrier before all had arrived");
+        assert_eq!(waits, (0, 7 * 10_000));
+    }
+
+    #[test]
+    fn barrier_spin_path_holds_every_phase() {
+        // Pure spinning needs a core per thread to make progress.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = cores.min(8);
+        let (held, waits) = drive_barrier(threads, 10_000, u32::MAX);
+        assert!(held, "a thread passed the barrier before all had arrived");
+        assert_eq!(waits, ((threads as u64 - 1) * 10_000, 0));
+    }
+
+    #[test]
+    fn any_chunking_matches_the_serial_ring() {
+        let delay = SimDuration::from_ns(25);
+        let deadline = SimTime::from_ms(1);
+        let hops = 500;
+        let mut lopsided = vec![0u16; 18];
+        lopsided.extend([1, 2]);
+        for (case, affinity, workers) in [
+            ("workers > shards", vec![0, 1, 2, 3], 8),
+            ("5 shards / 4 workers", vec![0, 1, 2, 3, 4], 4),
+            ("one shard holds 90 % of the events", lopsided, 3),
+        ] {
+            let (mut serial, ids) = ring(affinity.len(), delay, hops);
+            serial.run_until(deadline);
+            let (engine, _) = ring(affinity.len(), delay, hops);
+            let spec = ShardSpec {
+                affinity,
+                lookahead: delay,
+                workers,
+            };
+            let mut sharded = ShardedEngine::from_engine(engine, spec, |_| NullProbe);
+            sharded.run_until(deadline);
+            assert_eq!(logs(&ids, &sharded), logs(&ids, &serial), "{case}");
+            // Every event ran on exactly one thread, and every wait of
+            // every thread but the round's last arriver was counted.
+            let stats = sharded.sync_stats();
+            let threads = stats.worker_events.len() as u64;
+            assert!(threads > 1 && threads <= workers as u64, "{case}");
+            assert_eq!(stats.worker_events.iter().sum::<u64>(), hops + 1, "{case}");
+            assert_eq!(
+                stats.spin_waits + stats.blocked_waits,
+                (2 * sharded.rounds() + 1) * (threads - 1),
+                "{case}"
+            );
+        }
+    }
+
     #[test]
     fn same_window_local_and_cross_tie_matches_serial() {
         // a (shard 0) and c (shard 1) both fire at t = 0 and send to
@@ -933,6 +1176,21 @@ mod tests {
             affinity: vec![0, 1],
             lookahead: SimDuration::from_ns(100),
             workers: 2,
+        };
+        let mut sharded = ShardedEngine::from_engine(engine, spec, |_| NullProbe);
+        sharded.run_until(SimTime::from_ms(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the conservative window")]
+    fn cross_shard_send_below_lookahead_is_rejected_with_blocked_waiters() {
+        // Sixteen threads outnumber the cores of any box this runs on,
+        // so the waiters the panic must release are asleep, not spinning.
+        let (engine, _) = ring(16, SimDuration::from_ns(1), 5);
+        let spec = ShardSpec {
+            affinity: (0..16).collect(),
+            lookahead: SimDuration::from_ns(100),
+            workers: 16,
         };
         let mut sharded = ShardedEngine::from_engine(engine, spec, |_| NullProbe);
         sharded.run_until(SimTime::from_ms(1));

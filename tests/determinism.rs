@@ -237,53 +237,73 @@ fn sharded_observed_campaign_matches_serial_golden_hash() {
 /// traffic, static ECMP routes) each carry a committed 64-bit
 /// `fabric_digest` — engine clock, delivery count, every host's
 /// sink/sender/UDP/NIC counters, every switch's forwarding counters. The
-/// serial engine and the sharded engine at workers 1, 2 and 4 (1 and 2
-/// at 1,000 hosts) must all land on that exact digest: the
-/// topology-derived affinity groups (one shard per leaf plus a spine
-/// shard, trunk-delay lookahead) may not perturb a single byte.
+/// serial engine and the sharded engine at workers 1, 2, 3 and 4 (1 and
+/// 2 at 1,000 hosts) must all land on that exact digest: the
+/// topology-derived affinity groups (one shard per leaf, one per spine,
+/// trunk-delay lookahead) may not perturb a single byte. Three workers
+/// split the shards unevenly; the window schedule `(rounds,
+/// cross_events)` must not notice the worker count at all.
 #[test]
 fn fabric_digests_identical_across_worker_counts() {
     use netfi::nftape::{build_fabric, fabric_digest, TopoOptions};
     use netfi::sim::{NullProbe, ShardedEngine, Simulation};
 
-    fn digest_at(hosts: usize, sim_ms: u64, workers: Option<usize>) -> u64 {
-        let options = TopoOptions::sized(hosts);
-        let fab = build_fabric(&options, |_, _| {}).unwrap();
+    fn serial_digest(hosts: usize, sim_ms: u64) -> u64 {
+        let fab = build_fabric(&TopoOptions::sized(hosts), |_, _| {}).unwrap();
         let switches: Vec<_> = fab.leaves.iter().chain(&fab.spines).copied().collect();
-        match workers {
-            None => {
-                let mut engine = fab.engine;
-                engine.run_until(SimTime::from_ms(sim_ms));
-                fabric_digest(&engine, &fab.hosts, &switches)
-            }
-            Some(w) => {
-                let spec = fab.shard_spec(w);
-                let host_ids = fab.hosts;
-                let mut sim: ShardedEngine<_, NullProbe> =
-                    ShardedEngine::from_engine(fab.engine, spec, |_| NullProbe);
-                sim.run_until(SimTime::from_ms(sim_ms));
-                fabric_digest(&sim, &host_ids, &switches)
-            }
-        }
+        let mut engine = fab.engine;
+        engine.run_until(SimTime::from_ms(sim_ms));
+        fabric_digest(&engine, &fab.hosts, &switches)
+    }
+
+    /// Digest, window schedule and per-thread event counts of a sharded run.
+    fn sharded(hosts: usize, sim_ms: u64, workers: usize) -> (u64, (u64, u64), Vec<u64>) {
+        let fab = build_fabric(&TopoOptions::sized(hosts), |_, _| {}).unwrap();
+        let switches: Vec<_> = fab.leaves.iter().chain(&fab.spines).copied().collect();
+        let spec = fab.shard_spec(workers);
+        let mut sim: ShardedEngine<_, NullProbe> =
+            ShardedEngine::from_engine(fab.engine, spec, |_| NullProbe);
+        sim.run_until(SimTime::from_ms(sim_ms));
+        let per_thread = sim.sync_stats().worker_events;
+        // Every event ran on exactly one thread.
+        assert_eq!(per_thread.iter().sum::<u64>(), sim.events_processed());
+        (
+            fabric_digest(&sim, &fab.hosts, &switches),
+            (sim.rounds(), sim.cross_events()),
+            per_thread,
+        )
     }
 
     for (hosts, sim_ms, golden, workers) in [
-        (10, 10, 0x8A12_0E12_4707_0A3A_u64, &[1, 2, 4][..]),
-        (100, 5, 0x9E72_FF68_5C85_30ED_u64, &[1, 2, 4]),
+        (10, 10, 0x8A12_0E12_4707_0A3A_u64, &[1, 2, 3, 4][..]),
+        (100, 5, 0x9E72_FF68_5C85_30ED_u64, &[1, 2, 3, 4]),
         (1_000, 20, 0xAE78_9754_1899_510F_u64, &[1, 2]),
     ] {
         assert_eq!(
-            digest_at(hosts, sim_ms, None),
+            serial_digest(hosts, sim_ms),
             golden,
             "serial digest moved: {hosts} hosts @ {sim_ms} ms"
         );
+        let mut schedules = Vec::new();
         for &w in workers {
+            let (digest, schedule, per_thread) = sharded(hosts, sim_ms, w);
             assert_eq!(
-                digest_at(hosts, sim_ms, Some(w)),
-                golden,
+                digest, golden,
                 "sharded digest diverged: {hosts} hosts @ {sim_ms} ms, workers={w}"
             );
+            schedules.push(schedule);
+            if (hosts, w) == (1_000, 2) {
+                // Contiguous chunks, 10 leaves | 7 leaves + 2 spines, are
+                // 243,040 / 226,960 events: the busier thread carries at
+                // most 1.1× the mean (max / mean = max × 2 / total).
+                let (max, total) = (per_thread.iter().max().unwrap(), per_thread.iter().sum::<u64>());
+                assert!(max * 20 <= total * 11, "2-worker split {per_thread:?}");
+            }
         }
+        assert!(
+            schedules.windows(2).all(|pair| pair[0] == pair[1]),
+            "{hosts} hosts: (rounds, cross_events) moved with the worker count: {schedules:?}"
+        );
     }
 }
 
