@@ -301,790 +301,6 @@ fn mark_test_items(lines: &mut [Line]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Item scanning: brace-aware structure on top of the classified lines.
-//
-// The structural rules (fork-completeness and friends, see `crate::rules`)
-// need more than per-line classification: they need to know where a
-// `struct` ends, which fields it declares, what it derives, and which
-// `impl` block a `fn fork` body lives in. The scanner below recovers that
-// item skeleton from the lexed lines. It is deliberately not a parser —
-// expressions are opaque, only item boundaries, field lists, derive lists
-// and method body ranges are recovered — and it is lenient: anything it
-// does not recognize is skipped token-by-token, never an error. Strings
-// and comments are already blanked by [`lex`], so brace counting cannot be
-// desynced by literals (the fixture tests pin raw strings, quote/brace
-// char literals and nested block comments specifically).
-// ---------------------------------------------------------------------------
-
-/// What kind of item a scanner entry describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    /// A `struct` declaration (named-field, tuple or unit).
-    Struct,
-    /// An `enum` declaration; `fields` holds the variant names.
-    Enum,
-    /// An `impl` block (inherent or trait).
-    Impl,
-    /// A free `fn` item.
-    Fn,
-    /// A bang-macro invocation at item position, e.g. `fork_via_clone!(..)`.
-    MacroCall,
-}
-
-/// A named struct field or an enum variant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Field {
-    /// Field (or variant) identifier.
-    pub name: String,
-    /// 1-based line of the declaration.
-    pub line: usize,
-}
-
-/// A `fn` member of an `impl` block, with its body's line range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Method {
-    /// The method name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// First line of the body (the line holding the opening `{`).
-    pub body_start: usize,
-    /// Last line of the body (the line holding the matching `}`).
-    pub body_end: usize,
-}
-
-/// One recovered item: a struct/enum with its fields and derives, an impl
-/// with its methods, a free fn, or an item-position macro call.
-#[derive(Debug, Clone)]
-pub struct Item {
-    /// The item kind.
-    pub kind: ItemKind,
-    /// Base name: the struct/enum/fn name, the impl's *self type* base
-    /// segment (generics and path prefixes stripped), or the macro name.
-    /// Empty when unresolvable (e.g. `impl Fork for (A, B)`).
-    pub name: String,
-    /// For trait impls, the trait's base path segment (`Fork` for
-    /// `impl crate::snapshot::Fork for T`); `None` for inherent impls.
-    pub trait_name: Option<String>,
-    /// 1-based line of the introducing keyword.
-    pub line: usize,
-    /// First line of the `{}` body (0 when the item has none).
-    pub body_start: usize,
-    /// Last line of the `{}` body, inclusive (0 when the item has none).
-    pub body_end: usize,
-    /// Named fields (structs) or variant names (enums).
-    pub fields: Vec<Field>,
-    /// Traits listed in `#[derive(...)]` attributes on this item.
-    pub derives: Vec<String>,
-    /// True for tuple and unit structs (no named fields to check).
-    pub tuple: bool,
-    /// True when the item is `#[cfg(test)]`-gated (see [`lex`]).
-    pub in_test: bool,
-    /// For impls: member fns with their body ranges.
-    pub methods: Vec<Method>,
-    /// For macro calls with parenthesized args: the base (last path
-    /// segment) identifier of each comma-separated argument.
-    pub macro_args: Vec<String>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Punct(char),
-}
-
-#[derive(Debug, Clone)]
-struct Token {
-    tok: Tok,
-    line: usize,
-    in_test: bool,
-}
-
-fn tokenize(lines: &[Line]) -> Vec<Token> {
-    let mut out = Vec::new();
-    for line in lines {
-        let mut ident = String::new();
-        for c in line.code.chars() {
-            if c.is_alphanumeric() || c == '_' {
-                ident.push(c);
-            } else {
-                if !ident.is_empty() {
-                    out.push(Token {
-                        tok: Tok::Ident(std::mem::take(&mut ident)),
-                        line: line.number,
-                        in_test: line.in_test,
-                    });
-                }
-                if !c.is_whitespace() {
-                    out.push(Token {
-                        tok: Tok::Punct(c),
-                        line: line.number,
-                        in_test: line.in_test,
-                    });
-                }
-            }
-        }
-        if !ident.is_empty() {
-            out.push(Token {
-                tok: Tok::Ident(ident),
-                line: line.number,
-                in_test: line.in_test,
-            });
-        }
-    }
-    out
-}
-
-/// Scans classified lines into an item skeleton (see module docs).
-///
-/// Items inside `mod` bodies are recovered recursively; `fn` bodies and
-/// `macro_rules!` definitions are opaque (their contents are never
-/// reported as items).
-pub fn scan_items(lines: &[Line]) -> Vec<Item> {
-    let toks = tokenize(lines);
-    let mut scanner = ItemScanner {
-        toks: &toks,
-        i: 0,
-        items: Vec::new(),
-    };
-    scanner.scope();
-    scanner.items
-}
-
-struct ItemScanner<'a> {
-    toks: &'a [Token],
-    i: usize,
-    items: Vec<Item>,
-}
-
-impl ItemScanner<'_> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i).map(|t| &t.tok)
-    }
-
-    fn peek_ident(&self) -> Option<&str> {
-        match self.peek() {
-            Some(Tok::Ident(w)) => Some(w.as_str()),
-            _ => None,
-        }
-    }
-
-    fn at_punct(&self, c: char) -> bool {
-        self.peek() == Some(&Tok::Punct(c))
-    }
-
-    fn line(&self) -> usize {
-        self.toks.get(self.i).map_or(0, |t| t.line)
-    }
-
-    fn bump(&mut self) {
-        self.i += 1;
-    }
-
-    /// Consumes and returns the current identifier, if any.
-    fn take_ident(&mut self) -> Option<String> {
-        match self.toks.get(self.i) {
-            Some(Token {
-                tok: Tok::Ident(w), ..
-            }) => {
-                let w = w.clone();
-                self.i += 1;
-                Some(w)
-            }
-            _ => None,
-        }
-    }
-
-    /// From an opening bracket, skips past its matching close, balancing
-    /// all three bracket kinds. Returns (open line, close line).
-    fn skip_balanced(&mut self) -> (usize, usize) {
-        let start = self.line();
-        let mut depth = 0usize;
-        while let Some(tok) = self.toks.get(self.i) {
-            match tok.tok {
-                Tok::Punct('(' | '[' | '{') => depth += 1,
-                Tok::Punct(')' | ']' | '}') => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        let end = tok.line;
-                        self.i += 1;
-                        return (start, end);
-                    }
-                }
-                _ => {}
-            }
-            self.i += 1;
-        }
-        (start, self.toks.last().map_or(start, |t| t.line))
-    }
-
-    /// From a `<`, skips the balanced generic-argument list. A `>` that
-    /// closes an `->` arrow never opens the list, so only nesting inside
-    /// an already-open list is tracked.
-    fn skip_angles(&mut self) {
-        let mut depth = 0usize;
-        let mut prev_dash = false;
-        while let Some(tok) = self.toks.get(self.i) {
-            match tok.tok {
-                Tok::Punct('<') => depth += 1,
-                Tok::Punct('>') if !prev_dash => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        self.i += 1;
-                        return;
-                    }
-                }
-                Tok::Punct('(' | '[') => {
-                    self.skip_balanced();
-                    prev_dash = false;
-                    continue;
-                }
-                _ => {}
-            }
-            prev_dash = tok.tok == Tok::Punct('-');
-            self.i += 1;
-        }
-    }
-
-    /// From a `#`, skips the attribute, harvesting `derive(...)` idents.
-    fn attr(&mut self, derives: &mut Vec<String>) {
-        self.bump(); // '#'
-        if self.at_punct('!') {
-            self.bump();
-        }
-        if !self.at_punct('[') {
-            return;
-        }
-        let mut depth = 0usize;
-        let mut in_derive = false;
-        let mut first = true;
-        while let Some(tok) = self.toks.get(self.i) {
-            match &tok.tok {
-                Tok::Punct('[') => depth += 1,
-                Tok::Punct(']') => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        self.i += 1;
-                        return;
-                    }
-                }
-                Tok::Ident(w) => {
-                    if first {
-                        in_derive = w == "derive";
-                        first = false;
-                    } else if in_derive {
-                        derives.push(w.clone());
-                    }
-                }
-                _ => {}
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Skips to just past the next `;` at bracket depth zero. Stops
-    /// (without consuming) at a `}` at depth zero, which means the
-    /// enclosing scope ended first.
-    fn skip_to_semi(&mut self) {
-        while let Some(tok) = self.toks.get(self.i) {
-            match tok.tok {
-                Tok::Punct('(' | '[' | '{') => {
-                    self.skip_balanced();
-                    continue;
-                }
-                Tok::Punct('}') => return,
-                Tok::Punct(';') => {
-                    self.i += 1;
-                    return;
-                }
-                _ => self.i += 1,
-            }
-        }
-    }
-
-    /// Parses items until end of input or a `}` closing this scope (left
-    /// unconsumed for the caller).
-    fn scope(&mut self) {
-        let mut derives: Vec<String> = Vec::new();
-        while let Some(token) = self.toks.get(self.i) {
-            let (line, in_test) = (token.line, token.in_test);
-            match &token.tok {
-                Tok::Punct('}') => return,
-                Tok::Punct('#') => {
-                    self.attr(&mut derives);
-                    continue;
-                }
-                Tok::Punct('{') => {
-                    self.skip_balanced();
-                }
-                Tok::Punct(_) => self.bump(),
-                Tok::Ident(w) => match w.as_str() {
-                    "pub" => {
-                        self.bump();
-                        if self.at_punct('(') {
-                            self.skip_balanced();
-                        }
-                    }
-                    "unsafe" | "default" | "async" => self.bump(),
-                    "struct" => {
-                        self.bump();
-                        self.item_struct(false, std::mem::take(&mut derives), line, in_test);
-                    }
-                    "enum" => {
-                        self.bump();
-                        self.item_struct(true, std::mem::take(&mut derives), line, in_test);
-                    }
-                    "union" => {
-                        self.bump();
-                        self.item_struct(false, std::mem::take(&mut derives), line, in_test);
-                    }
-                    "fn" => {
-                        self.bump();
-                        self.item_fn(line, in_test);
-                        derives.clear();
-                    }
-                    "impl" => {
-                        self.bump();
-                        self.item_impl(line, in_test);
-                        derives.clear();
-                    }
-                    "mod" => {
-                        self.bump();
-                        let _ = self.take_ident();
-                        if self.at_punct('{') {
-                            self.bump();
-                            self.scope();
-                            if self.at_punct('}') {
-                                self.bump();
-                            }
-                        } else {
-                            self.skip_to_semi();
-                        }
-                        derives.clear();
-                    }
-                    "trait" => {
-                        self.bump();
-                        // Skip to the body and over it; default methods are
-                        // not indexed (no trait in this workspace carries a
-                        // fork body as a default).
-                        while let Some(tok) = self.peek() {
-                            match tok {
-                                Tok::Punct('{') => {
-                                    self.skip_balanced();
-                                    break;
-                                }
-                                Tok::Punct(';') => {
-                                    self.bump();
-                                    break;
-                                }
-                                Tok::Punct('<') => self.skip_angles(),
-                                Tok::Punct('(') => {
-                                    self.skip_balanced();
-                                }
-                                _ => self.bump(),
-                            }
-                        }
-                        derives.clear();
-                    }
-                    "macro_rules" => {
-                        self.bump();
-                        if self.at_punct('!') {
-                            self.bump();
-                        }
-                        let _ = self.take_ident();
-                        if matches!(self.peek(), Some(Tok::Punct('{' | '(' | '['))) {
-                            self.skip_balanced();
-                        }
-                        if self.at_punct(';') {
-                            self.bump();
-                        }
-                        derives.clear();
-                    }
-                    "const" | "static" => {
-                        self.bump();
-                        // `const fn` is a function, not a constant.
-                        if self.peek_ident() != Some("fn") {
-                            self.skip_to_semi();
-                            derives.clear();
-                        }
-                    }
-                    "use" | "type" | "extern" => {
-                        self.bump();
-                        self.skip_to_semi();
-                        derives.clear();
-                    }
-                    name => {
-                        if self.toks.get(self.i + 1).map(|t| &t.tok) == Some(&Tok::Punct('!')) {
-                            let name = name.to_string();
-                            self.item_macro(&name, line, in_test);
-                        } else {
-                            self.bump();
-                        }
-                        derives.clear();
-                    }
-                },
-            }
-        }
-    }
-
-    fn item_struct(&mut self, is_enum: bool, derives: Vec<String>, line: usize, in_test: bool) {
-        let Some(name) = self.take_ident() else { return };
-        if self.at_punct('<') {
-            self.skip_angles();
-        }
-        let mut item = Item {
-            kind: if is_enum { ItemKind::Enum } else { ItemKind::Struct },
-            name,
-            trait_name: None,
-            line,
-            body_start: 0,
-            body_end: 0,
-            fields: Vec::new(),
-            derives,
-            tuple: false,
-            in_test,
-            methods: Vec::new(),
-            macro_args: Vec::new(),
-        };
-        let mut seen_where = false;
-        loop {
-            match self.peek() {
-                None => break,
-                Some(Tok::Punct('(')) if !seen_where => {
-                    // Tuple struct: positional fields are not named, so
-                    // completeness checks skip them.
-                    item.tuple = true;
-                    self.skip_balanced();
-                    self.skip_to_semi();
-                    break;
-                }
-                Some(Tok::Punct('(')) => {
-                    self.skip_balanced();
-                }
-                Some(Tok::Punct(';')) => {
-                    item.tuple = true; // unit struct: nothing to capture
-                    self.bump();
-                    break;
-                }
-                Some(Tok::Punct('{')) => {
-                    let (start, end) = self.field_list(&mut item, is_enum);
-                    item.body_start = start;
-                    item.body_end = end;
-                    break;
-                }
-                Some(Tok::Punct('<')) => self.skip_angles(),
-                Some(Tok::Ident(w)) => {
-                    if w == "where" {
-                        seen_where = true;
-                    }
-                    self.bump();
-                }
-                Some(Tok::Punct(_)) => self.bump(),
-            }
-        }
-        self.items.push(item);
-    }
-
-    /// Parses a `{ ... }` field list (or enum variant list). The current
-    /// token is the opening brace. Returns its (start, end) lines.
-    fn field_list(&mut self, item: &mut Item, is_enum: bool) -> (usize, usize) {
-        let start = self.line();
-        self.bump(); // '{'
-        let mut ignored = Vec::new();
-        loop {
-            match self.peek() {
-                None => return (start, self.toks.last().map_or(start, |t| t.line)),
-                Some(Tok::Punct('}')) => {
-                    let end = self.line();
-                    self.bump();
-                    return (start, end);
-                }
-                Some(Tok::Punct('#')) => self.attr(&mut ignored),
-                Some(Tok::Punct(',')) => self.bump(),
-                Some(Tok::Ident(w)) if w == "pub" => {
-                    self.bump();
-                    if self.at_punct('(') {
-                        self.skip_balanced();
-                    }
-                }
-                Some(Tok::Ident(_)) => {
-                    let fline = self.line();
-                    let name = self.take_ident().unwrap_or_default();
-                    // Enum variants need no `:`; struct entries without
-                    // one are stray tokens (macros in field position).
-                    if is_enum || self.at_punct(':') {
-                        item.fields.push(Field { name, line: fline });
-                    }
-                    self.skip_field_tail();
-                }
-                Some(Tok::Punct(_)) => self.bump(),
-            }
-        }
-    }
-
-    /// After a field name (or variant name), skips its type/payload up to
-    /// the separating `,` (consumed) or the closing `}` (left for the
-    /// caller).
-    fn skip_field_tail(&mut self) {
-        let mut angle = 0usize;
-        let mut prev_dash = false;
-        while let Some(tok) = self.toks.get(self.i) {
-            match tok.tok {
-                Tok::Punct('(' | '[' | '{') => {
-                    self.skip_balanced();
-                    prev_dash = false;
-                    continue;
-                }
-                Tok::Punct('<') => angle += 1,
-                Tok::Punct('>') if !prev_dash => angle = angle.saturating_sub(1),
-                Tok::Punct(',') if angle == 0 => {
-                    self.i += 1;
-                    return;
-                }
-                Tok::Punct('}') => return,
-                _ => {}
-            }
-            prev_dash = tok.tok == Tok::Punct('-');
-            self.i += 1;
-        }
-    }
-
-    fn item_fn(&mut self, line: usize, in_test: bool) {
-        let name = self.take_ident().unwrap_or_default();
-        let mut body = None;
-        loop {
-            match self.peek() {
-                None => break,
-                Some(Tok::Punct('(')) => {
-                    self.skip_balanced();
-                }
-                Some(Tok::Punct('<')) => self.skip_angles(),
-                Some(Tok::Punct(';')) => {
-                    self.bump();
-                    break;
-                }
-                Some(Tok::Punct('{')) => {
-                    body = Some(self.skip_balanced());
-                    break;
-                }
-                _ => self.bump(),
-            }
-        }
-        let (body_start, body_end) = body.unwrap_or((0, 0));
-        self.items.push(Item {
-            kind: ItemKind::Fn,
-            name,
-            trait_name: None,
-            line,
-            body_start,
-            body_end,
-            fields: Vec::new(),
-            derives: Vec::new(),
-            tuple: false,
-            in_test,
-            methods: Vec::new(),
-            macro_args: Vec::new(),
-        });
-    }
-
-    /// Reads a type path up to `for`, `where`, `{` or `;`, returning the
-    /// base segment: the last identifier outside generics. Empty for
-    /// non-path types (tuples, references to them, ...).
-    fn type_path(&mut self) -> String {
-        let mut base = String::new();
-        loop {
-            match self.peek() {
-                None => break,
-                Some(Tok::Ident(w)) if w == "for" || w == "where" => break,
-                Some(Tok::Ident(w)) => {
-                    if w != "dyn" && w != "mut" && w != "const" {
-                        base.clone_from(w);
-                    }
-                    self.bump();
-                }
-                Some(Tok::Punct('<')) => self.skip_angles(),
-                Some(Tok::Punct('(' | '[')) => {
-                    self.skip_balanced();
-                }
-                Some(Tok::Punct('{' | ';')) => break,
-                Some(Tok::Punct(_)) => self.bump(),
-            }
-        }
-        base
-    }
-
-    fn item_impl(&mut self, line: usize, in_test: bool) {
-        if self.at_punct('<') {
-            self.skip_angles();
-        }
-        let first = self.type_path();
-        let (trait_name, self_type) = if self.peek_ident() == Some("for") {
-            self.bump();
-            let st = self.type_path();
-            (Some(first), st)
-        } else {
-            (None, first)
-        };
-        // A where clause may still sit between the self type and the body.
-        while let Some(tok) = self.peek() {
-            match tok {
-                Tok::Punct('{') => break,
-                Tok::Punct(';') => {
-                    self.bump();
-                    return;
-                }
-                Tok::Punct('<') => self.skip_angles(),
-                Tok::Punct('(') => {
-                    self.skip_balanced();
-                }
-                _ => self.bump(),
-            }
-        }
-        if !self.at_punct('{') {
-            return;
-        }
-        let body_start = self.line();
-        self.bump();
-        let mut methods = Vec::new();
-        let body_end;
-        loop {
-            match self.peek() {
-                None => {
-                    body_end = self.toks.last().map_or(body_start, |t| t.line);
-                    break;
-                }
-                Some(Tok::Punct('}')) => {
-                    body_end = self.line();
-                    self.bump();
-                    break;
-                }
-                Some(Tok::Punct('#')) => {
-                    let mut ignored = Vec::new();
-                    self.attr(&mut ignored);
-                }
-                Some(Tok::Ident(w)) if w == "fn" => {
-                    let fn_line = self.line();
-                    self.bump();
-                    let name = self.take_ident().unwrap_or_default();
-                    let mut body = None;
-                    loop {
-                        match self.peek() {
-                            None => break,
-                            Some(Tok::Punct('(')) => {
-                                self.skip_balanced();
-                            }
-                            Some(Tok::Punct('<')) => self.skip_angles(),
-                            Some(Tok::Punct(';')) => {
-                                self.bump();
-                                break;
-                            }
-                            Some(Tok::Punct('{')) => {
-                                body = Some(self.skip_balanced());
-                                break;
-                            }
-                            _ => self.bump(),
-                        }
-                    }
-                    let (bs, be) = body.unwrap_or((0, 0));
-                    methods.push(Method {
-                        name,
-                        line: fn_line,
-                        body_start: bs,
-                        body_end: be,
-                    });
-                }
-                Some(Tok::Ident(w)) if w == "const" || w == "static" => {
-                    self.bump();
-                    if self.peek_ident() != Some("fn") {
-                        self.skip_to_semi();
-                    }
-                }
-                Some(Tok::Ident(w)) if w == "type" => {
-                    self.bump();
-                    self.skip_to_semi();
-                }
-                Some(Tok::Punct('{')) => {
-                    self.skip_balanced();
-                }
-                _ => self.bump(),
-            }
-        }
-        self.items.push(Item {
-            kind: ItemKind::Impl,
-            name: self_type,
-            trait_name,
-            line,
-            body_start,
-            body_end,
-            fields: Vec::new(),
-            derives: Vec::new(),
-            tuple: false,
-            in_test,
-            methods,
-            macro_args: Vec::new(),
-        });
-    }
-
-    /// An item-position macro call: `name!(args);`, `name![...]` or
-    /// `name! { ... }`. Parenthesized/bracketed args are split on
-    /// top-level commas, each reduced to its last path segment.
-    fn item_macro(&mut self, name: &str, line: usize, in_test: bool) {
-        self.bump(); // name
-        self.bump(); // '!'
-        let mut args = Vec::new();
-        match self.peek() {
-            Some(Tok::Punct('(' | '[')) => {
-                self.bump();
-                let mut depth = 0usize;
-                let mut current = String::new();
-                while let Some(tok) = self.toks.get(self.i) {
-                    match &tok.tok {
-                        Tok::Punct('(' | '[' | '{') => depth += 1,
-                        Tok::Punct(')' | ']' | '}') => {
-                            if depth == 0 {
-                                self.i += 1;
-                                break;
-                            }
-                            depth -= 1;
-                        }
-                        Tok::Punct(',') if depth == 0 && !current.is_empty() => {
-                            args.push(std::mem::take(&mut current));
-                        }
-                        Tok::Ident(w) => current.clone_from(w),
-                        _ => {}
-                    }
-                    self.i += 1;
-                }
-                if !current.is_empty() {
-                    args.push(current);
-                }
-                if self.at_punct(';') {
-                    self.bump();
-                }
-            }
-            Some(Tok::Punct('{')) => {
-                self.skip_balanced();
-            }
-            _ => return,
-        }
-        self.items.push(Item {
-            kind: ItemKind::MacroCall,
-            name: name.to_string(),
-            trait_name: None,
-            line,
-            body_start: 0,
-            body_end: 0,
-            fields: Vec::new(),
-            derives: Vec::new(),
-            tuple: false,
-            in_test,
-            methods: Vec::new(),
-            macro_args: args,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1154,175 +370,12 @@ mod tests {
         assert!(!lines[2].in_test);
     }
 
-    // --- item scanner ---
-
-    fn items_of(src: &str) -> Vec<Item> {
-        scan_items(&lex(src))
-    }
-
-    #[test]
-    fn scans_struct_fields_with_lines_and_derives() {
-        let src = "\
-#[derive(Debug, Clone)]
-pub struct S<T: Ord> {
-    pub a: u8,
-    b: Vec<(u8, u16)>,
-    c: [u64; 4],
-}
-";
-        let items = items_of(src);
-        assert_eq!(items.len(), 1);
-        let s = &items[0];
-        assert_eq!((s.kind, s.name.as_str(), s.line), (ItemKind::Struct, "S", 2));
-        assert_eq!(s.derives, ["Debug", "Clone"]);
-        assert!(!s.tuple);
-        let fields: Vec<(&str, usize)> =
-            s.fields.iter().map(|f| (f.name.as_str(), f.line)).collect();
-        assert_eq!(fields, [("a", 3), ("b", 4), ("c", 5)]);
-    }
-
-    #[test]
-    fn tuple_and_unit_structs_have_no_named_fields() {
-        let items = items_of("pub struct P(pub u8, u16);\npub struct U;\n");
-        assert_eq!(items.len(), 2);
-        assert!(items.iter().all(|i| i.tuple && i.fields.is_empty()));
-    }
-
-    #[test]
-    fn where_clause_parens_do_not_make_a_tuple_struct() {
-        let src = "\
-pub struct W<F>
-where
-    F: Fn(u8) -> u8,
-{
-    pub f: F,
-}
-";
-        let items = items_of(src);
-        assert_eq!(items.len(), 1);
-        assert!(!items[0].tuple);
-        assert_eq!(items[0].fields.len(), 1);
-        assert_eq!(items[0].fields[0].name, "f");
-    }
-
-    #[test]
-    fn enum_variants_scan_as_fields() {
-        let src = "\
-pub enum Ev {
-    Rx { time: u64, data: Vec<u8> },
-    Timer(u64),
-    Stop,
-}
-";
-        let items = items_of(src);
-        let names: Vec<&str> = items[0].fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["Rx", "Timer", "Stop"]);
-    }
-
-    #[test]
-    fn impls_capture_trait_self_type_and_method_bodies() {
-        let src = "\
-impl<T: crate::snapshot::Fork> crate::snapshot::Fork for Wheel<T> {
-    fn fork(&self) -> Self {
-        rebuild(self)
-    }
-}
-impl Wheel<u8> {
-    fn inherent(&self) {}
-}
-";
-        let items = items_of(src);
-        assert_eq!(items.len(), 2);
-        let fork = &items[0];
-        // Paths reduce to their base segment: `crate::snapshot::Fork` is
-        // the trait `Fork`, the self type is `Wheel`.
-        assert_eq!(fork.trait_name.as_deref(), Some("Fork"));
-        assert_eq!(fork.name, "Wheel");
-        assert_eq!(fork.methods.len(), 1);
-        let m = &fork.methods[0];
-        assert_eq!((m.name.as_str(), m.line), ("fork", 2));
-        assert!(m.body_start >= 2 && m.body_end == 4);
-        assert!(items[1].trait_name.is_none());
-    }
-
-    #[test]
-    fn macro_call_args_keep_their_base_idents() {
-        let items = items_of("fork_via_clone!(u8, crate::time::SimTime, Vec<u8>);\n");
-        assert_eq!(items.len(), 1);
-        assert_eq!(items[0].kind, ItemKind::MacroCall);
-        assert_eq!(items[0].name, "fork_via_clone");
-        assert_eq!(items[0].macro_args, ["u8", "SimTime", "u8"]);
-    }
-
-    #[test]
-    fn macro_rules_bodies_are_opaque() {
-        // The `impl` patterns inside a macro_rules body must not be
-        // scanned as real impls (they mention `$ty`, not a type).
-        let src = "\
-macro_rules! fork_via_clone {
-    ($($ty:ty),* $(,)?) => {
-        $(impl Fork for $ty {
-            fn fork(&self) -> Self { self.clone() }
-        })*
-    };
-}
-pub struct After { pub x: u8 }
-";
-        let items = items_of(src);
-        assert_eq!(items.len(), 1);
-        assert_eq!((items[0].kind, items[0].name.as_str()), (ItemKind::Struct, "After"));
-    }
-
-    #[test]
-    fn nested_modules_are_scanned_recursively() {
-        let src = "\
-mod outer {
-    pub mod inner {
-        pub struct Deep { pub x: u8 }
-    }
-}
-";
-        let items = items_of(src);
-        assert_eq!(items.len(), 1);
-        assert_eq!((items[0].name.as_str(), items[0].line), ("Deep", 3));
-    }
-
-    #[test]
-    fn fn_return_arrows_do_not_end_generic_scans() {
-        let src = "\
-pub fn map<F: Fn(u8) -> u8>(f: F) -> u8 {
-    f(0)
-}
-pub struct After { pub x: u8 }
-";
-        let items = items_of(src);
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].kind, ItemKind::Fn);
-        assert_eq!(items[1].name, "After");
-    }
-
-    #[test]
-    fn test_gated_items_carry_the_flag() {
-        let src = "\
-pub struct Live { pub x: u8 }
-#[cfg(test)]
-mod tests {
-    pub struct Double { pub y: u8 }
-}
-";
-        let items = items_of(src);
-        assert_eq!(items.len(), 2);
-        assert!(!items[0].in_test);
-        assert!(items[1].in_test);
-    }
-
     #[test]
     fn string_line_continuation_keeps_line_numbers() {
         let src = "let s = \"one \\\n    two\";\nstruct After { x: u8 }\n";
         let lines = lex(src);
         assert_eq!(lines.len(), 3);
-        let items = scan_items(&lines);
-        assert_eq!(items.len(), 1);
-        assert_eq!((items[0].name.as_str(), items[0].line), ("After", 3));
+        assert_eq!(lines[2].number, 3);
+        assert_eq!(lines[2].code, "struct After { x: u8 }");
     }
 }

@@ -9,8 +9,12 @@
 //!    hashes in `tests/determinism.rs` pin this), which is only true as
 //!    long as no library crate on the replay path reads a wall clock, the
 //!    process environment, an OS thread scheduler, or iterates a
-//!    randomized-order collection. Rules: `wall-clock`,
-//!    `unordered-collection`, `env-access`, `thread-spawn`.
+//!    randomized-order collection, and no cross-thread state reaches an
+//!    output byte through `Ordering::Relaxed`. Rules: `wall-clock`,
+//!    `unordered-collection`, `env-access`, `thread-spawn`,
+//!    `relaxed-atomic` — and `fork-not-clone`: a `Component::fork` body
+//!    must be `Box::new(self.clone())`, so the snapshot copy of every
+//!    component is a `#[derive(Clone)]` the compiler keeps complete.
 //! 2. **Panic-freedom.** Fault-injection campaigns drive the stack with
 //!    deliberately corrupted inputs; a library `.unwrap()` turns a
 //!    modelled fault into a harness crash. Rules: `unwrap`, `expect`,
@@ -24,31 +28,17 @@
 //! adjacent `SAFETY:` comment (the workspace currently has none at all —
 //! the rule keeps it honest if that changes).
 //!
-//! Beyond the per-line rules, the checker is structure-aware: the lexer
-//! doubles as a brace/item-aware scanner ([`lexer::scan_items`]) that
-//! recovers struct/enum field lists, derive lists and impl method bodies,
-//! and a workspace-wide symbol index ([`index`]) relates them across
-//! files. On top of that sit the **structural rules**:
+//! And one rule about the escape hatch itself, `dead-suppression`: an
+//! allow-comment that no longer suppresses anything is a violation, so
+//! the suppression budget can only ratchet down.
 //!
-//! - `fork-completeness` — every type with a fork body (an `impl Fork`, a
-//!   `fn fork` in an `impl Component`, or a `fork_via_clone!` listing)
-//!   must read every declared field in the body that produces the fork
-//!   (derived `Clone` counts as reading all of them; a hand-written
-//!   `Clone` is held to the same per-field standard). The DESIGN.md §12
-//!   capture inventory is machine-checked by this rule. Waive a field
-//!   with `lint: allow(fork-skip) <field>: <reason>`.
-//! - `dead-suppression` — an allow-comment (or fork-skip waiver) that no
-//!   longer suppresses anything is itself a violation, so the suppression
-//!   budget can only ratchet down.
-//! - `relaxed-atomic` — `Ordering::Relaxed` in determinism-scope crates
-//!   is flagged: where cross-thread state can reach an output byte, the
-//!   byte-identity argument needs acquire/release edges.
-//!
-//! The checker is std-only Rust: a hand-rolled lexer + item scanner
-//! ([`lexer`]), identifier-boundary pattern rules and structural rules
-//! ([`rules`]), a symbol index ([`index`]), a per-crate policy table
-//! ([`policy`]) and a workspace walker ([`walk`]). No `syn`, no rustc
-//! plugins — it must build instantly, offline, before anything it checks.
+//! The checker is std-only Rust: a hand-rolled line lexer ([`lexer`]),
+//! identifier-boundary pattern rules ([`rules`]), a per-crate policy
+//! table ([`policy`]) and a workspace walker ([`walk`]). No `syn`, no
+//! rustc plugins — it must build instantly, offline, before anything it
+//! checks. It reads lines, not items: what a type's fields are and
+//! whether a copy covers them is the compiler's job (`#[derive(Clone)]`),
+//! not this crate's.
 //! Escape hatches are comments (`lint: allow(<rule>) <reason>` after
 //! `//`), so every suppression is grep-able, reviewed in diffs, and
 //! counted in the report.
@@ -61,16 +51,13 @@
 #![warn(missing_debug_implementations)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-pub mod index;
 pub mod lexer;
 pub mod policy;
 pub mod rules;
 pub mod walk;
 
-pub use index::{crate_of, ForkSite, ForkVia, SymbolIndex, TypeDef};
 pub use policy::{policy_for, Policy};
 pub use rules::{
-    scan_source, scan_structural, FileReport, StructuralReport, Violation, ALLOW_SYNTAX,
-    DEAD_SUPPRESSION, FORK_COMPLETENESS, RULE_IDS, WAIVER_IDS,
+    scan_source, FileReport, Violation, ALLOW_SYNTAX, DEAD_SUPPRESSION, RULE_IDS,
 };
-pub use walk::{scan_workspace, Diagnostic, WorkspaceReport};
+pub use walk::{crate_of, scan_workspace, Diagnostic, WorkspaceReport};

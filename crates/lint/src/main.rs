@@ -11,10 +11,12 @@ USAGE:
     netfi-lint [--format <text|json>] [ROOT]
 
 Scans ROOT/src and ROOT/crates/*/src (default ROOT: the current
-directory) for violations of the workspace invariants: determinism,
-panic-freedom, hot-path allocation discipline, the unsafe/SAFETY audit,
-and the structural rules (fork-completeness, dead-suppression,
-relaxed-atomic) over a workspace-wide symbol index.
+directory) for violations of the workspace invariants: determinism
+(wall-clock, unordered-collection, env-access, thread-spawn,
+relaxed-atomic, fork-not-clone), panic-freedom (unwrap, expect, panic),
+hot-path allocation discipline (hot-path-alloc), the unsafe/SAFETY audit
+(unsafe-safety), and allow-comments that suppress nothing
+(dead-suppression).
 
 OPTIONS:
     --format text    One `path:line: rule: message` line per violation,

@@ -12,19 +12,18 @@
 //! full rule set so new code starts strict and opts out here, visibly, if
 //! it must.
 //!
-//! The policy gates the *per-line* families. The `determinism` flag also
-//! covers `relaxed-atomic` (an `Ordering::Relaxed` cannot justify a
-//! byte-identity argument across threads). The structural rules —
-//! `fork-completeness` and `dead-suppression` — run workspace-wide over
-//! the symbol index regardless of policy: a fork body owes every field
-//! wherever it lives, and a suppression that suppresses nothing is dead
-//! in any crate.
+//! The `determinism` flag also covers `relaxed-atomic` (an
+//! `Ordering::Relaxed` cannot justify a byte-identity argument across
+//! threads) and `fork-not-clone` (a hand-written `Component::fork` can
+//! drop a field from every snapshot taken after it). `dead-suppression`
+//! runs regardless of policy: a suppression that suppresses nothing is
+//! dead in any crate.
 
 /// Which rule families apply to a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Policy {
-    /// No wall clocks, unordered collections, environment reads or OS
-    /// threads.
+    /// No wall clocks, unordered collections, environment reads, OS
+    /// threads, relaxed atomics or hand-written component forks.
     pub determinism: bool,
     /// No `unwrap` / `expect` / panicking macros in library code.
     pub panic_free: bool,

@@ -16,18 +16,18 @@
 //! - `#[cfg(test)]`-gated items are exempt from everything — tests may
 //!   unwrap.
 
-use crate::index::{ForkVia, SymbolIndex, TypeDef};
 use crate::lexer::{lex, Line};
 use crate::policy::Policy;
 
 /// All per-line rule identifiers, as they appear in diagnostics and
 /// allow-comments.
-pub const RULE_IDS: [&str; 10] = [
+pub const RULE_IDS: [&str; 11] = [
     "wall-clock",
     "unordered-collection",
     "env-access",
     "thread-spawn",
     "relaxed-atomic",
+    "fork-not-clone",
     "unwrap",
     "expect",
     "panic",
@@ -35,22 +35,12 @@ pub const RULE_IDS: [&str; 10] = [
     "unsafe-safety",
 ];
 
-/// Waiver identifiers: valid inside `lint: allow(..)` comments but never
-/// emitted as per-line diagnostics. `fork-skip` waives one named field
-/// from the fork-completeness check (the reason must name the field).
-pub const WAIVER_IDS: [&str; 1] = ["fork-skip"];
-
 /// The rule id reported for malformed allow-comments (not suppressible).
 pub const ALLOW_SYNTAX: &str = "allow-syntax";
 
 /// The rule id for allow-comments that no longer suppress anything (not
 /// itself suppressible — delete the dead comment instead).
 pub const DEAD_SUPPRESSION: &str = "dead-suppression";
-
-/// The rule id for fork bodies that never read a declared field. Waived
-/// per-field with `lint: allow(fork-skip) <field>: <reason>`, never by a
-/// plain allow-comment.
-pub const FORK_COMPLETENESS: &str = "fork-completeness";
 
 /// One finding: a rule fired at a line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,6 +103,17 @@ pub fn scan_source(source: &str, policy: Policy) -> FileReport {
                 "unsafe without an adjacent `SAFETY:` comment".to_string(),
             ));
         }
+        if policy.determinism
+            && find_bounded(&line.code, "fork")
+            && fork_is_hand_written(&lines, idx)
+        {
+            findings.push((
+                "fork-not-clone",
+                "Component::fork must be `Box::new(self.clone())` on a #[derive(Clone)] type, \
+                 so a field added later cannot be left out of a snapshot"
+                    .to_string(),
+            ));
+        }
         for (rule, message) in findings {
             let suppressed = allows.iter_mut().find_map(|(at, r, used)| {
                 (r.as_str() == rule && (line.number == *at || line.number == *at + 1))
@@ -134,10 +135,8 @@ pub fn scan_source(source: &str, policy: Policy) -> FileReport {
     // Pass 3: dead suppressions. An allow-comment that suppressed nothing
     // is stale armor — the construct it waived moved or was fixed — and
     // every stale waiver widens the hole the next refactor can fall into.
-    // `fork-skip` waivers are exempt here: their liveness is judged by the
-    // structural pass ([`scan_structural`]), which knows the fork bodies.
     for (at, rule, used) in &allows {
-        if !used && rule != "fork-skip" {
+        if !used {
             report.violations.push(Violation {
                 line: *at,
                 rule: DEAD_SUPPRESSION,
@@ -162,7 +161,7 @@ fn parse_allow(rest: &str) -> Result<String, String> {
         );
     };
     let rule = rule.trim();
-    if !RULE_IDS.contains(&rule) && !WAIVER_IDS.contains(&rule) {
+    if !RULE_IDS.contains(&rule) {
         return Err(format!("allow-comment names unknown rule `{rule}`"));
     }
     if reason.trim().is_empty() {
@@ -181,6 +180,38 @@ fn safety_comment_nearby(lines: &[Line], idx: usize) -> bool {
         .unwrap_or_default()
         .iter()
         .any(|l| l.comment.contains("SAFETY:"))
+}
+
+/// Is line `idx` the head of a `Component::fork` implementation whose
+/// body — the rest of that line or, if that is blank, the next line with
+/// code — is anything but `Box::new(self.clone())`?
+fn fork_is_hand_written(lines: &[Line], idx: usize) -> bool {
+    let compact = |s: &str| s.chars().filter(|c| !c.is_whitespace()).collect::<String>();
+    let Some(head) = lines.get(idx).map(|l| compact(&l.code)) else {
+        return false;
+    };
+    let Some((_, tail)) = head.split_once("fnfork(&self)->Box<dyn") else {
+        return false;
+    };
+    // A declaration (`…;`) has no body to hold to the rule.
+    let Some((ret, same_line)) = tail.split_once('{') else {
+        return false;
+    };
+    if !find_bounded(ret, "Component") {
+        return false;
+    }
+    let body = if same_line.is_empty() {
+        lines
+            .get(idx + 1..)
+            .unwrap_or_default()
+            .iter()
+            .map(|l| compact(&l.code))
+            .find(|code| !code.is_empty())
+            .unwrap_or_default()
+    } else {
+        same_line.to_string()
+    };
+    body.strip_suffix('}').unwrap_or(&body) != "Box::new(self.clone())"
 }
 
 /// Appends every (rule, message) that fires on one code line.
@@ -341,185 +372,6 @@ fn find_method_call(hay: &str, name: &str) -> bool {
         i += 1;
     }
     false
-}
-
-// ---------------------------------------------------------------------------
-// Structural rules: cross-file analysis over the symbol index.
-// ---------------------------------------------------------------------------
-
-/// One structural finding, attributed to a file.
-#[derive(Debug, Clone, Default)]
-pub struct StructuralReport {
-    /// `(file label, violation)` pairs, in (file, line) order.
-    pub violations: Vec<(String, Violation)>,
-    /// How many fork-skip waivers were exercised (counted into the same
-    /// suppression budget as per-line allow-comments).
-    pub waivers_used: usize,
-}
-
-/// A `lint: allow(fork-skip) <field>: <reason>` comment, scoped by file.
-#[derive(Debug)]
-struct ForkWaiver {
-    file: String,
-    line: usize,
-    reason: String,
-    used: bool,
-}
-
-/// Runs the structural rule family over `(label, source)` pairs.
-///
-/// The flagship rule is **fork-completeness**: for every type with a fork
-/// body — an `impl Fork`, a `fn fork` in an `impl Component`, or a listing
-/// in `fork_via_clone!` — every declared field (or enum variant) must be
-/// read in the body that produces the fork, or explicitly waived with a
-/// `lint: allow(fork-skip)` comment naming the field. A body that
-/// delegates to `self.clone()` is complete when `Clone` is derived (a
-/// derive copies every field by construction); when `Clone` is
-/// hand-written, the clone body is held to the same per-field standard.
-/// Types the index cannot resolve unambiguously are skipped — the rule
-/// prefers silence to guessing.
-///
-/// Dead `fork-skip` waivers (ones that waived no missing field) are
-/// reported as [`DEAD_SUPPRESSION`], so the waiver set can only shrink
-/// unless a real omission re-justifies it.
-pub fn scan_structural(files: &[(String, String)]) -> StructuralReport {
-    let index = SymbolIndex::build(files);
-    let mut report = StructuralReport::default();
-    let mut waivers = collect_fork_waivers(&index);
-
-    for site in &index.fork_sites {
-        let Some(def) = index.resolve(&site.type_name, &site.file) else {
-            continue;
-        };
-        if def.tuple {
-            continue; // positional fields carry no names to check
-        }
-        let body = index.code_span(&site.file, site.body_start, site.body_end);
-        let delegated = site.via == ForkVia::CloneMacro || delegates_to_clone(&body);
-        let (check_file, check_body, anchor) = if delegated {
-            if def.derives_clone() {
-                continue; // a derived Clone reads every field by construction
-            }
-            match index.clone_site(&site.type_name, &def.file) {
-                Some(cl) => (
-                    cl.file.clone(),
-                    index.code_span(&cl.file, cl.body_start, cl.body_end),
-                    cl.line,
-                ),
-                // Clone exists (the code compiles) but its source is not
-                // in the scanned set — a blanket impl or a macro. Trust it
-                // rather than guess.
-                None => continue,
-            }
-        } else {
-            (site.file.clone(), body, site.line)
-        };
-        for field in &def.fields {
-            if find_bounded(&check_body, &field.name) {
-                continue;
-            }
-            if waive_field(&mut waivers, site, def, &field.name) {
-                report.waivers_used += 1;
-                continue;
-            }
-            let what = if def.is_enum { "variant" } else { "field" };
-            report.violations.push((
-                check_file.clone(),
-                Violation {
-                    line: anchor,
-                    rule: FORK_COMPLETENESS,
-                    message: format!(
-                        "fork body for `{}` never reads {what} `{}` ({}:{}); capture it or \
-                         waive it with `lint: allow(fork-skip) {}: <reason>`",
-                        site.type_name, field.name, def.file, field.line, field.name
-                    ),
-                },
-            ));
-        }
-    }
-
-    for waiver in &waivers {
-        if !waiver.used {
-            report.violations.push((
-                waiver.file.clone(),
-                Violation {
-                    line: waiver.line,
-                    rule: DEAD_SUPPRESSION,
-                    message: "allow(fork-skip) waives no missing field in any fork body; \
-                              delete it"
-                        .to_string(),
-                },
-            ));
-        }
-    }
-
-    report
-        .violations
-        .sort_by(|a, b| (a.0.as_str(), a.1.line).cmp(&(b.0.as_str(), b.1.line)));
-    report
-}
-
-/// Collects every well-formed `fork-skip` waiver in the scanned files.
-fn collect_fork_waivers(index: &SymbolIndex) -> Vec<ForkWaiver> {
-    let mut out = Vec::new();
-    let files: Vec<String> = index.files().map(str::to_string).collect();
-    for file in files {
-        for line in index.file_lines(&file) {
-            let trimmed = line.comment.trim();
-            let Some(rest) = trimmed.strip_prefix("lint: allow") else {
-                continue;
-            };
-            if let Some(reason) = rest
-                .strip_prefix('(')
-                .and_then(|r| r.split_once(')'))
-                .filter(|(rule, _)| rule.trim() == "fork-skip")
-                .map(|(_, reason)| reason.trim().to_string())
-            {
-                out.push(ForkWaiver {
-                    file: file.clone(),
-                    line: line.number,
-                    reason,
-                    used: false,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Marks and reports a waiver covering `field`, if one is in scope: the
-/// waiver must name the field in its reason and sit inside the fork body,
-/// the struct declaration, or within two lines above either.
-fn waive_field(
-    waivers: &mut [ForkWaiver],
-    site: &crate::index::ForkSite,
-    def: &TypeDef,
-    field: &str,
-) -> bool {
-    let mut hit = false;
-    for w in waivers.iter_mut() {
-        if !find_bounded(&w.reason, field) {
-            continue;
-        }
-        let in_site = w.file == site.file
-            && w.line + 2 >= site.line
-            && w.line <= site.body_end.max(site.line);
-        let in_def =
-            w.file == def.file && w.line + 2 >= def.line && w.line <= def.body_end.max(def.line);
-        if in_site || in_def {
-            w.used = true;
-            hit = true;
-        }
-    }
-    hit
-}
-
-/// Does a fork body hand the whole job to `Clone`?
-fn delegates_to_clone(body: &str) -> bool {
-    let compact: String = body.chars().filter(|c| !c.is_whitespace()).collect();
-    ["self.clone()", "(*self).clone()", "Clone::clone(self)", "self.to_owned()"]
-        .iter()
-        .any(|pat| compact.contains(pat))
 }
 
 /// Finds the macro invocation `name!` at an identifier boundary.

@@ -13,9 +13,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::policy::policy_for;
-use crate::rules::{scan_source, scan_structural};
-
-pub use crate::index::crate_of;
+use crate::rules::scan_source;
 
 /// One diagnostic with its location, machine-consumable (see
 /// [`WorkspaceReport::to_json`]) and renderable as the classic
@@ -49,10 +47,9 @@ pub struct WorkspaceReport {
     /// `netfi`). Lets gates assert a crate is actually inside the scan
     /// surface, not just named in the policy table.
     pub crates: Vec<String>,
-    /// Total suppressions exercised: per-line allow-comments plus
-    /// structural fork-skip waivers.
+    /// Total allow-comment suppressions exercised.
     pub suppressions: usize,
-    /// All diagnostics — per-line and structural — in (file, line) order.
+    /// All diagnostics, in (file, line) order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -109,9 +106,8 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Scans `root/src` and `root/crates/*/src`, returning one report. Runs
-/// the per-line rules under each file's crate policy, then the structural
-/// rules (fork-completeness and friends) over the whole file set at once.
+/// Scans `root/src` and `root/crates/*/src` under each file's crate
+/// policy, returning one report.
 ///
 /// # Errors
 ///
@@ -132,7 +128,6 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     files.sort();
 
     let mut report = WorkspaceReport::default();
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for (label, path) in &files {
         let crate_name = crate_of(label);
         let source = fs::read_to_string(path)?;
@@ -150,23 +145,19 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceReport> {
                 message: v.message,
             });
         }
-        sources.push((label.clone(), source));
     }
-
-    let structural = scan_structural(&sources);
-    report.suppressions += structural.waivers_used;
-    for (file, v) in structural.violations {
-        report.diagnostics.push(Diagnostic {
-            file,
-            line: v.line,
-            rule: v.rule,
-            message: v.message,
-        });
-    }
-    report
-        .diagnostics
-        .sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     Ok(report)
+}
+
+/// Extracts the crate name from a root-relative label:
+/// `crates/<name>/src/...` gives `<name>`, anything else scans as the
+/// root package `netfi`.
+pub fn crate_of(label: &str) -> &str {
+    let mut parts = label.split('/');
+    match (parts.next(), parts.next()) {
+        (Some("crates"), Some(name)) => name,
+        _ => "netfi",
+    }
 }
 
 /// Recursively collects `.rs` files under `dir` as (root-relative label,

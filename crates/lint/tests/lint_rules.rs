@@ -149,6 +149,19 @@ fn relaxed_atomic_fixture() {
 }
 
 #[test]
+fn fork_not_clone_fixture() {
+    let r = scan(include_str!("fixtures/fork_not_clone.rs"));
+    assert_findings(&r, &[(33, "fork-not-clone")]);
+    // Out of the determinism scope (how `bench` is scanned) it is silent.
+    let bench_like = Policy {
+        determinism: false,
+        ..Policy::STRICT
+    };
+    let r = scan_source(include_str!("fixtures/fork_not_clone.rs"), bench_like);
+    assert_findings(&r, &[]);
+}
+
+#[test]
 fn dead_allow_fixture() {
     let r = scan(include_str!("fixtures/dead_allow.rs"));
     assert_findings(&r, &[(11, "dead-suppression"), (15, "dead-suppression")]);
@@ -164,25 +177,6 @@ fn dead_allow_fixture() {
 fn lexer_edges_fixture() {
     let r = scan(include_str!("fixtures/lexer_edges.rs"));
     assert_findings(&r, &[(33, "unwrap")]);
-}
-
-/// The item scanner survives the same hazard fixture: the struct declared
-/// after the hazards is recovered with both fields at their true lines.
-#[test]
-fn lexer_edges_do_not_desync_the_item_scanner() {
-    let lines = netfi_lint::lexer::lex(include_str!("fixtures/lexer_edges.rs"));
-    let items = netfi_lint::lexer::scan_items(&lines);
-    let s = items
-        .iter()
-        .find(|i| i.name == "AfterTheHazards")
-        .expect("struct after the hazards was scanned");
-    assert_eq!(s.line, 27);
-    let fields: Vec<(&str, usize)> = s
-        .fields
-        .iter()
-        .map(|f| (f.name.as_str(), f.line))
-        .collect();
-    assert_eq!(fields, [("field_a", 28), ("field_b", 29)]);
 }
 
 #[test]

@@ -67,26 +67,26 @@ fn workspace_has_no_lint_violations() {
     // The snapshot/fork seam is inside the determinism scope: the capture
     // code in `sim` scans clean under the strict policy, and the rules are
     // live there — planting a wall-clock read or a hash-ordered collection
-    // in `snapshot.rs` must fire. A fork that consulted either could not
-    // be bit-identical to a fresh run.
-    let snapshot = std::fs::read_to_string(root.join("crates/sim/src/snapshot.rs"))
-        .expect("read crates/sim/src/snapshot.rs");
-    let file = netfi_lint::scan_source(&snapshot, netfi_lint::policy_for("sim"));
+    // beside `EngineSnapshot` must fire. A fork that consulted either
+    // could not be bit-identical to a fresh run.
+    let engine = std::fs::read_to_string(root.join("crates/sim/src/engine.rs"))
+        .expect("read crates/sim/src/engine.rs");
+    let file = netfi_lint::scan_source(&engine, netfi_lint::policy_for("sim"));
     assert!(
         file.violations.is_empty(),
         "the snapshot/fork seam must scan clean: {:#?}",
         file.violations
     );
-    let planted = snapshot.replace(
-        "pub trait Fork {",
-        "pub trait Fork {\n    // planted by workspace_clean.rs\n}\nfn stamp() -> std::time::SystemTime { std::time::SystemTime::now() }\nfn table() -> std::collections::HashMap<u8, u8> { std::collections::HashMap::new() }\npub trait ForkPlanted {",
+    let planted = engine.replace(
+        "pub struct EngineSnapshot<",
+        "fn stamp() -> std::time::SystemTime { std::time::SystemTime::now() }\nfn table() -> std::collections::HashMap<u8, u8> { std::collections::HashMap::new() }\npub struct EngineSnapshot<",
     );
-    assert_ne!(planted, snapshot, "plant site missing from snapshot.rs");
+    assert_ne!(planted, engine, "plant site missing from engine.rs");
     let bad = netfi_lint::scan_source(&planted, netfi_lint::policy_for("sim"));
     for rule in ["wall-clock", "unordered-collection"] {
         assert!(
             bad.violations.iter().any(|v| v.rule == rule),
-            "{rule} is not live in crates/sim/src/snapshot.rs"
+            "{rule} is not live in crates/sim/src/engine.rs"
         );
     }
 
@@ -99,62 +99,55 @@ fn workspace_has_no_lint_violations() {
         "nftape's allowlist entries vanished from the budget: {}",
         report.suppressions
     );
-    // 28 is the measured count: 13 expect, 10 hot-path-alloc (setup
-    // paths; `snapshot` and `fork` share the one in `Core::fork`),
-    // 2 env-access (NETFI_DEBUG), 1 fork-skip and 2 thread-spawn
+    // 27 is the measured count: 13 expect, 10 hot-path-alloc (setup
+    // paths; `snapshot` and `fork` share the one on `Engine::snapshot`'s
+    // core clone), 2 env-access (NETFI_DEBUG) and 2 thread-spawn
     // (`sim::shard`'s window fan-out and `nftape::runner::fan_out`, the
     // one campaign fan-out). The ceiling sits exactly on it; it can only
     // move down, or up in the same commit that adds a justified (and
     // exercised) allow.
     assert!(
-        report.suppressions <= 28,
+        report.suppressions <= 27,
         "allow-comment suppressions grew to {} — review before raising the budget",
         report.suppressions
     );
 }
 
-/// The structural rule family is live against the real workspace, not just
-/// fixtures: plant a field the timing wheel's hand-written fork omits, a
-/// `Relaxed` ordering in the sharded executor, and a dead allow-comment,
-/// and each of the three new rules must fire at the exact planted site.
+/// The rules that guard the determinism argument itself are live against
+/// the real workspace, not just fixtures: rewrite the switch's fork as a
+/// field-by-field copy, downgrade an ordering in the sharded executor to
+/// `Relaxed`, plant a dead allow-comment, and each rule must fire at the
+/// planted site.
 #[test]
-fn structural_rules_are_live_in_the_workspace() {
+fn fork_atomic_and_suppression_rules_are_live_in_the_workspace() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("lint crate sits two levels under the workspace root");
 
-    // fork-completeness: give `TimingWheel` a field its field-by-field
-    // `impl Fork` does not read. The diagnostic must name the field and
-    // anchor at the `fn fork` line.
-    let queue = std::fs::read_to_string(root.join("crates/sim/src/queue.rs"))
-        .expect("read crates/sim/src/queue.rs");
-    let planted = queue.replace("    len: usize,\n}", "    len: usize,\n    epoch: u64,\n}");
-    assert_ne!(planted, queue, "plant site missing from queue.rs");
-    let files = vec![("crates/sim/src/queue.rs".to_string(), planted.clone())];
-    let structural = netfi_lint::scan_structural(&files);
-    let fork_line = planted
+    // fork-not-clone: a hand-written `Switch::fork` would drop any field
+    // added to `Switch` later from every snapshot. The diagnostic anchors
+    // at the `fn fork` line.
+    let myrinet = netfi_lint::policy_for("myrinet");
+    let switch = std::fs::read_to_string(root.join("crates/myrinet/src/switch.rs"))
+        .expect("read crates/myrinet/src/switch.rs");
+    let fork_line = switch
         .lines()
-        .position(|l| l.contains("fn fork(&self) -> Self {"))
+        .position(|l| l.contains("fn fork(&self) -> Box<dyn Component<Ev>> {"))
         .map(|i| i + 1)
-        .expect("TimingWheel fork fn in queue.rs");
-    assert!(
-        structural.violations.iter().any(|(file, v)| {
-            file == "crates/sim/src/queue.rs"
-                && v.line == fork_line
-                && v.rule == netfi_lint::FORK_COMPLETENESS
-                && v.message.contains("`epoch`")
-                && v.message.contains("TimingWheel")
-        }),
-        "fork-completeness did not flag the planted `epoch` field at line {fork_line}: {:#?}",
-        structural.violations
+        .expect("Switch fork fn in switch.rs");
+    let planted = switch.replacen(
+        "Box::new(self.clone())",
+        "Box::new(Switch { ports: self.ports.clone(), stats: self.stats })",
+        1,
     );
-    // The unplanted file carries no fork-completeness debt of its own.
-    let clean = netfi_lint::scan_structural(&[("crates/sim/src/queue.rs".to_string(), queue)]);
+    assert_ne!(planted, switch, "plant site missing from switch.rs");
+    let bad = netfi_lint::scan_source(&planted, myrinet);
+    let got: Vec<(usize, &str)> = bad.violations.iter().map(|v| (v.line, v.rule)).collect();
+    assert_eq!(got, [(fork_line, "fork-not-clone")]);
     assert!(
-        clean.violations.is_empty(),
-        "queue.rs should be structurally clean: {:#?}",
-        clean.violations
+        netfi_lint::scan_source(&switch, myrinet).violations.is_empty(),
+        "switch.rs should scan clean before the plant"
     );
 
     // relaxed-atomic: downgrade one of the sharded executor's exit-flag

@@ -11,7 +11,7 @@ use std::any::Any;
 use std::fmt;
 
 use netfi_phy::Link;
-use netfi_sim::{ComponentId, Engine, Fork, Probe, SharedBytes, SimDuration};
+use netfi_sim::{ComponentId, Engine, Probe, SharedBytes, SimDuration};
 
 use crate::addr::EthAddr;
 use crate::frame::Frame;
@@ -21,11 +21,12 @@ use crate::frame::Frame;
 /// Blanket-implemented for every `Any + Send + Sync + Clone` type, so call
 /// sites construct messages exactly as they would a `Box<dyn Any>`:
 /// `Ev::App(Box::new(value))`. The extra [`fork_app`](AppMsg::fork_app)
-/// method is the type-erased seam that lets [`Ev`] implement
-/// [`netfi_sim::Fork`]: an engine snapshot must deep-copy pending app
-/// events without knowing their concrete types.
+/// method is the type-erased seam that lets [`Ev`] derive `Clone`: an
+/// engine snapshot must deep-copy pending app events without knowing
+/// their concrete types.
 pub trait AppMsg: Any + Send + Sync {
-    /// Deep, deterministic copy of the message (see [`netfi_sim::Fork`]).
+    /// Deep, deterministic copy of the message (the concrete type's
+    /// `Clone`).
     fn fork_app(&self) -> Box<dyn AppMsg>;
     /// Converts the box into `Box<dyn Any>` for downcasting.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
@@ -52,7 +53,21 @@ impl dyn AppMsg {
     }
 }
 
+impl Clone for Box<dyn AppMsg> {
+    fn clone(&self) -> Self {
+        // Through the box: with this impl `Box<dyn AppMsg>` meets the
+        // blanket `AppMsg` impl's bounds itself, so `self.fork_app()` would
+        // resolve there and call this function again.
+        (**self).fork_app()
+    }
+}
+
 /// An event delivered to a component.
+///
+/// `Clone` is the engine-snapshot copy: `SharedBytes` clones by
+/// reference-count bump, which is a correct deep copy because the buffers
+/// are copy-on-write (writers copy first), so forks stay independent.
+#[derive(Clone)]
 pub enum Ev {
     /// A frame arriving on one of the component's input ports.
     Rx {
@@ -100,36 +115,6 @@ pub enum Ev {
     /// campaign workers) and forkable (so those events survive the
     /// snapshot).
     App(Box<dyn AppMsg>),
-}
-
-impl Fork for Ev {
-    fn fork(&self) -> Self {
-        match self {
-            Ev::Rx { port, frame } => Ev::Rx {
-                port: *port,
-                frame: frame.clone(),
-            },
-            Ev::Timer { kind, gen } => Ev::Timer {
-                kind: *kind,
-                gen: *gen,
-            },
-            // SharedBytes is copy-on-write: the refcount bump is a correct
-            // deep copy (writers copy first), so forks stay independent.
-            Ev::Deliver { src, data } => Ev::Deliver {
-                src: *src,
-                data: data.fork(),
-            },
-            Ev::Send { dest, tag, payload } => Ev::Send {
-                dest: *dest,
-                tag: *tag,
-                payload: payload.fork(),
-            },
-            Ev::Serial(b) => Ev::Serial(*b),
-            // Through the box: `&Box<dyn AppMsg>` itself satisfies the
-            // blanket impl's bounds, and that impl is not the fork we want.
-            Ev::App(msg) => Ev::App((**msg).fork_app()),
-        }
-    }
 }
 
 impl fmt::Debug for Ev {
@@ -374,12 +359,12 @@ mod tests {
     }
 
     #[test]
-    fn ev_fork_preserves_every_variant() {
+    fn ev_clone_preserves_every_variant() {
         let rx = Ev::Rx {
             port: 2,
             frame: Frame::control(ControlSymbol::Go),
         };
-        match rx.fork() {
+        match rx.clone() {
             Ev::Rx { port, frame } => {
                 assert_eq!(port, 2);
                 assert_eq!(frame.as_control(), Some(ControlSymbol::Go));
@@ -387,21 +372,34 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
         let app = Ev::App(Box::new(42u32));
-        match app.fork() {
+        match app.clone() {
             Ev::App(msg) => assert_eq!(*msg.downcast::<u32>().unwrap(), 42),
             other => panic!("wrong variant: {other:?}"),
         }
-        // The original is still intact after the fork.
+        // The original is still intact after the clone.
         match app {
             Ev::App(msg) => assert_eq!(*msg.downcast::<u32>().unwrap(), 42),
             other => panic!("wrong variant: {other:?}"),
         }
+        // A heap-owning payload: the clone is deep, and getting here at
+        // all means `Box<dyn AppMsg>::clone` did not recurse into itself.
+        let app = Ev::App(Box::new(vec![1u8, 2, 3]));
+        let Ev::App(msg) = app.clone() else {
+            panic!("wrong variant");
+        };
+        let mut copy = msg.downcast::<Vec<u8>>().unwrap();
+        copy[0] = 9;
+        let Ev::App(msg) = app else {
+            panic!("wrong variant");
+        };
+        assert_eq!(*msg.downcast::<Vec<u8>>().unwrap(), vec![1, 2, 3]);
+        assert_eq!(*copy, vec![9, 2, 3]);
         let send = Ev::Send {
             dest: EthAddr::myricom(7),
             tag: 9,
             payload: SharedBytes::from(vec![1, 2, 3]),
         };
-        match send.fork() {
+        match send.clone() {
             Ev::Send { dest, tag, payload } => {
                 assert_eq!(dest, EthAddr::myricom(7));
                 assert_eq!(tag, 9);

@@ -12,27 +12,10 @@
 
 use std::fmt::Write as _;
 
+use netfi_obs::export::escape_json;
+
 use crate::campaign::{default_window, CampaignSpec, FaultSpec, SymbolSpec};
 use crate::results::RunResult;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an `f64` so that parsing the output recovers the exact value
 /// (Rust's shortest-roundtrip float formatting), with JSON-compatible
@@ -53,10 +36,11 @@ impl RunResult {
     /// Serializes this result as a single JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96 + 24 * self.extra.len());
+        out.push_str("{\"name\":\"");
+        escape_json(&self.name, &mut out);
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"sent\":{},\"received\":{},\"window_secs\":{},\"extra\":{{",
-            json_escape(&self.name),
+            "\",\"sent\":{},\"received\":{},\"window_secs\":{},\"extra\":{{",
             self.sent,
             self.received,
             json_number(self.window_secs),
@@ -65,7 +49,9 @@ impl RunResult {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", json_escape(k), json_number(*v));
+            out.push('"');
+            escape_json(k, &mut out);
+            let _ = write!(out, "\":{}", json_number(*v));
         }
         out.push_str("}}");
         out
@@ -314,9 +300,11 @@ impl CampaignSpec {
 
     /// Serializes this campaign as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"name\":\"{}\",\"seed\":{},\"window_secs\":{},\"fault\":{{\"kind\":\"{}\"",
-            json_escape(&self.name),
+        let mut out = String::from("{\"name\":\"");
+        escape_json(&self.name, &mut out);
+        let _ = write!(
+            out,
+            "\",\"seed\":{},\"window_secs\":{},\"fault\":{{\"kind\":\"{}\"",
             self.seed,
             self.window_secs,
             self.fault.kind()

@@ -17,8 +17,8 @@ use std::fmt::Write;
 use crate::event::{EventKind, ObsEvent, Stamped};
 use crate::registry::Registry;
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out`, escaped for embedding in a JSON string literal.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

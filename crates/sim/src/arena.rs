@@ -14,17 +14,17 @@
 //! The arena is storage only: it never reorders slots, so a component's
 //! index — and therefore its sub-tick key stream (see
 //! `crate::engine::tick_key`) — is identical to the old twin-`Vec`
-//! layout, byte for byte. Snapshots deep-copy slots via
-//! [`ComponentArena::fork`]; shard decomposition consumes them via
-//! [`ComponentArena::into_slots`] and rebuilds per-shard arenas with
-//! [`ComponentArena::push_slot`], preserving each counter next to its
-//! component.
+//! layout, byte for byte. Snapshots deep-copy slots via the derived
+//! `Clone` (each component through [`Component::fork`]); shard
+//! decomposition consumes them via [`ComponentArena::into_slots`] and
+//! rebuilds per-shard arenas with [`ComponentArena::push_slot`],
+//! preserving each counter next to its component.
 
 // netfi-lint: deny(hot-path-alloc)
 //
 // `slot_mut` sits inside the engine's and the sharded executor's
 // innermost loops; the only allocations here are the constructor's empty
-// table and the setup-path `push`/`fork` growth, allowlisted below.
+// table and the setup-path `push` growth, allowlisted below.
 
 use crate::engine::Component;
 
@@ -33,7 +33,8 @@ use crate::engine::Component;
 /// it mints). Keeping the counter inside the slot means a delivery's
 /// read-modify-write of the counter and its indirect call through the
 /// component share one cache line.
-pub(crate) struct ArenaSlot<M> {
+#[derive(Clone)]
+pub(crate) struct ArenaSlot<M: 'static> {
     /// The component occupying this slot.
     pub(crate) component: Box<dyn Component<M>>,
     /// The slot's emission counter. Carried through snapshots and shard
@@ -42,24 +43,14 @@ pub(crate) struct ArenaSlot<M> {
     pub(crate) emit: u64,
 }
 
-impl<M: 'static> ArenaSlot<M> {
-    /// Deep-copies the slot: the component via [`Component::fork`], the
-    /// counter by value.
-    pub(crate) fn fork(&self) -> ArenaSlot<M> {
-        ArenaSlot {
-            component: self.component.fork(),
-            emit: self.emit,
-        }
-    }
-}
-
 /// The dense component table shared by the serial engine, snapshots and
 /// shard decomposition (see the module docs).
-pub(crate) struct ComponentArena<M> {
+#[derive(Clone)]
+pub(crate) struct ComponentArena<M: 'static> {
     slots: Vec<ArenaSlot<M>>,
 }
 
-impl<M> ComponentArena<M> {
+impl<M: 'static> ComponentArena<M> {
     /// An empty arena.
     pub(crate) fn new() -> ComponentArena<M> {
         ComponentArena {
@@ -118,17 +109,6 @@ impl<M> ComponentArena<M> {
     }
 }
 
-impl<M: 'static> ComponentArena<M> {
-    /// Deep-copies the whole table for a snapshot or fork (see
-    /// [`ArenaSlot::fork`]). Setup-path: runs once per capture, never in
-    /// the event loop.
-    pub(crate) fn fork(&self) -> ComponentArena<M> {
-        ComponentArena {
-            slots: self.slots.iter().map(ArenaSlot::fork).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +149,7 @@ mod tests {
         arena.push(Box::new(Tick(7)));
         arena.slot_mut(0).emit = 42;
 
-        let mut copy = arena.fork();
+        let mut copy = arena.clone();
         assert_eq!(copy.slot_mut(0).emit, 42);
 
         // Mutating the copy must not touch the original.

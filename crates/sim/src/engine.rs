@@ -21,7 +21,6 @@ use std::fmt;
 
 use crate::arena::ComponentArena;
 use crate::queue::TimingWheel;
-use crate::snapshot::Fork;
 use crate::time::{SimDuration, SimTime};
 
 /// Bits reserved for the per-source emission counter in a sub-tick key;
@@ -93,9 +92,20 @@ pub trait Component<M>: 'static + Send + Sync {
     /// The copy must carry *all* state that can influence future event
     /// processing — queues, RNG positions, counters, generation numbers,
     /// flow-control flags — so a forked engine replays bit-identically to
-    /// the original (see [`crate::snapshot`]). Components whose state is
-    /// plain owned data implement this as `Box::new(self.clone())`.
+    /// the original (see [`EngineSnapshot`]). This is the object-safe seam
+    /// under `Clone`: put `#[derive(Clone)]` on the component, so a field
+    /// added later is copied without anyone remembering to, and write the
+    /// body as `Box::new(self.clone())` — `netfi-lint`'s `fork-not-clone`
+    /// rule rejects anything else outside test code.
     fn fork(&self) -> Box<dyn Component<M>>;
+}
+
+/// What lets the component table, and so the whole executor core, derive
+/// `Clone`.
+impl<M: 'static> Clone for Box<dyn Component<M>> {
+    fn clone(&self) -> Self {
+        (**self).fork()
+    }
 }
 
 /// What the queue stores per event: destination and payload. Time and
@@ -335,7 +345,11 @@ impl<M> Placement<M> for Whole {
 /// One executor: a component table, the wheel that feeds it, a clock and
 /// a probe. The serial [`Engine`] is one core holding every component; a
 /// [`crate::shard::ShardedEngine`] is one core per affinity group.
-pub(crate) struct Core<M, P: Probe> {
+/// `Clone` is the one copy behind [`Engine::snapshot`] and
+/// [`EngineSnapshot::fork`]; a copied `stop` is harmless, since every run
+/// entry clears it before reading it.
+#[derive(Clone)]
+pub(crate) struct Core<M: 'static, P: Probe> {
     /// One dense slot per component co-locating the component with its
     /// emission counter (the low half of the sub-tick keys it mints), so
     /// a delivery's counter read-modify-write and its vtable jump share a
@@ -414,22 +428,6 @@ impl<M: 'static, P: Probe> Core<M, P> {
     }
 }
 
-impl<M: Fork + 'static, P: Probe + Clone> Core<M, P> {
-    /// Deep-copies the core with `stop` cleared: the one copy behind both
-    /// [`Engine::snapshot`] and [`EngineSnapshot::fork`].
-    fn fork(&self) -> Core<M, P> {
-        Core {
-            arena: self.arena.fork(),
-            wheel: self.wheel.fork(),
-            now: self.now,
-            events: self.events,
-            stop: false,
-            // lint: allow(hot-path-alloc) snapshot capture and fork construction are campaign setup, not the event loop
-            probe: self.probe.clone(),
-        }
-    }
-}
-
 /// The tail of every budgeted run: classifies how it ended and, unless it
 /// was cut short, advances `now` to the deadline.
 pub(crate) fn run_outcome(
@@ -461,14 +459,14 @@ pub(crate) fn run_outcome(
 /// `P` parameter selects the observation [`Probe`]; it defaults to
 /// [`NullProbe`] (no observation, no overhead), so existing
 /// `Engine<M>`-typed code is unaffected.
-pub struct Engine<M, P: Probe = NullProbe> {
+pub struct Engine<M: 'static, P: Probe = NullProbe> {
     pub(crate) core: Core<M, P>,
     /// Emission counter for the engine-level [`Engine::schedule`] stream
     /// (sub-tick source slot 0).
     pub(crate) external_seq: u64,
 }
 
-impl<M, P: Probe> fmt::Debug for Engine<M, P> {
+impl<M: 'static, P: Probe> fmt::Debug for Engine<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("components", &self.core.arena.len())
@@ -645,7 +643,7 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     }
 }
 
-impl<M: Fork + 'static, P: Probe + Clone> Engine<M, P> {
+impl<M: Clone + 'static, P: Probe + Clone> Engine<M, P> {
     /// Captures the engine's full deterministic state — components, the
     /// timing wheel (buckets, overflow heap, bitmap, cursor), clock,
     /// sequence counter, delivery count and probe — into an immutable
@@ -660,14 +658,15 @@ impl<M: Fork + 'static, P: Probe + Clone> Engine<M, P> {
     /// export hashes in `tests/determinism.rs`).
     pub fn snapshot(&self) -> EngineSnapshot<M, P> {
         EngineSnapshot(Engine {
-            core: self.core.fork(),
+            // lint: allow(hot-path-alloc) snapshot capture and fork construction are campaign setup, not the event loop
+            core: self.core.clone(),
             external_seq: self.external_seq,
         })
     }
 }
 
 /// An immutable capture of a warmed [`Engine`], forkable into independent
-/// runnable engines (see [`Engine::snapshot`] and [`crate::snapshot`]).
+/// runnable engines (see [`Engine::snapshot`]).
 ///
 /// The snapshot is a frozen engine: its own deep copy of every component,
 /// the full timing-wheel state (buckets in their exact order, lazy-sort
@@ -675,29 +674,42 @@ impl<M: Fork + 'static, P: Probe + Clone> Engine<M, P> {
 /// the sequence counter, the delivery count, and the probe. It holds *no*
 /// reference back to the donor engine: the donor may keep running — or be
 /// dropped — without affecting any fork taken later.
-pub struct EngineSnapshot<M, P: Probe = NullProbe>(Engine<M, P>);
+///
+/// The correctness claim — a fork is bit-identical to a fresh run that
+/// reached the same state — rests on the copy carrying *all* state that
+/// can influence future event processing (queues, RNGs, counters, timers,
+/// flow-control flags). The compiler keeps that inventory: every type on
+/// the path, from the executor core down to each component and payload,
+/// derives `Clone`, so growing a struct grows its copy. `SharedBytes`
+/// clones by reference-count bump, which is a correct fork because the
+/// buffers are copy-on-write; any other shared handle (`Arc` around
+/// interior mutability) would leak state across forks, so component and
+/// payload state stays plain owned data. The golden export hashes in
+/// `tests/determinism.rs` pin the claim end to end.
+pub struct EngineSnapshot<M: 'static, P: Probe = NullProbe>(Engine<M, P>);
 
-impl<M, P: Probe> fmt::Debug for EngineSnapshot<M, P> {
+impl<M: 'static, P: Probe> fmt::Debug for EngineSnapshot<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("EngineSnapshot").field(&self.0).finish()
     }
 }
 
-impl<M: Fork + 'static, P: Probe + Clone> EngineSnapshot<M, P> {
+impl<M: Clone + 'static, P: Probe + Clone> EngineSnapshot<M, P> {
     /// Builds an independent runnable [`Engine`] from the captured state.
     ///
     /// Forking is O(state): components and queued events are deep-copied,
     /// nothing is re-simulated. The fork resumes at the capture's clock
-    /// and sequence counter with `stop_requested` cleared, so its event
-    /// trajectory is exactly the donor's from the capture instant on —
-    /// until the caller perturbs it (a failure spec, new stimulus).
+    /// and sequence counter, so its event trajectory is exactly the
+    /// donor's from the capture instant on — until the caller perturbs it
+    /// (a failure spec, new stimulus). A stop the donor had requested does
+    /// not carry over: every run clears it on entry.
     pub fn fork(&self) -> Engine<M, P> {
-        // A snapshot of the frozen engine, thawed: the same `Core::fork`.
+        // A snapshot of the frozen engine, thawed: the same `Core` clone.
         self.0.snapshot().0
     }
 }
 
-impl<M, P: Probe> EngineSnapshot<M, P> {
+impl<M: 'static, P: Probe> EngineSnapshot<M, P> {
     /// The simulated time the capture was taken at.
     pub fn now(&self) -> SimTime {
         self.0.core.now
@@ -1058,6 +1070,36 @@ mod tests {
         assert!(mid_dispatches > 0);
         assert_eq!(f.probe().dispatches, e.probe().dispatches);
         assert_eq!(f.probe().emitted, e.probe().emitted);
+    }
+
+    #[test]
+    fn fork_of_a_stopped_donor_runs_on() {
+        // The snapshot copies the donor's `stop` flag as it is; a fork must
+        // still run, because every run entry clears the flag first.
+        let mut e = Engine::new();
+        let a = e.add_component(Box::new(PingPong { peer: None, remaining: 0, bounces: 0 }));
+        let r = e.add_component(Box::new(Recorder::default()));
+        e.schedule(SimTime::ZERO, a, 0); // payload 0: `a` stops the run
+        e.schedule(SimTime::from_ns(10), r, 1);
+        e.schedule(SimTime::from_ns(20), r, 2);
+        let before = e.snapshot();
+        let budget = RunBudget::until(SimTime::from_ns(50));
+        assert_eq!(e.run_budgeted(budget), RunOutcome::Stopped);
+        let after = e.snapshot();
+
+        let mut late = after.fork();
+        assert_eq!(late.run_budgeted(budget), RunOutcome::Drained);
+        assert_eq!(late.component_as::<Recorder>(r).unwrap().seen, vec![(10, 1), (20, 2)]);
+
+        let mut early = before.fork();
+        assert_eq!(early.run_budgeted(budget), RunOutcome::Stopped);
+        assert_eq!(early.run_budgeted(budget), RunOutcome::Drained);
+        assert_eq!(late.now(), early.now());
+        assert_eq!(late.events_processed(), early.events_processed());
+        assert_eq!(
+            late.component_as::<Recorder>(r).unwrap().seen,
+            early.component_as::<Recorder>(r).unwrap().seen
+        );
     }
 
     /// Re-arms itself at the same instant forever: the canonical

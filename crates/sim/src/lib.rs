@@ -15,8 +15,8 @@
 //! - [`bytes::SharedBytes`]: cheaply-clonable, copy-on-write byte buffers, so
 //!   a packet's wire image is built once and shared across links, switch
 //!   fan-out and capture snapshots without copying.
-//! - [`metrics`]: counters, Welford summaries and fixed-bin histograms used by
-//!   the experiment harnesses.
+//! - [`metrics`]: the Welford [`metrics::Summary`] behind a host's
+//!   round-trip statistics and the sim-time [`metrics::EventRate`] meter.
 //! - [`engine::Probe`]: a compile-time observation seam on the dispatch
 //!   loop. The default [`NullProbe`] costs nothing; `netfi-obs` plugs a
 //!   real probe in to watch dispatches without perturbing the run.
@@ -24,11 +24,12 @@
 //!   engine run across component-affinity shards, byte-identical to the
 //!   serial engine for any worker count. The [`Simulation`] trait is the
 //!   control surface shared by both executors.
-//! - [`snapshot::Fork`] / [`engine::EngineSnapshot`]: capture a warmed
-//!   engine's full deterministic state once and fork it into independent
-//!   runnable engines in O(state) — the warm-up amortisation behind the
-//!   `nftape` fork grid. A fork replays bit-identically to a fresh run
-//!   reaching the same state.
+//! - [`engine::EngineSnapshot`]: capture a warmed engine's full
+//!   deterministic state once and fork it into independent runnable
+//!   engines in O(state) — the warm-up amortisation behind the `nftape`
+//!   fork grid. A fork replays bit-identically to a fresh run reaching the
+//!   same state; the copy is `#[derive(Clone)]` from the executor core
+//!   down to every component and payload.
 //! - [`Fnv1a`]: the one FNV-1a fold behind every campaign fingerprint and
 //!   fabric digest.
 //!
@@ -37,6 +38,7 @@
 //! ```
 //! use netfi_sim::{Component, Context, Engine, SimDuration, SimTime};
 //!
+//! #[derive(Clone)]
 //! struct Echo { heard: u32 }
 //!
 //! impl Component<u32> for Echo {
@@ -48,7 +50,7 @@
 //!     }
 //!     fn as_any(&self) -> &dyn std::any::Any { self }
 //!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
-//!     fn fork(&self) -> Box<dyn Component<u32>> { Box::new(Echo { heard: self.heard }) }
+//!     fn fork(&self) -> Box<dyn Component<u32>> { Box::new(self.clone()) }
 //! }
 //!
 //! let mut engine = Engine::new();
@@ -71,7 +73,6 @@ pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod shard;
-pub mod snapshot;
 pub mod time;
 
 pub use bytes::SharedBytes;
@@ -83,5 +84,4 @@ pub use fnv::Fnv1a;
 pub use queue::TimingWheel;
 pub use rng::DetRng;
 pub use shard::{ShardSpec, ShardedEngine, SyncStats};
-pub use snapshot::Fork;
 pub use time::{SimDuration, SimTime};

@@ -1,43 +1,12 @@
 //! Measurement primitives for experiment harnesses.
 //!
-//! The paper's campaigns report message counts, loss rates, throughput and
-//! latency distributions; these types collect them.
+//! [`Summary`] is the Welford accumulator behind a host's round-trip
+//! statistics; [`EventRate`] reports a run's event density in simulated
+//! time.
 
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
-
-/// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Sim-time event-density meter for engine runs.
 ///
@@ -265,155 +234,9 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A fixed-width-bin histogram over `[0, bin_width * bins)` with an overflow
-/// bin, plus exact percentile queries over the binned data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bin_width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` bins of width `bin_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero or `bin_width` is not positive.
-    pub fn new(bin_width: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(bin_width > 0.0, "bin width must be positive");
-        Histogram {
-            bin_width,
-            counts: vec![0; bins],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records a (non-negative) observation. Negative values clamp to bin 0.
-    pub fn record(&mut self, value: f64) {
-        self.total += 1;
-        let idx = (value / self.bin_width).floor().max(0.0) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of observations beyond the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The value at quantile `q` in `[0, 1]`, resolved to the upper edge of
-    /// the containing bin. Returns `None` if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some((i + 1) as f64 * self.bin_width);
-            }
-        }
-        Some(self.counts.len() as f64 * self.bin_width)
-    }
-
-    /// Per-bin counts (not including overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.counts
-    }
-}
-
-/// A named loss-rate accumulator: sent vs. received, as used by the
-/// campaign tables in the paper.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LossMeter {
-    sent: u64,
-    received: u64,
-}
-
-impl LossMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `n` messages sent.
-    pub fn add_sent(&mut self, n: u64) {
-        self.sent += n;
-    }
-
-    /// Records `n` messages received.
-    pub fn add_received(&mut self, n: u64) {
-        self.received += n;
-    }
-
-    /// Messages sent.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Messages received.
-    pub fn received(&self) -> u64 {
-        self.received
-    }
-
-    /// Messages lost (saturating at zero).
-    pub fn lost(&self) -> u64 {
-        self.sent.saturating_sub(self.received)
-    }
-
-    /// Loss rate in `[0, 1]`; 0 when nothing was sent.
-    pub fn loss_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.lost() as f64 / self.sent as f64
-        }
-    }
-}
-
-impl fmt::Display for LossMeter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "sent={} received={} loss={:.1}%",
-            self.sent,
-            self.received,
-            self.loss_rate() * 100.0
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
 
     #[test]
     fn event_rate_is_sim_time_arithmetic() {
@@ -495,47 +318,5 @@ mod tests {
         let mut e = Summary::new();
         e.merge(&a);
         assert_eq!(e.count(), 1);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(1.0, 10);
-        for v in 0..100 {
-            h.record(v as f64 / 10.0); // 0.0 .. 9.9 uniformly
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.quantile(0.5), Some(5.0));
-        assert_eq!(h.quantile(1.0), Some(10.0));
-        assert_eq!(h.quantile(0.0), Some(1.0)); // first non-empty bin edge
-    }
-
-    #[test]
-    fn histogram_overflow_bin() {
-        let mut h = Histogram::new(1.0, 2);
-        h.record(5.0);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_none() {
-        let h = Histogram::new(1.0, 4);
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn loss_meter_rates() {
-        let mut m = LossMeter::new();
-        m.add_sent(4064);
-        m.add_received(3705);
-        assert_eq!(m.lost(), 359);
-        assert!((m.loss_rate() - 0.0883).abs() < 0.001);
-    }
-
-    #[test]
-    fn loss_meter_zero_sent() {
-        let m = LossMeter::new();
-        assert_eq!(m.loss_rate(), 0.0);
     }
 }

@@ -63,6 +63,7 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 const WORDS: usize = SLOTS / 64;
 
 /// One queued item: the ordering key plus the caller's payload.
+#[derive(Clone)]
 struct Entry<T> {
     time: SimTime,
     seq: u64,
@@ -77,6 +78,7 @@ impl<T> Entry<T> {
 }
 
 /// Overflow-heap wrapper: min-heap order on `(time, seq)`.
+#[derive(Clone)]
 struct FarEntry<T>(Entry<T>);
 
 impl<T> PartialEq for FarEntry<T> {
@@ -102,6 +104,7 @@ impl<T> Ord for FarEntry<T> {
 /// seq)` order (so the next event to deliver is `items.last()`).
 /// (Packing `sorted` into a side bitmap to shrink the slot to `Vec` size
 /// was measured and did not beat this layout.)
+#[derive(Clone)]
 struct Slot<T> {
     items: Vec<Entry<T>>,
     sorted: bool,
@@ -119,6 +122,12 @@ struct Slot<T> {
 /// the occupancy bitmap without moving the wheel, so a caller that peeks,
 /// declines (deadline reached) and later schedules *earlier* events —
 /// still at or after the last popped time — stays correct.
+///
+/// `Clone` is the snapshot copy (see [`crate::engine::EngineSnapshot`]):
+/// every bucket's item order and lazy-sort flag, the overflow heap's
+/// backing array, the bitmap and the cursor are copied verbatim, so a
+/// clone pops exactly what the original pops.
+#[derive(Clone)]
 pub struct TimingWheel<T> {
     /// Fixed-size (not a slice) so `idx & SLOT_MASK` provably fits and
     /// the per-event indexing compiles without bounds checks.
@@ -341,46 +350,9 @@ impl<T> TimingWheel<T> {
     }
 }
 
-impl<T: crate::snapshot::Fork> crate::snapshot::Fork for TimingWheel<T> {
-    /// Deep-copies the wheel, preserving the exact pop order:
-    ///
-    /// - every bucket's item order and `sorted` flag are copied verbatim,
-    ///   so a lazily-unsorted bucket sorts at the same first-touch moment
-    ///   in the fork as in the original (keys are unique, so the unstable
-    ///   sort is deterministic either way);
-    /// - the overflow heap is rebuilt by iterating the original — its
-    ///   internal array layout may differ, but a binary heap pops strictly
-    ///   by key and `(time, seq)` keys are unique, so the cascade order is
-    ///   identical;
-    /// - the occupancy bitmap, cursor base and length are plain copies.
-    fn fork(&self) -> Self {
-        TimingWheel {
-            // lint: allow(hot-path-alloc) snapshot capture is campaign setup, not the event loop
-            slots: Box::new(std::array::from_fn(|i| Slot {
-                items: self.slots[i]
-                    .items
-                    .iter()
-                    .map(|e| Entry { time: e.time, seq: e.seq, item: e.item.fork() })
-                    .collect(),
-                sorted: self.slots[i].sorted,
-            })),
-            occupied: self.occupied,
-            base: self.base,
-            overflow: self
-                .overflow
-                .iter()
-                .map(|FarEntry(e)| FarEntry(Entry { time: e.time, seq: e.seq, item: e.item.fork() }))
-                .collect(),
-            len: self.len,
-        }
-    }
-}
-
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::Fork;
 
     fn drain(wheel: &mut TimingWheel<u32>) -> Vec<(u64, u64, u32)> {
         let mut out = Vec::new();
@@ -525,7 +497,7 @@ mod tests {
         let _ = w.pop();
         w.push(SimTime::from_ns(80), seq, 8);
 
-        let mut fork = w.fork();
+        let mut fork = w.clone();
         assert_eq!(fork.len(), w.len());
         assert_eq!(drain(&mut fork), drain(&mut w));
     }
@@ -534,7 +506,7 @@ mod tests {
     fn fork_is_independent_of_the_original() {
         let mut w = TimingWheel::new();
         w.push(SimTime::from_ns(10), 0, 0);
-        let mut fork = w.fork();
+        let mut fork = w.clone();
         fork.push(SimTime::from_ns(5), 1, 1);
         assert_eq!(w.len(), 1);
         assert_eq!(drain(&mut fork), vec![(5_000, 1, 1), (10_000, 0, 0)]);

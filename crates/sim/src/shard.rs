@@ -63,6 +63,7 @@
 //! use netfi_sim::{Component, ComponentId, Context, Engine, NullProbe};
 //! use netfi_sim::{SimDuration, SimTime, Simulation};
 //!
+//! #[derive(Clone)]
 //! struct Counter { peer: Option<ComponentId>, heard: u64 }
 //!
 //! impl Component<u64> for Counter {
@@ -77,9 +78,7 @@
 //!     }
 //!     fn as_any(&self) -> &dyn std::any::Any { self }
 //!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
-//!     fn fork(&self) -> Box<dyn Component<u64>> {
-//!         Box::new(Counter { peer: self.peer, heard: self.heard })
-//!     }
+//!     fn fork(&self) -> Box<dyn Component<u64>> { Box::new(self.clone()) }
 //! }
 //!
 //! fn build() -> (Engine<u64>, ComponentId, ComponentId) {
@@ -170,7 +169,7 @@ impl<M> Placement<M> for Part<'_, M> {
 /// slot table (each slot re-homed with its emission counter intact, so
 /// the sub-tick keys minted here continue the serial sequences), plus
 /// the cross-shard sends of the window it last ran.
-struct Shard<M, P: Probe> {
+struct Shard<M: 'static, P: Probe> {
     core: Core<M, P>,
     home: u16,
     outbox: Vec<CrossSend<M>>,
@@ -332,7 +331,7 @@ pub struct SyncStats {
 /// Construct one with [`ShardedEngine::from_engine`] (see the
 /// [module docs](self) for the model and a compiled example). Drive it
 /// through the same [`Simulation`] surface the serial engine implements.
-pub struct ShardedEngine<M, P: Probe = NullProbe> {
+pub struct ShardedEngine<M: 'static, P: Probe = NullProbe> {
     shards: Vec<Shard<M, P>>,
     affinity: Vec<u16>,
     /// Component index → index within its shard's component table.
@@ -354,7 +353,7 @@ pub struct ShardedEngine<M, P: Probe = NullProbe> {
     waits: (u64, u64),
 }
 
-impl<M, P: Probe> ShardedEngine<M, P> {
+impl<M: 'static, P: Probe> ShardedEngine<M, P> {
     /// Shards per thread: contiguous ceil-div chunks, the caller's first.
     fn chunk(&self) -> usize {
         self.shards.len().div_ceil(self.workers.min(self.shards.len()))
@@ -374,7 +373,7 @@ impl<M, P: Probe> ShardedEngine<M, P> {
     }
 }
 
-impl<M, P: Probe> fmt::Debug for ShardedEngine<M, P> {
+impl<M: 'static, P: Probe> fmt::Debug for ShardedEngine<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let sync = self.sync_stats();
         f.debug_struct("ShardedEngine")

@@ -2,7 +2,7 @@
 //! loops over [`DetRng`] so they run with zero external dependencies and
 //! are bit-for-bit reproducible.
 
-use netfi_sim::metrics::{Histogram, LossMeter, Summary};
+use netfi_sim::metrics::Summary;
 use netfi_sim::{
     Component, ComponentId, Context, DetRng, Engine, NullProbe, RunBudget, ShardSpec,
     ShardedEngine, SimDuration, SimTime, Simulation, TimingWheel,
@@ -108,43 +108,6 @@ fn summary_merge_pooled() {
     }
 }
 
-/// Histogram quantiles are monotone and total counts add up.
-#[test]
-fn histogram_quantiles_monotone() {
-    let mut rng = DetRng::new(0x7157_0006);
-    for _ in 0..CASES {
-        let len = 1 + rng.gen_index(199);
-        let values: Vec<f64> = (0..len).map(|_| rng.gen_f64() * 100.0).collect();
-        let q1 = rng.gen_f64();
-        let q2 = rng.gen_f64();
-        let mut h = Histogram::new(1.0, 128);
-        for &v in &values {
-            h.record(v);
-        }
-        assert_eq!(h.count(), values.len() as u64);
-        let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let vlo = h.quantile(lo).unwrap();
-        let vhi = h.quantile(hi).unwrap();
-        assert!(vlo <= vhi);
-    }
-}
-
-/// Loss meter arithmetic is consistent.
-#[test]
-fn loss_meter_consistent() {
-    let mut rng = DetRng::new(0x7157_0007);
-    for _ in 0..CASES {
-        let sent = rng.gen_range(0..1 << 40);
-        let received = rng.gen_range(0..1 << 40);
-        let mut m = LossMeter::new();
-        m.add_sent(sent);
-        m.add_received(received);
-        assert_eq!(m.lost(), sent.saturating_sub(received));
-        let rate = m.loss_rate();
-        assert!((0.0..=1.0).contains(&rate));
-    }
-}
-
 /// The timing wheel agrees with a reference `BinaryHeap` on every
 /// operation of a randomized interleaved push/pop/pop_due stream.
 ///
@@ -238,7 +201,6 @@ fn wheel_matches_reference_heap() {
 /// fork must not disturb the original.
 #[test]
 fn wheel_fork_round_trip_matches_original() {
-    use netfi_sim::Fork;
     let mut rng = DetRng::new(0x7157_000B);
     for _ in 0..CASES {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
@@ -265,7 +227,7 @@ fn wheel_fork_round_trip_matches_original() {
                 }
             }
         }
-        let mut fork = wheel.fork();
+        let mut fork = wheel.clone();
         assert_eq!(fork.len(), wheel.len());
         assert_eq!(fork.peek_time(), wheel.peek_time());
         // Mutating the fork leaves the original untouched.
@@ -275,7 +237,7 @@ fn wheel_fork_round_trip_matches_original() {
         assert_eq!(wheel.len(), before);
         // Take a clean fork and drain both fully: identical
         // (time, seq, item) sequences.
-        let mut fork = wheel.fork();
+        let mut fork = wheel.clone();
         loop {
             let want = wheel.pop();
             let got = fork.pop();

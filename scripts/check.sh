@@ -21,15 +21,14 @@ cargo clippy --all-targets --offline -- -D warnings
 echo "== rustdoc (warning-free, missing_docs denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-echo "== lint (netfi-lint workspace invariants, structural rules) =="
-# One structural pass covers the per-line rules plus fork-completeness,
-# dead-suppression and relaxed-atomic; a non-zero exit on any of them
-# fails the gate here (set -e). The JSON artifact is what CI tooling
-# consumes; the text run above it is for humans reading the log. The
-# suppression-budget ratchet itself lives in
+echo "== lint (netfi-lint workspace invariants) =="
+# One pass per file covers every per-line rule (fork-not-clone and
+# relaxed-atomic among them) plus dead-suppression; a non-zero exit on
+# any of them fails the gate here (set -e). The JSON artifact is what CI
+# tooling consumes; the text run above it is for humans reading the log.
+# The suppression-budget ratchet itself lives in
 # crates/lint/tests/workspace_clean.rs, already enforced by the test
-# stage above. The analyzer indexes every workspace source on each run,
-# so its wall time is recorded — it must stay instant-feeling.
+# stage above. The wall time is recorded — it must stay instant-feeling.
 lint_start=$(date +%s%N)
 ./target/release/netfi-lint .
 ./target/release/netfi-lint --format json . > target/LINT.json
