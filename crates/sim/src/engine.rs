@@ -645,9 +645,8 @@ impl<M: 'static, P: Probe> Engine<M, P> {
 
 impl<M: Clone + 'static, P: Probe + Clone> Engine<M, P> {
     /// Captures the engine's full deterministic state — components, the
-    /// timing wheel (buckets, overflow heap, bitmap, cursor), clock,
-    /// sequence counter, delivery count and probe — into an immutable
-    /// [`EngineSnapshot`].
+    /// timing wheel, clock, sequence counter, delivery count and probe —
+    /// into an immutable [`EngineSnapshot`].
     ///
     /// The canonical use is amortising campaign warm-up: run one engine
     /// to a warmed state, snapshot it once, then
@@ -669,11 +668,10 @@ impl<M: Clone + 'static, P: Probe + Clone> Engine<M, P> {
 /// runnable engines (see [`Engine::snapshot`]).
 ///
 /// The snapshot is a frozen engine: its own deep copy of every component,
-/// the full timing-wheel state (buckets in their exact order, lazy-sort
-/// flags, the overflow heap, the occupancy bitmap and cursor), the clock,
-/// the sequence counter, the delivery count, and the probe. It holds *no*
-/// reference back to the donor engine: the donor may keep running — or be
-/// dropped — without affecting any fork taken later.
+/// the full timing-wheel state (every field of [`TimingWheel`], by
+/// derive), the clock, the sequence counter, the delivery count, and the
+/// probe. It holds *no* reference back to the donor engine: the donor may
+/// keep running — or be dropped — without affecting any fork taken later.
 ///
 /// The correctness claim — a fork is bit-identical to a fresh run that
 /// reached the same state — rests on the copy carrying *all* state that

@@ -1,39 +1,52 @@
 //! The engine's event queue: a bucketed timing wheel with a far-future
 //! overflow heap.
 //!
-//! PR 1 left the event queue on `BinaryHeap<QueuedEvent>`: every push and
-//! pop is a sift over `(time, seq)` keys that touches O(log n) scattered
-//! cache lines while moving 56-byte events around. At the saturated
-//! testbed's steady-state depth (~30 events) those two sifts cost more
-//! than a quarter of the whole per-event budget. The wheel replaces them
-//! with O(1) bucket appends and pops:
+//! A `BinaryHeap` keyed on `(time, seq)` pays two sifts per event, each
+//! touching O(log n) scattered cache lines while moving 56-byte events
+//! around; at the saturated testbed's steady-state depth (~30 events)
+//! that was more than a quarter of the whole per-event budget. The wheel
+//! files events by time instead, in one level of buckets:
 //!
-//! - **Near future** (within [`WHEEL_SPAN`] of the cursor): events land in
-//!   one of [`SLOTS`] fixed time buckets of [`SLOT_PS`] picoseconds each.
-//!   A bucket is sorted at most once, lazily, when the cursor reaches it;
-//!   an occupancy bitmap (one bit per slot, [`WORDS`](self) `u64` words —
-//!   two cache lines) finds the next occupied bucket in a few word
-//!   operations. The whole index plus the slot headers stays small enough
-//!   to live in L1/L2; the first wheel cut (8192 fine-grained slots)
-//!   measured *slower* than this one purely from slot-header cache misses.
+//! - **Near future** (within [`WHEEL_SPAN`] of the cursor): an event is
+//!   appended, O(1), to one of [`SLOTS`] fixed time buckets of
+//!   [`SLOT_PS`] picoseconds each. A bucket is sorted at most once,
+//!   lazily, when the cursor reaches it, and then popped from the back of
+//!   the sorted run, O(1); an occupancy bitmap (one bit per slot,
+//!   [`WORDS`](self) `u64` words — two cache lines) finds the next
+//!   occupied bucket in a few word operations. The whole index plus the
+//!   slot headers stays small enough to live in L1/L2; the first wheel cut
+//!   (8192 fine-grained slots) measured *slower* than this one purely from
+//!   slot-header cache misses.
+//! - **The bucket under the cursor**: a push into the bucket being
+//!   drained is a sorted insert while the run is short (under
+//!   [`SHORT_RUN`](self) entries — the 3-host test beds never leave this
+//!   case); past that it leaves the run alone and goes to one min-heap of
+//!   late arrivals, O(log n), and the bucket's next event is the smaller
+//!   of the run's last entry and the heap's top. On a 1,000-host fabric
+//!   ~1,000 events share a slot and nearly every send lands in the slot
+//!   being drained: keeping a run that long sorted with `Vec::insert`
+//!   shifts half of it per push, which was more than half of that
+//!   fabric's wall time (`tests/wheel_complexity.rs` guards the bound).
 //! - **Far future** (beyond the wheel's horizon): events overflow into a
-//!   small min-heap and are re-cascaded into buckets as the cursor
+//!   second min-heap and are re-cascaded into buckets as the cursor
 //!   advances and the horizon moves past them.
 //!
-//! Ordering is *exactly* the heap's: ascending `(time, seq)`, so
-//! same-instant events deliver in scheduling order. `seq` is unique, so
-//! the order is total and a bucket's unstable sort is deterministic. The
-//! property test in `crates/sim/tests/props.rs` pits the wheel against a
-//! reference `BinaryHeap` on randomized streams with duplicate timestamps,
-//! and the golden event-trace hashes in `tests/determinism.rs` pin that
-//! the swap changed nothing observable.
+//! Ordering is *exactly* a heap's: ascending `(time, seq)`, so
+//! same-instant events deliver in key order. `seq` is unique, so the
+//! order is total, a bucket's unstable sort is deterministic, and which
+//! structure holds an entry cannot show in the pop order. The property
+//! test in `crates/sim/tests/props.rs` pits the wheel against a reference
+//! `BinaryHeap` on randomized streams with duplicate timestamps and a
+//! densely populated draining bucket, and the golden event-trace hashes
+//! in `tests/determinism.rs` pin that nothing observable depends on the
+//! queue's layout.
 
 // netfi-lint: deny(hot-path-alloc)
 //
 // Push and pop run once per simulated event. The only allocations allowed
 // here are the one-time constructor ones (allowlisted below); buckets and
-// the overflow heap retain their high-water capacity, so steady state
-// performs no per-event allocation.
+// both heaps retain their high-water capacity, so steady state performs
+// no per-event allocation.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -62,6 +75,14 @@ pub const WHEEL_SPAN: u64 = SLOT_PS * SLOTS as u64;
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
 const WORDS: usize = SLOTS / 64;
 
+/// A sorted run shorter than this takes a push into the draining bucket
+/// as a sorted insert; a longer one leaves it to the `late` heap.
+/// Measured, not derived: with the 4–15 entries a 3-host campaign keeps
+/// in the draining bucket, shifting a few of them beats a heap push and
+/// pop (`paper_eval` ran 12 % slower through the heap); with a 1,000-host
+/// fabric's ~1,000 the heap wins 2.2×. 8, 16 and 32 read alike on both.
+const SHORT_RUN: usize = 16;
+
 /// One queued item: the ordering key plus the caller's payload.
 #[derive(Clone)]
 struct Entry<T> {
@@ -77,7 +98,8 @@ impl<T> Entry<T> {
     }
 }
 
-/// Overflow-heap wrapper: min-heap order on `(time, seq)`.
+/// Wrapper that turns `BinaryHeap` into a min-heap on `(time, seq)`; used
+/// by the overflow heap and by the draining bucket's late arrivals.
 #[derive(Clone)]
 struct FarEntry<T>(Entry<T>);
 
@@ -110,13 +132,13 @@ struct Slot<T> {
     sorted: bool,
 }
 
-/// A hierarchical timing wheel ordered by ascending `(time, seq)`.
+/// A bucketed timing wheel ordered by ascending `(time, seq)`.
 ///
-/// Drop-in replacement for the engine's former `BinaryHeap`: `push` keys
-/// an item by `(time, seq)`, `pop` returns items in exactly the order the
-/// heap produced — ascending time, scheduling order within a time. The
-/// `seq` values pushed must be unique (the engine's are: one counter
-/// assigns them); duplicate times are expected and welcome.
+/// `push` keys an item by `(time, seq)`, `pop` returns items in exactly
+/// the order a `BinaryHeap` on that key would — ascending time, ascending
+/// `seq` within a time. The `seq` values pushed must be unique (the
+/// engine's sub-tick keys are) but need not arrive in increasing order;
+/// duplicate times are expected and welcome.
 ///
 /// `peek_time` never commits the cursor: the minimum is located through
 /// the occupancy bitmap without moving the wheel, so a caller that peeks,
@@ -124,9 +146,8 @@ struct Slot<T> {
 /// still at or after the last popped time — stays correct.
 ///
 /// `Clone` is the snapshot copy (see [`crate::engine::EngineSnapshot`]):
-/// every bucket's item order and lazy-sort flag, the overflow heap's
-/// backing array, the bitmap and the cursor are copied verbatim, so a
-/// clone pops exactly what the original pops.
+/// every field is copied verbatim, so a clone pops exactly what the
+/// original pops.
 #[derive(Clone)]
 pub struct TimingWheel<T> {
     /// Fixed-size (not a slice) so `idx & SLOT_MASK` provably fits and
@@ -138,6 +159,11 @@ pub struct TimingWheel<T> {
     /// Every wheel-resident event's bucket is in `[base, base + SLOTS)`;
     /// every overflow event's bucket is `>= base + SLOTS`.
     base: u64,
+    /// Events pushed into bucket `base` while its sorted run was not
+    /// short. Every entry here belongs to bucket `base`, so the heap is
+    /// empty whenever `base` moves; the bucket's next event is the smaller
+    /// of its sorted run's `last()` and this heap's top.
+    late: BinaryHeap<FarEntry<T>>,
     /// Far-future events, cascaded in as the horizon advances.
     overflow: BinaryHeap<FarEntry<T>>,
     len: usize,
@@ -148,6 +174,7 @@ impl<T> fmt::Debug for TimingWheel<T> {
         f.debug_struct("TimingWheel")
             .field("len", &self.len)
             .field("base", &self.base)
+            .field("late", &self.late.len())
             .field("overflow", &self.overflow.len())
             .finish()
     }
@@ -167,6 +194,7 @@ impl<T> TimingWheel<T> {
             slots: Box::new(std::array::from_fn(|_| Slot { items: Vec::new(), sorted: true })),
             occupied: [0; WORDS],
             base: 0,
+            late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
         }
@@ -186,13 +214,15 @@ impl<T> TimingWheel<T> {
 
     /// Queues `item` under the key `(time, seq)`.
     ///
-    /// Times earlier than the last popped event's bucket are not
-    /// representable (the engine never schedules into the past); in debug
-    /// builds that misuse is caught by an assertion.
+    /// # Panics
+    ///
+    /// Panics if `time` falls in a bucket before the last popped event's:
+    /// the wheel cannot represent it, and filing it anyway would deliver
+    /// it a full rotation late and out of order.
     #[inline]
     pub fn push(&mut self, time: SimTime, seq: u64, item: T) {
         let bucket = time.as_ps() >> SLOT_SHIFT;
-        debug_assert!(bucket >= self.base, "push into the wheel's past");
+        assert!(bucket >= self.base, "push into the wheel's past");
         self.len += 1;
         if bucket < self.base + SLOTS as u64 {
             self.place(bucket, Entry { time, seq, item });
@@ -201,8 +231,9 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Inserts an in-window entry into its bucket, preserving the
-    /// descending order of already-sorted buckets.
+    /// Puts an in-window entry into its bucket. A bucket the cursor has
+    /// not sorted yet takes an append; the bucket being drained takes it
+    /// into its sorted run while that is short, else into the `late` heap.
     #[inline]
     fn place(&mut self, bucket: u64, entry: Entry<T>) {
         let idx = (bucket & SLOT_MASK) as usize;
@@ -212,14 +243,31 @@ impl<T> TimingWheel<T> {
             slot.items.push(entry);
             slot.sorted = true;
         } else if slot.sorted && bucket == self.base {
-            // The cursor is draining this bucket from the back; keep the
-            // descending order so `pop` stays O(1).
-            let key = entry.key();
-            let at = slot.items.partition_point(|e| e.key() > key);
-            slot.items.insert(at, entry);
+            // Inserting into the run shifts half of it per push: O(n),
+            // with a 1,000-host fabric's ~1,000 events in this one slot.
+            // Past a few entries the O(log n) heap takes the push.
+            if slot.items.len() < SHORT_RUN {
+                let key = entry.key();
+                let at = slot.items.partition_point(|e| e.key() > key);
+                slot.items.insert(at, entry);
+            } else {
+                self.late.push(FarEntry(entry));
+            }
         } else {
             slot.items.push(entry);
             slot.sorted = false;
+        }
+    }
+
+    /// The next event of the (sorted) bucket at `idx`: its time and
+    /// whether it sits in the `late` heap rather than the bucket's run.
+    /// `late` is non-empty only while `idx` is bucket `base`'s slot.
+    #[inline]
+    fn front(&self, idx: usize) -> Option<(SimTime, bool)> {
+        match (self.slots[idx].items.last(), self.late.peek()) {
+            (Some(run), Some(late)) if late.0.key() < run.key() => Some((late.0.time, true)),
+            (Some(run), _) => Some((run.time, false)),
+            (None, late) => late.map(|e| (e.0.time, true)),
         }
     }
 
@@ -231,7 +279,7 @@ impl<T> TimingWheel<T> {
             return None;
         }
         match self.locate_min() {
-            Some((_, idx)) => self.slots[idx].items.last().map(|e| e.time),
+            Some((_, idx)) => self.front(idx).map(|(time, _)| time),
             None => self.overflow.peek().map(|e| e.0.time),
         }
     }
@@ -265,13 +313,13 @@ impl<T> TimingWheel<T> {
                 (first, (first & SLOT_MASK) as usize)
             }
         };
-        let slot = &mut self.slots[idx];
-        match slot.items.last() {
-            Some(next) if next.time <= deadline => {}
-            _ => return None,
+        let (time, in_late) = self.front(idx)?;
+        if time > deadline {
+            return None;
         }
-        let entry = slot.items.pop()?;
-        if slot.items.is_empty() {
+        let slot = &mut self.slots[idx];
+        let entry = if in_late { self.late.pop()?.0 } else { slot.items.pop()? };
+        if slot.items.is_empty() && self.late.is_empty() {
             self.occupied[idx / 64] &= !(1 << (idx % 64));
         }
         self.len -= 1;
@@ -480,8 +528,8 @@ mod tests {
     #[test]
     fn fork_mid_drain_pops_identically() {
         // Build a wheel that exercises every state a fork must capture:
-        // a partially drained sorted bucket, an unsorted bucket, and
-        // overflow entries awaiting a cascade.
+        // a partially drained sorted bucket with late arrivals beside it,
+        // an unsorted bucket, and overflow entries awaiting a cascade.
         let mut w = TimingWheel::new();
         let mut seq = 0;
         for k in [5u64, 3, 9, 1, 7] {
@@ -495,11 +543,27 @@ mod tests {
         // Drain partway so the cursor sits inside a bucket.
         let _ = w.pop();
         let _ = w.pop();
-        w.push(SimTime::from_ns(80), seq, 8);
+        for k in 0..2 * SHORT_RUN as u64 {
+            w.push(SimTime::from_ns(80 + k), seq, 8);
+            seq += 1;
+        }
+        w.push(SimTime::from_us(20), seq, 20);
+        w.push(SimTime::from_us(19), seq + 1, 19);
+        assert!(!w.late.is_empty() && !w.slots[0].items.is_empty());
+        assert!(!w.slots[1].sorted);
 
         let mut fork = w.clone();
         assert_eq!(fork.len(), w.len());
         assert_eq!(drain(&mut fork), drain(&mut w));
+    }
+
+    #[test]
+    #[should_panic(expected = "push into the wheel's past")]
+    fn push_before_the_cursor_is_refused() {
+        let mut w = TimingWheel::new();
+        w.push(SimTime::from_ms(1), 0, 0);
+        assert!(w.pop().is_some());
+        w.push(SimTime::from_ns(1), 1, 1);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! are bit-for-bit reproducible.
 
 use netfi_sim::metrics::Summary;
+use netfi_sim::queue::SLOT_PS;
 use netfi_sim::{
     Component, ComponentId, Context, DetRng, Engine, NullProbe, RunBudget, ShardSpec,
     ShardedEngine, SimDuration, SimTime, Simulation, TimingWheel,
@@ -108,43 +109,80 @@ fn summary_merge_pooled() {
     }
 }
 
+/// Engine-shaped wheel keys: `(source << 40) | that source's counter`.
+/// Unique, but — like the engine's per-component sub-tick keys and the
+/// shard mailbox merge — *not* increasing in push order, so at one
+/// timestamp a later push can sort ahead of an earlier one.
+#[derive(Default)]
+struct Keys([u64; 16]);
+
+impl Keys {
+    fn next(&mut self, rng: &mut DetRng) -> u64 {
+        let src = rng.gen_index(self.0.len());
+        self.0[src] += 1;
+        ((src as u64 + 1) << 40) | self.0[src]
+    }
+}
+
 /// The timing wheel agrees with a reference `BinaryHeap` on every
 /// operation of a randomized interleaved push/pop/pop_due stream.
 ///
 /// The stream generator is adversarial on purpose: offsets of zero (pushes
 /// at exactly the cursor time), sub-bucket offsets (ties inside one slot),
-/// exact duplicates of the previous timestamp (FIFO broken only by `seq`),
-/// offsets across the wheel span (forcing overflow parking and cascade),
-/// and `pop_due` deadlines that land before, on and after the queue
-/// minimum. The one invariant the generator honours is the engine's:
-/// never push earlier than the last popped time.
+/// exact duplicates of the previous timestamp (order decided by the key
+/// alone), offsets across the wheel span (forcing overflow parking and
+/// cascade), and `pop_due` deadlines that land before, on and after the
+/// queue minimum. The one invariant the generator honours is the
+/// engine's: never push earlier than the last popped time.
+///
+/// One case in sixteen is the *dense draining bucket* of a 1,000-host
+/// fabric: at least 1,024 entries resident in one bucket — filled ahead
+/// of the cursor, or under it — then 2,048 operations whose pushes stay
+/// inside that bucket while it is popped, so the next event alternates
+/// between the bucket's sorted run and its late arrivals, with `pop_due`
+/// deadlines a few entry spacings past the last pop, landing between the
+/// two structures' minima.
 #[test]
 fn wheel_matches_reference_heap() {
     let mut rng = DetRng::new(0x7157_0009);
-    for _ in 0..CASES {
+    for case in 0..CASES {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
         let mut reference: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
         let mut now = SimTime::ZERO; // last popped time; pushes stay >= now
         let mut last_pushed = now;
-        let mut seq = 0u64;
-        let ops = 64 + rng.gen_index(192);
+        let mut keys = Keys::default();
+        // `Some(last picosecond of the bucket)` in the dense regime.
+        let dense = (case % 16 == 0).then(|| {
+            let first = rng.gen_range(0..3) * SLOT_PS;
+            for _ in 0..1_024 + rng.gen_index(512) {
+                let time = SimTime::from_ps(first + rng.gen_range(0..SLOT_PS));
+                let key = keys.next(&mut rng);
+                wheel.push(time, key, key as u32);
+                reference.push(Reverse((time, key, key as u32)));
+            }
+            first + SLOT_PS - 1
+        });
+        let ops = if dense.is_some() { 2_048 } else { 64 + rng.gen_index(192) };
         for _ in 0..ops {
             match rng.gen_index(8) {
                 // Push (biased: the queue must mostly grow or pops see
                 // nothing but empties).
                 0..=4 => {
-                    let time = match rng.gen_index(5) {
-                        0 => now,
-                        1 => last_pushed.max(now),
-                        2 => now + SimDuration::from_ps(rng.gen_range(0..1 << 10)),
-                        3 => now + SimDuration::from_ps(rng.gen_range(0..1 << 30)),
+                    let time = match (rng.gen_index(5), dense) {
+                        (0, _) => now,
+                        (1, _) => last_pushed.max(now),
+                        (_, Some(last)) => {
+                            SimTime::from_ps(rng.gen_range(now.as_ps().min(last)..last + 1))
+                        }
+                        (2, _) => now + SimDuration::from_ps(rng.gen_range(0..1 << 10)),
+                        (3, _) => now + SimDuration::from_ps(rng.gen_range(0..1 << 30)),
                         // Beyond the wheel span (2^34 ps): overflow path.
                         _ => now + SimDuration::from_ps(rng.gen_range(1 << 34..1 << 36)),
                     };
-                    wheel.push(time, seq, seq as u32);
-                    reference.push(Reverse((time, seq, seq as u32)));
+                    let key = keys.next(&mut rng);
+                    wheel.push(time, key, key as u32);
+                    reference.push(Reverse((time, key, key as u32)));
                     last_pushed = time;
-                    seq += 1;
                 }
                 // Pop the minimum.
                 5..=6 => {
@@ -157,7 +195,8 @@ fn wheel_matches_reference_heap() {
                 }
                 // Pop against a deadline that may or may not be reached.
                 _ => {
-                    let deadline = now + SimDuration::from_ps(rng.gen_range(0..1 << 35));
+                    let reach = if dense.is_some() { 1 << 15 } else { 1 << 35 };
+                    let deadline = now + SimDuration::from_ps(rng.gen_range(0..reach));
                     let due = reference
                         .peek()
                         .is_some_and(|Reverse((t, _, _))| *t <= deadline);
@@ -195,8 +234,9 @@ fn wheel_matches_reference_heap() {
 /// The stream generator reuses the adversarial patterns of
 /// [`wheel_matches_reference_heap`] — cursor-time pushes, sub-bucket ties,
 /// duplicate timestamps, overflow-spanning offsets — then forks the wheel
-/// mid-stream (after some slots have gone through the lazy-sort path and
-/// some overflow entries have cascaded) and drains both. The fork must pop
+/// mid-stream (after some slots have gone through the lazy-sort path,
+/// some overflow entries have cascaded and the draining bucket has taken
+/// late arrivals) and drains both. The fork must pop
 /// the identical `(time, seq, item)` sequence, and further pushes into the
 /// fork must not disturb the original.
 #[test]
@@ -226,6 +266,13 @@ fn wheel_fork_round_trip_matches_original() {
                     }
                 }
             }
+        }
+        // The cursor's bucket is always sorted and takes only a short
+        // run's worth of pushes in place: 64 more at the cursor time
+        // leave the late heap non-empty when the clone is taken.
+        for _ in 0..64 {
+            wheel.push(now, seq, seq as u32);
+            seq += 1;
         }
         let mut fork = wheel.clone();
         assert_eq!(fork.len(), wheel.len());
