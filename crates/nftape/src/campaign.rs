@@ -237,7 +237,7 @@ pub fn run_campaigns_with_workers(
     specs: &[CampaignSpec],
     workers: usize,
 ) -> Result<Vec<Vec<RunResult>>, ScenarioError> {
-    crate::runner::fan_out(workers, specs.len(), |i| run_campaign(&specs[i]))
+    crate::runner::fan_out(workers, specs.len(), || |i| run_campaign(&specs[i]))
 }
 
 #[cfg(test)]

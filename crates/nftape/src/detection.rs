@@ -540,7 +540,16 @@ impl WarmedDetect {
     /// fabric does not have, names a missing host, leaf or port, or a
     /// forked component cannot be read.
     pub fn fork_run(&self, spec: &DetectSpec) -> Result<DetectRun, ScenarioError> {
-        let engine = &mut self.snapshot.fork();
+        self.run_on(&mut self.snapshot.fork(), spec)
+    }
+
+    /// Runs one scenario on `engine`, which must be a fork of this donor
+    /// that nothing has touched since.
+    fn run_on(
+        &self,
+        engine: &mut Engine<Ev, NullProbe>,
+        spec: &DetectSpec,
+    ) -> Result<DetectRun, ScenarioError> {
         let monitor = &mut self.monitor.clone();
         let options = &self.options;
         let t0 = engine.now();
@@ -894,9 +903,9 @@ impl DetectResult {
 }
 
 /// Runs every spec on a fork of one warmed donor over `workers` threads —
-/// the [`crate::grid`] recipe: each worker forks the shared donor where it
-/// runs and [`fan_out`] returns the runs in spec order, so the worker
-/// count cannot change any output byte.
+/// the [`crate::grid`] recipe: each worker forks the shared donor into the
+/// one engine it keeps and [`fan_out`] returns the runs in spec order, so
+/// the worker count cannot change any output byte.
 ///
 /// # Errors
 ///
@@ -911,9 +920,15 @@ pub fn run_detection(
     specs: &[DetectSpec],
     workers: usize,
 ) -> Result<DetectResult, ScenarioError> {
-    let warm = warm_detect(options)?;
+    let warm = &warm_detect(options)?;
     Ok(DetectResult {
-        runs: fan_out(workers, specs.len(), |i| warm.fork_run(&specs[i]))?,
+        runs: fan_out(workers, specs.len(), || {
+            let mut engine = warm.snapshot.fork();
+            move |i| {
+                warm.snapshot.fork_into(&mut engine);
+                warm.run_on(&mut engine, &specs[i])
+            }
+        })?,
         thresholds: options.thresholds.clone(),
         reference: options.reference,
         topo_report: warm.report.render(),
@@ -1062,6 +1077,12 @@ mod tests {
         assert_eq!(one, two);
         assert_eq!(one.fingerprint(), two.fingerprint());
         assert_eq!(one.render(), two.render());
+        // The single worker ran all three on one resident engine; each is
+        // what a one-off fork of the donor runs.
+        let warm = warm_detect(&options).expect("warm");
+        for (run, spec) in one.runs.iter().zip(&specs) {
+            assert_eq!(run, &warm.fork_run(spec).expect("run"), "spec {}", spec.name);
+        }
         // The render carries all three tables and the SPOF report.
         assert!(one.render().contains("detection verdicts"));
         assert!(one.render().contains("topology analysis"));

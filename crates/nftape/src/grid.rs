@@ -309,8 +309,18 @@ impl WarmedCampaign {
         &self,
         spec: &FailureSpec,
     ) -> Result<ObservedCampaign, ScenarioError> {
+        self.run_on(&mut self.snapshot.fork(), spec)
+    }
+
+    /// Runs one scenario on `engine`, which must be a fork of this donor
+    /// that nothing has touched since.
+    fn run_on(
+        &self,
+        engine: &mut Engine<Ev, DispatchProbe>,
+        spec: &FailureSpec,
+    ) -> Result<ObservedCampaign, ScenarioError> {
         run_and_collect(
-            &mut self.snapshot.fork(),
+            engine,
             spec,
             &self.hosts,
             self.switch,
@@ -319,12 +329,21 @@ impl WarmedCampaign {
         )
     }
 
-    /// Forks the donor engine without running anything — the O(state)
-    /// unit the grid's amortization argument prices (the benchmark's
-    /// `nftape.grid.fork_us` row), and the starting point for callers
-    /// that drive their own fault phases (the `netfi-sample` sampler).
+    /// Forks the donor engine without running anything — the
+    /// O(occupied state) unit the grid's amortization argument prices (the
+    /// benchmark's `nftape.grid.fork_us` row), and the starting point for
+    /// callers that drive their own fault phases (the `netfi-sample`
+    /// sampler).
     pub fn fork_engine(&self) -> Engine<Ev, DispatchProbe> {
         self.snapshot.fork()
+    }
+
+    /// Overwrites `engine` with a fork of the donor, reusing the storage
+    /// `engine` has grown (see [`EngineSnapshot::fork_into`]): what a
+    /// [`fan_out`] worker calls at the top of every item on the one engine
+    /// it keeps. Nothing of what `engine` ran before survives.
+    pub fn fork_into(&self, engine: &mut Engine<Ev, DispatchProbe>) {
+        self.snapshot.fork_into(engine);
     }
 
     /// The number of pending events captured in the donor snapshot.
@@ -488,9 +507,9 @@ fn render(spec: &FailureSpec, run: ObservedCampaign) -> GridRun {
 
 /// Runs every spec on a fork of one warmed donor over `workers` threads:
 /// 1 × warm-up + N × fault phases. Each worker forks the shared donor
-/// where it runs ([`fan_out`], DESIGN.md §10), so the worker count cannot
-/// change any output byte — `tests/determinism.rs` pins workers 1/2/8
-/// against the same fingerprint.
+/// into the one engine it keeps ([`fan_out`], DESIGN.md §10), so the
+/// worker count cannot change any output byte — `tests/determinism.rs`
+/// pins workers 1/2/8 against the same fingerprint.
 ///
 /// # Errors
 ///
@@ -504,8 +523,15 @@ pub fn fork_grid(
     specs: &[FailureSpec],
     workers: usize,
 ) -> Result<GridResult, ScenarioError> {
-    let warm = warm_campaign(seed)?;
-    let runs = fan_out(workers, specs.len(), |i| warm.fork_run(&specs[i]))?;
+    let warm = &warm_campaign(seed)?;
+    let runs = fan_out(workers, specs.len(), || {
+        let mut engine = warm.fork_engine();
+        move |i| {
+            warm.fork_into(&mut engine);
+            warm.run_on(&mut engine, &specs[i])
+                .map(|run| render(&specs[i], run))
+        }
+    })?;
     Ok(GridResult { runs })
 }
 
@@ -525,7 +551,7 @@ pub fn fresh_grid(
     specs: &[FailureSpec],
     workers: usize,
 ) -> Result<GridResult, ScenarioError> {
-    let runs = fan_out(workers, specs.len(), |i| fresh_run(seed, &specs[i]))?;
+    let runs = fan_out(workers, specs.len(), || |i| fresh_run(seed, &specs[i]))?;
     Ok(GridResult { runs })
 }
 
@@ -566,6 +592,35 @@ mod tests {
         let a = warm.fork_run(&spec).unwrap();
         let b = warm.fork_run(&spec).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_resident_engine_runs_each_spec_like_a_fresh_fork() {
+        let warm = warm_campaign(11).unwrap();
+        let mut engine = warm.fork_engine();
+        // One engine through scenarios that leave it in different states —
+        // a host powered off, an armed injector, a spec that fails after
+        // it has already changed the engine — and back again.
+        let specs = [
+            FailureSpec::node_off("node-off-0", 0),
+            grid_specs()[7].clone(), // replace-crc-repaired
+            FailureSpec {
+                deactivate_links: vec![1, 200],
+                ..FailureSpec::healthy("half-applied")
+            },
+            FailureSpec::healthy("healthy"),
+            FailureSpec::link_severed("link-severed-2", 2),
+            FailureSpec::node_off("node-off-0", 0),
+        ];
+        for spec in &specs {
+            warm.fork_into(&mut engine);
+            let resident = warm.run_on(&mut engine, spec).map(|run| render(spec, run));
+            match (resident, warm.fork_run(spec)) {
+                (Ok(resident), Ok(fresh)) => assert_eq!(resident, fresh, "spec {}", spec.name),
+                (Err(_), Err(_)) => assert_eq!(spec.name, "half-applied"),
+                (resident, fresh) => panic!("spec {}: {resident:?} vs {fresh:?}", spec.name),
+            }
+        }
     }
 
     #[test]

@@ -421,7 +421,7 @@ impl ObservedSuite {
 ///
 /// Panics if `workers` is zero.
 pub fn observed_suite(seeds: &[u64], workers: usize) -> Result<ObservedSuite, ScenarioError> {
-    let runs = fan_out(workers, seeds.len(), |i| observed_campaign(seeds[i]))?;
+    let runs = fan_out(workers, seeds.len(), || |i| observed_campaign(seeds[i]))?;
     Ok(fold_suite(runs, seeds))
 }
 

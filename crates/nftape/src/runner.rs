@@ -38,17 +38,26 @@ pub fn worker_count(requested: Option<usize>) -> usize {
     }
 }
 
-/// Runs `run(i)` for every `i < n` over `workers` threads and returns the
+/// Runs every index `i < n` over `workers` threads and returns the
 /// results in index order — the one fan-out every campaign driver uses
 /// (DESIGN.md §10).
+///
+/// `worker` is a factory: each thread calls it once and feeds the
+/// `FnMut(i)` it returns every index that thread claims, so a driver can
+/// keep state on its worker — in practice one resident engine that each
+/// item overwrites with `EngineSnapshot::fork_into` instead of building
+/// and freeing an engine per item. A stateless driver passes `|| |i| …`.
 ///
 /// The calling thread is the first worker, so `workers == 1` spawns
 /// nothing and runs the same loop as any other count. Workers claim
 /// indices from a shared iterator that hands each a disjoint `&mut`
-/// result slot; the claim lock is released before `run(i)` starts.
-/// Nothing in the output can observe which thread ran which index, so a
-/// `run` that is a pure function of `i` makes the result independent of
-/// `workers`.
+/// result slot; the claim lock is released before the item starts.
+/// Nothing in the output can observe which thread ran which index, so an
+/// item that is a pure function of `i` makes the result independent of
+/// `workers`. Per-worker state keeps that property as long as every item
+/// begins by overwriting it whole, which is `fork_into`'s contract: what
+/// the worker's previous item left behind — even one that failed or
+/// panicked half-way — cannot reach an output byte.
 ///
 /// # Errors
 ///
@@ -56,24 +65,27 @@ pub fn worker_count(requested: Option<usize>) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `workers` is zero. A panic inside `run` propagates once the
+/// Panics if `workers` is zero. A panic inside an item propagates once the
 /// remaining workers have finished and been joined.
-pub fn fan_out<T: Send, E: Send>(
+pub fn fan_out<T: Send, E: Send, W: FnMut(usize) -> Result<T, E>>(
     workers: usize,
     n: usize,
-    run: impl Fn(usize) -> Result<T, E> + Sync,
+    worker: impl Fn() -> W + Sync,
 ) -> Result<Vec<T>, E> {
     assert!(workers > 0, "worker count must be non-zero");
     let mut slots: Vec<Option<Result<T, E>>> = (0..n).map(|_| None).collect();
     {
         let claims = std::sync::Mutex::new(slots.iter_mut().enumerate());
-        let work = || loop {
-            let claimed = claims
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .next();
-            let Some((i, slot)) = claimed else { break };
-            *slot = Some(run(i));
+        let work = || {
+            let mut run = worker();
+            loop {
+                let claimed = claims
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .next();
+                let Some((i, slot)) = claimed else { break };
+                *slot = Some(run(i));
+            }
         };
         // lint: allow(thread-spawn) the one campaign fan-out: results land in index-ordered slots, so the schedule cannot reach any output byte
         std::thread::scope(|scope| {
@@ -230,9 +242,11 @@ mod tests {
         for workers in [1, 2, 3, 8] {
             for n in [0, 1, 5, 64] {
                 let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                let out = fan_out(workers, n, |i| {
-                    runs[i].fetch_add(1, Ordering::SeqCst);
-                    Ok::<_, ()>(i * 10)
+                let out = fan_out(workers, n, || {
+                    |i| {
+                        runs[i].fetch_add(1, Ordering::SeqCst);
+                        Ok::<_, ()>(i * 10)
+                    }
                 });
                 let want: Vec<usize> = (0..n).map(|i| i * 10).collect();
                 assert_eq!(out, Ok(want), "workers={workers} n={n}");
@@ -245,19 +259,47 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_builds_one_state_per_worker_and_keeps_it_across_items() {
+        for (workers, n) in [(1, 5), (3, 64), (8, 2), (4, 0)] {
+            let made = AtomicUsize::new(0);
+            let out = fan_out(workers, n, || {
+                let worker = made.fetch_add(1, Ordering::SeqCst);
+                let mut served = 0usize;
+                move |i| {
+                    served += 1;
+                    Ok::<_, ()>((i, worker, served))
+                }
+            })
+            .unwrap();
+            let made = made.load(Ordering::SeqCst);
+            assert_eq!(made, workers.min(n).max(1), "workers={workers} n={n}");
+            assert!(out.iter().map(|&(i, ..)| i).eq(0..n));
+            // A worker claims indices in increasing order, so in index
+            // order each state's own count reads 1, 2, 3, …
+            let mut next = vec![1usize; made];
+            for &(_, worker, served) in &out {
+                assert_eq!(served, next[worker], "workers={workers} n={n}");
+                next[worker] += 1;
+            }
+        }
+    }
+
+    #[test]
     fn fan_out_returns_the_lowest_failing_index_even_when_it_finishes_last() {
         // Index 1 blocks until index 7 starts. With two workers the other
         // one runs 2..=7 in order, so index 6 has failed and been recorded
         // before index 1 returns.
         let seven_started = std::sync::Barrier::new(2);
-        let out: Result<Vec<usize>, usize> = fan_out(2, 8, |i| {
-            if i == 1 || i == 7 {
-                seven_started.wait();
-            }
-            if i == 1 || i == 6 {
-                Err(i)
-            } else {
-                Ok(i)
+        let out: Result<Vec<usize>, usize> = fan_out(2, 8, || {
+            |i| {
+                if i == 1 || i == 7 {
+                    seven_started.wait();
+                }
+                if i == 1 || i == 6 {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
             }
         });
         assert_eq!(out, Err(1));
@@ -266,7 +308,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker count")]
     fn fan_out_rejects_zero_workers() {
-        let _ = fan_out(0, 3, Ok::<_, ()>);
+        let _ = fan_out(0, 3, || Ok::<_, ()>);
     }
 
     #[test]
@@ -274,10 +316,12 @@ mod tests {
     fn fan_out_propagates_an_item_panic_after_the_other_items_ran() {
         let ran = AtomicUsize::new(0);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fan_out(3, 8, |i| {
-                assert_ne!(i, 2, "item 2");
-                ran.fetch_add(1, Ordering::SeqCst);
-                Ok::<_, ()>(i)
+            fan_out(3, 8, || {
+                |i| {
+                    assert_ne!(i, 2, "item 2");
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    Ok::<_, ()>(i)
+                }
             })
         }));
         // No hang, and the claim lock was never poisoned: the two

@@ -17,8 +17,10 @@ use crate::flight::FlightRecorder;
 ///
 /// `Clone` is the probe's snapshot seam: `Engine::snapshot` clones the
 /// installed probe, so a forked engine resumes with identical counters
-/// and trace state.
-#[derive(Debug, Clone)]
+/// and trace state. `clone_from` overwrites the counter vectors and the
+/// trace ring where they are, which is what makes
+/// `EngineSnapshot::fork_into` free of the ring's reservation.
+#[derive(Debug)]
 pub struct DispatchProbe {
     dispatches: Vec<u64>,
     emitted: Vec<u64>,
@@ -29,6 +31,33 @@ pub struct DispatchProbe {
     /// Evictions inherited from the probes a [`DispatchProbe::merged`]
     /// probe was folded from; zero on a directly-installed probe.
     carried_dropped: u64,
+}
+
+impl Clone for DispatchProbe {
+    fn clone(&self) -> Self {
+        let mut probe = DispatchProbe::new(self.ring.capacity());
+        probe.clone_from(self);
+        probe
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let DispatchProbe {
+            dispatches,
+            emitted,
+            total,
+            first,
+            last,
+            ring,
+            carried_dropped,
+        } = src;
+        self.dispatches.clone_from(dispatches);
+        self.emitted.clone_from(emitted);
+        self.total = *total;
+        self.first = *first;
+        self.last = *last;
+        self.ring.clone_from(ring);
+        self.carried_dropped = *carried_dropped;
+    }
 }
 
 impl DispatchProbe {
@@ -222,6 +251,38 @@ mod tests {
         assert_eq!(probe.trace().count(), 4);
         assert_eq!(probe.trace_dropped(), 0);
         assert_eq!(probe.dispatch_counts(), &[4]);
+    }
+
+    #[test]
+    fn clone_from_overwrites_a_used_probe() {
+        let run = |ring: usize, components: usize, payload: u32| {
+            let mut engine = netfi_sim::Engine::with_probe(DispatchProbe::new(ring));
+            let ids: Vec<_> = (0..components).map(|_| id(&mut engine)).collect();
+            engine.schedule(SimTime::from_ns(5), ids[components - 1], payload);
+            engine.run();
+            engine
+        };
+        let state = |p: &DispatchProbe| {
+            let trace: Vec<_> = p.trace().copied().collect();
+            let emitted: Vec<_> = (0..4).map(|i| p.emitted.get(i).copied()).collect();
+            (
+                p.total(),
+                p.dispatch_counts().to_vec(),
+                emitted,
+                p.first_dispatch(),
+                p.last_dispatch(),
+                trace,
+                p.trace_dropped(),
+            )
+        };
+        let source = run(4, 2, 9);
+        // Fewer and more components, a larger ring that wrapped, a smaller
+        // one that did not: nothing of the target may show through.
+        for mut target in [run(8, 3, 20), run(2, 1, 1), run(4, 2, 0)] {
+            target.probe_mut().clone_from(source.probe());
+            assert_eq!(state(target.probe()), state(source.probe()));
+            assert_eq!(state(target.probe()), state(&source.probe().clone()));
+        }
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //! baseline, and the only difference between two runs is the drawn
 //! fault itself.
 //!
-//! Fan-out is the grid's: `netfi_nftape::runner::fan_out` runs every
-//! point on a fork made by the worker that runs it — at most one resident
-//! engine per worker — and returns the records in draw order. No output
+//! Fan-out is the grid's: `netfi_nftape::runner::fan_out` gives every
+//! worker exactly one resident engine, made when the worker starts and
+//! kept until it ends; each point the worker claims begins by overwriting
+//! that engine whole with a fork of the donor (`WarmedCampaign::fork_into`),
+//! so its buckets, heaps and probe ring are reused, never rebuilt or
+//! freed between points, and nothing a point left behind can reach the
+//! next. Records come back in draw order. No output
 //! byte can depend on the worker count; the campaign
 //! [`fingerprint`](SampledCampaign::fingerprint) is compared across
 //! workers 1/2/8 in `tests/determinism.rs`.
@@ -350,14 +354,16 @@ fn run_baseline(warm: &WarmedCampaign) -> Result<RunEvidence, ScenarioError> {
     finish(engine, warm, t_stream)
 }
 
-/// Runs one drawn point on a fork: program disarmed, stream, arm `Once`
-/// at the drawn instant, run bounded, collect.
+/// Runs one drawn point on `engine`, overwritten with a fork of the donor
+/// first: program disarmed, stream, arm `Once` at the drawn instant, run
+/// bounded, collect.
 fn run_point(
     warm: &WarmedCampaign,
+    engine: &mut Engine<Ev, DispatchProbe>,
     point: &InjectionPoint,
     wire: &[u8],
 ) -> Result<RunEvidence, ScenarioError> {
-    let engine = &mut warm.fork_engine();
+    warm.fork_into(engine);
     let t0 = engine.now();
     let config = point_config(point, wire);
     program_injector(engine, warm.device(), t0, point.dir, &config);
@@ -407,17 +413,20 @@ pub fn sample_warmed(
     warm: &WarmedCampaign,
     opts: &SampleOptions,
 ) -> Result<SampledCampaign, ScenarioError> {
-    let wire = campaign_wire();
+    let wire = &campaign_wire();
     let baseline = run_baseline(warm)?;
     // Point `i` is a pure function of `(seed, i)`, so each worker draws
-    // the points it runs.
-    let records = fan_out(opts.workers, opts.points as usize, |i| {
-        let point = draw_point(opts.seed, i as u64, wire.len(), ARM_SPAN_NS);
-        run_point(warm, &point, &wire).map(|evidence| PointRecord {
-            class: classify(&evidence, &baseline),
-            point,
-            evidence,
-        })
+    // the points it runs, on the one engine it keeps.
+    let records = fan_out(opts.workers, opts.points as usize, || {
+        let mut engine = warm.fork_engine();
+        move |i| {
+            let point = draw_point(opts.seed, i as u64, wire.len(), ARM_SPAN_NS);
+            run_point(warm, &mut engine, &point, wire).map(|evidence| PointRecord {
+                class: classify(&evidence, &baseline),
+                point,
+                evidence,
+            })
+        }
     })?;
     Ok(SampledCampaign {
         seed: opts.seed,
@@ -523,8 +532,10 @@ mod tests {
         let warm = warm_campaign(11).expect("warm donor");
         let wire = campaign_wire();
         let baseline = run_baseline(&warm).expect("baseline");
-        let run = |p: &InjectionPoint| {
-            let evidence = run_point(&warm, p, &wire).expect("point run");
+        // One resident engine for all five points, as a worker keeps it.
+        let mut engine = warm.fork_engine();
+        let mut run = |p: &InjectionPoint| {
+            let evidence = run_point(&warm, &mut engine, p, &wire).expect("point run");
             (classify(&evidence, &baseline), evidence)
         };
         // A word swap on the aligned "Have" window with the CRC repaired:

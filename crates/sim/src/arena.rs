@@ -14,8 +14,9 @@
 //! The arena is storage only: it never reorders slots, so a component's
 //! index — and therefore its sub-tick key stream (see
 //! `crate::engine::tick_key`) — is identical to the old twin-`Vec`
-//! layout, byte for byte. Snapshots deep-copy slots via the derived
-//! `Clone` (each component through [`Component::fork`]); shard
+//! layout, byte for byte. Snapshots deep-copy slots via `Clone` (each
+//! component through [`Component::fork`]; `clone_from` reuses the slot
+//! table of a resident arena); shard
 //! decomposition consumes them via [`ComponentArena::into_slots`] and
 //! rebuilds per-shard arenas with [`ComponentArena::push_slot`],
 //! preserving each counter next to its component.
@@ -45,9 +46,24 @@ pub(crate) struct ArenaSlot<M: 'static> {
 
 /// The dense component table shared by the serial engine, snapshots and
 /// shard decomposition (see the module docs).
-#[derive(Clone)]
 pub(crate) struct ComponentArena<M: 'static> {
     slots: Vec<ArenaSlot<M>>,
+}
+
+impl<M: Clone + 'static> Clone for ComponentArena<M> {
+    fn clone(&self) -> Self {
+        let mut arena = ComponentArena::new();
+        arena.clone_from(self);
+        arena
+    }
+
+    /// Overwrites `self` with `src`, whatever `self` held — more slots,
+    /// fewer, or other components. The slot table keeps its allocation;
+    /// each component is still re-made through [`Component::fork`].
+    fn clone_from(&mut self, src: &Self) {
+        let ComponentArena { slots } = src;
+        self.slots.clone_from(slots);
+    }
 }
 
 impl<M: 'static> ComponentArena<M> {

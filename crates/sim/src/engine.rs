@@ -100,8 +100,8 @@ pub trait Component<M>: 'static + Send + Sync {
     fn fork(&self) -> Box<dyn Component<M>>;
 }
 
-/// What lets the component table, and so the whole executor core, derive
-/// `Clone`.
+/// What lets an `ArenaSlot` derive `Clone`, and so what the component
+/// table's and the executor core's copies are built from.
 impl<M: 'static> Clone for Box<dyn Component<M>> {
     fn clone(&self) -> Self {
         (**self).fork()
@@ -345,10 +345,9 @@ impl<M> Placement<M> for Whole {
 /// One executor: a component table, the wheel that feeds it, a clock and
 /// a probe. The serial [`Engine`] is one core holding every component; a
 /// [`crate::shard::ShardedEngine`] is one core per affinity group.
-/// `Clone` is the one copy behind [`Engine::snapshot`] and
-/// [`EngineSnapshot::fork`]; a copied `stop` is harmless, since every run
-/// entry clears it before reading it.
-#[derive(Clone)]
+/// `Core::copy_from` is the one copy behind [`Engine::snapshot`],
+/// [`EngineSnapshot::fork`] and [`EngineSnapshot::fork_into`]; a copied
+/// `stop` is harmless, since every run entry clears it before reading it.
 pub(crate) struct Core<M: 'static, P: Probe> {
     /// One dense slot per component co-locating the component with its
     /// emission counter (the low half of the sub-tick keys it mints), so
@@ -364,6 +363,22 @@ pub(crate) struct Core<M: 'static, P: Probe> {
     pub(crate) events: u64,
     pub(crate) stop: bool,
     pub(crate) probe: P,
+}
+
+impl<M: Clone + 'static, P: Probe + Clone> Core<M, P> {
+    /// Overwrites every field of `self` with `src`'s, in place: the arena,
+    /// the wheel and the probe keep the storage they have grown. (A core
+    /// is not `Clone`: nothing copies one except into an engine that
+    /// already has one.)
+    fn copy_from(&mut self, src: &Self) {
+        let Core { arena, wheel, now, events, stop, probe } = src;
+        self.arena.clone_from(arena);
+        self.wheel.clone_from(wheel);
+        self.now = *now;
+        self.events = *events;
+        self.stop = *stop;
+        self.probe.clone_from(probe);
+    }
 }
 
 impl<M: 'static, P: Probe> Core<M, P> {
@@ -651,16 +666,25 @@ impl<M: Clone + 'static, P: Probe + Clone> Engine<M, P> {
     /// The canonical use is amortising campaign warm-up: run one engine
     /// to a warmed state, snapshot it once, then
     /// [`fork`](EngineSnapshot::fork) the snapshot into an independent
-    /// runnable engine per failure scenario in O(state), with no
-    /// re-simulation. Each fork replays bit-identically to a fresh run
-    /// that reached the same state (pinned end-to-end by the golden
-    /// export hashes in `tests/determinism.rs`).
+    /// runnable engine per failure scenario — or
+    /// [`fork_into`](EngineSnapshot::fork_into) one engine scenario after
+    /// scenario — with no re-simulation. The copy costs what the engine
+    /// holds (components, queued events, the probe), not what an engine
+    /// is: empty wheel buckets are not visited. Each fork replays
+    /// bit-identically to a fresh run that reached the same state (pinned
+    /// end-to-end by the golden export hashes in `tests/determinism.rs`).
     pub fn snapshot(&self) -> EngineSnapshot<M, P> {
-        EngineSnapshot(Engine {
-            // lint: allow(hot-path-alloc) snapshot capture and fork construction are campaign setup, not the event loop
-            core: self.core.clone(),
-            external_seq: self.external_seq,
-        })
+        // lint: allow(hot-path-alloc) snapshot capture and fork construction are campaign setup, not the event loop
+        let mut copy = Engine::with_probe(self.core.probe.clone());
+        self.copy_into(&mut copy);
+        EngineSnapshot(copy)
+    }
+
+    /// The one engine copy: every field of `self` written over `target`'s.
+    fn copy_into(&self, target: &mut Engine<M, P>) {
+        let Engine { core, external_seq } = self;
+        target.core.copy_from(core);
+        target.external_seq = *external_seq;
     }
 }
 
@@ -668,17 +692,21 @@ impl<M: Clone + 'static, P: Probe + Clone> Engine<M, P> {
 /// runnable engines (see [`Engine::snapshot`]).
 ///
 /// The snapshot is a frozen engine: its own deep copy of every component,
-/// the full timing-wheel state (every field of [`TimingWheel`], by
-/// derive), the clock, the sequence counter, the delivery count, and the
-/// probe. It holds *no* reference back to the donor engine: the donor may
+/// the full timing-wheel state (every field of [`TimingWheel`]), the
+/// clock, the sequence counter, the delivery count, and the probe. It
+/// holds *no* reference back to the donor engine: the donor may
 /// keep running — or be dropped — without affecting any fork taken later.
 ///
 /// The correctness claim — a fork is bit-identical to a fresh run that
 /// reached the same state — rests on the copy carrying *all* state that
 /// can influence future event processing (queues, RNGs, counters, timers,
-/// flow-control flags). The compiler keeps that inventory: every type on
-/// the path, from the executor core down to each component and payload,
-/// derives `Clone`, so growing a struct grows its copy. `SharedBytes`
+/// flow-control flags). The compiler keeps that inventory: every
+/// component, payload and queue entry derives `Clone`, so growing a
+/// struct grows its copy, and the few containers that copy by hand so
+/// they can copy *in place* (the wheel, the component table, the core,
+/// the engine, the flight ring and the dispatch probe) each destructure
+/// their source exhaustively, so a field one of them forgets is a compile
+/// error. `SharedBytes`
 /// clones by reference-count bump, which is a correct fork because the
 /// buffers are copy-on-write; any other shared handle (`Arc` around
 /// interior mutability) would leak state across forks, so component and
@@ -695,15 +723,30 @@ impl<M: 'static, P: Probe> fmt::Debug for EngineSnapshot<M, P> {
 impl<M: Clone + 'static, P: Probe + Clone> EngineSnapshot<M, P> {
     /// Builds an independent runnable [`Engine`] from the captured state.
     ///
-    /// Forking is O(state): components and queued events are deep-copied,
-    /// nothing is re-simulated. The fork resumes at the capture's clock
+    /// Forking is O(occupied state): components, queued events and the
+    /// probe are deep-copied, empty wheel buckets are not visited, nothing
+    /// is re-simulated. The fork resumes at the capture's clock
     /// and sequence counter, so its event trajectory is exactly the
     /// donor's from the capture instant on — until the caller perturbs it
     /// (a failure spec, new stimulus). A stop the donor had requested does
     /// not carry over: every run clears it on entry.
     pub fn fork(&self) -> Engine<M, P> {
-        // A snapshot of the frozen engine, thawed: the same `Core` clone.
+        // A snapshot of the frozen engine, thawed: the same copy.
         self.0.snapshot().0
+    }
+
+    /// [`fork`](EngineSnapshot::fork) into an engine that already exists,
+    /// reusing the storage it has grown: wheel buckets, both heaps, the
+    /// component table and the probe's vectors keep their capacity, so a
+    /// worker that runs one scenario after another on the same engine
+    /// stops allocating for them.
+    ///
+    /// *All* prior state of `target` is overwritten — its components
+    /// (however many it had), every queued event, clock, counters, probe —
+    /// so the result equals a fresh fork whatever `target` ran before,
+    /// including a scenario that failed or panicked half-way.
+    pub fn fork_into(&self, target: &mut Engine<M, P>) {
+        self.0.copy_into(target);
     }
 }
 

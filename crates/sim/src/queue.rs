@@ -46,7 +46,11 @@
 // Push and pop run once per simulated event. The only allocations allowed
 // here are the one-time constructor ones (allowlisted below); buckets and
 // both heaps retain their high-water capacity, so steady state performs
-// no per-event allocation.
+// no per-event allocation. The capacity lives in the wheel, not in its
+// contents: `clone_from` overwrites a resident wheel bucket by bucket and
+// keeps what each bucket had reserved, so a worker that forks a donor into
+// the same engine point after point reaches that steady state too; a
+// fresh `clone()` starts from empty buckets and grows them once.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -145,10 +149,13 @@ struct Slot<T> {
 /// declines (deadline reached) and later schedules *earlier* events —
 /// still at or after the last popped time — stays correct.
 ///
-/// `Clone` is the snapshot copy (see [`crate::engine::EngineSnapshot`]):
-/// every field is copied verbatim, so a clone pops exactly what the
-/// original pops.
-#[derive(Clone)]
+/// `Clone` is the snapshot copy (see [`crate::engine::EngineSnapshot`]),
+/// written by hand so that it costs what the wheel *holds*: `clone_from`
+/// visits only the buckets occupied in the source or in the destination
+/// (the union of the two occupancy bitmaps) and overwrites each in place,
+/// keeping the destination's bucket and heap capacity; `clone` is an
+/// empty wheel plus `clone_from`. Either way the copy pops exactly what
+/// the original pops.
 pub struct TimingWheel<T> {
     /// Fixed-size (not a slice) so `idx & SLOT_MASK` provably fits and
     /// the per-event indexing compiles without bounds checks.
@@ -183,6 +190,45 @@ impl<T> fmt::Debug for TimingWheel<T> {
 impl<T> Default for TimingWheel<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl<T: Clone> Clone for TimingWheel<T> {
+    fn clone(&self) -> Self {
+        let mut wheel = TimingWheel::new();
+        wheel.clone_from(self);
+        wheel
+    }
+
+    /// Overwrites `self` with `src`, whatever `self` held. Leans on the
+    /// occupancy invariant: a slot whose bit is clear has empty `items`
+    /// (and its `sorted` flag is never read before `place` resets it), so
+    /// the slots outside both bitmaps are already equal.
+    fn clone_from(&mut self, src: &Self) {
+        // Exhaustive on purpose: a field added to the wheel must fail to
+        // compile here, not go missing from every snapshot.
+        let TimingWheel { slots, occupied, base, late, overflow, len } = src;
+        for (word, (&theirs, &ours)) in occupied.iter().zip(&self.occupied).enumerate() {
+            let mut bits = theirs | ours;
+            while bits != 0 {
+                let idx = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.slots[idx].items.clone_from(&slots[idx].items);
+                self.slots[idx].sorted = slots[idx].sorted;
+            }
+        }
+        self.occupied = *occupied;
+        self.base = *base;
+        self.late.clone_from(late);
+        self.overflow.clone_from(overflow);
+        self.len = *len;
+        debug_assert_eq!(
+            self.slots.iter().map(|s| s.items.len()).sum::<usize>()
+                + self.late.len()
+                + self.overflow.len(),
+            self.len,
+            "a slot outside both occupancy bitmaps held events"
+        );
     }
 }
 

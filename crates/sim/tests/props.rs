@@ -4,8 +4,9 @@
 
 use netfi_sim::metrics::Summary;
 use netfi_sim::queue::SLOT_PS;
+use netfi_sim::engine::Probe;
 use netfi_sim::{
-    Component, ComponentId, Context, DetRng, Engine, NullProbe, RunBudget, ShardSpec,
+    Component, ComponentId, Context, DetRng, Engine, Fnv1a, NullProbe, RunBudget, ShardSpec,
     ShardedEngine, SimDuration, SimTime, Simulation, TimingWheel,
 };
 use std::any::Any;
@@ -228,15 +229,49 @@ fn wheel_matches_reference_heap() {
     }
 }
 
+/// Drives `wheel` through `ops` steps of the adversarial push/pop stream
+/// of [`wheel_matches_reference_heap`] — cursor-time pushes, sub-bucket
+/// ties, offsets across a few buckets, overflow-spanning offsets — from
+/// the last popped time `now` and the next unused key `seq`, both updated.
+fn churn(rng: &mut DetRng, wheel: &mut TimingWheel<u32>, now: &mut SimTime, seq: &mut u64, ops: usize) {
+    for _ in 0..ops {
+        match rng.gen_index(4) {
+            0..=2 => {
+                let time = match rng.gen_index(4) {
+                    0 => *now,
+                    1 => *now + SimDuration::from_ps(rng.gen_range(0..1 << 10)),
+                    2 => *now + SimDuration::from_ps(rng.gen_range(0..1 << 30)),
+                    // Beyond the wheel span (2^34 ps): overflow path.
+                    _ => *now + SimDuration::from_ps(rng.gen_range(1 << 34..1 << 36)),
+                };
+                wheel.push(time, *seq, *seq as u32);
+                *seq += 1;
+            }
+            _ => {
+                if let Some((t, _, _)) = wheel.pop() {
+                    *now = t;
+                }
+            }
+        }
+    }
+}
+
+/// The cursor's bucket is always sorted and takes only a short run's
+/// worth of pushes in place: 64 more at the cursor time leave the late
+/// heap non-empty.
+fn fill_late(wheel: &mut TimingWheel<u32>, now: SimTime, seq: &mut u64) {
+    for _ in 0..64 {
+        wheel.push(now, *seq, *seq as u32);
+        *seq += 1;
+    }
+}
+
 /// Snapshot round-trip: forking a wheel at an arbitrary point in an
 /// adversarial push/pop stream preserves the exact remaining pop order.
 ///
-/// The stream generator reuses the adversarial patterns of
-/// [`wheel_matches_reference_heap`] — cursor-time pushes, sub-bucket ties,
-/// duplicate timestamps, overflow-spanning offsets — then forks the wheel
-/// mid-stream (after some slots have gone through the lazy-sort path,
-/// some overflow entries have cascaded and the draining bucket has taken
-/// late arrivals) and drains both. The fork must pop
+/// The wheel is forked mid-stream (after some slots have gone through the
+/// lazy-sort path, some overflow entries have cascaded and the draining
+/// bucket has taken late arrivals) and both are drained. The fork must pop
 /// the identical `(time, seq, item)` sequence, and further pushes into the
 /// fork must not disturb the original.
 #[test]
@@ -244,36 +279,10 @@ fn wheel_fork_round_trip_matches_original() {
     let mut rng = DetRng::new(0x7157_000B);
     for _ in 0..CASES {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
-        let mut now = SimTime::ZERO;
-        let mut seq = 0u64;
+        let (mut now, mut seq) = (SimTime::ZERO, 0u64);
         let ops = 32 + rng.gen_index(128);
-        for _ in 0..ops {
-            match rng.gen_index(4) {
-                0..=2 => {
-                    let time = match rng.gen_index(4) {
-                        0 => now,
-                        1 => now + SimDuration::from_ps(rng.gen_range(0..1 << 10)),
-                        2 => now + SimDuration::from_ps(rng.gen_range(0..1 << 30)),
-                        // Beyond the wheel span (2^34 ps): overflow path.
-                        _ => now + SimDuration::from_ps(rng.gen_range(1 << 34..1 << 36)),
-                    };
-                    wheel.push(time, seq, seq as u32);
-                    seq += 1;
-                }
-                _ => {
-                    if let Some((t, _, _)) = wheel.pop() {
-                        now = t;
-                    }
-                }
-            }
-        }
-        // The cursor's bucket is always sorted and takes only a short
-        // run's worth of pushes in place: 64 more at the cursor time
-        // leave the late heap non-empty when the clone is taken.
-        for _ in 0..64 {
-            wheel.push(now, seq, seq as u32);
-            seq += 1;
-        }
+        churn(&mut rng, &mut wheel, &mut now, &mut seq, ops);
+        fill_late(&mut wheel, now, &mut seq);
         let mut fork = wheel.clone();
         assert_eq!(fork.len(), wheel.len());
         assert_eq!(fork.peek_time(), wheel.peek_time());
@@ -294,6 +303,68 @@ fn wheel_fork_round_trip_matches_original() {
             }
         }
         assert!(fork.is_empty());
+    }
+}
+
+/// `clone_from` onto a *dirty* wheel equals `clone()`: whatever the
+/// destination held — another cursor position, late arrivals, overflow
+/// entries, buckets occupied where the source's are empty and the reverse,
+/// sorted flags left over from buckets it drained — the overwritten wheel
+/// pops, peeks and counts exactly like a fresh clone of the source, also
+/// when both take the same further pushes (which land in buckets the copy
+/// never visited).
+///
+/// Source and destination come from independent streams of different
+/// lengths, so their cursors and occupancy differ; one case in four makes
+/// the source empty or nearly so (every destination bucket must be
+/// cleared), one in four the destination (the `clone()` case).
+#[test]
+fn wheel_clone_from_onto_a_dirty_wheel_matches_clone() {
+    let mut rng = DetRng::new(0x7157_000C);
+    let random_wheel = |rng: &mut DetRng, ops: usize, late: bool| {
+        let mut wheel: TimingWheel<u32> = TimingWheel::new();
+        let (mut now, mut seq) = (SimTime::ZERO, 1u64 << 32);
+        churn(rng, &mut wheel, &mut now, &mut seq, ops);
+        if late {
+            fill_late(&mut wheel, now, &mut seq);
+        }
+        (wheel, now, seq)
+    };
+    for case in 0..CASES {
+        let src_ops = if case % 4 == 0 { rng.gen_index(3) } else { 32 + rng.gen_index(256) };
+        let dst_ops = if case % 4 == 1 { rng.gen_index(3) } else { 32 + rng.gen_index(256) };
+        let (src, now, mut seq) = random_wheel(&mut rng, src_ops, case % 2 == 0);
+        let (mut dirty, ..) = random_wheel(&mut rng, dst_ops, case % 3 != 0);
+        let mut fresh = src.clone();
+        dirty.clone_from(&src);
+        assert_eq!(dirty.len(), src.len());
+        assert_eq!(dirty.len(), fresh.len());
+        assert_eq!(dirty.peek_time(), fresh.peek_time());
+        // Pop a little, push the same entries into both, drain both.
+        let mut at = now;
+        for step in 0..rng.gen_index(24) {
+            if step % 3 == 0 {
+                let (want, got) = (fresh.pop(), dirty.pop());
+                assert_eq!(got, want, "pop diverged");
+                at = want.map_or(at, |(t, _, _)| t);
+            } else {
+                let time = at + SimDuration::from_ps(rng.gen_range(0..1 << (10 + 6 * (step % 5))));
+                fresh.push(time, seq, 7);
+                dirty.push(time, seq, 7);
+                seq += 1;
+            }
+            assert_eq!(dirty.peek_time(), fresh.peek_time(), "peek diverged");
+            assert_eq!(dirty.len(), fresh.len(), "len diverged");
+        }
+        loop {
+            let want = fresh.pop();
+            assert_eq!(dirty.pop(), want, "drain diverged");
+            if want.is_none() {
+                break;
+            }
+        }
+        assert!(dirty.is_empty());
+        assert_eq!(dirty.peek_time(), None);
     }
 }
 
@@ -360,6 +431,19 @@ struct Relay {
     seen: Vec<(SimTime, u64)>,
 }
 
+impl Relay {
+    /// An unwired relay with its own jitter stream.
+    fn boxed(seed: u64, lookahead: SimDuration) -> Box<Relay> {
+        Box::new(Relay {
+            next: None,
+            rng: DetRng::new(seed),
+            lookahead,
+            last_arrival: SimTime::ZERO,
+            seen: Vec::new(),
+        })
+    }
+}
+
 impl Component<u64> for Relay {
     fn on_event(&mut self, ctx: &mut Context<'_, u64>, payload: u64) {
         self.seen.push((ctx.now(), payload));
@@ -412,15 +496,7 @@ fn sharded_engine_matches_serial_on_random_topologies() {
             let mut engine: Engine<u64> = Engine::new();
             let ids: Vec<ComponentId> = seeds
                 .iter()
-                .map(|&s| {
-                    engine.add_component(Box::new(Relay {
-                        next: None,
-                        rng: DetRng::new(s),
-                        lookahead,
-                        last_arrival: SimTime::ZERO,
-                        seen: Vec::new(),
-                    }))
-                })
+                .map(|&s| engine.add_component(Relay::boxed(s, lookahead)))
                 .collect();
             for (i, id) in ids.iter().enumerate() {
                 engine.component_as_mut::<Relay>(*id).unwrap().next = Some(ids[succ[i]]);
@@ -485,6 +561,122 @@ fn sharded_engine_matches_serial_on_random_topologies() {
                 (cut.run_budgeted(budget), cut.events_processed(), cut.now(), cut.pending_events()),
                 "one shard diverged at workers={workers}, max_events={cap}"
             );
+        }
+    }
+}
+
+/// A probe with growable state, so an in-place copy has something to get
+/// wrong: per-component dispatch counts, a total, and a running hash of
+/// every `(time, destination, emitted)` — the event trace.
+#[derive(Debug, Clone)]
+struct TraceProbe {
+    per_component: Vec<u64>,
+    total: u64,
+    trace: Fnv1a,
+}
+
+impl Probe for TraceProbe {
+    fn on_dispatch(&mut self, _now: SimTime, dst: ComponentId, _events: u64) {
+        if self.per_component.len() <= dst.index() {
+            self.per_component.resize(dst.index() + 1, 0);
+        }
+        self.per_component[dst.index()] += 1;
+        self.total += 1;
+    }
+    fn on_deliver(&mut self, now: SimTime, dst: ComponentId, emitted: usize) {
+        self.trace.write_u64(now.as_ps());
+        self.trace.write_u64(dst.index() as u64);
+        self.trace.write_u64(emitted as u64);
+    }
+}
+
+/// Everything a replay can be told apart by.
+fn replay_state(engine: &Engine<u64, TraceProbe>) -> (u64, u64, SimTime, usize, Vec<u64>, u64) {
+    let probe = engine.probe();
+    (
+        probe.trace.finish(),
+        engine.events_processed(),
+        engine.now(),
+        engine.pending_events(),
+        probe.per_component.clone(),
+        probe.total,
+    )
+}
+
+/// `fork_into` overwrites *everything*: onto an engine that already ran a
+/// different perturbation to a different clock, onto one with more
+/// components and onto one with none, the replay of a perturbation has the
+/// event-trace hash, event count, clock, pending count, probe totals and
+/// per-component logs of a fresh `fork()` — and an unperturbed fork still
+/// equals the donor running on.
+#[test]
+fn fork_into_a_used_engine_replays_like_a_fresh_fork() {
+    let mut rng = DetRng::new(0x7157_000D);
+    let probe = || TraceProbe { per_component: Vec::new(), total: 0, trace: Fnv1a::new() };
+    let ring = |rng: &mut DetRng, n: usize| {
+        let mut engine = Engine::with_probe(probe());
+        let ids: Vec<ComponentId> = (0..n)
+            .map(|_| {
+                let lookahead = SimDuration::from_ps(64 + rng.gen_range(0..1 << 16));
+                engine.add_component(Relay::boxed(rng.next_u64(), lookahead))
+            })
+            .collect();
+        for (i, id) in ids.iter().enumerate() {
+            engine.component_as_mut::<Relay>(*id).unwrap().next = Some(ids[(i + 1) % n]);
+        }
+        (engine, ids)
+    };
+    for _ in 0..64 {
+        let n = 2 + rng.gen_index(7);
+        let (mut donor, ids) = ring(&mut rng, n);
+        for (k, &id) in ids.iter().enumerate().take(1 + rng.gen_index(n)) {
+            donor.schedule(SimTime::from_ps(k as u64), id, 64 + rng.gen_range(0..64));
+        }
+        // Far enough ahead to sit in the overflow heap at the capture.
+        donor.schedule(SimTime::from_ms(30), ids[0], 5);
+        donor.run_until(SimTime::from_us(1 + rng.gen_range(0..8)));
+        let snap = donor.snapshot();
+        let deadline = SimTime::from_ms(40);
+
+        // (c) An unperturbed fork is the donor.
+        let mut plain = snap.fork();
+        plain.run_until(deadline);
+        donor.run_until(deadline);
+        assert_eq!(replay_state(&plain), replay_state(&donor));
+
+        // The perturbation every replay below applies.
+        let extra = (snap.now() + SimDuration::from_ps(rng.gen_range(0..1 << 22)), ids[rng.gen_index(n)]);
+        let replay = |engine: &mut Engine<u64, TraceProbe>| {
+            engine.schedule(extra.0, extra.1, 17);
+            engine.run_until(deadline);
+            let logs: Vec<_> = ids
+                .iter()
+                .map(|&id| engine.component_as::<Relay>(id).unwrap().seen.clone())
+                .collect();
+            (replay_state(engine), logs)
+        };
+        let want = replay(&mut snap.fork());
+        assert_ne!(want.0, replay_state(&donor), "the perturbation must show");
+
+        // Onto a fork that ran another perturbation to another clock.
+        let mut used = snap.fork();
+        used.schedule(snap.now(), ids[0], 9);
+        used.schedule(SimTime::from_ms(90), ids[n - 1], 3);
+        used.run_until(SimTime::from_ms(50 + rng.gen_range(0..50)));
+        // Onto an engine of another campaign with more components, mid-run.
+        let more = n + 1 + rng.gen_index(4);
+        let (mut bigger, other) = ring(&mut rng, more);
+        bigger.schedule(SimTime::ZERO, other[0], 40);
+        bigger.run_until(SimTime::from_ns(200));
+        // Onto an engine with no components at all.
+        let empty = Engine::with_probe(probe());
+        for mut target in [used, bigger, empty] {
+            snap.fork_into(&mut target);
+            assert_eq!(target.component_count(), n);
+            assert_eq!(replay(&mut target), want);
+            // And again on the same engine: a worker's second item.
+            snap.fork_into(&mut target);
+            assert_eq!(replay(&mut target), want);
         }
     }
 }
