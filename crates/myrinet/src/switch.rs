@@ -15,6 +15,29 @@
 //! GAP" — until a GAP arrives on the same input or the long-period timeout
 //! (~4 million character periods, ≈50 ms at 80 MB/s) fires and the path is
 //! reclaimed (§4.3.1).
+//!
+//! # Arbitration
+//!
+//! The crossbar is arbitrated round-robin over the inputs, and the arbiter
+//! is event-driven: it looks only at inputs that something has *woken*.
+//! Three words carry that. `occupied` has a bit per input whose queue is
+//! non-empty. `want[i]` caches the output the head packet of input `i` asks
+//! for — one cache line for 64 inputs, rewritten only when a head changes
+//! (a push into an empty queue, a pop). `candidates` has a bit per input
+//! that *may* be actionable. A bit is set by exactly what can make a head
+//! actionable: the packet becoming the head of its input (that one bit);
+//! output `p` possibly becoming free — `TX_DONE(p)`, GO on `p`,
+//! `STOP_TIMEOUT(p)`, a GAP or `HOLD_RELEASE` releasing `p`, a flow symbol
+//! pumped out of `p` — which wakes the occupied inputs with `want[i] == p`;
+//! and [`Switch::sever_port`] / `attach_port`, which wake every occupied
+//! input. `service` takes the first candidate in cyclic order from the
+//! round-robin cursor, tries it, and clears its bit when it cannot move.
+//! An attempt that does not move a packet changes nothing, and
+//! `candidates` is always a superset of the actionable inputs, so the first
+//! candidate that moves is the first actionable input from the cursor: the
+//! forwarding order is that of a walk over every input, at the cost of the
+//! inputs that were woken. Debug builds check the superset after every
+//! event; [`Switch::arbitration`] counts the attempts.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -81,6 +104,25 @@ pub struct SwitchStats {
     pub severed_drops: u64,
 }
 
+/// What arbitrating the crossbar cost, as counts that repeat exactly for a
+/// seed. Not part of [`SwitchStats`]: the fabric digests hash that struct.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Arbitration {
+    /// Runs of the arbiter: one per event that could free an output or
+    /// change the head of an input.
+    pub service_calls: u64,
+    /// Head-of-line inspections (`try_forward` calls), moved or not.
+    pub attempts: u64,
+}
+
+/// `want` of a head packet that has no route byte.
+const NO_OUTPUT: u8 = u8::MAX;
+
+/// The output port `head` asks for: its route byte less the switch flag.
+fn wanted_output(head: &PacketFrame) -> u8 {
+    wire::peek_route_byte(&head.bytes).map_or(NO_OUTPUT, |b| b & !ROUTE_SWITCH_FLAG)
+}
+
 #[derive(Debug, Clone)]
 struct InputPort {
     sbuf: SlackBuffer,
@@ -112,6 +154,18 @@ pub struct Switch {
     config: SwitchConfig,
     stats: SwitchStats,
     rr_cursor: usize,
+    /// Inputs whose queue is non-empty, bit `i` for input `i`.
+    occupied: u64,
+    /// The output the head packet of each occupied input asks for
+    /// ([`NO_OUTPUT`] if it has no route byte); stale for an empty input.
+    want: [u8; 64],
+    /// Inputs that may be actionable: a superset of the inputs whose head
+    /// [`try_forward`](Switch::try_forward) would move or drop.
+    candidates: u64,
+    arbitration: Arbitration,
+    /// Arbitrate by the linear walk, the oracle of the differential test.
+    #[cfg(test)]
+    by_walk: bool,
     /// Observability recorder (scope `"switch"`). Disarmed by default, so
     /// plain simulations pay a `None` branch per drop and nothing else.
     obs: Recorder,
@@ -148,6 +202,12 @@ impl Switch {
             config,
             stats: SwitchStats::default(),
             rr_cursor: 0,
+            occupied: 0,
+            want: [NO_OUTPUT; 64],
+            candidates: 0,
+            arbitration: Arbitration::default(),
+            #[cfg(test)]
+            by_walk: false,
             obs: Recorder::disarmed(),
         }
     }
@@ -177,6 +237,11 @@ impl Switch {
         self.stats
     }
 
+    /// What arbitration has cost so far.
+    pub fn arbitration(&self) -> Arbitration {
+        self.arbitration
+    }
+
     /// Slack-buffer overflow count summed over inputs.
     pub fn total_sbuf_overflows(&self) -> u64 {
         self.inputs.iter().map(|i| i.sbuf.overflows()).sum()
@@ -201,6 +266,7 @@ impl Switch {
     /// Panics if `port` is out of range.
     pub fn sever_port(&mut self, port: u8) {
         self.severed[port as usize] = true;
+        self.candidates |= self.occupied;
     }
 
     /// Whether `port` has been severed.
@@ -221,6 +287,7 @@ impl Switch {
             Some(ControlSymbol::Stop) => self.egress[port].on_flow(ctx, ControlSymbol::Stop),
             Some(ControlSymbol::Go) => {
                 self.egress[port].on_flow(ctx, ControlSymbol::Go);
+                self.wake_output(port);
                 self.service(ctx);
             }
             Some(ControlSymbol::Gap) => {
@@ -235,6 +302,7 @@ impl Switch {
                     self.egress[out as usize].release(ctx);
                     self.stats.gap_releases += 1;
                     self.obs.instant(ctx.now(), "switch", "gap_release", u64::from(out));
+                    self.wake_output(out as usize);
                 }
                 self.service(ctx);
             }
@@ -277,6 +345,8 @@ impl Switch {
                         self.egress[out as usize].release(ctx);
                         self.stats.gap_releases += 1;
                         self.obs.instant(ctx.now(), "switch", "gap_release", u64::from(out));
+                        self.wake_output(out as usize);
+                        self.service(ctx);
                     }
                 }
                 return;
@@ -293,15 +363,11 @@ impl Switch {
                 input.awaiting_gap = true;
             }
             input.queue.push_back(pf);
-            if let Some(sym) = input.sbuf.poll_flow() {
-                match sym {
-                    ControlSymbol::Stop => self.obs.begin(ctx.now(), "switch", "stopped", port as u64),
-                    ControlSymbol::Go => self.obs.end(ctx.now(), "switch", "stopped", port as u64),
-                    _ => {}
-                }
-                self.egress[port].enqueue_control(ctx, sym.encode());
+            if input.queue.len() == 1 {
+                self.head_changed(port);
             }
         }
+        self.poll_flow(ctx, port);
         self.arm_stop_refresh(ctx, port);
         self.service(ctx);
     }
@@ -335,10 +401,35 @@ impl Switch {
         }
     }
 
-    /// Moves forwardable packets from input queues to output ports,
-    /// round-robin over inputs. After each successful forward the scan
-    /// restarts at the next input, so no input can monopolize an output.
+    /// Arbitrates the crossbar: moves every packet that can move, round-robin
+    /// over the inputs. Each turn goes to the first candidate in cyclic
+    /// order from the cursor; one that moves (forwarded or dropped) puts the
+    /// cursor just past itself, so no input can monopolize an output, and
+    /// stays a candidate for its next head; one that cannot move leaves the
+    /// set until something wakes it (module header, "Arbitration").
     fn service(&mut self, ctx: &mut Context<'_, Ev>) {
+        #[cfg(test)]
+        if self.by_walk {
+            return self.service_by_walk(ctx);
+        }
+        self.arbitration.service_calls += 1;
+        while self.candidates != 0 {
+            let ahead = self.candidates & (u64::MAX << self.rr_cursor);
+            let first = if ahead != 0 { ahead } else { self.candidates };
+            let i = first.trailing_zeros() as usize;
+            if self.try_forward(ctx, i) {
+                self.rr_cursor = (i + 1) % self.inputs.len();
+                self.head_changed(i);
+            } else {
+                self.candidates &= !(1 << i);
+            }
+        }
+    }
+
+    /// The parent of `service`: a walk over every input from the cursor,
+    /// started again after each packet that moves.
+    #[cfg(test)]
+    fn service_by_walk(&mut self, ctx: &mut Context<'_, Ev>) {
         let nports = self.inputs.len();
         let mut progress = true;
         while progress {
@@ -348,6 +439,7 @@ impl Switch {
                 let i = (start + offset) % nports;
                 if self.try_forward(ctx, i) {
                     self.rr_cursor = (i + 1) % nports;
+                    self.head_changed(i);
                     progress = true;
                     break;
                 }
@@ -355,9 +447,71 @@ impl Switch {
         }
     }
 
-    /// Attempts to forward the head packet of input `i`. Returns `true` on
-    /// progress (including drops).
+    /// Input `i` has a new head packet, or none: refreshes its three
+    /// arbitration entries. A new head is a candidate.
+    fn head_changed(&mut self, i: usize) {
+        let bit = 1u64 << i;
+        match self.inputs[i].queue.front() {
+            Some(head) => {
+                self.want[i] = wanted_output(head);
+                self.occupied |= bit;
+                self.candidates |= bit;
+            }
+            None => {
+                self.occupied &= !bit;
+                self.candidates &= !bit;
+            }
+        }
+    }
+
+    /// Output `p` may have become free: every input whose head asks for it
+    /// is a candidate again.
+    fn wake_output(&mut self, p: usize) {
+        let mut waiting = self.occupied;
+        while waiting != 0 {
+            let i = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            if usize::from(self.want[i]) == p {
+                self.candidates |= 1 << i;
+            }
+        }
+    }
+
+    /// The debug-build invariant the equivalence with the walk rests on:
+    /// `occupied` and `want` agree with the queues, and every input whose
+    /// head `try_forward` would move or drop is a candidate.
+    fn check_arbitration(&self) {
+        let name = &self.name;
+        for (i, input) in self.inputs.iter().enumerate() {
+            let occupied = self.occupied >> i & 1 != 0;
+            assert_eq!(occupied, !input.queue.is_empty(), "{name}: occupied, input {i}");
+            let Some(head) = input.queue.front() else {
+                continue;
+            };
+            assert_eq!(self.want[i], wanted_output(head), "{name}: want, input {i}");
+            let out = usize::from(self.want[i]);
+            let actionable = out >= self.egress.len()
+                || self.severed[out]
+                || !self.egress[out].is_attached()
+                || self.output_ready(out);
+            let woken = self.candidates >> i & 1 != 0;
+            assert!(woken || !actionable, "{name}: input {i} can move to {out}, not woken");
+        }
+    }
+
+    /// Whether output `out` takes a packet now: idle, in GO state and not
+    /// held.
+    fn output_ready(&self, out: usize) -> bool {
+        let eg = &self.egress[out];
+        !eg.is_held() && eg.flow_state() == FlowState::Go && eg.queue_len() == 0
+    }
+
+    /// Attempts to forward the head packet of input `i`. Returns `true` if
+    /// it left the input — forwarded, or dropped as malformed, misrouted or
+    /// bound for a severed port — and `false`, having changed nothing but
+    /// the attempt count, if the input is empty or its output is not ready.
     fn try_forward(&mut self, ctx: &mut Context<'_, Ev>, i: usize) -> bool {
+        self.arbitration.attempts += 1;
         let Some(head) = self.inputs[i].queue.front() else {
             return false;
         };
@@ -396,8 +550,7 @@ impl Switch {
         // Backpressure: forward only when the output is idle, in GO state
         // and not held, so congestion accumulates in the input slack buffer
         // and propagates STOP upstream.
-        let eg = &self.egress[out];
-        if eg.is_held() || eg.flow_state() != FlowState::Go || eg.queue_len() > 0 {
+        if !self.output_ready(out) {
             return false;
         }
         let Some(pf) = self.inputs[i].queue.pop_front() else {
@@ -444,6 +597,13 @@ impl Switch {
 
     fn drain_input(&mut self, ctx: &mut Context<'_, Ev>, i: usize, chars: usize) {
         self.inputs[i].sbuf.drain(chars);
+        self.poll_flow(ctx, i);
+    }
+
+    /// Sends upstream the STOP or GO that input `i`'s slack buffer owes its
+    /// sender, if any. The symbol leaves through output `i`, whose pump may
+    /// start a queued packet on the way and so free the output.
+    fn poll_flow(&mut self, ctx: &mut Context<'_, Ev>, i: usize) {
         if let Some(sym) = self.inputs[i].sbuf.poll_flow() {
             match sym {
                 ControlSymbol::Stop => self.obs.begin(ctx.now(), "switch", "stopped", i as u64),
@@ -451,6 +611,7 @@ impl Switch {
                 _ => {}
             }
             self.egress[i].enqueue_control(ctx, sym.encode());
+            self.wake_output(i);
         }
     }
 
@@ -460,10 +621,12 @@ impl Switch {
         match class {
             timer_class::TX_DONE => {
                 self.egress[port].on_tx_done(ctx);
+                self.wake_output(port);
                 self.service(ctx);
             }
             timer_class::STOP_TIMEOUT => {
                 self.egress[port].on_stop_timeout(ctx, gen);
+                self.wake_output(port);
                 self.service(ctx);
             }
             timer_class::STOP_REFRESH => {
@@ -471,6 +634,7 @@ impl Switch {
                 if self.inputs[port].sbuf.upstream_stopped() {
                     self.egress[port]
                         .enqueue_control(ctx, ControlSymbol::Stop.encode());
+                    self.wake_output(port);
                     self.arm_stop_refresh(ctx, port);
                 }
             }
@@ -487,6 +651,7 @@ impl Switch {
                             input.awaiting_gap = false;
                         }
                     }
+                    self.wake_output(port);
                     self.service(ctx);
                 }
             _ => {}
@@ -497,6 +662,7 @@ impl Switch {
 impl Attach for Switch {
     fn attach_port(&mut self, port: u8, peer: PortPeer) {
         self.egress[port as usize].attach(peer);
+        self.candidates |= self.occupied;
     }
 }
 
@@ -521,6 +687,9 @@ impl Component<Ev> for Switch {
             Ev::Timer { kind, gen } => self.on_timer(ctx, kind, gen),
             _ => {}
         }
+        if cfg!(debug_assertions) {
+            self.check_arbitration();
+        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -542,7 +711,7 @@ mod tests {
     use crate::event::connect;
     use crate::packet::{route_to_host, route_to_switch, Packet, PacketType};
     use netfi_phy::Link;
-    use netfi_sim::{ComponentId, Engine, SimTime};
+    use netfi_sim::{ComponentId, DetRng, Engine, SimTime};
 
     /// A host-like endpoint that records everything it receives and can be
     /// told to send packets.
@@ -844,5 +1013,194 @@ mod tests {
         assert!(h1.rx_packets.is_empty());
         let h2 = engine.component_as::<Endpoint>(hosts[2]).unwrap();
         assert_eq!(h2.rx_packets.len(), 1);
+    }
+
+    /// The framing casualty's own GAP releases the held output (§4.3.1); a
+    /// packet queued for that output leaves at that instant, not at some
+    /// later unrelated event. (The long-timeout timer it would otherwise
+    /// wait for is stale by then and arbitrates nothing.)
+    #[test]
+    fn framing_casualty_gap_release_rearbitrates() {
+        let (mut engine, sw, hosts) = three_host_net();
+        let mut f = data_packet(1, b"no gap");
+        if let Frame::Packet(pf) = &mut f {
+            pf.terminator = None;
+        }
+        send_from(&mut engine, hosts[0], f);
+        engine.run_until(SimTime::from_us(100));
+        assert!(engine.component_as::<Switch>(sw).unwrap().output_held(1));
+        send_from(&mut engine, hosts[2], data_packet(1, b"queued"));
+        engine.run_until(SimTime::from_us(200));
+        let h1 = engine.component_as::<Endpoint>(hosts[1]).unwrap();
+        assert_eq!(h1.rx_packets.len(), 1, "second packet must be blocked");
+        // Host 0's next packet is lost to framing, and its GAP frees output 1.
+        send_from(&mut engine, hosts[0], data_packet(2, b"casualty"));
+        engine.run_until(SimTime::from_us(300));
+        let s = engine.component_as::<Switch>(sw).unwrap();
+        assert_eq!((s.stats().framing_drops, s.stats().gap_releases), (1, 1));
+        assert!(!s.output_held(1));
+        let h1 = engine.component_as::<Endpoint>(hosts[1]).unwrap();
+        assert_eq!(h1.rx_packets.len(), 2, "queued packet leaves at the release");
+    }
+
+    /// The far end of every wired port of a switch under test: logs what
+    /// the switch sends, in the order it sent it.
+    #[derive(Clone, Default)]
+    struct Tap {
+        seen: Vec<(SimTime, u8, Frame)>,
+    }
+
+    impl Component<Ev> for Tap {
+        fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
+            if let Ev::Rx { port, frame } = ev {
+                self.seen.push((ctx.now(), port, frame));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn fork(&self) -> Box<dyn Component<Ev>> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// One character period at 640 Mb/s. Stimuli sit on this grid, so they
+    /// often share an instant with each other and with a `TX_DONE`.
+    const CHAR_PS: u64 = 12_500;
+
+    /// A random packet for a switch of `n` ports: mostly to the `hot`
+    /// output, sometimes to an unwired or out-of-range one, sometimes
+    /// switch-bound (stripped), unterminated, or too short to strip.
+    fn random_packet(rng: &mut DetRng, n: u64, hot: u8) -> PacketFrame {
+        let out = if rng.gen_bool(0.6) { hot } else { rng.gen_range(0..n + 2) as u8 };
+        let route = if rng.gen_bool(0.3) { out | ROUTE_SWITCH_FLAG } else { out };
+        let mut bytes = vec![0; rng.gen_range(1..32) as usize];
+        rng.fill_bytes(&mut bytes);
+        bytes[0] = route;
+        let mut pf = PacketFrame::new(bytes);
+        if rng.gen_bool(0.04) {
+            pf.terminator = None;
+        }
+        pf
+    }
+
+    /// A seeded stimulus stream: single packets, same-instant bursts from
+    /// many inputs, STOP / GO / GAP on random ports, late GAPs behind
+    /// unterminated packets, and heads with no route byte at all.
+    fn random_stimuli(rng: &mut DetRng, ports: usize) -> Vec<(SimTime, Ev)> {
+        let n = ports as u64;
+        let hot = rng.gen_range(0..n - 1) as u8;
+        let at = |chars: u64| SimTime::from_ps(chars * CHAR_PS);
+        let rx = |port, frame| Ev::Rx { port, frame };
+        let mut chars = 0;
+        let mut stimuli = Vec::new();
+        for _ in 0..rng.gen_range(150..350) {
+            chars += rng.gen_range(0..12);
+            let port = rng.gen_range(0..n) as u8;
+            match rng.gen_range(0..100) {
+                0..=3 => {
+                    for k in 0..rng.gen_range(2..n + 1) {
+                        let port = ((u64::from(port) + k) % n) as u8;
+                        let frame = Frame::Packet(random_packet(rng, n, hot));
+                        stimuli.push((at(chars), rx(port, frame)));
+                    }
+                }
+                4..=69 => {
+                    let pf = random_packet(rng, n, hot);
+                    // Half the unterminated packets get their GAP late.
+                    if !pf.gap_terminated() && rng.gen_bool(0.5) {
+                        let late = at(chars + rng.gen_range(20..200));
+                        stimuli.push((late, rx(port, Frame::control(ControlSymbol::Gap))));
+                    }
+                    stimuli.push((at(chars), rx(port, Frame::Packet(pf))));
+                }
+                70..=96 => {
+                    let sym = [ControlSymbol::Stop, ControlSymbol::Go, ControlSymbol::Gap];
+                    stimuli.push((at(chars), rx(port, Frame::control(sym[rng.gen_index(3)]))));
+                }
+                _ => stimuli.push((at(chars), rx(port, Frame::packet(Vec::new())))),
+            }
+        }
+        stimuli
+    }
+
+    /// What the test compares after each event: the clock, the cursor, the
+    /// counters, each input's queue length, and what has been sent so far.
+    fn observe(
+        engine: &Engine<Ev>,
+        sw: ComponentId,
+        tap: ComponentId,
+    ) -> impl PartialEq + std::fmt::Debug + '_ {
+        let s = engine.component_as::<Switch>(sw).unwrap();
+        let sent = &engine.component_as::<Tap>(tap).unwrap().seen;
+        let queued: Vec<_> = s.inputs.iter().map(|i| i.queue.len()).collect();
+        (engine.now(), s.rr_cursor, s.stats, queued, sent.len(), sent.last())
+    }
+
+    /// Drives two clones of one switch with one stimulus stream, the first
+    /// arbitrating from the wake list and the second by the walk, and
+    /// compares them after every event. The line printed first is the
+    /// one-line regression test of a failure.
+    fn differential_case(seed: u64, ports: usize) {
+        println!("differential_case({seed:#x}, {ports});");
+        let mut rng = DetRng::new(seed);
+        // A short long-period timeout, and in one case of three slack
+        // buffers small enough to be in STOP for most of the run (a stopped
+        // input repeats its STOP every 12 characters, which is most of that
+        // case's events).
+        let high = [64, 512, 4096][rng.gen_index(3)];
+        let config = SwitchConfig {
+            sbuf_capacity: 3 * high,
+            sbuf_high: high,
+            sbuf_low: high / 4,
+            long_timeout: SimDuration::from_ns(600),
+        };
+        let mut engines = [Engine::<Ev>::new(), Engine::<Ev>::new()];
+        let tap = engines.each_mut().map(|e| e.add_component(Box::new(Tap::default())))[0];
+        // The last port stays unwired: a route byte naming it is a misroute.
+        let mut switch = Switch::new("dut", ports, config);
+        for p in 0..ports as u8 - 1 {
+            let link = Link::myrinet_640(1.0);
+            switch.attach_port(p, PortPeer { dst: tap, dst_port: p, link });
+        }
+        let mut oracle = switch.clone();
+        oracle.by_walk = true;
+        let [a, b] = &mut engines;
+        let sw = a.add_component(Box::new(switch));
+        assert_eq!(sw, b.add_component(Box::new(oracle)));
+        for (at, ev) in random_stimuli(&mut rng, ports) {
+            a.schedule(at, sw, ev.clone());
+            b.schedule(at, sw, ev);
+        }
+        // In half the cases a cable is cut somewhere in the run.
+        let sever = rng
+            .gen_bool(0.5)
+            .then(|| (rng.gen_range(0..2_000), rng.gen_index(ports) as u8));
+        for step in 0..1_000_000 {
+            if let Some((_, port)) = sever.filter(|&(at, _)| at == step) {
+                for engine in [&mut *a, &mut *b] {
+                    engine.component_as_mut::<Switch>(sw).unwrap().sever_port(port);
+                }
+            }
+            let more = (a.step(), b.step());
+            assert_eq!(more.0, more.1, "step {step}: one switch has an event left");
+            // Each thing sent is the tap's last entry after one step, so
+            // this compares the whole sequence.
+            assert_eq!(observe(a, sw, tap), observe(b, sw, tap), "step {step}");
+            if !more.0 {
+                return;
+            }
+        }
+        panic!("the switch never drained");
+    }
+
+    #[test]
+    fn wake_list_arbitration_forwards_exactly_as_the_walk() {
+        for case in 0..256 {
+            differential_case(0xA2B1_7000 + case, if case % 4 == 3 { 64 } else { 8 });
+        }
     }
 }
