@@ -4,13 +4,12 @@
 //! protocol crates must replay bit-identically, so they may not read wall
 //! clocks, the process environment, or iterate unordered collections. The
 //! campaign driver (`nftape`) is held to the same standard — its parallel
-//! runner promises worker-count-independent output — with its two
-//! sanctioned exceptions (scoped fan-out threads, the NETFI_DEBUG stderr
-//! switch) justified by allow-comments at the call sites rather than a
-//! blanket waiver here. The bench harness exists to read the wall clock.
-//! The table below is the single source of truth; unknown crates get the
-//! full rule set so new code starts strict and opts out here, visibly, if
-//! it must.
+//! runner promises worker-count-independent output — with its one
+//! sanctioned exception (scoped fan-out threads) justified by an
+//! allow-comment at the call site rather than a blanket waiver here. The
+//! bench harness exists to read the wall clock. The table below is the
+//! single source of truth; unknown crates get the full rule set so new
+//! code starts strict and opts out here, visibly, if it must.
 //!
 //! The `determinism` flag also covers `relaxed-atomic` (an
 //! `Ordering::Relaxed` cannot justify a byte-identity argument across
@@ -53,11 +52,10 @@ pub fn policy_for(crate_name: &str) -> Policy {
         // nftape is in the determinism scope too: the parallel campaign
         // runner's whole contract is that worker count cannot change an
         // output byte, so wall clocks, unordered iteration and stray
-        // threads are bugs there like anywhere on the replay path. Its two
-        // deliberate exceptions — scoped fan-out workers and the
-        // NETFI_DEBUG stderr switch — carry allow-comments at the call
-        // sites, where the justification lives next to the code and counts
-        // against the suppression budget.
+        // threads are bugs there like anywhere on the replay path. Its one
+        // deliberate exception — scoped fan-out workers — carries an
+        // allow-comment at the call site, where the justification lives
+        // next to the code and counts against the suppression budget.
         "nftape" => Policy::STRICT,
         // The statistical sampler makes the same promise one level up:
         // a sampled campaign's fingerprint is a pure function of
@@ -119,8 +117,8 @@ mod tests {
     fn nftape_is_fully_strict() {
         // The parallel campaign runner promises byte-identical output for
         // any worker count; that promise is hollow if the crate may read
-        // clocks or the environment. Its two sanctioned escapes (scoped
-        // fan-out, NETFI_DEBUG) are allow-comments, not a policy hole.
+        // clocks or the environment. Its one sanctioned escape (scoped
+        // fan-out) is an allow-comment, not a policy hole.
         assert_eq!(policy_for("nftape"), Policy::STRICT);
     }
 

@@ -92,22 +92,22 @@ fn workspace_has_no_lint_violations() {
 
     // Suppressions are budgeted: every one is a reviewed escape hatch, and
     // this ceiling keeps the count from silently creeping. The floor pins
-    // that nftape's thread-spawn and env-access allowlist entries are
-    // actually being counted here, not waived by policy.
+    // that the thread-spawn allowlist entries are actually being counted
+    // here, not waived by policy.
     assert!(
         report.suppressions >= 4,
         "nftape's allowlist entries vanished from the budget: {}",
         report.suppressions
     );
-    // 27 is the measured count: 13 expect, 10 hot-path-alloc (setup
+    // 25 is the measured count: 13 expect, 10 hot-path-alloc (setup
     // paths; `snapshot` and `fork` share the one on `Engine::snapshot`'s
-    // core clone), 2 env-access (NETFI_DEBUG) and 2 thread-spawn
-    // (`sim::shard`'s window fan-out and `nftape::runner::fan_out`, the
-    // one campaign fan-out). The ceiling sits exactly on it; it can only
-    // move down, or up in the same commit that adds a justified (and
+    // core clone) and 2 thread-spawn (`sim::shard`'s window fan-out and
+    // `nftape::runner::fan_out`, the one campaign fan-out). No library
+    // crate reads the environment. The ceiling sits exactly on it; it can
+    // only move down, or up in the same commit that adds a justified (and
     // exercised) allow.
     assert!(
-        report.suppressions <= 27,
+        report.suppressions <= 25,
         "allow-comment suppressions grew to {} — review before raising the budget",
         report.suppressions
     );
@@ -181,11 +181,10 @@ fn fork_atomic_and_suppression_rules_are_live_in_the_workspace() {
 }
 
 /// nftape is in the strict determinism scope; its one scoped fan-out
-/// (`runner::fan_out`) and its NETFI_DEBUG reads survive only through
-/// per-site allow-comments. This test pins all three sides of that
-/// arrangement: the files scan clean, the allow-comments are live
-/// (removing one makes the rule fire), and the same constructs have no
-/// escape hatch in engine-scope crates.
+/// (`runner::fan_out`) survives only through a per-site allow-comment.
+/// This test pins all three sides of that arrangement: the file scans
+/// clean, the allow-comment is live (removing it makes the rule fire),
+/// and the same construct has no escape hatch in engine-scope crates.
 #[test]
 fn nftape_allowlist_is_live_not_a_policy_hole() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -195,10 +194,7 @@ fn nftape_allowlist_is_live_not_a_policy_hole() {
     let nftape = netfi_lint::policy_for("nftape");
     assert!(nftape.determinism, "nftape left the determinism scope");
 
-    for (rel, rule) in [
-        ("crates/nftape/src/runner.rs", "thread-spawn"),
-        ("crates/nftape/src/scenarios/control.rs", "env-access"),
-    ] {
+    for (rel, rule) in [("crates/nftape/src/runner.rs", "thread-spawn")] {
         let src = std::fs::read_to_string(root.join(rel)).expect(rel);
         let file = netfi_lint::scan_source(&src, nftape);
         assert!(

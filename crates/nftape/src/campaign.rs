@@ -8,7 +8,7 @@
 //! executes it against the prebuilt scenarios.
 
 use netfi_phy::ControlSymbol;
-use netfi_sim::SimDuration;
+use netfi_sim::{NullProbe, Probe, SimDuration};
 
 use crate::results::{RunResult, ScenarioError};
 use crate::scenarios::{address, control, latency, ptype, random, udpcheck};
@@ -114,6 +114,45 @@ impl CampaignSpec {
     }
 }
 
+/// The options a Table 4 spec runs under: the library's, at the spec's
+/// seed and window.
+fn table4_options(spec: &CampaignSpec) -> control::ControlCampaignOptions {
+    control::ControlCampaignOptions {
+        window: SimDuration::from_secs(spec.window_secs),
+        seed: spec.seed,
+        ..control::ControlCampaignOptions::default()
+    }
+}
+
+/// A warmed Table 4 test bed (or why it could not be built) and the
+/// options it was warmed under.
+type Table4Donor<P> = (
+    control::ControlCampaignOptions,
+    Result<control::WarmedTable4<P>, ScenarioError>,
+);
+
+/// Warms one Table 4 donor per set of [`FaultSpec::ControlSymbol`] specs
+/// that can share one — today, per seed: a spec's window acts only after
+/// the fork instant. A donor that fails to build is kept as its error, so
+/// it surfaces at the index of the first row that needed it.
+fn warm_table4_donors<P: Probe + Clone>(
+    specs: &[CampaignSpec],
+    probe: &P,
+) -> Vec<Table4Donor<P>> {
+    let mut donors: Vec<Table4Donor<P>> = Vec::new();
+    let rows = specs
+        .iter()
+        .filter(|spec| matches!(spec.fault, FaultSpec::ControlSymbol { .. }));
+    for opts in rows.map(table4_options) {
+        let warmed = |(with, _): &Table4Donor<P>| control::share_warm_up(with, &opts);
+        if !donors.iter().any(warmed) {
+            let donor = control::warm_table4(&opts, probe.clone());
+            donors.push((opts, donor));
+        }
+    }
+    donors
+}
+
 /// Executes a campaign and returns its result rows (most campaigns yield
 /// one row; latency yields one per experiment arm pair).
 ///
@@ -122,19 +161,28 @@ impl CampaignSpec {
 /// Returns the scenario's [`ScenarioError`] if its test bed cannot be
 /// built or read.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<Vec<RunResult>, ScenarioError> {
+    run_on_donors::<NullProbe>(spec, &[])
+}
+
+/// [`run_campaign`], a Table 4 row running on a fork of whichever of
+/// `donors` was warmed for it; with none, it warms a test bed of its own.
+fn run_on_donors<P: Probe + Clone>(
+    spec: &CampaignSpec,
+    donors: &[Table4Donor<P>],
+) -> Result<Vec<RunResult>, ScenarioError> {
     let window = SimDuration::from_secs(spec.window_secs);
     let mut results = match &spec.fault {
         FaultSpec::ControlSymbol { mask, replacement } => {
-            let opts = control::ControlCampaignOptions {
-                window,
-                seed: spec.seed,
-                ..control::ControlCampaignOptions::default()
-            };
-            vec![control::control_symbol_row(
-                (*mask).into(),
-                (*replacement).into(),
-                &opts,
-            )?]
+            let (mask, replacement) = ((*mask).into(), (*replacement).into());
+            let opts = table4_options(spec);
+            let donor = donors
+                .iter()
+                .find(|(with, _)| control::share_warm_up(with, &opts));
+            vec![match donor {
+                Some((_, Ok(donor))) => donor.row(mask, replacement, &opts)?,
+                Some((_, Err(e))) => return Err(*e),
+                None => control::control_symbol_row(mask, replacement, &opts)?,
+            }]
         }
         FaultSpec::FaultyStop => vec![
             control::stop_throughput(false, window, spec.seed)?,
@@ -223,7 +271,10 @@ pub fn paper_campaigns(seed: u64) -> Vec<CampaignSpec> {
 ///
 /// Every campaign runs on a private engine (its own RNG streams, its own
 /// event queue), so [`fan_out`](crate::runner::fan_out) makes the output
-/// byte-identical for any worker count (DESIGN.md §10).
+/// byte-identical for any worker count (DESIGN.md §10). The Table 4 rows
+/// among `specs` are forks of one test bed per seed, warmed here before
+/// the fan-out and shared by reference (DESIGN.md §12); every other
+/// campaign builds its own.
 ///
 /// # Errors
 ///
@@ -237,7 +288,21 @@ pub fn run_campaigns_with_workers(
     specs: &[CampaignSpec],
     workers: usize,
 ) -> Result<Vec<Vec<RunResult>>, ScenarioError> {
-    crate::runner::fan_out(workers, specs.len(), || |i| run_campaign(&specs[i]))
+    run_campaigns_probed(specs, workers, &NullProbe)
+}
+
+/// [`run_campaigns_with_workers`] with `probe` installed on the Table 4
+/// donors and so on every fork of them — the seam the count test in
+/// [`control`] watches the engines through.
+pub(crate) fn run_campaigns_probed<P: Probe + Clone + Send + Sync>(
+    specs: &[CampaignSpec],
+    workers: usize,
+    probe: &P,
+) -> Result<Vec<Vec<RunResult>>, ScenarioError> {
+    let donors = warm_table4_donors(specs, probe);
+    crate::runner::fan_out(workers, specs.len(), || {
+        |i| run_on_donors(&specs[i], &donors)
+    })
 }
 
 #[cfg(test)]

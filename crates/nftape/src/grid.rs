@@ -1,15 +1,24 @@
 //! The chaos grid: one warmed engine, many forked failure scenarios.
 //!
-//! Every campaign in this crate pays the same fixed cost before anything
-//! interesting happens: 2.5 simulated seconds of mapping traffic while the
-//! fabric elects a mapper, discovers routes and settles. A grid of N
-//! failure scenarios over the same topology therefore costs
+//! Every test-bed campaign starts with the same fixed cost before
+//! anything interesting happens: 2.5 simulated seconds of mapping traffic
+//! while the fabric elects a mapper, discovers routes and settles. A grid
+//! of N failure scenarios over the same topology therefore costs
 //! N × (warm-up + fault phases) when each scenario builds its own test
 //! bed. This module converts that to 1 × warm-up + N × fault phases: a
 //! donor engine runs the map phase once, its full deterministic state is
 //! captured with [`netfi_sim::Engine::snapshot`], and each scenario runs
 //! on an independent [`fork`](netfi_sim::EngineSnapshot::fork) of that
 //! capture.
+//!
+//! The drivers that run many scenarios over one warmed network share a
+//! donor this way: this grid, the `netfi-sample` sampler, the detection
+//! campaign ([`crate::detection`]) and the nine Table 4 rows
+//! ([`crate::scenarios::control`], through
+//! [`run_campaigns_with_workers`](crate::campaign::run_campaigns_with_workers)
+//! too). The other prebuilt scenarios deliberately do not: each runs one
+//! or two arms, milliseconds of host time, on a bed whose hosts, routes
+//! or workload are its own (DESIGN.md §12).
 //!
 //! A scenario is a declarative [`FailureSpec`]: hosts to power off, switch
 //! ports to sever, and an optional injector program, applied to the fork

@@ -3,10 +3,13 @@
 
 use netfi_core::command::DirSelect;
 use netfi_core::config::InjectorConfig;
+use netfi_myrinet::event::Ev;
 use netfi_myrinet::switch::Switch;
-use netfi_netstack::{build_testbed, Host, Testbed, TestbedOptions, Workload};
+use netfi_netstack::{
+    build_testbed, build_testbed_probed, Host, Testbed, TestbedOptions, Workload,
+};
 use netfi_phy::ControlSymbol;
-use netfi_sim::{SimDuration, SimTime};
+use netfi_sim::{ComponentId, EngineSnapshot, NullProbe, Probe, SimDuration, SimTime};
 
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::{program_injector, schedule_duty_cycle};
@@ -93,10 +96,11 @@ pub fn table4_paper_loss() -> [(u64, u64); 9] {
 /// hosts 1 and 2 blast bursts at host 0 (contending for its output port,
 /// which generates STOP/GO on both their links), host 0 sends background
 /// traffic to host 2.
-fn build_campaign_net(
+fn build_campaign_net<P: Probe>(
     opts: &ControlCampaignOptions,
     forbidden: Vec<u8>,
-) -> Result<Testbed, ScenarioError> {
+    probe: P,
+) -> Result<Testbed<P>, ScenarioError> {
     // Campaign-era slack buffers: the headroom above the high watermark is
     // sized for the STOP round-trip (about two frames), so a sender whose
     // STOPs are eaten genuinely overruns the buffer.
@@ -117,7 +121,7 @@ fn build_campaign_net(
     let interval = opts.burst_interval;
     let payload_len = opts.payload_len;
     let nic_rx_capacity = opts.nic_rx_capacity;
-    Ok(build_testbed(options, move |i, host: &mut Host| {
+    Ok(build_testbed_probed(options, probe, move |i, host: &mut Host| {
         // Hosts 0 and 2 converge on the intercepted host 1 (saturating its
         // NIC receive buffer, whose STOP/GO crosses the injector); host 1
         // sends its own stream back to host 0.
@@ -142,9 +146,178 @@ fn build_campaign_net(
     })?)
 }
 
+/// How long before `t0` the donor stops and a row is programmed. One
+/// `control_swap` script is ≈ 10 ms of serial line; NFTAPE likewise
+/// reprogrammed the device between rows without re-mapping the network.
+const PROGRAM_LEAD: SimDuration = SimDuration::from_ms(100);
+
+/// The Table 4 test bed warmed to [`PROGRAM_LEAD`] before `t0`, forked once
+/// per row (the shape of [`WarmedCampaign`](crate::grid::WarmedCampaign)).
+///
+/// The donor is exact, not approximate: until a row's duty cycle arms it
+/// at `t0` the device passes everything through whatever swap it holds, so
+/// the 2.4 s every row would replay are one trajectory, run once. And a
+/// scheduled byte sorts ahead of every component's events of its instant
+/// (`Engine::schedule`'s key), in a fork as in a fresh bed, so when before
+/// `t0` a row's script was written cannot reorder anything after it.
+#[derive(Debug)]
+pub(crate) struct WarmedTable4<P: Probe = NullProbe> {
+    snapshot: EngineSnapshot<Ev, P>,
+    hosts: Vec<ComponentId>,
+    switch: ComponentId,
+    device: ComponentId,
+    opts: ControlCampaignOptions,
+}
+
+/// Builds the Table 4 test bed and runs it up to the fork instant.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] if the test bed cannot be built.
+pub(crate) fn warm_table4<P: Probe + Clone>(
+    opts: &ControlCampaignOptions,
+    probe: P,
+) -> Result<WarmedTable4<P>, ScenarioError> {
+    // §4.3.1 methodology: no corrupted symbol may appear in a payload.
+    // One donor serves every row, so it avoids all four encodings (none of
+    // which the printable filler alphabet contains to begin with).
+    let forbidden = ControlSymbol::ALL.map(ControlSymbol::encode).to_vec();
+    let mut tb = build_campaign_net(opts, forbidden, probe)?;
+    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let t0 = SimTime::ZERO + opts.warmup;
+    tb.engine.run_until(t0.saturating_sub_duration(PROGRAM_LEAD));
+    Ok(WarmedTable4 {
+        snapshot: tb.engine.snapshot(),
+        hosts: tb.hosts,
+        switch: tb.switch,
+        device,
+        opts: opts.clone(),
+    })
+}
+
+/// Whether rows run under `a` and under `b` follow one trajectory up to
+/// the fork instant — agree on everything that acts before `t0` — and so
+/// can be forks of one donor.
+pub(crate) fn share_warm_up(a: &ControlCampaignOptions, b: &ControlCampaignOptions) -> bool {
+    // Exhaustive, so a new option has to be sorted into one side.
+    let ControlCampaignOptions {
+        warmup,
+        window: _,
+        duty_period: _,
+        duty_on: _,
+        burst,
+        burst_interval,
+        payload_len,
+        nic_rx_capacity,
+        seed,
+    } = a;
+    (warmup, burst, burst_interval, payload_len, nic_rx_capacity, seed)
+        == (
+            &b.warmup,
+            &b.burst,
+            &b.burst_interval,
+            &b.payload_len,
+            &b.nic_rx_capacity,
+            &b.seed,
+        )
+}
+
+impl<P: Probe + Clone> WarmedTable4<P> {
+    /// Runs one row on a fork of the donor: program the swap at the fork
+    /// instant (match mode Off), arm it by duty cycle from `t0`, run the
+    /// window and the cool-down, count messages network-wide.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ScenarioError`] if the forked test bed cannot be read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts` and the donor's do not [`share_warm_up`].
+    pub(crate) fn row(
+        &self,
+        mask: ControlSymbol,
+        replacement: ControlSymbol,
+        opts: &ControlCampaignOptions,
+    ) -> Result<RunResult, ScenarioError> {
+        assert!(
+            share_warm_up(&self.opts, opts),
+            "donor warmed under different options"
+        );
+        let mut engine = self.snapshot.fork();
+        let device = self.device;
+
+        let config = InjectorConfig::builder()
+            .match_mode(MatchMode::Off) // armed by the duty cycle
+            .control_swap(mask.encode(), replacement.encode())
+            .build();
+        let fork_instant = engine.now();
+        program_injector(&mut engine, device, fork_instant, DirSelect::Both, &config);
+
+        let t0 = SimTime::ZERO + opts.warmup;
+        let t1 = t0 + opts.window;
+        schedule_duty_cycle(
+            &mut engine,
+            device,
+            t0,
+            t1,
+            opts.duty_period,
+            opts.duty_on,
+            MatchMode::On,
+        );
+
+        engine.run_until(t0);
+        let before = TrafficSnapshot::capture(&engine, &self.hosts)?;
+        engine.run_until(t1);
+        // Cool-down: stop injecting, let in-flight messages settle.
+        engine.run_for(SimDuration::from_ms(200));
+        let delta = TrafficSnapshot::capture(&engine, &self.hosts)?.delta(&before);
+
+        let mut nic_overflow = 0u64;
+        for &h in &self.hosts {
+            nic_overflow += engine
+                .component_as::<Host>(h)
+                .ok_or(ScenarioError::WrongComponent("Host"))?
+                .nic()
+                .stats()
+                .rx_overflow_drops;
+        }
+        let sw = engine
+            .component_as::<Switch>(self.switch)
+            .ok_or(ScenarioError::WrongComponent("Switch"))?;
+        Ok(RunResult::new(
+            format!("{mask}->{replacement}"),
+            delta.sent(),
+            delta.received.min(delta.sent()),
+            opts.window.as_secs_f64(),
+        )
+        .with_extra("overflow_drops", sw.stats().overflow_drops as f64)
+        .with_extra("nic_overflow_drops", nic_overflow as f64)
+        .with_extra("framing_drops", sw.stats().framing_drops as f64)
+        .with_extra(
+            "long_timeout_releases",
+            sw.stats().long_timeout_releases as f64,
+        ))
+    }
+
+    /// Runs the nine rows of Table 4, in the paper's order.
+    pub(crate) fn table(
+        &self,
+        opts: &ControlCampaignOptions,
+    ) -> Result<Vec<RunResult>, ScenarioError> {
+        table4_rows()
+            .into_iter()
+            .map(|(mask, replacement)| self.row(mask, replacement, opts))
+            .collect()
+    }
+}
+
 /// Runs one row of Table 4: corrupt every `mask` control symbol crossing
 /// the intercepted link into `replacement`, duty-cycled, and count
-/// messages network-wide.
+/// messages network-wide. Warms a test bed for this one row;
+/// [`control_symbol_table`] and
+/// [`run_campaigns_with_workers`](crate::campaign::run_campaigns_with_workers)
+/// warm one for all the rows they run.
 ///
 /// # Errors
 ///
@@ -154,91 +327,17 @@ pub fn control_symbol_row(
     replacement: ControlSymbol,
     opts: &ControlCampaignOptions,
 ) -> Result<RunResult, ScenarioError> {
-    // §4.3.1 methodology: the masked symbol must not appear in payloads.
-    let forbidden = vec![mask.encode(), replacement.encode()];
-    let mut tb = build_campaign_net(opts, forbidden)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-
-    let config = InjectorConfig::builder()
-        .match_mode(MatchMode::Off) // armed by the duty cycle
-        .control_swap(mask.encode(), replacement.encode())
-        .build();
-    program_injector(&mut tb.engine, device, SimTime::from_ms(100), DirSelect::Both, &config);
-
-    let t0 = SimTime::ZERO + opts.warmup;
-    let t1 = t0 + opts.window;
-    schedule_duty_cycle(
-        &mut tb.engine,
-        device,
-        t0,
-        t1,
-        opts.duty_period,
-        opts.duty_on,
-        MatchMode::On,
-    );
-
-    tb.engine.run_until(t0);
-    let before = TrafficSnapshot::capture(&tb)?;
-    tb.engine.run_until(t1);
-    // Cool-down: stop injecting, let in-flight messages settle.
-    tb.engine.run_for(SimDuration::from_ms(200));
-    let after = TrafficSnapshot::capture(&tb)?;
-    let delta = after.delta(&before);
-
-    let mut nic_overflow = 0u64;
-    for &h in &tb.hosts {
-        nic_overflow += tb
-            .engine
-            .component_as::<Host>(h)
-            .ok_or(ScenarioError::WrongComponent("Host"))?
-            .nic()
-            .stats()
-            .rx_overflow_drops;
-    }
-    let sw = tb
-        .engine
-        .component_as::<Switch>(tb.switch)
-        .ok_or(ScenarioError::WrongComponent("Switch"))?;
-    // lint: allow(env-access) NETFI_DEBUG gates stderr diagnostics only, never results
-    if std::env::var("NETFI_DEBUG").is_ok() {
-        if let Some(dev) = tb.engine.component_as::<netfi_core::InjectorDevice>(device) {
-            eprintln!("ROW {mask}->{replacement}: inputs={:?}", sw.input_buffer_stats());
-            eprintln!("  cfg B>A: {:?}", dev.config_of(netfi_core::Direction::BToA));
-            eprintln!("  serial acks pending: {} bytes", dev.channel_stats(netfi_core::Direction::AToB).controls);
-            eprintln!("  fifo A>B: {:?}", dev.fifo_stats(netfi_core::Direction::AToB));
-            eprintln!("  fifo B>A: {:?}", dev.fifo_stats(netfi_core::Direction::BToA));
-        }
-        for i in 0..3 {
-            if let Some(h) = tb.engine.component_as::<Host>(tb.hosts[i]) {
-                eprintln!("  host{i} egress {:?}", h.nic().egress_stats());
-            }
-        }
-    }
-    Ok(RunResult::new(
-        format!("{mask}->{replacement}"),
-        delta.sent(),
-        delta.received.min(delta.sent()),
-        opts.window.as_secs_f64(),
-    )
-    .with_extra("overflow_drops", sw.stats().overflow_drops as f64)
-    .with_extra("nic_overflow_drops", nic_overflow as f64)
-    .with_extra("framing_drops", sw.stats().framing_drops as f64)
-    .with_extra(
-        "long_timeout_releases",
-        sw.stats().long_timeout_releases as f64,
-    ))
+    warm_table4(opts, NullProbe)?.row(mask, replacement, opts)
 }
 
-/// Runs the full nine-row Table 4 campaign.
+/// Runs the full nine-row Table 4 campaign on forks of one warmed test
+/// bed: 1 × warm-up + 9 × (window + cool-down).
 ///
 /// # Errors
 ///
 /// Returns the first row's [`ScenarioError`], if any.
 pub fn control_symbol_table(opts: &ControlCampaignOptions) -> Result<Vec<RunResult>, ScenarioError> {
-    table4_rows()
-        .into_iter()
-        .map(|(mask, replacement)| control_symbol_row(mask, replacement, opts))
-        .collect()
+    warm_table4(opts, NullProbe)?.table(opts)
 }
 
 /// §4.3.1 STOP experiment: a request/response program's message rate with
@@ -386,20 +485,10 @@ pub fn gap_timeout(
     }
     let t0 = SimTime::ZERO + SimDuration::from_ms(2_500);
     tb.engine.run_until(t0);
-    let before = TrafficSnapshot::capture(&tb)?;
+    let before = TrafficSnapshot::capture(&tb.engine, &tb.hosts)?;
     tb.engine.run_until(t0 + window);
     tb.engine.run_for(SimDuration::from_ms(100));
-    let delta = TrafficSnapshot::capture(&tb)?.delta(&before);
-    // lint: allow(env-access) NETFI_DEBUG gates stderr diagnostics only, never results
-    if std::env::var("NETFI_DEBUG").is_ok() {
-        for i in 0..tb.hosts.len() {
-            if let Some(h) = tb.engine.component_as::<Host>(tb.hosts[i]) {
-                eprintln!("GAP host{i}: nic={:?} mapper={} table={:?}",
-                    h.nic().stats(), h.nic().is_mapper(),
-                    h.nic().routing_table().keys().collect::<Vec<_>>());
-            }
-        }
-    }
+    let delta = TrafficSnapshot::capture(&tb.engine, &tb.hosts)?.delta(&before);
     let sw = tb
         .engine
         .component_as::<Switch>(tb.switch)
@@ -426,6 +515,160 @@ mod tests {
             warmup: SimDuration::from_ms(2_500),
             window: SimDuration::from_secs(4),
             ..ControlCampaignOptions::default()
+        }
+    }
+
+    /// Counts every dispatch of the engine it is installed on and of
+    /// every fork of it, on whichever thread they run.
+    #[derive(Debug, Clone, Default)]
+    struct Dispatched(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+    impl Probe for Dispatched {
+        fn on_dispatch(&mut self, _: SimTime, _: ComponentId, _: u64) {
+            // A statistic read after every engine is done: publishes nothing.
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl Dispatched {
+        /// The count since the last take.
+        fn take(&self) -> u64 {
+            self.0.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    /// The oracle: one row the way every row ran before rows forked a
+    /// donor — a test bed of its own whose payloads avoid this row's two
+    /// symbols, programmed at 100 ms, warmed through all of `opts.warmup`.
+    /// Returns the row and the events the engine dispatched for it.
+    fn fresh_row(
+        mask: ControlSymbol,
+        replacement: ControlSymbol,
+        opts: &ControlCampaignOptions,
+    ) -> (RunResult, u64) {
+        let forbidden = vec![mask.encode(), replacement.encode()];
+        let mut tb = build_campaign_net(opts, forbidden, NullProbe).unwrap();
+        let device = tb.injector.unwrap();
+
+        let config = InjectorConfig::builder()
+            .match_mode(MatchMode::Off)
+            .control_swap(mask.encode(), replacement.encode())
+            .build();
+        program_injector(&mut tb.engine, device, SimTime::from_ms(100), DirSelect::Both, &config);
+
+        let t0 = SimTime::ZERO + opts.warmup;
+        let t1 = t0 + opts.window;
+        schedule_duty_cycle(
+            &mut tb.engine,
+            device,
+            t0,
+            t1,
+            opts.duty_period,
+            opts.duty_on,
+            MatchMode::On,
+        );
+
+        tb.engine.run_until(t0);
+        let before = TrafficSnapshot::capture(&tb.engine, &tb.hosts).unwrap();
+        tb.engine.run_until(t1);
+        tb.engine.run_for(SimDuration::from_ms(200));
+        let after = TrafficSnapshot::capture(&tb.engine, &tb.hosts).unwrap();
+        let delta = after.delta(&before);
+
+        let mut nic_overflow = 0u64;
+        for &h in &tb.hosts {
+            let host = tb.engine.component_as::<Host>(h).unwrap();
+            nic_overflow += host.nic().stats().rx_overflow_drops;
+        }
+        let sw = tb.engine.component_as::<Switch>(tb.switch).unwrap();
+        let row = RunResult::new(
+            format!("{mask}->{replacement}"),
+            delta.sent(),
+            delta.received.min(delta.sent()),
+            opts.window.as_secs_f64(),
+        )
+        .with_extra("overflow_drops", sw.stats().overflow_drops as f64)
+        .with_extra("nic_overflow_drops", nic_overflow as f64)
+        .with_extra("framing_drops", sw.stats().framing_drops as f64)
+        .with_extra(
+            "long_timeout_releases",
+            sw.stats().long_timeout_releases as f64,
+        );
+        (row, tb.engine.events_processed())
+    }
+
+    fn table4_opts(seed: u64, window_secs: u64) -> ControlCampaignOptions {
+        ControlCampaignOptions {
+            window: SimDuration::from_secs(window_secs),
+            seed,
+            ..ControlCampaignOptions::default()
+        }
+    }
+
+    /// Every forked row `==` the fresh row, for one seed: one donor serves
+    /// both windows, as it would a duty sweep.
+    fn forked_rows_equal_fresh_rows(seed: u64) {
+        let warm = warm_table4(&table4_opts(seed, 1), NullProbe).unwrap();
+        for window_secs in [1, 3] {
+            let opts = table4_opts(seed, window_secs);
+            for (mask, replacement) in table4_rows() {
+                let forked = warm.row(mask, replacement, &opts).unwrap();
+                let (fresh, _) = fresh_row(mask, replacement, &opts);
+                assert_eq!(forked, fresh, "seed {seed}, window {window_secs} s");
+            }
+        }
+    }
+
+    #[test]
+    fn forked_rows_equal_fresh_rows_seed_7() {
+        forked_rows_equal_fresh_rows(7);
+    }
+
+    #[test]
+    fn forked_rows_equal_fresh_rows_seed_12345() {
+        forked_rows_equal_fresh_rows(12345);
+    }
+
+    #[test]
+    fn forked_rows_equal_fresh_rows_seed_99() {
+        forked_rows_equal_fresh_rows(99);
+    }
+
+    #[test]
+    fn nine_rows_warm_one_donor_whatever_the_worker_count() {
+        use crate::campaign::{paper_campaigns, run_campaigns_probed, FaultSpec};
+        let seed = 2002;
+        let opts = table4_opts(seed, 1);
+
+        // What one warm-up and nine rows dispatch, from the oracle: a
+        // fresh row's engine counts the warm-up and the row together.
+        let warm_events = {
+            let mut tb = build_campaign_net(&opts, Vec::new(), NullProbe).unwrap();
+            tb.engine.run_until(SimTime::ZERO + opts.warmup - PROGRAM_LEAD);
+            tb.engine.events_processed()
+        };
+        let fresh: Vec<(RunResult, u64)> = table4_rows()
+            .into_iter()
+            .map(|(mask, replacement)| fresh_row(mask, replacement, &opts))
+            .collect();
+        let nine_fresh: u64 = fresh.iter().map(|(_, events)| events).sum();
+        let one_warm_nine_rows = nine_fresh - 8 * warm_events;
+        assert!(warm_events > 1_000_000, "a second warm-up could not hide");
+
+        let dispatched = Dispatched::default();
+        let table = warm_table4(&opts, dispatched.clone()).unwrap().table(&opts).unwrap();
+        assert_eq!(dispatched.take(), one_warm_nine_rows, "control_symbol_table");
+        assert!(table.iter().eq(fresh.iter().map(|(row, _)| row)));
+
+        let mut specs = paper_campaigns(seed);
+        specs.retain(|spec| matches!(spec.fault, FaultSpec::ControlSymbol { .. }));
+        for spec in &mut specs {
+            spec.window_secs = 1;
+        }
+        for workers in [1, 2, 8] {
+            let rows = run_campaigns_probed(&specs, workers, &dispatched).unwrap();
+            assert_eq!(dispatched.take(), one_warm_nine_rows, "workers = {workers}");
+            assert_eq!(rows.len(), 9);
         }
     }
 

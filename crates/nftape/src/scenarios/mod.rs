@@ -13,7 +13,9 @@ pub mod ptype;
 pub mod random;
 pub mod udpcheck;
 
-use netfi_netstack::{Host, Testbed, SINK_PORT};
+use netfi_myrinet::event::Ev;
+use netfi_netstack::{Host, SINK_PORT};
+use netfi_sim::{ComponentId, Simulation};
 
 use crate::results::ScenarioError;
 
@@ -29,17 +31,20 @@ pub struct TrafficSnapshot {
 }
 
 impl TrafficSnapshot {
-    /// Captures the sum over all hosts of a test bed.
+    /// Captures the sum over `hosts` — a test bed's, or those of a fork
+    /// of its engine.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::WrongComponent`] if a test-bed host id
-    /// does not resolve to a [`Host`].
-    pub fn capture(tb: &Testbed) -> Result<TrafficSnapshot, ScenarioError> {
+    /// Returns [`ScenarioError::WrongComponent`] if a host id does not
+    /// resolve to a [`Host`].
+    pub fn capture(
+        sim: &impl Simulation<Ev>,
+        hosts: &[ComponentId],
+    ) -> Result<TrafficSnapshot, ScenarioError> {
         let mut snap = TrafficSnapshot::default();
-        for &h in &tb.hosts {
-            let host = tb
-                .engine
+        for &h in hosts {
+            let host = sim
                 .component_as::<Host>(h)
                 .ok_or(ScenarioError::WrongComponent("Host"))?;
             snap.generated += host.sender_sent();
