@@ -68,14 +68,15 @@ fn main() {
         .component_as::<InjectorDevice>(tb.injector.unwrap())
         .unwrap();
     println!("=== injector ===");
-    let fifo = dev.fifo_stats(Direction::AToB);
+    let now = tb.engine.now();
+    let fifo = dev.fifo_stats_at(Direction::AToB, now);
     println!(
         "A>B: {} packets, {} control injections; B>A: {} packets",
-        dev.channel_stats(Direction::AToB).packets,
+        dev.channel_stats(Direction::AToB, now).packets,
         fifo.control_injections,
-        dev.channel_stats(Direction::BToA).packets,
+        dev.channel_stats(Direction::BToA, now).packets,
     );
-    for ((src, dst), n) in &dev.channel_stats(Direction::BToA).id_counts {
+    for ((src, dst), n) in &dev.channel_stats(Direction::BToA, now).id_counts {
         println!("  {src} -> {dst}: {n} packets");
     }
 }

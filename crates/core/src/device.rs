@@ -16,17 +16,26 @@
 //! 640 Mb/s, paper footnote 5). It is reconfigured at run time through its
 //! serial port ([`Ev::Serial`] events feeding the command decoder), exactly
 //! as NFTAPE drives the real board.
+//!
+//! A STOP train ([`Frame::Train`]) crosses the device whole while the
+//! device could neither change nor log one of its repeats — the repeats
+//! are counted, not handled. While the device is armed against the
+//! train's STOP or logs traffic, it acts on each repeat at the instant it
+//! arrives, exactly as on a STOP of its own, and what comes out travels
+//! on as single symbols; arming it mid-train ends the train downstream
+//! with a bare train end, and a repeat that passes untouched once it is
+//! disarmed opens a new one.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 
 use netfi_myrinet::addr::EthAddr;
-use netfi_myrinet::egress::{split_timer_kind, timer_class, EgressPort};
+use netfi_myrinet::egress::{split_timer_kind, timer_class, timer_kind, EgressPort};
 use netfi_myrinet::event::{Attach, Ev, PortPeer};
-use netfi_myrinet::frame::{Frame, PacketFrame};
+use netfi_myrinet::frame::{Frame, PacketFrame, Repeats, TrainMark};
 use netfi_myrinet::interface::EthHeader;
 use netfi_myrinet::packet::PacketType;
-use netfi_sim::{Component, Context, SimDuration};
+use netfi_sim::{Component, ComponentId, Context, SimDuration, SimTime};
 
 use crate::capture::{CaptureBuffer, CaptureRecord};
 use netfi_obs::{FlightRecorder, Recorder, Sink};
@@ -75,6 +84,8 @@ impl Direction {
             Direction::BToA => 1,
         }
     }
+
+    const BOTH: [Direction; 2] = [Direction::AToB, Direction::BToA];
 }
 
 /// One record of the full-traffic capture memory (the board's SDRAM is
@@ -123,6 +134,20 @@ struct Channel {
     stats: ChannelStats,
 }
 
+/// A STOP train crossing the device in one direction.
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    /// When its repeats arrive at the device.
+    repeats: Repeats,
+    /// The symbol each repeat carries.
+    code: u8,
+    /// Repeats accounted for, from the first: acted on, or counted as
+    /// passed on whole.
+    done: u64,
+    /// Whether a train is open downstream, so the repeats pass on whole;
+    /// otherwise the device acts on each one and forwards what comes out.
+    whole: bool,
+}
 
 /// Configuration of the device.
 #[derive(Debug, Clone)]
@@ -164,6 +189,8 @@ pub struct InjectorDevice {
     serial_out: Vec<u8>,
     traffic_log_enabled: bool,
     traffic_log: FlightRecorder<TrafficRecord>,
+    /// The STOP train crossing each direction, if any.
+    crossings: [Option<Crossing>; 2],
     /// Observability recorder (scope `"device"`), disarmed by default.
     obs: Recorder,
 }
@@ -194,6 +221,7 @@ impl InjectorDevice {
             serial_out: Vec::new(),
             traffic_log_enabled: false,
             traffic_log: FlightRecorder::new(config.traffic_capacity),
+            crossings: [None; 2],
             obs: Recorder::disarmed(),
             config,
         }
@@ -224,9 +252,26 @@ impl InjectorDevice {
 
     /// Installs a configuration on one direction (the programmatic
     /// equivalent of a serial command sequence).
+    ///
+    /// A direct call has no instant of its own, so it is for a device no
+    /// STOP train is crossing, such as one whose run has not started; debug
+    /// builds check. To reconfigure at an instant of a run, send the
+    /// commands over the serial line ([`Ev::Serial`]).
     pub fn configure(&mut self, dir: Direction, config: InjectorConfig) {
+        self.check_no_train("configure");
         self.dir_configs[dir.index()] = config;
         self.channels[dir.index()].injector.set_config(config);
+    }
+
+    /// The check of the calls that act between events, with no instant of
+    /// their own: a STOP train crossing the device would be owed the
+    /// repeats up to the instant of the call under the old configuration.
+    fn check_no_train(&self, call: &str) {
+        debug_assert!(
+            self.crossings.iter().all(Option::is_none),
+            "{}: `{call}` while a STOP train crosses the device; send it over the serial line",
+            self.config.name
+        );
     }
 
     /// Installs the same configuration on both directions.
@@ -245,19 +290,57 @@ impl InjectorDevice {
         self.channels[dir.index()].injector.inject_now();
     }
 
-    /// Re-arms the `once` latch of `dir`.
+    /// Re-arms the `once` latch of `dir` (like
+    /// [`configure`](InjectorDevice::configure), without an instant).
     pub fn rearm(&mut self, dir: Direction) {
+        self.check_no_train("rearm");
         self.channels[dir.index()].injector.rearm();
     }
 
-    /// Datapath counters for one direction.
+    /// Datapath counters for one direction as of `now`, every event due by
+    /// `now` having run: each STOP-train repeat that has arrived counts as
+    /// the symbol it is.
+    pub fn fifo_stats_at(&self, dir: Direction, now: SimTime) -> FifoStats {
+        self.unaccounted(dir, now).0.stats()
+    }
+
+    /// Datapath counters for one direction while no STOP train crosses it,
+    /// when they need no instant; debug builds check.
+    /// [`fifo_stats_at`](InjectorDevice::fifo_stats_at) reads them at any
+    /// instant.
     pub fn fifo_stats(&self, dir: Direction) -> FifoStats {
+        debug_assert!(
+            self.crossings[dir.index()].is_none(),
+            "{}: a STOP train crosses the device: read `fifo_stats_at`",
+            self.config.name
+        );
         self.channels[dir.index()].injector.stats()
     }
 
-    /// Monitoring counters for one direction.
-    pub fn channel_stats(&self, dir: Direction) -> &ChannelStats {
-        &self.channels[dir.index()].stats
+    /// Monitoring counters for one direction as of `now` (see
+    /// [`fifo_stats_at`](InjectorDevice::fifo_stats_at)).
+    pub fn channel_stats(&self, dir: Direction, now: SimTime) -> ChannelStats {
+        let mut stats = self.channels[dir.index()].stats.clone();
+        stats.controls += self.unaccounted(dir, now).1;
+        stats
+    }
+
+    /// The datapath of `dir` after the repeats that arrived by `now` but
+    /// are not accounted for yet, and how many those are.
+    fn unaccounted(&self, dir: Direction, now: SimTime) -> (FifoInjector, u64) {
+        let mut injector = self.channels[dir.index()].injector.clone();
+        let Some(c) = self.crossings[dir.index()] else {
+            return (injector, 0);
+        };
+        let n = c.repeats.count(now, true).saturating_sub(c.done);
+        if c.whole {
+            injector.pass_controls(n);
+        } else {
+            for _ in 0..n {
+                injector.process_control(c.code);
+            }
+        }
+        (injector, n)
     }
 
     /// Capture memory for one direction.
@@ -270,8 +353,10 @@ impl InjectorDevice {
         std::mem::take(&mut self.serial_out)
     }
 
-    /// Enables or disables full-traffic capture into the SDRAM model.
+    /// Enables or disables full-traffic capture into the SDRAM model (like
+    /// [`configure`](InjectorDevice::configure), without an instant).
     pub fn set_traffic_log(&mut self, on: bool) {
+        self.check_no_train("set_traffic_log");
         self.traffic_log_enabled = on;
     }
 
@@ -312,82 +397,292 @@ impl InjectorDevice {
         }
     }
 
-    fn log_traffic(&mut self, ctx: &Context<'_, Ev>, dir: Direction, frame: &Frame) {
-        if !self.traffic_log_enabled {
-            return;
-        }
-        let summary = match frame {
-            Frame::Packet(pf) => {
-                let hint = self.config.route_bytes_hint;
-                match PacketType::from_slice(pf.bytes.get(hint..).unwrap_or(&[])) {
-                    Some(t) => format!("{t} packet, {} bytes", pf.bytes.len()),
-                    None => format!("short packet, {} bytes", pf.bytes.len()),
-                }
-            }
-            Frame::Control(code) => match netfi_phy::ControlSymbol::decode_tolerant(*code) {
-                Some(sym) => format!("<{sym}>"),
-                None => format!("<CTL {code:02x}>"),
-            },
-        };
-        self.traffic_log.push(
-            ctx.now(),
-            TrafficRecord {
+    /// Appends a record to the full-traffic capture, if it is on.
+    fn log_traffic(
+        &mut self,
+        at: SimTime,
+        dir: Direction,
+        chars: usize,
+        summary: impl FnOnce() -> String,
+    ) {
+        if self.traffic_log_enabled {
+            let summary = summary();
+            let record = TrafficRecord {
                 direction: dir,
                 summary,
-                chars: frame.wire_len(),
-            },
-        );
+                chars,
+            };
+            self.traffic_log.push(at, record);
+        }
     }
 
     fn process_frame(&mut self, ctx: &mut Context<'_, Ev>, dir: Direction, frame: Frame) {
-        self.log_traffic(ctx, dir, &frame);
-        let out_frame = match frame {
-            Frame::Packet(pf) => {
-                self.monitor_packet(dir, &pf.bytes);
-                let ch = &mut self.channels[dir.index()];
-                // A reference-count bump, not a byte copy: the injector
-                // materialises a private `bytes` only when it corrupts.
-                let original = pf.bytes.clone();
-                let mut bytes = pf.bytes;
-                let report = ch.injector.process_packet_shared(&mut bytes);
-                for &offset in &report.injected_offsets {
-                    ch.capture
-                        .record(ctx.now(), CaptureRecord::new(&original, &bytes, offset));
-                    self.obs
-                        .instant(ctx.now(), "device", "inject", offset as u64);
-                }
-                if report.crc_fixed {
-                    self.obs.instant(ctx.now(), "device", "crc_repair", 0);
-                }
-                let terminator = pf
-                    .terminator
-                    .map(|code| ch.injector.process_terminator(code).0);
-                Frame::Packet(PacketFrame { bytes, terminator })
-            }
+        let now = ctx.now();
+        let pf = match frame {
+            Frame::Train { code, mark } => return self.on_train(ctx, dir, code, mark),
             Frame::Control(code) => {
-                let ch = &mut self.channels[dir.index()];
-                ch.stats.controls += 1;
-                let (out, _injected) = ch.injector.process_control(code);
-                Frame::Control(out)
+                let (out, _injected) = self.pass_symbol(dir, code, now);
+                return self.forward(ctx, dir, Frame::Control(out), now);
             }
+            Frame::Packet(pf) => pf,
         };
-        // Retransmit cut-through: the device streams characters out as they
-        // emerge from the pipeline, so the frame's trailing edge leaves
-        // `latency` after it arrived — no re-serialization is charged
-        // ("data passed through the fault injector at the same rate it
-        // would have if the fault injector had not been in the data path",
-        // §3.5). Input spacing guarantees output events stay ordered and
-        // non-overlapping for equal-rate segments.
+        let hint = self.config.route_bytes_hint;
+        self.log_traffic(now, dir, pf.wire_len(), || {
+            match PacketType::from_slice(pf.bytes.get(hint..).unwrap_or(&[])) {
+                Some(t) => format!("{t} packet, {} bytes", pf.bytes.len()),
+                None => format!("short packet, {} bytes", pf.bytes.len()),
+            }
+        });
+        self.monitor_packet(dir, &pf.bytes);
+        let ch = &mut self.channels[dir.index()];
+        // A reference-count bump, not a byte copy: the injector
+        // materialises a private `bytes` only when it corrupts.
+        let original = pf.bytes.clone();
+        let mut bytes = pf.bytes;
+        let report = ch.injector.process_packet_shared(&mut bytes);
+        for &offset in &report.injected_offsets {
+            ch.capture
+                .record(now, CaptureRecord::new(&original, &bytes, offset));
+            self.obs.instant(now, "device", "inject", offset as u64);
+        }
+        if report.crc_fixed {
+            self.obs.instant(now, "device", "crc_repair", 0);
+        }
+        let terminator = pf
+            .terminator
+            .map(|code| ch.injector.process_terminator(code).0);
+        self.forward(
+            ctx,
+            dir,
+            Frame::Packet(PacketFrame { bytes, terminator }),
+            now,
+        );
+    }
+
+    /// Retransmits `frame`, which arrived going `dir` at `arrived`,
+    /// cut-through: the device streams characters out as they emerge from
+    /// the pipeline, so the frame's trailing edge leaves `latency` after it
+    /// arrived — no re-serialization is charged ("data passed through the
+    /// fault injector at the same rate it would have if the fault injector
+    /// had not been in the data path", §3.5). Input spacing guarantees
+    /// output events stay ordered and non-overlapping for equal-rate
+    /// segments.
+    fn forward(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        dir: Direction,
+        frame: Frame,
+        arrived: SimTime,
+    ) {
         let latency = self.latency(dir);
         if let Some(peer) = self.egress[dir.out_port() as usize].peer().copied() {
+            let due = arrived + latency + peer.propagation();
             ctx.send(
                 peer.dst,
-                latency + peer.propagation(),
+                due.checked_duration_since(ctx.now()).unwrap_or_default(),
                 Ev::Rx {
                     port: peer.dst_port,
-                    frame: out_frame,
+                    frame,
                 },
             );
+        }
+    }
+
+    /// Pushes a control symbol that arrived going `dir` at `at` through the
+    /// monitor and the datapath; returns what comes out and whether the
+    /// datapath corrupted it.
+    fn pass_symbol(&mut self, dir: Direction, code: u8, at: SimTime) -> (u8, bool) {
+        self.log_traffic(
+            at,
+            dir,
+            1,
+            || match netfi_phy::ControlSymbol::decode_tolerant(code) {
+                Some(sym) => format!("<{sym}>"),
+                None => format!("<CTL {code:02x}>"),
+            },
+        );
+        let ch = &mut self.channels[dir.index()];
+        ch.stats.controls += 1;
+        ch.injector.process_control(code)
+    }
+
+    /// Counts `n` repeats that passed going `dir` untouched.
+    fn pass_repeats(&mut self, dir: Direction, n: u64) {
+        let ch = &mut self.channels[dir.index()];
+        ch.stats.controls += n;
+        ch.injector.pass_controls(n);
+    }
+
+    /// Whether the device could change or log a symbol `code` going `dir`
+    /// now.
+    fn touches(&self, dir: Direction, code: u8) -> bool {
+        self.traffic_log_enabled || self.channels[dir.index()].injector.touches(code)
+    }
+
+    /// The component on the far side of `port`.
+    fn peer_id(&self, port: u8) -> Option<ComponentId> {
+        self.egress[usize::from(port)].peer().map(|p| p.dst)
+    }
+
+    /// Handles a train frame going `dir`: the STOP that opens a train, or
+    /// the GO or bare end that closes it.
+    fn on_train(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        dir: Direction,
+        code: Option<u8>,
+        mark: TrainMark,
+    ) {
+        let now = ctx.now();
+        let d = dir.index();
+        if let (Some(repeats), Some(code)) = (Repeats::announced(mark, now), code) {
+            let whole = !self.touches(dir, code);
+            let (out, _) = self.pass_symbol(dir, code, now);
+            self.crossings[d] = Some(Crossing {
+                repeats,
+                code,
+                done: 0,
+                whole,
+            });
+            if whole {
+                self.forward(
+                    ctx,
+                    dir,
+                    Frame::Train {
+                        code: Some(out),
+                        mark,
+                    },
+                    now,
+                );
+            } else {
+                self.forward(ctx, dir, Frame::Control(out), now);
+                self.wake_for_repeat(ctx, dir);
+            }
+            return;
+        }
+        let TrainMark::Close { same_instant } = mark else {
+            return;
+        };
+        // The repeats up to the close arrived ahead of it.
+        self.act_on_due(ctx, dir, same_instant);
+        let crossing = self.crossings[d].take();
+        let out = code.map(|code| self.pass_symbol(dir, code, now).0);
+        match crossing {
+            Some(c) if c.whole => {
+                self.pass_repeats(
+                    dir,
+                    c.repeats.count(now, same_instant).saturating_sub(c.done),
+                );
+                self.forward(ctx, dir, Frame::Train { code: out, mark }, now);
+            }
+            _ => {
+                if let Some(out) = out {
+                    self.forward(ctx, dir, Frame::Control(out), now);
+                }
+            }
+        }
+    }
+
+    /// Acts on the repeats going `dir` the device handles one by one that
+    /// arrived before now, or by now when `inclusive`, in order, each at
+    /// its own arrival instant. A repeat that passes untouched once the
+    /// device can no longer touch the train is forwarded as the STOP that
+    /// opens a new train downstream, and the rest pass whole. Returns
+    /// whether it acted on any.
+    fn act_on_due(&mut self, ctx: &mut Context<'_, Ev>, dir: Direction, inclusive: bool) -> bool {
+        let now = ctx.now();
+        let d = dir.index();
+        let mut acted = false;
+        while let Some(c) = self.crossings[d].filter(|c| !c.whole) {
+            let at = c.repeats.at(c.done);
+            if at > now || (at == now && !inclusive) {
+                break;
+            }
+            let (out, touched) = self.pass_symbol(dir, c.code, at);
+            let whole = !touched && !self.touches(dir, c.code);
+            self.crossings[d] = Some(Crossing {
+                done: c.done + 1,
+                whole,
+                ..c
+            });
+            let frame = if whole {
+                let period = c.repeats.period;
+                Frame::Train {
+                    code: Some(out),
+                    mark: TrainMark::open(period, period),
+                }
+            } else {
+                Frame::Control(out)
+            };
+            self.forward(ctx, dir, frame, at);
+            acted = true;
+        }
+        acted
+    }
+
+    /// Wakes the device one picosecond after the next repeat going `dir`
+    /// it handles one by one — after every frame of that instant, each of
+    /// which acts on the repeats that sort ahead of it first.
+    fn wake_for_repeat(&mut self, ctx: &mut Context<'_, Ev>, dir: Direction) {
+        let Some(c) = self.crossings[dir.index()].filter(|c| !c.whole) else {
+            return;
+        };
+        let due = c.repeats.at(c.done) + SimDuration::from_ps(1);
+        let kind = timer_kind(timer_class::TRAIN_REPEAT, dir.in_port());
+        let delay = due.checked_duration_since(ctx.now()).unwrap_or_default();
+        ctx.send_self(delay, Ev::Timer { kind, gen: 0 });
+    }
+
+    /// Before an event: acts on the repeats due ahead of it — every one
+    /// that arrived before now, and one arriving now from a component with
+    /// a lower id than the one `ev` comes from on the far side (it sorts
+    /// first).
+    fn catch_up(&mut self, ctx: &mut Context<'_, Ev>, ev: &Ev) {
+        for dir in Direction::BOTH {
+            let inclusive = matches!(ev, Ev::Rx { port, .. }
+                if *port == dir.out_port() && self.peer_id(dir.in_port()) < self.peer_id(*port));
+            if self.act_on_due(ctx, dir, inclusive) {
+                self.wake_for_repeat(ctx, dir);
+            }
+        }
+    }
+
+    /// Counts the repeats of the trains passing whole that arrived before
+    /// now.
+    fn settle_whole(&mut self, now: SimTime) {
+        for dir in Direction::BOTH {
+            let Some(c) = self.crossings[dir.index()].filter(|c| c.whole) else {
+                continue;
+            };
+            let passed = c.repeats.count(now, false);
+            self.pass_repeats(dir, passed.saturating_sub(c.done));
+            self.crossings[dir.index()] = Some(Crossing { done: passed, ..c });
+        }
+    }
+
+    /// Splits each train passing whole that the device could now change or
+    /// log: the repeats that arrived before now passed whole, the train
+    /// downstream ends with them, and the device acts on each repeat from
+    /// here on.
+    fn split_armed(&mut self, ctx: &mut Context<'_, Ev>) {
+        let now = ctx.now();
+        self.settle_whole(now);
+        for dir in Direction::BOTH {
+            let Some(c) = self.crossings[dir.index()].filter(|c| c.whole) else {
+                continue;
+            };
+            if !self.touches(dir, c.code) {
+                continue;
+            }
+            self.crossings[dir.index()] = Some(Crossing { whole: false, ..c });
+            let end = Frame::Train {
+                code: None,
+                mark: TrainMark::Close {
+                    same_instant: false,
+                },
+            };
+            self.forward(ctx, dir, end, now);
+            self.wake_for_repeat(ctx, dir);
         }
     }
 
@@ -473,9 +768,12 @@ impl InjectorDevice {
     fn render_stats(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
+        // Read at a serial event, once the repeats that arrived before it
+        // are accounted for, or between events with no train crossing.
         for (label, dir) in [("A>B", Direction::AToB), ("B>A", Direction::BToA)] {
-            let fifo = self.fifo_stats(dir);
-            let ch = self.channel_stats(dir);
+            let ch = &self.channels[dir.index()];
+            let fifo = ch.injector.stats();
+            let ch = &ch.stats;
             let _ = writeln!(
                 out,
                 "{label}: packets={} controls={} matches={} injections={} ctl_inj={}",
@@ -488,23 +786,29 @@ impl InjectorDevice {
         out
     }
 
-    fn on_serial(&mut self, byte: u8) {
-        if let Some(result) = self.decoder.feed(byte) {
-            match result {
-                Ok(cmd) => {
-                    self.apply_command(cmd);
-                    self.serial_out.extend_from_slice(b"+\n");
-                }
-                Err(_) => {
-                    self.serial_out.extend_from_slice(b"?\n");
-                }
+    /// Feeds one byte to the command decoder; returns whether it completed
+    /// a command that was applied.
+    fn on_serial(&mut self, byte: u8) -> bool {
+        match self.decoder.feed(byte) {
+            Some(Ok(cmd)) => {
+                self.apply_command(cmd);
+                self.serial_out.extend_from_slice(b"+\n");
+                true
             }
+            Some(Err(_)) => {
+                self.serial_out.extend_from_slice(b"?\n");
+                false
+            }
+            None => false,
         }
     }
 
     /// Feeds a whole command string through the serial path (harness
     /// convenience; each byte arrives as an `Ev::Serial` in live use).
+    /// Like [`configure`](InjectorDevice::configure), it has no instant of
+    /// its own.
     pub fn feed_serial(&mut self, bytes: &[u8]) {
+        self.check_no_train("feed_serial");
         for &b in bytes {
             self.on_serial(b);
         }
@@ -519,17 +823,26 @@ impl Attach for InjectorDevice {
 
 impl Component<Ev> for InjectorDevice {
     fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
+        self.catch_up(ctx, &ev);
         match ev {
             Ev::Rx { port, frame } => {
                 self.process_frame(ctx, Direction::from_in_port(port), frame);
             }
             Ev::Timer { kind, .. } => {
+                // A TRAIN_REPEAT wake-up has done its work in `catch_up`.
                 let (class, port) = split_timer_kind(kind);
                 if class == timer_class::TX_DONE {
                     self.egress[port as usize].on_tx_done(ctx);
                 }
             }
-            Ev::Serial(byte) => self.on_serial(byte),
+            Ev::Serial(byte) => {
+                // Counters a command reports or resets include the repeats
+                // that passed whole before it.
+                self.settle_whole(ctx.now());
+                if self.on_serial(byte) {
+                    self.split_armed(ctx);
+                }
+            }
             Ev::App(_) | Ev::Deliver { .. } | Ev::Send { .. } => {}
         }
     }
@@ -616,8 +929,8 @@ mod tests {
         let b = engine.add_component(Box::new(Probe::new()));
         let dev = engine.add_component(Box::new(InjectorDevice::with_name("fi0")));
         let link = Link::myrinet_640(1.0);
-        connect::<Probe, InjectorDevice, _>(&mut engine, (a, 0), (dev, 0), &link);
-        connect::<InjectorDevice, Probe, _>(&mut engine, (dev, 1), (b, 0), &link);
+        connect::<Probe, InjectorDevice, _>(&mut engine, (a, 0), (dev, 0), &link).expect("wire A");
+        connect::<InjectorDevice, Probe, _>(&mut engine, (dev, 1), (b, 0), &link).expect("wire B");
         (engine, a, b, dev)
     }
 
@@ -671,7 +984,8 @@ mod tests {
         let mut ref_engine: Engine<Ev> = Engine::new();
         let ra = ref_engine.add_component(Box::new(Probe::new()));
         let rb = ref_engine.add_component(Box::new(Probe::new()));
-        connect::<Probe, Probe, _>(&mut ref_engine, (ra, 0), (rb, 0), &Link::myrinet_640(1.0));
+        connect::<Probe, Probe, _>(&mut ref_engine, (ra, 0), (rb, 0), &Link::myrinet_640(1.0))
+            .expect("wire reference");
         ref_engine.schedule(
             SimTime::ZERO,
             ra,
@@ -804,7 +1118,7 @@ mod tests {
             engine.run();
         }
         let device = engine.component_as::<InjectorDevice>(dev).unwrap();
-        let stats = device.channel_stats(Direction::AToB);
+        let stats = device.channel_stats(Direction::AToB, engine.now());
         assert_eq!(stats.packets, 3);
         assert_eq!(stats.data_packets, 3);
         assert_eq!(

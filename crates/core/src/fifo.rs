@@ -340,6 +340,22 @@ impl FifoInjector {
         (ctl.corrupt.apply(code), true)
     }
 
+    /// Whether a control symbol `code` pushed through now would be
+    /// corrupted.
+    pub fn touches(&self, code: u8) -> bool {
+        self.config
+            .control
+            .is_some_and(|ctl| ctl.compare.matches(code))
+            && self.may_fire()
+    }
+
+    /// Accounts for `n` control symbols that passed through untouched, as
+    /// `n` calls of [`process_control`](FifoInjector::process_control)
+    /// would while [`touches`](FifoInjector::touches) is false.
+    pub fn pass_controls(&mut self, n: u64) {
+        self.stats.cycles += 2 * n;
+    }
+
     /// Pushes a packet-terminator control code through (GAPs that travel
     /// with packets). Honours `include_terminators`.
     pub fn process_terminator(&mut self, code: u8) -> (u8, bool) {

@@ -194,33 +194,32 @@ fn nftape_allowlist_is_live_not_a_policy_hole() {
     let nftape = netfi_lint::policy_for("nftape");
     assert!(nftape.determinism, "nftape left the determinism scope");
 
-    for (rel, rule) in [("crates/nftape/src/runner.rs", "thread-spawn")] {
-        let src = std::fs::read_to_string(root.join(rel)).expect(rel);
-        let file = netfi_lint::scan_source(&src, nftape);
-        assert!(
-            file.violations.is_empty(),
-            "{rel} must scan clean under the strict nftape policy: {:#?}",
-            file.violations
-        );
-        assert!(
-            file.suppressions_used >= 1,
-            "{rel} exercised no allow-comment — did the {rule} site move?"
-        );
-        // Strip the allow-comments: the rule must fire, proving the scan
-        // still sees the construct and only the comment stands between it
-        // and a diagnostic.
-        let stripped: String = src
-            .lines()
-            .filter(|l| !l.contains(&format!("lint: allow({rule})")))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_ne!(stripped, src, "no allow({rule}) comment found in {rel}");
-        let bad = netfi_lint::scan_source(&stripped, nftape);
-        assert!(
-            bad.violations.iter().any(|v| v.rule == rule),
-            "{rule} did not fire in {rel} once its allow-comment was removed"
-        );
-    }
+    let (rel, rule) = ("crates/nftape/src/runner.rs", "thread-spawn");
+    let src = std::fs::read_to_string(root.join(rel)).expect(rel);
+    let file = netfi_lint::scan_source(&src, nftape);
+    assert!(
+        file.violations.is_empty(),
+        "{rel} must scan clean under the strict nftape policy: {:#?}",
+        file.violations
+    );
+    assert!(
+        file.suppressions_used >= 1,
+        "{rel} exercised no allow-comment — did the {rule} site move?"
+    );
+    // Strip the allow-comments: the rule must fire, proving the scan
+    // still sees the construct and only the comment stands between it
+    // and a diagnostic.
+    let stripped: String = src
+        .lines()
+        .filter(|l| !l.contains(&format!("lint: allow({rule})")))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_ne!(stripped, src, "no allow({rule}) comment found in {rel}");
+    let bad = netfi_lint::scan_source(&stripped, nftape);
+    assert!(
+        bad.violations.iter().any(|v| v.rule == rule),
+        "{rule} did not fire in {rel} once its allow-comment was removed"
+    );
 
     // Engine-scope crates get no such comments today, so the rule must
     // still bite there: the fixture fires under every strict policy.

@@ -8,14 +8,35 @@
 //! counter times out, the sender transitions itself to the GO stage"
 //! (§4.3.1), which is how Myrinet recovers from corrupted GO and STOP
 //! symbols.
+//!
+//! # STOP trains
+//!
+//! A receiver that holds its sender stopped must repeat STOP inside that
+//! timeout; it does so every 12 character periods for as long as its slack
+//! buffer stays above the low watermark. The port sends those repeats as
+//! one train ([`Frame::Train`]): the STOP that stops the peer names when
+//! the repeats fall due, the GO that releases it says whether a repeat due
+//! at its own instant went first, and neither end handles the repeats in
+//! between — the refresh timer runs in arithmetic ([`run_refresh`]), the
+//! held sender keeps `Stopped` with no timeout pending, and the counters
+//! that count single STOPs are derived from the open train when read
+//! ([`stats`]). A train that ends without its GO — swapped away by the
+//! injector, or the cable cut or the receiver dead ([`cut`]) — ends with a
+//! train end instead, and the sender resumes 16 characters after the last
+//! STOP that reached it, as it would have. DESIGN.md §6 has the argument
+//! that this is exact.
+//!
+//! [`run_refresh`]: EgressPort::run_refresh
+//! [`stats`]: EgressPort::stats
+//! [`cut`]: EgressPort::cut
 
 use std::collections::VecDeque;
 
 use netfi_phy::ControlSymbol;
-use netfi_sim::{Context, SimDuration, SimTime};
+use netfi_sim::{ComponentId, Context, SimDuration, SimTime, Simulation};
 
 use crate::event::{Ev, PortPeer};
-use crate::frame::Frame;
+use crate::frame::{Frame, Repeats, TrainMark};
 
 /// Timer classes used by components in this crate (low 16 bits of the
 /// timer `kind`; the owning port number goes in the high 16 bits).
@@ -32,12 +53,20 @@ pub mod timer_class {
     pub const SCOUT_WINDOW: u32 = 5;
     /// Mapper-election takeover timer.
     pub const TAKEOVER: u32 = 6;
-    /// Periodic STOP refresh while a slack buffer holds its sender stopped.
+    /// Periodic STOP refresh of a switch input, in the per-symbol model
+    /// the STOP-train differential test keeps as its oracle.
     pub const STOP_REFRESH: u32 = 7;
     /// A host interface's receive buffer finished draining one packet.
     pub const RX_DRAIN: u32 = 8;
-    /// STOP refresh for a host interface's receive slack buffer.
+    /// STOP refresh of a host interface's receive slack buffer, in the
+    /// per-symbol oracle.
     pub const RX_STOP_REFRESH: u32 = 9;
+    /// The injector acts on the STOP-train repeats due by now that it
+    /// corrupts or logs one by one (port = the direction's input port).
+    pub const TRAIN_REPEAT: u32 = 10;
+    /// A switch port was severed between events: the packets waiting for
+    /// it are dropped now.
+    pub const SEVERED: u32 = 11;
     /// First application-defined class; higher layers start here.
     pub const APP_BASE: u32 = 0x100;
 }
@@ -55,23 +84,28 @@ pub fn split_timer_kind(kind: u32) -> (u32, u8) {
 /// Number of character periods in the short-period (STOP) timeout.
 pub const STOP_TIMEOUT_CHARS: u64 = 16;
 
+/// Character periods between repeats of a held STOP: comfortably inside
+/// the sender's 16-character timeout.
+pub const REFRESH_CHARS: u64 = 12;
+
 /// Flow-control state of a sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowState {
     /// Transmitting normally.
     Go,
-    /// Paused by a STOP symbol; a timeout is pending.
+    /// Paused by a STOP symbol, until a GO, the end of the STOP train, or
+    /// the 16-character timeout.
     Stopped,
 }
 
 /// Counters exposed by an egress port.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EgressStats {
-    /// Frames transmitted.
+    /// Frames transmitted (a STOP repeat counts as one).
     pub sent_frames: u64,
     /// Characters transmitted (packet bytes + terminators + control).
     pub sent_chars: u64,
-    /// STOP symbols acted upon.
+    /// STOP symbols acted upon, repeats included.
     pub stops_received: u64,
     /// GO symbols acted upon.
     pub gos_received: u64,
@@ -80,6 +114,57 @@ pub struct EgressStats {
     pub timeout_recoveries: u64,
     /// Frames dropped because the port was never wired.
     pub unwired_drops: u64,
+}
+
+/// The refresh timer of the slack buffer a port speaks for, and the STOP
+/// train it is sending.
+#[derive(Debug, Clone, Copy, Default)]
+struct Refresh {
+    /// When the refresh timer fires next, while it is armed. It is armed
+    /// while the slack buffer holds the peer stopped and lapses at the
+    /// first fire that finds the buffer released, so a STOP before that
+    /// fire keeps its phase.
+    next: Option<SimTime>,
+    /// The first repeat of the train being sent, while one is open (from
+    /// the STOP that stopped the peer to the GO that releases it).
+    train: Option<SimTime>,
+}
+
+/// The STOP train the peer holds a port stopped with.
+#[derive(Debug, Clone, Copy)]
+struct Holding {
+    /// When the repeats arrive.
+    repeats: Repeats,
+    /// Arrival of the latest STOP that came as a frame of its own (the
+    /// one that opened the train, or one more from the peer's buffer).
+    last_frame: SimTime,
+}
+
+/// What a harness owes the simulation after cutting a link between events
+/// (see [`EgressPort::cut`]): the train end the far side would have
+/// inferred from the repeats no longer coming, and the events the cut
+/// component owes itself — the STOP timeout the last repeat that did come
+/// started, and, at a switch, dropping what waits for the cut port.
+#[derive(Debug, Default)]
+#[must_use = "a cut train is only ended once its events are scheduled"]
+pub struct Cut {
+    /// Deliver `ev` to `dst` at the given instant.
+    pub far: Option<(SimTime, ComponentId, Ev)>,
+    /// Deliver each `ev` to the cut component itself at its instant.
+    pub near: Vec<(SimTime, Ev)>,
+}
+
+impl Cut {
+    /// Schedules every event on `sim`; `this` is the component that was
+    /// cut.
+    pub fn schedule(self, sim: &mut impl Simulation<Ev>, this: ComponentId) {
+        if let Some((at, dst, ev)) = self.far {
+            sim.schedule(at, dst, ev);
+        }
+        for (at, ev) in self.near {
+            sim.schedule(at, this, ev);
+        }
+    }
 }
 
 /// The sending half of one link attachment.
@@ -94,6 +179,18 @@ pub struct EgressPort {
     busy_until: SimTime,
     flow_gen: u64,
     stats: EgressStats,
+    /// The STOP train this port sends for its slack buffer.
+    refresh: Refresh,
+    /// The STOP train the peer holds this port with.
+    holding: Option<Holding>,
+    /// The live STOP timeout, if one is pending: when it expires, and
+    /// whether a train end armed it.
+    timeout: Option<(SimTime, bool)>,
+    /// The refresh timer kind of the per-symbol model: while set, this
+    /// port sends every repeat as a STOP of its own off a real timer, and
+    /// never a train.
+    #[cfg(any(test, feature = "oracle"))]
+    per_symbol: Option<u32>,
 }
 
 impl EgressPort {
@@ -109,7 +206,22 @@ impl EgressPort {
             busy_until: SimTime::ZERO,
             flow_gen: 0,
             stats: EgressStats::default(),
+            refresh: Refresh::default(),
+            holding: None,
+            timeout: None,
+            #[cfg(any(test, feature = "oracle"))]
+            per_symbol: None,
         }
+    }
+
+    /// Switches this port to the per-symbol model of STOP repeats — a
+    /// `kind` timer per repeat, which the owner routes to
+    /// [`on_refresh_timer`](EgressPort::on_refresh_timer) — the oracle the
+    /// STOP-train differential test compares against. Call before the
+    /// simulation starts.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn set_per_symbol(&mut self, kind: u32) {
+        self.per_symbol = Some(kind);
     }
 
     /// Wires the port to its peer.
@@ -137,9 +249,58 @@ impl EgressPort {
         self.flow
     }
 
-    /// Counters.
-    pub fn stats(&self) -> EgressStats {
-        self.stats
+    /// Counters as of `now`, every event due by `now` having run: the STOP
+    /// repeats this port has sent and received by then are counted, as if
+    /// each had been a frame of its own.
+    pub fn stats(&self, now: SimTime) -> EgressStats {
+        let mut stats = self.stats;
+        if let Some(first) = self.refresh.train {
+            let period = self.refresh_period();
+            let n = Repeats { first, period }.count(now, true);
+            Self::count_sent_repeats(&mut stats, self.peer.is_some(), n);
+        }
+        if let Some(holding) = &self.holding {
+            stats.stops_received += holding.repeats.count(now, true);
+        }
+        stats
+    }
+
+    /// Counts `n` repeats sent: on the wire if the port is `wired`, dropped
+    /// with the rest of an unwired port's frames otherwise.
+    fn count_sent_repeats(stats: &mut EgressStats, wired: bool, n: u64) {
+        if wired {
+            stats.sent_frames += n;
+            stats.sent_chars += n;
+        } else {
+            stats.unwired_drops += n;
+        }
+    }
+
+    /// The time between repeats of a STOP this port sends: 12 character
+    /// periods of its link.
+    pub fn refresh_period(&self) -> SimDuration {
+        match &self.peer {
+            Some(peer) => peer.link.char_period() * REFRESH_CHARS,
+            None => SimDuration::from_ns(150),
+        }
+    }
+
+    /// `true` while a STOP train can fall due at the instant of another
+    /// event on this link: the refresh timer of the slack buffer this port
+    /// speaks for is armed, the peer holds this port with a train, or a
+    /// train end armed the pending STOP timeout.
+    pub fn in_stop_train(&self) -> bool {
+        self.refresh.next.is_some()
+            || self.holding.is_some()
+            || matches!(self.timeout, Some((_, true)))
+    }
+
+    /// The STOP timeout pending on this port, if any: when it expires, and
+    /// whether a train end armed it. The per-symbol model armed that one
+    /// at the last STOP, so among the owner's events of its instant it may
+    /// have sorted earlier than it does here (DESIGN.md §6).
+    pub fn pending_timeout(&self) -> Option<(SimTime, bool)> {
+        self.timeout
     }
 
     /// Frames waiting (not yet on the wire).
@@ -169,9 +330,231 @@ impl EgressPort {
     /// sender is itself stopped (control symbols interleave with data on
     /// the real link).
     pub fn enqueue_control(&mut self, ctx: &mut Context<'_, Ev>, code: u8) {
-        self.queued_chars += 1;
-        self.queue.push_front(Frame::Control(code));
+        self.enqueue_flow(ctx, Frame::Control(code));
+    }
+
+    /// [`enqueue_control`](EgressPort::enqueue_control) for any control
+    /// frame, train frames included.
+    fn enqueue_flow(&mut self, ctx: &mut Context<'_, Ev>, frame: Frame) {
+        self.queued_chars += frame.wire_len();
+        self.queue.push_front(frame);
         self.pump(ctx);
+    }
+
+    /// Runs the refresh timer of the slack buffer this port speaks for up
+    /// to the event being handled. Every fire before `now` — and at `now`
+    /// when the event sorts after the timer (`late`: a frame from a
+    /// component with a higher id; the timer was set a refresh period ago,
+    /// before anything else this component schedules for `now`) — finds the
+    /// buffer `stopped` as it has been since the previous call: it repeats
+    /// the STOP, which the open train already announced, or it finds the
+    /// buffer released and lapses. Call before every change to the
+    /// buffer's state.
+    pub fn run_refresh(&mut self, now: SimTime, late: bool, stopped: bool) {
+        #[cfg(any(test, feature = "oracle"))]
+        if self.per_symbol.is_some() {
+            return;
+        }
+        let Some(next) = self.refresh.next else {
+            return;
+        };
+        if next > now || (next == now && !late) {
+            return;
+        }
+        self.refresh.next = stopped.then(|| {
+            let due = Repeats {
+                first: next,
+                period: self.refresh_period(),
+            };
+            due.at(due.count(now, late))
+        });
+    }
+
+    /// Sends the STOP the slack buffer this port speaks for has generated.
+    /// The STOP that stops the peer opens a train whose repeats fall on the
+    /// refresh timer — armed now, or still armed from the previous stop;
+    /// one more while the train is open (a frame landed above the high
+    /// watermark) goes as a STOP of its own.
+    pub fn send_stop(&mut self, ctx: &mut Context<'_, Ev>) {
+        let code = ControlSymbol::Stop.encode();
+        #[cfg(any(test, feature = "oracle"))]
+        if let Some(kind) = self.per_symbol {
+            self.enqueue_control(ctx, code);
+            if self.refresh.next.is_none() {
+                self.arm_refresh(ctx, kind);
+            }
+            return;
+        }
+        if self.refresh.train.is_some() {
+            return self.enqueue_control(ctx, code);
+        }
+        let now = ctx.now();
+        let period = self.refresh_period();
+        let first = *self.refresh.next.get_or_insert(now + period);
+        self.refresh.train = Some(first);
+        let mark = TrainMark::open(first - now, period);
+        self.enqueue_flow(
+            ctx,
+            Frame::Train {
+                code: Some(code),
+                mark,
+            },
+        );
+    }
+
+    /// Sends the GO the slack buffer this port speaks for has generated,
+    /// closing the open train: its repeats are the timer's fires from the
+    /// first up to `now` (call [`run_refresh`](EgressPort::run_refresh)
+    /// first), and one due at `now` itself went ahead of the GO if the
+    /// timer has moved past `now`.
+    pub fn send_go(&mut self, ctx: &mut Context<'_, Ev>) {
+        let code = Some(ControlSymbol::Go.encode());
+        let (Some(first), Some(next)) = (self.refresh.train.take(), self.refresh.next) else {
+            return self.enqueue_control(ctx, ControlSymbol::Go.encode());
+        };
+        let n = Repeats {
+            first,
+            period: self.refresh_period(),
+        }
+        .count(next, false);
+        Self::count_sent_repeats(&mut self.stats, self.peer.is_some(), n);
+        let mark = TrainMark::Close {
+            same_instant: next > ctx.now(),
+        };
+        self.enqueue_flow(ctx, Frame::Train { code, mark });
+    }
+
+    /// The per-symbol model's refresh timer fired: with the buffer still
+    /// `stopped`, repeats the STOP and re-arms; otherwise lapses. Returns
+    /// whether it sent.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn on_refresh_timer(&mut self, ctx: &mut Context<'_, Ev>, stopped: bool) -> bool {
+        self.refresh.next = None;
+        let Some(kind) = self.per_symbol.filter(|_| stopped) else {
+            return false;
+        };
+        self.enqueue_control(ctx, ControlSymbol::Stop.encode());
+        self.arm_refresh(ctx, kind);
+        true
+    }
+
+    #[cfg(any(test, feature = "oracle"))]
+    fn arm_refresh(&mut self, ctx: &mut Context<'_, Ev>, kind: u32) {
+        let period = self.refresh_period();
+        self.refresh.next = Some(ctx.now() + period);
+        ctx.send_self(period, Ev::Timer { kind, gen: 0 });
+    }
+
+    /// Ends both STOP trains of this attachment at `now`, every event due
+    /// by `now` having run, the way a cut cable or a dead receiver ends
+    /// them: the refresh timer of the slack buffer (`stopped` as it is)
+    /// lapses and the train it was sending closes after the repeats fired
+    /// by `now`; the train the peer holds this port with stops after the
+    /// repeats that arrived by `now`. Returns the bare train end the peer
+    /// is owed — it arrives when a symbol sent at `now` would — and the
+    /// STOP timeout the last STOP to arrive here started.
+    pub fn cut(&mut self, now: SimTime, stopped: bool) -> Cut {
+        #[cfg(any(test, feature = "oracle"))]
+        if self.per_symbol.is_some() {
+            return Cut::default();
+        }
+        let mut cut = Cut::default();
+        self.run_refresh(now, true, stopped);
+        if let Some(first) = self.refresh.train.take() {
+            let n = Repeats {
+                first,
+                period: self.refresh_period(),
+            }
+            .count(now, true);
+            Self::count_sent_repeats(&mut self.stats, self.peer.is_some(), n);
+            cut.far = self.peer.map(|peer| {
+                let frame = Frame::Train {
+                    code: None,
+                    mark: TrainMark::Close { same_instant: true },
+                };
+                let ev = Ev::Rx {
+                    port: peer.dst_port,
+                    frame,
+                };
+                (now + peer.tx_time(1) + peer.propagation(), peer.dst, ev)
+            });
+        }
+        self.refresh.next = None;
+        if let Some(last) = self.end_holding(now, true) {
+            let kind = timer_kind(timer_class::STOP_TIMEOUT, self.port);
+            let ev = Ev::Timer {
+                kind,
+                gen: self.flow_gen,
+            };
+            let due = last + self.stop_timeout();
+            self.timeout = Some((due, true));
+            cut.near.push((due, ev));
+        }
+        cut
+    }
+
+    /// Handles the train mark of a flow-control frame from the peer, ahead
+    /// of the symbol it rides on (`sym`, which the owner then handles as
+    /// usual). An open mark holds this port stopped, with no timeout, until
+    /// the train closes. A close counts the repeats that arrived and — if
+    /// `sym` is not itself a STOP or GO, which would supersede it — starts
+    /// the timeout the last STOP to arrive started: "the sender transitions
+    /// itself to the GO stage" 16 characters after it.
+    pub fn on_train(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        mark: TrainMark,
+        sym: Option<ControlSymbol>,
+    ) {
+        let now = ctx.now();
+        if let Some(repeats) = Repeats::announced(mark, now) {
+            self.holding = Some(Holding {
+                repeats,
+                last_frame: now,
+            });
+            return;
+        }
+        let TrainMark::Close { same_instant } = mark else {
+            return;
+        };
+        let Some(last) = self.end_holding(now, same_instant) else {
+            return;
+        };
+        if !matches!(sym, Some(ControlSymbol::Stop | ControlSymbol::Go)) {
+            let delay = (last + self.stop_timeout()).checked_duration_since(now);
+            self.arm_stop_timeout(ctx, delay.unwrap_or_default(), true);
+        }
+    }
+
+    /// Ends the train the peer holds this port with, counting the repeats
+    /// that arrived before `now` (and at `now` when `inclusive`). Returns
+    /// the arrival of the last STOP of the train, if one was open.
+    fn end_holding(&mut self, now: SimTime, inclusive: bool) -> Option<SimTime> {
+        let holding = self.holding.take()?;
+        let repeats = holding.repeats.count(now, inclusive);
+        self.stats.stops_received += repeats;
+        Some(match repeats.checked_sub(1) {
+            Some(last) => holding.last_frame.max(holding.repeats.at(last)),
+            None => holding.last_frame,
+        })
+    }
+
+    /// Arms the STOP timeout of the current flow generation to expire after
+    /// `delay`; `by_train_end` if a train end arms it.
+    fn arm_stop_timeout(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        delay: SimDuration,
+        by_train_end: bool,
+    ) {
+        self.timeout = Some((ctx.now() + delay, by_train_end));
+        ctx.send_self(
+            delay,
+            Ev::Timer {
+                kind: timer_kind(timer_class::STOP_TIMEOUT, self.port),
+                gen: self.flow_gen,
+            },
+        );
     }
 
     /// Holds the port: the wormhole path is occupied by an unterminated
@@ -190,26 +573,25 @@ impl EgressPort {
         }
     }
 
-    /// Handles a STOP or GO symbol received from the peer.
+    /// Handles a STOP or GO symbol received from the peer. A STOP inside a
+    /// train starts no timeout: the train's next repeat is due first.
     pub fn on_flow(&mut self, ctx: &mut Context<'_, Ev>, sym: ControlSymbol) {
         match sym {
             ControlSymbol::Stop => {
                 self.stats.stops_received += 1;
                 self.flow = FlowState::Stopped;
                 self.flow_gen += 1;
-                let timeout = self.stop_timeout();
-                ctx.send_self(
-                    timeout,
-                    Ev::Timer {
-                        kind: timer_kind(timer_class::STOP_TIMEOUT, self.port),
-                        gen: self.flow_gen,
-                    },
-                );
+                self.timeout = None;
+                match &mut self.holding {
+                    Some(holding) => holding.last_frame = ctx.now(),
+                    None => self.arm_stop_timeout(ctx, self.stop_timeout(), false),
+                }
             }
             ControlSymbol::Go => {
                 self.stats.gos_received += 1;
                 self.flow = FlowState::Go;
                 self.flow_gen += 1; // cancels any pending timeout
+                self.timeout = None;
                 self.pump(ctx);
             }
             _ => {}
@@ -219,7 +601,11 @@ impl EgressPort {
     /// Handles the STOP short-period timeout. Stale generations (a GO or a
     /// refreshed STOP arrived since) are ignored.
     pub fn on_stop_timeout(&mut self, ctx: &mut Context<'_, Ev>, gen: u64) {
-        if gen != self.flow_gen || self.flow != FlowState::Stopped {
+        if gen != self.flow_gen {
+            return;
+        }
+        self.timeout = None;
+        if self.flow != FlowState::Stopped {
             return;
         }
         // "the sender transitions itself to the GO stage"
@@ -256,11 +642,11 @@ impl EgressPort {
         // (paper Figure 8): transmit them immediately, even while a data
         // frame occupies the line — flow control must outrun the sender's
         // 16-character STOP timeout.
-        while matches!(self.queue.front(), Some(Frame::Control(_))) {
+        while self.queue.front().is_some_and(Frame::is_control) {
             let Some(frame) = self.queue.pop_front() else {
                 break;
             };
-            self.queued_chars -= 1;
+            self.queued_chars -= frame.wire_len();
             ctx.send(
                 peer.dst,
                 peer.tx_time(1) + peer.propagation(),
@@ -281,8 +667,8 @@ impl EgressPort {
         // admitted (the unterminated packet itself) drain normally.
         let may_send = match self.queue.front() {
             None => false,
-            Some(Frame::Control(_)) => true,
             Some(Frame::Packet(_)) => self.flow == FlowState::Go,
+            Some(_) => true,
         };
         if !may_send {
             return;
@@ -435,8 +821,8 @@ mod tests {
         push_packet(&mut engine, sender, 7);
         engine.run();
         let s = engine.component_as::<Sender>(sender).unwrap();
-        assert_eq!(s.egress.stats().stops_received, 1);
-        assert_eq!(s.egress.stats().timeout_recoveries, 1);
+        assert_eq!(s.egress.stats(engine.now()).stops_received, 1);
+        assert_eq!(s.egress.stats(engine.now()).timeout_recoveries, 1);
         let sink = engine.component_as::<Sink>(sink).unwrap();
         // 16 chars * 12.5 ns = 200 ns stopped, then 100 ns tx + 5 ns prop.
         assert_eq!(sink.rx[0].0, SimTime::from_ns(305));
@@ -464,7 +850,7 @@ mod tests {
         );
         engine.run();
         let s = engine.component_as::<Sender>(sender).unwrap();
-        assert_eq!(s.egress.stats().timeout_recoveries, 0);
+        assert_eq!(s.egress.stats(engine.now()).timeout_recoveries, 0);
         let sink = engine.component_as::<Sink>(sink).unwrap();
         assert_eq!(sink.rx[0].0, SimTime::from_ns(155));
     }
@@ -495,8 +881,8 @@ mod tests {
         // Resumes at 150+200 = 350 ns, arrival 455 ns.
         assert_eq!(sink.rx[0].0, SimTime::from_ns(455));
         let s = engine.component_as::<Sender>(sender).unwrap();
-        assert_eq!(s.egress.stats().timeout_recoveries, 1);
-        assert_eq!(s.egress.stats().stops_received, 2);
+        assert_eq!(s.egress.stats(engine.now()).timeout_recoveries, 1);
+        assert_eq!(s.egress.stats(engine.now()).stops_received, 2);
     }
 
     #[test]
@@ -565,7 +951,7 @@ mod tests {
         push_packet(&mut engine, sender, 3);
         engine.run();
         let s = engine.component_as::<Sender>(sender).unwrap();
-        assert_eq!(s.egress.stats().unwired_drops, 1);
+        assert_eq!(s.egress.stats(engine.now()).unwired_drops, 1);
         assert_eq!(s.egress.queue_len(), 0);
     }
 

@@ -10,9 +10,15 @@
 //! device corrupts the GAP character on the wire: a packet whose
 //! terminator no longer decodes as GAP leaves its wormhole path occupied
 //! (§4.3.1, "source blocking").
+//!
+//! A receiver that holds its sender stopped repeats STOP every 12
+//! character periods. That repetition travels as one [`Frame::Train`]: the
+//! first STOP names when the repeats come ([`TrainMark::Open`]), and the
+//! GO that releases the sender — or a bare train end — says where they
+//! stopped ([`TrainMark::Close`]). DESIGN.md §6 has the model.
 
 use netfi_phy::ControlSymbol;
-use netfi_sim::SharedBytes;
+use netfi_sim::{SharedBytes, SimDuration, SimTime};
 
 /// A packet as it travels a link: its raw wire image plus the control
 /// symbol that terminates it.
@@ -51,6 +57,85 @@ impl PacketFrame {
     }
 }
 
+/// What a [`Frame::Train`] says about the STOP repeats it stands for.
+///
+/// Times are picoseconds in a `u32`, which keeps [`Frame`] — and with it
+/// every queued event — at its size; a refresh period of 12 character
+/// periods fits for any link faster than 23 kb/s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrainMark {
+    /// The STOP this mark rides on opens a train: repeats arrive `first`
+    /// after it, then every `period`, until a close.
+    Open {
+        /// Picoseconds from this STOP to the first repeat (at most one
+        /// period).
+        first: u32,
+        /// Picoseconds between repeats.
+        period: u32,
+    },
+    /// The train ends here: no repeat arrives after this frame.
+    Close {
+        /// Whether a repeat arriving at this frame's own instant, ahead of
+        /// it, still belongs to the train (repeats at earlier instants
+        /// always do).
+        same_instant: bool,
+    },
+}
+
+impl TrainMark {
+    /// An [`Open`](TrainMark::Open) mark: the first repeat `first` after
+    /// the STOP, then one every `period`.
+    pub fn open(first: SimDuration, period: SimDuration) -> TrainMark {
+        let ps = |d: SimDuration| u32::try_from(d.as_ps()).unwrap_or(u32::MAX);
+        TrainMark::Open {
+            first: ps(first),
+            period: ps(period),
+        }
+    }
+}
+
+/// The repeats of an open train as seen at one place: the first arrives at
+/// `first`, then one every `period`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Repeats {
+    /// Arrival of the first repeat.
+    pub first: SimTime,
+    /// Time between repeats.
+    pub period: SimDuration,
+}
+
+impl Repeats {
+    /// The repeats an [`Open`](TrainMark::Open) mark announces, seen from
+    /// the instant `now` it arrives at. `None` for any other mark.
+    pub fn announced(mark: TrainMark, now: SimTime) -> Option<Repeats> {
+        match mark {
+            TrainMark::Open { first, period } => Some(Repeats {
+                first: now + SimDuration::from_ps(first.into()),
+                period: SimDuration::from_ps(period.into()),
+            }),
+            TrainMark::Close { .. } => None,
+        }
+    }
+
+    /// Arrival of repeat number `k` (from 0).
+    pub fn at(&self, k: u64) -> SimTime {
+        self.first + self.period * k
+    }
+
+    /// How many repeats arrive before `t`, or at `t` too when `inclusive`.
+    pub fn count(&self, t: SimTime, inclusive: bool) -> u64 {
+        let Some(span) = t.checked_duration_since(self.first) else {
+            return 0;
+        };
+        let period = self.period.as_ps().max(1);
+        match (span.as_ps(), inclusive) {
+            (0, false) => 0,
+            (span, true) => span / period + 1,
+            (span, false) => (span - 1) / period + 1,
+        }
+    }
+}
+
 /// One unit on a link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -58,6 +143,15 @@ pub enum Frame {
     Packet(PacketFrame),
     /// A standalone control symbol, as a raw 8-bit code.
     Control(u8),
+    /// A control symbol that opens or closes a STOP train, or a bare train
+    /// end (`code: None`) that a cut cable, a dead receiver or the injector
+    /// owes the sender in place of the repeats it no longer passes on.
+    Train {
+        /// The symbol on the wire, if any.
+        code: Option<u8>,
+        /// What the symbol says about the train.
+        mark: TrainMark,
+    },
 }
 
 impl Frame {
@@ -71,19 +165,29 @@ impl Frame {
         Frame::Packet(PacketFrame::new(bytes))
     }
 
-    /// Wire length in characters.
+    /// Wire length in characters (a bare train end occupies none).
     pub fn wire_len(&self) -> usize {
         match self {
             Frame::Packet(p) => p.wire_len(),
             Frame::Control(_) => 1,
+            Frame::Train { code, .. } => usize::from(code.is_some()),
         }
     }
 
-    /// Decodes a standalone control frame (tolerantly).
+    /// `true` for the frames flow control sends ahead of data.
+    pub fn is_control(&self) -> bool {
+        !matches!(self, Frame::Packet(_))
+    }
+
+    /// Decodes the control symbol a standalone or train frame carries
+    /// (tolerantly).
     pub fn as_control(&self) -> Option<ControlSymbol> {
         match self {
-            Frame::Control(code) => ControlSymbol::decode_tolerant(*code),
-            Frame::Packet(_) => None,
+            Frame::Control(code)
+            | Frame::Train {
+                code: Some(code), ..
+            } => ControlSymbol::decode_tolerant(*code),
+            Frame::Packet(_) | Frame::Train { code: None, .. } => None,
         }
     }
 }
@@ -131,5 +235,39 @@ mod tests {
     fn wire_lengths() {
         assert_eq!(Frame::control(ControlSymbol::Go).wire_len(), 1);
         assert_eq!(Frame::packet(vec![0; 10]).wire_len(), 11);
+        let end = Frame::Train {
+            code: None,
+            mark: TrainMark::Close { same_instant: true },
+        };
+        assert_eq!((end.wire_len(), end.as_control()), (0, None));
+    }
+
+    #[test]
+    fn repeats_count_by_arrival() {
+        // A STOP at 1,000 ps announcing repeats 500 ps later, every 150.
+        let mark = TrainMark::open(SimDuration::from_ps(500), SimDuration::from_ps(150));
+        let r = Repeats::announced(mark, SimTime::from_ps(1_000)).unwrap();
+        assert_eq!(
+            (r.at(0), r.at(2)),
+            (SimTime::from_ps(1_500), SimTime::from_ps(1_800))
+        );
+        let count = |ps, inclusive| r.count(SimTime::from_ps(ps), inclusive);
+        assert_eq!(
+            (count(1_499, true), count(1_500, false), count(1_500, true)),
+            (0, 0, 1)
+        );
+        assert_eq!(
+            (count(1_799, true), count(1_800, false), count(1_800, true)),
+            (2, 2, 3)
+        );
+        assert_eq!(
+            Repeats::announced(
+                TrainMark::Close {
+                    same_instant: false
+                },
+                SimTime::ZERO
+            ),
+            None
+        );
     }
 }

@@ -23,11 +23,11 @@ use std::fmt;
 
 use netfi_obs::{Recorder, Sink};
 use netfi_phy::ControlSymbol;
-use netfi_sim::{Context, DetRng, SimDuration};
+use netfi_sim::{Context, DetRng, SimDuration, SimTime};
 
 use crate::addr::{EthAddr, NodeAddress};
 use crate::crc8;
-use crate::egress::{timer_class, timer_kind, EgressPort};
+use crate::egress::{timer_class, timer_kind, Cut, EgressPort, EgressStats};
 use crate::sbuf::{Accept, SlackBuffer};
 use crate::event::{Ev, PortPeer};
 use crate::frame::{Frame, PacketFrame};
@@ -199,7 +199,6 @@ pub struct HostInterface {
     rx_sbuf: SlackBuffer,
     rx_queue: VecDeque<PacketFrame>,
     rx_draining: bool,
-    rx_refresh_armed: bool,
     last_standalone_gap: Option<netfi_sim::SimTime>,
     routing: BTreeMap<EthAddr, Vec<u8>>,
     stats: InterfaceStats,
@@ -229,7 +228,6 @@ impl HostInterface {
             rx_sbuf: SlackBuffer::new(config.rx_capacity, config.rx_high, config.rx_low),
             rx_queue: VecDeque::new(),
             rx_draining: false,
-            rx_refresh_armed: false,
             last_standalone_gap: None,
             routing: BTreeMap::new(),
             stats: InterfaceStats::default(),
@@ -366,9 +364,29 @@ impl HostInterface {
         &self.last_present
     }
 
-    /// Egress statistics (flow-control behaviour).
-    pub fn egress_stats(&self) -> crate::egress::EgressStats {
-        self.egress.stats()
+    /// Egress statistics (flow-control behaviour) as of `now` (see
+    /// [`EgressPort::stats`]).
+    pub fn egress_stats(&self, now: SimTime) -> EgressStats {
+        self.egress.stats(now)
+    }
+
+    /// Ends the link's STOP trains at `now` because the host died (see
+    /// [`EgressPort::cut`]). A dead host owes itself no timeout, so only
+    /// the train end for the far side is left to schedule.
+    pub fn cut(&mut self, now: SimTime) -> Cut {
+        Cut {
+            far: self.egress.cut(now, self.rx_sbuf.upstream_stopped()).far,
+            near: Vec::new(),
+        }
+    }
+
+    /// Switches the receive buffer's STOP repeats to the per-symbol model,
+    /// the oracle of the STOP-train differential test. Call before the
+    /// simulation starts.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn set_per_symbol(&mut self) {
+        self.egress
+            .set_per_symbol(timer_kind(timer_class::RX_STOP_REFRESH, 1));
     }
 
     /// Sends `data` to `dest` as a DATA packet.
@@ -439,16 +457,14 @@ impl HostInterface {
     pub fn handle_rx(&mut self, ctx: &mut Context<'_, Ev>, frame: Frame) -> Option<Delivery> {
         match frame {
             Frame::Control(code) => {
-                match ControlSymbol::decode_tolerant(code) {
-                    Some(sym @ (ControlSymbol::Stop | ControlSymbol::Go)) => {
-                        self.egress.on_flow(ctx, sym);
-                    }
-                    Some(ControlSymbol::Gap) => {
-                        // Remembered: a standalone GAP arriving during a
-                        // packet's serialization window truncated it.
-                        self.last_standalone_gap = Some(ctx.now());
-                    }
-                    _ => {}
+                self.on_symbol(ctx, code);
+                None
+            }
+            Frame::Train { code, mark } => {
+                let sym = code.and_then(ControlSymbol::decode_tolerant);
+                self.egress.on_train(ctx, mark, sym);
+                if let Some(code) = code {
+                    self.on_symbol(ctx, code);
                 }
                 None
             }
@@ -465,6 +481,11 @@ impl HostInterface {
                         return None;
                     }
                 }
+                // A frame from a component with a higher id sorts after
+                // this component's own timers of its instant.
+                let late = self.egress.peer().is_some_and(|p| p.dst > ctx.self_id());
+                self.egress
+                    .run_refresh(ctx.now(), late, self.rx_sbuf.upstream_stopped());
                 match self.rx_sbuf.try_accept(pf.wire_len()) {
                     Accept::Overflow => {
                         self.stats.rx_overflow_drops += 1;
@@ -472,14 +493,35 @@ impl HostInterface {
                     }
                     Accept::Stored => {}
                 }
-                if let Some(sym) = self.rx_sbuf.poll_flow() {
-                    self.egress.enqueue_control(ctx, sym.encode());
-                }
-                self.arm_rx_refresh(ctx);
+                self.poll_flow(ctx);
                 self.rx_queue.push_back(pf);
                 self.start_drain(ctx);
                 None
             }
+        }
+    }
+
+    /// Handles a control symbol from the link.
+    fn on_symbol(&mut self, ctx: &mut Context<'_, Ev>, code: u8) {
+        match ControlSymbol::decode_tolerant(code) {
+            Some(sym @ (ControlSymbol::Stop | ControlSymbol::Go)) => {
+                self.egress.on_flow(ctx, sym);
+            }
+            Some(ControlSymbol::Gap) => {
+                // Remembered: a standalone GAP arriving during a packet's
+                // serialization window truncated it.
+                self.last_standalone_gap = Some(ctx.now());
+            }
+            _ => {}
+        }
+    }
+
+    /// Sends the switch the STOP or GO the receive buffer owes it, if any.
+    fn poll_flow(&mut self, ctx: &mut Context<'_, Ev>) {
+        match self.rx_sbuf.poll_flow() {
+            Some(ControlSymbol::Stop) => self.egress.send_stop(ctx),
+            Some(_) => self.egress.send_go(ctx),
+            None => {}
         }
     }
 
@@ -501,27 +543,6 @@ impl HostInterface {
             dt,
             Ev::Timer {
                 kind: timer_kind(timer_class::RX_DRAIN, 1),
-                gen: 0,
-            },
-        );
-    }
-
-    /// While the receive buffer holds the switch stopped, STOP must be
-    /// refreshed inside the sender's 16-character timeout.
-    fn arm_rx_refresh(&mut self, ctx: &mut Context<'_, Ev>) {
-        if self.rx_refresh_armed || !self.rx_sbuf.upstream_stopped() {
-            return;
-        }
-        self.rx_refresh_armed = true;
-        let period = self
-            .egress
-            .peer()
-            .map(|p| p.link.char_period() * 12)
-            .unwrap_or(netfi_sim::SimDuration::from_ns(150));
-        ctx.send_self(
-            period,
-            Ev::Timer {
-                kind: timer_kind(timer_class::RX_STOP_REFRESH, 1),
                 gen: 0,
             },
         );
@@ -600,22 +621,27 @@ impl HostInterface {
             timer_class::RX_DRAIN => {
                 self.rx_draining = false;
                 if let Some(pf) = self.rx_queue.pop_front() {
+                    // Set a drain time ago, longer than a refresh period:
+                    // ahead of the refresh due now.
+                    debug_assert!(
+                        !self.egress.in_stop_train()
+                            || self.drain_time(pf.wire_len()) > self.egress.refresh_period(),
+                        "a {}-character frame drains faster than STOP repeats",
+                        pf.wire_len()
+                    );
+                    self.egress
+                        .run_refresh(ctx.now(), false, self.rx_sbuf.upstream_stopped());
                     self.rx_sbuf.drain(pf.wire_len());
-                    if let Some(sym) = self.rx_sbuf.poll_flow() {
-                        self.egress.enqueue_control(ctx, sym.encode());
-                    }
+                    self.poll_flow(ctx);
                     let delivery = self.handle_packet(ctx, pf);
                     self.start_drain(ctx);
                     return delivery;
                 }
             }
+            #[cfg(any(test, feature = "oracle"))]
             timer_class::RX_STOP_REFRESH => {
-                self.rx_refresh_armed = false;
-                if self.rx_sbuf.upstream_stopped() {
-                    self.egress
-                        .enqueue_control(ctx, ControlSymbol::Stop.encode());
-                    self.arm_rx_refresh(ctx);
-                }
+                self.egress
+                    .on_refresh_timer(ctx, self.rx_sbuf.upstream_stopped());
             }
             timer_class::MAPPING_ROUND => {
                 if gen != self.round_gen {
@@ -949,7 +975,8 @@ mod tests {
                 nic: HostInterface::new(cfg),
                 delivered: Vec::new(),
             }));
-            connect::<TestHost, Switch, _>(&mut engine, (h, 0), (sw, i as u8), &link);
+            connect::<TestHost, Switch, _>(&mut engine, (h, 0), (sw, i as u8), &link)
+                .expect("wire host");
             engine.schedule(SimTime::ZERO, h, Ev::App(Box::new(Cmd::Start)));
             hosts.push(h);
         }

@@ -8,7 +8,9 @@
 //! route byte (MSB clear) is left for the destination interface to consume.
 //!
 //! Each input port has a slack buffer (paper Figure 9) that generates
-//! STOP/GO flow control toward its upstream sender. Output ports implement
+//! STOP/GO flow control toward its upstream sender, through the output
+//! port on the same link — the STOP as the head of a STOP train (see
+//! [`crate::egress`]); a severed port sends none. Output ports implement
 //! wormhole path reclamation: a packet that arrives without its terminating
 //! GAP leaves its output path *held* — "the path followed by the packet
 //! will remain occupied since it is normally reclaimed with the terminating
@@ -44,9 +46,12 @@ use std::collections::VecDeque;
 
 use netfi_obs::{Recorder, Sink};
 use netfi_phy::ControlSymbol;
-use netfi_sim::{Component, Context, SimDuration};
+use netfi_sim::{Component, Context, SimDuration, SimTime};
 
-use crate::egress::{split_timer_kind, timer_class, timer_kind, EgressPort, FlowState};
+use crate::egress::{
+    split_timer_kind, timer_class, timer_kind, Cut, EgressPort, EgressStats, FlowState,
+    STOP_TIMEOUT_CHARS,
+};
 use crate::event::{Attach, Ev, PortPeer};
 use crate::frame::{Frame, PacketFrame};
 use crate::packet::{wire, ROUTE_SWITCH_FLAG};
@@ -146,7 +151,6 @@ pub struct Switch {
     inputs: Vec<InputPort>,
     egress: Vec<EgressPort>,
     hold_gen: Vec<u64>,
-    refresh_armed: Vec<bool>,
     /// Ports severed by a fault-grid [`sever_port`](Switch::sever_port):
     /// frames arriving on or routed out of a severed port are discarded,
     /// modelling a cut cable without rewiring the topology.
@@ -163,9 +167,19 @@ pub struct Switch {
     /// [`try_forward`](Switch::try_forward) would move or drop.
     candidates: u64,
     arbitration: Arbitration,
+    /// Whether the event being handled sorts after the STOP refreshes due
+    /// at its instant: a frame from a component with a higher id, or the
+    /// arbitration a sever schedules at an instant that has run (see
+    /// [`EgressPort::run_refresh`]).
+    late: bool,
     /// Arbitrate by the linear walk, the oracle of the differential test.
     #[cfg(test)]
     by_walk: bool,
+    /// Forward frames too short for STOP trains without complaint: the
+    /// differential test of arbitration compares two switches of one model
+    /// of STOP repeats, not the model with the per-symbol one.
+    #[cfg(test)]
+    short_frames: bool,
     /// Observability recorder (scope `"switch"`). Disarmed by default, so
     /// plain simulations pay a `None` branch per drop and nothing else.
     obs: Recorder,
@@ -197,7 +211,6 @@ impl Switch {
                 .collect(),
             egress: (0..ports).map(|p| EgressPort::new(p as u8)).collect(),
             hold_gen: vec![0; ports],
-            refresh_armed: vec![false; ports],
             severed: vec![false; ports],
             config,
             stats: SwitchStats::default(),
@@ -206,8 +219,11 @@ impl Switch {
             want: [NO_OUTPUT; 64],
             candidates: 0,
             arbitration: Arbitration::default(),
+            late: false,
             #[cfg(test)]
             by_walk: false,
+            #[cfg(test)]
+            short_frames: false,
             obs: Recorder::disarmed(),
         }
     }
@@ -257,16 +273,50 @@ impl Switch {
         self.egress[port as usize].is_held()
     }
 
-    /// Severs `port`: every frame arriving on it or routed out of it is
-    /// silently discarded from now on, modelling a cut cable. Used by the
-    /// fault grid to deactivate links on a forked engine without rewiring.
+    /// The counters of output `port` as of `now` (see
+    /// [`EgressPort::stats`]).
     ///
     /// # Panics
     ///
     /// Panics if `port` is out of range.
-    pub fn sever_port(&mut self, port: u8) {
-        self.severed[port as usize] = true;
+    pub fn egress_stats(&self, port: u8, now: SimTime) -> EgressStats {
+        self.egress[usize::from(port)].stats(now)
+    }
+
+    /// Severs `port` at `now`, every event due by `now` having run: every
+    /// frame arriving on it or routed out of it is silently discarded from
+    /// now on, and it sends no flow control, modelling a cut cable. Used by
+    /// the fault grid to deactivate links on a forked engine without
+    /// rewiring. Returns what the cut owes, for the harness to schedule:
+    /// the ends of the link's two STOP trains ([`EgressPort::cut`]) and,
+    /// if packets wait for the port, an arbitration now, at which they
+    /// enter the dead link and vanish.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    pub fn sever_port(&mut self, now: SimTime, port: u8) -> Cut {
+        let p = usize::from(port);
+        self.severed[p] = true;
         self.candidates |= self.occupied;
+        let mut cut = self.egress[p].cut(now, self.inputs[p].sbuf.upstream_stopped());
+        let waiting = (0..self.inputs.len())
+            .any(|i| self.occupied >> i & 1 != 0 && usize::from(self.want[i]) == p);
+        if waiting {
+            let kind = timer_kind(timer_class::SEVERED, port);
+            cut.near.insert(0, (now, Ev::Timer { kind, gen: 0 }));
+        }
+        cut
+    }
+
+    /// Switches every port to the per-symbol model of STOP repeats, the
+    /// oracle of the STOP-train differential test. Call before the
+    /// simulation starts.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn set_per_symbol(&mut self) {
+        for (p, egress) in self.egress.iter_mut().enumerate() {
+            egress.set_per_symbol(timer_kind(timer_class::STOP_REFRESH, p as u8));
+        }
     }
 
     /// Whether `port` has been severed.
@@ -351,6 +401,7 @@ impl Switch {
                 }
                 return;
             }
+            self.egress[port].run_refresh(ctx.now(), self.late, input.sbuf.upstream_stopped());
             match input.sbuf.try_accept(pf.wire_len()) {
                 Accept::Overflow => {
                     self.stats.overflow_drops += 1;
@@ -368,37 +419,7 @@ impl Switch {
             }
         }
         self.poll_flow(ctx, port);
-        self.arm_stop_refresh(ctx, port);
         self.service(ctx);
-    }
-
-    /// While an input's slack buffer holds its sender stopped, the STOP
-    /// must be repeated faster than the sender's 16-character timeout —
-    /// the frame-level rendering of Myrinet's continuous control-symbol
-    /// stream. One refresh timer per input port, re-armed until the buffer
-    /// drains below its low watermark.
-    fn arm_stop_refresh(&mut self, ctx: &mut Context<'_, Ev>, port: usize) {
-        if self.refresh_armed[port] || !self.inputs[port].sbuf.upstream_stopped() {
-            return;
-        }
-        self.refresh_armed[port] = true;
-        let period = self.stop_refresh_period(port);
-        ctx.send_self(
-            period,
-            Ev::Timer {
-                kind: timer_kind(timer_class::STOP_REFRESH, port as u8),
-                gen: 0,
-            },
-        );
-    }
-
-    /// Refresh period: 12 character periods, comfortably inside the
-    /// sender's 16-character STOP timeout.
-    fn stop_refresh_period(&self, port: usize) -> SimDuration {
-        match self.egress[port].peer() {
-            Some(peer) => peer.link.char_period() * 12,
-            None => SimDuration::from_ns(150),
-        }
     }
 
     /// Arbitrates the crossbar: moves every packet that can move, round-robin
@@ -499,6 +520,26 @@ impl Switch {
         }
     }
 
+    /// The debug-build check of the last assumption STOP trains rest on
+    /// (DESIGN.md §6): a STOP timeout a train end armed expires at no
+    /// instant another output's does, since the per-symbol model may have
+    /// ordered the two the other way round.
+    fn check_stop_timeouts(&self) {
+        for (p, e) in self.egress.iter().enumerate() {
+            let Some((due, true)) = e.pending_timeout() else {
+                continue;
+            };
+            let tie = self.egress.iter().enumerate().position(|(q, other)| {
+                q != p && other.pending_timeout().is_some_and(|(at, _)| at == due)
+            });
+            assert!(
+                tie.is_none(),
+                "{}: STOP timeouts of outputs {p} and {tie:?} expire together at {due}",
+                self.name
+            );
+        }
+    }
+
     /// Whether output `out` takes a packet now: idle, in GO state and not
     /// held.
     fn output_ready(&self, out: usize) -> bool {
@@ -575,6 +616,22 @@ impl Switch {
             bytes,
             terminator: pf.terminator,
         };
+        // The TX_DONE this frame sets must sort ahead of the STOP refreshes
+        // and STOP timeouts of its instant, as in the per-symbol model of
+        // STOP repeats: it is set earlier only if the frame is longer than
+        // the 16-character timeout (DESIGN.md §6).
+        #[cfg(test)]
+        let short_frames = self.short_frames;
+        #[cfg(not(test))]
+        let short_frames = false;
+        debug_assert!(
+            forwarded.wire_len() as u64 > STOP_TIMEOUT_CHARS
+                || short_frames
+                || !self.egress.iter().any(EgressPort::in_stop_train),
+            "{}: a {}-character frame is too short for STOP trains",
+            self.name,
+            forwarded.wire_len()
+        );
         if !forwarded.gap_terminated() {
             // Hold the wormhole path until a GAP or the long timeout.
             self.egress[out].hold();
@@ -596,23 +653,33 @@ impl Switch {
     }
 
     fn drain_input(&mut self, ctx: &mut Context<'_, Ev>, i: usize, chars: usize) {
-        self.inputs[i].sbuf.drain(chars);
+        let input = &mut self.inputs[i];
+        self.egress[i].run_refresh(ctx.now(), self.late, input.sbuf.upstream_stopped());
+        input.sbuf.drain(chars);
         self.poll_flow(ctx, i);
     }
 
     /// Sends upstream the STOP or GO that input `i`'s slack buffer owes its
-    /// sender, if any. The symbol leaves through output `i`, whose pump may
-    /// start a queued packet on the way and so free the output.
+    /// sender, if any, unless the link is severed. The symbol leaves through
+    /// output `i`, whose pump may start a queued packet on the way and so
+    /// free the output.
     fn poll_flow(&mut self, ctx: &mut Context<'_, Ev>, i: usize) {
-        if let Some(sym) = self.inputs[i].sbuf.poll_flow() {
-            match sym {
-                ControlSymbol::Stop => self.obs.begin(ctx.now(), "switch", "stopped", i as u64),
-                ControlSymbol::Go => self.obs.end(ctx.now(), "switch", "stopped", i as u64),
-                _ => {}
-            }
-            self.egress[i].enqueue_control(ctx, sym.encode());
-            self.wake_output(i);
+        let Some(sym) = self.inputs[i].sbuf.poll_flow() else {
+            return;
+        };
+        match sym {
+            ControlSymbol::Stop => self.obs.begin(ctx.now(), "switch", "stopped", i as u64),
+            ControlSymbol::Go => self.obs.end(ctx.now(), "switch", "stopped", i as u64),
+            _ => {}
         }
+        if self.severed[i] {
+            return;
+        }
+        match sym {
+            ControlSymbol::Stop => self.egress[i].send_stop(ctx),
+            _ => self.egress[i].send_go(ctx),
+        }
+        self.wake_output(i);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Ev>, kind: u32, gen: u64) {
@@ -629,15 +696,14 @@ impl Switch {
                 self.wake_output(port);
                 self.service(ctx);
             }
+            #[cfg(any(test, feature = "oracle"))]
             timer_class::STOP_REFRESH => {
-                self.refresh_armed[port] = false;
-                if self.inputs[port].sbuf.upstream_stopped() {
-                    self.egress[port]
-                        .enqueue_control(ctx, ControlSymbol::Stop.encode());
+                let stopped = self.inputs[port].sbuf.upstream_stopped() && !self.severed[port];
+                if self.egress[port].on_refresh_timer(ctx, stopped) {
                     self.wake_output(port);
-                    self.arm_stop_refresh(ctx, port);
                 }
             }
+            timer_class::SEVERED => self.service(ctx),
             timer_class::HOLD_RELEASE
                 if gen == self.hold_gen[port] && self.egress[port].is_held() => {
                     // "The network will recover from this occurrence with a
@@ -661,6 +727,16 @@ impl Switch {
 
 impl Attach for Switch {
     fn attach_port(&mut self, port: u8, peer: PortPeer) {
+        // The refresh periods, STOP timeouts and frame times of STOP trains
+        // line up with the per-symbol model's only on links of one rate.
+        debug_assert!(
+            self.egress
+                .iter()
+                .filter_map(EgressPort::peer)
+                .all(|p| p.link.char_period() == peer.link.char_period()),
+            "{}: port {port} runs at another rate than the others",
+            self.name
+        );
         self.egress[port as usize].attach(peer);
         self.candidates |= self.occupied;
     }
@@ -668,6 +744,15 @@ impl Attach for Switch {
 
 impl Component<Ev> for Switch {
     fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
+        self.late = match &ev {
+            Ev::Rx { port, .. } => self
+                .egress
+                .get(usize::from(*port))
+                .and_then(EgressPort::peer)
+                .is_some_and(|peer| peer.dst > ctx.self_id()),
+            Ev::Timer { kind, .. } => split_timer_kind(*kind).0 == timer_class::SEVERED,
+            _ => false,
+        };
         match ev {
             Ev::Rx { port, frame } => {
                 // A severed input is a cut cable: whatever was in flight on
@@ -679,9 +764,17 @@ impl Component<Ev> for Switch {
                     }
                     return;
                 }
+                let port = usize::from(port);
                 match frame {
-                    Frame::Control(code) => self.on_control(ctx, port as usize, code),
-                    Frame::Packet(pf) => self.on_packet(ctx, port as usize, pf),
+                    Frame::Control(code) => self.on_control(ctx, port, code),
+                    Frame::Packet(pf) => self.on_packet(ctx, port, pf),
+                    Frame::Train { code, mark } => {
+                        let sym = code.and_then(ControlSymbol::decode_tolerant);
+                        self.egress[port].on_train(ctx, mark, sym);
+                        if let Some(code) = code {
+                            self.on_control(ctx, port, code);
+                        }
+                    }
                 }
             }
             Ev::Timer { kind, gen } => self.on_timer(ctx, kind, gen),
@@ -689,6 +782,7 @@ impl Component<Ev> for Switch {
         }
         if cfg!(debug_assertions) {
             self.check_arbitration();
+            self.check_stop_timeouts();
         }
     }
 
@@ -732,6 +826,15 @@ mod tests {
         }
     }
 
+    impl Endpoint {
+        fn on_symbol(&mut self, ctx: &mut Context<'_, Ev>, c: u8) {
+            if let Some(sym) = ControlSymbol::decode_tolerant(c) {
+                self.egress.on_flow(ctx, sym);
+            }
+            self.rx_controls.push(c);
+        }
+    }
+
     impl Attach for Endpoint {
         fn attach_port(&mut self, port: u8, peer: PortPeer) {
             assert_eq!(port, 0);
@@ -744,11 +847,13 @@ mod tests {
             match ev {
                 Ev::Rx { frame, .. } => match frame {
                     Frame::Packet(pf) => self.rx_packets.push(pf),
-                    Frame::Control(c) => {
-                        if let Some(sym) = ControlSymbol::decode_tolerant(c) {
-                            self.egress.on_flow(ctx, sym);
+                    Frame::Control(c) => self.on_symbol(ctx, c),
+                    Frame::Train { code, mark } => {
+                        let sym = code.and_then(ControlSymbol::decode_tolerant);
+                        self.egress.on_train(ctx, mark, sym);
+                        if let Some(c) = code {
+                            self.on_symbol(ctx, c);
                         }
-                        self.rx_controls.push(c);
                     }
                 },
                 Ev::Timer { kind, gen } => {
@@ -789,7 +894,8 @@ mod tests {
         let link = Link::myrinet_640(1.0);
         let hosts = [(); 3].map(|_| engine.add_component(Box::new(Endpoint::new())));
         for (i, &h) in hosts.iter().enumerate() {
-            connect::<Endpoint, Switch, _>(&mut engine, (h, 0), (sw, i as u8), &link);
+            connect::<Endpoint, Switch, _>(&mut engine, (h, 0), (sw, i as u8), &link)
+                .expect("wire host");
         }
         (engine, sw, hosts)
     }
@@ -840,9 +946,9 @@ mod tests {
         let sw1 = engine.add_component(Box::new(Switch::new("sw1", 4, SwitchConfig::default())));
         let src = engine.add_component(Box::new(Endpoint::new()));
         let dst = engine.add_component(Box::new(Endpoint::new()));
-        connect::<Endpoint, Switch, _>(&mut engine, (src, 0), (sw0, 0), &link);
-        connect::<Switch, Switch, _>(&mut engine, (sw0, 3), (sw1, 3), &link);
-        connect::<Endpoint, Switch, _>(&mut engine, (dst, 0), (sw1, 1), &link);
+        connect::<Endpoint, Switch, _>(&mut engine, (src, 0), (sw0, 0), &link).expect("wire src");
+        connect::<Switch, Switch, _>(&mut engine, (sw0, 3), (sw1, 3), &link).expect("wire trunk");
+        connect::<Endpoint, Switch, _>(&mut engine, (dst, 0), (sw1, 1), &link).expect("wire dst");
         let pkt = Packet::new(
             vec![route_to_switch(3), route_to_host(1)],
             PacketType::DATA,
@@ -988,16 +1094,76 @@ mod tests {
         assert_eq!(h1.rx_packets.len(), 80);
     }
 
+    /// A cut cable carries nothing, flow control included: once the
+    /// congested input is severed, its host hears no STOP repeat and no GO.
+    #[test]
+    fn severed_congested_input_sends_no_flow_control() {
+        let (mut engine, sw, hosts) = three_host_net();
+        // Hosts 0 and 2 flood host 1: output 1 runs at half their rate, so
+        // inputs 0 and 2 fill past their high watermarks.
+        for round in 0..40 {
+            let payload = vec![round as u8; 900];
+            send_from(&mut engine, hosts[0], data_packet(1, &payload));
+            send_from(&mut engine, hosts[2], data_packet(1, &payload));
+        }
+        let stopped = |engine: &Engine<Ev>| {
+            engine
+                .component_as::<Endpoint>(hosts[0])
+                .unwrap()
+                .egress
+                .flow_state()
+                == FlowState::Stopped
+        };
+        while !stopped(&engine) {
+            assert!(
+                engine.now() < SimTime::from_ms(1),
+                "input 0 never stopped host 0"
+            );
+            engine.run_for(SimDuration::from_us(1));
+        }
+        // Mid-stop: a few repeats later, the input is still above its low
+        // watermark.
+        engine.run_for(SimDuration::from_ns(500));
+        assert!(stopped(&engine));
+        sever(&mut engine, sw, 0);
+        let heard = engine
+            .component_as::<Endpoint>(hosts[0])
+            .unwrap()
+            .rx_controls
+            .len();
+        engine.run_until(SimTime::from_ms(100));
+        let h0 = engine.component_as::<Endpoint>(hosts[0]).unwrap();
+        assert_eq!(
+            h0.rx_controls.len(),
+            heard,
+            "symbols after the cut: {:?}",
+            &h0.rx_controls[heard..]
+        );
+        // Without repeats the host times out of STOP by itself.
+        assert!(!stopped(&engine));
+        assert_eq!(h0.egress.stats(engine.now()).timeout_recoveries, 1);
+    }
+
     #[test]
     #[should_panic(expected = "1..=64")]
     fn rejects_too_many_ports() {
         let _ = Switch::new("bad", 65, SwitchConfig::default());
     }
 
+    /// Severs `port` of `sw` now and schedules what the cut owes.
+    fn sever(engine: &mut Engine<Ev>, sw: ComponentId, port: u8) {
+        let now = engine.now();
+        let cut = engine
+            .component_as_mut::<Switch>(sw)
+            .unwrap()
+            .sever_port(now, port);
+        cut.schedule(engine, sw);
+    }
+
     #[test]
     fn severed_port_drops_both_directions() {
         let (mut engine, sw, hosts) = three_host_net();
-        engine.component_as_mut::<Switch>(sw).unwrap().sever_port(1);
+        sever(&mut engine, sw, 1);
         // Inbound on the severed port: lost.
         send_from(&mut engine, hosts[1], data_packet(2, b"from cut"));
         // Outbound through the severed port: lost.
@@ -1162,6 +1328,7 @@ mod tests {
         let tap = engines.each_mut().map(|e| e.add_component(Box::new(Tap::default())))[0];
         // The last port stays unwired: a route byte naming it is a misroute.
         let mut switch = Switch::new("dut", ports, config);
+        switch.short_frames = true;
         for p in 0..ports as u8 - 1 {
             let link = Link::myrinet_640(1.0);
             switch.attach_port(p, PortPeer { dst: tap, dst_port: p, link });
@@ -1182,7 +1349,7 @@ mod tests {
         for step in 0..1_000_000 {
             if let Some((_, port)) = sever.filter(|&(at, _)| at == step) {
                 for engine in [&mut *a, &mut *b] {
-                    engine.component_as_mut::<Switch>(sw).unwrap().sever_port(port);
+                    super::tests::sever(engine, sw, port);
                 }
             }
             let more = (a.step(), b.step());

@@ -14,7 +14,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use netfi_myrinet::addr::EthAddr;
-use netfi_myrinet::egress::{split_timer_kind, timer_class, timer_kind};
+use netfi_myrinet::egress::{split_timer_kind, timer_class, timer_kind, Cut};
 use netfi_myrinet::event::{Attach, Ev, PortPeer};
 use netfi_myrinet::interface::{Delivery, HostInterface, InterfaceConfig};
 use netfi_sim::metrics::Summary;
@@ -240,12 +240,21 @@ impl Host {
         }
     }
 
-    /// Powers the host off: from now on it ignores every event — no
-    /// receives, no timers, no sends. Frames addressed to it serialize
-    /// onto its link and vanish, exactly like a crashed node. The
-    /// fault grid calls this on a forked engine to model node failure.
-    pub fn power_off(&mut self) {
+    /// Powers the host off at `now`, every event due by `now` having run:
+    /// from then on it ignores every event — no receives, no timers, no
+    /// sends. Frames addressed to it serialize onto its link and vanish,
+    /// exactly like a crashed node. The fault grid and the detection
+    /// campaign call this (through `netfi_nftape::runner::power_off`) on a
+    /// forked engine to model node failure.
+    ///
+    /// A STOP train the host's receive buffer was sending ends with the
+    /// repeats sent by `now` ([`HostInterface::cut`]). The returned [`Cut`]
+    /// holds the train end the switch is owed in their place: only once it
+    /// is scheduled ([`Cut::schedule`]) does the switch output the train
+    /// held resume, 16 characters after the last STOP that reached it.
+    pub fn power_off(&mut self, now: SimTime) -> Cut {
         self.powered = false;
+        self.nic.cut(now)
     }
 
     /// Whether the host is powered (on unless [`power_off`](Host::power_off)
@@ -586,6 +595,7 @@ mod tests {
     use netfi_myrinet::addr::NodeAddress;
     use netfi_myrinet::event::connect;
     use netfi_myrinet::mapper::Topology;
+    use netfi_myrinet::packet::route_to_host;
     use netfi_myrinet::switch::{Switch, SwitchConfig};
     use netfi_phy::Link;
     use netfi_sim::{ComponentId, Engine};
@@ -607,11 +617,59 @@ mod tests {
                 topo.clone(),
             );
             let h = engine.add_component(Box::new(mk(i, iface)));
-            connect::<Host, Switch, _>(&mut engine, (h, 0), (sw, i as u8), &link);
+            connect::<Host, Switch, _>(&mut engine, (h, 0), (sw, i as u8), &link)
+                .expect("wire host");
             engine.schedule(SimTime::ZERO, h, Ev::App(Box::new(HostCmd::Start)));
             hosts.push(h);
         }
         (engine, sw, hosts)
+    }
+
+    /// A host that dies mid-stop holds the switch output it stopped only
+    /// as a crashed node's last STOP would: the output resumes 16
+    /// characters after the last STOP that reached it, once the train end
+    /// `power_off` returns is scheduled.
+    #[test]
+    fn powered_off_mid_stop_releases_the_switch_16_characters_later() {
+        let (mut engine, sw, hosts) = build(2, |i, mut iface| {
+            iface.can_map = false;
+            // Host 1 drains 600 B in 2 ms: its buffer stops the switch.
+            iface.rx_drain_bps = 2_457_600;
+            let mut host = Host::new(HostConfig::fast(iface, i as u64));
+            let peer = 1 - i as u8;
+            host.nic_mut().install_route(
+                EthAddr::myricom(u32::from(peer) + 1),
+                vec![route_to_host(peer)],
+            );
+            host
+        });
+        for _ in 0..24 {
+            let send = HostCmd::SendUdp {
+                dest: EthAddr::myricom(2),
+                datagram: UdpDatagram::new(5, SINK_PORT, vec![0x42; 600]),
+            };
+            engine.schedule(SimTime::ZERO, hosts[0], Ev::App(Box::new(send)));
+        }
+        let output = |engine: &Engine<Ev>| {
+            let sw = engine.component_as::<Switch>(sw).unwrap();
+            sw.egress_stats(1, engine.now())
+        };
+        while output(&engine).stops_received == 0 {
+            assert!(engine.step(), "host 1 never stopped the switch");
+        }
+        // The STOP that stopped the output arrived now, and a repeat every
+        // 12 characters (150 ns) after it: the last before the power-off
+        // arrives 450 ns later.
+        let first = engine.now();
+        engine.run_until(first + SimDuration::from_ns(500));
+        let now = engine.now();
+        let cut = engine.component_as_mut::<Host>(hosts[1]).unwrap().power_off(now);
+        cut.schedule(&mut engine, hosts[1]);
+        while output(&engine).timeout_recoveries == 0 {
+            assert!(engine.step(), "the switch output stayed stopped");
+        }
+        assert_eq!(engine.now(), first + SimDuration::from_ns(450 + 200));
+        assert_eq!(output(&engine).stops_received, 4);
     }
 
     #[test]

@@ -211,9 +211,10 @@ mod tests {
             .engine
             .component_as::<netfi_core::InjectorDevice>(dev)
             .unwrap();
-        let stats = device.channel_stats(Direction::AToB);
+        let now = tb.engine.now();
+        let stats = device.channel_stats(Direction::AToB, now);
         assert!(stats.packets > 0);
-        let stats_b = device.channel_stats(Direction::BToA);
+        let stats_b = device.channel_stats(Direction::BToA, now);
         assert!(stats_b.mapping_packets > 0, "scout replies pass B->A");
     }
 

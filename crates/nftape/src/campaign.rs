@@ -292,9 +292,17 @@ pub fn run_campaigns_with_workers(
 }
 
 /// [`run_campaigns_with_workers`] with `probe` installed on the Table 4
-/// donors and so on every fork of them — the seam the count test in
-/// [`control`] watches the engines through.
-pub(crate) fn run_campaigns_probed<P: Probe + Clone + Send + Sync>(
+/// donors and so on every fork of them — the seam the count tests in
+/// [`control`] and `tests/stop_train.rs` watch the engines through.
+///
+/// # Errors
+///
+/// Returns the first (in spec order) [`ScenarioError`], if any.
+///
+/// # Panics
+///
+/// Panics if `workers` is zero.
+pub fn run_campaigns_probed<P: Probe + Clone + Send + Sync>(
     specs: &[CampaignSpec],
     workers: usize,
     probe: &P,

@@ -100,20 +100,27 @@ pub fn fan_out<T: Send, E: Send, W: FnMut(usize) -> Result<T, E>>(
 }
 
 /// Powers off `host`: it stays wired but ignores every later event — the
-/// paper's silent node failure.
+/// paper's silent node failure. A STOP train its receive buffer was
+/// sending ends with the repeats sent by now; the train end that tells the
+/// held sender so is scheduled here ([`Host::power_off`]).
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError::WrongComponent`] if `host` is not a [`Host`].
 pub fn power_off(sim: &mut impl Simulation<Ev>, host: ComponentId) -> Result<(), ScenarioError> {
-    sim.component_as_mut::<Host>(host)
+    let now = sim.now();
+    let cut = sim
+        .component_as_mut::<Host>(host)
         .ok_or(ScenarioError::WrongComponent("Host"))?
-        .power_off();
+        .power_off(now);
+    cut.schedule(sim, host);
     Ok(())
 }
 
 /// Severs `port` of `switch`: frames arriving on or routed out of it are
-/// dropped and counted — the paper's link failure.
+/// dropped and counted, and it sends no flow control — the paper's link
+/// failure. The STOP trains on the link end with the repeats that crossed
+/// by now; what that owes either end is scheduled here.
 ///
 /// # Errors
 ///
@@ -124,6 +131,7 @@ pub fn sever(
     switch: ComponentId,
     port: usize,
 ) -> Result<(), ScenarioError> {
+    let now = sim.now();
     let sw = sim
         .component_as_mut::<Switch>(switch)
         .ok_or(ScenarioError::WrongComponent("Switch"))?;
@@ -131,7 +139,8 @@ pub fn sever(
         .ok()
         .filter(|&p| usize::from(p) < sw.port_count())
         .ok_or(ScenarioError::WrongComponent("Switch port"))?;
-    sw.sever_port(port);
+    let cut = sw.sever_port(now, port);
+    cut.schedule(sim, switch);
     Ok(())
 }
 

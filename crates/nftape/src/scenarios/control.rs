@@ -653,7 +653,7 @@ mod tests {
             .collect();
         let nine_fresh: u64 = fresh.iter().map(|(_, events)| events).sum();
         let one_warm_nine_rows = nine_fresh - 8 * warm_events;
-        assert!(warm_events > 1_000_000, "a second warm-up could not hide");
+        assert!(warm_events > 10_000, "a second warm-up could not hide");
 
         let dispatched = Dispatched::default();
         let table = warm_table4(&opts, dispatched.clone()).unwrap().table(&opts).unwrap();
@@ -669,6 +669,29 @@ mod tests {
             let rows = run_campaigns_probed(&specs, workers, &dispatched).unwrap();
             assert_eq!(dispatched.take(), one_warm_nine_rows, "workers = {workers}");
             assert_eq!(rows.len(), 9);
+        }
+    }
+
+    /// Table 4's test bed draws nothing from its seed: its hosts are
+    /// `HostConfig::fast` (no jitter, no calibration offset) and its NIC
+    /// seeds derive from addresses. A row at any seed is the row at seed 7,
+    /// so checking the rows at "held-out" seeds proves nothing. A change
+    /// that wires the seed in must move this test on purpose.
+    #[test]
+    fn control_symbol_row_ignores_its_seed() {
+        let opts = |seed| table4_opts(seed, 1);
+        for (mask, replacement) in [
+            (ControlSymbol::Stop, ControlSymbol::Idle),
+            (ControlSymbol::Go, ControlSymbol::Stop),
+        ] {
+            let row = control_symbol_row(mask, replacement, &opts(7)).unwrap();
+            for seed in [31337, 424242] {
+                assert_eq!(
+                    control_symbol_row(mask, replacement, &opts(seed)).unwrap(),
+                    row,
+                    "seed {seed}"
+                );
+            }
         }
     }
 

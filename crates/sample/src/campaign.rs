@@ -287,6 +287,7 @@ fn collect_evidence(
     warm: &WarmedCampaign,
     outcome: RunOutcome,
 ) -> Result<RunEvidence, ScenarioError> {
+    let now = engine.now();
     let mut crc_detections = 0;
     let mut timeout_detections = 0;
     for &h in warm.hosts() {
@@ -297,7 +298,7 @@ fn collect_evidence(
         crc_detections += nic.rx_crc_drops + nic.rx_malformed + nic.rx_truncated;
         let udp = host.udp_stats();
         crc_detections += udp.rx_checksum_drops + udp.rx_malformed;
-        timeout_detections += host.nic().egress_stats().timeout_recoveries;
+        timeout_detections += host.nic().egress_stats(now).timeout_recoveries;
     }
     let sw = engine
         .component_as::<Switch>(warm.switch())
@@ -311,7 +312,7 @@ fn collect_evidence(
     let injections = [Direction::AToB, Direction::BToA]
         .into_iter()
         .map(|d| {
-            let f = dev.fifo_stats(d);
+            let f = dev.fifo_stats_at(d, now);
             f.injections + f.control_injections
         })
         .sum();

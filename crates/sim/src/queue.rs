@@ -558,15 +558,14 @@ mod tests {
     #[test]
     fn full_rotation_reuses_slots() {
         let mut w = TimingWheel::new();
-        let mut seq = 0;
         // March the cursor through several full rotations, one event per
-        // half-horizon, so slots are reused with new bucket numbers.
+        // half-horizon, so slots are reused with new bucket numbers. The
+        // sequence number is the event's index.
         let mut expect = Vec::new();
         for k in 0..40u64 {
             let t = SimTime::from_ps(k * (WHEEL_SPAN / 2 + 12_345));
-            w.push(t, seq, k as u32);
-            expect.push((t.as_ps(), seq, k as u32));
-            seq += 1;
+            w.push(t, k, k as u32);
+            expect.push((t.as_ps(), k, k as u32));
         }
         assert_eq!(drain(&mut w), expect);
     }

@@ -2,6 +2,9 @@
 //! loops over [`DetRng`] so they run with zero external dependencies and
 //! are bit-for-bit reproducible.
 
+// Test components may unwrap: a panic here is a failed property.
+#![allow(clippy::unwrap_used)]
+
 use netfi_sim::metrics::Summary;
 use netfi_sim::queue::SLOT_PS;
 use netfi_sim::engine::Probe;
@@ -457,6 +460,7 @@ impl Component<u64> for Relay {
         }
         self.last_arrival = arrival;
         let delay = arrival.duration_since(ctx.now());
+        // A relay left unwired is a mistake in the test topology.
         ctx.send(self.next.unwrap(), delay, payload - 1);
     }
     fn as_any(&self) -> &dyn Any {
@@ -501,8 +505,8 @@ fn sharded_engine_matches_serial_on_random_topologies() {
             for (i, id) in ids.iter().enumerate() {
                 engine.component_as_mut::<Relay>(*id).unwrap().next = Some(ids[succ[i]]);
             }
-            for k in 0..tokens {
-                engine.schedule(SimTime::from_ps(k as u64), ids[k], hops);
+            for (k, &id) in ids.iter().enumerate().take(tokens) {
+                engine.schedule(SimTime::from_ps(k as u64), id, hops);
             }
             (engine, ids)
         };

@@ -87,7 +87,7 @@ fn main() {
     println!("messages delivered across the trunk: {delivered}");
 
     let dev = engine.component_as::<InjectorDevice>(device).unwrap();
-    let stats = dev.channel_stats(Direction::AToB);
+    let stats = dev.channel_stats(Direction::AToB, engine.now());
     println!(
         "trunk injector observed {} packets A->B ({} DATA, {} MAPPING)",
         stats.packets, stats.data_packets, stats.mapping_packets

@@ -106,7 +106,7 @@ fn main() {
         .engine
         .component_as::<InjectorDevice>(device)
         .expect("device");
-    let stats = dev.fifo_stats(Direction::AToB);
+    let stats = dev.fifo_stats_at(Direction::AToB, tb.engine.now());
     println!(
         "\ninjector: {} packets seen, {} injections, {} CRC recomputes",
         stats.packets, stats.injections, stats.crc_recomputes

@@ -16,7 +16,7 @@ echo "== test (offline) =="
 cargo test -q --workspace --offline
 
 echo "== clippy (-D warnings) =="
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== rustdoc (warning-free, missing_docs denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline

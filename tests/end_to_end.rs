@@ -112,8 +112,9 @@ fn control_symbol_swap_visible_at_flow_control_level() {
     tb.engine.run_until(SimTime::from_secs(5));
 
     let dev = tb.engine.component_as::<InjectorDevice>(device).unwrap();
+    let fifo = dev.fifo_stats_at(Direction::AToB, tb.engine.now());
     assert!(
-        dev.fifo_stats(Direction::AToB).control_injections > 0,
+        fifo.control_injections > 0,
         "GO symbols crossed and were corrupted"
     );
     // The network survives: timeouts recover the stopped senders.
@@ -145,7 +146,7 @@ fn statistics_gathering_counts_per_identifier_pairs() {
         .engine
         .component_as::<InjectorDevice>(tb.injector.unwrap())
         .unwrap();
-    let stats = dev.channel_stats(Direction::BToA);
+    let stats = dev.channel_stats(Direction::BToA, tb.engine.now());
     // Both flows' (src, dest) pairs were counted by the monitor.
     let pair_a = (EthAddr::myricom(1), EthAddr::myricom(3));
     let pair_b = (EthAddr::myricom(2), EthAddr::myricom(3));

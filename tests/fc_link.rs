@@ -98,7 +98,8 @@ impl Component<Ev> for FcEndpoint {
                     let released = self.port.on_r_rdy();
                     self.push_releases(ctx, released);
                 }
-                Frame::Control(_) => {}
+                // FC has no STOP trains: R_RDY credits replace STOP/GO.
+                Frame::Control(_) | Frame::Train { .. } => {}
             },
             Ev::Timer { kind, gen } => {
                 let (class, _) = split_timer_kind(kind);

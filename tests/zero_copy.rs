@@ -63,8 +63,9 @@ fn uncorrupted_pass_through_copies_no_payload_bytes() {
     use netfi::injector::Direction;
     // The sender's stream (plus mapping traffic) crosses the intercepted
     // link; the flood exercises the switch on the other ports.
-    let through_device = dev.channel_stats(Direction::AToB).packets
-        + dev.channel_stats(Direction::BToA).packets;
+    let now = tb.engine.now();
+    let through_device = dev.channel_stats(Direction::AToB, now).packets
+        + dev.channel_stats(Direction::BToA, now).packets;
     assert!(through_device > 500, "device saw {through_device} packets");
 
     // …and not one payload byte was copied along the way.
