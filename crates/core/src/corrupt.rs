@@ -64,6 +64,15 @@ impl CorruptUnit {
         }
     }
 
+    /// `true` if the corruption leaves every window as it is: a toggle of
+    /// no bits, or a replace of no bits (the power-on default, toggle 0).
+    pub(crate) fn is_identity(&self) -> bool {
+        match self.mode {
+            CorruptMode::Toggle => self.corrupt_data == 0,
+            CorruptMode::Replace => self.corrupt_mask == 0,
+        }
+    }
+
     /// Applies the corruption to four big-endian bytes at `offset` in a
     /// buffer (the window position found by the compare unit). Bytes past
     /// the end of the buffer are left untouched.
@@ -136,6 +145,24 @@ mod tests {
         // Unmasked bits of corrupt_data are ignored.
         let u2 = CorruptUnit::replace(0xFFFF_FFFF, 0x0000_00FF);
         assert_eq!(u2.apply(0x12345600), 0x123456FF);
+    }
+
+    #[test]
+    fn identity_units_change_no_window() {
+        for (unit, identity) in [
+            (CorruptUnit::default(), true),
+            (CorruptUnit::toggle(0), true),
+            (CorruptUnit::replace(0xDEAD_BEEF, 0), true),
+            (CorruptUnit::toggle(0x0100_0000), false),
+            (CorruptUnit::replace(0, 0x0000_0001), false),
+        ] {
+            assert_eq!(unit.is_identity(), identity, "{unit:?}");
+            if identity {
+                for window in [0, 0x1234_5678, u32::MAX] {
+                    assert_eq!(unit.apply(window), window, "{unit:?}");
+                }
+            }
+        }
     }
 
     #[test]

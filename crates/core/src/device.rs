@@ -37,7 +37,7 @@ use netfi_myrinet::interface::EthHeader;
 use netfi_myrinet::packet::PacketType;
 use netfi_sim::{Component, ComponentId, Context, SimDuration, SimTime};
 
-use crate::capture::{CaptureBuffer, CaptureRecord};
+use crate::capture::CaptureBuffer;
 use netfi_obs::{FlightRecorder, Recorder, Sink};
 use crate::command::{Command, CommandDecoder, DirSelect};
 use crate::config::{ControlInject, InjectorConfig};
@@ -436,14 +436,18 @@ impl InjectorDevice {
         self.monitor_packet(dir, &pf.bytes);
         let ch = &mut self.channels[dir.index()];
         // A reference-count bump, not a byte copy: the injector
-        // materialises a private `bytes` only when it corrupts.
+        // materialises a private `bytes` only when it could change a byte.
         let original = pf.bytes.clone();
         let mut bytes = pf.bytes;
         let report = ch.injector.process_packet_shared(&mut bytes);
-        for &offset in &report.injected_offsets {
+        if report.injected() {
+            if self.obs.is_armed() {
+                for offset in report.injected_offsets.iter() {
+                    self.obs.instant(now, "device", "inject", offset as u64);
+                }
+            }
             ch.capture
-                .record(now, CaptureRecord::new(&original, &bytes, offset));
-            self.obs.instant(now, "device", "inject", offset as u64);
+                .record(now, &original, &bytes, &report.injected_offsets);
         }
         if report.crc_fixed {
             self.obs.instant(now, "device", "crc_repair", 0);
@@ -1005,6 +1009,7 @@ mod tests {
 
     #[test]
     fn triggered_injection_with_crc_fix() {
+        let _copies = crate::copy_count_guard();
         let (mut engine, a, b, dev) = inline_setup();
         let config = InjectorConfig::builder()
             .match_mode(MatchMode::On)
@@ -1079,6 +1084,7 @@ mod tests {
 
     #[test]
     fn serial_configuration_applies() {
+        let _copies = crate::copy_count_guard();
         let (mut engine, a, b, dev) = inline_setup();
         // Program the paper's 0x1818 -> 0x1918 scenario over the serial
         // line, direction A only.

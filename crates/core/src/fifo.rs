@@ -23,6 +23,9 @@
 // Corruption happens in place on the frame's copy-on-write buffer — the
 // only allocation is the constructor's backing RAM, allowlisted below.
 
+use std::fmt;
+use std::ops::Range;
+
 use netfi_myrinet::crc8;
 use netfi_phy::clock::{ClockGenerator, ClockPhase};
 use netfi_sim::{SharedBytes, SimDuration};
@@ -63,6 +66,58 @@ pub struct FifoStats {
     pub crc_recomputes: u64,
 }
 
+/// The byte offsets where one packet's corruption was applied, in the
+/// order it was applied: a forced (`inject now`) injection at offset 0,
+/// then the trigger's firings, then the segments of the random flips.
+///
+/// A match-everything compare (mask 0) fires at a contiguous run of
+/// offsets, which is carried as a range: the list costs the same whatever
+/// the packet's length. `Debug` prints the offsets as a list.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct InjectedOffsets {
+    /// A forced injection at offset 0 comes first.
+    forced: bool,
+    /// The offsets a match-everything compare fired at.
+    run: Range<usize>,
+    /// Offsets one by one: a masked compare's firings, then the random
+    /// flips' segments.
+    listed: Vec<usize>,
+}
+
+impl InjectedOffsets {
+    /// How many injections were applied.
+    pub fn len(&self) -> usize {
+        usize::from(self.forced) + self.run.len() + self.listed.len()
+    }
+
+    /// `true` if no injection was applied.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The offsets, in the order they were applied.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs().flatten()
+    }
+
+    /// The offsets in order, as non-empty runs of consecutive offsets: the
+    /// forced one, the match-everything run, then one per listed offset.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let run = self.run.start..self.run.end;
+        self.forced
+            .then_some(0..1)
+            .into_iter()
+            .chain((!run.is_empty()).then_some(run))
+            .chain(self.listed.iter().map(|&offset| offset..offset + 1))
+    }
+}
+
+impl fmt::Debug for InjectedOffsets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Report for one packet processed by [`FifoInjector::process_packet`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PacketReport {
@@ -70,7 +125,7 @@ pub struct PacketReport {
     /// the match mode keeps them from firing).
     pub matches: u64,
     /// Byte offsets where corruption was applied.
-    pub injected_offsets: Vec<usize>,
+    pub injected_offsets: InjectedOffsets,
     /// Whether the trailing CRC was recomputed.
     pub crc_fixed: bool,
 }
@@ -89,18 +144,29 @@ impl PacketReport {
 struct InjectPlan {
     /// Trigger matches observed (counted even when firing is disabled).
     matches: u64,
-    /// A pending `inject now` fires on the first segment.
-    forced: bool,
-    /// Trigger offsets where the corruption function fires.
-    fire_offsets: Vec<usize>,
+    /// Where the corruption function fires: a pending `inject now` on the
+    /// first segment, then the trigger's offsets.
+    fires: InjectedOffsets,
     /// Per-segment LFSR bit flips.
     random_flips: Vec<RandomFlip>,
 }
 
 impl InjectPlan {
-    /// `true` if applying the plan would write any byte.
-    fn mutates(&self) -> bool {
-        self.forced || !self.fire_offsets.is_empty() || !self.random_flips.is_empty()
+    /// `true` if applying the plan could change a byte. A plan whose
+    /// corruption is the identity, with no random flip and no CRC
+    /// recompute, writes nothing, however many offsets it fires at.
+    fn writes(&self, config: &InjectorConfig) -> bool {
+        !self.random_flips.is_empty()
+            || (!self.fires.is_empty() && (config.crc_recompute || !config.corrupt.is_identity()))
+    }
+
+    /// The report of a plan that [`writes`](InjectPlan::writes) nothing.
+    fn into_report(self) -> PacketReport {
+        PacketReport {
+            matches: self.matches,
+            injected_offsets: self.fires,
+            crc_fixed: false,
+        }
     }
 }
 
@@ -197,31 +263,24 @@ impl FifoInjector {
     /// place per the active configuration.
     pub fn process_packet(&mut self, bytes: &mut [u8]) -> PacketReport {
         let plan = self.plan_packet(bytes);
-        let mut report = PacketReport {
-            matches: plan.matches,
-            ..PacketReport::default()
-        };
-        if plan.mutates() {
-            self.apply_plan(bytes, &plan, &mut report);
+        if plan.writes(&self.config) {
+            self.apply_plan(bytes, plan)
+        } else {
+            plan.into_report()
         }
-        report
     }
 
     /// Zero-copy variant of [`FifoInjector::process_packet`]: the shared
     /// wire image is materialised (copy-on-write) only when the plan
-    /// actually corrupts something. Uncorrupted pass-through never touches
-    /// the payload bytes.
+    /// could change a byte. Uncorrupted pass-through, and an identity
+    /// corruption without a CRC recompute, never touch the payload bytes.
     pub fn process_packet_shared(&mut self, bytes: &mut SharedBytes) -> PacketReport {
         let plan = self.plan_packet(bytes);
-        let mut report = PacketReport {
-            matches: plan.matches,
-            ..PacketReport::default()
-        };
-        if plan.mutates() {
-            let bytes = bytes.make_mut();
-            self.apply_plan(bytes, &plan, &mut report);
+        if plan.writes(&self.config) {
+            self.apply_plan(bytes.make_mut(), plan)
+        } else {
+            plan.into_report()
         }
-        report
     }
 
     /// The read-only half of the datapath: updates counters, scans the
@@ -240,7 +299,7 @@ impl FifoInjector {
         // Forced injection: one 32-bit segment, the next to pass through.
         if self.inject_now_pending {
             self.inject_now_pending = false;
-            plan.forced = true;
+            plan.fires.forced = true;
             self.stats.forced_injections += 1;
             self.stats.injections += 1;
         }
@@ -251,24 +310,26 @@ impl FifoInjector {
         if compare.compare_mask == 0 {
             // All bits don't-care (the idle/default compare): every 32-bit
             // window matches, so the counts follow from the length alone —
-            // no need to slide the window over every byte.
+            // no need to slide the window over every byte — and the trigger
+            // fires at a run of offsets from the first: all of them, the
+            // first alone while a `once` latch is armed, or none.
             let windows = bytes.len().saturating_sub(3);
             plan.matches += windows as u64;
-            for offset in 0..windows {
-                if !self.may_fire() {
-                    break;
-                }
-                plan.fire_offsets.push(offset);
-                self.stats.injections += 1;
-                if self.config.match_mode == MatchMode::Once {
-                    self.armed = false;
-                }
+            let fired = match self.config.match_mode {
+                MatchMode::Off => 0,
+                MatchMode::On => windows,
+                MatchMode::Once => windows.min(usize::from(self.armed)),
+            };
+            if fired > 0 && self.config.match_mode == MatchMode::Once {
+                self.armed = false;
             }
+            plan.fires.run = 0..fired;
+            self.stats.injections += fired as u64;
         } else {
             compare.scan_each(bytes, |offset| {
                 plan.matches += 1;
                 if self.may_fire() {
-                    plan.fire_offsets.push(offset);
+                    plan.fires.listed.push(offset);
                     self.stats.injections += 1;
                     if self.config.match_mode == MatchMode::Once {
                         self.armed = false;
@@ -301,25 +362,31 @@ impl FifoInjector {
         plan
     }
 
-    /// The mutating half of the datapath: applies a non-empty plan.
-    fn apply_plan(&mut self, bytes: &mut [u8], plan: &InjectPlan, report: &mut PacketReport) {
-        if plan.forced {
-            self.config.corrupt.apply_at(bytes, 0);
-            report.injected_offsets.push(0);
-        }
-        for &offset in &plan.fire_offsets {
+    /// The mutating half of the datapath: applies a plan that
+    /// [`writes`](InjectPlan::writes).
+    fn apply_plan(&mut self, bytes: &mut [u8], plan: InjectPlan) -> PacketReport {
+        let InjectPlan {
+            matches,
+            fires: mut offsets,
+            random_flips,
+        } = plan;
+        for offset in offsets.iter() {
             self.config.corrupt.apply_at(bytes, offset);
-            report.injected_offsets.push(offset);
         }
-        for flip in &plan.random_flips {
+        for flip in &random_flips {
             bytes[flip.byte_index] ^= flip.bit_mask;
-            report.injected_offsets.push(flip.segment_offset);
+            offsets.listed.push(flip.segment_offset);
         }
-        if self.config.crc_recompute && bytes.len() >= 2 {
+        let crc_fixed = self.config.crc_recompute && bytes.len() >= 2;
+        if crc_fixed {
             let last = bytes.len() - 1;
             bytes[last] = crc8::checksum(&bytes[..last]);
-            report.crc_fixed = true;
             self.stats.crc_recomputes += 1;
+        }
+        PacketReport {
+            matches,
+            injected_offsets: offsets,
+            crc_fixed,
         }
     }
 
@@ -522,6 +589,9 @@ impl FifoPipeline {
 }
 
 #[cfg(test)]
+mod eager;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::InjectorConfig;
@@ -631,7 +701,7 @@ mod tests {
         inj.inject_now();
         let mut bytes = sample_wire();
         let report = inj.process_packet(&mut bytes);
-        assert_eq!(report.injected_offsets, vec![0]);
+        assert_eq!(report.injected_offsets.iter().collect::<Vec<_>>(), [0]);
         assert_eq!(inj.stats().forced_injections, 1);
         // Route byte 0x01 became 0x81: MSB set on the final route byte.
         assert_eq!(bytes[0], 0x81);

@@ -37,7 +37,7 @@
 //! let mut injector = FifoInjector::new(config);
 //! let mut stream = vec![0x00, 0x18, 0x18, 0x55, 0x66];
 //! let report = injector.process_packet(&mut stream);
-//! assert_eq!(report.injected_offsets, vec![1]);
+//! assert_eq!(report.injected_offsets.iter().collect::<Vec<_>>(), [1]);
 //! assert_eq!(stream, vec![0x00, 0x19, 0x18, 0x55, 0x66]);
 //! ```
 
@@ -64,3 +64,12 @@ pub use fifo::{FifoInjector, FifoPipeline};
 pub use media::{FibreChannelMedia, Gen2Injector, MediaInterface, MyrinetMedia};
 pub use random::RandomInject;
 pub use trigger::{CompareUnit, MatchMode};
+
+/// Serialises this crate's unit tests that copy a shared wire image, or
+/// assert that none was copied: `SharedBytes::copy_count` is process-wide.
+#[cfg(test)]
+fn copy_count_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // It guards no data, so a test that failed holding it poisons nothing.
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

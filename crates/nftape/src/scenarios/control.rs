@@ -3,13 +3,14 @@
 
 use netfi_core::command::DirSelect;
 use netfi_core::config::InjectorConfig;
+use netfi_core::device::InjectorDevice;
 use netfi_myrinet::event::Ev;
 use netfi_myrinet::switch::Switch;
 use netfi_netstack::{
     build_testbed, build_testbed_probed, Host, Testbed, TestbedOptions, Workload,
 };
 use netfi_phy::ControlSymbol;
-use netfi_sim::{ComponentId, EngineSnapshot, NullProbe, Probe, SimDuration, SimTime};
+use netfi_sim::{ComponentId, Engine, EngineSnapshot, NullProbe, Probe, SimDuration, SimTime};
 
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::{program_injector, schedule_duty_cycle};
@@ -240,6 +241,17 @@ impl<P: Probe + Clone> WarmedTable4<P> {
         replacement: ControlSymbol,
         opts: &ControlCampaignOptions,
     ) -> Result<RunResult, ScenarioError> {
+        self.run_row(mask, replacement, opts).map(|(row, _)| row)
+    }
+
+    /// [`row`](WarmedTable4::row), also returning the fork as the row
+    /// leaves it.
+    fn run_row(
+        &self,
+        mask: ControlSymbol,
+        replacement: ControlSymbol,
+        opts: &ControlCampaignOptions,
+    ) -> Result<(RunResult, Engine<Ev, P>), ScenarioError> {
         assert!(
             share_warm_up(&self.opts, opts),
             "donor warmed under different options"
@@ -285,7 +297,7 @@ impl<P: Probe + Clone> WarmedTable4<P> {
         let sw = engine
             .component_as::<Switch>(self.switch)
             .ok_or(ScenarioError::WrongComponent("Switch"))?;
-        Ok(RunResult::new(
+        let row = RunResult::new(
             format!("{mask}->{replacement}"),
             delta.sent(),
             delta.received.min(delta.sent()),
@@ -297,7 +309,8 @@ impl<P: Probe + Clone> WarmedTable4<P> {
         .with_extra(
             "long_timeout_releases",
             sw.stats().long_timeout_releases as f64,
-        ))
+        );
+        Ok((row, engine))
     }
 
     /// Runs the nine rows of Table 4, in the paper's order.
@@ -328,6 +341,27 @@ pub fn control_symbol_row(
     opts: &ControlCampaignOptions,
 ) -> Result<RunResult, ScenarioError> {
     warm_table4(opts, NullProbe)?.row(mask, replacement, opts)
+}
+
+/// Runs one row of Table 4 like [`control_symbol_row`], and also returns
+/// the row's injector device as the cool-down leaves it, with that
+/// instant: what its counters and capture memory read at the end.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] if the test bed cannot be built or read.
+pub fn control_symbol_row_device(
+    mask: ControlSymbol,
+    replacement: ControlSymbol,
+    opts: &ControlCampaignOptions,
+) -> Result<(RunResult, InjectorDevice, SimTime), ScenarioError> {
+    let warm = warm_table4(opts, NullProbe)?;
+    let (row, engine) = warm.run_row(mask, replacement, opts)?;
+    let device = engine
+        .component_as::<InjectorDevice>(warm.device)
+        .ok_or(ScenarioError::WrongComponent("InjectorDevice"))?
+        .clone();
+    Ok((row, device, engine.now()))
 }
 
 /// Runs the full nine-row Table 4 campaign on forks of one warmed test

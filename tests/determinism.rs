@@ -420,6 +420,41 @@ fn paper_campaigns_golden_hash_across_worker_counts() {
     }
 }
 
+/// Two Table 4 rows' device state, pinned: at the end of GAP→GO and
+/// STOP→IDLE (1 s window), each direction's datapath and monitoring
+/// counters and the rendering of its capture memory. `RunResult` carries
+/// none of these, so the goldens above cannot see a wrong counter or a
+/// wrong capture. The armed swap leaves the data comparator at its
+/// match-everything default, so the capture holds the last 1,024 of the
+/// no-op injections it fires at every byte offset. The constant was
+/// taken while each of those injections was still planned, applied and
+/// captured one by one.
+#[test]
+fn table4_row_device_state_golden_hash() {
+    use netfi::nftape::scenarios::control::{control_symbol_row_device, ControlCampaignOptions};
+    use netfi::phy::ControlSymbol::{Gap, Go, Idle, Stop};
+    use std::fmt::Write;
+    let opts = ControlCampaignOptions {
+        window: SimDuration::from_secs(1),
+        ..ControlCampaignOptions::default()
+    };
+    let mut text = String::new();
+    for (mask, replacement) in [(Gap, Go), (Stop, Idle)] {
+        let (row, dev, now) = control_symbol_row_device(mask, replacement, &opts).unwrap();
+        writeln!(text, "{row:?}").unwrap();
+        for dir in [Direction::AToB, Direction::BToA] {
+            let fifo = dev.fifo_stats_at(dir, now);
+            writeln!(text, "{dir:?} {fifo:?} {:?}", dev.channel_stats(dir, now)).unwrap();
+            text.push_str(&dev.capture(dir).render());
+        }
+    }
+    assert_pinned(
+        "Table 4 row device state",
+        fnv1a(text.as_bytes()),
+        0x0316_CF72_0F25_4F98,
+    );
+}
+
 /// The statistical sampler's contract, pinned: the 2,048-point seed-11
 /// sampled injection campaign — points drawn from per-index RNG
 /// substreams, each run as a fork of one warm donor snapshot, classified
