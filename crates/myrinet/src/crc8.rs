@@ -6,9 +6,22 @@
 //! is recomputed" (paper §4.1) — so this module provides both one-shot and
 //! streaming computation. The polynomial is the CCITT ATM-HEC polynomial
 //! x⁸ + x² + x + 1 (`0x07`), the code Myrinet uses.
+//!
+//! Two kernels compute the same register. The slice-by-8 table walk is
+//! the reference and the only path on CPUs without carry-less multiply;
+//! on x86-64 CPUs with `pclmulqdq` and `ssse3` (asked of the CPU at run
+//! time), inputs of 48 bytes or more fold 16 bytes per step with
+//! carry-less multiplies. Every length and start register gives
+//! the same byte on both; the tests call each kernel by name.
 
 /// The CRC-8 generator polynomial, x⁸ + x² + x + 1.
 pub const POLYNOMIAL: u8 = 0x07;
+
+/// The shortest input the carry-less fold takes. The fold always pays two
+/// table steps for its 128-bit remainder, so short inputs favour the
+/// table: on a 2-vCPU Xeon VM the fold read ×0.60 of the table's speed
+/// at 16 bytes, ×0.98 at 32 and 40, ×1.5 at 48 and ×2 at 64.
+const CLMUL_MIN_LEN: usize = 48;
 
 /// Slice-by-8 lookup tables, built at compile time. `TABLES[0]` is the
 /// classic byte-at-a-time table (the effect of one byte on the register);
@@ -46,12 +59,24 @@ const fn build_tables() -> [[u8; 256]; 8] {
     tables
 }
 
+/// Folds `data` into the running register value with the fastest kernel
+/// this CPU has for its length.
+fn update(crc: u8, data: &[u8]) -> u8 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= CLMUL_MIN_LEN {
+        if let Some(crc) = clmul::update(crc, data) {
+            return crc;
+        }
+    }
+    update_table(crc, data)
+}
+
 /// Folds `data` into the running register value, eight bytes at a time.
 ///
 /// The CRC update is linear over GF(2), so the register after eight bytes
 /// is the XOR of each byte's contribution shifted to its position — one
 /// table per position.
-fn update(mut crc: u8, data: &[u8]) -> u8 {
+fn update_table(mut crc: u8, data: &[u8]) -> u8 {
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         crc = TABLES[7][(crc ^ c[0]) as usize]
@@ -67,6 +92,100 @@ fn update(mut crc: u8, data: &[u8]) -> u8 {
         crc = TABLES[0][(crc ^ b) as usize];
     }
     crc
+}
+
+/// The carry-less fold (Intel, "Fast CRC computation for generic
+/// polynomials using PCLMULQDQ").
+///
+/// Read MSB first, `data` is a polynomial M(x) and its CRC from register
+/// `r` is (r·x^(8n) + M·x⁸) mod P: the register is the first byte XORed
+/// with `r`. Cut M into 16-byte blocks X₀ … Xₖ. Because only M mod P
+/// matters, the leading block can be replaced by anything congruent to it
+/// modulo P, as long as it stays in 128 bits: its high half H and low half
+/// L sit x¹²⁸ further up once the next block follows, so
+/// H·(x¹⁹² mod P) ⊕ L·(x¹²⁸ mod P) ⊕ X₁ is such a block. Folding block by
+/// block leaves one 128-bit remainder, whose CRC, continued over the tail,
+/// is the CRC of the whole input.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_clmulepi64_si128, _mm_loadu_si128, _mm_set_epi64x, _mm_set_epi8,
+        _mm_shuffle_epi8, _mm_storeu_si128, _mm_xor_si128,
+    };
+
+    use super::{update_table, POLYNOMIAL};
+
+    /// xⁿ mod P.
+    const fn x_pow_mod(n: u32) -> u8 {
+        let mut r = 1u8;
+        let mut i = 0;
+        while i < n {
+            r = if r & 0x80 != 0 {
+                (r << 1) ^ POLYNOMIAL
+            } else {
+                r << 1
+            };
+            i += 1;
+        }
+        r
+    }
+
+    /// Moves a block's low half one block onward.
+    const K128: u8 = x_pow_mod(128);
+    /// Moves a block's high half one block onward.
+    const K192: u8 = x_pow_mod(192);
+
+    /// The fold of `data` into `crc`, or `None` where this CPU lacks the
+    /// instructions.
+    pub(super) fn update(crc: u8, data: &[u8]) -> Option<u8> {
+        if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("ssse3") {
+            // SAFETY: both features `fold` is compiled for were just detected.
+            Some(unsafe { fold(crc, data) })
+        } else {
+            None
+        }
+    }
+
+    /// Folds every whole 16-byte block of `data` into one, then runs that
+    /// remainder and the tail through the table.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` and `ssse3`.
+    // SAFETY: a declaration; its one caller, `update`, detects both first.
+    #[target_feature(enable = "pclmulqdq,ssse3")]
+    unsafe fn fold(crc: u8, data: &[u8]) -> u8 {
+        let mut blocks = data.chunks_exact(16);
+        let Some(first) = blocks.next() else {
+            return update_table(crc, data);
+        };
+        // Byte i of the register is byte 15 − i of the block, so the
+        // register's bit j is the block's coefficient of xʲ.
+        let reverse = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let halves = _mm_set_epi64x(i64::from(K192), i64::from(K128));
+        // SAFETY: `chunks_exact(16)` yields 16-byte blocks.
+        let first = unsafe { _mm_loadu_si128(first.as_ptr().cast::<__m128i>()) };
+        let mut x = _mm_xor_si128(
+            _mm_shuffle_epi8(first, reverse),
+            _mm_set_epi64x(i64::from(crc) << 56, 0),
+        );
+        for block in &mut blocks {
+            // SAFETY: `chunks_exact(16)` yields 16-byte blocks.
+            let next = unsafe { _mm_loadu_si128(block.as_ptr().cast::<__m128i>()) };
+            let high = _mm_clmulepi64_si128::<0x11>(x, halves);
+            let low = _mm_clmulepi64_si128::<0x00>(x, halves);
+            x = _mm_xor_si128(_mm_xor_si128(high, low), _mm_shuffle_epi8(next, reverse));
+        }
+        let mut remainder = [0u8; 16];
+        // SAFETY: `remainder` holds the 16 bytes stored.
+        unsafe {
+            _mm_storeu_si128(
+                remainder.as_mut_ptr().cast::<__m128i>(),
+                _mm_shuffle_epi8(x, reverse),
+            )
+        };
+        update_table(update_table(0, &remainder), blocks.remainder())
+    }
 }
 
 /// Computes the CRC-8 of `data` (initial value 0).
@@ -127,10 +246,9 @@ impl Crc8 {
 mod tests {
     use super::*;
 
-    /// The original bit-serial implementation, kept as the reference the
-    /// slice-by-8 path is checked bit-identical against.
-    fn checksum_bitwise(data: &[u8]) -> u8 {
-        let mut crc = 0u8;
+    /// The original bit-serial implementation, kept as the reference both
+    /// kernels are checked bit-identical against.
+    fn update_bitwise(mut crc: u8, data: &[u8]) -> u8 {
         for &b in data {
             crc ^= b;
             for _ in 0..8 {
@@ -144,19 +262,60 @@ mod tests {
         crc
     }
 
+    fn checksum_bitwise(data: &[u8]) -> u8 {
+        update_bitwise(0, data)
+    }
+
+    /// The carry-less kernel, called by name; `None` on a CPU or target
+    /// without it.
+    fn update_clmul(crc: u8, data: &[u8]) -> Option<u8> {
+        #[cfg(target_arch = "x86_64")]
+        return clmul::update(crc, data);
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
+
     #[test]
-    fn slice_by_8_matches_reference_on_random_inputs() {
+    fn both_kernels_match_the_reference_at_every_length_and_start() {
         let mut rng = netfi_sim::DetRng::new(0xC8C8_0001);
-        for len in 0..64usize {
-            for _ in 0..8 {
-                let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-                assert_eq!(checksum(&data), checksum_bitwise(&data), "len {len}");
+        let mut clmul_checked = 0;
+        for start in [0u8, 0x5A, 0xFF] {
+            let data: Vec<u8> = (0..2048).map(|_| rng.next_u64() as u8).collect();
+            // The reference register after each prefix, extended a byte
+            // at a time.
+            let mut want = start;
+            for len in 0..=data.len() {
+                if len > 0 {
+                    want = update_bitwise(want, &data[len - 1..len]);
+                }
+                let prefix = &data[..len];
+                let case = format!("start {start:#04x} len {len}");
+                assert_eq!(update_table(start, prefix), want, "table {case}");
+                if let Some(got) = update_clmul(start, prefix) {
+                    assert_eq!(got, want, "clmul {case}");
+                    clmul_checked += 1;
+                }
+                assert_eq!(update(start, prefix), want, "dispatch {case}");
             }
         }
-        // Longer, unaligned lengths crossing several 8-byte chunks.
-        for len in [65usize, 127, 128, 129, 1000, 1023] {
+        // Where the CPU has the instructions, every case ran on both.
+        assert!(clmul_checked == 0 || clmul_checked == 3 * 2049);
+    }
+
+    #[test]
+    fn streaming_in_random_splits_matches_the_reference() {
+        let mut rng = netfi_sim::DetRng::new(0xC8C8_0002);
+        for _ in 0..256 {
+            let len = rng.gen_index(2049);
             let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            assert_eq!(checksum(&data), checksum_bitwise(&data), "len {len}");
+            let mut acc = Crc8::new();
+            let mut at = 0;
+            while at < len {
+                let step = 1 + rng.gen_index(len - at);
+                acc.update(&data[at..at + step]);
+                at += step;
+            }
+            assert_eq!(acc.finish(), checksum_bitwise(&data), "len {len}");
         }
     }
 

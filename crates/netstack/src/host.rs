@@ -483,15 +483,18 @@ impl Host {
             dest,
             interval,
             payload_len,
-            ref forbidden,
             burst,
+            ..
         } = self.workloads[i]
         else {
             return;
         };
-        let forbidden = forbidden.clone();
         for _ in 0..burst.max(1) {
-            let payload = payload_avoiding(payload_len, self.sender_sent, &forbidden);
+            // Borrowed per datagram: `send_udp` below needs all of `self`.
+            let Workload::Sender { ref forbidden, .. } = self.workloads[i] else {
+                return;
+            };
+            let payload = payload_avoiding(payload_len, self.sender_sent, forbidden);
             let datagram = UdpDatagram::new(40_000, SINK_PORT, payload);
             self.sender_sent += 1;
             self.udp_stats.tx += 1;

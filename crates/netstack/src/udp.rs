@@ -154,61 +154,139 @@ pub fn payload_avoiding(len: usize, seq: u64, forbidden: &[u8]) -> Vec<u8> {
 /// caller composing a larger payload (e.g. sequence number + filler) can
 /// do it in one allocation.
 pub fn payload_avoiding_into(out: &mut Vec<u8>, len: usize, seq: u64, forbidden: &[u8]) {
+    // A deterministic, seq-dependent pattern drawn from the printable
+    // ASCII bytes that are not forbidden.
+    let mut x = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(len as u64);
+    if !forbidden.iter().any(|b| PRINTABLE.contains(b)) {
+        // Every byte a campaign forbids (control-symbol codes, 0xDD) lies
+        // outside the alphabet, so this is the hot path: the alphabet is
+        // all 95 bytes and need not be built.
+        let start = out.len();
+        out.resize(start + len, 0);
+        filler::fill(&mut out[start..], x);
+        return;
+    }
     // The allowed alphabet is at most the 95 printable ASCII bytes, so it
     // fits on the stack.
     let mut allowed = [0u8; 95];
     let mut count = 0usize;
-    for b in 0x20..=0x7E {
-        // printable ASCII
+    for b in PRINTABLE {
         if !forbidden.contains(&b) {
             allowed[count] = b;
             count += 1;
         }
     }
     assert!(count > 0, "no allowed bytes remain");
-    // A deterministic, seq-dependent pattern drawn from allowed bytes.
-    let mut x = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(len as u64);
-    out.reserve(len);
     // `extend` over a range iterator reserves once and skips the per-byte
     // capacity check a `push` loop would pay.
+    out.extend((0..len).map(|_| {
+        x = filler::step(x);
+        allowed[(x >> 33) as usize % count]
+    }));
+}
+
+/// The filler's alphabet before anything is forbidden.
+const PRINTABLE: std::ops::RangeInclusive<u8> = 0x20..=0x7E;
+
+/// The filler with all 95 printable bytes allowed, `out[k]` drawn from the
+/// (k + 1)-th step of an LCG from `x`.
+///
+/// The LCG state of each 16-byte chunk's first byte steps serially, 16
+/// steps per jump; the chunk's 16 states are then independent jumps of
+/// 0 … 15 steps from it, which a vector unit takes together, and the bytes
+/// come out in the one-step recurrence's order. The lane loop is compiled
+/// twice: portably (the reference, and the only path off x86-64 or on CPUs
+/// without AVX2) and, for x86-64 CPUs that report AVX2 at run time, with
+/// AVX2 enabled, which LLVM vectorises.
+mod filler {
     const A: u64 = 6364136223846793005;
     const C: u64 = 1442695040888963407;
-    if count == allowed.len() {
-        // Nothing forbidden (the common hot path): the modulus is a
-        // compile-time constant (strength-reduced to a multiply), and the
-        // LCG runs as four interleaved lanes that each jump four steps at
-        // a time — the four multiplies pipeline instead of forming one
-        // serial dependency chain. The emitted byte sequence is identical
-        // to the one-step-at-a-time recurrence.
-        const A2: u64 = A.wrapping_mul(A);
-        const A3: u64 = A2.wrapping_mul(A);
-        const A4: u64 = A3.wrapping_mul(A);
-        const C4: u64 = A3
-            .wrapping_mul(C)
-            .wrapping_add(A2.wrapping_mul(C))
-            .wrapping_add(A.wrapping_mul(C))
-            .wrapping_add(C);
-        let byte = |v: u64| 0x20 + ((v >> 33) % 95) as u8;
-        let mut l0 = A.wrapping_mul(x).wrapping_add(C);
-        let mut l1 = A.wrapping_mul(l0).wrapping_add(C);
-        let mut l2 = A.wrapping_mul(l1).wrapping_add(C);
-        let mut l3 = A.wrapping_mul(l2).wrapping_add(C);
-        for _ in 0..len / 4 {
-            out.extend_from_slice(&[byte(l0), byte(l1), byte(l2), byte(l3)]);
-            l0 = A4.wrapping_mul(l0).wrapping_add(C4);
-            l1 = A4.wrapping_mul(l1).wrapping_add(C4);
-            l2 = A4.wrapping_mul(l2).wrapping_add(C4);
-            l3 = A4.wrapping_mul(l3).wrapping_add(C4);
+    const LANES: usize = 16;
+
+    /// Aₙ of the n-step jump xₖ₊ₙ = Aₙ·xₖ + Cₙ, for n = 0 … LANES − 1.
+    const MUL: [u64; LANES] = jumps().0;
+    /// Cₙ of the same jumps.
+    const ADD: [u64; LANES] = jumps().1;
+    /// A whole chunk's jump, (A₁₆, C₁₆).
+    const CHUNK: (u64, u64) = jumps().2;
+
+    const fn jumps() -> ([u64; LANES], [u64; LANES], (u64, u64)) {
+        let (mut mul, mut add) = ([0u64; LANES], [0u64; LANES]);
+        let (mut a, mut c) = (1u64, 0u64);
+        let mut n = 0;
+        while n < LANES {
+            (mul[n], add[n]) = (a, c);
+            (a, c) = (a.wrapping_mul(A), c.wrapping_mul(A).wrapping_add(C));
+            n += 1;
         }
-        let tail = [l0, l1, l2];
-        for &lane in &tail[..len % 4] {
-            out.push(byte(lane));
+        (mul, add, (a, c))
+    }
+
+    /// One step of the LCG.
+    pub(super) fn step(x: u64) -> u64 {
+        x.wrapping_mul(A).wrapping_add(C)
+    }
+
+    /// The printable byte of one LCG state: `% 95` of a constant is
+    /// strength-reduced to a multiply, and on 32 bits it vectorises.
+    #[inline(always)]
+    fn byte(v: u64) -> u8 {
+        0x20 + ((v >> 33) as u32 % 95) as u8
+    }
+
+    /// The bytes of (up to) one chunk whose first state is `y`.
+    #[inline(always)]
+    fn lanes(chunk: &mut [u8], y: u64) {
+        for ((b, a), c) in chunk.iter_mut().zip(&MUL).zip(&ADD) {
+            *b = byte(a.wrapping_mul(y).wrapping_add(*c));
         }
-    } else {
-        out.extend((0..len).map(|_| {
-            x = x.wrapping_mul(A).wrapping_add(C);
-            allowed[(x >> 33) as usize % count]
-        }));
+    }
+
+    /// The lane loop for any CPU, inlined into [`fill_avx2_unchecked`] to
+    /// be compiled a second time.
+    #[inline(always)]
+    pub(super) fn fill_portable(out: &mut [u8], x: u64) {
+        let mut y = step(x);
+        let mut chunks = out.chunks_exact_mut(LANES);
+        for chunk in &mut chunks {
+            lanes(chunk, y);
+            y = CHUNK.0.wrapping_mul(y).wrapping_add(CHUNK.1);
+        }
+        lanes(chunks.into_remainder(), y);
+    }
+
+    /// Fills `out` with the fastest lane loop this CPU runs.
+    pub(super) fn fill(out: &mut [u8], x: u64) {
+        if !fill_avx2(out, x) {
+            fill_portable(out, x);
+        }
+    }
+
+    /// The lane loop compiled for AVX2; `false`, with `out` untouched,
+    /// where this CPU or target lacks it.
+    pub(super) fn fill_avx2(out: &mut [u8], x: u64) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2, the one feature `fill_avx2_unchecked` is
+            // compiled for, was just detected.
+            unsafe { fill_avx2_unchecked(out, x) };
+            return true;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (out, x);
+        false
+    }
+
+    /// [`fill_portable`] with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    // SAFETY: a declaration; its one caller, `fill_avx2`, detects AVX2 first.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fill_avx2_unchecked(out: &mut [u8], x: u64) {
+        fill_portable(out, x);
     }
 }
 
@@ -302,21 +380,52 @@ mod tests {
         assert_ne!(payload_avoiding(64, 1, &[]), payload_avoiding(64, 2, &[]));
     }
 
+    /// The one-step-at-a-time LCG the filler is defined by, drawing from
+    /// `alphabet`.
+    fn serial_filler(len: usize, seq: u64, alphabet: &[u8]) -> Vec<u8> {
+        let mut x = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(len as u64);
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                alphabet[(x >> 33) as usize % alphabet.len()]
+            })
+            .collect()
+    }
+
     #[test]
     fn unrolled_filler_matches_serial_recurrence() {
-        // The four-lane hot path must emit exactly the bytes of the
-        // one-step-at-a-time LCG it replaced.
-        for seq in [0u64, 1, 7, 12345, u64::MAX] {
-            for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 56, 95, 256] {
-                let mut x = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(len as u64);
-                let reference: Vec<u8> = (0..len)
-                    .map(|_| {
-                        x = x.wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        0x20 + ((x >> 33) % 95) as u8
-                    })
-                    .collect();
+        // Both compiled lane loops must emit exactly the bytes of the
+        // one-step LCG, across lane boundaries and at full frame length.
+        let printable: Vec<u8> = PRINTABLE.collect();
+        let lens = (0..=40).chain([63, 64, 65, 511, 512, 513, 1500]);
+        let mut avx2_checked = 0;
+        for seq in [0u64, 1, 7, 12345, u64::MAX - 1, u64::MAX] {
+            for len in lens.clone() {
+                let reference = serial_filler(len, seq, &printable);
+                let x = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(len as u64);
+                let mut out = vec![0; len];
+                filler::fill_portable(&mut out, x);
+                assert_eq!(out, reference, "portable seq={seq} len={len}");
+                let mut out = vec![0; len];
+                if filler::fill_avx2(&mut out, x) {
+                    assert_eq!(out, reference, "avx2 seq={seq} len={len}");
+                    avx2_checked += 1;
+                }
                 assert_eq!(payload_avoiding(len, seq, &[]), reference, "seq={seq} len={len}");
+            }
+        }
+        // Where the CPU has AVX2, every case ran on both.
+        assert!(avx2_checked == 0 || avx2_checked == 6 * lens.count());
+        // A forbidden printable byte takes the alphabet path.
+        let forbidden = [0x0F, b'A', 0xDD, b'~'];
+        let alphabet: Vec<u8> = PRINTABLE.filter(|b| !forbidden.contains(b)).collect();
+        for seq in [0u64, 7, u64::MAX] {
+            for len in [0usize, 1, 17, 512] {
+                assert_eq!(
+                    payload_avoiding(len, seq, &forbidden),
+                    serial_filler(len, seq, &alphabet),
+                    "alphabet seq={seq} len={len}"
+                );
             }
         }
     }

@@ -458,10 +458,11 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
     let mut engine = fabric.engine;
     let warm_end = SimTime::ZERO + options.warm;
     while engine.now() < warm_end {
-        let step = (engine.now() + options.poll).min(warm_end);
+        let since = engine.now();
+        let step = (since + options.poll).min(warm_end);
         let outcome =
             engine.run_budgeted(RunBudget::until(step).with_max_events(options.poll_event_budget));
-        scan_arrivals(&engine, &fabric.hosts, &mut monitor);
+        scan_arrivals(&engine, &fabric.hosts, &mut monitor, since);
         if matches!(outcome, RunOutcome::BudgetExhausted) {
             break;
         }
@@ -478,19 +479,22 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
     })
 }
 
-/// Reads every host's arrival ring and feeds fresh heartbeats into the
-/// monitor. Rings are sequence-deduplicated by the monitor, so
-/// overlapping reads across poll steps are safe.
+/// Reads every host's arrival ring and feeds the heartbeats stamped at or
+/// after `since`, the previous poll instant, into the monitor. Everything
+/// stamped earlier was in the ring when that poll read it; an entry at
+/// `since` itself may not have been, so it is read again, and the
+/// monitor's sequence dedupe drops it if it was.
 fn scan_arrivals(
     engine: &Engine<Ev, NullProbe>,
     hosts: &[ComponentId],
     monitor: &mut SuspicionMonitor,
+    since: SimTime,
 ) {
     for &id in hosts {
         let Some(host) = engine.component_as::<Host>(id) else {
             continue;
         };
-        for stamped in host.recent_arrivals() {
+        for stamped in host.recent_arrivals().filter(|s| s.time >= since) {
             let (_, datagram) = &stamped.value;
             if datagram.dst_port != HEARTBEAT_PORT {
                 continue;
@@ -517,10 +521,11 @@ fn drive(
     to: SimTime,
 ) -> bool {
     while engine.now() < to {
-        let step = (engine.now() + options.poll).min(to);
+        let since = engine.now();
+        let step = (since + options.poll).min(to);
         let outcome =
             engine.run_budgeted(RunBudget::until(step).with_max_events(options.poll_event_budget));
-        scan_arrivals(engine, hosts, monitor);
+        scan_arrivals(engine, hosts, monitor, since);
         monitor.poll(step);
         if matches!(outcome, RunOutcome::BudgetExhausted) {
             return false;

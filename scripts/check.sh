@@ -14,6 +14,10 @@ cargo build --release --workspace --offline
 
 echo "== test (offline) =="
 cargo test -q --workspace --offline
+# The two crates with `unsafe` kernels (CRC-8 fold, payload filler) are
+# tested again optimised: their differential tests must hold in the code
+# that ships, not only in the debug build.
+cargo test -q --release --offline -p netfi-myrinet -p netfi-netstack --lib
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
