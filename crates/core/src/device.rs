@@ -18,13 +18,17 @@
 //! as NFTAPE drives the real board.
 //!
 //! A STOP train ([`Frame::Train`]) crosses the device whole while the
-//! device could neither change nor log one of its repeats — the repeats
-//! are counted, not handled. While the device is armed against the
-//! train's STOP or logs traffic, it acts on each repeat at the instant it
-//! arrives, exactly as on a STOP of its own, and what comes out travels
-//! on as single symbols; arming it mid-train ends the train downstream
-//! with a bare train end, and a repeat that passes untouched once it is
-//! disarmed opens a new one.
+//! device could neither change nor log one of its repeats, and *swapped*
+//! while it would swap every repeat for the same symbol — the swap matches
+//! the train's STOP, the match mode is `On` and the traffic log is off: it
+//! goes on as a train of that symbol, with the train's own phase and
+//! period. Either way the repeats are counted, not handled. Otherwise (a
+//! `Once` latch, the traffic log) the device acts on each repeat at the
+//! instant it arrives, exactly as on a STOP of its own, and what comes out
+//! travels on as single symbols. A command that changes what the device
+//! makes of an open train ends the train downstream with a bare train end,
+//! and the next repeat opens whatever the new configuration makes of it: a
+//! train passing whole, a swapped train, or single symbols.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -134,6 +138,19 @@ struct Channel {
     stats: ChannelStats,
 }
 
+/// How the device carries the repeats of a STOP train on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Carry {
+    /// The train is open downstream and the repeats pass on whole.
+    Whole,
+    /// A train of this symbol is open downstream: every repeat is swapped
+    /// for it.
+    Swapped(u8),
+    /// No train is open downstream: the device acts on each repeat at its
+    /// instant and forwards what comes out.
+    OneByOne,
+}
+
 /// A STOP train crossing the device in one direction.
 #[derive(Debug, Clone, Copy)]
 struct Crossing {
@@ -142,11 +159,10 @@ struct Crossing {
     /// The symbol each repeat carries.
     code: u8,
     /// Repeats accounted for, from the first: acted on, or counted as
-    /// passed on whole.
+    /// carried on in a train.
     done: u64,
-    /// Whether a train is open downstream, so the repeats pass on whole;
-    /// otherwise the device acts on each one and forwards what comes out.
-    whole: bool,
+    /// How the repeats go on.
+    carry: Carry,
 }
 
 /// Configuration of the device.
@@ -333,14 +349,22 @@ impl InjectorDevice {
             return (injector, 0);
         };
         let n = c.repeats.count(now, true).saturating_sub(c.done);
-        if c.whole {
-            injector.pass_controls(n);
-        } else {
-            for _ in 0..n {
-                injector.process_control(c.code);
+        match c.carry {
+            Carry::Whole => injector.pass_controls(n),
+            Carry::Swapped(_) => injector.swap_controls(n),
+            Carry::OneByOne => {
+                for _ in 0..n {
+                    injector.process_control(c.code);
+                }
             }
         }
         (injector, n)
+    }
+
+    /// Whether a STOP train crosses the device going `dir`: it has opened
+    /// and not yet closed.
+    pub fn train_crossing(&self, dir: Direction) -> bool {
+        self.crossings[dir.index()].is_some()
     }
 
     /// Capture memory for one direction.
@@ -510,17 +534,30 @@ impl InjectorDevice {
         ch.injector.process_control(code)
     }
 
-    /// Counts `n` repeats that passed going `dir` untouched.
-    fn pass_repeats(&mut self, dir: Direction, n: u64) {
+    /// Counts `n` repeats going `dir` that a train carried `carry`, whole
+    /// or swapped, took across.
+    fn count_repeats(&mut self, dir: Direction, n: u64, carry: Carry) {
         let ch = &mut self.channels[dir.index()];
         ch.stats.controls += n;
-        ch.injector.pass_controls(n);
+        match carry {
+            Carry::Swapped(_) => ch.injector.swap_controls(n),
+            Carry::Whole | Carry::OneByOne => ch.injector.pass_controls(n),
+        }
     }
 
-    /// Whether the device could change or log a symbol `code` going `dir`
-    /// now.
-    fn touches(&self, dir: Direction, code: u8) -> bool {
-        self.traffic_log_enabled || self.channels[dir.index()].injector.touches(code)
+    /// How the device would carry on the repeats of a train of `code` going
+    /// `dir` from now: whole if it could neither change nor log one, swapped
+    /// if it would swap each for the same symbol and log none, and one by
+    /// one otherwise.
+    fn carry_for(&self, dir: Direction, code: u8) -> Carry {
+        let injector = &self.channels[dir.index()].injector;
+        if self.traffic_log_enabled {
+            Carry::OneByOne
+        } else if !injector.touches(code) {
+            Carry::Whole
+        } else {
+            injector.swaps(code).map_or(Carry::OneByOne, Carry::Swapped)
+        }
     }
 
     /// The component on the far side of `port`.
@@ -540,27 +577,28 @@ impl InjectorDevice {
         let now = ctx.now();
         let d = dir.index();
         if let (Some(repeats), Some(code)) = (Repeats::announced(mark, now), code) {
-            let whole = !self.touches(dir, code);
+            let carry = self.carry_for(dir, code);
             let (out, _) = self.pass_symbol(dir, code, now);
+            debug_assert!(
+                !matches!(carry, Carry::Swapped(r) if r != out),
+                "{}: a swapped train opens with its swap",
+                self.config.name
+            );
             self.crossings[d] = Some(Crossing {
                 repeats,
                 code,
                 done: 0,
-                whole,
+                carry,
             });
-            if whole {
-                self.forward(
-                    ctx,
-                    dir,
-                    Frame::Train {
-                        code: Some(out),
-                        mark,
-                    },
-                    now,
-                );
-            } else {
+            if carry == Carry::OneByOne {
                 self.forward(ctx, dir, Frame::Control(out), now);
                 self.wake_for_repeat(ctx, dir);
+            } else {
+                let frame = Frame::Train {
+                    code: Some(out),
+                    mark,
+                };
+                self.forward(ctx, dir, frame, now);
             }
             return;
         }
@@ -572,11 +610,9 @@ impl InjectorDevice {
         let crossing = self.crossings[d].take();
         let out = code.map(|code| self.pass_symbol(dir, code, now).0);
         match crossing {
-            Some(c) if c.whole => {
-                self.pass_repeats(
-                    dir,
-                    c.repeats.count(now, same_instant).saturating_sub(c.done),
-                );
+            Some(c) if c.carry != Carry::OneByOne => {
+                let n = c.repeats.count(now, same_instant).saturating_sub(c.done);
+                self.count_repeats(dir, n, c.carry);
                 self.forward(ctx, dir, Frame::Train { code: out, mark }, now);
             }
             _ => {
@@ -589,34 +625,38 @@ impl InjectorDevice {
 
     /// Acts on the repeats going `dir` the device handles one by one that
     /// arrived before now, or by now when `inclusive`, in order, each at
-    /// its own arrival instant. A repeat that passes untouched once the
-    /// device can no longer touch the train is forwarded as the STOP that
-    /// opens a new train downstream, and the rest pass whole. Returns
-    /// whether it acted on any.
+    /// its own arrival instant. A repeat that the device would now carry on
+    /// in a train — untouched, or swapped like every later one — is
+    /// forwarded as the symbol that opens that train downstream, and the
+    /// rest cross in it. Returns whether it acted on any.
     fn act_on_due(&mut self, ctx: &mut Context<'_, Ev>, dir: Direction, inclusive: bool) -> bool {
         let now = ctx.now();
         let d = dir.index();
         let mut acted = false;
-        while let Some(c) = self.crossings[d].filter(|c| !c.whole) {
+        while let Some(c) = self.crossings[d].filter(|c| c.carry == Carry::OneByOne) {
             let at = c.repeats.at(c.done);
             if at > now || (at == now && !inclusive) {
                 break;
             }
             let (out, touched) = self.pass_symbol(dir, c.code, at);
-            let whole = !touched && !self.touches(dir, c.code);
+            // A repeat a `once` latch just spent is not the train it opens.
+            let carry = match self.carry_for(dir, c.code) {
+                Carry::Whole if touched => Carry::OneByOne,
+                carry => carry,
+            };
             self.crossings[d] = Some(Crossing {
                 done: c.done + 1,
-                whole,
+                carry,
                 ..c
             });
-            let frame = if whole {
+            let frame = if carry == Carry::OneByOne {
+                Frame::Control(out)
+            } else {
                 let period = c.repeats.period;
                 Frame::Train {
                     code: Some(out),
                     mark: TrainMark::open(period, period),
                 }
-            } else {
-                Frame::Control(out)
             };
             self.forward(ctx, dir, frame, at);
             acted = true;
@@ -628,7 +668,7 @@ impl InjectorDevice {
     /// it handles one by one — after every frame of that instant, each of
     /// which acts on the repeats that sort ahead of it first.
     fn wake_for_repeat(&mut self, ctx: &mut Context<'_, Ev>, dir: Direction) {
-        let Some(c) = self.crossings[dir.index()].filter(|c| !c.whole) else {
+        let Some(c) = self.crossings[dir.index()].filter(|c| c.carry == Carry::OneByOne) else {
             return;
         };
         let due = c.repeats.at(c.done) + SimDuration::from_ps(1);
@@ -651,34 +691,38 @@ impl InjectorDevice {
         }
     }
 
-    /// Counts the repeats of the trains passing whole that arrived before
-    /// now.
-    fn settle_whole(&mut self, now: SimTime) {
+    /// Counts the repeats of the trains carried on whole or swapped that
+    /// arrived before now.
+    fn settle(&mut self, now: SimTime) {
         for dir in Direction::BOTH {
-            let Some(c) = self.crossings[dir.index()].filter(|c| c.whole) else {
+            let Some(c) = self.crossings[dir.index()].filter(|c| c.carry != Carry::OneByOne) else {
                 continue;
             };
             let passed = c.repeats.count(now, false);
-            self.pass_repeats(dir, passed.saturating_sub(c.done));
+            self.count_repeats(dir, passed.saturating_sub(c.done), c.carry);
             self.crossings[dir.index()] = Some(Crossing { done: passed, ..c });
         }
     }
 
-    /// Splits each train passing whole that the device could now change or
-    /// log: the repeats that arrived before now passed whole, the train
-    /// downstream ends with them, and the device acts on each repeat from
-    /// here on.
-    fn split_armed(&mut self, ctx: &mut Context<'_, Ev>) {
+    /// After a command: splits each train carried on whole or swapped that
+    /// the device would now carry otherwise. The repeats that arrived
+    /// before now crossed in it, the train downstream ends with them, and
+    /// the device acts on each repeat from here on, until one opens what
+    /// the new configuration makes of the train.
+    fn split_changed(&mut self, ctx: &mut Context<'_, Ev>) {
         let now = ctx.now();
-        self.settle_whole(now);
+        self.settle(now);
         for dir in Direction::BOTH {
-            let Some(c) = self.crossings[dir.index()].filter(|c| c.whole) else {
+            let Some(c) = self.crossings[dir.index()].filter(|c| c.carry != Carry::OneByOne) else {
                 continue;
             };
-            if !self.touches(dir, c.code) {
+            if self.carry_for(dir, c.code) == c.carry {
                 continue;
             }
-            self.crossings[dir.index()] = Some(Crossing { whole: false, ..c });
+            self.crossings[dir.index()] = Some(Crossing {
+                carry: Carry::OneByOne,
+                ..c
+            });
             let end = Frame::Train {
                 code: None,
                 mark: TrainMark::Close {
@@ -841,10 +885,10 @@ impl Component<Ev> for InjectorDevice {
             }
             Ev::Serial(byte) => {
                 // Counters a command reports or resets include the repeats
-                // that passed whole before it.
-                self.settle_whole(ctx.now());
+                // carried on in a train before it.
+                self.settle(ctx.now());
                 if self.on_serial(byte) {
-                    self.split_armed(ctx);
+                    self.split_changed(ctx);
                 }
             }
             Ev::App(_) | Ev::Deliver { .. } | Ev::Send { .. } => {}

@@ -416,11 +416,29 @@ impl FifoInjector {
             && self.may_fire()
     }
 
+    /// What every control symbol `code` pushed through from now on turns
+    /// into while the configuration stands, if each is corrupted the same
+    /// way: the swap matches `code` and the match mode is `On`, with no
+    /// `once` latch to spend.
+    pub fn swaps(&self, code: u8) -> Option<u8> {
+        let ctl = self.config.control?;
+        (self.config.match_mode == MatchMode::On && ctl.compare.matches(code))
+            .then(|| ctl.corrupt.apply(code))
+    }
+
     /// Accounts for `n` control symbols that passed through untouched, as
     /// `n` calls of [`process_control`](FifoInjector::process_control)
     /// would while [`touches`](FifoInjector::touches) is false.
     pub fn pass_controls(&mut self, n: u64) {
         self.stats.cycles += 2 * n;
+    }
+
+    /// Accounts for `n` control symbols that were swapped, as `n` calls of
+    /// [`process_control`](FifoInjector::process_control) would while
+    /// [`swaps`](FifoInjector::swaps) is `Some`.
+    pub fn swap_controls(&mut self, n: u64) {
+        self.stats.cycles += 2 * n;
+        self.stats.control_injections += n;
     }
 
     /// Pushes a packet-terminator control code through (GAPs that travel
@@ -718,6 +736,29 @@ mod tests {
         assert_eq!(inj.stats().control_injections, 1);
         // Terminators included by default.
         assert_eq!(inj.process_terminator(0x0F), (0x0C, true));
+    }
+
+    #[test]
+    fn accounting_many_controls_matches_pushing_each() {
+        for mode in [MatchMode::On, MatchMode::Once, MatchMode::Off] {
+            let mut config = InjectorConfig::control_swap(0x0F, 0x00);
+            config.match_mode = mode;
+            let mut one_by_one = FifoInjector::new(config);
+            let mut counted = one_by_one.clone();
+            let mut outs = Vec::new();
+            for _ in 0..5 {
+                outs.push(one_by_one.process_control(0x0F).0);
+            }
+            match counted.swaps(0x0F) {
+                Some(out) => {
+                    counted.swap_controls(5);
+                    assert_eq!(outs, [out; 5], "{mode:?}");
+                }
+                None if !counted.touches(0x0F) => counted.pass_controls(5),
+                None => continue,
+            }
+            assert_eq!(counted.stats(), one_by_one.stats(), "{mode:?}");
+        }
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! ([`stats`]). A train that ends without its GO — swapped away by the
 //! injector, or the cable cut or the receiver dead ([`cut`]) — ends with a
 //! train end instead, and the sender resumes 16 characters after the last
-//! STOP that reached it, as it would have. DESIGN.md §6 has the argument
+//! STOP that reached it, as it would have. A train the injector swapped
+//! into GO acts once, at its open — every later repeat would find the port
+//! already sending — and its repeats are counted as the GOs they are. A
+//! train of any other symbol holds nothing. DESIGN.md §6 has the argument
 //! that this is exact.
 //!
 //! [`run_refresh`]: EgressPort::run_refresh
@@ -67,6 +70,9 @@ pub mod timer_class {
     /// A switch port was severed between events: the packets waiting for
     /// it are dropped now.
     pub const SEVERED: u32 = 11;
+    /// A repeat of the GAP train a switch input receives falls due while
+    /// the input holds an output (port = the input).
+    pub const GAP_REPEAT: u32 = 12;
     /// First application-defined class; higher layers start here.
     pub const APP_BASE: u32 = 0x100;
 }
@@ -130,6 +136,16 @@ struct Refresh {
     train: Option<SimTime>,
 }
 
+/// The train the peer sends a port, while one is open.
+#[derive(Debug, Clone, Copy)]
+enum Received {
+    /// A STOP train: it holds the port stopped.
+    Stop(Holding),
+    /// A GO train, STOPs the injector swapped: its GO acted at the open,
+    /// and each repeat is counted as a GO.
+    Go(Repeats),
+}
+
 /// The STOP train the peer holds a port stopped with.
 #[derive(Debug, Clone, Copy)]
 struct Holding {
@@ -181,8 +197,8 @@ pub struct EgressPort {
     stats: EgressStats,
     /// The STOP train this port sends for its slack buffer.
     refresh: Refresh,
-    /// The STOP train the peer holds this port with.
-    holding: Option<Holding>,
+    /// The STOP or GO train the peer sends this port.
+    received: Option<Received>,
     /// The live STOP timeout, if one is pending: when it expires, and
     /// whether a train end armed it.
     timeout: Option<(SimTime, bool)>,
@@ -207,7 +223,7 @@ impl EgressPort {
             flow_gen: 0,
             stats: EgressStats::default(),
             refresh: Refresh::default(),
-            holding: None,
+            received: None,
             timeout: None,
             #[cfg(any(test, feature = "oracle"))]
             per_symbol: None,
@@ -259,8 +275,12 @@ impl EgressPort {
             let n = Repeats { first, period }.count(now, true);
             Self::count_sent_repeats(&mut stats, self.peer.is_some(), n);
         }
-        if let Some(holding) = &self.holding {
-            stats.stops_received += holding.repeats.count(now, true);
+        match &self.received {
+            Some(Received::Stop(holding)) => {
+                stats.stops_received += holding.repeats.count(now, true);
+            }
+            Some(Received::Go(go)) => stats.gos_received += go.count(now, true),
+            None => {}
         }
         stats
     }
@@ -291,7 +311,7 @@ impl EgressPort {
     /// train end armed the pending STOP timeout.
     pub fn in_stop_train(&self) -> bool {
         self.refresh.next.is_some()
-            || self.holding.is_some()
+            || matches!(self.received, Some(Received::Stop(_)))
             || matches!(self.timeout, Some((_, true)))
     }
 
@@ -449,10 +469,10 @@ impl EgressPort {
     /// by `now` having run, the way a cut cable or a dead receiver ends
     /// them: the refresh timer of the slack buffer (`stopped` as it is)
     /// lapses and the train it was sending closes after the repeats fired
-    /// by `now`; the train the peer holds this port with stops after the
-    /// repeats that arrived by `now`. Returns the bare train end the peer
-    /// is owed — it arrives when a symbol sent at `now` would — and the
-    /// STOP timeout the last STOP to arrive here started.
+    /// by `now`; the train the peer holds this port with, or sends it as
+    /// GOs, stops after the repeats that arrived by `now`. Returns the bare
+    /// train end the peer is owed — it arrives when a symbol sent at `now`
+    /// would — and the STOP timeout the last STOP to arrive here started.
     pub fn cut(&mut self, now: SimTime, stopped: bool) -> Cut {
         #[cfg(any(test, feature = "oracle"))]
         if self.per_symbol.is_some() {
@@ -480,7 +500,7 @@ impl EgressPort {
             });
         }
         self.refresh.next = None;
-        if let Some(last) = self.end_holding(now, true) {
+        if let Some(last) = self.end_received(now, true) {
             let kind = timer_kind(timer_class::STOP_TIMEOUT, self.port);
             let ev = Ev::Timer {
                 kind,
@@ -495,11 +515,14 @@ impl EgressPort {
 
     /// Handles the train mark of a flow-control frame from the peer, ahead
     /// of the symbol it rides on (`sym`, which the owner then handles as
-    /// usual). An open mark holds this port stopped, with no timeout, until
-    /// the train closes. A close counts the repeats that arrived and — if
-    /// `sym` is not itself a STOP or GO, which would supersede it — starts
-    /// the timeout the last STOP to arrive started: "the sender transitions
-    /// itself to the GO stage" 16 characters after it.
+    /// usual). An open mark on a STOP holds this port stopped, with no
+    /// timeout, until the train closes; on a GO it opens a train whose
+    /// repeats are counted, the GO that opens it having acted for them all;
+    /// on any other symbol it holds nothing. A close counts the repeats
+    /// that arrived and — if a STOP train ends and `sym` is not itself a
+    /// STOP or GO, which would supersede it — starts the timeout the last
+    /// STOP to arrive started: "the sender transitions itself to the GO
+    /// stage" 16 characters after it.
     pub fn on_train(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -508,16 +531,23 @@ impl EgressPort {
     ) {
         let now = ctx.now();
         if let Some(repeats) = Repeats::announced(mark, now) {
-            self.holding = Some(Holding {
-                repeats,
-                last_frame: now,
-            });
+            match sym {
+                Some(ControlSymbol::Stop) => {
+                    self.check_no_go_train("a STOP train");
+                    self.received = Some(Received::Stop(Holding {
+                        repeats,
+                        last_frame: now,
+                    }));
+                }
+                Some(ControlSymbol::Go) => self.received = Some(Received::Go(repeats)),
+                _ => {}
+            }
             return;
         }
         let TrainMark::Close { same_instant } = mark else {
             return;
         };
-        let Some(last) = self.end_holding(now, same_instant) else {
+        let Some(last) = self.end_received(now, same_instant) else {
             return;
         };
         if !matches!(sym, Some(ControlSymbol::Stop | ControlSymbol::Go)) {
@@ -526,17 +556,35 @@ impl EgressPort {
         }
     }
 
-    /// Ends the train the peer holds this port with, counting the repeats
-    /// that arrived before `now` (and at `now` when `inclusive`). Returns
-    /// the arrival of the last STOP of the train, if one was open.
-    fn end_holding(&mut self, now: SimTime, inclusive: bool) -> Option<SimTime> {
-        let holding = self.holding.take()?;
+    /// Ends the train the peer sends this port, counting the repeats that
+    /// arrived before `now` (and at `now` when `inclusive`). Returns the
+    /// arrival of the last STOP of the train, if a STOP train was open.
+    fn end_received(&mut self, now: SimTime, inclusive: bool) -> Option<SimTime> {
+        let holding = match self.received.take()? {
+            Received::Stop(holding) => holding,
+            Received::Go(go) => {
+                self.stats.gos_received += go.count(now, inclusive);
+                return None;
+            }
+        };
         let repeats = holding.repeats.count(now, inclusive);
         self.stats.stops_received += repeats;
         Some(match repeats.checked_sub(1) {
             Some(last) => holding.last_frame.max(holding.repeats.at(last)),
             None => holding.last_frame,
         })
+    }
+
+    /// The debug-build check of the assumption GO trains rest on: no STOP
+    /// reaches this port while a GO train from the same peer is open. The
+    /// train applied its GO once, at its open; a STOP in between would
+    /// have been undone by the next repeat.
+    fn check_no_go_train(&self, what: &str) {
+        debug_assert!(
+            !matches!(self.received, Some(Received::Go(_))),
+            "port {}: {what} arrived while a GO train is open",
+            self.port
+        );
     }
 
     /// Arms the STOP timeout of the current flow generation to expire after
@@ -578,13 +626,14 @@ impl EgressPort {
     pub fn on_flow(&mut self, ctx: &mut Context<'_, Ev>, sym: ControlSymbol) {
         match sym {
             ControlSymbol::Stop => {
+                self.check_no_go_train("a STOP");
                 self.stats.stops_received += 1;
                 self.flow = FlowState::Stopped;
                 self.flow_gen += 1;
                 self.timeout = None;
-                match &mut self.holding {
-                    Some(holding) => holding.last_frame = ctx.now(),
-                    None => self.arm_stop_timeout(ctx, self.stop_timeout(), false),
+                match &mut self.received {
+                    Some(Received::Stop(holding)) => holding.last_frame = ctx.now(),
+                    _ => self.arm_stop_timeout(ctx, self.stop_timeout(), false),
                 }
             }
             ControlSymbol::Go => {
@@ -616,6 +665,17 @@ impl EgressPort {
 
     /// Handles the TX_DONE timer: the previous frame has left; send more.
     pub fn on_tx_done(&mut self, ctx: &mut Context<'_, Ev>) {
+        // A GO repeat due now sorts after this timer, as the per-symbol
+        // model's did: had it come first, its pump would have sent what
+        // this one sends. (The peer's events of an instant sort after this
+        // component's own if its id is higher.)
+        debug_assert!(
+            !matches!(self.received, Some(Received::Go(go)) if go.falls_at(ctx.now()))
+                || self.queue.is_empty()
+                || self.peer.is_some_and(|peer| peer.dst > ctx.self_id()),
+            "port {}: a GO repeat sorts ahead of the TX_DONE of its instant",
+            self.port
+        );
         self.pump(ctx);
     }
 

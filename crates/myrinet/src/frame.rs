@@ -134,6 +134,94 @@ impl Repeats {
             (span, false) => (span - 1) / period + 1,
         }
     }
+
+    /// Whether a repeat arrives at `t` exactly.
+    pub fn falls_at(&self, t: SimTime) -> bool {
+        self.count(t, true) != self.count(t, false)
+    }
+}
+
+/// The standalone GAPs a receiver has seen on one link: the latest to
+/// arrive, which truncates a packet whose serialization window it landed
+/// in (DESIGN.md §6, decision 14), and how many have arrived, which ends a
+/// wait for the GAP an unterminated packet owes. A GAP train — a STOP
+/// train the injector swaps into GAP — counts as a GAP at each repeat
+/// without a handler running for any: both answers are arithmetic.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LastGap {
+    /// The latest GAP of its own, or the last repeat of an ended train,
+    /// unless a truncation consumed it.
+    at: Option<SimTime>,
+    /// GAPs of their own and repeats of ended trains that have arrived.
+    seen: u64,
+    /// The GAP train arriving, and how many of its repeats a truncation
+    /// consumed.
+    train: Option<(Repeats, u64)>,
+}
+
+impl LastGap {
+    /// A GAP of its own arrived at `now`.
+    pub fn arrive(&mut self, now: SimTime) {
+        self.at = Some(now);
+        self.seen += 1;
+    }
+
+    /// Handles the mark of a train frame arriving at `now` that carries
+    /// `sym`: an open mark on a GAP starts a GAP train, and a close ends the
+    /// one arriving. Call before handling the symbol itself.
+    pub fn on_train(&mut self, now: SimTime, mark: TrainMark, sym: Option<ControlSymbol>) {
+        match (Repeats::announced(mark, now), mark) {
+            (Some(repeats), _) if sym == Some(ControlSymbol::Gap) => {
+                self.train = Some((repeats, 0));
+            }
+            (None, TrainMark::Close { same_instant }) => self.close(now, same_instant),
+            _ => {}
+        }
+    }
+
+    /// Ends the GAP train arriving, if any, after the repeats that arrived
+    /// before `now`, or by `now` when `inclusive`.
+    pub fn close(&mut self, now: SimTime, inclusive: bool) {
+        if let Some((repeats, _)) = self.train {
+            self.at = self.latest(now, inclusive);
+            self.seen += repeats.count(now, inclusive);
+            self.train = None;
+        }
+    }
+
+    /// The latest GAP to arrive before `now`, or by `now` when `inclusive`,
+    /// unless a truncation consumed it.
+    pub fn latest(&self, now: SimTime, inclusive: bool) -> Option<SimTime> {
+        let repeat = self.train.and_then(|(repeats, consumed)| {
+            let n = repeats.count(now, inclusive);
+            (n > consumed).then(|| repeats.at(n - 1))
+        });
+        self.at.max(repeat)
+    }
+
+    /// A truncation at `now` consumed the latest GAP: no GAP that arrived
+    /// before `now`, or by `now` when `inclusive`, truncates another packet.
+    pub fn consume(&mut self, now: SimTime, inclusive: bool) {
+        self.at = None;
+        if let Some((repeats, consumed)) = &mut self.train {
+            *consumed = repeats.count(now, inclusive);
+        }
+    }
+
+    /// How many GAPs have arrived before `now`, or by `now` when
+    /// `inclusive`: a wait for a GAP that began when this read `n` ended
+    /// once it reads more.
+    pub fn arrived(&self, now: SimTime, inclusive: bool) -> u64 {
+        self.seen
+            + self
+                .train
+                .map_or(0, |(repeats, _)| repeats.count(now, inclusive))
+    }
+
+    /// The GAP train arriving, if any.
+    pub fn train(&self) -> Option<Repeats> {
+        self.train.map(|(repeats, _)| repeats)
+    }
 }
 
 /// One unit on a link.

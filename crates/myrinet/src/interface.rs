@@ -30,7 +30,7 @@ use crate::crc8;
 use crate::egress::{timer_class, timer_kind, Cut, EgressPort, EgressStats};
 use crate::sbuf::{Accept, SlackBuffer};
 use crate::event::{Ev, PortPeer};
-use crate::frame::{Frame, PacketFrame};
+use crate::frame::{Frame, LastGap, PacketFrame};
 use crate::mapper::{Attachment, NetworkMap, NodeInfo, Topology};
 use crate::mcp::MapMsg;
 use crate::packet::{Packet, PacketError, PacketType};
@@ -199,7 +199,9 @@ pub struct HostInterface {
     rx_sbuf: SlackBuffer,
     rx_queue: VecDeque<PacketFrame>,
     rx_draining: bool,
-    last_standalone_gap: Option<netfi_sim::SimTime>,
+    /// The standalone GAPs the link has delivered: one that landed inside
+    /// a packet's serialization window truncates it.
+    gaps: LastGap,
     routing: BTreeMap<EthAddr, Vec<u8>>,
     stats: InterfaceStats,
     /// Observability recorder (scope `"interface"`), disarmed by default.
@@ -228,7 +230,7 @@ impl HostInterface {
             rx_sbuf: SlackBuffer::new(config.rx_capacity, config.rx_high, config.rx_low),
             rx_queue: VecDeque::new(),
             rx_draining: false,
-            last_standalone_gap: None,
+            gaps: LastGap::default(),
             routing: BTreeMap::new(),
             stats: InterfaceStats::default(),
             obs: Recorder::disarmed(),
@@ -463,20 +465,23 @@ impl HostInterface {
             Frame::Train { code, mark } => {
                 let sym = code.and_then(ControlSymbol::decode_tolerant);
                 self.egress.on_train(ctx, mark, sym);
+                self.gaps.on_train(ctx.now(), mark, sym);
                 if let Some(code) = code {
                     self.on_symbol(ctx, code);
                 }
                 None
             }
             Frame::Packet(pf) => {
-                if let Some(gap_at) = self.last_standalone_gap {
+                // A GAP-train repeat due now sorts after the packet.
+                let now = ctx.now();
+                if let Some(gap_at) = self.gaps.latest(now, false) {
                     let window = self
                         .egress
                         .peer()
                         .map(|p| p.link.transfer_time(pf.wire_len()))
                         .unwrap_or_default();
-                    if gap_at > ctx.now().saturating_sub_duration(window) {
-                        self.last_standalone_gap = None;
+                    if gap_at > now.saturating_sub_duration(window) {
+                        self.gaps.consume(now, false);
                         self.stats.rx_truncated += 1;
                         return None;
                     }
@@ -510,7 +515,7 @@ impl HostInterface {
             Some(ControlSymbol::Gap) => {
                 // Remembered: a standalone GAP arriving during a packet's
                 // serialization window truncated it.
-                self.last_standalone_gap = Some(ctx.now());
+                self.gaps.arrive(ctx.now());
             }
             _ => {}
         }

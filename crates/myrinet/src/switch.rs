@@ -46,14 +46,14 @@ use std::collections::VecDeque;
 
 use netfi_obs::{Recorder, Sink};
 use netfi_phy::ControlSymbol;
-use netfi_sim::{Component, Context, SimDuration, SimTime};
+use netfi_sim::{Component, ComponentId, Context, SimDuration, SimTime};
 
 use crate::egress::{
     split_timer_kind, timer_class, timer_kind, Cut, EgressPort, EgressStats, FlowState,
     STOP_TIMEOUT_CHARS,
 };
 use crate::event::{Attach, Ev, PortPeer};
-use crate::frame::{Frame, PacketFrame};
+use crate::frame::{Frame, LastGap, PacketFrame, TrainMark};
 use crate::packet::{wire, ROUTE_SWITCH_FLAG};
 use crate::sbuf::{Accept, SlackBuffer};
 
@@ -132,16 +132,26 @@ fn wanted_output(head: &PacketFrame) -> u8 {
 struct InputPort {
     sbuf: SlackBuffer,
     queue: VecDeque<PacketFrame>,
-    awaiting_gap: bool,
+    /// While the input waits for the GAP an unterminated packet owes: how
+    /// many standalone GAPs had arrived when it began (any more ends it).
+    awaiting_gap: Option<u64>,
     /// Output port currently held open by an unterminated packet from this
     /// input.
     holding: Option<u8>,
-    /// Arrival time of the last standalone GAP character on this input.
-    /// Standalone GAPs only arise from corrupted flow symbols or late
-    /// terminator retransmissions; one arriving *during* a packet's
-    /// serialization window truncates that packet (a GAP inside a packet
-    /// ends it early).
-    last_standalone_gap: Option<netfi_sim::SimTime>,
+    /// The standalone GAPs this input has seen. They only arise from
+    /// corrupted flow symbols or late terminator retransmissions; one
+    /// arriving *during* a packet's serialization window truncates that
+    /// packet (a GAP inside a packet ends it early).
+    gaps: LastGap,
+}
+
+impl InputPort {
+    /// Whether the input still waits for a GAP at `now`, ahead of a frame
+    /// arriving then (a GAP-train repeat of that instant sorts after it).
+    fn awaiting_gap(&self, now: SimTime) -> bool {
+        self.awaiting_gap
+            .is_some_and(|n| n == self.gaps.arrived(now, false))
+    }
 }
 
 /// An N-port Myrinet crossbar switch.
@@ -172,6 +182,16 @@ pub struct Switch {
     /// arbitration a sever schedules at an instant that has run (see
     /// [`EgressPort::run_refresh`]).
     late: bool,
+    /// The component the event being handled comes from: the far end of
+    /// the port a frame arrives on, this switch for a timer.
+    source: Option<ComponentId>,
+    /// The latest instant this switch handled an event at, and the highest
+    /// id an event of that instant came from. With `gap_release`, what the
+    /// debug-build check of GAP-train releases reads.
+    seen: Option<(SimTime, ComponentId)>,
+    /// The instant a GAP train's timer last released a hold, the input the
+    /// train arrives on, and the component it comes from.
+    gap_release: Option<(SimTime, usize, ComponentId)>,
     /// Arbitrate by the linear walk, the oracle of the differential test.
     #[cfg(test)]
     by_walk: bool,
@@ -195,6 +215,9 @@ impl Switch {
     pub fn new(name: impl Into<String>, ports: usize, config: SwitchConfig) -> Switch {
         assert!(ports > 0 && ports <= 64, "switch ports must be 1..=64");
         Switch {
+            source: None,
+            seen: None,
+            gap_release: None,
             name: name.into(),
             inputs: (0..ports)
                 .map(|_| InputPort {
@@ -204,9 +227,9 @@ impl Switch {
                         config.sbuf_low,
                     ),
                     queue: VecDeque::new(),
-                    awaiting_gap: false,
+                    awaiting_gap: None,
                     holding: None,
-                    last_standalone_gap: None,
+                    gaps: LastGap::default(),
                 })
                 .collect(),
             egress: (0..ports).map(|p| EgressPort::new(p as u8)).collect(),
@@ -287,8 +310,9 @@ impl Switch {
     /// frame arriving on it or routed out of it is silently discarded from
     /// now on, and it sends no flow control, modelling a cut cable. Used by
     /// the fault grid to deactivate links on a forked engine without
-    /// rewiring. Returns what the cut owes, for the harness to schedule:
-    /// the ends of the link's two STOP trains ([`EgressPort::cut`]) and,
+    /// rewiring. A GAP train arriving on the port ends with the repeats
+    /// that arrived by `now`. Returns what the cut owes, for the harness to
+    /// schedule: the ends of the link's two STOP trains ([`EgressPort::cut`]) and,
     /// if packets wait for the port, an arbitration now, at which they
     /// enter the dead link and vanish.
     ///
@@ -299,6 +323,7 @@ impl Switch {
         let p = usize::from(port);
         self.severed[p] = true;
         self.candidates |= self.occupied;
+        self.inputs[p].gaps.close(now, true);
         let mut cut = self.egress[p].cut(now, self.inputs[p].sbuf.upstream_stopped());
         let waiting = (0..self.inputs.len())
             .any(|i| self.occupied >> i & 1 != 0 && usize::from(self.want[i]) == p);
@@ -345,73 +370,94 @@ impl Switch {
                 // resynchronizes framing. Its arrival time is remembered:
                 // if a packet was mid-serialization on this input, the GAP
                 // physically landed inside it (see on_packet).
-                self.inputs[port].last_standalone_gap = Some(ctx.now());
-                self.inputs[port].awaiting_gap = false;
-                if let Some(out) = self.inputs[port].holding.take() {
-                    self.hold_gen[out as usize] += 1; // cancel pending timeout
-                    self.egress[out as usize].release(ctx);
-                    self.stats.gap_releases += 1;
-                    self.obs.instant(ctx.now(), "switch", "gap_release", u64::from(out));
-                    self.wake_output(out as usize);
-                }
+                self.inputs[port].gaps.arrive(ctx.now());
+                self.inputs[port].awaiting_gap = None;
+                self.release_by_gap(ctx, port);
                 self.service(ctx);
             }
             Some(ControlSymbol::Idle) | None => {}
         }
     }
 
+    /// A GAP arrived on input `port`: reclaims the path the input was
+    /// holding, if any. Returns whether it did.
+    fn release_by_gap(&mut self, ctx: &mut Context<'_, Ev>, port: usize) -> bool {
+        let Some(out) = self.inputs[port].holding.take() else {
+            return false;
+        };
+        self.hold_gen[out as usize] += 1; // cancel pending timeout
+        self.egress[out as usize].release(ctx);
+        self.stats.gap_releases += 1;
+        self.obs.instant(ctx.now(), "switch", "gap_release", u64::from(out));
+        self.wake_output(out as usize);
+        true
+    }
+
+    /// Input `i` has just taken a hold while a GAP train arrives on it: the
+    /// train's next repeat releases it, as that GAP would, at a timer due
+    /// when the repeat arrives — the one event a GAP train costs.
+    fn arm_gap_repeat(&mut self, ctx: &mut Context<'_, Ev>, i: usize) {
+        let Some(repeats) = self.inputs[i].gaps.train() else {
+            return;
+        };
+        // A repeat due now has arrived if it sorted ahead of this event.
+        let peer = self.egress[i].peer().map(|p| p.dst);
+        let arrived = peer.is_some() && self.source > peer;
+        let now = ctx.now();
+        let next = repeats.at(repeats.count(now, arrived));
+        let kind = timer_kind(timer_class::GAP_REPEAT, i as u8);
+        let delay = next.checked_duration_since(now).unwrap_or_default();
+        ctx.send_self(delay, Ev::Timer { kind, gen: 0 });
+    }
+
     fn on_packet(&mut self, ctx: &mut Context<'_, Ev>, port: usize, pf: PacketFrame) {
+        let now = ctx.now();
         let gap_ok = pf.gap_terminated();
         // A standalone GAP that arrived while this packet was still
         // serializing landed *inside* the packet: the characters before it
         // form a truncated packet (bad CRC) and the rest a garbage head.
-        // Both are lost.
-        if let Some(gap_at) = self.inputs[port].last_standalone_gap {
+        // Both are lost. (A GAP-train repeat due now sorts after it.)
+        if let Some(gap_at) = self.inputs[port].gaps.latest(now, false) {
             let window = self
                 .egress
                 .get(port)
                 .and_then(|e| e.peer())
                 .map(|p| p.link.transfer_time(pf.wire_len()))
                 .unwrap_or_default();
-            if gap_at > ctx.now().saturating_sub_duration(window) {
-                self.inputs[port].last_standalone_gap = None;
+            if gap_at > now.saturating_sub_duration(window) {
+                self.inputs[port].gaps.consume(now, false);
                 self.stats.truncation_drops += 1;
-                self.obs.instant(ctx.now(), "switch", "truncation_drop", port as u64);
+                self.obs.instant(now, "switch", "truncation_drop", port as u64);
                 return;
             }
         }
         {
             let input = &mut self.inputs[port];
-            if input.awaiting_gap {
+            if input.awaiting_gap(now) {
                 // The head of this packet is misinterpreted as the tail of
                 // the unterminated predecessor (§4.3.1): it is lost. Its
                 // own GAP, if present, resynchronizes the stream.
                 self.stats.framing_drops += 1;
-                self.obs.instant(ctx.now(), "switch", "framing_drop", port as u64);
+                self.obs.instant(now, "switch", "framing_drop", port as u64);
                 if gap_ok {
-                    input.awaiting_gap = false;
-                    if let Some(out) = input.holding.take() {
-                        self.hold_gen[out as usize] += 1;
-                        self.egress[out as usize].release(ctx);
-                        self.stats.gap_releases += 1;
-                        self.obs.instant(ctx.now(), "switch", "gap_release", u64::from(out));
-                        self.wake_output(out as usize);
+                    input.awaiting_gap = None;
+                    if self.release_by_gap(ctx, port) {
                         self.service(ctx);
                     }
                 }
                 return;
             }
-            self.egress[port].run_refresh(ctx.now(), self.late, input.sbuf.upstream_stopped());
+            self.egress[port].run_refresh(now, self.late, input.sbuf.upstream_stopped());
             match input.sbuf.try_accept(pf.wire_len()) {
                 Accept::Overflow => {
                     self.stats.overflow_drops += 1;
-                    self.obs.instant(ctx.now(), "switch", "overflow_drop", port as u64);
+                    self.obs.instant(now, "switch", "overflow_drop", port as u64);
                     return;
                 }
                 Accept::Stored => {}
             }
             if !gap_ok {
-                input.awaiting_gap = true;
+                input.awaiting_gap = Some(input.gaps.arrived(now, false));
             }
             input.queue.push_back(pf);
             if input.queue.len() == 1 {
@@ -645,6 +691,7 @@ impl Switch {
                     gen,
                 },
             );
+            self.arm_gap_repeat(ctx, i);
         }
         self.egress[out].enqueue(ctx, Frame::Packet(forwarded));
         self.drain_input(ctx, i, chars);
@@ -714,14 +761,77 @@ impl Switch {
                     for input in &mut self.inputs {
                         if input.holding == Some(port as u8) {
                             input.holding = None;
-                            input.awaiting_gap = false;
+                            input.awaiting_gap = None;
                         }
                     }
                     self.wake_output(port);
                     self.service(ctx);
                 }
+            timer_class::GAP_REPEAT => {
+                let released = self.gap_repeat_due(ctx, port);
+                if released {
+                    self.check_gap_release(ctx.now(), port);
+                }
+            }
             _ => {}
         }
+    }
+
+    /// A repeat of the GAP train arriving on input `port` may be due now:
+    /// if so, and the input holds an output, the repeat releases it, as a
+    /// GAP of its own would. Returns whether it did.
+    fn gap_repeat_due(&mut self, ctx: &mut Context<'_, Ev>, port: usize) -> bool {
+        let input = &self.inputs[port];
+        let due = input.gaps.train().is_some_and(|r| r.falls_at(ctx.now()));
+        if !due || !self.release_by_gap(ctx, port) {
+            return false;
+        }
+        self.service(ctx);
+        true
+    }
+
+    /// The debug-build check of the assumption a GAP train's release timer
+    /// rests on: it runs where the repeat it stands for would have, among
+    /// this switch's events of its instant — after every one from a
+    /// component with a lower id than the train's source (the far end of
+    /// `port`) and its frames, and before every other but the close of the
+    /// train the repeat belongs to. So no event from a component with a
+    /// higher id may have run at this instant yet, and every later one of
+    /// the instant must come from one (see `on_event`).
+    fn check_gap_release(&mut self, now: SimTime, port: usize) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let Some(peer) = self.egress[port].peer().map(|p| p.dst) else {
+            return;
+        };
+        let ran = self.seen.filter(|&(at, _)| at == now).map(|(_, id)| id);
+        assert!(
+            !matches!(ran, Some(id) if id > peer),
+            "{}: an event from {ran:?} ran ahead of a GAP repeat from {peer} at {now}",
+            self.name
+        );
+        self.gap_release = Some((now, port, peer));
+    }
+
+    /// The other half of [`check_gap_release`](Switch::check_gap_release),
+    /// before each event: one at the instant a GAP train's timer released a
+    /// hold comes from a component with a higher id than the train's
+    /// source, or is the close of that train with its repeat of the
+    /// instant.
+    fn check_after_gap_release(&self, now: SimTime, source: ComponentId, ev: &Ev) {
+        let Some((_, port, peer)) = self.gap_release.filter(|&(at, ..)| at == now) else {
+            return;
+        };
+        let closes_with_repeat = matches!(ev, Ev::Rx {
+            port: p,
+            frame: Frame::Train { mark: TrainMark::Close { same_instant: true }, .. },
+        } if usize::from(*p) == port);
+        assert!(
+            source > peer || closes_with_repeat,
+            "{}: an event from {source} ran after a GAP repeat from {peer} at {now}",
+            self.name
+        );
     }
 }
 
@@ -744,15 +854,25 @@ impl Attach for Switch {
 
 impl Component<Ev> for Switch {
     fn on_event(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
-        self.late = match &ev {
+        let now = ctx.now();
+        let from_peer = match &ev {
             Ev::Rx { port, .. } => self
                 .egress
                 .get(usize::from(*port))
                 .and_then(EgressPort::peer)
-                .is_some_and(|peer| peer.dst > ctx.self_id()),
+                .map(|peer| peer.dst),
+            _ => None,
+        };
+        let source = from_peer.unwrap_or(ctx.self_id());
+        self.source = Some(source);
+        self.late = match &ev {
+            Ev::Rx { .. } => source > ctx.self_id(),
             Ev::Timer { kind, .. } => split_timer_kind(*kind).0 == timer_class::SEVERED,
             _ => false,
         };
+        if cfg!(debug_assertions) {
+            self.check_after_gap_release(now, source, &ev);
+        }
         match ev {
             Ev::Rx { port, frame } => {
                 // A severed input is a cut cable: whatever was in flight on
@@ -770,7 +890,13 @@ impl Component<Ev> for Switch {
                     Frame::Packet(pf) => self.on_packet(ctx, port, pf),
                     Frame::Train { code, mark } => {
                         let sym = code.and_then(ControlSymbol::decode_tolerant);
+                        if mark == (TrainMark::Close { same_instant: true }) {
+                            // The train's repeat of this instant, if any,
+                            // arrived just ahead of its close.
+                            self.gap_repeat_due(ctx, port);
+                        }
                         self.egress[port].on_train(ctx, mark, sym);
+                        self.inputs[port].gaps.on_train(now, mark, sym);
                         if let Some(code) = code {
                             self.on_control(ctx, port, code);
                         }
@@ -783,6 +909,10 @@ impl Component<Ev> for Switch {
         if cfg!(debug_assertions) {
             self.check_arbitration();
             self.check_stop_timeouts();
+            self.seen = match self.seen {
+                Some((at, id)) if at == now => Some((at, id.max(source))),
+                _ => Some((now, source)),
+            };
         }
     }
 
@@ -803,6 +933,7 @@ impl Component<Ev> for Switch {
 mod tests {
     use super::*;
     use crate::event::connect;
+    use crate::frame::Repeats;
     use crate::packet::{route_to_host, route_to_switch, Packet, PacketType};
     use netfi_phy::Link;
     use netfi_sim::{ComponentId, DetRng, Engine, SimTime};
@@ -1368,6 +1499,120 @@ mod tests {
     fn wake_list_arbitration_forwards_exactly_as_the_walk() {
         for case in 0..256 {
             differential_case(0xA2B1_7000 + case, if case % 4 == 3 { 64 } else { 8 });
+        }
+    }
+
+    /// Drives two clones of one switch with one stimulus stream and trains
+    /// of `sym` on one port: the first receives each as a train, the second
+    /// that symbol at the open and at every repeat instant, as when the
+    /// injector handled each swapped STOP repeat. Compares them at every
+    /// instant something arrives. Repeats fall off the character grid the
+    /// stimuli sit on, so none ties with a stimulus or with a frame's end;
+    /// the ties are the business of the debug-build checks. The line
+    /// printed first is the one-line regression test of a failure.
+    fn swapped_train_case(seed: u64, sym: ControlSymbol) {
+        println!("swapped_train_case({seed:#x}, ControlSymbol::{sym:?});");
+        let mut rng = DetRng::new(seed);
+        let ports = 8;
+        let high = [64, 512, 4096][rng.gen_index(3)];
+        let config = SwitchConfig {
+            sbuf_capacity: 3 * high,
+            sbuf_high: high,
+            sbuf_low: high / 4,
+            long_timeout: SimDuration::from_ns(600),
+        };
+        let mut engines = [Engine::<Ev>::new(), Engine::<Ev>::new()];
+        let tap = engines.each_mut().map(|e| e.add_component(Box::new(Tap::default())))[0];
+        let mut switch = Switch::new("dut", ports, config);
+        switch.short_frames = true;
+        for p in 0..ports as u8 - 1 {
+            let link = Link::myrinet_640(1.0);
+            switch.attach_port(p, PortPeer { dst: tap, dst_port: p, link });
+        }
+        let [trains, symbols] = &mut engines;
+        let sw = trains.add_component(Box::new(switch.clone()));
+        assert_eq!(sw, symbols.add_component(Box::new(switch)));
+        let port = rng.gen_index(ports - 1) as u8;
+        // No STOP arrives on a port while the injector swaps its STOPs.
+        let stimuli: Vec<(SimTime, Ev)> = random_stimuli(&mut rng, ports)
+            .into_iter()
+            .filter(|(_, ev)| {
+                !matches!(ev, Ev::Rx { port: p, frame }
+                    if *p == port && frame.as_control() == Some(ControlSymbol::Stop))
+            })
+            .collect();
+        let mut instants: Vec<SimTime> = stimuli.iter().map(|&(t, _)| t).collect();
+        let end = instants.last().copied().unwrap_or(SimTime::ZERO);
+        for (at, ev) in stimuli {
+            trains.schedule(at, sw, ev.clone());
+            symbols.schedule(at, sw, ev);
+        }
+        let code = sym.encode();
+        let rx = |frame| Ev::Rx { port, frame };
+        // Repeats every 150 ns + 1 ps, the first train's a picosecond off
+        // the grid: a repeat lands on it only after 12,500 of them.
+        let period = SimDuration::from_ps(12 * CHAR_PS + 1);
+        let mut open = SimTime::from_ps(rng.gen_range(0..200) * CHAR_PS + 1);
+        while open < end {
+            let first = SimDuration::from_ps(rng.gen_range(1..period.as_ps() + 1));
+            let repeats = Repeats { first: open + first, period };
+            let n = rng.gen_range(0..40);
+            // The close falls on the last repeat, then belonging to the
+            // train or not, or between two.
+            let (close, same_instant) = match rng.gen_index(3) {
+                0 => (repeats.at(n), true),
+                1 => (repeats.at(n), false),
+                _ => (repeats.at(n) + period / 2, false),
+            };
+            let closing = [None, Some(ControlSymbol::Go.encode()), Some(code)][rng.gen_index(3)];
+            let mark = TrainMark::open(first, period);
+            trains.schedule(open, sw, rx(Frame::Train { code: Some(code), mark }));
+            let mark = TrainMark::Close { same_instant };
+            trains.schedule(close, sw, rx(Frame::Train { code: closing, mark }));
+            symbols.schedule(open, sw, rx(Frame::Control(code)));
+            for k in 0..repeats.count(close, same_instant) {
+                symbols.schedule(repeats.at(k), sw, rx(Frame::Control(code)));
+                instants.push(repeats.at(k));
+            }
+            if let Some(closing) = closing {
+                symbols.schedule(close, sw, rx(Frame::Control(closing)));
+            }
+            // Packets short enough to slip between two repeats, some
+            // unterminated: the input holds an output while the train runs.
+            for _ in 0..rng.gen_range(0..6) {
+                let mut pf = random_packet(&mut rng, ports as u64, port ^ 1);
+                pf.terminator = pf.terminator.filter(|_| rng.gen_bool(0.3));
+                let chars = rng.gen_range(0..(close - open).as_ps() / CHAR_PS + 1);
+                let at = SimTime::from_ps((open.as_ps() / CHAR_PS + chars) * CHAR_PS);
+                trains.schedule(at, sw, rx(Frame::Packet(pf.clone())));
+                symbols.schedule(at, sw, rx(Frame::Packet(pf)));
+                instants.push(at);
+            }
+            instants.extend([open, close]);
+            open = close + SimDuration::from_ps(rng.gen_range(100..400) * CHAR_PS);
+        }
+        instants.sort();
+        instants.dedup();
+        let view = |engine: &Engine<Ev>| {
+            let now = engine.now();
+            let s = engine.component_as::<Switch>(sw).unwrap();
+            let egress: Vec<_> = (0..ports as u8).map(|p| s.egress_stats(p, now)).collect();
+            let queued: Vec<_> = s.inputs.iter().map(|i| i.queue.len()).collect();
+            let sent = engine.component_as::<Tap>(tap).unwrap().seen.clone();
+            (now, s.rr_cursor, s.stats, egress, queued, sent)
+        };
+        for at in instants.into_iter().chain([SimTime::MAX]) {
+            trains.run_until(at);
+            symbols.run_until(at);
+            assert_eq!(view(trains), view(symbols), "at {at}");
+        }
+    }
+
+    #[test]
+    fn trains_of_swapped_stops_act_as_their_repeats() {
+        for case in 0..192 {
+            let sym = [ControlSymbol::Gap, ControlSymbol::Go, ControlSymbol::Idle][case % 3];
+            swapped_train_case(0x5A7E_0000 + case as u64, sym);
         }
     }
 }

@@ -11,31 +11,30 @@
 /// Computes the one's-complement sum of `data` folded to 16 bits
 /// (big-endian word order; odd trailing byte padded with zero).
 ///
-/// Accumulates eight bytes per iteration: a big-endian `u64` read is the
-/// concatenation of four 16-bit words, and summing the two 32-bit halves
-/// into a wide accumulator adds all four words at once — one's-complement
-/// addition is associative and the deferred carries are folded at the
-/// end, so the result is bit-identical to the word-at-a-time loop.
+/// Sums in the machine's byte order and swaps once at the end (RFC 1071
+/// §2(B)): a little-endian read of a 16-bit word is its big-endian value
+/// with the bytes swapped, and swapping commutes with one's-complement
+/// addition, so the sum of the swapped words is the swapped sum. Without
+/// a swap per read the loop — little-endian `u32` words into a `u64`,
+/// carries deferred to the fold — vectorises. An odd trailing byte is the
+/// high byte of a big-endian word, so the low byte of a little-endian one.
 fn ones_complement_sum(data: &[u8]) -> u16 {
     let mut sum: u64 = 0;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let w = u64::from_be_bytes([
-            chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5], chunk[6], chunk[7],
-        ]);
-        sum += (w >> 32) + (w & 0xFFFF_FFFF);
+    let mut words = data.chunks_exact(4);
+    for word in &mut words {
+        sum += u64::from(u32::from_le_bytes([word[0], word[1], word[2], word[3]]));
     }
-    let mut rest = chunks.remainder().chunks_exact(2);
-    for chunk in &mut rest {
-        sum += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+    let mut rest = words.remainder().chunks_exact(2);
+    for pair in &mut rest {
+        sum += u64::from(u16::from_le_bytes([pair[0], pair[1]]));
     }
     if let [last] = rest.remainder() {
-        sum += u64::from(u16::from_be_bytes([*last, 0]));
+        sum += u64::from(*last);
     }
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
-    sum as u16
+    (sum as u16).swap_bytes()
 }
 
 /// The Internet checksum of `data`: the one's complement of the
@@ -87,6 +86,87 @@ pub fn verify(data_including_checksum: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netfi_sim::DetRng;
+
+    /// The reference: big-endian reads, eight bytes at a time (a `u64`
+    /// is four 16-bit words; its two 32-bit halves add them at once).
+    fn big_endian_sum(data: &[u8]) -> u16 {
+        let mut sum: u64 = 0;
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            let w = u64::from_be_bytes([
+                chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5], chunk[6], chunk[7],
+            ]);
+            sum += (w >> 32) + (w & 0xFFFF_FFFF);
+        }
+        let mut rest = chunks.remainder().chunks_exact(2);
+        for chunk in &mut rest {
+            sum += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+        }
+        if let [last] = rest.remainder() {
+            sum += u64::from(u16::from_be_bytes([*last, 0]));
+        }
+        while sum > 0xFFFF {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        sum as u16
+    }
+
+    #[test]
+    fn native_order_sum_matches_the_big_endian_reference_at_every_length() {
+        let mut rng = DetRng::new(0xC5C5_1071);
+        let mut data = vec![0u8; 2_048];
+        for fill in [0x00, 0xFF, 0x5A] {
+            data.fill(fill);
+            for len in 0..=data.len() {
+                assert_eq!(
+                    ones_complement_sum(&data[..len]),
+                    big_endian_sum(&data[..len])
+                );
+            }
+        }
+        rng.fill_bytes(&mut data);
+        for len in 0..=data.len() {
+            assert_eq!(
+                ones_complement_sum(&data[..len]),
+                big_endian_sum(&data[..len]),
+                "length {len}"
+            );
+            // The same bytes from an odd address.
+            let tail = &data[data.len() - len..];
+            assert_eq!(
+                ones_complement_sum(tail),
+                big_endian_sum(tail),
+                "tail {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn parts_split_at_random_even_points_sum_to_the_whole() {
+        let mut rng = DetRng::new(0x0DD5_2B1A);
+        for _ in 0..2_000 {
+            let mut data = vec![0u8; rng.gen_index(1_600)];
+            rng.fill_bytes(&mut data);
+            let mut cuts: Vec<usize> = (0..rng.gen_index(4))
+                .map(|_| rng.gen_index(data.len() / 2 + 1) * 2)
+                .collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts {
+                parts.push(&data[from..cut]);
+                from = cut;
+            }
+            parts.push(&data[from..]);
+            assert_eq!(
+                checksum_parts(&parts),
+                !big_endian_sum(&data),
+                "cuts of {}",
+                data.len()
+            );
+        }
+    }
 
     #[test]
     fn known_rfc1071_example() {

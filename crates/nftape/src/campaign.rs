@@ -184,14 +184,8 @@ fn run_on_donors<P: Probe + Clone>(
                 None => control::control_symbol_row(mask, replacement, &opts)?,
             }]
         }
-        FaultSpec::FaultyStop => vec![
-            control::stop_throughput(false, window, spec.seed)?,
-            control::stop_throughput(true, window, spec.seed)?,
-        ],
-        FaultSpec::GapLoss => vec![
-            control::gap_timeout(false, window, spec.seed)?,
-            control::gap_timeout(true, window, spec.seed)?,
-        ],
+        FaultSpec::FaultyStop => control::stop_throughput_arms(window, spec.seed)?,
+        FaultSpec::GapLoss => control::gap_timeout_arms(window, spec.seed)?,
         FaultSpec::MappingType => vec![ptype::mapping_packet_corruption(spec.seed)?],
         FaultSpec::DataType => vec![ptype::data_packet_corruption(spec.seed)?],
         FaultSpec::RouteMsb => vec![ptype::route_msb_corruption(spec.seed)?],

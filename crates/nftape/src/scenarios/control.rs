@@ -374,6 +374,49 @@ pub fn control_symbol_table(opts: &ControlCampaignOptions) -> Result<Vec<RunResu
     warm_table4(opts, NullProbe)?.table(opts)
 }
 
+/// When the window of the two-host experiments opens: after 2.5 s of
+/// mapping, as in Table 4.
+const ARMS_T0: SimTime = SimTime::from_ms(2_500);
+
+/// The two-host test bed of [`stop_throughput`] or [`gap_timeout`] warmed
+/// to [`PROGRAM_LEAD`] before its window, forked once per arm (the shape of
+/// [`WarmedTable4`]). The arms differ only in what the faulty one programs
+/// into the device at the fork instant, and until then the device passes
+/// everything, so both arms share one warm-up.
+#[derive(Debug)]
+struct WarmedArms {
+    snapshot: EngineSnapshot<Ev>,
+    hosts: Vec<ComponentId>,
+    switch: ComponentId,
+    device: ComponentId,
+}
+
+impl WarmedArms {
+    /// Runs `tb` up to the fork instant.
+    fn warm(mut tb: Testbed) -> Result<WarmedArms, ScenarioError> {
+        let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+        tb.engine.run_until(ARMS_T0.saturating_sub_duration(PROGRAM_LEAD));
+        Ok(WarmedArms {
+            snapshot: tb.engine.snapshot(),
+            hosts: tb.hosts,
+            switch: tb.switch,
+            device,
+        })
+    }
+
+    /// A fork of the donor, with `config`, if any, programmed into the
+    /// device's host-to-switch direction (the intercepted host's
+    /// transmissions) at the fork instant.
+    fn fork(&self, config: Option<&InjectorConfig>) -> Engine<Ev> {
+        let mut engine = self.snapshot.fork();
+        if let Some(config) = config {
+            let at = engine.now();
+            program_injector(&mut engine, self.device, at, DirSelect::A, config);
+        }
+        engine
+    }
+}
+
 /// §4.3.1 STOP experiment: a request/response program's message rate with
 /// and without "faulty STOP conditions" (every GAP from the intercepted
 /// host corrupted into STOP, so its replies leave paths unterminated and
@@ -390,6 +433,27 @@ pub fn stop_throughput(
     window: SimDuration,
     seed: u64,
 ) -> Result<RunResult, ScenarioError> {
+    stop_arm(&warm_stop_throughput(seed)?, faulty, window)
+}
+
+/// Both arms of [`stop_throughput`], normal then faulty, forked from one
+/// warm-up.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] if the test bed cannot be built or read.
+pub(crate) fn stop_throughput_arms(
+    window: SimDuration,
+    seed: u64,
+) -> Result<Vec<RunResult>, ScenarioError> {
+    let warm = warm_stop_throughput(seed)?;
+    [false, true]
+        .into_iter()
+        .map(|faulty| stop_arm(&warm, faulty, window))
+        .collect()
+}
+
+fn warm_stop_throughput(seed: u64) -> Result<WarmedArms, ScenarioError> {
     let options = TestbedOptions {
         hosts: 2,
         intercept_host: Some(1),
@@ -397,7 +461,7 @@ pub fn stop_throughput(
         seed,
         ..TestbedOptions::default()
     };
-    let mut tb = build_testbed(options, |i, host: &mut Host| {
+    WarmedArms::warm(build_testbed(options, |i, host: &mut Host| {
         if i == 0 {
             host.add_workload(Workload::Flood {
                 peer: EthAddr::myricom(2),
@@ -405,46 +469,44 @@ pub fn stop_throughput(
                 timeout: SimDuration::from_ms(4),
             });
         }
-    })?;
-    let warmup = SimDuration::from_ms(2_500);
-    let t0 = SimTime::ZERO + warmup;
+    })?)
+}
+
+fn stop_arm(
+    warm: &WarmedArms,
+    faulty: bool,
+    window: SimDuration,
+) -> Result<RunResult, ScenarioError> {
+    // Corrupt only the host->switch direction (the replies), armed by the
+    // duty cycle below.
+    let config = InjectorConfig::builder()
+        .match_mode(MatchMode::Off)
+        .control_swap(ControlSymbol::Gap.encode(), ControlSymbol::Stop.encode())
+        .build();
+    let mut engine = warm.fork(faulty.then_some(&config));
     if faulty {
-        let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-        let config = InjectorConfig::builder()
-            .match_mode(MatchMode::Off) // armed by the duty cycle below
-            .control_swap(ControlSymbol::Gap.encode(), ControlSymbol::Stop.encode())
-            .build();
-        // Corrupt only the host->switch direction (the replies). The fault
-        // is active 90 % of the time — the paper's injection pacing is not
-        // stated; this duty reproduces its ~10 % residual throughput.
-        program_injector(
-            &mut tb.engine,
-            device,
-            SimTime::from_ms(100),
-            DirSelect::A,
-            &config,
-        );
+        // The fault is active 90 % of the time — the paper's injection
+        // pacing is not stated; this duty reproduces its ~10 % residual
+        // throughput.
         schedule_duty_cycle(
-            &mut tb.engine,
-            device,
-            t0,
-            t0 + window,
+            &mut engine,
+            warm.device,
+            ARMS_T0,
+            ARMS_T0 + window,
             SimDuration::from_secs(1),
             SimDuration::from_ms(900),
             MatchMode::On,
         );
     }
-    tb.engine.run_until(t0);
-    let h0 = tb
-        .engine
-        .component_as::<Host>(tb.hosts[0])
+    engine.run_until(ARMS_T0);
+    let h0 = engine
+        .component_as::<Host>(warm.hosts[0])
         .ok_or(ScenarioError::WrongComponent("Host"))?;
     let before = h0.ping_report(0).completed;
     let before_losses = h0.ping_report(0).losses;
-    tb.engine.run_until(t0 + window);
-    let h0 = tb
-        .engine
-        .component_as::<Host>(tb.hosts[0])
+    engine.run_until(ARMS_T0 + window);
+    let h0 = engine
+        .component_as::<Host>(warm.hosts[0])
         .ok_or(ScenarioError::WrongComponent("Host"))?;
     let completed = h0.ping_report(0).completed - before;
     let losses = h0.ping_report(0).losses - before_losses;
@@ -473,6 +535,27 @@ pub fn gap_timeout(
     window: SimDuration,
     seed: u64,
 ) -> Result<RunResult, ScenarioError> {
+    gap_arm(&warm_gap_timeout(seed)?, faulty, window)
+}
+
+/// Both arms of [`gap_timeout`], normal then faulty, forked from one
+/// warm-up.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] if the test bed cannot be built or read.
+pub(crate) fn gap_timeout_arms(
+    window: SimDuration,
+    seed: u64,
+) -> Result<Vec<RunResult>, ScenarioError> {
+    let warm = warm_gap_timeout(seed)?;
+    [false, true]
+        .into_iter()
+        .map(|faulty| gap_arm(&warm, faulty, window))
+        .collect()
+}
+
+fn warm_gap_timeout(seed: u64) -> Result<WarmedArms, ScenarioError> {
     let interval = SimDuration::from_ms(6);
     let options = TestbedOptions {
         hosts: 2,
@@ -480,7 +563,7 @@ pub fn gap_timeout(
         seed,
         ..TestbedOptions::default()
     };
-    let mut tb = build_testbed(options, |i, host: &mut Host| {
+    WarmedArms::warm(build_testbed(options, |i, host: &mut Host| {
         // Pure data-path experiment: static routes, no mapping. Corrupting
         // every GAP a node emits also kills its mapping traffic (the node
         // self-isolates), which would measure a different effect than the
@@ -500,32 +583,29 @@ pub fn gap_timeout(
                 burst: 1,
             });
         }
-    })?;
-    if faulty {
-        let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-        let config = InjectorConfig::builder()
-            .match_mode(MatchMode::On)
-            .control_swap(ControlSymbol::Gap.encode(), ControlSymbol::Idle.encode())
-            .build();
-        // Arm only after the first mapping rounds settle, so the campaign
-        // measures data-path blocking rather than a never-mapped network.
-        program_injector(
-            &mut tb.engine,
-            device,
-            SimTime::from_ms(2_400),
-            DirSelect::A,
-            &config,
-        );
-    }
-    let t0 = SimTime::ZERO + SimDuration::from_ms(2_500);
-    tb.engine.run_until(t0);
-    let before = TrafficSnapshot::capture(&tb.engine, &tb.hosts)?;
-    tb.engine.run_until(t0 + window);
-    tb.engine.run_for(SimDuration::from_ms(100));
-    let delta = TrafficSnapshot::capture(&tb.engine, &tb.hosts)?.delta(&before);
-    let sw = tb
-        .engine
-        .component_as::<Switch>(tb.switch)
+    })?)
+}
+
+fn gap_arm(
+    warm: &WarmedArms,
+    faulty: bool,
+    window: SimDuration,
+) -> Result<RunResult, ScenarioError> {
+    // Armed at the fork instant, after the first mapping rounds settle, so
+    // the campaign measures data-path blocking rather than a never-mapped
+    // network.
+    let config = InjectorConfig::builder()
+        .match_mode(MatchMode::On)
+        .control_swap(ControlSymbol::Gap.encode(), ControlSymbol::Idle.encode())
+        .build();
+    let mut engine = warm.fork(faulty.then_some(&config));
+    engine.run_until(ARMS_T0);
+    let before = TrafficSnapshot::capture(&engine, &warm.hosts)?;
+    engine.run_until(ARMS_T0 + window);
+    engine.run_for(SimDuration::from_ms(100));
+    let delta = TrafficSnapshot::capture(&engine, &warm.hosts)?.delta(&before);
+    let sw = engine
+        .component_as::<Switch>(warm.switch)
         .ok_or(ScenarioError::WrongComponent("Switch"))?;
     Ok(RunResult::new(
         if faulty { "GAP corrupted" } else { "normal" },
@@ -770,6 +850,19 @@ mod tests {
             result.extra("framing_drops").unwrap() > 0.0
                 || result.extra("long_timeout_releases").unwrap() > 0.0
         );
+    }
+
+    /// The campaign runner's arms fork one warm-up and read what each arm
+    /// reads on a bed of its own: a fork leaves its donor as it found it.
+    #[test]
+    fn two_host_arms_share_one_warm_up() {
+        let window = SimDuration::from_secs(1);
+        for seed in [7, 31337] {
+            let stop = [false, true].map(|faulty| stop_throughput(faulty, window, seed).unwrap());
+            assert_eq!(stop_throughput_arms(window, seed).unwrap(), stop, "seed {seed}");
+            let gap = [false, true].map(|faulty| gap_timeout(faulty, window, seed).unwrap());
+            assert_eq!(gap_timeout_arms(window, seed).unwrap(), gap, "seed {seed}");
+        }
     }
 
     #[test]

@@ -2,34 +2,38 @@
 //!
 //! A receiver that holds its sender stopped repeats STOP every 12
 //! character periods. The simulator sends those repeats as one train and
-//! handles none of them one by one unless the injector is armed against
-//! them or logs them (`netfi_myrinet::egress`, `netfi_core::device`). The
-//! oracle is the per-symbol model, in which every repeat is a STOP frame
-//! off a real refresh timer and every STOP starts a sender timeout, kept
-//! in `netfi-myrinet` behind its `oracle` feature, which this package's
-//! dev-dependency turns on.
+//! handles none of them one by one unless the injector logs them or
+//! changes them other than all the same way (`netfi_myrinet::egress`,
+//! `netfi_core::device`): a train the injector swaps into IDLE, GAP or GO
+//! goes on as a train of that symbol. The oracle is the per-symbol model,
+//! in which every repeat is a STOP frame off a real refresh timer and every
+//! STOP starts a sender timeout, kept in `netfi-myrinet` behind its
+//! `oracle` feature, which this package's dev-dependency turns on.
 //!
 //! Each case builds one seeded, contended test bed twice, once per model:
 //! 3 or 4 fast hosts bursting at one another through an 8-port switch with
 //! small slack buffers, slow NIC drains, and the injector on host 1's
-//! link. On top come a control-symbol swap that may be armed, armed once,
-//! or duty-cycled over the serial line so edges land mid-train, sometimes
-//! a traffic-log window, sometimes a host powered off and sometimes a
-//! switch port severed mid-run. At random deadlines the two beds must
-//! agree on everything a harness can read: the clock, a run result, every
-//! host's interface, UDP and egress counters and its arrival ring with
-//! timestamps, the switch's counters and every output's egress counters,
-//! and the injector's channel and datapath counters in both directions.
-//! Only the event counts may differ.
+//! link. On top come a control-symbol swap — sometimes one that trades
+//! STOP and GAP, so packets lose their terminating GAP on the link a GAP
+//! train arrives on — that may be armed, armed once, or duty-cycled over
+//! the serial line so edges land mid-train, sometimes a traffic-log window,
+//! sometimes a host powered off and sometimes a switch port severed
+//! mid-run. At random deadlines, and at every duty edge and log switch,
+//! the two beds must agree on everything a harness can read: the clock, a
+//! run result, every host's interface, UDP and egress counters and its
+//! arrival ring with timestamps, the switch's counters and every output's
+//! egress counters, and the injector's channel and datapath counters in
+//! both directions. Only the event counts may differ.
 
 // Tests may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use netfi_core::command::{Command, DirSelect};
-use netfi_core::config::InjectorConfig;
+use netfi_core::config::{ControlInject, InjectorConfig};
+use netfi_core::corrupt::{ControlCorrupt, CorruptMode};
 use netfi_core::device::{ChannelStats, Direction, InjectorDevice};
 use netfi_core::fifo::FifoStats;
-use netfi_core::trigger::MatchMode;
+use netfi_core::trigger::{ControlCompare, MatchMode};
 use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::egress::EgressStats;
 use netfi_myrinet::event::Ev;
@@ -41,10 +45,11 @@ use netfi_netstack::{
     build_testbed, Host, Testbed, TestbedOptions, UdpDatagram, Workload, SINK_PORT,
 };
 use netfi_phy::ControlSymbol;
-use netfi_sim::{DetRng, Engine, SimDuration, SimTime};
+use netfi_sim::{ComponentId, DetRng, Engine, SimDuration, SimTime};
 
-use netfi_nftape::runner::{power_off, schedule_duty_cycle, schedule_script, sever};
+use netfi_nftape::runner::{power_off, schedule_script, sever};
 use netfi_nftape::RunResult;
+use netfi_phy::serial::UartConfig;
 
 /// How long each case runs.
 const RUN: SimDuration = SimDuration::from_ms(4);
@@ -113,33 +118,76 @@ enum Fault {
     Sever(usize),
 }
 
-/// Draws case `seed`'s injector program and schedules it on `tb`, and
-/// returns its faults and deadlines. Drawn after [`bed`] from a stream of
-/// its own, so both beds get the same.
-fn program(seed: u64, tb: &mut Testbed) -> (Vec<(SimTime, Fault)>, Vec<SimTime>) {
+/// A case's injector program and faults, as the test reads them back.
+struct Program {
+    faults: Vec<(SimTime, Fault)>,
+    /// When to compare the two beds, sorted.
+    deadlines: Vec<SimTime>,
+    /// When a command that can change what the device makes of a STOP
+    /// train took effect: the duty edges and the traffic log's switches.
+    edges: Vec<SimTime>,
+    /// Whether the device swaps every STOP into another symbol while
+    /// armed: a STOP swap under `On`, or duty-cycled to `On`.
+    swaps_stops: bool,
+}
+
+/// Schedules `command` at `device` from `at`; returns the instant its last
+/// byte arrives, when it takes effect.
+fn command_at(tb: &mut Testbed, device: ComponentId, at: SimTime, command: Command) -> SimTime {
+    let after = schedule_script(&mut tb.engine, device, at, &[command]);
+    after - UartConfig::rs232_115200().frame_duration()
+}
+
+/// Draws case `seed`'s injector program and schedules it on `tb`. Drawn
+/// after [`bed`] from a stream of its own, so both beds get the same.
+fn program(seed: u64, tb: &mut Testbed) -> Program {
+    use ControlSymbol::{Gap, Go, Idle, Stop};
     let mut rng = DetRng::new(seed).fork(1);
     let device = tb.injector.expect("device");
     let end = SimTime::ZERO + RUN;
     let at = |rng: &mut DetRng, lo_us: u64| {
         SimTime::from_us(lo_us + rng.gen_range(0..RUN.as_ps() / 1_000_000 - lo_us))
     };
+    let mut edges = Vec::new();
+    let mut swaps_stops = false;
     if !rng.gen_bool(0.1) {
-        use ControlSymbol::{Gap, Go, Idle, Stop};
-        let mask = *rng.choose(&[Stop, Stop, Stop, Go, Gap]).expect("mask");
-        let replacement = *rng
-            .choose(
-                &[Stop, Go, Gap, Idle]
-                    .into_iter()
-                    .filter(|&s| s != mask)
-                    .collect::<Vec<_>>(),
-            )
-            .expect("replacement");
-        let mut config = InjectorConfig::control_swap(mask.encode(), replacement.encode());
+        let trade = rng.gen_bool(0.25);
+        let mut config = if trade {
+            // STOP and GAP trade places: a STOP train becomes a GAP train
+            // on the link whose packets lose their terminating GAP, so the
+            // switch input it arrives on holds outputs while it runs.
+            let inject = ControlInject {
+                compare: ControlCompare {
+                    compare_code: Gap.encode(),
+                    compare_mask: Gap.encode(),
+                },
+                corrupt: ControlCorrupt {
+                    mode: CorruptMode::Toggle,
+                    corrupt_code: Stop.encode() ^ Gap.encode(),
+                    corrupt_mask: 0xFF,
+                },
+                include_terminators: true,
+            };
+            InjectorConfig::builder().control_inject(inject).build()
+        } else {
+            let mask = *rng.choose(&[Stop, Stop, Stop, Go, Gap]).expect("mask");
+            let replacement = *rng
+                .choose(
+                    &[Stop, Go, Gap, Idle]
+                        .into_iter()
+                        .filter(|&s| s != mask)
+                        .collect::<Vec<_>>(),
+                )
+                .expect("replacement");
+            InjectorConfig::control_swap(mask.encode(), replacement.encode())
+        };
         let duty = rng.gen_index(3);
         config.match_mode = [MatchMode::On, MatchMode::Once, MatchMode::Off][duty];
+        // A trade always covers the host's transmissions: GAP trains on the
+        // link its unterminated packets travel.
         let (select, dirs): (DirSelect, &[Direction]) = match rng.gen_index(3) {
             0 => (DirSelect::A, &[Direction::AToB]),
-            1 => (DirSelect::B, &[Direction::BToA]),
+            1 if !trade => (DirSelect::B, &[Direction::BToA]),
             _ => (DirSelect::Both, &[Direction::AToB, Direction::BToA]),
         };
         let dev = tb
@@ -149,13 +197,14 @@ fn program(seed: u64, tb: &mut Testbed) -> (Vec<(SimTime, Fault)>, Vec<SimTime>)
         for &dir in dirs {
             dev.configure(dir, config);
         }
-        schedule_script(
-            &mut tb.engine,
-            device,
-            SimTime::ZERO,
-            &[Command::SelectDirection(select)],
-        );
+        command_at(tb, device, SimTime::ZERO, Command::SelectDirection(select));
+        let swaps_stop = config.control.is_some_and(|ctl| {
+            ctl.compare.matches(Stop.encode()) && ctl.corrupt.apply(Stop.encode()) != Stop.encode()
+        });
+        swaps_stops = swaps_stop && duty == 0;
         if duty == 2 {
+            // A duty cycle, as `runner::schedule_duty_cycle` runs one, with
+            // its edges kept.
             let period = SimDuration::from_us(300 + rng.gen_range(0..1_200));
             let on = SimDuration::from_ps(period.as_ps() * (3 + rng.gen_range(0..6)) / 10);
             let mode = if rng.gen_bool(0.7) {
@@ -163,22 +212,27 @@ fn program(seed: u64, tb: &mut Testbed) -> (Vec<(SimTime, Fault)>, Vec<SimTime>)
             } else {
                 MatchMode::Once
             };
-            schedule_duty_cycle(
-                &mut tb.engine,
-                device,
-                SimTime::from_us(300),
-                end,
-                period,
-                on,
-                mode,
-            );
+            swaps_stops = swaps_stop && mode == MatchMode::On;
+            let mut t = SimTime::from_us(300);
+            while t < end {
+                edges.push(command_at(tb, device, t, Command::MatchMode(mode)));
+                if t + on < end {
+                    edges.push(command_at(
+                        tb,
+                        device,
+                        t + on,
+                        Command::MatchMode(MatchMode::Off),
+                    ));
+                }
+                t += period;
+            }
         }
     }
     if rng.gen_bool(0.15) {
         let from = at(&mut rng, 300);
-        schedule_script(&mut tb.engine, device, from, &[Command::TrafficLog(true)]);
+        edges.push(command_at(tb, device, from, Command::TrafficLog(true)));
         let until = from + SimDuration::from_us(200 + rng.gen_range(0..1_000));
-        schedule_script(&mut tb.engine, device, until, &[Command::TrafficLog(false)]);
+        edges.push(command_at(tb, device, until, Command::TrafficLog(false)));
     }
     let hosts = tb.hosts.len();
     let mut faults = Vec::new();
@@ -189,12 +243,19 @@ fn program(seed: u64, tb: &mut Testbed) -> (Vec<(SimTime, Fault)>, Vec<SimTime>)
         faults.push((at(&mut rng, 500), Fault::Sever(rng.gen_index(hosts))));
     }
     faults.sort_by_key(|&(t, _)| t);
+    edges.retain(|&t| t <= end);
     let mut deadlines: Vec<SimTime> = (0..12).map(|_| at(&mut rng, 1)).collect();
     deadlines.extend(faults.iter().map(|&(t, _)| t));
+    deadlines.extend(&edges);
     deadlines.push(end);
     deadlines.sort();
     deadlines.dedup();
-    (faults, deadlines)
+    Program {
+        faults,
+        deadlines,
+        edges,
+        swaps_stops,
+    }
 }
 
 /// One host as a harness reads it.
@@ -261,14 +322,34 @@ fn view(tb: &Testbed) -> View {
     }
 }
 
+/// What one case ran.
+#[derive(Debug, Default)]
+struct Ran {
+    /// Events dispatched with trains, and per symbol.
+    events: (u64, u64),
+    /// Whether the device swapped every STOP while armed.
+    swaps_stops: bool,
+    /// Duty edges and log switches, and how many found a STOP train
+    /// crossing the device.
+    edges: (usize, usize),
+}
+
 /// Runs case `seed` in both models and compares them at every deadline.
-/// Returns the events each model dispatched. The line printed first is
-/// the one-line regression test of a failure.
-fn case(seed: u64) -> (u64, u64) {
+/// The line printed first is the one-line regression test of a failure.
+fn case(seed: u64) -> Ran {
     println!("case({seed:#x});");
     let mut beds = [bed(seed, false), bed(seed, true)];
-    let schedules = beds.each_mut().map(|tb| program(seed, tb));
-    let (faults, deadlines) = &schedules[0];
+    let programs = beds.each_mut().map(|tb| program(seed, tb));
+    let Program {
+        faults,
+        deadlines,
+        edges,
+        swaps_stops,
+    } = &programs[0];
+    let mut ran = Ran {
+        swaps_stops: *swaps_stops,
+        ..Ran::default()
+    };
     for &deadline in deadlines {
         for tb in &mut beds {
             tb.engine.run_until(deadline);
@@ -281,6 +362,17 @@ fn case(seed: u64) -> (u64, u64) {
             }
         }
         let [trains, oracle] = &beds;
+        if edges.contains(&deadline) {
+            let dev = trains
+                .engine
+                .component_as::<InjectorDevice>(trains.injector.expect("device"))
+                .expect("device");
+            let crossing = [Direction::AToB, Direction::BToA]
+                .iter()
+                .any(|&d| dev.train_crossing(d));
+            ran.edges.0 += 1;
+            ran.edges.1 += usize::from(crossing);
+        }
         let (t, o) = (view(trains), view(oracle));
         let at = format!("case {seed:#x} at {deadline}");
         assert_eq!((t.now, &t.result), (o.now, &o.result), "{at}: run result");
@@ -297,23 +389,43 @@ fn case(seed: u64) -> (u64, u64) {
         assert_eq!(t, o, "{at}");
     }
     let [trains, oracle] = &beds;
-    (
+    ran.events = (
         trains.engine.events_processed(),
         oracle.engine.events_processed(),
-    )
+    );
+    ran
 }
 
 #[test]
 fn stop_trains_match_the_per_symbol_model() {
     let (mut trains, mut oracle) = (0, 0);
+    let (mut swapping, mut swapping_events) = (0, (0, 0));
+    let (mut edges, mut edges_in_trains) = (0, 0);
     for k in 0..256 {
-        let (t, o) = case(0x5709_7000 + k);
-        trains += t;
-        oracle += o;
+        let ran = case(0x5709_7000 + k);
+        trains += ran.events.0;
+        oracle += ran.events.1;
+        if ran.swaps_stops {
+            swapping += 1;
+            swapping_events.0 += ran.events.0;
+            swapping_events.1 += ran.events.1;
+        }
+        edges += ran.edges.0;
+        edges_in_trains += ran.edges.1;
     }
     println!("events: {trains} with trains, {oracle} per symbol");
+    println!(
+        "{swapping} cases swap every STOP while armed: {} events with trains, {} per symbol",
+        swapping_events.0, swapping_events.1
+    );
+    println!("{edges} duty edges and log switches, {edges_in_trains} inside a STOP train");
     assert!(
         trains * 2 < oracle,
         "the cases hold few trains: {trains} vs {oracle}"
+    );
+    assert!(swapping >= 64, "{swapping} cases swap STOPs");
+    assert!(
+        edges_in_trains * 2 > edges,
+        "{edges_in_trains} of {edges} edges inside a train"
     );
 }

@@ -5,13 +5,17 @@
 //! timer, a frame, and a sender timeout every 150 ns of every stop: 97 %
 //! of the 12.4 M events of the nine Table 4 rows and their donor. A STOP
 //! train costs its two ends, the STOP that opens it and the GO that
-//! closes it, however long the stop lasts.
+//! closes it, however long the stop lasts — and so does a train the
+//! injector swaps into IDLE, GAP or GO, which Table 4's first three rows
+//! do to every STOP while their duty cycle arms it: handled one repeat at a
+//! time, those swaps were 422,889 of the 835,375 events that remained.
 //!
 //! The counts repeat exactly for a seed, so a red run is the code, never
 //! the box: a repeat is being handled one by one again, or the injector
-//! acts on repeats it cannot change. That the trains change nothing else
-//! is the business of `tests/determinism.rs` and of the differential test
-//! against the per-symbol model in `netfi-nftape`.
+//! acts on repeats it cannot change or swaps the same way each time. That
+//! the trains change nothing else is the business of `tests/determinism.rs`
+//! and of the differential test against the per-symbol model in
+//! `netfi-nftape`.
 
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -51,7 +55,7 @@ fn table4_costs_its_stops_not_their_repeats() {
     println!("nine Table 4 rows and their donor, seed 7, 1 s: {events} events");
     assert_eq!(rows.len(), 9);
     assert!(
-        events <= 2_000_000,
+        events <= 450_000,
         "{events} events: a repeat is handled one by one again"
     );
 }
