@@ -34,7 +34,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use netfi_myrinet::addr::EthAddr;
-use netfi_myrinet::egress::{split_timer_kind, timer_class, timer_kind, EgressPort};
+use netfi_myrinet::egress::{timer_class, timer_kind};
 use netfi_myrinet::event::{Attach, Ev, PortPeer};
 use netfi_myrinet::frame::{Frame, PacketFrame, Repeats, TrainMark};
 use netfi_myrinet::interface::EthHeader;
@@ -198,8 +198,9 @@ pub struct InjectorDevice {
     /// Authoritative editable per-direction configurations.
     dir_configs: [InjectorConfig; 2],
     channels: [Channel; 2],
-    /// Egress by physical output port.
-    egress: [EgressPort; 2],
+    /// The far end of each physical output port. `forward` sends to it
+    /// directly: the device never queues a frame.
+    peers: [Option<PortPeer>; 2],
     decoder: CommandDecoder,
     dir_select: DirSelect,
     serial_out: Vec<u8>,
@@ -231,7 +232,7 @@ impl InjectorDevice {
         InjectorDevice {
             dir_configs: [InjectorConfig::passthrough(); 2],
             channels: [mk_channel(), mk_channel()],
-            egress: [EgressPort::new(0), EgressPort::new(1)],
+            peers: [None; 2],
             decoder: CommandDecoder::new(),
             dir_select: DirSelect::Both,
             serial_out: Vec::new(),
@@ -391,8 +392,7 @@ impl InjectorDevice {
 
     /// The device's cut-through latency on `dir`, given its output link.
     pub fn latency(&self, dir: Direction) -> SimDuration {
-        let rate = self.egress[dir.out_port() as usize]
-            .peer()
+        let rate = self.peers[dir.out_port() as usize]
             .map(|p| p.link.data_rate_bps())
             .unwrap_or(640_000_000);
         self.channels[dir.index()].injector.latency(rate)
@@ -503,7 +503,7 @@ impl InjectorDevice {
         arrived: SimTime,
     ) {
         let latency = self.latency(dir);
-        if let Some(peer) = self.egress[dir.out_port() as usize].peer().copied() {
+        if let Some(peer) = self.peers[dir.out_port() as usize] {
             let due = arrived + latency + peer.propagation();
             ctx.send(
                 peer.dst,
@@ -562,7 +562,7 @@ impl InjectorDevice {
 
     /// The component on the far side of `port`.
     fn peer_id(&self, port: u8) -> Option<ComponentId> {
-        self.egress[usize::from(port)].peer().map(|p| p.dst)
+        self.peers[usize::from(port)].map(|p| p.dst)
     }
 
     /// Handles a train frame going `dir`: the STOP that opens a train, or
@@ -865,7 +865,7 @@ impl InjectorDevice {
 
 impl Attach for InjectorDevice {
     fn attach_port(&mut self, port: u8, peer: PortPeer) {
-        self.egress[port as usize].attach(peer);
+        self.peers[port as usize] = Some(peer);
     }
 }
 
@@ -876,13 +876,8 @@ impl Component<Ev> for InjectorDevice {
             Ev::Rx { port, frame } => {
                 self.process_frame(ctx, Direction::from_in_port(port), frame);
             }
-            Ev::Timer { kind, .. } => {
-                // A TRAIN_REPEAT wake-up has done its work in `catch_up`.
-                let (class, port) = split_timer_kind(kind);
-                if class == timer_class::TX_DONE {
-                    self.egress[port as usize].on_tx_done(ctx);
-                }
-            }
+            // A TRAIN_REPEAT wake-up has done its work in `catch_up`.
+            Ev::Timer { .. } => {}
             Ev::Serial(byte) => {
                 // Counters a command reports or resets include the repeats
                 // carried on in a train before it.
@@ -912,6 +907,7 @@ impl Component<Ev> for InjectorDevice {
 mod tests {
     use super::*;
     use crate::trigger::MatchMode;
+    use netfi_myrinet::egress::{split_timer_kind, EgressPort};
     use netfi_myrinet::event::connect;
     use netfi_myrinet::packet::{route_to_host, Packet};
     use netfi_phy::{ControlSymbol, Link};

@@ -28,7 +28,10 @@ impl Lfsr32 {
     }
 
     /// Advances one step and returns the new state.
-    #[allow(clippy::should_implement_trait)] // hardware register semantics, not an iterator
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "hardware register semantics, not an iterator"
+    )]
     pub fn next(&mut self) -> u32 {
         let lsb = self.state & 1;
         self.state >>= 1;

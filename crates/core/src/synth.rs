@@ -60,7 +60,10 @@ pub struct ResourceEstimate {
 
 impl ResourceEstimate {
     /// Sums two estimates.
-    #[allow(clippy::should_implement_trait)] // a column-wise tally, not arithmetic closure
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a column-wise tally, not arithmetic closure"
+    )]
     pub fn add(self, other: ResourceEstimate) -> ResourceEstimate {
         ResourceEstimate {
             gates: self.gates + other.gates,

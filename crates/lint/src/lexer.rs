@@ -3,8 +3,8 @@
 //! The rule engine does not need a parse tree — every invariant it checks
 //! is visible at token granularity. What it *does* need is to never match
 //! rule patterns inside string literals, char literals or comments, and to
-//! know which comment text sits on which line (allow-comments and
-//! `SAFETY:` audits are comment-driven). So the lexer classifies each
+//! know which comment text sits on which line (allow-comments and the
+//! deny-marker are comments). So the lexer classifies each
 //! physical line into a *code* part (string/char contents blanked,
 //! comments removed) and a *comment* part, and marks lines that belong to
 //! `#[cfg(test)]`-gated items so test code is exempt from library rules.

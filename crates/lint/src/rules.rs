@@ -1,8 +1,8 @@
 //! The rule engine: scans one file's classified lines for violations.
 //!
 //! Rules match on the *code* part of each line (strings blanked, comments
-//! stripped — see [`crate::lexer`]), at identifier boundaries, so `unwrap`
-//! never matches `unwrap_or` and `panic!` never matches `should_panic`.
+//! stripped — see [`crate::lexer`]), at identifier boundaries, so `clone`
+//! never matches `clone_from` and `vec!` never matches `my_vec!`.
 //!
 //! Escape hatches, all spelled in comments so they survive refactors and
 //! show up in diffs:
@@ -13,29 +13,16 @@
 //! - a file containing the deny-marker comment (`netfi-lint:
 //!   deny(hot-path-alloc)` after `//`) opts into the allocation rule for
 //!   every line of that file;
-//! - `#[cfg(test)]`-gated items are exempt from everything — tests may
-//!   unwrap.
+//! - `#[cfg(test)]`-gated items are exempt from everything.
 
 use crate::lexer::{lex, Line};
-use crate::policy::Policy;
 
 /// All per-line rule identifiers, as they appear in diagnostics and
 /// allow-comments.
-pub const RULE_IDS: [&str; 11] = [
-    "wall-clock",
-    "unordered-collection",
-    "env-access",
-    "thread-spawn",
-    "relaxed-atomic",
-    "fork-not-clone",
-    "unwrap",
-    "expect",
-    "panic",
-    "hot-path-alloc",
-    "unsafe-safety",
-];
+pub const RULE_IDS: [&str; 3] = ["hot-path-alloc", "relaxed-atomic", "fork-not-clone"];
 
-/// The rule id reported for malformed allow-comments (not suppressible).
+/// The rule id reported for malformed allow-comments, including one that
+/// names a rule not in [`RULE_IDS`] (not suppressible).
 pub const ALLOW_SYNTAX: &str = "allow-syntax";
 
 /// The rule id for allow-comments that no longer suppress anything (not
@@ -47,7 +34,8 @@ pub const DEAD_SUPPRESSION: &str = "dead-suppression";
 pub struct Violation {
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (one of [`RULE_IDS`] or [`ALLOW_SYNTAX`]).
+    /// Rule identifier (one of [`RULE_IDS`], [`ALLOW_SYNTAX`] or
+    /// [`DEAD_SUPPRESSION`]).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -58,12 +46,14 @@ pub struct Violation {
 pub struct FileReport {
     /// Violations, in line order.
     pub violations: Vec<Violation>,
-    /// How many findings an allow-comment suppressed.
+    /// Waivers outside test code: findings an allow-comment suppressed,
+    /// plus `#[allow(…)]` / `#[expect(…)]` lint attributes (clippy's
+    /// waivers, counted here so the workspace has one suppression budget).
     pub suppressions_used: usize,
 }
 
-/// Scans one file's source under a policy.
-pub fn scan_source(source: &str, policy: Policy) -> FileReport {
+/// Scans one file's source.
+pub fn scan_source(source: &str) -> FileReport {
     let lines = lex(source);
     let mut report = FileReport::default();
 
@@ -92,21 +82,16 @@ pub fn scan_source(source: &str, policy: Policy) -> FileReport {
         if line.in_test {
             continue;
         }
-        let mut findings: Vec<(&'static str, String)> = Vec::new();
-        line_findings(&line.code, policy, alloc_active, &mut findings);
-        if policy.unsafe_audit
-            && find_bounded(&line.code, "unsafe")
-            && !safety_comment_nearby(&lines, idx)
+        let code = line.code.trim_start();
+        if ["#[allow(", "#[expect(", "#![allow(", "#![expect("]
+            .iter()
+            .any(|attr| code.starts_with(attr))
         {
-            findings.push((
-                "unsafe-safety",
-                "unsafe without an adjacent `SAFETY:` comment".to_string(),
-            ));
+            report.suppressions_used += 1;
         }
-        if policy.determinism
-            && find_bounded(&line.code, "fork")
-            && fork_is_hand_written(&lines, idx)
-        {
+        let mut findings: Vec<(&'static str, String)> = Vec::new();
+        line_findings(&line.code, alloc_active, &mut findings);
+        if find_bounded(&line.code, "fork") && fork_is_hand_written(&lines, idx) {
             findings.push((
                 "fork-not-clone",
                 "Component::fork must be `Box::new(self.clone())` on a #[derive(Clone)] type, \
@@ -172,16 +157,6 @@ fn parse_allow(rest: &str) -> Result<String, String> {
     Ok(rule.to_string())
 }
 
-/// Is there a `SAFETY:` comment on this line or within the 3 lines above?
-fn safety_comment_nearby(lines: &[Line], idx: usize) -> bool {
-    let from = idx.saturating_sub(3);
-    lines
-        .get(from..=idx)
-        .unwrap_or_default()
-        .iter()
-        .any(|l| l.comment.contains("SAFETY:"))
-}
-
 /// Is line `idx` the head of a `Component::fork` implementation whose
 /// body — the rest of that line or, if that is blank, the next line with
 /// code — is anything but `Box::new(self.clone())`?
@@ -215,69 +190,14 @@ fn fork_is_hand_written(lines: &[Line], idx: usize) -> bool {
 }
 
 /// Appends every (rule, message) that fires on one code line.
-fn line_findings(
-    code: &str,
-    policy: Policy,
-    alloc_active: bool,
-    out: &mut Vec<(&'static str, String)>,
-) {
-    if policy.determinism {
-        if find_bounded(code, "Instant::now") || find_bounded(code, "SystemTime") {
-            out.push((
-                "wall-clock",
-                "wall-clock time source in deterministic code (use SimTime)".to_string(),
-            ));
-        }
-        for name in ["HashMap", "HashSet"] {
-            if find_bounded(code, name) {
-                out.push((
-                    "unordered-collection",
-                    format!("{name} iterates in nondeterministic order (use BTreeMap/BTreeSet)"),
-                ));
-            }
-        }
-        if find_path_root(code, "env") {
-            out.push((
-                "env-access",
-                "process environment read in deterministic code".to_string(),
-            ));
-        }
-        for call in ["thread::spawn", "thread::scope", "thread::Builder"] {
-            if find_bounded(code, call) {
-                out.push((
-                    "thread-spawn",
-                    format!("{call} introduces scheduling nondeterminism"),
-                ));
-            }
-        }
-        if find_bounded(code, "Ordering::Relaxed") {
-            out.push((
-                "relaxed-atomic",
-                "Ordering::Relaxed in deterministic code: cross-thread state that reaches \
-                 an output byte needs acquire/release edges (use Acquire/Release/AcqRel)"
-                    .to_string(),
-            ));
-        }
-    }
-    if policy.panic_free {
-        if find_method_call(code, "unwrap") {
-            out.push((
-                "unwrap",
-                ".unwrap() can panic in library code; return a typed error".to_string(),
-            ));
-        }
-        if find_method_call(code, "expect") {
-            out.push((
-                "expect",
-                ".expect() can panic in library code; return a typed error or justify with an allow-comment"
-                    .to_string(),
-            ));
-        }
-        for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-            if find_macro(code, mac) {
-                out.push(("panic", format!("{mac}! panics in library code")));
-            }
-        }
+fn line_findings(code: &str, alloc_active: bool, out: &mut Vec<(&'static str, String)>) {
+    if find_bounded(code, "Ordering::Relaxed") {
+        out.push((
+            "relaxed-atomic",
+            "Ordering::Relaxed in deterministic code: cross-thread state that reaches \
+             an output byte needs acquire/release edges (use Acquire/Release/AcqRel)"
+                .to_string(),
+        ));
     }
     if alloc_active {
         for path in ["Vec::new", "Box::new"] {
@@ -327,28 +247,8 @@ fn find_bounded(hay: &str, needle: &str) -> bool {
     false
 }
 
-/// Finds the identifier `root` immediately followed by `::` (so `env::var`
-/// matches but `envelope::var` and `my_env` do not).
-fn find_path_root(hay: &str, root: &str) -> bool {
-    let h = hay.as_bytes();
-    let n = root.as_bytes();
-    let mut i = 0usize;
-    while i + n.len() + 2 <= h.len() {
-        if h.get(i..i + n.len()) == Some(n)
-            && h.get(i + n.len()..i + n.len() + 2) == Some(b"::".as_slice())
-        {
-            let before = i == 0 || !h.get(i - 1).copied().is_some_and(is_ident_byte);
-            if before {
-                return true;
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
 /// Finds `.name(` (whitespace allowed before the paren), rejecting longer
-/// identifiers such as `.unwrap_or(`.
+/// identifiers such as `.clone_from(`.
 fn find_method_call(hay: &str, name: &str) -> bool {
     let h = hay.as_bytes();
     let n = name.as_bytes();
@@ -397,37 +297,38 @@ mod tests {
 
     #[test]
     fn boundaries_reject_longer_idents() {
-        assert!(find_method_call(".unwrap()", "unwrap"));
-        assert!(find_method_call("x . unwrap ()", "unwrap"));
-        assert!(!find_method_call(".unwrap_or(0)", "unwrap"));
-        assert!(!find_method_call(".unwrap_or_default()", "unwrap"));
-        assert!(find_macro("panic!(\"x\")", "panic"));
-        assert!(!find_macro("should_panic!", "panic"));
-        assert!(!find_macro("panicky!", "panic"));
-        assert!(find_bounded("let m: HashMap<u8, u8>", "HashMap"));
-        assert!(!find_bounded("MyHashMapLike", "HashMap"));
-        assert!(find_path_root("std::env::var(\"X\")", "env"));
-        assert!(!find_path_root("crate::envelope::var()", "env"));
+        assert!(find_method_call(".clone()", "clone"));
+        assert!(find_method_call("x . clone ()", "clone"));
+        assert!(!find_method_call(".clone_from(&y)", "clone"));
+        assert!(!find_method_call("Arc::clone(&x)", "clone"));
+        assert!(find_macro("vec![0; 4]", "vec"));
+        assert!(!find_macro("smallvec![0; 4]", "vec"));
+        assert!(!find_macro("vector!", "vec"));
+        assert!(find_bounded("let v = Vec::new();", "Vec::new"));
+        assert!(!find_bounded("SmallVec::new()", "Vec::new"));
     }
 
     #[test]
     fn allow_comment_parses_rule_and_reason() {
-        assert_eq!(parse_allow("(expect) bounded above"), Ok("expect".to_string()));
-        assert!(parse_allow("(expect)").is_err());
-        assert!(parse_allow("(expect)   ").is_err());
-        assert!(parse_allow("(not-a-rule) why").is_err());
-        assert!(parse_allow(" expect reason").is_err());
+        assert_eq!(
+            parse_allow("(relaxed-atomic) a statistic"),
+            Ok("relaxed-atomic".to_string())
+        );
+        assert!(parse_allow("(relaxed-atomic)").is_err());
+        assert!(parse_allow("(relaxed-atomic)   ").is_err());
+        assert!(parse_allow("(expect) clippy's rule now").is_err());
+        assert!(parse_allow(" relaxed-atomic reason").is_err());
     }
 
     #[test]
     fn suppression_covers_same_and_next_line() {
         let src = "\
-fn f(o: Option<u8>) -> u8 {
-    // lint: allow(unwrap) proven Some by the caller
-    o.unwrap()
+fn f(a: &AtomicU8) -> u8 {
+    // lint: allow(relaxed-atomic) a statistic no output byte reads
+    a.load(Ordering::Relaxed)
 }
 ";
-        let r = scan_source(src, Policy::STRICT);
+        let r = scan_source(src);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.suppressions_used, 1);
     }
@@ -435,46 +336,51 @@ fn f(o: Option<u8>) -> u8 {
     #[test]
     fn suppression_does_not_leak_to_later_lines() {
         let src = "\
-// lint: allow(unwrap) only the next line
-fn f(o: Option<u8>) -> u8 {
-    o.unwrap()
+// lint: allow(relaxed-atomic) only the next line
+fn f(a: &AtomicU8) -> u8 {
+    a.load(Ordering::Relaxed)
 }
 ";
-        let r = scan_source(src, Policy::STRICT);
-        // The unwrap escapes the two-line window; the out-of-range allow is
+        let r = scan_source(src);
+        // The load escapes the two-line window; the out-of-range allow is
         // itself flagged as a dead suppression.
         assert_eq!(r.violations.len(), 2);
         assert_eq!(r.violations[0].rule, DEAD_SUPPRESSION);
         assert_eq!(r.violations[0].line, 1);
-        assert_eq!(r.violations[1].rule, "unwrap");
+        assert_eq!(r.violations[1].rule, "relaxed-atomic");
         assert_eq!(r.violations[1].line, 3);
     }
 
     #[test]
     fn alloc_rule_needs_the_marker() {
         let src = "fn f() -> Vec<u8> { Vec::new() }\n";
-        assert!(scan_source(src, Policy::STRICT).violations.is_empty());
+        assert!(scan_source(src).violations.is_empty());
         let marked = format!("// netfi-lint: deny(hot-path-alloc)\n{src}");
-        let r = scan_source(&marked, Policy::STRICT);
+        let r = scan_source(&marked);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].rule, "hot-path-alloc");
     }
 
     #[test]
-    fn safety_comment_window() {
-        let with = "// SAFETY: len checked above\nlet x = unsafe { *p };\n";
-        assert!(scan_source(with, Policy::STRICT).violations.is_empty());
-        let far = "// SAFETY: too far away\n\n\n\n\nlet x = unsafe { *p };\n";
-        let r = scan_source(far, Policy::STRICT);
-        assert_eq!(r.violations[0].rule, "unsafe-safety");
+    fn lint_attributes_count_outside_test_code() {
+        let src = "\
+#[expect(clippy::expect_used, reason = \"bounded\")]
+fn f() {}
+#[cfg(test)]
+mod tests {
+    #[allow(clippy::unwrap_used)]
+    fn t() {}
+}
+";
+        assert_eq!(scan_source(src).suppressions_used, 1);
     }
 
     #[test]
     fn doc_comments_do_not_trigger_directives() {
         // A doc comment *describing* the syntax starts with `/`, so the
         // directive parser (which anchors at the comment start) skips it.
-        let src = "/// Write `// lint: allow(unwrap) reason` to suppress.\nfn f() {}\n";
-        let r = scan_source(src, Policy::STRICT);
+        let src = "/// Write `// lint: allow(relaxed-atomic) reason` to suppress.\nfn f() {}\n";
+        let r = scan_source(src);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 }

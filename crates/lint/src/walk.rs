@@ -1,23 +1,18 @@
-//! The workspace walker: finds library sources, applies per-crate policy,
-//! aggregates diagnostics.
+//! The workspace walker: finds library sources and aggregates diagnostics.
 //!
 //! Scope is deliberate: `src/` of the root package and of every crate
-//! under `crates/`. Integration tests (`tests/`), examples and benches are
-//! *not* scanned — they are allowed to unwrap, that is what the
-//! `#[cfg(test)]` exemption means at directory granularity. Files are
-//! visited in sorted path order so diagnostics are stable across runs and
-//! machines.
+//! under `crates/` except `bench`, whose binaries time themselves and may
+//! allocate where they like. Integration tests (`tests/`), examples and
+//! benches are *not* scanned. Files are visited in sorted path order so
+//! diagnostics are stable across runs and machines.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::policy::policy_for;
 use crate::rules::scan_source;
 
-/// One diagnostic with its location, machine-consumable (see
-/// [`WorkspaceReport::to_json`]) and renderable as the classic
-/// `path:line: rule: message` text form.
+/// One diagnostic with its location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Root-relative file label (`/`-separated on every host OS).
@@ -44,10 +39,10 @@ pub struct WorkspaceReport {
     pub files: usize,
     /// Crate names that contributed scanned files, unique, in scan order
     /// (crate directories lexicographically, then the root package as
-    /// `netfi`). Lets gates assert a crate is actually inside the scan
-    /// surface, not just named in the policy table.
+    /// `netfi`). Lets a gate assert the walker reached every crate.
     pub crates: Vec<String>,
-    /// Total allow-comment suppressions exercised.
+    /// Total waivers: allow-comment suppressions exercised plus lint
+    /// attributes outside test code (see [`crate::FileReport`]).
     pub suppressions: usize,
     /// All diagnostics, in (file, line) order.
     pub diagnostics: Vec<Diagnostic>,
@@ -58,56 +53,10 @@ impl WorkspaceReport {
     pub fn render_lines(&self) -> Vec<String> {
         self.diagnostics.iter().map(Diagnostic::render).collect()
     }
-
-    /// Serializes the report as a JSON object:
-    /// `{"files": N, "suppressions": N, "violations": [{"file", "line",
-    /// "rule", "message"}, ...]}`. Hand-rolled — the checker stays
-    /// dependency-free — with full string escaping.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"files\": {},\n", self.files));
-        out.push_str(&format!("  \"suppressions\": {},\n", self.suppressions));
-        if self.diagnostics.is_empty() {
-            out.push_str("  \"violations\": []\n");
-        } else {
-            out.push_str("  \"violations\": [\n");
-            for (i, d) in self.diagnostics.iter().enumerate() {
-                let comma = if i + 1 == self.diagnostics.len() { "" } else { "," };
-                out.push_str(&format!(
-                    "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}{comma}\n",
-                    json_escape(&d.file),
-                    d.line,
-                    json_escape(d.rule),
-                    json_escape(&d.message)
-                ));
-            }
-            out.push_str("  ]\n");
-        }
-        out.push('}');
-        out
-    }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Scans `root/src` and `root/crates/*/src` under each file's crate
-/// policy, returning one report.
+/// Scans `root/src` and `root/crates/*/src` (all but `crates/bench`),
+/// returning one report.
 ///
 /// # Errors
 ///
@@ -120,7 +69,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     if crates.is_dir() {
         for entry in fs::read_dir(&crates)? {
             let dir = entry?.path();
-            if dir.is_dir() {
+            if dir.is_dir() && !dir.ends_with("bench") {
                 collect_rs(&dir.join("src"), &mut files)?;
             }
         }
@@ -129,11 +78,13 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceReport> {
 
     let mut report = WorkspaceReport::default();
     for (label, path) in &files {
-        let crate_name = crate_of(label);
-        let source = fs::read_to_string(path)?;
-        let file = scan_source(&source, policy_for(crate_name));
+        let file = scan_source(&fs::read_to_string(path)?);
         report.files += 1;
-        if report.crates.last().map_or(true, |last| last != crate_name) {
+        let crate_name = label
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split('/').next())
+            .unwrap_or("netfi");
+        if report.crates.last().map(String::as_str) != Some(crate_name) {
             report.crates.push(crate_name.to_string());
         }
         report.suppressions += file.suppressions_used;
@@ -147,17 +98,6 @@ pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceReport> {
         }
     }
     Ok(report)
-}
-
-/// Extracts the crate name from a root-relative label:
-/// `crates/<name>/src/...` gives `<name>`, anything else scans as the
-/// root package `netfi`.
-pub fn crate_of(label: &str) -> &str {
-    let mut parts = label.split('/');
-    match (parts.next(), parts.next()) {
-        (Some("crates"), Some(name)) => name,
-        _ => "netfi",
-    }
 }
 
 /// Recursively collects `.rs` files under `dir` as (root-relative label,
@@ -200,13 +140,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crate_names_from_labels() {
-        assert_eq!(crate_of("crates/sim/src/engine.rs"), "sim");
-        assert_eq!(crate_of("crates/lint/src/main.rs"), "lint");
-        assert_eq!(crate_of("src/lib.rs"), "netfi");
-    }
-
-    #[test]
     fn labels_anchor_at_crates_or_src() {
         assert_eq!(
             label_of(Path::new("/work/repo/crates/sim/src/time.rs")),
@@ -222,37 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn json_report_escapes_and_shapes() {
-        let report = WorkspaceReport {
-            files: 2,
-            crates: vec!["sim".to_string()],
-            suppressions: 1,
-            diagnostics: vec![Diagnostic {
-                file: "crates/sim/src/a.rs".to_string(),
-                line: 7,
-                rule: "unwrap",
-                message: "a \"quoted\" reason\nwith a newline".to_string(),
-            }],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"files\": 2"));
-        assert!(json.contains("\"suppressions\": 1"));
-        assert!(json.contains(r#""file": "crates/sim/src/a.rs""#));
-        assert!(json.contains(r#""line": 7"#));
-        assert!(json.contains(r#"a \"quoted\" reason\nwith a newline"#));
-
-        let empty = WorkspaceReport::default();
-        assert!(empty.to_json().contains("\"violations\": []"));
-    }
-
-    #[test]
     fn diagnostics_render_the_classic_text_form() {
         let d = Diagnostic {
             file: "src/lib.rs".to_string(),
             line: 3,
-            rule: "panic",
+            rule: "relaxed-atomic",
             message: "boom".to_string(),
         };
-        assert_eq!(d.render(), "src/lib.rs:3: panic: boom");
+        assert_eq!(d.render(), "src/lib.rs:3: relaxed-atomic: boom");
     }
 }

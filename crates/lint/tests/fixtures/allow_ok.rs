@@ -1,14 +1,16 @@
 // Fixture: every violation here is suppressed by a well-formed
 // allow-comment with a reason — the scan must report zero violations and
 // three suppressions.
-pub fn tail(v: &[u8]) -> u8 {
-    // lint: allow(unwrap) caller checked is_empty() one frame up
-    let last = v.last().copied().unwrap();
-    let first = v.first().copied().unwrap(); // lint: allow(unwrap) same guard covers the head
-    last.wrapping_add(first)
+use std::sync::atomic::{AtomicU64, Ordering};
+
+pub fn tally(hits: &AtomicU64, misses: &AtomicU64) -> u64 {
+    // lint: allow(relaxed-atomic) a statistic no output byte reads
+    hits.fetch_add(1, Ordering::Relaxed);
+    misses.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed-atomic) the same statistic
+    hits.load(Ordering::Acquire)
 }
 
-pub fn index(v: &[u8]) -> u8 {
-    // lint: allow(expect) bounded by the assert! in the caller
-    v.get(2).copied().expect("length >= 3")
+pub fn reset(hits: &AtomicU64) {
+    // lint: allow(relaxed-atomic) written before any worker starts
+    hits.store(0, Ordering::Relaxed)
 }

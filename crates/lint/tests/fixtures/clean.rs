@@ -1,13 +1,14 @@
+// netfi-lint: deny(hot-path-alloc)
 // Fixture: zero violations. Every rule pattern below appears only where
 // the lexer must ignore it — strings, comments, test-gated items — or in
 // a form the boundary rules must reject.
 
-/// Doc comments may mention `.unwrap()`, `panic!("boom")`, `HashMap` and
-/// even `Instant::now()` freely; they are not code.
+/// Doc comments may mention `Ordering::Relaxed`, `Vec::new()` and
+/// `.clone()` freely; they are not code.
 pub fn describe() -> &'static str {
-    // A line comment with std::env::var("HOME") and thread::spawn(..).
-    let wire = "literal .unwrap() panic!(\"x\") HashMap Instant::now()";
-    let raw = r#"raw strings too: .expect("), still inside"#;
+    // A line comment with Ordering::Relaxed and vec![0u8; 4].
+    let wire = "literal Ordering::Relaxed Vec::new() format!(\"x\")";
+    let raw = r#"raw strings too: .clone("), still inside"#;
     let tick = '!';
     let escaped = '\'';
     /* block comment: Vec::new() .clone() format!("{}", 1) */
@@ -20,20 +21,26 @@ fn keep(s: &str) -> &str {
     s
 }
 
-pub fn near_misses(v: &[u8]) -> usize {
-    // unwrap_or is not unwrap; should_panic is not panic!.
-    let n = v.first().copied().unwrap_or_default() as usize;
-    let my_env_like = n + v.len();
-    my_env_like
+pub fn near_misses(copy: &mut [u8; 4], shared: &std::sync::Arc<[u8]>) -> std::sync::Arc<[u8]> {
+    // clone_from is not clone(); Arc::clone is path syntax, not a call.
+    copy.clone_from(&[1, 2, 3, 4]);
+    std::sync::Arc::clone(shared)
+}
+
+/// The rules clippy owns are not netfi-lint's: an unwrap, a wall clock, a
+/// hash map and an environment read report nothing here.
+pub fn clippy_owns_these(o: Option<u8>) -> u8 {
+    let _ = (std::time::Instant::now(), std::env::var("HOME"));
+    let _: std::collections::HashMap<u8, u8> = Default::default();
+    o.unwrap()
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn tests_may_do_anything() {
-        let m: std::collections::HashMap<u8, u8> = std::collections::HashMap::new();
-        assert!(m.get(&0).copied().unwrap_or(1) == 1);
         let v: Vec<u8> = vec![1, 2, 3];
-        v.first().copied().unwrap();
+        let n = std::sync::atomic::AtomicUsize::new(v.len());
+        assert_eq!(n.load(std::sync::atomic::Ordering::Relaxed), v.clone().len());
     }
 }

@@ -1,15 +1,15 @@
 //! Fixture: allow-comments that suppress nothing are themselves flagged.
-//! One live allow (covers the unwrap below it), one dead allow (nothing
-//! on its line or the next), and one dead allow at end-of-file.
-
-pub fn live(o: Option<u8>) -> u8 {
-    // lint: allow(unwrap) proven Some by the caller
-    o.unwrap()
+//! One live allow (covers the relaxed load below it), one dead allow
+//! (nothing on its line or the next), and one dead allow at end-of-file.
+use std::sync::atomic::{AtomicU8, Ordering};
+pub fn live(a: &AtomicU8) -> u8 {
+    // lint: allow(relaxed-atomic) a statistic no output byte reads
+    a.load(Ordering::Relaxed)
 }
 
 pub fn stranded() -> u8 {
-    // lint: allow(unwrap) the unwrap this covered was refactored away
+    // lint: allow(relaxed-atomic) the load this covered was refactored away
     7
 }
 
-// lint: allow(panic) nothing below this line
+// lint: allow(hot-path-alloc) nothing below this line

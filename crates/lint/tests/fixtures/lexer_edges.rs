@@ -29,6 +29,6 @@ pub struct AfterTheHazards {
     pub field_b: u64,
 }
 
-pub fn planted(o: Option<u8>) -> u8 {
-    o.unwrap() // line 33: the only violation in this fixture
+pub fn planted(o: &std::sync::atomic::AtomicU8) -> u8 {
+    o.load(std::sync::atomic::Ordering::Relaxed) // line 33: the only violation here
 }

@@ -1,4 +1,4 @@
-//! Fixture: `Ordering::Relaxed` in determinism scope. The stop-flag load
+//! Fixture: `Ordering::Relaxed`. The stop-flag load
 //! and the counter bump are violations; the acquire/release pair is not.
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

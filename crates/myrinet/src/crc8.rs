@@ -152,7 +152,6 @@ mod clmul {
     /// # Safety
     ///
     /// The CPU must support `pclmulqdq` and `ssse3`.
-    // SAFETY: a declaration; its one caller, `update`, detects both first.
     #[target_feature(enable = "pclmulqdq,ssse3")]
     unsafe fn fold(crc: u8, data: &[u8]) -> u8 {
         let mut blocks = data.chunks_exact(16);

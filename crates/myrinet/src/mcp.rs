@@ -124,7 +124,10 @@ impl MapMsg {
     ///
     /// Panics if a route exceeds 255 hops or a map exceeds 65535 entries —
     /// both impossible on a Myrinet fabric (the wire format caps them).
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the wire format caps routes at 255 hops and maps at 65535 entries"
+    )]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
@@ -139,7 +142,6 @@ impl MapMsg {
                 out.extend_from_slice(&mapper.0.to_be_bytes());
                 out.push(target.0);
                 out.push(target.1);
-                // lint: allow(expect) the wire format caps routes at 255 hops
                 out.push(u8::try_from(reply_route.len()).expect("route too long"));
                 out.extend_from_slice(reply_route);
             }
@@ -167,19 +169,16 @@ impl MapMsg {
                 out.extend_from_slice(&mapper.0.to_be_bytes());
                 out.extend_from_slice(
                     &u16::try_from(entries.len())
-                        // lint: allow(expect) the wire format caps maps at 65535 entries
                         .expect("too many entries")
                         .to_be_bytes(),
                 );
                 for (eth, route) in entries {
                     out.extend_from_slice(&eth.octets());
-                    // lint: allow(expect) the wire format caps routes at 255 hops
                     out.push(u8::try_from(route.len()).expect("route too long"));
                     out.extend_from_slice(route);
                 }
                 out.extend_from_slice(
                     &u16::try_from(present.len())
-                        // lint: allow(expect) the wire format caps maps at 65535 entries
                         .expect("too many present")
                         .to_be_bytes(),
                 );

@@ -282,7 +282,6 @@ mod filler {
     /// # Safety
     ///
     /// The CPU must support AVX2.
-    // SAFETY: a declaration; its one caller, `fill_avx2`, detects AVX2 first.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn fill_avx2_unchecked(out: &mut [u8], x: u64) {

@@ -28,7 +28,6 @@
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod campaign;
 pub mod detection;

@@ -87,7 +87,10 @@ pub fn fan_out<T: Send, E: Send, W: FnMut(usize) -> Result<T, E>>(
                 *slot = Some(run(i));
             }
         };
-        // lint: allow(thread-spawn) the one campaign fan-out: results land in index-ordered slots, so the schedule cannot reach any output byte
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one campaign fan-out: results land in index-ordered slots, so the schedule cannot reach any output byte"
+        )]
         std::thread::scope(|scope| {
             for _ in 1..workers.min(n) {
                 scope.spawn(work);

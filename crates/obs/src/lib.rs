@@ -38,7 +38,6 @@
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod event;
 pub mod export;

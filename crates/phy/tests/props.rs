@@ -180,8 +180,8 @@ fn link_timing_monotone() {
 /// one only under the disparity it corrects.
 #[test]
 fn b8b10_decode_table_matches_encoder_inverse() {
-    use std::collections::HashMap;
-    let mut reference: HashMap<u16, Byte8> = HashMap::new();
+    use std::collections::BTreeMap;
+    let mut reference: BTreeMap<u16, Byte8> = BTreeMap::new();
     for rd in [Disparity::Minus, Disparity::Plus] {
         for b in 0..=255u8 {
             for byte in [Byte8::Data(b), Byte8::Special(b)] {

@@ -138,9 +138,11 @@ impl Default for SharedBytes {
 }
 
 impl From<Vec<u8>> for SharedBytes {
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "packets are KiB-scale; a 4 GiB wire image is a caller bug"
+    )]
     fn from(v: Vec<u8>) -> SharedBytes {
-        // lint: allow(expect) packets are KiB-scale; a 4 GiB wire image is a caller bug
         let end = u32::try_from(v.len()).expect("wire image over 4 GiB");
         SharedBytes { data: Arc::new(v), start: 0, end }
     }

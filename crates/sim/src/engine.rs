@@ -530,14 +530,16 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     ///
     /// Panics if the component table would exceed the sub-tick key
     /// scheme's source-slot capacity (2²⁴ − 2 components).
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the slot-capacity assert above already bounds the table"
+    )]
     pub fn add_component(&mut self, component: Box<dyn Component<M>>) -> ComponentId {
         // Slot `id + 1` must fit the 24 bits above the emission counter.
         assert!(
             self.core.arena.len() < (1usize << (64 - EMIT_BITS)) - 1,
             "too many components for the sub-tick key scheme"
         );
-        // lint: allow(expect) the slot-capacity assert above already bounds the table
         let id = ComponentId(u32::try_from(self.core.arena.len()).expect("too many components"));
         self.core.arena.push(component);
         id

@@ -63,7 +63,6 @@
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub(crate) mod arena;
 pub mod bytes;

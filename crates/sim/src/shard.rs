@@ -585,7 +585,10 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
         };
 
         let mut budget_hit = false;
-        // lint: allow(thread-spawn) conservative-window fan-out: workers only execute pre-determined per-shard batches between barriers; merge order is a pure function of simulation state, so the schedule cannot reach any output byte
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "conservative-window fan-out: workers only execute pre-determined per-shard batches between barriers; merge order is a pure function of simulation state, so the schedule cannot reach any output byte"
+        )]
         std::thread::scope(|scope| {
             for lend in &lent {
                 let (barrier, exit, run_chunk) = (&barrier, &exit, &run_chunk);
@@ -933,6 +936,10 @@ mod tests {
     /// wait a thread publishes the phase it finished; after it, every
     /// thread must have published that phase and none can be more than
     /// one ahead. Returns whether that held, and the barrier's wait split.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a barrier is tested on real threads"
+    )]
     fn drive_barrier(threads: usize, phases: u64, spin: u32) -> (bool, (u64, u64)) {
         let barrier = PhaseBarrier::new(threads, spin);
         let done: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();

@@ -92,12 +92,14 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; checked_duration_since is the fallible form"
+    )]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
-                // lint: allow(expect) documented panic; checked_duration_since is the fallible form
                 .expect("duration_since: earlier is later than self"),
         )
     }
@@ -165,7 +167,10 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `bits_per_sec` is zero.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; a >213-day transfer is a caller bug"
+    )]
     pub fn from_bits(bits: u64, bits_per_sec: u64) -> Self {
         assert!(bits_per_sec > 0, "bits_per_sec must be non-zero");
         // ps = bits * 1e12 / bps. Any realistic transfer (bits < ~1.8e7,
@@ -176,7 +181,6 @@ impl SimDuration {
             return SimDuration(product.div_ceil(bits_per_sec));
         }
         let ps = (bits as u128 * 1_000_000_000_000u128).div_ceil(bits_per_sec as u128);
-        // lint: allow(expect) documented panic; a >213-day transfer is a caller bug
         SimDuration(u64::try_from(ps).expect("duration overflows u64 picoseconds"))
     }
 
@@ -208,9 +212,11 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; overflow is a bug"
+    )]
     fn add(self, d: SimDuration) -> SimTime {
-        // lint: allow(expect) operator impls cannot return Result; overflow is a bug
         SimTime(self.0.checked_add(d.0).expect("SimTime overflow"))
     }
 }
@@ -223,9 +229,11 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; underflow is a bug"
+    )]
     fn sub(self, d: SimDuration) -> SimTime {
-        // lint: allow(expect) operator impls cannot return Result; underflow is a bug
         SimTime(self.0.checked_sub(d.0).expect("SimTime underflow"))
     }
 }
@@ -239,9 +247,11 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; overflow is a bug"
+    )]
     fn add(self, other: SimDuration) -> SimDuration {
-        // lint: allow(expect) operator impls cannot return Result; overflow is a bug
         SimDuration(self.0.checked_add(other.0).expect("SimDuration overflow"))
     }
 }
@@ -254,12 +264,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; underflow is a bug"
+    )]
     fn sub(self, other: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(other.0)
-                // lint: allow(expect) operator impls cannot return Result; underflow is a bug
                 .expect("SimDuration underflow"),
         )
     }
@@ -273,9 +285,11 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; overflow is a bug"
+    )]
     fn mul(self, n: u64) -> SimDuration {
-        // lint: allow(expect) operator impls cannot return Result; overflow is a bug
         SimDuration(self.0.checked_mul(n).expect("SimDuration overflow"))
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full offline gate: build, test, clippy, doc, lint, compare. Zero
+# The full offline gate: build, test, clippy, doc, compare. Zero
 # network access, zero external crates, no flags and no environment
 # variables of its own. Two questions, one home each:
 #   "is it the same bytes"  -> the test stage (tests/determinism.rs pins
@@ -13,6 +13,7 @@ echo "== build (release, offline) =="
 cargo build --release --workspace --offline
 
 echo "== test (offline) =="
+# netfi-lint's three rules run here too (crates/lint/tests/workspace_clean.rs).
 cargo test -q --workspace --offline
 # The two crates with `unsafe` kernels (CRC-8 fold, payload filler) are
 # tested again optimised: their differential tests must hold in the code
@@ -20,30 +21,12 @@ cargo test -q --workspace --offline
 cargo test -q --release --offline -p netfi-myrinet -p netfi-netstack --lib
 
 echo "== clippy (-D warnings) =="
+# Panic-freedom, SAFETY comments and the determinism bans: the root
+# Cargo.toml's [workspace.lints.clippy] and clippy.toml.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== rustdoc (warning-free, missing_docs denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
-
-echo "== lint (netfi-lint workspace invariants) =="
-# One pass per file covers every per-line rule (fork-not-clone and
-# relaxed-atomic among them) plus dead-suppression; a non-zero exit on
-# any of them fails the gate here (set -e). The JSON artifact is what CI
-# tooling consumes; the text run above it is for humans reading the log.
-# The suppression-budget ratchet itself lives in
-# crates/lint/tests/workspace_clean.rs, already enforced by the test
-# stage above. The wall time is recorded — it must stay instant-feeling.
-lint_start=$(date +%s%N)
-./target/release/netfi-lint .
-./target/release/netfi-lint --format json . > target/LINT.json
-echo "lint wall time: $(( ($(date +%s%N) - lint_start) / 1000000 )) ms (two full scans)"
-for key in files suppressions violations; do
-    grep -q "\"$key\"" target/LINT.json || {
-        echo "target/LINT.json is missing the \"$key\" key"
-        exit 1
-    }
-done
-echo "artifact: target/LINT.json"
 
 echo "== compare (benchmark, this build vs bench/baseline/) =="
 # Every workload of BENCHMARK.json runs three times at its run_seconds,

@@ -26,7 +26,6 @@
 //! inventory.
 
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub use netfi_core as injector;
 pub use netfi_detect as detect;

@@ -16,6 +16,10 @@
 
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a cost guard times itself: the wall clock is the measurement"
+)]
 
 use std::time::Instant;
 
