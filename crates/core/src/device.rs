@@ -30,7 +30,6 @@
 //! and the next repeat opens whatever the new configuration makes of it: a
 //! train passing whole, a swapped train, or single symbols.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use netfi_myrinet::addr::EthAddr;
@@ -42,7 +41,7 @@ use netfi_myrinet::packet::PacketType;
 use netfi_sim::{Component, ComponentId, Context, SimDuration, SimTime};
 
 use crate::capture::CaptureBuffer;
-use netfi_obs::{FlightRecorder, Recorder, Sink};
+use netfi_obs::{FlightRecorder, Recorder};
 use crate::command::{Command, CommandDecoder, DirSelect};
 use crate::config::{ControlInject, InjectorConfig};
 use crate::corrupt::{ControlCorrupt, CorruptMode};
@@ -890,14 +889,6 @@ impl Component<Ev> for InjectorDevice {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())
     }
@@ -957,12 +948,6 @@ mod tests {
         }
         fn fork(&self) -> Box<dyn Component<Ev>> {
             Box::new(self.clone())
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -19,8 +19,6 @@ use netfi_myrinet::event::Ev;
 use netfi_netstack::{HostCmd, UdpDatagram};
 use netfi_sim::{Component, ComponentId, Context, SimDuration};
 
-use std::any::Any;
-
 /// Destination UDP port heartbeats are addressed to. Unclaimed by the
 /// host stack's services (echo, ping, sink), so arrivals are counted and
 /// flight-recorded but never answered.
@@ -169,14 +167,6 @@ impl Component<Ev> for Heartbeater {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn fork(&self) -> Box<dyn Component<Ev>> {

@@ -765,7 +765,6 @@ mod tests {
     use super::*;
     use netfi_phy::Link;
     use netfi_sim::{Component, ComponentId, Engine};
-    use std::any::Any;
 
     /// A component wrapping one egress port, for driving in tests.
     #[derive(Clone)]
@@ -799,12 +798,6 @@ mod tests {
                 _ => {}
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
         fn fork(&self) -> Box<dyn Component<Ev>> {
             Box::new(self.clone())
         }
@@ -820,12 +813,6 @@ mod tests {
             if let Ev::Rx { frame, .. } = ev {
                 self.rx.push((ctx.now(), frame));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
         fn fork(&self) -> Box<dyn Component<Ev>> {
             Box::new(self.clone())

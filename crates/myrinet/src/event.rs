@@ -259,12 +259,6 @@ mod tests {
                 self.rx.push((port, frame));
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
         fn fork(&self) -> Box<dyn Component<Ev>> {
             Box::new(self.clone())
         }
@@ -293,12 +287,6 @@ mod tests {
 
     impl Component<Ev> for NotAProbe {
         fn on_event(&mut self, _ctx: &mut Context<'_, Ev>, _ev: Ev) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
         fn fork(&self) -> Box<dyn Component<Ev>> {
             Box::new(NotAProbe)
         }

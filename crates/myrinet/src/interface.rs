@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
-use netfi_obs::{Recorder, Sink};
+use netfi_obs::Recorder;
 use netfi_phy::ControlSymbol;
 use netfi_sim::{Context, DetRng, SimDuration, SimTime};
 
@@ -129,6 +129,15 @@ pub struct InterfaceStats {
     pub routes_installed: u64,
 }
 
+/// Mapping period — "performed once every second".
+const MAPPING_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// How long the mapper waits for scout replies.
+const SCOUT_WINDOW: SimDuration = SimDuration::from_ms(20);
+
+/// How long a deferring MCP waits before reclaiming the mapper role.
+const DEFERENCE_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
 /// Configuration for a [`HostInterface`].
 #[derive(Debug, Clone)]
 pub struct InterfaceConfig {
@@ -143,12 +152,6 @@ pub struct InterfaceConfig {
     pub topology: Topology,
     /// Whether this MCP participates in mapper election.
     pub can_map: bool,
-    /// Mapping period — "performed once every second".
-    pub mapping_interval: SimDuration,
-    /// How long the mapper waits for scout replies.
-    pub scout_window: SimDuration,
-    /// How long a deferring MCP waits before reclaiming the mapper role.
-    pub deference_timeout: SimDuration,
     /// Seed for the mapper's confusion behaviour (Figure 11).
     pub seed: u64,
     /// Receive slack-buffer capacity in bytes (the NIC's slack buffer of
@@ -178,9 +181,6 @@ impl InterfaceConfig {
             attachment,
             topology,
             can_map: true,
-            mapping_interval: SimDuration::from_secs(1),
-            scout_window: SimDuration::from_ms(20),
-            deference_timeout: SimDuration::from_secs(3),
             seed: addr.0 ^ 0x6e65_7466_695f_6966, // "netfi_if"
             rx_capacity: 8192,
             rx_high: 4096,
@@ -259,7 +259,7 @@ impl HostInterface {
         if self.config.can_map {
             self.round_gen += 1;
             ctx.send_self(
-                self.config.mapping_interval,
+                MAPPING_INTERVAL,
                 Ev::Timer {
                     kind: timer_kind(timer_class::MAPPING_ROUND, 0),
                     gen: self.round_gen,
@@ -293,14 +293,6 @@ impl HostInterface {
     pub fn set_can_map(&mut self, on: bool) {
         self.config.can_map = on;
         self.mapping_active = on;
-    }
-
-    /// Adjusts how long the mapper waits for scout replies (call before
-    /// the simulation starts). Campaigns that hold wormhole paths for the
-    /// ~50 ms long-period timeout need a window beyond that, or replies
-    /// arrive after collection closes and nodes flap out of the map.
-    pub fn set_scout_window(&mut self, window: SimDuration) {
-        self.config.scout_window = window;
     }
 
     /// Reconfigures the receive slack buffer and drain rate (call before
@@ -444,11 +436,6 @@ impl HostInterface {
         self.egress.enqueue(ctx, Frame::packet(wire));
         self.stats.tx_data += 1;
         Ok(())
-    }
-
-    /// Transmits a pre-built packet (tests and experiment harnesses).
-    pub fn send_raw(&mut self, ctx: &mut Context<'_, Ev>, frame: Frame) {
-        self.egress.enqueue(ctx, frame);
     }
 
     /// Handles a frame arriving from the link.
@@ -656,7 +643,7 @@ impl HostInterface {
                     self.start_round(ctx);
                 }
                 ctx.send_self(
-                    self.config.mapping_interval,
+                    MAPPING_INTERVAL,
                     Ev::Timer {
                         kind: timer_kind(timer_class::MAPPING_ROUND, 0),
                         gen: self.round_gen,
@@ -674,7 +661,7 @@ impl HostInterface {
                     self.round_gen += 1;
                     self.start_round(ctx);
                     ctx.send_self(
-                        self.config.mapping_interval,
+                        MAPPING_INTERVAL,
                         Ev::Timer {
                             kind: timer_kind(timer_class::MAPPING_ROUND, 0),
                             gen: self.round_gen,
@@ -724,7 +711,7 @@ impl HostInterface {
         }
         self.window_gen += 1;
         ctx.send_self(
-            self.config.scout_window,
+            SCOUT_WINDOW,
             Ev::Timer {
                 kind: timer_kind(timer_class::SCOUT_WINDOW, 0),
                 gen: self.window_gen,
@@ -741,7 +728,7 @@ impl HostInterface {
             self.defer_gen += 1;
             if self.config.can_map {
                 ctx.send_self(
-                    self.config.deference_timeout,
+                    DEFERENCE_TIMEOUT,
                     Ev::Timer {
                         kind: timer_kind(timer_class::TAKEOVER, 0),
                         gen: self.defer_gen,
@@ -907,7 +894,6 @@ mod tests {
     use crate::switch::{Switch, SwitchConfig};
     use netfi_phy::Link;
     use netfi_sim::{Component, ComponentId, Engine, SimTime};
-    use std::any::Any;
 
     /// Minimal host wrapping a HostInterface (netfi-netstack provides the
     /// full-featured version).
@@ -951,12 +937,6 @@ mod tests {
                 },
                 _ => {}
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
         fn fork(&self) -> Box<dyn Component<Ev>> {
             Box::new(self.clone())

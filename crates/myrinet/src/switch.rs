@@ -41,10 +41,9 @@
 //! inputs that were woken. Debug builds check the superset after every
 //! event; [`Switch::arbitration`] counts the attempts.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
-use netfi_obs::{Recorder, Sink};
+use netfi_obs::Recorder;
 use netfi_phy::ControlSymbol;
 use netfi_sim::{Component, ComponentId, Context, SimDuration, SimTime};
 
@@ -916,14 +915,6 @@ impl Component<Ev> for Switch {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())
     }
@@ -1002,12 +993,6 @@ mod tests {
                 }
                 _ => {}
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
         fn fork(&self) -> Box<dyn Component<Ev>> {
             Box::new(self.clone())
@@ -1352,12 +1337,6 @@ mod tests {
             if let Ev::Rx { port, frame } = ev {
                 self.seen.push((ctx.now(), port, frame));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
         fn fork(&self) -> Box<dyn Component<Ev>> {
             Box::new(self.clone())

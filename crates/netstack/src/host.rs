@@ -10,7 +10,6 @@
 //! needs: UDP echo, ping-pong latency measurement, flood ping and
 //! fixed-interval message senders.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use netfi_myrinet::addr::EthAddr;
@@ -18,7 +17,7 @@ use netfi_myrinet::egress::{split_timer_kind, timer_class, timer_kind, Cut};
 use netfi_myrinet::event::{Attach, Ev, PortPeer};
 use netfi_myrinet::interface::{Delivery, HostInterface, InterfaceConfig};
 use netfi_sim::metrics::Summary;
-use netfi_obs::{FlightRecorder, Recorder, Sink, Stamped};
+use netfi_obs::{FlightRecorder, Recorder, Stamped};
 use netfi_sim::{Component, Context, DetRng, SharedBytes, SimDuration, SimTime};
 
 use crate::udp::{payload_avoiding, payload_avoiding_into, UdpDatagram, UdpError};
@@ -577,14 +576,6 @@ impl Component<Ev> for Host {
             }
             Ev::Serial(_) => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn fork(&self) -> Box<dyn Component<Ev>> {

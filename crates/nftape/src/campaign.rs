@@ -2,10 +2,9 @@
 //!
 //! NFTAPE separates *what to inject* from *how to run it*: an operator
 //! writes a campaign description, the framework programs the injector and
-//! collects results. [`CampaignSpec`] is that description — serializable
-//! through the hand-rolled line/JSON codec in [`crate::serialize`], so
-//! campaigns can be stored, diffed and replayed — and [`run_campaign`]
-//! executes it against the prebuilt scenarios.
+//! collects results. [`CampaignSpec`] is that description — a fault, a
+//! seed and a window, so the same spec replays the same run — and
+//! [`run_campaign`] executes it against the prebuilt scenarios.
 
 use netfi_phy::ControlSymbol;
 use netfi_sim::{NullProbe, Probe, SimDuration};
@@ -13,7 +12,7 @@ use netfi_sim::{NullProbe, Probe, SimDuration};
 use crate::results::{RunResult, ScenarioError};
 use crate::scenarios::{address, control, latency, ptype, random, udpcheck};
 
-/// A control symbol, in serializable form.
+/// A control symbol, as a campaign spec names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SymbolSpec {
     /// Packet separator.
@@ -98,18 +97,14 @@ pub struct CampaignSpec {
     pub window_secs: u64,
 }
 
-pub(crate) fn default_window() -> u64 {
-    6
-}
-
 impl CampaignSpec {
-    /// Creates a campaign with the default window.
+    /// Creates a campaign with a 6 s window.
     pub fn new(name: impl Into<String>, fault: FaultSpec, seed: u64) -> CampaignSpec {
         CampaignSpec {
             name: name.into(),
             fault,
             seed,
-            window_secs: default_window(),
+            window_secs: 6,
         }
     }
 }

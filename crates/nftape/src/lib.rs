@@ -37,7 +37,6 @@ pub mod report;
 pub mod results;
 pub mod runner;
 pub mod scenarios;
-pub mod serialize;
 pub mod topo;
 
 pub use campaign::{run_campaign, run_campaigns_with_workers, CampaignSpec, FaultSpec};
@@ -55,5 +54,5 @@ pub use observed::{
 };
 pub use report::{registry_tables, Table};
 pub use results::{RunResult, ScenarioError};
-pub use runner::{default_workers, worker_count};
+pub use runner::default_workers;
 pub use topo::{build_fabric, build_fabric_probed, fabric_digest, Fabric, TopoOptions};

@@ -51,9 +51,6 @@ impl std::error::Error for ScenarioError {
 }
 
 /// The outcome of one campaign run, in the units the paper reports.
-///
-/// Serializes to JSON through [`RunResult::to_json`] (hand-rolled, no
-/// external dependencies — see [`crate::serialize`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunResult {
     /// Run label (e.g. "STOP->GAP" or "Experiment 3").
@@ -142,15 +139,5 @@ mod tests {
         let r = RunResult::new("x", 1, 1, 1.0).with_extra("added_latency_ns", 250.0);
         assert_eq!(r.extra("added_latency_ns"), Some(250.0));
         assert_eq!(r.extra("missing"), None);
-    }
-
-    #[test]
-    fn json_writer_emits_all_fields() {
-        let r = RunResult::new("ser", 10, 9, 2.0).with_extra("k", 1.5);
-        let json = r.to_json();
-        assert!(json.contains("\"name\":\"ser\""));
-        assert!(json.contains("\"sent\":10"));
-        assert!(json.contains("\"received\":9"));
-        assert!(json.contains("\"k\":1.5"));
     }
 }

@@ -29,15 +29,6 @@ pub fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
-/// Resolves a `--workers` style request: an explicit request wins (it is
-/// how the determinism tests pin 1-vs-N), otherwise one worker per core.
-pub fn worker_count(requested: Option<usize>) -> usize {
-    match requested {
-        Some(n) if n > 0 => n,
-        _ => default_workers(),
-    }
-}
-
 /// Runs every index `i < n` over `workers` threads and returns the
 /// results in index order — the one fan-out every campaign driver uses
 /// (DESIGN.md §10).

@@ -18,7 +18,7 @@ use crate::event::{EventKind, ObsEvent, Stamped};
 use crate::registry::Registry;
 
 /// Appends `s` to `out`, escaped for embedding in a JSON string literal.
-pub fn escape_json(s: &str, out: &mut String) {
+fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

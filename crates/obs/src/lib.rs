@@ -15,12 +15,9 @@
 //! - [`event::ObsEvent`]: one observation — an instant, a span edge or a
 //!   sampled value — tagged with a static scope (the layer that emitted
 //!   it) and name.
-//! - [`sink::Sink`]: the static-dispatch emission trait. Instrumented code
-//!   is generic over its sink; with [`sink::NullSink`] every call inlines
-//!   to nothing, so the disabled path costs nothing measurable.
-//! - [`record::Recorder`]: a runtime-armable sink components embed. It is
-//!   disarmed by default (a `None` branch, no storage) and arms into a
-//!   bounded [`flight::FlightRecorder`].
+//! - [`record::Recorder`]: the emission point every instrumented
+//!   component owns. It is disarmed by default — a `None` branch, no
+//!   storage — and arms into a bounded [`flight::FlightRecorder`].
 //! - [`flight::FlightRecorder`]: the bounded, allocation-free ring that
 //!   plays the SDRAM capture memory's role — it keeps the last N records
 //!   around an injection trigger and is subject to
@@ -46,7 +43,6 @@ pub mod hist;
 pub mod probe;
 pub mod record;
 pub mod registry;
-pub mod sink;
 
 pub use event::{EventKind, ObsEvent, Stamped};
 pub use flight::FlightRecorder;
@@ -54,4 +50,3 @@ pub use hist::{exact_percentiles, LogHistogram, Percentiles};
 pub use probe::DispatchProbe;
 pub use record::Recorder;
 pub use registry::Registry;
-pub use sink::{NullSink, Sink};

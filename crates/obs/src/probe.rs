@@ -223,12 +223,6 @@ mod tests {
                     ctx.send_self(netfi_sim::SimDuration::from_ns(1), payload - 1);
                 }
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
             fn fork(&self) -> Box<dyn netfi_sim::Component<u32>> {
                 Box::new(Nop)
             }

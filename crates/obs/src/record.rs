@@ -7,13 +7,18 @@
 //! the paper's device idles transparently until NFTAPE programs it over
 //! the serial line.
 
+// netfi-lint: deny(hot-path-alloc)
+//
+// Every instrumented component emits through `Recorder::emit` on its
+// per-frame paths. Arming reserves the ring once; an emission writes in
+// place or, disarmed, does nothing.
+
 use netfi_sim::SimTime;
 
 use crate::event::{ObsEvent, Stamped};
 use crate::flight::FlightRecorder;
-use crate::sink::Sink;
 
-/// A runtime-armable bounded event sink.
+/// A runtime-armable bounded event recorder.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     ring: Option<FlightRecorder<ObsEvent>>,
@@ -64,9 +69,7 @@ impl Recorder {
     pub fn dropped(&self) -> u64 {
         self.ring.as_ref().map_or(0, |r| r.dropped())
     }
-}
 
-impl Sink for Recorder {
     #[inline]
     fn emit(&mut self, time: SimTime, event: ObsEvent) {
         if let Some(ring) = &mut self.ring {
@@ -74,9 +77,28 @@ impl Sink for Recorder {
         }
     }
 
+    /// Records a point observation.
     #[inline]
-    fn enabled(&self) -> bool {
-        self.ring.is_some()
+    pub fn instant(&mut self, time: SimTime, scope: &'static str, name: &'static str, value: u64) {
+        self.emit(time, ObsEvent::instant(scope, name, value));
+    }
+
+    /// Records a span-opening edge.
+    #[inline]
+    pub fn begin(&mut self, time: SimTime, scope: &'static str, name: &'static str, value: u64) {
+        self.emit(time, ObsEvent::begin(scope, name, value));
+    }
+
+    /// Records a span-closing edge.
+    #[inline]
+    pub fn end(&mut self, time: SimTime, scope: &'static str, name: &'static str, value: u64) {
+        self.emit(time, ObsEvent::end(scope, name, value));
+    }
+
+    /// Records a sampled value.
+    #[inline]
+    pub fn sample(&mut self, time: SimTime, scope: &'static str, name: &'static str, value: u64) {
+        self.emit(time, ObsEvent::sample(scope, name, value));
     }
 }
 
@@ -87,7 +109,7 @@ mod tests {
     #[test]
     fn disarmed_discards_everything() {
         let mut r = Recorder::disarmed();
-        assert!(!r.enabled());
+        assert!(!r.is_armed());
         r.instant(SimTime::ZERO, "a", "b", 1);
         assert!(r.is_empty());
         assert_eq!(r.events().count(), 0);
@@ -97,7 +119,7 @@ mod tests {
     fn armed_captures_bounded() {
         let mut r = Recorder::default();
         r.arm(2);
-        assert!(r.is_armed() && r.enabled());
+        assert!(r.is_armed());
         for i in 0..3u64 {
             r.instant(SimTime::from_ns(i), "s", "n", i);
         }

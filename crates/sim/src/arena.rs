@@ -129,7 +129,6 @@ impl<M: 'static> ComponentArena<M> {
 mod tests {
     use super::*;
     use crate::engine::Context;
-    use std::any::Any;
 
     #[derive(Debug, Clone, Default)]
     struct Tick(u32);
@@ -137,12 +136,6 @@ mod tests {
     impl Component<u32> for Tick {
         fn on_event(&mut self, _ctx: &mut Context<'_, u32>, payload: u32) {
             self.0 += payload;
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
         fn fork(&self) -> Box<dyn Component<u32>> {
             Box::new(self.clone())

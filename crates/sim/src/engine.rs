@@ -65,9 +65,10 @@ impl fmt::Display for ComponentId {
 
 /// A simulated entity that reacts to events.
 ///
-/// Implementors also supply the `as_any` hooks so experiment harnesses can
-/// downcast components back to their concrete types after a run (see
-/// [`Engine::component_as`]).
+/// Implementors write [`Component::on_event`] and [`Component::fork`]; the
+/// `as_any` upcasts that let experiment harnesses downcast a component
+/// back to its concrete type after a run (see [`Engine::component_as`])
+/// are provided.
 ///
 /// `Send` is a supertrait so any engine can be decomposed into a
 /// [`crate::shard::ShardedEngine`], whose affinity groups execute on scoped
@@ -77,15 +78,19 @@ impl fmt::Display for ComponentId {
 /// everywhere in this workspace, so the bounds cost nothing; `Send` rules
 /// out `Rc` and `Sync` rules out `Cell`/`RefCell` state, either of which
 /// would also defeat the determinism story.
-pub trait Component<M>: 'static + Send + Sync {
+pub trait Component<M>: 'static + Send + Sync + sealed::Upcast {
     /// Called when an event addressed to this component becomes due.
     fn on_event(&mut self, ctx: &mut Context<'_, M>, payload: M);
 
     /// Upcast for downcasting by harnesses.
-    fn as_any(&self) -> &dyn Any;
+    fn as_any(&self) -> &dyn Any {
+        self.upcast()
+    }
 
     /// Mutable upcast for downcasting by harnesses.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.upcast_mut()
+    }
 
     /// Deep-copies the component for an [`EngineSnapshot`].
     ///
@@ -98,6 +103,28 @@ pub trait Component<M>: 'static + Send + Sync {
     /// body as `Box::new(self.clone())` — `netfi-lint`'s `fork-not-clone`
     /// rule rejects anything else outside test code.
     fn fork(&self) -> Box<dyn Component<M>>;
+}
+
+mod sealed {
+    use std::any::Any;
+
+    /// The one body behind [`super::Component::as_any`]: a default method
+    /// cannot coerce `&Self` to `&dyn Any` itself, since `Self` may be
+    /// unsized there. The blanket impl covers every type, and the private
+    /// module keeps anyone from writing another.
+    pub trait Upcast {
+        fn upcast(&self) -> &dyn Any;
+        fn upcast_mut(&mut self) -> &mut dyn Any;
+    }
+
+    impl<T: Any> Upcast for T {
+        fn upcast(&self) -> &dyn Any {
+            self
+        }
+        fn upcast_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
 }
 
 /// What lets an `ArenaSlot` derive `Clone`, and so what the component
@@ -871,12 +898,6 @@ mod tests {
         fn on_event(&mut self, ctx: &mut Context<'_, u32>, payload: u32) {
             self.seen.push((ctx.now().as_ps() / 1000, payload));
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
         fn fork(&self) -> Box<dyn Component<u32>> {
             Box::new(self.clone())
         }
@@ -900,12 +921,6 @@ mod tests {
                 ctx.stop();
             }
             self.remaining = payload;
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
         fn fork(&self) -> Box<dyn Component<u32>> {
             Box::new(self.clone())
@@ -1154,12 +1169,6 @@ mod tests {
         fn on_event(&mut self, ctx: &mut Context<'_, u32>, payload: u32) {
             ctx.send_self(SimDuration::ZERO, payload);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
         fn fork(&self) -> Box<dyn Component<u32>> {
             Box::new(Livelock)
         }
@@ -1220,12 +1229,6 @@ mod tests {
                     ctx.send(dst, SimDuration::from_ns(10), self.base);
                     ctx.send(dst, SimDuration::from_ns(10), self.base + 1);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
             fn fork(&self) -> Box<dyn Component<u32>> {
                 Box::new(self.clone())

@@ -48,8 +48,6 @@
 //!             ctx.send_self(SimDuration::from_ns(10), payload - 1);
 //!         }
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //!     fn fork(&self) -> Box<dyn Component<u32>> { Box::new(self.clone()) }
 //! }
 //!

@@ -76,8 +76,6 @@
 //!             }
 //!         }
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //!     fn fork(&self) -> Box<dyn Component<u64>> { Box::new(self.clone()) }
 //! }
 //!
@@ -742,7 +740,6 @@ mod tests {
     use super::*;
     use crate::engine::NullProbe;
     use crate::{Component, Context, Engine};
-    use std::any::Any;
 
     /// Relays a countdown to its peer with a fixed delay, recording every
     /// delivery.
@@ -761,12 +758,6 @@ mod tests {
                     ctx.send(peer, self.delay, payload - 1);
                 }
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
         fn fork(&self) -> Box<dyn Component<u64>> {
             Box::new(self.clone())
@@ -830,12 +821,6 @@ mod tests {
         struct Hub;
         impl Component<u64> for Hub {
             fn on_event(&mut self, _ctx: &mut Context<'_, u64>, _p: u64) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
             fn fork(&self) -> Box<dyn Component<u64>> {
                 Box::new(Hub)
             }
@@ -1124,12 +1109,6 @@ mod tests {
         impl Component<u64> for Livelock {
             fn on_event(&mut self, ctx: &mut Context<'_, u64>, payload: u64) {
                 ctx.send_self(SimDuration::ZERO, payload);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
             fn fork(&self) -> Box<dyn Component<u64>> {
                 Box::new(Livelock)

@@ -12,7 +12,6 @@ use netfi_sim::{
     Component, ComponentId, Context, DetRng, Engine, Fnv1a, NullProbe, RunBudget, ShardSpec,
     ShardedEngine, SimDuration, SimTime, Simulation, TimingWheel,
 };
-use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -381,12 +380,6 @@ impl Component<u64> for Recorder {
     fn on_event(&mut self, ctx: &mut Context<'_, u64>, payload: u64) {
         self.seen.push((ctx.now(), payload));
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn fork(&self) -> Box<dyn Component<u64>> {
         Box::new(self.clone())
     }
@@ -462,12 +455,6 @@ impl Component<u64> for Relay {
         let delay = arrival.duration_since(ctx.now());
         // A relay left unwired is a mistake in the test topology.
         ctx.send(self.next.unwrap(), delay, payload - 1);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
     fn fork(&self) -> Box<dyn Component<u64>> {
         Box::new(self.clone())

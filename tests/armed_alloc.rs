@@ -25,7 +25,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use netfi::injector::config::InjectorConfig;
@@ -107,12 +106,6 @@ impl Attach for Sink {
 
 impl Component<Ev> for Sink {
     fn on_event(&mut self, _ctx: &mut Context<'_, Ev>, _ev: Ev) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())
     }

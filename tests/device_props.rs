@@ -6,8 +6,6 @@
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::any::Any;
-
 use netfi::injector::InjectorDevice;
 use netfi::myrinet::egress::{split_timer_kind, timer_class, EgressPort};
 use netfi::myrinet::event::{connect, Attach, Ev, PortPeer};
@@ -58,12 +56,6 @@ impl Component<Ev> for Probe {
             }
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())

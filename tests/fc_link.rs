@@ -11,7 +11,6 @@
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use netfi::fc::frame::{FcAddress, FcFrame};
@@ -121,12 +120,6 @@ impl Component<Ev> for FcEndpoint {
             }
             _ => {}
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())
