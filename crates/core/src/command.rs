@@ -1,4 +1,6 @@
-//! The serial command protocol: UART → SPI → command decoder FSM.
+//! The serial command protocol: UART → command decoder FSM. (The paper's
+//! 16-bit SPI hop between the UART chip and the FPGA carries these bytes
+//! unchanged, so the model feeds them to the decoder directly.)
 //!
 //! "In a typical fault injection campaign, the user uploads a series of
 //! commands to the Command Decoder via a standard serial interface"

@@ -164,36 +164,20 @@ struct Crossing {
     carry: Carry,
 }
 
-/// Configuration of the device.
-#[derive(Debug, Clone)]
-pub struct DeviceConfig {
-    /// Name for monitoring output.
-    pub name: String,
-    /// Number of leading route bytes expected in observed packets (used
-    /// only to locate the type field for monitoring; 1 on a host link in
-    /// this model).
-    pub route_bytes_hint: usize,
-    /// Capture memory capacity (records per direction).
-    pub capture_capacity: usize,
-    /// Full-traffic capture memory capacity (frames; the SDRAM model).
-    pub traffic_capacity: usize,
-}
-
-impl Default for DeviceConfig {
-    fn default() -> Self {
-        DeviceConfig {
-            name: "injector".to_string(),
-            route_bytes_hint: 1,
-            capture_capacity: 1024,
-            traffic_capacity: 4096,
-        }
-    }
-}
+/// Leading route bytes before the type field in an observed packet: one
+/// on a host link and on a switch-to-switch trunk alike. Used only to
+/// locate the type field for monitoring.
+const ROUTE_BYTES: usize = 1;
+/// Capture memory capacity (records per direction).
+const CAPTURE_CAPACITY: usize = 1024;
+/// Full-traffic capture memory capacity (frames; the SDRAM model).
+const TRAFFIC_CAPACITY: usize = 4096;
 
 /// The in-line fault injector and monitor.
 #[derive(Clone)]
 pub struct InjectorDevice {
-    config: DeviceConfig,
+    /// Name for monitoring output.
+    name: String,
     /// Authoritative editable per-direction configurations.
     dir_configs: [InjectorConfig; 2],
     channels: [Channel; 2],
@@ -214,7 +198,7 @@ pub struct InjectorDevice {
 impl std::fmt::Debug for InjectorDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InjectorDevice")
-            .field("name", &self.config.name)
+            .field("name", &self.name)
             .field("dir_select", &self.dir_select)
             .finish_non_exhaustive()
     }
@@ -222,13 +206,14 @@ impl std::fmt::Debug for InjectorDevice {
 
 impl InjectorDevice {
     /// Creates a device in pass-through mode on both directions.
-    pub fn new(config: DeviceConfig) -> InjectorDevice {
+    pub fn with_name(name: impl Into<String>) -> InjectorDevice {
         let mk_channel = || Channel {
             injector: FifoInjector::new(InjectorConfig::passthrough()),
-            capture: CaptureBuffer::new(config.capture_capacity),
+            capture: CaptureBuffer::new(CAPTURE_CAPACITY),
             stats: ChannelStats::default(),
         };
         InjectorDevice {
+            name: name.into(),
             dir_configs: [InjectorConfig::passthrough(); 2],
             channels: [mk_channel(), mk_channel()],
             peers: [None; 2],
@@ -236,10 +221,9 @@ impl InjectorDevice {
             dir_select: DirSelect::Both,
             serial_out: Vec::new(),
             traffic_log_enabled: false,
-            traffic_log: FlightRecorder::new(config.traffic_capacity),
+            traffic_log: FlightRecorder::new(TRAFFIC_CAPACITY),
             crossings: [None; 2],
             obs: Recorder::disarmed(),
-            config,
         }
     }
 
@@ -253,17 +237,9 @@ impl InjectorDevice {
         &mut self.obs
     }
 
-    /// A device with default configuration.
-    pub fn with_name(name: impl Into<String>) -> InjectorDevice {
-        InjectorDevice::new(DeviceConfig {
-            name: name.into(),
-            ..DeviceConfig::default()
-        })
-    }
-
     /// The device's name.
     pub fn name(&self) -> &str {
-        &self.config.name
+        &self.name
     }
 
     /// Installs a configuration on one direction (the programmatic
@@ -286,7 +262,7 @@ impl InjectorDevice {
         debug_assert!(
             self.crossings.iter().all(Option::is_none),
             "{}: `{call}` while a STOP train crosses the device; send it over the serial line",
-            self.config.name
+            self.name
         );
     }
 
@@ -328,7 +304,7 @@ impl InjectorDevice {
         debug_assert!(
             self.crossings[dir.index()].is_none(),
             "{}: a STOP train crosses the device: read `fifo_stats_at`",
-            self.config.name
+            self.name
         );
         self.channels[dir.index()].injector.stats()
     }
@@ -400,14 +376,14 @@ impl InjectorDevice {
     fn monitor_packet(&mut self, dir: Direction, bytes: &[u8]) {
         let ch = &mut self.channels[dir.index()];
         ch.stats.packets += 1;
-        let hint = self.config.route_bytes_hint;
-        let Some(ptype) = PacketType::from_slice(bytes.get(hint..).unwrap_or(&[])) else {
+        let Some(ptype) = PacketType::from_slice(bytes.get(ROUTE_BYTES..).unwrap_or(&[])) else {
             return;
         };
         match ptype {
             PacketType::DATA => {
                 ch.stats.data_packets += 1;
-                if let Some(header) = EthHeader::from_slice(bytes.get(hint + 4..).unwrap_or(&[]))
+                if let Some(header) =
+                    EthHeader::from_slice(bytes.get(ROUTE_BYTES + 4..).unwrap_or(&[]))
                 {
                     *ch.stats
                         .id_counts
@@ -449,9 +425,8 @@ impl InjectorDevice {
             }
             Frame::Packet(pf) => pf,
         };
-        let hint = self.config.route_bytes_hint;
         self.log_traffic(now, dir, pf.wire_len(), || {
-            match PacketType::from_slice(pf.bytes.get(hint..).unwrap_or(&[])) {
+            match PacketType::from_slice(pf.bytes.get(ROUTE_BYTES..).unwrap_or(&[])) {
                 Some(t) => format!("{t} packet, {} bytes", pf.bytes.len()),
                 None => format!("short packet, {} bytes", pf.bytes.len()),
             }
@@ -581,7 +556,7 @@ impl InjectorDevice {
             debug_assert!(
                 !matches!(carry, Carry::Swapped(r) if r != out),
                 "{}: a swapped train opens with its swap",
-                self.config.name
+                self.name
             );
             self.crossings[d] = Some(Crossing {
                 repeats,

@@ -461,22 +461,6 @@ impl FifoInjector {
     }
 }
 
-/// One cycle-accurate step outcome of the [`FifoPipeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineStep {
-    /// An odd cycle (Figure 2): data pushed, possibly data pulled.
-    Odd {
-        /// Segment that left the FIFO toward the output circuitry, if any.
-        output: Option<u32>,
-    },
-    /// An even cycle (Figure 3): compare result applied, possibly an
-    /// overwrite in the FIFO.
-    Even {
-        /// Whether the just-pushed segment was overwritten in the FIFO.
-        injected: bool,
-    },
-}
-
 /// Cycle-accurate model of the two-phase FIFO injector of Figures 2 and 3,
 /// at aligned 32-bit segment granularity.
 #[derive(Debug, Clone)]

@@ -50,7 +50,6 @@ pub mod config;
 pub mod corrupt;
 pub mod device;
 pub mod fifo;
-pub mod media;
 pub mod random;
 pub mod synth;
 pub mod trigger;
@@ -58,9 +57,8 @@ pub mod trigger;
 pub use command::{Command, CommandDecoder, DirSelect};
 pub use config::InjectorConfig;
 pub use corrupt::{CorruptMode, CorruptUnit};
-pub use device::{DeviceConfig, Direction, InjectorDevice};
+pub use device::{Direction, InjectorDevice};
 pub use fifo::{FifoInjector, FifoPipeline};
-pub use media::{FibreChannelMedia, Gen2Injector, MediaInterface, MyrinetMedia};
 pub use random::RandomInject;
 pub use trigger::{CompareUnit, MatchMode};
 

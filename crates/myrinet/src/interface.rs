@@ -216,7 +216,6 @@ pub struct HostInterface {
     defer_gen: u64,
     window_gen: u64,
     round_gen: u64,
-    current_mapper: Option<NodeAddress>,
     last_present: Vec<EthAddr>,
 }
 
@@ -243,7 +242,6 @@ impl HostInterface {
             defer_gen: 0,
             window_gen: 0,
             round_gen: 0,
-            current_mapper: None,
             last_present: Vec::new(),
             config,
         }
@@ -345,12 +343,6 @@ impl HostInterface {
     /// Whether this MCP currently holds the mapper role.
     pub fn is_mapper(&self) -> bool {
         self.mapping_active
-    }
-
-    /// The mapper this node currently defers to (from Scout/Routes
-    /// traffic).
-    pub fn known_mapper(&self) -> Option<NodeAddress> {
-        self.current_mapper
     }
 
     /// Physical addresses present in the last Routes message received.
@@ -720,7 +712,6 @@ impl HostInterface {
     }
 
     fn defer_to(&mut self, ctx: &mut Context<'_, Ev>, mapper: NodeAddress) {
-        self.current_mapper = Some(mapper);
         if mapper > self.config.addr {
             // "the MCP with the highest address is responsible": stand down
             // and watch for the higher mapper to disappear.
@@ -854,7 +845,6 @@ impl HostInterface {
                 self.send_mapping(ctx, route, &msg);
             }
         }
-        self.current_mapper = Some(self.config.addr);
         self.last_map = Some(map);
     }
 

@@ -348,14 +348,6 @@ impl Switch {
         self.severed[port as usize]
     }
 
-    /// Per-input `(peak occupancy, overflow count)` of the slack buffers.
-    pub fn input_buffer_stats(&self) -> Vec<(usize, u64)> {
-        self.inputs
-            .iter()
-            .map(|i| (i.sbuf.peak(), i.sbuf.overflows()))
-            .collect()
-    }
-
     fn on_control(&mut self, ctx: &mut Context<'_, Ev>, port: usize, code: u8) {
         match ControlSymbol::decode_tolerant(code) {
             Some(ControlSymbol::Stop) => self.egress[port].on_flow(ctx, ControlSymbol::Stop),

@@ -1,13 +1,12 @@
 //! Point-to-point link model.
 //!
 //! A [`Link`] describes one full-duplex network segment: its signalling
-//! rate, cable length (hence propagation delay), and an optional Bernoulli
-//! bit-error process modelling the electromagnetic/radiation phenomena the
-//! paper's introduction motivates. The link is a passive descriptor —
-//! higher layers (the Myrinet network builder, the injector device) consult
-//! it to schedule deliveries and to decide which bits to flip.
+//! rate and cable length (hence propagation delay). The link is a passive
+//! descriptor — higher layers (the Myrinet network builder, the injector
+//! device) consult it to schedule deliveries. Bit errors come from the
+//! injector device, not from the link.
 
-use netfi_sim::{DetRng, SimDuration};
+use netfi_sim::SimDuration;
 
 /// Signal propagation speed in copper, ~5 ns/m (0.2 m/ns).
 pub const PROPAGATION_PS_PER_METER: u64 = 5_000;
@@ -29,7 +28,6 @@ pub const PROPAGATION_PS_PER_METER: u64 = 5_000;
 pub struct Link {
     data_rate_bps: u64,
     cable_meters: f64,
-    bit_error_rate: f64,
     // Serialization/propagation times are consulted on every frame hop,
     // so the division by the data rate is decomposed once at construction:
     // one character is 8e12 / bps picoseconds, held as quotient and
@@ -57,7 +55,6 @@ impl Link {
         Link {
             data_rate_bps,
             cable_meters,
-            bit_error_rate: 0.0,
             char8_q: CHAR_BITS_PS / data_rate_bps,
             char8_r: CHAR_BITS_PS % data_rate_bps,
             prop_ps: (cable_meters * PROPAGATION_PS_PER_METER as f64).round() as u64,
@@ -80,17 +77,6 @@ impl Link {
         Link::new(1_062_500_000, cable_meters)
     }
 
-    /// Returns this link with a Bernoulli per-bit error probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ber` is outside `[0, 1]`.
-    pub fn with_bit_error_rate(mut self, ber: f64) -> Link {
-        assert!((0.0..=1.0).contains(&ber), "BER must be in [0,1]");
-        self.bit_error_rate = ber;
-        self
-    }
-
     /// Data rate in bits per second.
     pub fn data_rate_bps(&self) -> u64 {
         self.data_rate_bps
@@ -99,11 +85,6 @@ impl Link {
     /// Cable length in meters.
     pub fn cable_meters(&self) -> f64 {
         self.cable_meters
-    }
-
-    /// Configured bit-error rate.
-    pub fn bit_error_rate(&self) -> f64 {
-        self.bit_error_rate
     }
 
     /// One-way propagation delay down the cable.
@@ -137,24 +118,6 @@ impl Link {
     /// Total first-bit-in to last-bit-out latency for a `bytes`-long frame.
     pub fn frame_latency(&self, bytes: usize) -> SimDuration {
         self.propagation_delay() + self.transfer_time(bytes)
-    }
-
-    /// Applies the link's bit-error process to a buffer in place, returning
-    /// the number of bits flipped. With a zero BER this is free.
-    pub fn apply_noise(&self, rng: &mut DetRng, buf: &mut [u8]) -> u32 {
-        if self.bit_error_rate == 0.0 || buf.is_empty() {
-            return 0;
-        }
-        let mut flipped = 0;
-        for byte in buf.iter_mut() {
-            for bit in 0..8 {
-                if rng.gen_bool(self.bit_error_rate) {
-                    *byte ^= 1 << bit;
-                    flipped += 1;
-                }
-            }
-        }
-        flipped
     }
 }
 
@@ -193,52 +156,6 @@ mod tests {
             link.frame_latency(16),
             link.transfer_time(16) + link.propagation_delay()
         );
-    }
-
-    #[test]
-    fn zero_ber_flips_nothing() {
-        let link = Link::myrinet_san(1.0);
-        let mut rng = DetRng::new(1);
-        let mut buf = [0xA5u8; 64];
-        let orig = buf;
-        assert_eq!(link.apply_noise(&mut rng, &mut buf), 0);
-        assert_eq!(buf, orig);
-    }
-
-    #[test]
-    fn ber_one_flips_everything() {
-        let link = Link::myrinet_san(1.0).with_bit_error_rate(1.0);
-        let mut rng = DetRng::new(1);
-        let mut buf = [0x00u8; 8];
-        let flipped = link.apply_noise(&mut rng, &mut buf);
-        assert_eq!(flipped, 64);
-        assert!(buf.iter().all(|&b| b == 0xFF));
-    }
-
-    #[test]
-    fn ber_statistics_are_roughly_right() {
-        let link = Link::myrinet_san(1.0).with_bit_error_rate(0.01);
-        let mut rng = DetRng::new(42);
-        let mut buf = vec![0u8; 100_000];
-        let flipped = link.apply_noise(&mut rng, &mut buf) as f64;
-        let expected = 800_000.0 * 0.01;
-        assert!((flipped - expected).abs() / expected < 0.05, "flipped={flipped}");
-    }
-
-    #[test]
-    fn noise_is_deterministic_per_seed() {
-        let link = Link::myrinet_san(1.0).with_bit_error_rate(0.1);
-        let mut a = [0u8; 32];
-        let mut b = [0u8; 32];
-        link.apply_noise(&mut DetRng::new(9), &mut a);
-        link.apply_noise(&mut DetRng::new(9), &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "BER")]
-    fn rejects_invalid_ber() {
-        let _ = Link::myrinet_san(1.0).with_bit_error_rate(1.5);
     }
 
     #[test]

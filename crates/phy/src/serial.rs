@@ -1,16 +1,11 @@
 //! The injector's serial configuration path.
 //!
-//! The paper off-loads the RS-232 UART to a separate chip; the FPGA talks to
-//! it over a 16-bit SPI protocol, and the communications handler "assembles
-//! data in the 16-bit SPI protocol format from 8-bit ASCII codes" (§3.3).
-//! This module models both hops:
-//!
-//! - [`UartConfig`] / [`UartFrame`]: RS-232 framing (start bit, 8 data bits,
-//!   optional parity, stop bits) with timing, framing-error and parity-error
-//!   detection.
-//! - [`SpiFrame`]: the 16-bit frames exchanged between the UART chip and the
-//!   FPGA — a 8-bit payload plus a direction/status tag, mirroring how the
-//!   communications handler multiplexes configuration data and interrupts.
+//! The paper off-loads the RS-232 UART to a separate chip, and the FPGA's
+//! communications handler receives the 8-bit ASCII command codes from it
+//! (§3.3). This module models the RS-232 hop: [`UartConfig`] /
+//! [`UartFrame`] give its framing (start bit, 8 data bits, optional parity,
+//! stop bits) with timing, framing-error and parity-error detection. The
+//! device itself decodes the command bytes directly.
 
 use std::error::Error;
 use std::fmt;
@@ -202,84 +197,6 @@ impl fmt::Display for UartError {
 
 impl Error for UartError {}
 
-/// Direction/kind tag of a 16-bit SPI frame between UART chip and FPGA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpiKind {
-    /// A received serial byte travelling UART → FPGA.
-    RxData,
-    /// A byte to transmit travelling FPGA → UART.
-    TxData,
-    /// UART status/interrupt word.
-    Status,
-}
-
-impl SpiKind {
-    fn tag(self) -> u8 {
-        match self {
-            SpiKind::RxData => 0x01,
-            SpiKind::TxData => 0x02,
-            SpiKind::Status => 0x03,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<SpiKind> {
-        match tag {
-            0x01 => Some(SpiKind::RxData),
-            0x02 => Some(SpiKind::TxData),
-            0x03 => Some(SpiKind::Status),
-            _ => None,
-        }
-    }
-}
-
-/// One 16-bit SPI frame: a tag byte in the high half, a payload byte in the
-/// low half — the "16-bit SPI protocol format from 8-bit ASCII codes" the
-/// paper's communications handler assembles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpiFrame {
-    /// Frame kind.
-    pub kind: SpiKind,
-    /// Payload byte (typically an ASCII command/response character).
-    pub payload: u8,
-}
-
-impl SpiFrame {
-    /// Assembles the 16-bit wire word.
-    pub fn to_word(self) -> u16 {
-        ((self.kind.tag() as u16) << 8) | self.payload as u16
-    }
-
-    /// Parses a 16-bit wire word.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiError::BadTag`] for an unknown tag byte.
-    pub fn from_word(word: u16) -> Result<SpiFrame, SpiError> {
-        let kind = SpiKind::from_tag((word >> 8) as u8).ok_or(SpiError::BadTag(word))?;
-        Ok(SpiFrame {
-            kind,
-            payload: (word & 0xFF) as u8,
-        })
-    }
-}
-
-/// SPI frame parse errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpiError {
-    /// Unknown tag byte in the high half of the word.
-    BadTag(u16),
-}
-
-impl fmt::Display for SpiError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpiError::BadTag(w) => write!(f, "unknown SPI frame tag in word {w:#06x}"),
-        }
-    }
-}
-
-impl Error for SpiError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,21 +270,6 @@ mod tests {
         // 10 bits at 9600 baud ≈ 1.0417 ms.
         let ns = slow.frame_duration().as_ns_f64();
         assert!((ns - 1_041_666.7).abs() < 1.0, "ns = {ns}");
-    }
-
-    #[test]
-    fn spi_word_roundtrip() {
-        for kind in [SpiKind::RxData, SpiKind::TxData, SpiKind::Status] {
-            for payload in [0x00, 0x41, 0xFF] {
-                let f = SpiFrame { kind, payload };
-                assert_eq!(SpiFrame::from_word(f.to_word()), Ok(f));
-            }
-        }
-    }
-
-    #[test]
-    fn spi_bad_tag_rejected() {
-        assert_eq!(SpiFrame::from_word(0x7F41), Err(SpiError::BadTag(0x7F41)));
     }
 
     #[test]

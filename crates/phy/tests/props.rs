@@ -6,7 +6,7 @@
 
 use netfi_phy::b8b10::{decode, encode, Byte8, Decoder, Disparity, Encoder};
 use netfi_phy::serial::{Parity, UartConfig};
-use netfi_phy::symbol::{ControlSymbol, Symbol};
+use netfi_phy::symbol::ControlSymbol;
 use netfi_phy::Link;
 use netfi_sim::DetRng;
 
@@ -65,21 +65,6 @@ fn b8b10_disparity_tracking_agrees() {
     }
 }
 
-/// Myrinet 9-bit characters roundtrip through their bit encoding.
-#[test]
-fn symbol_bits_roundtrip() {
-    for value in 0u8..=255 {
-        for control in [false, true] {
-            let s = if control {
-                Symbol::raw_control(value)
-            } else {
-                Symbol::data(value)
-            };
-            assert_eq!(Symbol::from_bits(s.to_bits()), s);
-        }
-    }
-}
-
 /// Tolerant decode is a superset of exact decode and never maps an exact
 /// encoding to a different symbol.
 #[test]
@@ -131,26 +116,6 @@ fn uart_parity_catches_single_data_flip() {
             frame.flip_bit(bit); // bits 1..=8 are data
             assert!(uart.deframe(&frame).is_err());
         }
-    }
-}
-
-/// Link noise is deterministic per seed and flips exactly the counted
-/// number of bits.
-#[test]
-fn link_noise_deterministic() {
-    let mut meta = DetRng::new(0x9447_0003);
-    for _ in 0..CASES {
-        let seed = meta.next_u64();
-        let len = 1 + meta.gen_index(255);
-        let link = Link::myrinet_san(1.0).with_bit_error_rate(0.05);
-        let mut a = vec![0u8; len];
-        let mut b = vec![0u8; len];
-        let fa = link.apply_noise(&mut DetRng::new(seed), &mut a);
-        let fb = link.apply_noise(&mut DetRng::new(seed), &mut b);
-        assert_eq!(a, b);
-        assert_eq!(fa, fb);
-        let set_bits: u32 = a.iter().map(|x| x.count_ones()).sum();
-        assert_eq!(set_bits, fa);
     }
 }
 

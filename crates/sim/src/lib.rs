@@ -16,7 +16,7 @@
 //!   a packet's wire image is built once and shared across links, switch
 //!   fan-out and capture snapshots without copying.
 //! - [`metrics`]: the Welford [`metrics::Summary`] behind a host's
-//!   round-trip statistics and the sim-time [`metrics::EventRate`] meter.
+//!   round-trip statistics.
 //! - [`engine::Probe`]: a compile-time observation seam on the dispatch
 //!   loop. The default [`NullProbe`] costs nothing; `netfi-obs` plugs a
 //!   real probe in to watch dispatches without perturbing the run.

@@ -1,113 +1,9 @@
 //! Measurement primitives for experiment harnesses.
 //!
 //! [`Summary`] is the Welford accumulator behind a host's round-trip
-//! statistics; [`EventRate`] reports a run's event density in simulated
-//! time.
+//! statistics.
 
 use std::fmt;
-
-use crate::time::{SimDuration, SimTime};
-
-/// Sim-time event-density meter for engine runs.
-///
-/// Bracket a simulation span between [`EventRate::start`] and
-/// [`EventRate::stop`], feeding it the engine's clock (`engine.now()`)
-/// and its `events_processed` counter, and read back events per
-/// *simulated* second and simulated nanoseconds per event. The meter is
-/// pure sim-time arithmetic — no wall clock — so two runs of the same
-/// seeded scenario produce identical reports (pinned by
-/// `tests/determinism.rs`). Wall-clock throughput belongs to the bench
-/// harness (`netfi-bench`), which may measure whatever it likes.
-///
-/// # Example
-///
-/// ```
-/// use netfi_sim::metrics::EventRate;
-/// use netfi_sim::SimTime;
-/// let meter = EventRate::start(SimTime::ZERO, 0);
-/// // ... engine.run_until(...) ...
-/// let rate = meter.stop(SimTime::from_us(1), 1_000);
-/// assert_eq!(rate.events(), 1_000);
-/// assert!(rate.events_per_sim_sec() > 0.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventRate {
-    events_at_start: u64,
-    started: SimTime,
-}
-
-impl EventRate {
-    /// Starts the meter at the engine's current time and
-    /// `events_processed` count.
-    pub fn start(now: SimTime, events_processed: u64) -> EventRate {
-        EventRate {
-            events_at_start: events_processed,
-            started: now,
-        }
-    }
-
-    /// Stops the meter at the engine's final time and `events_processed`
-    /// count. A `now` earlier than the start clamps the span to zero.
-    pub fn stop(self, now: SimTime, events_processed: u64) -> EventRateReport {
-        EventRateReport {
-            events: events_processed.saturating_sub(self.events_at_start),
-            span: now
-                .checked_duration_since(self.started)
-                .unwrap_or(SimDuration::ZERO),
-        }
-    }
-}
-
-/// The result of an [`EventRate`] measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventRateReport {
-    events: u64,
-    span: SimDuration,
-}
-
-impl EventRateReport {
-    /// Events delivered during the measured span.
-    pub fn events(self) -> u64 {
-        self.events
-    }
-
-    /// Simulated time of the measured span.
-    pub fn span(self) -> SimDuration {
-        self.span
-    }
-
-    /// Delivered events per simulated second.
-    pub fn events_per_sim_sec(self) -> f64 {
-        let secs = self.span.as_secs_f64();
-        if secs <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.events as f64 / secs
-        }
-    }
-
-    /// Simulated nanoseconds per delivered event.
-    pub fn sim_ns_per_event(self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.span.as_ns_f64() / self.events as f64
-        }
-    }
-}
-
-impl fmt::Display for EventRateReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} events in {} of sim time ({:.0} events/sim-s, {:.1} sim-ns/event)",
-            self.events,
-            self.span,
-            self.events_per_sim_sec(),
-            self.sim_ns_per_event()
-        )
-    }
-}
 
 /// Streaming mean/variance/extrema (Welford's algorithm).
 ///
@@ -152,11 +48,6 @@ impl Summary {
         self.m2 += delta * (value - self.mean);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_ns_f64());
     }
 
     /// Number of observations.
@@ -237,32 +128,6 @@ impl fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_rate_is_sim_time_arithmetic() {
-        let m = EventRate::start(SimTime::from_us(1), 100);
-        let r = m.stop(SimTime::from_us(3), 1_100);
-        assert_eq!(r.events(), 1_000);
-        assert_eq!(r.span(), SimDuration::from_us(2));
-        assert!((r.events_per_sim_sec() - 5e8).abs() < 1.0);
-        assert!((r.sim_ns_per_event() - 2.0).abs() < 1e-12);
-        // Identical inputs give identical reports: no wall clock anywhere.
-        assert_eq!(m.stop(SimTime::from_us(3), 1_100), r);
-        assert!(r.to_string().contains("events/sim-s"));
-    }
-
-    #[test]
-    fn event_rate_degenerate_spans() {
-        let m = EventRate::start(SimTime::from_us(5), 0);
-        assert_eq!(
-            m.stop(SimTime::from_us(5), 10).events_per_sim_sec(),
-            f64::INFINITY
-        );
-        // Clock moving backwards clamps to an empty span.
-        assert_eq!(m.stop(SimTime::ZERO, 10).span(), SimDuration::ZERO);
-        // No events: ns/event reads zero rather than dividing by zero.
-        assert_eq!(m.stop(SimTime::from_us(6), 0).sim_ns_per_event(), 0.0);
-    }
 
     #[test]
     fn summary_mean_and_variance() {

@@ -496,11 +496,6 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
         self.cross_events
     }
 
-    /// The shard a component is assigned to.
-    pub fn shard_of(&self, id: ComponentId) -> Option<usize> {
-        self.affinity.get(id.index()).map(|&s| s as usize)
-    }
-
     /// Borrows one shard's observation probe.
     pub fn probe(&self, shard: usize) -> Option<&P> {
         self.shards.get(shard).map(|s| &s.core.probe)

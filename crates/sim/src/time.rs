@@ -77,11 +77,6 @@ impl SimTime {
         self.0 as f64 / 1e3
     }
 
-    /// Microseconds since the origin, as a float.
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Seconds since the origin, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12

@@ -8,7 +8,7 @@
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use netfi::injector::{DeviceConfig, Direction, InjectorDevice};
+use netfi::injector::{Direction, InjectorDevice};
 use netfi::myrinet::addr::{EthAddr, NodeAddress};
 use netfi::myrinet::event::connect;
 use netfi::myrinet::interface::InterfaceConfig;
@@ -26,15 +26,10 @@ fn main() {
     let sw0 = engine.add_component(Box::new(Switch::new("sw0", 8, SwitchConfig::default())));
     let sw1 = engine.add_component(Box::new(Switch::new("sw1", 8, SwitchConfig::default())));
 
-    // The injector lives on the trunk: packets crossing it still carry a
-    // switch-bound route byte, so the monitor's type field sits one byte
-    // further in.
-    let device = engine.add_component(Box::new(InjectorDevice::new(DeviceConfig {
-        name: "fi-trunk".into(),
-        route_bytes_hint: 1,
-        capture_capacity: 64,
-        traffic_capacity: 256,
-    })));
+    // The injector lives on the trunk: packets crossing it still carry
+    // their sw1-bound route byte, the one route byte the monitor skips to
+    // find the type field.
+    let device = engine.add_component(Box::new(InjectorDevice::with_name("fi-trunk")));
     connect::<Switch, InjectorDevice, _>(&mut engine, (sw0, 7), (device, 0), &link).unwrap();
     connect::<InjectorDevice, Switch, _>(&mut engine, (device, 1), (sw1, 7), &link).unwrap();
 

@@ -1,14 +1,13 @@
 //! The dual-media claim (§3.4): "the current board has interfaces for
 //! Myrinet and FibreChannel … the injection logic is general and not
-//! customized to any one network." And footnote 1's second-generation
-//! design: interface logic abstracted away from injector logic.
+//! customized to any one network."
 //!
-//! This example drives the gen-2 injector ([`Gen2Injector`]) with the
-//! Fibre Channel media interface: FC frames are encoded through 8b/10b,
-//! decoded at the PHY boundary, pushed through the *same* datapath used on
-//! Myrinet, and — when integrity repair is on — have their **CRC-32**
-//! recomputed by the media layer, so the corruption survives to the
-//! receiving N_Port.
+//! This example drives the shared [`FifoInjector`] on Fibre Channel: FC
+//! frames are encoded through 8b/10b, decoded at the PHY boundary, pushed
+//! through the *same* datapath used on Myrinet, and — when integrity repair
+//! is on — have their **CRC-32** resealed after an injection, so the
+//! corruption survives to the receiving N_Port. The datapath's own repair
+//! is Myrinet's CRC-8, so it stays off here.
 //!
 //! Run with `cargo run --example fc_monitor`.
 
@@ -17,8 +16,7 @@
 
 use netfi::fc::frame::{decode_line, FcAddress, FcError, FcFrame};
 use netfi::injector::config::InjectorConfig;
-use netfi::injector::media::{FibreChannelMedia, Gen2Injector};
-use netfi::injector::MatchMode;
+use netfi::injector::{FifoInjector, MatchMode};
 use netfi::phy::b8b10::{Byte8, Decoder, Encoder};
 
 fn line_from_body(frame: &FcFrame, body: &[u8], enc: &mut Encoder) -> Vec<u16> {
@@ -31,18 +29,18 @@ fn line_from_body(frame: &FcFrame, body: &[u8], enc: &mut Encoder) -> Vec<u16> {
 
 fn run(repair: bool) {
     println!(
-        "--- gen-2 injector on Fibre Channel, CRC-32 repair {} ---",
+        "--- injector on Fibre Channel, CRC-32 repair {} ---",
         if repair { "ON" } else { "OFF" }
     );
-    let mut injector = Gen2Injector::new(
-        FibreChannelMedia,
+    let mut injector = FifoInjector::new(
         InjectorConfig::builder()
             .match_mode(MatchMode::On)
             .compare(u32::from_be_bytes(*b"SCSI"), 0xFFFF_FFFF)
             .corrupt_toggle(0x0000_0100)
-            .recompute_crc(repair)
+            .recompute_crc(false)
             .build(),
     );
+    let (mut injected, mut repairs) = (0, 0);
 
     let mut enc = Encoder::new();
     let mut dec = Decoder::new();
@@ -56,10 +54,19 @@ fn run(repair: bool) {
         };
         let frame = FcFrame::data(FcAddress::new(0x0101), FcAddress::new(0x0202), seq, payload);
 
-        // The PHY hands the frame body to the injector; the media layer
-        // repairs the CRC-32 if configured.
+        // The PHY hands the frame body to the injector; the trailing
+        // little-endian CRC-32 is resealed if repair is on.
         let mut body = frame.body();
-        let report = injector.process(&mut body);
+        let report = injector.process_packet(&mut body);
+        if report.injected() {
+            injected += 1;
+            if repair {
+                let crc_at = body.len() - 4;
+                let crc = netfi::fc::crc32::checksum(&body[..crc_at]);
+                body[crc_at..].copy_from_slice(&crc.to_le_bytes());
+                repairs += 1;
+            }
+        }
 
         let line = line_from_body(&frame, &body, &mut enc);
         match decode_line(&line, &mut dec) {
@@ -86,13 +93,9 @@ fn run(repair: bool) {
             Err(e) => println!("frame {seq}: rejected ({e})"),
         }
     }
-    let stats = injector.stats();
     println!(
-        "stats: {} frames, {} injected, {} repairs; kinds: {:?}\n",
-        stats.packets,
-        stats.injected_packets,
-        stats.repairs,
-        stats.kind_counts
+        "stats: {} frames, {injected} injected, {repairs} repairs\n",
+        injector.stats().packets
     );
 }
 

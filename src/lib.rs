@@ -6,8 +6,8 @@
 //! and downstream users can depend on a single package:
 //!
 //! - [`sim`] — deterministic discrete-event kernel.
-//! - [`phy`] — physical-layer substrate (Myrinet symbols, links, 8b/10b,
-//!   UART/SPI).
+//! - [`phy`] — physical-layer substrate (Myrinet control symbols, links,
+//!   8b/10b, UART).
 //! - [`myrinet`] — the Myrinet network simulator (packets, switches, slack
 //!   buffers, flow control, mapping).
 //! - [`fc`] — the Fibre Channel substrate.

@@ -12,6 +12,24 @@ use netfi::injector::{FifoInjector, MatchMode};
 use netfi::myrinet::packet::{route_to_host, Packet, PacketType};
 use netfi::phy::b8b10::{Byte8, Decoder, Encoder};
 
+/// The 8b/10b line carrying `body` between `frame`'s delimiters.
+fn line_of(frame: &FcFrame, body: &[u8]) -> Vec<u16> {
+    let mut enc = Encoder::new();
+    let mut chars: Vec<Byte8> = Vec::new();
+    chars.extend(OrderedSet::Sof(frame.sof).chars());
+    chars.extend(body.iter().map(|&b| Byte8::Data(b)));
+    chars.extend(OrderedSet::Eof(frame.eof).chars());
+    chars.into_iter().map(|c| enc.push(c).unwrap()).collect()
+}
+
+/// Rewrites an FC body's trailing little-endian CRC-32 over the bytes
+/// before it, as `examples/fc_monitor.rs` does after an injection.
+fn reseal_crc32(body: &mut [u8]) {
+    let crc_at = body.len() - 4;
+    let crc = netfi::fc::crc32::checksum(&body[..crc_at]);
+    body[crc_at..].copy_from_slice(&crc.to_le_bytes());
+}
+
 fn shared_core() -> FifoInjector {
     FifoInjector::new(
         InjectorConfig::builder()
@@ -47,18 +65,41 @@ fn same_core_corrupts_myrinet_and_fc() {
     let mut body = frame.body();
     let report = core.process_packet(&mut body);
     assert_eq!(report.injected_offsets.len(), 1);
-
-    let mut enc = Encoder::new();
-    let mut chars: Vec<Byte8> = Vec::new();
-    chars.extend(OrderedSet::Sof(frame.sof).chars());
-    chars.extend(body.iter().map(|&b| Byte8::Data(b)));
-    chars.extend(OrderedSet::Eof(frame.eof).chars());
-    let line: Vec<u16> = chars.into_iter().map(|c| enc.push(c).unwrap()).collect();
     let mut dec = Decoder::new();
-    assert_eq!(decode_line(&line, &mut dec), Err(FcError::BadCrc));
+    assert_eq!(decode_line(&line_of(&frame, &body), &mut dec), Err(FcError::BadCrc));
 
     assert_eq!(core.stats().packets, 2);
     assert_eq!(core.stats().injections, 2);
+}
+
+#[test]
+fn resealed_fc_crc32_carries_the_corruption_to_the_receiver() {
+    // A trigger hit, resealed: the receiver decodes a CRC-valid frame
+    // whose payload carries the flipped bit.
+    let mut core = shared_core();
+    let frame = FcFrame::data(
+        FcAddress::new(1),
+        FcAddress::new(2),
+        0,
+        b"feed me BEEF today".to_vec(),
+    );
+    let mut body = frame.body();
+    assert!(core.process_packet(&mut body).injected());
+    reseal_crc32(&mut body);
+    let (rx, _) = decode_line(&line_of(&frame, &body), &mut Decoder::new()).unwrap();
+    assert_eq!(&rx.payload[..], b"feed me BEEG today");
+    assert_eq!(rx.header, frame.header);
+
+    // A random SEU on every segment, not resealed: the CRC-32 rejects it.
+    let mut seu = FifoInjector::new(InjectorConfig::builder().random_seu(1.0).build());
+    let frame = FcFrame::data(FcAddress::new(1), FcAddress::new(2), 0, vec![0u8; 64]);
+    let mut body = frame.body();
+    assert!(seu.process_packet(&mut body).injected(), "p = 1.0 must flip bits");
+    assert_ne!(body, frame.body());
+    assert_eq!(
+        decode_line(&line_of(&frame, &body), &mut Decoder::new()),
+        Err(FcError::BadCrc)
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use netfi::injector::config::InjectorConfig;
-use netfi::injector::{DeviceConfig, Direction, InjectorDevice, MatchMode};
+use netfi::injector::{Direction, InjectorDevice, MatchMode};
 use netfi::myrinet::addr::{EthAddr, NodeAddress};
 use netfi::myrinet::event::connect;
 use netfi::myrinet::interface::InterfaceConfig;
@@ -27,12 +27,7 @@ fn build(seed: u64) -> Fabric {
     let link = Link::myrinet_640(1.0);
     let sw0 = engine.add_component(Box::new(Switch::new("sw0", 8, SwitchConfig::default())));
     let sw1 = engine.add_component(Box::new(Switch::new("sw1", 8, SwitchConfig::default())));
-    let device = engine.add_component(Box::new(InjectorDevice::new(DeviceConfig {
-        name: "fi-trunk".into(),
-        route_bytes_hint: 1,
-        capture_capacity: 64,
-        traffic_capacity: 256,
-    })));
+    let device = engine.add_component(Box::new(InjectorDevice::with_name("fi-trunk")));
     connect::<Switch, InjectorDevice, _>(&mut engine, (sw0, 7), (device, 0), &link).unwrap();
     connect::<InjectorDevice, Switch, _>(&mut engine, (device, 1), (sw1, 7), &link).unwrap();
 
