@@ -31,7 +31,7 @@ use netfi_sim::SimTime;
 use crate::fifo::InjectedOffsets;
 
 /// How many context bytes to keep on each side of an injection site.
-pub const CONTEXT_BYTES: usize = 8;
+pub(crate) const CONTEXT_BYTES: usize = 8;
 
 /// The longest context: the 4-byte window and [`CONTEXT_BYTES`] each side.
 const CONTEXT_LEN: usize = 2 * CONTEXT_BYTES + 4;
@@ -80,7 +80,7 @@ impl CaptureRecord {
 
     /// Packet bytes surrounding the injection site (±[`CONTEXT_BYTES`],
     /// clamped at the packet's edges).
-    pub fn context(&self) -> &[u8] {
+    pub(crate) fn context(&self) -> &[u8] {
         &self.context[..self.context_len]
     }
 }
@@ -268,24 +268,14 @@ impl CaptureBuffer {
     }
 
     /// Records held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Iterates over captured records, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = CaptureRecord> + '_ {
         self.runs.iter().flat_map(|run| self.records(run))
-    }
-
-    /// The most recent capture.
-    pub fn last(&self) -> Option<CaptureRecord> {
-        let run = self.runs.back()?;
-        Some(self.record_at(run, run.offsets.end - 1))
     }
 
     /// Renders all records as `[time] record` lines, oldest first.
@@ -377,7 +367,7 @@ mod tests {
             cap.iter().next().map(|r| (r.before[0], r.offset)),
             Some((0xC0, 4))
         );
-        let last = cap.last().unwrap();
+        let last = cap.iter().last().unwrap();
         assert_eq!(
             (last.offset, last.before[0], last.after[0]),
             (10, 0xC0, 0x40)
@@ -431,7 +421,7 @@ mod tests {
             .iter()
             .all(|r| r.offset == 0x40 && r.context() == &packet[0x38..0x4C]));
         assert_eq!(
-            cap.last().map(|r| r.after),
+            cap.iter().last().map(|r| r.after),
             Some([0x40, 0x41, 0x42, 0x43 ^ 0xFF])
         );
     }

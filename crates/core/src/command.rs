@@ -118,27 +118,27 @@ impl fmt::Display for CommandError {
 
 impl Error for CommandError {}
 
-fn parse_hex_u32(s: &str) -> Option<u32> {
-    (s.len() == 8).then(|| u32::from_str_radix(s, 16).ok()).flatten()
+/// A hex field is exactly `digits` ASCII hex digits: no sign, no spaces.
+fn parse_hex(s: &str, digits: usize) -> Option<u32> {
+    if s.len() != digits || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u32::from_str_radix(s, 16).ok()
 }
 
-fn parse_hex_u8(s: &str) -> Option<u8> {
-    (s.len() == 2).then(|| u8::from_str_radix(s, 16).ok()).flatten()
-}
-
-/// Parses one command line (without terminator).
+/// Parses one command line (without terminator). The line is exactly the
+/// command: no surrounding whitespace.
 ///
 /// # Errors
 ///
 /// [`CommandError`] echoing the unrecognized line.
 pub fn parse_command(line: &str) -> Result<Command, CommandError> {
-    let line = line.trim();
     let err = || CommandError {
         line: line.to_string(),
     };
     let mut chars = line.chars();
     let head = chars.next().ok_or_else(err)?;
-    let rest: &str = &line[head.len_utf8()..];
+    let rest = chars.as_str();
     let cmd = match head {
         'D' => match rest {
             "A" => Command::SelectDirection(DirSelect::A),
@@ -152,29 +152,27 @@ pub fn parse_command(line: &str) -> Result<Command, CommandError> {
             "O" => Command::MatchMode(MatchMode::Once),
             _ => return Err(err()),
         },
-        'C' => Command::CompareData(parse_hex_u32(rest).ok_or_else(err)?),
-        'K' => Command::CompareMask(parse_hex_u32(rest).ok_or_else(err)?),
+        'C' => Command::CompareData(parse_hex(rest, 8).ok_or_else(err)?),
+        'K' => Command::CompareMask(parse_hex(rest, 8).ok_or_else(err)?),
         'T' if rest.is_empty() => Command::CorruptMode(CorruptMode::Toggle),
         'R' if rest.is_empty() => Command::CorruptMode(CorruptMode::Replace),
-        'V' => Command::CorruptData(parse_hex_u32(rest).ok_or_else(err)?),
-        'X' => Command::CorruptMask(parse_hex_u32(rest).ok_or_else(err)?),
+        'V' => Command::CorruptData(parse_hex(rest, 8).ok_or_else(err)?),
+        'X' => Command::CorruptMask(parse_hex(rest, 8).ok_or_else(err)?),
         'G' => match rest {
             "0" => Command::CrcRecompute(false),
             "1" => Command::CrcRecompute(true),
             _ => return Err(err()),
         },
         'S' => {
-            if rest.len() != 6 {
-                return Err(err());
-            }
+            let v = parse_hex(rest, 6).ok_or_else(err)?;
             Command::ControlSwap {
-                from: parse_hex_u8(&rest[0..2]).ok_or_else(err)?,
-                mask: parse_hex_u8(&rest[2..4]).ok_or_else(err)?,
-                to: parse_hex_u8(&rest[4..6]).ok_or_else(err)?,
+                from: (v >> 16) as u8,
+                mask: (v >> 8) as u8,
+                to: v as u8,
             }
         }
         's' if rest.is_empty() => Command::ControlOff,
-        'N' => Command::RandomRate(parse_hex_u32(rest).ok_or_else(err)?),
+        'N' => Command::RandomRate(parse_hex(rest, 8).ok_or_else(err)?),
         'L' => match rest {
             "0" => Command::TrafficLog(false),
             "1" => Command::TrafficLog(true),
@@ -316,6 +314,16 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         for bad in ["", "D", "DX", "M2", "C123", "CZZZZZZZZ", "S0F0C", "foo", "I2"] {
+            assert!(parse_command(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn line_noise_and_signed_hex_fields_are_errors() {
+        let mut dec = CommandDecoder::new();
+        let out: Vec<_> = [b'S', 0xFF, 0xFF, b'\n'].iter().filter_map(|&b| dec.feed(b)).collect();
+        assert!(matches!(out.as_slice(), [Err(_)]), "{out:?}");
+        for bad in ["C+1234567", "S+1+2+3", "K-0000001", "N 1234567", " M1", "M1 "] {
             assert!(parse_command(bad).is_err(), "{bad:?} should fail");
         }
     }

@@ -105,7 +105,7 @@ pub struct ControlCorrupt {
 
 impl ControlCorrupt {
     /// A unit that rewrites a control code to exactly `code`.
-    pub fn replace_with(code: u8) -> ControlCorrupt {
+    pub(crate) fn replace_with(code: u8) -> ControlCorrupt {
         ControlCorrupt {
             mode: CorruptMode::Replace,
             corrupt_code: code,

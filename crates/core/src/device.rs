@@ -59,7 +59,7 @@ pub enum Direction {
 
 impl Direction {
     /// The input port of this direction.
-    pub fn in_port(self) -> u8 {
+    pub(crate) fn in_port(self) -> u8 {
         match self {
             Direction::AToB => 0,
             Direction::BToA => 1,
@@ -67,7 +67,7 @@ impl Direction {
     }
 
     /// The output port of this direction.
-    pub fn out_port(self) -> u8 {
+    pub(crate) fn out_port(self) -> u8 {
         match self {
             Direction::AToB => 1,
             Direction::BToA => 0,
@@ -237,11 +237,6 @@ impl InjectorDevice {
         &mut self.obs
     }
 
-    /// The device's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Installs a configuration on one direction (the programmatic
     /// equivalent of a serial command sequence).
     ///
@@ -275,18 +270,6 @@ impl InjectorDevice {
     /// The active configuration of one direction.
     pub fn config_of(&self, dir: Direction) -> &InjectorConfig {
         self.channels[dir.index()].injector.config()
-    }
-
-    /// Forces one injection on the next segment of `dir`.
-    pub fn inject_now(&mut self, dir: Direction) {
-        self.channels[dir.index()].injector.inject_now();
-    }
-
-    /// Re-arms the `once` latch of `dir` (like
-    /// [`configure`](InjectorDevice::configure), without an instant).
-    pub fn rearm(&mut self, dir: Direction) {
-        self.check_no_train("rearm");
-        self.channels[dir.index()].injector.rearm();
     }
 
     /// Datapath counters for one direction as of `now`, every event due by

@@ -37,11 +37,11 @@ use crate::trigger::{CompareUnit, MatchMode};
 
 /// Pipeline latency in clock cycles — "the current VHDL code pipelines the
 /// inject operation for three clock cycles" (paper footnote 5).
-pub const PIPELINE_CYCLES: u64 = 3;
+pub(crate) const PIPELINE_CYCLES: u64 = 3;
 
 /// Extra 32-bit segments kept in the FIFO before transmission — "but keeps
 /// a few more 32-bit segments in the FIFO before sending it".
-pub const FIFO_SLACK_SEGMENTS: u64 = 2;
+pub(crate) const FIFO_SLACK_SEGMENTS: u64 = 2;
 
 /// Counters kept by the injector datapath.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -219,7 +219,7 @@ impl FifoInjector {
     /// Replaces the configuration and re-arms the `once` latch. The
     /// random unit's LFSR restarts from its seed (reconfiguration is a
     /// campaign boundary).
-    pub fn set_config(&mut self, config: InjectorConfig) {
+    pub(crate) fn set_config(&mut self, config: InjectorConfig) {
         self.config = config;
         self.armed = true;
         self.random = RandomUnit::new(
@@ -229,19 +229,20 @@ impl FifoInjector {
     }
 
     /// Re-arms the `once` latch without reconfiguring.
-    pub fn rearm(&mut self) {
+    pub(crate) fn rearm(&mut self) {
         self.armed = true;
     }
 
     /// `true` while a `once` trigger is still waiting for its match.
-    pub fn is_armed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_armed(&self) -> bool {
         self.armed
     }
 
     /// Asserts the `inject now` line: "the current injection configuration
     /// is exercised on one 32-bit segment during the next even clock
     /// cycle" — i.e. on the first segment of the next packet.
-    pub fn inject_now(&mut self) {
+    pub(crate) fn inject_now(&mut self) {
         self.inject_now_pending = true;
     }
 
@@ -392,7 +393,7 @@ impl FifoInjector {
 
     /// Pushes a control symbol through, returning the (possibly corrupted)
     /// code and whether an injection occurred.
-    pub fn process_control(&mut self, code: u8) -> (u8, bool) {
+    pub(crate) fn process_control(&mut self, code: u8) -> (u8, bool) {
         self.stats.cycles += 2;
         let Some(ctl) = self.config.control else {
             return (code, false);
@@ -409,7 +410,7 @@ impl FifoInjector {
 
     /// Whether a control symbol `code` pushed through now would be
     /// corrupted.
-    pub fn touches(&self, code: u8) -> bool {
+    pub(crate) fn touches(&self, code: u8) -> bool {
         self.config
             .control
             .is_some_and(|ctl| ctl.compare.matches(code))
@@ -429,21 +430,21 @@ impl FifoInjector {
     /// Accounts for `n` control symbols that passed through untouched, as
     /// `n` calls of [`process_control`](FifoInjector::process_control)
     /// would while [`touches`](FifoInjector::touches) is false.
-    pub fn pass_controls(&mut self, n: u64) {
+    pub(crate) fn pass_controls(&mut self, n: u64) {
         self.stats.cycles += 2 * n;
     }
 
     /// Accounts for `n` control symbols that were swapped, as `n` calls of
     /// [`process_control`](FifoInjector::process_control) would while
     /// [`swaps`](FifoInjector::swaps) is `Some`.
-    pub fn swap_controls(&mut self, n: u64) {
+    pub(crate) fn swap_controls(&mut self, n: u64) {
         self.stats.cycles += 2 * n;
         self.stats.control_injections += n;
     }
 
     /// Pushes a packet-terminator control code through (GAPs that travel
     /// with packets). Honours `include_terminators`.
-    pub fn process_terminator(&mut self, code: u8) -> (u8, bool) {
+    pub(crate) fn process_terminator(&mut self, code: u8) -> (u8, bool) {
         match self.config.control {
             Some(ctl) if ctl.include_terminators => self.process_control(code),
             _ => (code, false),

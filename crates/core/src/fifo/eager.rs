@@ -319,7 +319,7 @@ fn the_o1_plan_and_lazy_capture_match_the_eager_path() {
             );
             capture.record(time, &original, &bytes, &report.injected_offsets);
             assert_eq!(capture.len(), ring.len(), "{at}: len");
-            assert_eq!(capture.last(), ring.last().map(|r| r.value), "{at}: last");
+            assert_eq!(capture.iter().last(), ring.last().map(|r| r.value), "{at}: last");
         }
         let records: Vec<CaptureRecord> = ring.iter().map(|r| r.value).collect();
         assert_eq!(

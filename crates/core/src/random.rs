@@ -11,7 +11,7 @@
 
 /// A 32-bit maximal-length Galois LFSR, the hardware's randomness source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lfsr32 {
+pub(crate) struct Lfsr32 {
     state: u32,
 }
 
@@ -28,10 +28,6 @@ impl Lfsr32 {
     }
 
     /// Advances one step and returns the new state.
-    #[expect(
-        clippy::should_implement_trait,
-        reason = "hardware register semantics, not an iterator"
-    )]
     pub fn next(&mut self) -> u32 {
         let lsb = self.state & 1;
         self.state >>= 1;
@@ -44,7 +40,7 @@ impl Lfsr32 {
     /// Advances a full word period (32 steps) and returns the state: the
     /// hardware clocks the LFSR once per bit time, i.e. 32 steps per
     /// segment, so successive per-segment samples share no register bits.
-    pub fn next_word(&mut self) -> u32 {
+    pub(crate) fn next_word(&mut self) -> u32 {
         for _ in 0..31 {
             self.next();
         }
@@ -67,28 +63,17 @@ impl RandomInject {
     /// # Panics
     ///
     /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn with_probability(p: f64) -> RandomInject {
+    pub(crate) fn with_probability(p: f64) -> RandomInject {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
         RandomInject {
             threshold: (p * u32::MAX as f64) as u32,
         }
     }
-
-    /// The configured probability as a float.
-    pub fn probability(&self) -> f64 {
-        self.threshold as f64 / u32::MAX as f64
-    }
-
-    /// The equivalent per-bit error rate (one flipped bit per hit segment
-    /// of 32 bits).
-    pub fn bit_error_rate(&self) -> f64 {
-        self.probability() / 32.0
-    }
 }
 
 /// The runtime state of the random injector: LFSR + threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RandomUnit {
+pub(crate) struct RandomUnit {
     config: RandomInject,
     lfsr: Lfsr32,
 }
@@ -104,7 +89,7 @@ impl RandomUnit {
 
     /// Decides, for one 32-bit segment, whether to flip a bit; returns the
     /// bit index (0–31) to flip, if any.
-    pub fn draw(&mut self) -> Option<u32> {
+    pub(crate) fn draw(&mut self) -> Option<u32> {
         if self.config.threshold == 0 {
             return None;
         }
@@ -114,11 +99,6 @@ impl RandomUnit {
         } else {
             None
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> RandomInject {
-        self.config
     }
 }
 
@@ -181,8 +161,7 @@ mod tests {
     #[test]
     fn probability_roundtrip() {
         let r = RandomInject::with_probability(0.25);
-        assert!((r.probability() - 0.25).abs() < 1e-6);
-        assert!((r.bit_error_rate() - 0.25 / 32.0).abs() < 1e-8);
+        assert!((f64::from(r.threshold) / f64::from(u32::MAX) - 0.25).abs() < 1e-6);
     }
 
     #[test]

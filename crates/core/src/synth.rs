@@ -24,7 +24,7 @@ use std::fmt;
 
 /// Structural description of one VHDL entity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntityStructure {
+pub(crate) struct EntityStructure {
     /// Entity name as in Table 1.
     pub name: &'static str,
     /// Number of instances on the device.
@@ -77,7 +77,7 @@ impl ResourceEstimate {
 impl EntityStructure {
     /// Applies the coefficient model to produce a per-device estimate
     /// (all instances included).
-    pub fn estimate(&self) -> ResourceEstimate {
+    pub(crate) fn estimate(&self) -> ResourceEstimate {
         let fg_per_instance = self.xor_compare_bits.div_ceil(2)
             + self.mux2_bits.div_ceil(2)
             + self.decode_terms
@@ -97,7 +97,7 @@ impl EntityStructure {
 
 /// The six entities of the injector, with structures matching the
 /// emulation in this crate (`FifoInjector`, `CommandDecoder`, …).
-pub fn entity_structures() -> Vec<EntityStructure> {
+pub(crate) fn entity_structures() -> Vec<EntityStructure> {
     vec![
         // Clock generator: an 11-bit divider plus phase decode.
         EntityStructure {
@@ -175,7 +175,7 @@ pub fn entity_structures() -> Vec<EntityStructure> {
 
 /// Values reported in the paper's Table 1 (FIFO_Inject row covers both
 /// instances, matching the paper's totals).
-pub fn paper_table1() -> Vec<(&'static str, ResourceEstimate)> {
+pub(crate) fn paper_table1() -> Vec<(&'static str, ResourceEstimate)> {
     vec![
         ("Clck_gen", ResourceEstimate { gates: 10, function_generators: 15, multiplexors: 1, dffs: 11 }),
         ("Comm", ResourceEstimate { gates: 94, function_generators: 100, multiplexors: 9, dffs: 31 }),

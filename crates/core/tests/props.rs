@@ -1,7 +1,7 @@
 //! Randomized property tests for the injector core, driven by seeded
 //! loops over [`DetRng`] (no external dependencies).
 
-use netfi_core::command::{parse_command, render_command, Command, DirSelect};
+use netfi_core::command::{parse_command, render_command, Command, CommandDecoder, DirSelect};
 use netfi_core::config::InjectorConfig;
 use netfi_core::corrupt::{CorruptMode, CorruptUnit};
 use netfi_core::fifo::{FifoInjector, FifoPipeline};
@@ -194,6 +194,61 @@ fn command_render_parse_roundtrip() {
         let cmd = random_command(&mut rng);
         assert_eq!(parse_command(&render_command(&cmd)), Ok(cmd));
     }
+}
+
+/// Serial line noise is a typed error, never a panic: 2×10⁵ bytes, mostly
+/// mutated command lines (a byte replaced, inserted or deleted, high bytes
+/// and signs among the replacements) between raw runs, fed one at a time.
+/// The line buffer stays bounded, and every line that parses renders back
+/// to itself, up to the case of its hex digits.
+#[test]
+fn serial_noise_decodes_to_commands_or_errors() {
+    const NOISE: &[u8] = b"\n\r;+- *0aFfSsCDMO\xFF\xC3\x80";
+    let mut rng = DetRng::new(0x5E41_A100);
+    let mut stream: Vec<u8> = Vec::new();
+    while stream.len() < 200_000 {
+        let mut line = render_command(&random_command(&mut rng)).into_bytes();
+        for _ in 0..rng.gen_index(3) {
+            let at = rng.gen_index(line.len() + 1);
+            let byte = *rng.choose(NOISE).unwrap_or(&0);
+            match rng.gen_index(3) {
+                0 if at < line.len() => line[at] = byte,
+                1 => line.insert(at, byte),
+                _ if at < line.len() => {
+                    line.remove(at);
+                }
+                _ => {}
+            }
+        }
+        if rng.gen_index(8) == 0 {
+            line.extend((0..rng.gen_index(80)).map(|_| rng.next_u32() as u8));
+        }
+        stream.extend_from_slice(&line);
+        stream.push(*rng.choose(b"\n\r;").unwrap_or(&b'\n'));
+    }
+
+    let (mut dec, mut line, mut parsed) = (CommandDecoder::new(), Vec::new(), 0);
+    for &byte in &stream {
+        match dec.feed(byte) {
+            None if matches!(byte, b'\n' | b'\r' | b';') => assert!(line.is_empty()),
+            None => line.push(byte),
+            Some(Err(e)) => {
+                assert!(e.line().chars().count() <= 64, "buffer overran: {:?}", e.line());
+                line.clear();
+            }
+            Some(Ok(cmd)) => {
+                let rendered = render_command(&cmd).into_bytes();
+                let same = rendered.len() == line.len()
+                    && rendered.iter().zip(&line).all(|(r, l)| {
+                        r == l || (r.is_ascii_hexdigit() && r.eq_ignore_ascii_case(l))
+                    });
+                assert!(same, "{:?} parsed as {cmd:?}", String::from_utf8_lossy(&line));
+                parsed += 1;
+                line.clear();
+            }
+        }
+    }
+    assert!(parsed > 5_000, "too few valid lines drawn: {parsed}");
 }
 
 /// The cycle-accurate pipeline is a faithful FIFO when nothing matches:

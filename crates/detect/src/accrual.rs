@@ -10,7 +10,7 @@
 //! - inter-arrival samples are raw picosecond counts in a sliding window;
 //! - the survival estimate is the Satzger counting estimator
 //!   `P(elapsed exceeded) = (n_greater + 1) / (n + 1)`;
-//! - φ = log₂(1/P), computed by [`log2_fp`] in 16.16 fixed point — never
+//! - φ = log₂(1/P), computed by `log2_fp` in 16.16 fixed point — never
 //!   a float, so thresholds compare exactly on every platform and every
 //!   worker count.
 //!
@@ -41,7 +41,7 @@ use netfi_obs::Registry;
 use netfi_sim::SimTime;
 
 /// Fractional bits of the fixed-point suspicion scale.
-pub const PHI_FRAC_BITS: u32 = 16;
+pub(crate) const PHI_FRAC_BITS: u32 = 16;
 
 /// One in 16.16 fixed point.
 const ONE_FP: u64 = 1 << PHI_FRAC_BITS;
@@ -67,11 +67,6 @@ impl Phi {
     pub const fn raw(self) -> u32 {
         self.0
     }
-
-    /// Builds a suspicion level from a raw 16.16 fixed-point value.
-    pub const fn from_raw(raw: u32) -> Phi {
-        Phi(raw)
-    }
 }
 
 impl fmt::Display for Phi {
@@ -90,7 +85,7 @@ impl fmt::Display for Phi {
 /// computed by sixteen shift-and-square iterations — pure integer
 /// arithmetic, exact to the last fixed-point bit for the integer part and
 /// within one ULP for the fraction.
-pub fn log2_fp(x: u64) -> u32 {
+pub(crate) fn log2_fp(x: u64) -> u32 {
     if x <= ONE_FP {
         return 0;
     }
@@ -156,11 +151,6 @@ impl AccrualDetector {
             }
         }
         self.last = Some(at);
-    }
-
-    /// Number of inter-arrival samples currently in the window.
-    pub fn samples(&self) -> usize {
-        self.filled
     }
 
     /// The suspicion level φ at `now`.
@@ -309,33 +299,6 @@ impl SuspicionMonitor {
         &self.events
     }
 
-    /// Pairs currently suspected at threshold index `t`, ascending.
-    pub fn suspected_pairs(&self, t: usize) -> Vec<u32> {
-        let pairs = self.detectors.len();
-        (0..pairs)
-            .filter(|&pair| self.suspected[t * pairs + pair])
-            .map(|pair| pair as u32)
-            .collect()
-    }
-
-    /// The first time `pair` crossed threshold index `t`, if it ever did.
-    pub fn first_crossing(&self, pair: u32, t: u32) -> Option<SimTime> {
-        self.events
-            .iter()
-            .find(|e| e.pair == pair && e.threshold == t && e.suspected)
-            .map(|e| e.time)
-    }
-
-    /// φ for `pair` at the most recent poll.
-    pub fn phi(&self, pair: usize) -> Phi {
-        self.last_phi[pair]
-    }
-
-    /// Peak polled φ for `pair`.
-    pub fn peak(&self, pair: usize) -> Phi {
-        self.peak_phi[pair]
-    }
-
     /// Exports per-pair suspicion gauges and crossing counters into an
     /// observability registry. `pair_name` renders the pair label used in
     /// the gauge names (e.g. `h003->h007`).
@@ -473,11 +436,19 @@ mod tests {
         }
         // Pair 1 crossed both thresholds; pair 0 crossed once it went
         // silent at 300 ms, later than pair 1.
-        let t0_cross_p1 = m.first_crossing(1, 0).expect("pair 1 crossing");
-        let t0_cross_p0 = m.first_crossing(0, 0).expect("pair 0 crossing");
+        let first_crossing = |m: &SuspicionMonitor, pair, t| {
+            m.events()
+                .iter()
+                .find(|e| e.pair == pair && e.threshold == t && e.suspected)
+                .map(|e| e.time)
+        };
+        // Both pairs' suspicion flags at threshold index 0.
+        let suspected = |m: &SuspicionMonitor| [m.suspected[0], m.suspected[1]];
+        let t0_cross_p1 = first_crossing(&m, 1, 0).expect("pair 1 crossing");
+        let t0_cross_p0 = first_crossing(&m, 0, 0).expect("pair 0 crossing");
         assert!(t0_cross_p1 < t0_cross_p0);
-        assert!(m.first_crossing(1, 1).is_some());
-        assert_eq!(m.suspected_pairs(0), vec![0, 1]);
+        assert!(first_crossing(&m, 1, 1).is_some());
+        assert_eq!(suspected(&m), [true, true]);
         assert!(m.events().iter().all(|e| e.suspected), "no recoveries yet");
 
         // A fresh arrival for pair 1 recovers it at the next poll.
@@ -488,7 +459,7 @@ mod tests {
             m.events().iter().any(|e| e.pair == 1 && !e.suspected),
             "recovery event missing"
         );
-        assert_eq!(m.suspected_pairs(0), vec![0]);
+        assert_eq!(suspected(&m), [true, false]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! loop reads those rings.
 //!
 //! The payload is 16 bytes: big-endian pair index and sequence number,
-//! round-tripped by [`heartbeat_payload`] / [`decode_heartbeat`].
+//! round-tripped by `heartbeat_payload` / [`decode_heartbeat`].
 
 use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::egress::timer_class;
@@ -28,7 +28,7 @@ pub const HEARTBEAT_PORT: u16 = 4747;
 pub const HEARTBEAT_SRC_PORT: u16 = 4748;
 
 /// Encoded heartbeat payload length.
-pub const HEARTBEAT_LEN: usize = 16;
+pub(crate) const HEARTBEAT_LEN: usize = 16;
 
 /// Timer kind the heartbeater schedules for itself: an app-defined class
 /// with a zero port byte (the `timer_kind(class, 0)` encoding, spelled
@@ -36,7 +36,7 @@ pub const HEARTBEAT_LEN: usize = 16;
 const HEARTBEAT_TIMER: u32 = timer_class::APP_BASE + 3;
 
 /// Encodes a heartbeat payload: big-endian pair index then sequence.
-pub fn heartbeat_payload(pair: u64, seq: u64) -> Vec<u8> {
+pub(crate) fn heartbeat_payload(pair: u64, seq: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEARTBEAT_LEN);
     out.extend_from_slice(&pair.to_be_bytes());
     out.extend_from_slice(&seq.to_be_bytes());
@@ -45,7 +45,7 @@ pub fn heartbeat_payload(pair: u64, seq: u64) -> Vec<u8> {
 
 /// Decodes a heartbeat payload back into `(pair, seq)`.
 ///
-/// Returns `None` unless the payload is exactly [`HEARTBEAT_LEN`] bytes —
+/// Returns `None` unless the payload is exactly `HEARTBEAT_LEN` bytes —
 /// a corrupted-but-checksum-valid delivery of some other datagram must
 /// not masquerade as a heartbeat.
 pub fn decode_heartbeat(payload: &[u8]) -> Option<(u64, u64)> {
@@ -108,11 +108,6 @@ impl Heartbeater {
             plan,
             seq: vec![0; pairs],
         }
-    }
-
-    /// Sequence number the next beat of `pair` will carry.
-    pub fn next_seq(&self, pair: usize) -> u64 {
-        self.seq[pair]
     }
 
     fn beat(&mut self, ctx: &mut Context<'_, Ev>, pair: usize) {

@@ -99,26 +99,6 @@ impl TopoGraph {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
-
-    /// Number of undirected edges (parallel edges counted).
-    pub fn edges(&self) -> usize {
-        self.edges
-    }
-
-    /// The name of node `id`.
-    pub fn name(&self, id: usize) -> &str {
-        &self.names[id]
-    }
-
-    /// The kind of node `id`.
-    pub fn kind(&self, id: usize) -> NodeKind {
-        self.kinds[id]
-    }
-
-    /// Degree of node `id` (parallel edges counted).
-    pub fn degree(&self, id: usize) -> usize {
-        self.adj[id].len()
-    }
 }
 
 /// Severity of a single point of failure, by disconnection fraction.
@@ -136,7 +116,7 @@ pub enum Risk {
 
 impl Risk {
     /// Grades a disconnection fraction given in thousandths.
-    pub fn from_permille(permille: u32) -> Risk {
+    pub(crate) fn from_permille(permille: u32) -> Risk {
         if permille > 500 {
             Risk::Critical
         } else if permille > 250 {
@@ -149,7 +129,7 @@ impl Risk {
     }
 
     /// Health-score deduction for one SPOF of this grade.
-    pub fn deduction(self) -> u32 {
+    pub(crate) fn deduction(self) -> u32 {
         match self {
             Risk::Critical => 30,
             Risk::High => 20,

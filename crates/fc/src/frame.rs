@@ -107,7 +107,7 @@ impl OrderedSet {
     }
 
     /// Recognizes an ordered set from its three data characters.
-    pub fn from_tail(tail: [u8; 3]) -> Option<OrderedSet> {
+    pub(crate) fn from_tail(tail: [u8; 3]) -> Option<OrderedSet> {
         Self::ALL
             .into_iter()
             .find(|&os| ordered_set_tail(os) == tail)

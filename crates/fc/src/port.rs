@@ -12,7 +12,7 @@ use crate::frame::FcFrame;
 
 /// Counters for one port.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PortStats {
+pub(crate) struct PortStats {
     /// Frames transmitted.
     pub tx_frames: u64,
     /// Frames accepted into receive buffers.
@@ -63,16 +63,6 @@ impl NPort {
     /// Available transmit credits.
     pub fn credits(&self) -> u32 {
         self.credits
-    }
-
-    /// The configured login credit.
-    pub fn bb_credit(&self) -> u32 {
-        self.bb_credit
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> PortStats {
-        self.stats
     }
 
     /// Frames waiting for credit.
@@ -177,10 +167,10 @@ mod tests {
         assert!(port.receive(frame(0)));
         assert!(port.receive(frame(1)));
         assert!(!port.receive(frame(2)), "no buffer, class-3 discard");
-        assert_eq!(port.stats().rx_discards, 1);
+        assert_eq!(port.stats.rx_discards, 1);
         // Draining frees buffers and owes an R_RDY.
         assert!(port.deliver().is_some());
-        assert_eq!(port.stats().r_rdy_sent, 1);
+        assert_eq!(port.stats.r_rdy_sent, 1);
         assert!(port.receive(frame(3)));
     }
 

@@ -11,7 +11,7 @@
 
 /// One physical source line, split into its code and comment parts.
 #[derive(Debug, Clone, Default)]
-pub struct Line {
+pub(crate) struct Line {
     /// 1-based line number.
     pub number: usize,
     /// Code with comments removed and string/char contents blanked.
@@ -36,7 +36,7 @@ enum State {
 }
 
 /// Splits `source` into classified [`Line`]s.
-pub fn lex(source: &str) -> Vec<Line> {
+pub(crate) fn lex(source: &str) -> Vec<Line> {
     let chars: Vec<char> = source.chars().collect();
     let mut lines: Vec<Line> = Vec::new();
     let mut code = String::new();
@@ -253,7 +253,8 @@ fn prev_is_ident(chars: &[char], i: usize) -> bool {
 /// Brace counting on the *code* part only — strings and comments are
 /// already stripped, so `{` in a message cannot unbalance the scan. An
 /// attribute followed by a braceless item (`#[cfg(test)] use x;`) ends at
-/// the first `;` at depth zero.
+/// the first `;` at depth zero; a gated field or variant ends at its `,`,
+/// or at the `}` that closes the enclosing item.
 fn mark_test_items(lines: &mut [Line]) {
     let mut i = 0usize;
     while i < lines.len() {
@@ -265,7 +266,7 @@ fn mark_test_items(lines: &mut [Line]) {
             i += 1;
             continue;
         }
-        let mut depth: i64 = 0;
+        let (mut depth, mut nest): (i64, i64) = (0, 0);
         let mut seen_brace = false;
         let mut j = i;
         while j < lines.len() {
@@ -280,11 +281,13 @@ fn mark_test_items(lines: &mut [Line]) {
                         }
                         '}' => {
                             depth -= 1;
-                            if seen_brace && depth <= 0 {
+                            if (seen_brace && depth <= 0) || depth < 0 {
                                 closed = true;
                             }
                         }
-                        ';' if !seen_brace && depth == 0 => semi_at_top = true,
+                        '(' | '[' => nest += 1,
+                        ')' | ']' => nest -= 1,
+                        ';' | ',' if !seen_brace && depth == 0 && nest == 0 => semi_at_top = true,
                         _ => {}
                     }
                 }
@@ -368,6 +371,13 @@ mod tests {
         let lines = lex(src);
         assert!(lines[0].in_test && lines[1].in_test);
         assert!(!lines[2].in_test);
+    }
+
+    #[test]
+    fn cfg_test_on_a_field_ends_at_its_comma_or_the_closing_brace() {
+        let src = "S {\n    #[cfg(test)]\n    a: f(1, 2),\n    b: 0,\n    #[cfg(test)]\n    c: 0\n}\nfn lib() {}\n";
+        let flags: Vec<bool> = lex(src).iter().map(|l| l.in_test).collect();
+        assert_eq!(flags, vec![false, true, true, false, true, true, true, false]);
     }
 
     #[test]

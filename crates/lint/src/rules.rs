@@ -1,7 +1,7 @@
 //! The rule engine: scans one file's classified lines for violations.
 //!
 //! Rules match on the *code* part of each line (strings blanked, comments
-//! stripped — see [`crate::lexer`]), at identifier boundaries, so `clone`
+//! stripped by the lexer), at identifier boundaries, so `clone`
 //! never matches `clone_from` and `vec!` never matches `my_vec!`.
 //!
 //! Escape hatches, all spelled in comments so they survive refactors and
@@ -17,9 +17,10 @@
 
 use crate::lexer::{lex, Line};
 
-/// All per-line rule identifiers, as they appear in diagnostics and
-/// allow-comments.
-pub const RULE_IDS: [&str; 3] = ["hot-path-alloc", "relaxed-atomic", "fork-not-clone"];
+/// The rule identifiers an allow-comment may name, as in diagnostics.
+/// `unused-pub` needs the workspace: only [`crate::scan_sources`] runs it.
+pub const RULE_IDS: [&str; 4] =
+    ["hot-path-alloc", "relaxed-atomic", "fork-not-clone", "unused-pub"];
 
 /// The rule id reported for malformed allow-comments, including one that
 /// names a rule not in [`RULE_IDS`] (not suppressible).
@@ -52,15 +53,21 @@ pub struct FileReport {
     pub suppressions_used: usize,
 }
 
-/// Scans one file's source.
+/// Scans one file's source with the per-file rules.
 pub fn scan_source(source: &str) -> FileReport {
-    let lines = lex(source);
+    scan_lines(&lex(source), None)
+}
+
+/// Scans one lexed file. `unused` lists the file's `unused-pub` findings
+/// as (line, name) when the workspace index was built; without it an
+/// `unused-pub` allow-comment is not judged dead.
+pub(crate) fn scan_lines(lines: &[Line], unused: Option<&[(usize, String)]>) -> FileReport {
     let mut report = FileReport::default();
 
     // Pass 1: comment directives — deny-marker, allow-comments.
     let mut alloc_active = false;
     let mut allows: Vec<(usize, String, bool)> = Vec::new();
-    for line in &lines {
+    for line in lines {
         let trimmed = line.comment.trim();
         if trimmed.starts_with("netfi-lint: deny(hot-path-alloc)") {
             alloc_active = true;
@@ -91,13 +98,17 @@ pub fn scan_source(source: &str) -> FileReport {
         }
         let mut findings: Vec<(&'static str, String)> = Vec::new();
         line_findings(&line.code, alloc_active, &mut findings);
-        if find_bounded(&line.code, "fork") && fork_is_hand_written(&lines, idx) {
+        if find_bounded(&line.code, "fork") && fork_is_hand_written(lines, idx) {
             findings.push((
                 "fork-not-clone",
                 "Component::fork must be `Box::new(self.clone())` on a #[derive(Clone)] type, \
                  so a field added later cannot be left out of a snapshot"
                     .to_string(),
             ));
+        }
+        for (_, name) in unused.unwrap_or_default().iter().filter(|u| u.0 == line.number) {
+            let message = format!("no other crate, test, example or doc example names `{name}`");
+            findings.push(("unused-pub", message));
         }
         for (rule, message) in findings {
             let suppressed = allows.iter_mut().find_map(|(at, r, used)| {
@@ -121,7 +132,7 @@ pub fn scan_source(source: &str) -> FileReport {
     // is stale armor — the construct it waived moved or was fixed — and
     // every stale waiver widens the hole the next refactor can fall into.
     for (at, rule, used) in &allows {
-        if !used {
+        if !used && (rule != "unused-pub" || unused.is_some()) {
             report.violations.push(Violation {
                 line: *at,
                 rule: DEAD_SUPPRESSION,

@@ -1,16 +1,20 @@
-//! The workspace walker: finds library sources and aggregates diagnostics.
+//! The workspace walker: reads every `.rs` file and aggregates diagnostics.
 //!
-//! Scope is deliberate: `src/` of the root package and of every crate
-//! under `crates/` except `bench`, whose binaries time themselves and may
-//! allocate where they like. Integration tests (`tests/`), examples and
-//! benches are *not* scanned. Files are visited in sorted path order so
+//! Every `.rs` file under the root is read (`target/` and dot-directories
+//! aside). The per-file rules run on the library sources: `src/` of the
+//! root package and of every crate under `crates/` except `bench`, whose
+//! binaries time themselves and may allocate where they like. The other
+//! files — `tests/`, `examples/`, all of `crates/bench` — only feed the
+//! name index of `unused-pub`. Files are visited in sorted path order so
 //! diagnostics are stable across runs and machines.
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::rules::scan_source;
+use crate::lexer::{lex, Line};
+use crate::rules::scan_lines;
+use crate::unused_pub::{library_crate, unused_pub};
 
 /// One diagnostic with its location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,98 +59,83 @@ impl WorkspaceReport {
     }
 }
 
-/// Scans `root/src` and `root/crates/*/src` (all but `crates/bench`),
-/// returning one report.
+/// Every `.rs` file under `root` as (root-relative `/`-separated label,
+/// source), sorted by label.
+///
+/// # Errors
+///
+/// Propagates I/O errors from directory listing and file reads.
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    collect_rs(root, "", &mut files)?;
+    files.sort();
+    Ok(files)
+}
+
+/// Scans every `.rs` file under `root`; see [`scan_sources`].
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from directory listing and file reads; a missing
-/// `src/` or `crates/` directory is not an error, just an empty scope.
+/// directory is not an error, just an empty scope.
 pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceReport> {
-    let mut files: Vec<(String, PathBuf)> = Vec::new();
-    collect_rs(&root.join("src"), &mut files)?;
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        for entry in fs::read_dir(&crates)? {
-            let dir = entry?.path();
-            if dir.is_dir() && !dir.ends_with("bench") {
-                collect_rs(&dir.join("src"), &mut files)?;
-            }
-        }
-    }
-    files.sort();
+    Ok(scan_sources(&workspace_sources(root)?))
+}
 
+/// Runs every rule over (label, source) pairs as
+/// [`workspace_sources`] returns them: the per-file rules on the library
+/// files, `unused-pub` on their `pub` items against all of them.
+pub fn scan_sources(files: &[(String, String)]) -> WorkspaceReport {
+    let lexed: Vec<(&str, Vec<Line>)> = files.iter().map(|(label, src)| (label.as_str(), lex(src))).collect();
+    let unused = unused_pub(&lexed);
     let mut report = WorkspaceReport::default();
-    for (label, path) in &files {
-        let file = scan_source(&fs::read_to_string(path)?);
+    for (f, (label, lines)) in lexed.iter().enumerate() {
+        let Some(crate_name) = library_crate(label) else {
+            continue;
+        };
+        let mine: Vec<(usize, String)> = unused.iter().filter(|u| u.0 == f).map(|u| (u.1, u.2.clone())).collect();
+        let file = scan_lines(lines, Some(&mine));
         report.files += 1;
-        let crate_name = label
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next())
-            .unwrap_or("netfi");
         if report.crates.last().map(String::as_str) != Some(crate_name) {
             report.crates.push(crate_name.to_string());
         }
         report.suppressions += file.suppressions_used;
         for v in file.violations {
             report.diagnostics.push(Diagnostic {
-                file: label.clone(),
+                file: label.to_string(),
                 line: v.line,
                 rule: v.rule,
                 message: v.message,
             });
         }
     }
-    Ok(report)
+    report
 }
 
-/// Recursively collects `.rs` files under `dir` as (root-relative label,
-/// absolute path) pairs. Labels use `/` separators regardless of host OS.
-fn collect_rs(dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result<()> {
+/// Recursively collects `.rs` files under `dir` (labelled `prefix` + name),
+/// skipping `target/` and dot-directories.
+fn collect_rs(dir: &Path, prefix: &str, out: &mut Vec<(String, String)>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
-        .map(|e| e.map(|e| e.path()))
-        .collect::<io::Result<Vec<_>>>()?;
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            collect_rs(&path, out)?;
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default();
+        if path.is_dir() && name != "target" && !name.starts_with('.') {
+            collect_rs(&path, &format!("{prefix}{name}/"), out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push((label_of(&path), path));
+            out.push((format!("{prefix}{name}"), fs::read_to_string(&path)?));
         }
     }
     Ok(())
 }
 
-/// A stable, root-relative display label: the path's components from the
-/// last `src`-or-`crates` anchor outward.
-fn label_of(path: &Path) -> String {
-    let parts: Vec<String> = path
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-        .collect();
-    let anchor = parts
-        .iter()
-        .rposition(|p| p == "crates")
-        .or_else(|| parts.iter().rposition(|p| p == "src"))
-        .unwrap_or(0);
-    parts.get(anchor..).unwrap_or_default().join("/")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_anchor_at_crates_or_src() {
-        assert_eq!(
-            label_of(Path::new("/work/repo/crates/sim/src/time.rs")),
-            "crates/sim/src/time.rs"
-        );
-        assert_eq!(label_of(Path::new("/work/repo/src/lib.rs")), "src/lib.rs");
-    }
 
     #[test]
     fn missing_directories_scan_empty() {

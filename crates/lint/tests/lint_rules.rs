@@ -5,7 +5,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use netfi_lint::{scan_source, FileReport, RULE_IDS};
+use netfi_lint::{scan_source, scan_sources, FileReport, RULE_IDS};
 
 /// Asserts the report holds exactly `expected` as (line, rule) pairs.
 fn assert_findings(report: &FileReport, expected: &[(usize, &str)]) {
@@ -18,8 +18,8 @@ fn assert_findings(report: &FileReport, expected: &[(usize, &str)]) {
 }
 
 #[test]
-fn the_rules_are_the_three_clippy_cannot_check() {
-    assert_eq!(RULE_IDS, ["hot-path-alloc", "relaxed-atomic", "fork-not-clone"]);
+fn the_rules_are_the_four_clippy_cannot_check() {
+    assert_eq!(RULE_IDS, ["hot-path-alloc", "relaxed-atomic", "fork-not-clone", "unused-pub"]);
 }
 
 #[test]
@@ -103,6 +103,41 @@ fn dead_allow_fixture() {
 fn lexer_edges_fixture() {
     let r = scan_source(include_str!("fixtures/lexer_edges.rs"));
     assert_findings(&r, &[(33, "relaxed-atomic")]);
+}
+
+/// `unused-pub` needs a workspace: the fixture is crate `a`'s library,
+/// crate `b` names `FixtureCalled` and `a`'s own integration test names
+/// `FixtureCalled2`. Reported: a name only a `text` block shows, a
+/// caller-less `fn`, an enum nothing names, a type named only by its own
+/// constructor's signature, a type only a private field holds, that
+/// constructor, and both names of a `pub use`. Not reported: what another
+/// file names, what a doc example calls, what another `pub` item's
+/// signature, variant or `pub` field holds, and test code. The waiver
+/// suppresses its item; the one over an item a test names is dead.
+#[test]
+fn unused_pub_fixture() {
+    let fixture = include_str!("fixtures/unused_pub.rs");
+    let files = [
+        ("crates/a/src/lib.rs", fixture),
+        ("crates/a/tests/t.rs", "fn t() { let _ = a::FixtureCalled2; }\n"),
+        ("crates/b/src/lib.rs", "fn b() { let _ = a::FixtureCalled; }\n"),
+    ]
+    .map(|(label, src)| (label.to_string(), src.to_string()));
+    let report = scan_sources(&files);
+    let got: Vec<(&str, usize, &str)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.file.as_str(), d.line, d.rule))
+        .collect();
+    let a = "crates/a/src/lib.rs";
+    let unused = [14, 17, 20, 24, 29, 31, 35, 35].map(|line| (a, line, "unused-pub"));
+    assert_eq!(got, [&unused[..], &[(a, 38, "dead-suppression")]].concat());
+    assert!(report.diagnostics[6].message.contains("`fixture_reexported`"));
+    assert!(report.diagnostics[7].message.contains("`FixtureAlias`"));
+    assert_eq!(report.suppressions, 1);
+    assert_eq!(report.crates, ["a", "b"]);
+    // One file alone has no name index: nothing is reported or judged.
+    assert_findings(&scan_source(fixture), &[]);
 }
 
 #[test]

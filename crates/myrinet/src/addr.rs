@@ -44,7 +44,7 @@ pub struct EthAddr([u8; 6]);
 
 impl EthAddr {
     /// The all-ones broadcast address.
-    pub const BROADCAST: EthAddr = EthAddr([0xFF; 6]);
+    pub(crate) const BROADCAST: EthAddr = EthAddr([0xFF; 6]);
 
     /// Builds an address from its six octets.
     pub const fn new(octets: [u8; 6]) -> EthAddr {
@@ -78,7 +78,7 @@ impl EthAddr {
     }
 
     /// `true` for the broadcast address.
-    pub fn is_broadcast(self) -> bool {
+    pub(crate) fn is_broadcast(self) -> bool {
         self == Self::BROADCAST
     }
 }

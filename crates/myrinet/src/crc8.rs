@@ -15,7 +15,7 @@
 //! the same byte on both; the tests call each kernel by name.
 
 /// The CRC-8 generator polynomial, x⁸ + x² + x + 1.
-pub const POLYNOMIAL: u8 = 0x07;
+pub(crate) const POLYNOMIAL: u8 = 0x07;
 
 /// The shortest input the carry-less fold takes. The fold always pays two
 /// table steps for its 128-bit remainder, so short inputs favour the

@@ -17,7 +17,7 @@
 //! one train ([`Frame::Train`]): the STOP that stops the peer names when
 //! the repeats fall due, the GO that releases it says whether a repeat due
 //! at its own instant went first, and neither end handles the repeats in
-//! between — the refresh timer runs in arithmetic ([`run_refresh`]), the
+//! between — the refresh timer runs in arithmetic (`run_refresh`), the
 //! held sender keeps `Stopped` with no timeout pending, and the counters
 //! that count single STOPs are derived from the open train when read
 //! ([`stats`]). A train that ends without its GO — swapped away by the
@@ -29,7 +29,6 @@
 //! train of any other symbol holds nothing. DESIGN.md §6 has the argument
 //! that this is exact.
 //!
-//! [`run_refresh`]: EgressPort::run_refresh
 //! [`stats`]: EgressPort::stats
 //! [`cut`]: EgressPort::cut
 
@@ -49,30 +48,32 @@ pub mod timer_class {
     /// The STOP short-period timeout expired.
     pub const STOP_TIMEOUT: u32 = 2;
     /// A held (blocked) path's long-period timeout expired.
-    pub const HOLD_RELEASE: u32 = 3;
+    pub(crate) const HOLD_RELEASE: u32 = 3;
     /// Periodic mapping round (host interfaces).
-    pub const MAPPING_ROUND: u32 = 4;
+    pub(crate) const MAPPING_ROUND: u32 = 4;
     /// End of a scout-collection window (mapper).
-    pub const SCOUT_WINDOW: u32 = 5;
+    pub(crate) const SCOUT_WINDOW: u32 = 5;
     /// Mapper-election takeover timer.
-    pub const TAKEOVER: u32 = 6;
+    pub(crate) const TAKEOVER: u32 = 6;
     /// Periodic STOP refresh of a switch input, in the per-symbol model
     /// the STOP-train differential test keeps as its oracle.
-    pub const STOP_REFRESH: u32 = 7;
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) const STOP_REFRESH: u32 = 7;
     /// A host interface's receive buffer finished draining one packet.
-    pub const RX_DRAIN: u32 = 8;
+    pub(crate) const RX_DRAIN: u32 = 8;
     /// STOP refresh of a host interface's receive slack buffer, in the
     /// per-symbol oracle.
-    pub const RX_STOP_REFRESH: u32 = 9;
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) const RX_STOP_REFRESH: u32 = 9;
     /// The injector acts on the STOP-train repeats due by now that it
     /// corrupts or logs one by one (port = the direction's input port).
     pub const TRAIN_REPEAT: u32 = 10;
     /// A switch port was severed between events: the packets waiting for
     /// it are dropped now.
-    pub const SEVERED: u32 = 11;
+    pub(crate) const SEVERED: u32 = 11;
     /// A repeat of the GAP train a switch input receives falls due while
     /// the input holds an output (port = the input).
-    pub const GAP_REPEAT: u32 = 12;
+    pub(crate) const GAP_REPEAT: u32 = 12;
     /// First application-defined class; higher layers start here.
     pub const APP_BASE: u32 = 0x100;
 }
@@ -88,15 +89,15 @@ pub fn split_timer_kind(kind: u32) -> (u32, u8) {
 }
 
 /// Number of character periods in the short-period (STOP) timeout.
-pub const STOP_TIMEOUT_CHARS: u64 = 16;
+pub(crate) const STOP_TIMEOUT_CHARS: u64 = 16;
 
 /// Character periods between repeats of a held STOP: comfortably inside
 /// the sender's 16-character timeout.
-pub const REFRESH_CHARS: u64 = 12;
+pub(crate) const REFRESH_CHARS: u64 = 12;
 
 /// Flow-control state of a sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowState {
+pub(crate) enum FlowState {
     /// Transmitting normally.
     Go,
     /// Paused by a STOP symbol, until a GO, the end of the STOP train, or
@@ -189,7 +190,6 @@ pub struct EgressPort {
     port: u8,
     peer: Option<PortPeer>,
     queue: VecDeque<Frame>,
-    queued_chars: usize,
     flow: FlowState,
     held: bool,
     busy_until: SimTime,
@@ -216,7 +216,6 @@ impl EgressPort {
             port,
             peer: None,
             queue: VecDeque::new(),
-            queued_chars: 0,
             flow: FlowState::Go,
             held: false,
             busy_until: SimTime::ZERO,
@@ -246,7 +245,7 @@ impl EgressPort {
     }
 
     /// `true` once wired.
-    pub fn is_attached(&self) -> bool {
+    pub(crate) fn is_attached(&self) -> bool {
         self.peer.is_some()
     }
 
@@ -255,13 +254,8 @@ impl EgressPort {
         self.peer.as_ref()
     }
 
-    /// Local port number.
-    pub fn port(&self) -> u8 {
-        self.port
-    }
-
     /// Current flow-control state.
-    pub fn flow_state(&self) -> FlowState {
+    pub(crate) fn flow_state(&self) -> FlowState {
         self.flow
     }
 
@@ -298,7 +292,7 @@ impl EgressPort {
 
     /// The time between repeats of a STOP this port sends: 12 character
     /// periods of its link.
-    pub fn refresh_period(&self) -> SimDuration {
+    pub(crate) fn refresh_period(&self) -> SimDuration {
         match &self.peer {
             Some(peer) => peer.link.char_period() * REFRESH_CHARS,
             None => SimDuration::from_ns(150),
@@ -309,7 +303,7 @@ impl EgressPort {
     /// event on this link: the refresh timer of the slack buffer this port
     /// speaks for is armed, the peer holds this port with a train, or a
     /// train end armed the pending STOP timeout.
-    pub fn in_stop_train(&self) -> bool {
+    pub(crate) fn in_stop_train(&self) -> bool {
         self.refresh.next.is_some()
             || matches!(self.received, Some(Received::Stop(_)))
             || matches!(self.timeout, Some((_, true)))
@@ -319,28 +313,22 @@ impl EgressPort {
     /// whether a train end armed it. The per-symbol model armed that one
     /// at the last STOP, so among the owner's events of its instant it may
     /// have sorted earlier than it does here (DESIGN.md §6).
-    pub fn pending_timeout(&self) -> Option<(SimTime, bool)> {
+    pub(crate) fn pending_timeout(&self) -> Option<(SimTime, bool)> {
         self.timeout
     }
 
     /// Frames waiting (not yet on the wire).
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
-    /// Characters waiting in the queue.
-    pub fn queued_chars(&self) -> usize {
-        self.queued_chars
-    }
-
     /// `true` while the wormhole path through this port is held.
-    pub fn is_held(&self) -> bool {
+    pub(crate) fn is_held(&self) -> bool {
         self.held
     }
 
     /// Queues a frame for transmission.
     pub fn enqueue(&mut self, ctx: &mut Context<'_, Ev>, frame: Frame) {
-        self.queued_chars += frame.wire_len();
         self.queue.push_back(frame);
         self.pump(ctx);
     }
@@ -356,7 +344,6 @@ impl EgressPort {
     /// [`enqueue_control`](EgressPort::enqueue_control) for any control
     /// frame, train frames included.
     fn enqueue_flow(&mut self, ctx: &mut Context<'_, Ev>, frame: Frame) {
-        self.queued_chars += frame.wire_len();
         self.queue.push_front(frame);
         self.pump(ctx);
     }
@@ -370,7 +357,7 @@ impl EgressPort {
     /// the STOP, which the open train already announced, or it finds the
     /// buffer released and lapses. Call before every change to the
     /// buffer's state.
-    pub fn run_refresh(&mut self, now: SimTime, late: bool, stopped: bool) {
+    pub(crate) fn run_refresh(&mut self, now: SimTime, late: bool, stopped: bool) {
         #[cfg(any(test, feature = "oracle"))]
         if self.per_symbol.is_some() {
             return;
@@ -395,7 +382,7 @@ impl EgressPort {
     /// refresh timer — armed now, or still armed from the previous stop;
     /// one more while the train is open (a frame landed above the high
     /// watermark) goes as a STOP of its own.
-    pub fn send_stop(&mut self, ctx: &mut Context<'_, Ev>) {
+    pub(crate) fn send_stop(&mut self, ctx: &mut Context<'_, Ev>) {
         let code = ControlSymbol::Stop.encode();
         #[cfg(any(test, feature = "oracle"))]
         if let Some(kind) = self.per_symbol {
@@ -427,7 +414,7 @@ impl EgressPort {
     /// first up to `now` (call [`run_refresh`](EgressPort::run_refresh)
     /// first), and one due at `now` itself went ahead of the GO if the
     /// timer has moved past `now`.
-    pub fn send_go(&mut self, ctx: &mut Context<'_, Ev>) {
+    pub(crate) fn send_go(&mut self, ctx: &mut Context<'_, Ev>) {
         let code = Some(ControlSymbol::Go.encode());
         let (Some(first), Some(next)) = (self.refresh.train.take(), self.refresh.next) else {
             return self.enqueue_control(ctx, ControlSymbol::Go.encode());
@@ -448,7 +435,7 @@ impl EgressPort {
     /// `stopped`, repeats the STOP and re-arms; otherwise lapses. Returns
     /// whether it sent.
     #[cfg(any(test, feature = "oracle"))]
-    pub fn on_refresh_timer(&mut self, ctx: &mut Context<'_, Ev>, stopped: bool) -> bool {
+    pub(crate) fn on_refresh_timer(&mut self, ctx: &mut Context<'_, Ev>, stopped: bool) -> bool {
         self.refresh.next = None;
         let Some(kind) = self.per_symbol.filter(|_| stopped) else {
             return false;
@@ -608,13 +595,13 @@ impl EgressPort {
     /// Holds the port: the wormhole path is occupied by an unterminated
     /// packet, so the owner must not admit further packets to it (§4.3.1
     /// source blocking). Advisory — frames already queued still drain.
-    pub fn hold(&mut self) {
+    pub(crate) fn hold(&mut self) {
         self.held = true;
     }
 
     /// Releases a held port (a GAP arrived or the long-period timeout
     /// fired) and resumes pumping.
-    pub fn release(&mut self, ctx: &mut Context<'_, Ev>) {
+    pub(crate) fn release(&mut self, ctx: &mut Context<'_, Ev>) {
         if self.held {
             self.held = false;
             self.pump(ctx);
@@ -623,7 +610,7 @@ impl EgressPort {
 
     /// Handles a STOP or GO symbol received from the peer. A STOP inside a
     /// train starts no timeout: the train's next repeat is due first.
-    pub fn on_flow(&mut self, ctx: &mut Context<'_, Ev>, sym: ControlSymbol) {
+    pub(crate) fn on_flow(&mut self, ctx: &mut Context<'_, Ev>, sym: ControlSymbol) {
         match sym {
             ControlSymbol::Stop => {
                 self.check_no_go_train("a STOP");
@@ -681,7 +668,7 @@ impl EgressPort {
 
     /// The short-period timeout duration: 16 character periods at this
     /// link's rate (12.5 ns × 16 = 200 ns at 80 MB/s).
-    pub fn stop_timeout(&self) -> SimDuration {
+    pub(crate) fn stop_timeout(&self) -> SimDuration {
         match &self.peer {
             Some(peer) => peer.link.char_period() * STOP_TIMEOUT_CHARS,
             None => SimDuration::from_ns(200),
@@ -695,7 +682,6 @@ impl EgressPort {
             // Unwired: discard (counts as drops).
             self.stats.unwired_drops += self.queue.len() as u64;
             self.queue.clear();
-            self.queued_chars = 0;
             return;
         };
         // Control symbols interleave with data characters on the real wire
@@ -706,7 +692,6 @@ impl EgressPort {
             let Some(frame) = self.queue.pop_front() else {
                 break;
             };
-            self.queued_chars -= frame.wire_len();
             ctx.send(
                 peer.dst,
                 peer.tx_time(1) + peer.propagation(),
@@ -737,7 +722,6 @@ impl EgressPort {
             return;
         };
         let chars = frame.wire_len();
-        self.queued_chars -= chars;
         let tx = peer.tx_time(chars);
         ctx.send(
             peer.dst,
@@ -970,11 +954,6 @@ mod tests {
             .egress
             .queue
             .push_back(Frame::control(ControlSymbol::Go));
-        engine
-            .component_as_mut::<Sender>(sender)
-            .unwrap()
-            .egress
-            .queued_chars += 1;
         // Poke the pump via a TX_DONE timer event.
         engine.schedule(
             SimTime::from_ns(20),

@@ -152,7 +152,7 @@ pub struct PortPeer {
 
 impl PortPeer {
     /// Serialization time for `chars` characters on this link.
-    pub fn tx_time(&self, chars: usize) -> SimDuration {
+    pub(crate) fn tx_time(&self, chars: usize) -> SimDuration {
         self.link.transfer_time(chars)
     }
 

@@ -136,7 +136,7 @@ impl Repeats {
     }
 
     /// Whether a repeat arrives at `t` exactly.
-    pub fn falls_at(&self, t: SimTime) -> bool {
+    pub(crate) fn falls_at(&self, t: SimTime) -> bool {
         self.count(t, true) != self.count(t, false)
     }
 }
@@ -161,7 +161,7 @@ pub(crate) struct LastGap {
 
 impl LastGap {
     /// A GAP of its own arrived at `now`.
-    pub fn arrive(&mut self, now: SimTime) {
+    pub(crate) fn arrive(&mut self, now: SimTime) {
         self.at = Some(now);
         self.seen += 1;
     }
@@ -191,7 +191,7 @@ impl LastGap {
 
     /// The latest GAP to arrive before `now`, or by `now` when `inclusive`,
     /// unless a truncation consumed it.
-    pub fn latest(&self, now: SimTime, inclusive: bool) -> Option<SimTime> {
+    pub(crate) fn latest(&self, now: SimTime, inclusive: bool) -> Option<SimTime> {
         let repeat = self.train.and_then(|(repeats, consumed)| {
             let n = repeats.count(now, inclusive);
             (n > consumed).then(|| repeats.at(n - 1))
@@ -201,7 +201,7 @@ impl LastGap {
 
     /// A truncation at `now` consumed the latest GAP: no GAP that arrived
     /// before `now`, or by `now` when `inclusive`, truncates another packet.
-    pub fn consume(&mut self, now: SimTime, inclusive: bool) {
+    pub(crate) fn consume(&mut self, now: SimTime, inclusive: bool) {
         self.at = None;
         if let Some((repeats, consumed)) = &mut self.train {
             *consumed = repeats.count(now, inclusive);
@@ -219,7 +219,7 @@ impl LastGap {
     }
 
     /// The GAP train arriving, if any.
-    pub fn train(&self) -> Option<Repeats> {
+    pub(crate) fn train(&self) -> Option<Repeats> {
         self.train.map(|(repeats, _)| repeats)
     }
 }
@@ -263,7 +263,7 @@ impl Frame {
     }
 
     /// `true` for the frames flow control sends ahead of data.
-    pub fn is_control(&self) -> bool {
+    pub(crate) fn is_control(&self) -> bool {
         !matches!(self, Frame::Packet(_))
     }
 

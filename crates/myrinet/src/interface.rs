@@ -78,7 +78,7 @@ pub struct Delivery {
     pub data: netfi_sim::SharedBytes,
 }
 
-/// Error returned by [`HostInterface::send_data`].
+/// Error returned by [`HostInterface::send_data_parts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendError {
     /// The destination is not in the routing table — the node is currently
@@ -267,7 +267,7 @@ impl HostInterface {
     }
 
     /// The MCP's 64-bit address.
-    pub fn node_addr(&self) -> NodeAddress {
+    pub(crate) fn node_addr(&self) -> NodeAddress {
         self.config.addr
     }
 
@@ -303,11 +303,6 @@ impl HostInterface {
         assert!(drain_bps > 0, "drain rate must be non-zero");
         self.rx_sbuf = SlackBuffer::new(capacity, high, low);
         self.config.rx_drain_bps = drain_bps;
-    }
-
-    /// This interface's attachment point.
-    pub fn attachment(&self) -> Attachment {
-        self.config.attachment
     }
 
     /// Counters.
@@ -346,7 +341,7 @@ impl HostInterface {
     }
 
     /// Physical addresses present in the last Routes message received.
-    pub fn present_nodes(&self) -> &[EthAddr] {
+    pub(crate) fn present_nodes(&self) -> &[EthAddr] {
         &self.last_present
     }
 
@@ -375,26 +370,11 @@ impl HostInterface {
             .set_per_symbol(timer_kind(timer_class::RX_STOP_REFRESH, 1));
     }
 
-    /// Sends `data` to `dest` as a DATA packet.
-    ///
-    /// # Errors
-    ///
-    /// [`SendError::NoRoute`] if the routing table has no entry for `dest`.
-    pub fn send_data(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        dest: EthAddr,
-        data: &[u8],
-    ) -> Result<(), SendError> {
-        self.send_data_parts(ctx, dest, &[data])
-    }
-
     /// Sends the concatenation of `parts` to `dest` as a DATA packet.
     ///
-    /// Equivalent to [`send_data`](HostInterface::send_data) on the
-    /// concatenated bytes, but lets a caller with a scattered payload
-    /// (e.g. a protocol header plus a shared payload buffer) skip
-    /// assembling an intermediate buffer: the full wire image — route,
+    /// A caller with a scattered payload (e.g. a protocol header plus a
+    /// shared payload buffer) skips assembling an intermediate buffer:
+    /// the full wire image — route,
     /// type, Ethernet-style header, data, CRC — is built in one
     /// allocation, and every later hop shares it.
     ///
@@ -922,7 +902,7 @@ mod tests {
                 Ev::App(cmd) => match *cmd.downcast::<Cmd>().expect("test cmd") {
                     Cmd::Start => self.nic.start(ctx),
                     Cmd::Send(dest, ref data) => {
-                        let _ = self.nic.send_data(ctx, dest, data);
+                        let _ = self.nic.send_data_parts(ctx, dest, &[data]);
                     }
                 },
                 _ => {}

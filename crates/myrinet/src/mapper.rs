@@ -52,12 +52,12 @@ impl Topology {
     }
 
     /// Number of switches.
-    pub fn switch_count(&self) -> usize {
+    pub(crate) fn switch_count(&self) -> usize {
         self.switch_ports.len()
     }
 
     /// `true` if `(switch, port)` is one end of an inter-switch trunk.
-    pub fn is_trunk_port(&self, at: Attachment) -> bool {
+    pub(crate) fn is_trunk_port(&self, at: Attachment) -> bool {
         self.trunks.iter().any(|&(a, b)| a == at || b == at)
     }
 
@@ -69,7 +69,7 @@ impl Topology {
     }
 
     /// Every `(switch, port)` that could hold a host (non-trunk ports).
-    pub fn host_ports(&self) -> Vec<Attachment> {
+    pub(crate) fn host_ports(&self) -> Vec<Attachment> {
         let mut out = Vec::new();
         for (s, &nports) in self.switch_ports.iter().enumerate() {
             for p in 0..nports {
@@ -177,17 +177,10 @@ impl NetworkMap {
         self.nodes.len()
     }
 
-    /// Finds the attachment advertising `eth`, if any.
-    pub fn find_eth(&self, eth: EthAddr) -> Option<Attachment> {
-        self.nodes
-            .iter()
-            .find_map(|(&at, info)| (info.eth == eth).then_some(at))
-    }
-
     /// `true` when both maps contain the same nodes at the same
     /// attachments (epochs may differ) — the consistency check used to
     /// reproduce Figure 11's "unable to generate a consistent map".
-    pub fn consistent_with(&self, other: &NetworkMap) -> bool {
+    pub(crate) fn consistent_with(&self, other: &NetworkMap) -> bool {
         self.nodes == other.nodes
     }
 
@@ -269,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn map_find_and_consistency() {
+    fn map_consistency_ignores_the_epoch() {
         let mut a = NetworkMap::new(1);
         a.nodes.insert((0, 0), info(1));
         a.nodes.insert((0, 1), info(2));
@@ -277,8 +270,6 @@ mod tests {
         b.nodes.insert((0, 0), info(1));
         b.nodes.insert((0, 1), info(2));
         assert!(a.consistent_with(&b)); // epoch ignored
-        assert_eq!(a.find_eth(EthAddr::myricom(2)), Some((0, 1)));
-        assert_eq!(a.find_eth(EthAddr::myricom(9)), None);
         b.nodes.remove(&(0, 1));
         assert!(!a.consistent_with(&b));
     }

@@ -35,7 +35,7 @@ impl PacketType {
     pub const MAPPING: PacketType = PacketType(0x0000_0005);
 
     /// The wire encoding (big-endian).
-    pub fn to_bytes(self) -> [u8; 4] {
+    pub(crate) fn to_bytes(self) -> [u8; 4] {
         self.0.to_be_bytes()
     }
 
@@ -43,11 +43,6 @@ impl PacketType {
     pub fn from_slice(buf: &[u8]) -> Option<PacketType> {
         let bytes: [u8; 4] = buf.get(..4)?.try_into().ok()?;
         Some(PacketType(u32::from_be_bytes(bytes)))
-    }
-
-    /// `true` for the types this stack understands.
-    pub fn is_known(self) -> bool {
-        self == Self::DATA || self == Self::MAPPING
     }
 }
 
@@ -62,15 +57,15 @@ impl fmt::Display for PacketType {
 }
 
 /// Mask selecting the port number from a route byte (up to 64 ports).
-pub const ROUTE_PORT_MASK: u8 = 0x3F;
+pub(crate) const ROUTE_PORT_MASK: u8 = 0x3F;
 /// The MSB flag: set when the hop targets another switch.
-pub const ROUTE_SWITCH_FLAG: u8 = 0x80;
+pub(crate) const ROUTE_SWITCH_FLAG: u8 = 0x80;
 
 /// A route byte addressed to a further switch: MSB set.
 ///
 /// # Panics
 ///
-/// Panics if `port` exceeds [`ROUTE_PORT_MASK`].
+/// Panics if `port` exceeds `ROUTE_PORT_MASK` (63).
 pub fn route_to_switch(port: u8) -> u8 {
     assert!(port <= ROUTE_PORT_MASK, "switch port out of range");
     ROUTE_SWITCH_FLAG | port
@@ -80,7 +75,7 @@ pub fn route_to_switch(port: u8) -> u8 {
 ///
 /// # Panics
 ///
-/// Panics if `port` exceeds [`ROUTE_PORT_MASK`].
+/// Panics if `port` exceeds `ROUTE_PORT_MASK` (63).
 pub fn route_to_host(port: u8) -> u8 {
     assert!(port <= ROUTE_PORT_MASK, "switch port out of range");
     port
@@ -211,28 +206,6 @@ impl Packet {
         let ptype = PacketType::from_slice(&wire[1..]).ok_or(PacketError::TooShort)?;
         Ok((final_route, ptype))
     }
-
-    /// Parses a packet whose route is fully consumed (zero route bytes) —
-    /// used when a switch over-consumed the route after MSB corruption.
-    ///
-    /// # Errors
-    ///
-    /// [`PacketError::TooShort`] or [`PacketError::BadCrc`].
-    pub fn parse_routeless(wire: &[u8]) -> Result<Packet, PacketError> {
-        if wire.len() < 4 + 1 {
-            return Err(PacketError::TooShort);
-        }
-        if !crc8::verify(wire) {
-            return Err(PacketError::BadCrc);
-        }
-        let ptype = PacketType::from_slice(wire).ok_or(PacketError::TooShort)?;
-        let payload = SharedBytes::from(&wire[4..wire.len() - 1]);
-        Ok(Packet {
-            route: Vec::new(),
-            ptype,
-            payload,
-        })
-    }
 }
 
 /// Switch-side operations on raw wire images.
@@ -240,7 +213,7 @@ pub mod wire {
     use super::*;
 
     /// The first route byte of a wire image, if any.
-    pub fn peek_route_byte(wire: &[u8]) -> Option<u8> {
+    pub(crate) fn peek_route_byte(wire: &[u8]) -> Option<u8> {
         wire.first().copied()
     }
 
@@ -328,29 +301,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_routeless() {
-        let p = Packet::new(vec![], PacketType::MAPPING, b"scout".to_vec());
-        let w = p.encode();
-        let parsed = Packet::parse_routeless(&w).unwrap();
-        assert_eq!(parsed.ptype, PacketType::MAPPING);
-        assert_eq!(parsed.payload, b"scout");
-        assert!(parsed.route.is_empty());
-    }
-
-    #[test]
     fn too_short_rejected() {
         assert_eq!(Packet::parse_delivered(&[1, 2, 3]), Err(PacketError::TooShort));
-        assert_eq!(Packet::parse_routeless(&[1, 2]), Err(PacketError::TooShort));
         assert_eq!(wire::strip_route_byte(&[9]), Err(PacketError::TooShort));
     }
 
     #[test]
-    fn ptype_display_and_known() {
+    fn ptype_display() {
         assert_eq!(PacketType::DATA.to_string(), "DATA");
         assert_eq!(PacketType::MAPPING.to_string(), "MAPPING");
         assert_eq!(PacketType(0x29).to_string(), "TYPE(0x0029)");
-        assert!(PacketType::DATA.is_known());
-        assert!(!PacketType(0x29).is_known());
     }
 
     #[test]
@@ -363,14 +323,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn route_byte_range_checked() {
         let _ = route_to_switch(0x40);
-    }
-
-    #[test]
-    fn mapping_type_corruption_is_unknown_type() {
-        // §4.3.2: 0x0005 corrupted to 0x000x (x random, != 4, 5) is not a
-        // known type, so the receiving MCP ignores it.
-        for x in [0u32, 1, 2, 3, 6, 7, 0xE] {
-            assert!(!PacketType(x).is_known() || x == 4);
-        }
     }
 }

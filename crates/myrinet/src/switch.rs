@@ -281,18 +281,13 @@ impl Switch {
     }
 
     /// Slack-buffer overflow count summed over inputs.
-    pub fn total_sbuf_overflows(&self) -> u64 {
+    pub(crate) fn total_sbuf_overflows(&self) -> u64 {
         self.inputs.iter().map(|i| i.sbuf.overflows()).sum()
     }
 
     /// Flow-control symbols generated toward upstream senders.
-    pub fn total_stops_generated(&self) -> u64 {
+    pub(crate) fn total_stops_generated(&self) -> u64 {
         self.inputs.iter().map(|i| i.sbuf.stops_sent()).sum()
-    }
-
-    /// Whether the given output port is currently held.
-    pub fn output_held(&self, port: u8) -> bool {
-        self.egress[port as usize].is_held()
     }
 
     /// The counters of output `port` as of `now` (see
@@ -341,11 +336,6 @@ impl Switch {
         for (p, egress) in self.egress.iter_mut().enumerate() {
             egress.set_per_symbol(timer_kind(timer_class::STOP_REFRESH, p as u8));
         }
-    }
-
-    /// Whether `port` has been severed.
-    pub fn port_severed(&self, port: u8) -> bool {
-        self.severed[port as usize]
     }
 
     fn on_control(&mut self, ctx: &mut Context<'_, Ev>, port: usize, code: u8) {
@@ -1095,7 +1085,7 @@ mod tests {
         send_from(&mut engine, hosts[0], f);
         engine.run_until(SimTime::from_ms(1));
         // Packet delivered but path held.
-        assert!(engine.component_as::<Switch>(sw).unwrap().output_held(1));
+        assert!(engine.component_as::<Switch>(sw).unwrap().egress[1].is_held());
         // A second packet to the same output is stuck.
         send_from(&mut engine, hosts[2], data_packet(1, b"queued"));
         engine.run_until(SimTime::from_ms(10));
@@ -1104,7 +1094,7 @@ mod tests {
         // After the 50 ms long timeout the path is reclaimed.
         engine.run_until(SimTime::from_ms(60));
         let s = engine.component_as::<Switch>(sw).unwrap();
-        assert!(!s.output_held(1));
+        assert!(!s.egress[1].is_held());
         assert_eq!(s.stats().long_timeout_releases, 1);
         let h1 = engine.component_as::<Endpoint>(hosts[1]).unwrap();
         assert_eq!(h1.rx_packets.len(), 2, "blocked packet flows after reclaim");
@@ -1119,12 +1109,12 @@ mod tests {
         }
         send_from(&mut engine, hosts[0], f);
         engine.run_until(SimTime::from_ms(1));
-        assert!(engine.component_as::<Switch>(sw).unwrap().output_held(1));
+        assert!(engine.component_as::<Switch>(sw).unwrap().egress[1].is_held());
         // The sender eventually transmits the missing GAP.
         send_from(&mut engine, hosts[0], Frame::control(ControlSymbol::Gap));
         engine.run_until(SimTime::from_ms(2));
         let s = engine.component_as::<Switch>(sw).unwrap();
-        assert!(!s.output_held(1));
+        assert!(!s.egress[1].is_held());
         assert_eq!(s.stats().gap_releases, 1);
         assert_eq!(s.stats().long_timeout_releases, 0);
     }
@@ -1280,7 +1270,7 @@ mod tests {
         send_from(&mut engine, hosts[0], data_packet(2, b"healthy"));
         engine.run();
         let s = engine.component_as::<Switch>(sw).unwrap();
-        assert!(s.port_severed(1));
+        assert!(s.severed[1]);
         assert_eq!(s.stats().severed_drops, 2);
         assert_eq!(s.stats().forwarded, 1);
         let h1 = engine.component_as::<Endpoint>(hosts[1]).unwrap();
@@ -1302,7 +1292,7 @@ mod tests {
         }
         send_from(&mut engine, hosts[0], f);
         engine.run_until(SimTime::from_us(100));
-        assert!(engine.component_as::<Switch>(sw).unwrap().output_held(1));
+        assert!(engine.component_as::<Switch>(sw).unwrap().egress[1].is_held());
         send_from(&mut engine, hosts[2], data_packet(1, b"queued"));
         engine.run_until(SimTime::from_us(200));
         let h1 = engine.component_as::<Endpoint>(hosts[1]).unwrap();
@@ -1312,7 +1302,7 @@ mod tests {
         engine.run_until(SimTime::from_us(300));
         let s = engine.component_as::<Switch>(sw).unwrap();
         assert_eq!((s.stats().framing_drops, s.stats().gap_releases), (1, 1));
-        assert!(!s.output_held(1));
+        assert!(!s.egress[1].is_held());
         let h1 = engine.component_as::<Endpoint>(hosts[1]).unwrap();
         assert_eq!(h1.rx_packets.len(), 2, "queued packet leaves at the release");
     }

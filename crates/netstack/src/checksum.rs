@@ -58,7 +58,7 @@ pub fn checksum(data: &[u8]) -> u16 {
 /// parts add up to the sum of the whole — provided every part except the
 /// last has even length (an odd-length part would shift the 16-bit word
 /// alignment of everything after it).
-pub fn checksum_parts(parts: &[&[u8]]) -> u16 {
+pub(crate) fn checksum_parts(parts: &[&[u8]]) -> u16 {
     debug_assert!(
         parts.iter().rev().skip(1).all(|p| p.len() % 2 == 0),
         "only the last part may have odd length"

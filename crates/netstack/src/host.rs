@@ -23,7 +23,7 @@ use netfi_sim::{Component, Context, DetRng, SharedBytes, SimDuration, SimTime};
 use crate::udp::{payload_avoiding, payload_avoiding_into, UdpDatagram, UdpError};
 
 /// The well-known echo port every host answers on.
-pub const ECHO_PORT: u16 = 7;
+pub(crate) const ECHO_PORT: u16 = 7;
 /// The discard/sink port message senders target.
 pub const SINK_PORT: u16 = 9999;
 
@@ -48,7 +48,7 @@ pub struct HostConfig {
 impl HostConfig {
     /// Paper-era host timing: ~117.5 µs per send/receive, so a small-UDP
     /// ping-pong costs ~235 µs per packet as in Table 2.
-    pub fn paper_era(iface: InterfaceConfig, seed: u64) -> HostConfig {
+    pub(crate) fn paper_era(iface: InterfaceConfig, seed: u64) -> HostConfig {
         HostConfig {
             iface,
             send_overhead: SimDuration::from_ns(117_300),
@@ -256,12 +256,6 @@ impl Host {
         self.nic.cut(now)
     }
 
-    /// Whether the host is powered (on unless [`power_off`](Host::power_off)
-    /// was called).
-    pub fn powered(&self) -> bool {
-        self.powered
-    }
-
     /// The host's observability recorder.
     pub fn obs(&self) -> &Recorder {
         &self.obs
@@ -273,7 +267,7 @@ impl Host {
     }
 
     /// Convenience: a paper-era host from interface parameters.
-    pub fn paper_era(iface: InterfaceConfig, seed: u64) -> Host {
+    pub(crate) fn paper_era(iface: InterfaceConfig, seed: u64) -> Host {
         Host::new(HostConfig::paper_era(iface, seed))
     }
 

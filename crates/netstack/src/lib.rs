@@ -24,7 +24,7 @@ pub mod host;
 pub mod net;
 pub mod udp;
 
-pub use host::{Host, HostCmd, HostConfig, Workload, ECHO_PORT, SINK_PORT};
+pub use host::{Host, HostCmd, HostConfig, Workload, SINK_PORT};
 pub use net::{build_testbed, build_testbed_probed, Testbed, TestbedOptions};
 pub use netfi_myrinet::event::ConnectError;
 pub use udp::UdpDatagram;

@@ -153,7 +153,7 @@ pub fn payload_avoiding(len: usize, seq: u64, forbidden: &[u8]) -> Vec<u8> {
 /// Appends the [`payload_avoiding`] filler to an existing buffer, so a
 /// caller composing a larger payload (e.g. sequence number + filler) can
 /// do it in one allocation.
-pub fn payload_avoiding_into(out: &mut Vec<u8>, len: usize, seq: u64, forbidden: &[u8]) {
+pub(crate) fn payload_avoiding_into(out: &mut Vec<u8>, len: usize, seq: u64, forbidden: &[u8]) {
     // A deterministic, seq-dependent pattern drawn from the printable
     // ASCII bytes that are not forbidden.
     let mut x = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(len as u64);

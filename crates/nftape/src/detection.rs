@@ -12,7 +12,7 @@
 //! (the [`crate::grid`] amortization, reused verbatim).
 //!
 //! Each scenario carries a *topology-predicted* impact set
-//! ([`predicted_pairs`]): the heartbeat pairs the fault should silence,
+//! (`predicted_pairs`): the heartbeat pairs the fault should silence,
 //! derived purely from the fabric's wiring and static ECMP routes. The
 //! campaign measures, per threshold, which predicted pairs were detected
 //! and how fast, which were missed, and which undamaged pairs false-
@@ -189,7 +189,7 @@ impl DetectSpec {
     }
 
     /// Powers off one host.
-    pub fn node_off(name: &str, host: usize) -> DetectSpec {
+    pub(crate) fn node_off(name: &str, host: usize) -> DetectSpec {
         DetectSpec {
             name: name.to_string(),
             fault: DetectFault::NodeOff(host),
@@ -205,7 +205,7 @@ impl DetectSpec {
     }
 
     /// Severs one leaf→spine trunk.
-    pub fn trunk(name: &str, leaf: usize, spine: usize) -> DetectSpec {
+    pub(crate) fn trunk(name: &str, leaf: usize, spine: usize) -> DetectSpec {
         DetectSpec {
             name: name.to_string(),
             fault: DetectFault::Trunk { leaf, spine },
@@ -226,7 +226,7 @@ impl DetectSpec {
 /// CRC recompute — every matching frame arrives CRC-broken and is
 /// detected and dropped by the receiving NIC. Programmed with the trigger
 /// off; the scenario arms it at the fault instant.
-pub fn heartbeat_corrupt_config() -> InjectorConfig {
+pub(crate) fn heartbeat_corrupt_config() -> InjectorConfig {
     InjectorConfig::builder()
         .match_mode(MatchMode::Off)
         .compare(HB_WIRE_WINDOW, 0xFFFF_FFFF)
@@ -240,7 +240,7 @@ pub fn heartbeat_corrupt_config() -> InjectorConfig {
 /// reverse-direction transmitter — and the STOP short-period timeout
 /// restarts it, so traffic is perturbed but never silenced. Predicted
 /// impact is empty; a detection here is a false positive.
-pub fn gap_stop_config() -> InjectorConfig {
+pub(crate) fn gap_stop_config() -> InjectorConfig {
     InjectorConfig::builder()
         .match_mode(MatchMode::Off)
         .compare(NEVER_MATCH, 0xFFFF_FFFF)
@@ -317,7 +317,7 @@ fn effective_spines(topo: &TopoOptions) -> usize {
 /// heartbeats, direction B its inbound ones. `Healthy`, `Burst` and the
 /// GAP→STOP swap predict nothing — the latter because the STOP
 /// short-period timeout self-recovers (see [`gap_stop_config`]).
-pub fn predicted_pairs(topo: &TopoOptions, fault: &DetectFault) -> Vec<u32> {
+pub(crate) fn predicted_pairs(topo: &TopoOptions, fault: &DetectFault) -> Vec<u32> {
     let hosts = topo.hosts;
     let spines = effective_spines(topo);
     let mut pairs: Vec<u32> = match fault {
@@ -685,11 +685,6 @@ impl WarmedDetect {
         })
     }
 
-    /// The static SPOF analysis of the same fabric the campaign runs on.
-    pub fn topo_report(&self) -> &TopoReport {
-        &self.report
-    }
-
     /// Leaf switch `leaf`'s component id.
     fn leaf(&self, leaf: usize) -> Result<ComponentId, ScenarioError> {
         let id = self.leaves.get(leaf).copied();
@@ -718,7 +713,7 @@ impl ThresholdOutcome {
     /// Prediction-vs-outcome agreement in permille: the Jaccard index of
     /// the predicted set against everything detected (hits plus false
     /// alarms). An empty prediction with no alarms scores 1000.
-    pub fn agreement_permille(&self, predicted: usize) -> u64 {
+    pub(crate) fn agreement_permille(&self, predicted: usize) -> u64 {
         let union = predicted + self.false_alarm_pairs.len();
         if union == 0 {
             return 1000;

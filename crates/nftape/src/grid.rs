@@ -73,7 +73,7 @@ impl FailureSpec {
     }
 
     /// Powers off one host.
-    pub fn node_off(name: &str, host: usize) -> FailureSpec {
+    pub(crate) fn node_off(name: &str, host: usize) -> FailureSpec {
         FailureSpec {
             name: name.to_string(),
             deactivate_nodes: vec![host],
@@ -82,7 +82,7 @@ impl FailureSpec {
     }
 
     /// Severs one switch port (the test bed wires host `i` to port `i`).
-    pub fn link_severed(name: &str, port: u8) -> FailureSpec {
+    pub(crate) fn link_severed(name: &str, port: u8) -> FailureSpec {
         FailureSpec {
             name: name.to_string(),
             deactivate_links: vec![port],
@@ -355,11 +355,6 @@ impl WarmedCampaign {
         self.snapshot.fork_into(engine);
     }
 
-    /// The number of pending events captured in the donor snapshot.
-    pub fn pending_events(&self) -> usize {
-        self.snapshot.pending_events()
-    }
-
     /// Component ids of the campaign's hosts, in test-bed order.
     pub fn hosts(&self) -> &[ComponentId] {
         &self.hosts
@@ -373,12 +368,6 @@ impl WarmedCampaign {
     /// Component id of the injector device spliced into host 1's link.
     pub fn device(&self) -> ComponentId {
         self.device
-    }
-
-    /// The map-phase span events every forked scenario's bundle starts
-    /// from.
-    pub fn map_phases(&self) -> &[Stamped<ObsEvent>] {
-        &self.map_phases
     }
 }
 
@@ -408,7 +397,7 @@ pub fn warm_campaign(seed: u64) -> Result<WarmedCampaign, ScenarioError> {
 /// # Errors
 ///
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
-pub fn fresh_run(seed: u64, spec: &FailureSpec) -> Result<GridRun, ScenarioError> {
+pub(crate) fn fresh_run(seed: u64, spec: &FailureSpec) -> Result<GridRun, ScenarioError> {
     Ok(render(spec, fresh_observed(seed, spec)?))
 }
 
@@ -581,7 +570,7 @@ mod tests {
     #[test]
     fn fork_run_matches_fresh_run_byte_for_byte() {
         let warm = warm_campaign(11).unwrap();
-        assert!(warm.pending_events() > 0);
+        assert!(warm.snapshot.pending_events() > 0);
         for spec in [
             FailureSpec::healthy("healthy"),
             FailureSpec::node_off("node-off-0", 0),

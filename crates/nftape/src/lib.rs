@@ -41,18 +41,18 @@ pub mod topo;
 
 pub use campaign::{run_campaign, run_campaigns_with_workers, CampaignSpec, FaultSpec};
 pub use detection::{
-    detect_specs, fabric_graph, predicted_pairs, run_detection, warm_detect, DetectFault,
+    detect_specs, fabric_graph, run_detection, warm_detect, DetectFault,
     DetectOptions, DetectResult, DetectRun, DetectSpec, ThresholdOutcome, WarmedDetect,
 };
 pub use grid::{
-    fork_grid, fresh_grid, fresh_run, grid_specs, warm_campaign, FailureSpec, GridResult, GridRun,
+    fork_grid, fresh_grid, grid_specs, warm_campaign, FailureSpec, GridResult, GridRun,
     WarmedCampaign,
 };
 pub use observed::{
     observed_campaign, observed_campaign_forked, observed_campaign_sharded, observed_suite,
     ObservedCampaign, ObservedSuite, ShardedObserved,
 };
-pub use report::{registry_tables, Table};
+pub use report::Table;
 pub use results::{RunResult, ScenarioError};
 pub use runner::default_workers;
 pub use topo::{build_fabric, build_fabric_probed, fabric_digest, Fabric, TopoOptions};

@@ -83,11 +83,6 @@ impl ObservedCampaign {
     pub fn text_table(&self) -> String {
         text_table("observed campaign", &self.registry)
     }
-
-    /// The registry rendered as campaign-report tables.
-    pub fn report_tables(&self) -> Vec<Table> {
-        registry_tables("observed campaign", &self.registry)
-    }
 }
 
 /// The fixed campaign topology: three hosts, the injector spliced into
@@ -546,7 +541,7 @@ mod tests {
     #[test]
     fn report_tables_render() {
         let run = observed_campaign(11).unwrap();
-        let tables = run.report_tables();
+        let tables = registry_tables("observed campaign", &run.registry);
         assert_eq!(tables.len(), 2);
         let text = tables[0].render();
         assert!(text.contains("udp.rx_checksum_drops"));

@@ -38,17 +38,6 @@ impl Table {
         self
     }
 
-    /// Convenience for string-slice rows.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Table {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// `true` if the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -104,7 +93,7 @@ impl fmt::Display for Table {
 /// tables are byte-identical across runs.
 ///
 /// [`Registry`]: netfi_obs::Registry
-pub fn registry_tables(title: &str, registry: &netfi_obs::Registry) -> Vec<Table> {
+pub(crate) fn registry_tables(title: &str, registry: &netfi_obs::Registry) -> Vec<Table> {
     let mut out = Vec::new();
     let mut counts = Table::new(title, &["metric", "value"]);
     for (name, value) in registry.counters() {
@@ -143,19 +132,19 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new("Results", &["Mask", "Replacement", "Loss rate"]);
-        t.row_strs(&["STOP", "IDLE", "8%"]);
-        t.row_strs(&["GAP", "GO", "11%"]);
+        t.row(&["STOP", "IDLE", "8%"].map(String::from));
+        t.row(&["GAP", "GO", "11%"].map(String::from));
         let text = t.render();
         assert!(text.starts_with("Results\n"));
         assert!(text.contains("Mask  Replacement  Loss rate"));
         assert!(text.contains("STOP  IDLE         8%"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
     fn no_title_table() {
         let mut t = Table::new("", &["a"]);
-        t.row_strs(&["1"]);
+        t.row(&["1"].map(String::from));
         assert!(t.render().starts_with("a\n"));
     }
 
@@ -163,6 +152,6 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_rejected() {
         let mut t = Table::new("x", &["a", "b"]);
-        t.row_strs(&["only one"]);
+        t.row(&["only one"].map(String::from));
     }
 }

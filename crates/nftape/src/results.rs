@@ -101,7 +101,7 @@ impl RunResult {
     }
 
     /// Attaches a named extra measurement.
-    pub fn with_extra(mut self, key: &str, value: f64) -> RunResult {
+    pub(crate) fn with_extra(mut self, key: &str, value: f64) -> RunResult {
         self.extra.insert(key.to_string(), value);
         self
     }

@@ -211,7 +211,7 @@ pub fn program_injector(
 /// Schedules a duty-cycled campaign: the trigger is switched ON at the
 /// start of each period and OFF after `on_for`, from `from` until `until`.
 /// The configuration itself must already be programmed.
-pub fn schedule_duty_cycle(
+pub(crate) fn schedule_duty_cycle(
     sim: &mut impl Simulation<Ev>,
     device: ComponentId,
     from: SimTime,

@@ -21,7 +21,7 @@ use crate::results::ScenarioError;
 
 /// A snapshot of network-wide message counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrafficSnapshot {
+pub(crate) struct TrafficSnapshot {
     /// Sender-workload messages generated.
     pub generated: u64,
     /// Messages refused at the NIC for lack of a route.

@@ -129,7 +129,7 @@ impl TopoOptions {
     }
 
     /// Hosts carried per leaf switch under these options.
-    pub fn hosts_per_leaf(&self) -> usize {
+    pub(crate) fn hosts_per_leaf(&self) -> usize {
         self.radix - self.spines
     }
 
@@ -166,7 +166,8 @@ pub struct Fabric<P: Probe = NullProbe> {
 impl<P: Probe> Fabric<P> {
     /// Number of affinity groups the fabric partitions into: one per
     /// leaf plus one per spine.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
         self.affinity.iter().map(|&s| s as usize + 1).max().unwrap_or(1)
     }
 

@@ -108,7 +108,7 @@ impl ObsEvent {
 
 impl EventKind {
     /// The Chrome `trace_event` phase character for this kind.
-    pub fn chrome_ph(self) -> char {
+    pub(crate) fn chrome_ph(self) -> char {
         match self {
             EventKind::Instant => 'i',
             EventKind::Begin => 'B',

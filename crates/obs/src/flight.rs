@@ -153,12 +153,6 @@ impl<T> FlightRecorder<T> {
             self.slots.get(newest)
         }
     }
-
-    /// Removes all records; the eviction counter is preserved.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.head = 0;
-    }
 }
 
 impl<T: fmt::Display> FlightRecorder<T> {
@@ -207,19 +201,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
         let _ = FlightRecorder::<u8>::new(0);
-    }
-
-    #[test]
-    fn clear_preserves_dropped_counter() {
-        let mut ring = FlightRecorder::new(1);
-        ring.push(SimTime::ZERO, 1);
-        ring.push(SimTime::ZERO, 2);
-        ring.clear();
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
-        // And the ring still works after a clear.
-        ring.push(SimTime::from_ns(9), 3);
-        assert_eq!(ring.last().unwrap().value, 3);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! 12.5 ns character period to ~235 µs host round trips), so fixed-width
 //! bins either blur the small end or explode in count. A [`LogHistogram`]
 //! buckets by the value's bit length — 65 buckets cover all of `u64` — and
-//! keeps per-bucket count/min/max/sum, which makes nearest-rank quantile
+//! keeps per-bucket count/min/max, which makes nearest-rank quantile
 //! extraction *exact* whenever the values inside the rank's bucket are a
 //! single point or consecutive evenly spaced integers, and a tight
 //! interpolation otherwise.
@@ -17,7 +17,6 @@ struct Bucket {
     count: u64,
     min: u64,
     max: u64,
-    sum: u128,
 }
 
 impl Bucket {
@@ -25,7 +24,6 @@ impl Bucket {
         count: 0,
         min: 0,
         max: 0,
-        sum: 0,
     };
 }
 
@@ -127,18 +125,12 @@ impl LogHistogram {
             bucket.max = bucket.max.max(value);
         }
         bucket.count += 1;
-        bucket.sum += u128::from(value);
         self.total += 1;
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.total
-    }
-
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
     }
 
     /// Smallest recorded sample (0 when empty).
@@ -156,15 +148,6 @@ impl LogHistogram {
             .rev()
             .find(|b| b.count > 0)
             .map_or(0, |b| b.max)
-    }
-
-    /// Arithmetic mean of the samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let sum: u128 = self.buckets.iter().map(|b| b.sum).sum();
-        sum as f64 / self.total as f64
     }
 
     /// Nearest-rank quantile with in-bucket linear interpolation.
@@ -222,18 +205,8 @@ impl LogHistogram {
                 mine.max = mine.max.max(theirs.max);
             }
             mine.count += theirs.count;
-            mine.sum += theirs.sum;
         }
         self.total += other.total;
-    }
-
-    /// Non-empty buckets as `(bit_length, count)` pairs, ascending.
-    pub fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.count > 0)
-            .map(|(i, b)| (i, b.count))
     }
 }
 
@@ -303,10 +276,9 @@ mod tests {
     #[test]
     fn empty_histogram_is_all_zero() {
         let h = LogHistogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.total, 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.percentiles(), Percentiles::default());
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
@@ -317,7 +289,13 @@ mod tests {
         h.record(8);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.quantile(1.0), 8);
-        let buckets: Vec<(usize, u64)> = h.buckets().collect();
+        let buckets: Vec<(usize, u64)> = h
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.count > 0)
+            .map(|(i, b)| (i, b.count))
+            .collect();
         assert_eq!(buckets, vec![(0, 2), (4, 1)]);
     }
 
@@ -336,15 +314,6 @@ mod tests {
         assert_eq!(a.quantile(0.95), 95);
         assert_eq!(a.min(), 1);
         assert_eq!(a.max(), 100);
-    }
-
-    #[test]
-    fn mean_matches_sum() {
-        let mut h = LogHistogram::new();
-        for v in [2u64, 4, 6] {
-            h.record(v);
-        }
-        assert_eq!(h.mean(), 4.0);
     }
 
     #[test]

@@ -137,37 +137,6 @@ impl DispatchProbe {
         self.total
     }
 
-    /// Events dispatched to one component.
-    pub fn dispatches_for(&self, id: ComponentId) -> u64 {
-        self.dispatches.get(id.index()).copied().unwrap_or(0)
-    }
-
-    /// Events emitted (scheduled) by one component while handling its own.
-    pub fn emitted_by(&self, id: ComponentId) -> u64 {
-        self.emitted.get(id.index()).copied().unwrap_or(0)
-    }
-
-    /// Per-component dispatch counts, indexed by [`ComponentId::index`].
-    pub fn dispatch_counts(&self) -> &[u64] {
-        &self.dispatches
-    }
-
-    /// Time of the first observed dispatch, if any.
-    pub fn first_dispatch(&self) -> Option<SimTime> {
-        self.first
-    }
-
-    /// Time of the most recent observed dispatch.
-    pub fn last_dispatch(&self) -> SimTime {
-        self.last
-    }
-
-    /// The bounded dispatch trace, oldest first. Each event's `value` is
-    /// the destination component's index.
-    pub fn trace(&self) -> impl Iterator<Item = &Stamped<ObsEvent>> {
-        self.ring.iter()
-    }
-
     /// Dispatches evicted from the bounded trace (including, for a
     /// [`DispatchProbe::merged`] probe, evictions in the folded parts).
     pub fn trace_dropped(&self) -> u64 {
@@ -238,13 +207,13 @@ mod tests {
         engine.run();
         let probe = engine.probe();
         assert_eq!(probe.total(), 4);
-        assert_eq!(probe.dispatches_for(c), 4);
-        assert_eq!(probe.emitted_by(c), 3);
-        assert_eq!(probe.first_dispatch(), Some(SimTime::ZERO));
-        assert_eq!(probe.last_dispatch(), SimTime::from_ns(3));
-        assert_eq!(probe.trace().count(), 4);
+        assert_eq!(probe.dispatches[c.index()], 4);
+        assert_eq!(probe.emitted[c.index()], 3);
+        assert_eq!(probe.first, Some(SimTime::ZERO));
+        assert_eq!(probe.last, SimTime::from_ns(3));
+        assert_eq!(probe.ring.iter().count(), 4);
         assert_eq!(probe.trace_dropped(), 0);
-        assert_eq!(probe.dispatch_counts(), &[4]);
+        assert_eq!(probe.dispatches, [4]);
     }
 
     #[test]
@@ -257,14 +226,14 @@ mod tests {
             engine
         };
         let state = |p: &DispatchProbe| {
-            let trace: Vec<_> = p.trace().copied().collect();
+            let trace: Vec<_> = p.ring.iter().copied().collect();
             let emitted: Vec<_> = (0..4).map(|i| p.emitted.get(i).copied()).collect();
             (
                 p.total(),
-                p.dispatch_counts().to_vec(),
+                p.dispatches.clone(),
                 emitted,
-                p.first_dispatch(),
-                p.last_dispatch(),
+                p.first,
+                p.last,
                 trace,
                 p.trace_dropped(),
             )
@@ -291,15 +260,15 @@ mod tests {
         b.run();
         let merged = DispatchProbe::merged([a.probe(), b.probe()]);
         assert_eq!(merged.total(), a.probe().total() + b.probe().total());
-        assert_eq!(merged.dispatches_for(ca), 7);
-        assert_eq!(merged.emitted_by(ca), 5);
-        assert_eq!(merged.first_dispatch(), Some(SimTime::ZERO));
-        assert_eq!(merged.last_dispatch(), SimTime::from_ns(11));
+        assert_eq!(merged.dispatches[ca.index()], 7);
+        assert_eq!(merged.emitted[ca.index()], 5);
+        assert_eq!(merged.first, Some(SimTime::ZERO));
+        assert_eq!(merged.last, SimTime::from_ns(11));
         // a's ring of 2 evicted 3 of its 5 dispatches; the merged trace
         // keeps everything that survived, in time order.
         assert_eq!(merged.trace_dropped(), 3);
-        assert_eq!(merged.trace().count(), 4);
-        let times: Vec<_> = merged.trace().map(|e| e.time).collect();
+        assert_eq!(merged.ring.iter().count(), 4);
+        let times: Vec<_> = merged.ring.iter().map(|e| e.time).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -307,8 +276,8 @@ mod tests {
     fn merged_of_nothing_is_empty() {
         let merged = DispatchProbe::merged([]);
         assert_eq!(merged.total(), 0);
-        assert_eq!(merged.first_dispatch(), None);
-        assert_eq!(merged.trace().count(), 0);
+        assert_eq!(merged.first, None);
+        assert_eq!(merged.ring.iter().count(), 0);
         assert_eq!(merged.trace_dropped(), 0);
     }
 
@@ -319,7 +288,7 @@ mod tests {
         engine.schedule(SimTime::ZERO, c, 9);
         engine.run();
         let probe = engine.probe();
-        assert_eq!(probe.trace().count(), 2);
+        assert_eq!(probe.ring.iter().count(), 2);
         assert_eq!(probe.trace_dropped(), 8);
     }
 }

@@ -40,11 +40,6 @@ impl Recorder {
         self.ring = Some(FlightRecorder::new(capacity));
     }
 
-    /// Disarms and drops any captured events.
-    pub fn disarm(&mut self) {
-        self.ring = None;
-    }
-
     /// `true` while emissions are being captured.
     pub fn is_armed(&self) -> bool {
         self.ring.is_some()
@@ -53,16 +48,6 @@ impl Recorder {
     /// Captured events, oldest first (empty when disarmed).
     pub fn events(&self) -> impl Iterator<Item = &Stamped<ObsEvent>> {
         self.ring.iter().flat_map(|r| r.iter())
-    }
-
-    /// Number of captured events currently held.
-    pub fn len(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.len())
-    }
-
-    /// `true` when nothing is captured (also when disarmed).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Events evicted from the ring since arming.
@@ -111,7 +96,6 @@ mod tests {
         let mut r = Recorder::disarmed();
         assert!(!r.is_armed());
         r.instant(SimTime::ZERO, "a", "b", 1);
-        assert!(r.is_empty());
         assert_eq!(r.events().count(), 0);
     }
 
@@ -123,19 +107,8 @@ mod tests {
         for i in 0..3u64 {
             r.instant(SimTime::from_ns(i), "s", "n", i);
         }
-        assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 1);
         let values: Vec<u64> = r.events().map(|e| e.value.value).collect();
         assert_eq!(values, vec![1, 2]);
-    }
-
-    #[test]
-    fn disarm_drops_capture() {
-        let mut r = Recorder::disarmed();
-        r.arm(4);
-        r.instant(SimTime::ZERO, "s", "n", 1);
-        r.disarm();
-        assert!(!r.is_armed());
-        assert!(r.is_empty());
     }
 }

@@ -52,7 +52,7 @@ impl Registry {
     }
 
     /// Merges a whole histogram into the named slot.
-    pub fn merge_histogram(&mut self, name: &str, hist: &LogHistogram) {
+    pub(crate) fn merge_histogram(&mut self, name: &str, hist: &LogHistogram) {
         if let Some(h) = self.histograms.get_mut(name) {
             h.merge(hist);
         } else {

@@ -19,7 +19,7 @@ pub enum ClockPhase {
 
 impl ClockPhase {
     /// The other phase.
-    pub const fn toggled(self) -> ClockPhase {
+    pub(crate) const fn toggled(self) -> ClockPhase {
         match self {
             ClockPhase::Odd => ClockPhase::Even,
             ClockPhase::Even => ClockPhase::Odd,

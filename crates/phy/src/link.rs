@@ -9,7 +9,7 @@
 use netfi_sim::SimDuration;
 
 /// Signal propagation speed in copper, ~5 ns/m (0.2 m/ns).
-pub const PROPAGATION_PS_PER_METER: u64 = 5_000;
+pub(crate) const PROPAGATION_PS_PER_METER: u64 = 5_000;
 
 /// A full-duplex point-to-point link.
 ///

@@ -63,11 +63,6 @@ impl UartConfig {
         UartConfig::new(115_200, Parity::None, 1)
     }
 
-    /// Baud rate.
-    pub fn baud(&self) -> u32 {
-        self.baud
-    }
-
     /// Total bit times per framed byte.
     pub fn bits_per_frame(&self) -> u32 {
         1 + 8
@@ -81,12 +76,6 @@ impl UartConfig {
     /// Wire time for one framed byte.
     pub fn frame_duration(&self) -> SimDuration {
         SimDuration::from_bits(self.bits_per_frame() as u64, self.baud as u64)
-    }
-
-    /// Wire time for `n` framed bytes (per-byte timing, so it is always
-    /// exactly `n` times [`frame_duration`](Self::frame_duration)).
-    pub fn transfer_duration(&self, n: usize) -> SimDuration {
-        self.frame_duration() * n as u64
     }
 
     /// Frames `byte` into line bits (start bit first).
@@ -161,11 +150,6 @@ pub struct UartFrame {
 }
 
 impl UartFrame {
-    /// The line bits, start bit first, data LSB-first.
-    pub fn bits(&self) -> &[bool] {
-        &self.bits
-    }
-
     /// Flips line bit `index` (for fault-injection tests).
     ///
     /// # Panics
@@ -216,7 +200,7 @@ mod tests {
     fn two_stop_bits_roundtrip() {
         let uart = UartConfig::new(9600, Parity::Even, 2);
         let frame = uart.frame(0x5A);
-        assert_eq!(frame.bits().len(), 12);
+        assert_eq!(frame.bits.len(), 12);
         assert_eq!(uart.deframe(&frame), Ok(0x5A));
     }
 
@@ -232,7 +216,7 @@ mod tests {
     fn corrupt_stop_bit_is_framing_error() {
         let uart = UartConfig::rs232_115200();
         let mut frame = uart.frame(0x41);
-        let last = frame.bits().len() - 1;
+        let last = frame.bits.len() - 1;
         frame.flip_bit(last);
         assert_eq!(uart.deframe(&frame), Err(UartError::Framing));
     }
@@ -266,7 +250,6 @@ mod tests {
         let slow = UartConfig::new(9600, Parity::None, 1);
         let fast = UartConfig::rs232_115200();
         assert!(slow.frame_duration() > fast.frame_duration());
-        assert_eq!(slow.transfer_duration(10), slow.frame_duration() * 10);
         // 10 bits at 9600 baud ≈ 1.0417 ms.
         let ns = slow.frame_duration().as_ns_f64();
         assert!((ns - 1_041_666.7).abs() < 1.0, "ns = {ns}");

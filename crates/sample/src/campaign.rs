@@ -47,7 +47,7 @@ use crate::stats::{Breakdown, BreakdownRow, CoverageReport};
 
 /// Campaign datagrams streamed per point — enough for the trigger to see
 /// repeated copies of every window, few enough to keep a point cheap.
-pub const SENDS: u64 = 6;
+pub(crate) const SENDS: u64 = 6;
 /// Gap between streamed datagrams.
 const SEND_GAP: SimDuration = SimDuration::from_ms(5);
 /// Fixed delay between scheduling the programming script and the first
@@ -143,7 +143,7 @@ impl SampledCampaign {
     }
 
     /// The outcome × control-swap breakdown: control-plane draws split
-    /// by their [`CONTROL_SWAPS`] row (the paper's Table 4), one cell
+    /// by their `CONTROL_SWAPS` row (the paper's Table 4), one cell
     /// per swap in that fixed order. Data-plane draws are not counted —
     /// the dimension only exists on the control plane.
     pub fn control_swap_breakdown(&self) -> Breakdown {

@@ -112,7 +112,7 @@ pub struct RunEvidence {
 impl RunEvidence {
     /// Folds the evidence into a campaign fingerprint. Field order is part
     /// of the fingerprint contract.
-    pub fn eat_into(&self, hash: &mut Fnv1a) {
+    pub(crate) fn eat_into(&self, hash: &mut Fnv1a) {
         hash.write(&[self.outcome as u8]);
         hash.write_u64(self.injections);
         hash.write_u64(self.obs_injects);

@@ -34,8 +34,8 @@ pub mod stats;
 
 pub use campaign::{
     campaign_wire, run_sampled_campaign, sample_warmed, PointRecord, SampleOptions,
-    SampledCampaign, ARM_SPAN_NS, SENDS,
+    SampledCampaign, ARM_SPAN_NS,
 };
 pub use classify::{classify, OutcomeClass, RunEvidence};
-pub use space::{draw_point, window_count, CorruptKind, InjectionPoint, Plane, CONTROL_SWAPS};
-pub use stats::{wilson_interval, Breakdown, BreakdownRow, CoverageReport, CoverageRow, Z95};
+pub use space::{draw_point, CorruptKind, InjectionPoint, Plane};
+pub use stats::{Breakdown, BreakdownRow, CoverageReport, CoverageRow};

@@ -42,7 +42,7 @@ pub enum CorruptKind {
 
 /// The nine control-symbol swap rows of the paper's Table 4, in a fixed
 /// draw order.
-pub const CONTROL_SWAPS: [(ControlSymbol, ControlSymbol); 9] = [
+pub(crate) const CONTROL_SWAPS: [(ControlSymbol, ControlSymbol); 9] = [
     (ControlSymbol::Stop, ControlSymbol::Idle),
     (ControlSymbol::Stop, ControlSymbol::Gap),
     (ControlSymbol::Stop, ControlSymbol::Go),
@@ -77,7 +77,7 @@ pub struct InjectionPoint {
     /// Whether the device recomputes the link CRC-8 after corrupting, so
     /// the fault survives the link layer.
     pub crc_refresh: bool,
-    /// Index into [`CONTROL_SWAPS`] for control-plane points.
+    /// Index into `CONTROL_SWAPS` for control-plane points.
     pub control_swap: usize,
 }
 
@@ -89,7 +89,7 @@ impl InjectionPoint {
 }
 
 /// Number of distinct 32-bit windows over a wire image of `len` bytes.
-pub fn window_count(len: usize) -> usize {
+pub(crate) fn window_count(len: usize) -> usize {
     len.saturating_sub(3)
 }
 

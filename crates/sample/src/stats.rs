@@ -11,12 +11,12 @@
 use crate::classify::OutcomeClass;
 
 /// z-score for the two-sided 95% interval the reports use.
-pub const Z95: f64 = 1.96;
+pub(crate) const Z95: f64 = 1.96;
 
 /// The Wilson score interval for `k` successes in `n` trials at
 /// confidence `z` (e.g. [`Z95`]). Returns `(low, high)` clamped to
 /// [0, 1]; an empty sample is total ignorance, `(0, 1)`.
-pub fn wilson_interval(k: u64, n: u64, z: f64) -> (f64, f64) {
+pub(crate) fn wilson_interval(k: u64, n: u64, z: f64) -> (f64, f64) {
     if n == 0 {
         return (0.0, 1.0);
     }
@@ -58,7 +58,7 @@ pub struct CoverageReport {
 impl CoverageReport {
     /// Builds the report from a class histogram (indexed as
     /// [`OutcomeClass::index`]).
-    pub fn from_histogram(histogram: [u64; 5]) -> CoverageReport {
+    pub(crate) fn from_histogram(histogram: [u64; 5]) -> CoverageReport {
         let n: u64 = histogram.iter().sum();
         let rows = OutcomeClass::ALL
             .into_iter()
@@ -75,11 +75,6 @@ impl CoverageReport {
             })
             .collect();
         CoverageReport { n, rows }
-    }
-
-    /// The count for one class.
-    pub fn count(&self, class: OutcomeClass) -> u64 {
-        self.rows[class.index()].count
     }
 
     /// Deterministic fixed-width text rendering — every formatting
@@ -198,8 +193,8 @@ mod tests {
         let report = CoverageReport::from_histogram([10, 0, 5, 1, 0]);
         assert_eq!(report.n, 16);
         assert_eq!(report.rows.len(), 5);
-        assert_eq!(report.count(OutcomeClass::Masked), 10);
-        assert_eq!(report.count(OutcomeClass::Hang), 0);
+        assert_eq!(report.rows[OutcomeClass::Masked.index()].count, 10);
+        assert_eq!(report.rows[OutcomeClass::Hang.index()].count, 0);
         let text = report.render();
         for class in OutcomeClass::ALL {
             assert!(text.contains(class.label()), "missing {}", class.label());

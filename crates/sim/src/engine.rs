@@ -600,11 +600,6 @@ impl<M: 'static, P: Probe> Engine<M, P> {
         self.core.wheel.push(time, key, (dst, payload));
     }
 
-    /// Schedules `payload` for delivery to `dst` after `delay` from now.
-    pub fn schedule_after(&mut self, delay: SimDuration, dst: ComponentId, payload: M) {
-        self.schedule(self.core.now + delay, dst, payload);
-    }
-
     /// Clears any earlier stop request and delivers at most `max_events`
     /// events due at or before `deadline`: the core holding every
     /// component, under the [`Whole`] placement.
@@ -652,13 +647,6 @@ impl<M: 'static, P: Probe> Engine<M, P> {
     pub fn run_for(&mut self, span: SimDuration) {
         let deadline = self.core.now + span;
         self.run_until(deadline);
-    }
-
-    /// Borrows a component by id.
-    ///
-    /// Returns `None` if `id` is stale/unknown.
-    pub fn component(&self, id: ComponentId) -> Option<&dyn Component<M>> {
-        self.core.arena.get(id.index())
     }
 
     /// Downcasts a component to its concrete type.
@@ -788,11 +776,6 @@ impl<M: 'static, P: Probe> EngineSnapshot<M, P> {
     /// Events that were pending when the capture was taken.
     pub fn pending_events(&self) -> usize {
         self.0.core.wheel.len()
-    }
-
-    /// Number of captured components.
-    pub fn component_count(&self) -> usize {
-        self.0.core.arena.len()
     }
 }
 
@@ -1075,7 +1058,7 @@ mod tests {
         let snap = e.snapshot();
         assert_eq!(snap.now(), e.now());
         assert_eq!(snap.pending_events(), e.pending_events());
-        assert_eq!(snap.component_count(), 2);
+        assert_eq!(snap.0.component_count(), 2);
         assert!(format!("{snap:?}").contains("EngineSnapshot"));
 
         let mut f = snap.fork();

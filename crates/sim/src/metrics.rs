@@ -70,7 +70,7 @@ impl Summary {
     }
 
     /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 

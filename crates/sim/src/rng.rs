@@ -128,19 +128,6 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// A sample from the exponential distribution with the given mean.
-    ///
-    /// Useful for Poisson packet arrivals in workload generators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not positive and finite.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0 && mean.is_finite(), "gen_exp: mean must be positive");
-        let u = 1.0 - self.gen_f64(); // in (0, 1]
-        -mean * u.ln()
-    }
-
     /// Fills `buf` with random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {
@@ -240,15 +227,6 @@ mod tests {
             let v = rng.gen_f64();
             assert!((0.0..1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn gen_exp_mean_is_roughly_right() {
-        let mut rng = DetRng::new(5);
-        let n = 200_000;
-        let total: f64 = (0..n).map(|_| rng.gen_exp(4.0)).sum();
-        let mean = total / n as f64;
-        assert!((mean - 4.0).abs() < 0.05, "mean = {mean}");
     }
 
     #[test]

@@ -481,11 +481,6 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
         self.workers
     }
 
-    /// The conservative window length.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// Synchronization rounds (windows) executed so far.
     pub fn rounds(&self) -> u64 {
         self.rounds
@@ -494,11 +489,6 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
     /// Events that crossed a shard boundary through the mailbox.
     pub fn cross_events(&self) -> u64 {
         self.cross_events
-    }
-
-    /// Borrows one shard's observation probe.
-    pub fn probe(&self, shard: usize) -> Option<&P> {
-        self.shards.get(shard).map(|s| &s.core.probe)
     }
 
     /// Iterates over every shard's probe, in shard order.

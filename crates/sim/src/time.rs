@@ -72,11 +72,6 @@ impl SimTime {
         self.0
     }
 
-    /// Nanoseconds since the origin, as a float (lossless below 2^53 ps).
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Seconds since the origin, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
@@ -104,11 +99,6 @@ impl SimTime {
         self.0.checked_sub(earlier.0).map(SimDuration)
     }
 
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
-
     /// Saturating subtraction of a duration (clamps at the origin).
     pub fn saturating_sub_duration(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(d.0))
@@ -118,9 +108,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The longest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
-
     /// Creates a duration of `ps` picoseconds.
     pub const fn from_ps(ps: u64) -> Self {
         SimDuration(ps)
@@ -192,11 +179,6 @@ impl SimDuration {
     /// Seconds in this duration, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Checked multiplication by an integer factor.
@@ -421,14 +403,5 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(SimDuration::from_ns).sum();
         assert_eq!(total, SimDuration::from_ns(10));
-    }
-
-    #[test]
-    fn saturating_ops() {
-        assert_eq!(SimTime::MAX.saturating_add(SimDuration::from_ns(1)), SimTime::MAX);
-        assert_eq!(
-            SimDuration::from_ns(1).saturating_sub(SimDuration::from_ns(2)),
-            SimDuration::ZERO
-        );
     }
 }

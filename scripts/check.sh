@@ -13,7 +13,7 @@ echo "== build (release, offline) =="
 cargo build --release --workspace --offline
 
 echo "== test (offline) =="
-# netfi-lint's three rules run here too (crates/lint/tests/workspace_clean.rs).
+# netfi-lint's four rules run here too (crates/lint/tests/workspace_clean.rs).
 cargo test -q --workspace --offline
 # The two crates with `unsafe` kernels (CRC-8 fold, payload filler) are
 # tested again optimised: their differential tests must hold in the code
