@@ -26,6 +26,8 @@ use crate::udp::{payload_avoiding, payload_avoiding_into, UdpDatagram, UdpError}
 pub(crate) const ECHO_PORT: u16 = 7;
 /// The discard/sink port message senders target.
 pub const SINK_PORT: u16 = 9999;
+/// Deliveries an armed arrival log keeps ([`Host::arm_arrivals`]).
+const ARRIVAL_LOG: usize = 64;
 
 /// Host timing parameters.
 #[derive(Debug, Clone)]
@@ -185,7 +187,9 @@ struct PingState {
     report: PingPongReport,
 }
 
-/// A simulated host: NIC + OS + workloads.
+/// A simulated host: NIC + OS + workloads, plus two armable rings for
+/// readers: the observability [`Recorder`] and the arrival log
+/// ([`arm_arrivals`](Host::arm_arrivals)). Both are empty until armed.
 #[derive(Clone)]
 pub struct Host {
     nic: HostInterface,
@@ -197,7 +201,10 @@ pub struct Host {
     sender_sent: u64,
     udp_stats: UdpStats,
     rx_by_port: BTreeMap<u16, u64>,
-    recent: FlightRecorder<(EthAddr, UdpDatagram)>,
+    /// The last [`ARRIVAL_LOG`] deliveries, stamped with their arrival
+    /// times. `None` — no storage, no wire image kept alive — until a
+    /// reader calls [`arm_arrivals`](Host::arm_arrivals).
+    arrivals: Option<FlightRecorder<(EthAddr, UdpDatagram)>>,
     /// `false` once [`power_off`](Host::power_off) has run: the host is a
     /// dead node and ignores every event (fault-grid node deactivation).
     powered: bool,
@@ -232,7 +239,7 @@ impl Host {
             sender_sent: 0,
             udp_stats: UdpStats::default(),
             rx_by_port: BTreeMap::new(),
-            recent: FlightRecorder::new(64),
+            arrivals: None,
             powered: true,
             obs: Recorder::disarmed(),
             config,
@@ -305,15 +312,30 @@ impl Host {
         self.rx_by_port.get(&port).copied().unwrap_or(0)
     }
 
-    /// The most recent deliveries (bounded).
-    pub fn recent_datagrams(&self) -> impl Iterator<Item = &(EthAddr, UdpDatagram)> {
-        self.recent.iter().map(|r| &r.value)
+    /// Arms the arrival log: from here on the host keeps its last 64
+    /// deliveries with their arrival times, for
+    /// [`recent_arrivals`](Host::recent_arrivals). Disarmed (the default)
+    /// it holds nothing, so a host nobody reads pins no wire image. Arm
+    /// before the traffic a reader wants to see; re-arming empties the
+    /// log.
+    pub fn arm_arrivals(&mut self) {
+        self.arrivals = Some(FlightRecorder::new(ARRIVAL_LOG));
     }
 
-    /// The most recent deliveries with their arrival times (bounded) —
-    /// the failure-detection layer reads inter-arrival gaps from here.
+    /// The most recent deliveries with their arrival times, oldest first
+    /// (bounded; empty while the log is disarmed) — the failure-detection
+    /// layer reads inter-arrival gaps from here.
     pub fn recent_arrivals(&self) -> impl Iterator<Item = &Stamped<(EthAddr, UdpDatagram)>> {
-        self.recent.iter()
+        self.arrivals.iter().flat_map(FlightRecorder::iter)
+    }
+
+    /// Deliveries the armed arrival log has evicted to make room, oldest
+    /// first. Plus the records it holds, this counts every delivery it has
+    /// taken: a reader that remembers that total from its last look knows
+    /// which records are new since, and that some went unread when this
+    /// count passes it.
+    pub fn arrivals_evicted(&self) -> u64 {
+        self.arrivals.as_ref().map_or(0, FlightRecorder::dropped)
     }
 
     /// The report of the `i`-th workload (ping-pong / flood).
@@ -428,7 +450,9 @@ impl Host {
         };
         self.udp_stats.rx_ok += 1;
         *self.rx_by_port.entry(datagram.dst_port).or_insert(0) += 1;
-        self.recent.push(ctx.now(), (src, datagram.clone()));
+        if let Some(log) = &mut self.arrivals {
+            log.push(ctx.now(), (src, datagram.clone()));
+        }
         match datagram.dst_port {
             ECHO_PORT => {
                 // Echo service: reply with the same payload.
@@ -680,6 +704,39 @@ mod tests {
         let h1 = engine.component_as::<Host>(hosts[1]).unwrap();
         assert_eq!(h1.rx_count(ECHO_PORT), 1);
         assert_eq!(h1.udp_stats().rx_checksum_drops, 0);
+    }
+
+    #[test]
+    fn the_arrival_log_keeps_nothing_until_armed() {
+        let (mut engine, _, hosts) = build(2, |i, iface| {
+            let mut h = Host::new(HostConfig::fast(iface, i as u64));
+            if i == 0 {
+                h.arm_arrivals();
+            }
+            h
+        });
+        engine.run_until(SimTime::from_secs(2));
+        for k in 0..70u8 {
+            engine.schedule(
+                engine.now() + SimDuration::from_us(100) * u64::from(k),
+                hosts[0],
+                Ev::App(Box::new(HostCmd::SendUdp {
+                    dest: EthAddr::myricom(2),
+                    datagram: UdpDatagram::new(31_000, ECHO_PORT, vec![k]),
+                })),
+            );
+        }
+        engine.run_until(engine.now() + SimDuration::from_ms(20));
+        // Host 1 answered all 70 with its log disarmed: it kept none.
+        let h1 = engine.component_as::<Host>(hosts[1]).unwrap();
+        assert_eq!(h1.rx_count(ECHO_PORT), 70);
+        assert_eq!((h1.recent_arrivals().count(), h1.arrivals_evicted()), (0, 0));
+        // Host 0 armed its log: the last 64 replies, the first 6 evicted.
+        let h0 = engine.component_as::<Host>(hosts[0]).unwrap();
+        assert_eq!(h0.rx_count(31_000), 70);
+        assert_eq!(h0.arrivals_evicted(), 6);
+        let payloads: Vec<u8> = h0.recent_arrivals().map(|s| s.value.1.payload[0]).collect();
+        assert_eq!(payloads, (6..70).collect::<Vec<u8>>());
     }
 
     #[test]

@@ -90,7 +90,10 @@ pub struct DetectOptions {
     /// Per-pair heartbeat phase offset (decorrelates beats from the poll
     /// grid and from each other).
     pub stagger: SimDuration,
-    /// Monitor poll period — the detection-latency quantum.
+    /// Monitor poll period — the detection-latency quantum. Each poll
+    /// reads every host's 64-delivery arrival log: a host that takes more
+    /// deliveries than that in one period may evict a heartbeat unread,
+    /// and a scenario in which one does ends `"heartbeats-lost"`.
     pub poll: SimDuration,
     /// Healthy warm-up before the snapshot: must cover at least
     /// `window + 1` heartbeats so every detector's window is full.
@@ -115,17 +118,23 @@ impl DetectOptions {
     /// an injector, background senders slowed to 2 ms so heartbeats share
     /// the wire with real traffic without drowning the event budget, and
     /// a θ ∈ {2, 5, 8} ladder with θ = 5 as the reference.
+    ///
+    /// The poll is 2 ms, and 1 ms on the radix-8 fabrics of up to 48
+    /// hosts: there the `burst` scenario's flows reach their receivers
+    /// uncongested, a datagram every 20 µs, and 2 ms of them evict
+    /// heartbeats from a 64-delivery arrival log before a poll reads them.
     pub fn sized(hosts: usize) -> DetectOptions {
+        let topo = TopoOptions {
+            intercept_host: Some(1),
+            interval: SimDuration::from_ms(2),
+            ..TopoOptions::sized(hosts)
+        };
         DetectOptions {
-            topo: TopoOptions {
-                intercept_host: Some(1),
-                interval: SimDuration::from_ms(2),
-                ..TopoOptions::sized(hosts)
-            },
+            poll: SimDuration::from_ms(if topo.radix <= 8 { 1 } else { 2 }),
+            topo,
             window: 16,
             heartbeat: SimDuration::from_ms(10),
             stagger: SimDuration::from_us(50),
-            poll: SimDuration::from_ms(2),
             warm: SimDuration::from_ms(300),
             margin: SimDuration::from_ms(50),
             tail: SimDuration::from_ms(600),
@@ -398,6 +407,7 @@ pub fn fabric_graph(topo: &TopoOptions) -> TopoGraph {
 pub struct WarmedDetect {
     snapshot: EngineSnapshot<Ev, NullProbe>,
     monitor: SuspicionMonitor,
+    scan: ArrivalScan,
     hosts: Vec<ComponentId>,
     leaves: Vec<ComponentId>,
     eth: Vec<EthAddr>,
@@ -441,7 +451,7 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
         options.warm.as_ps() / options.heartbeat.as_ps() > options.window as u64,
         "warm-up must cover more heartbeats than the accrual window"
     );
-    let mut fabric = build_fabric(topo, |_, _| {})?;
+    let mut fabric = build_fabric(topo, |_, host| host.arm_arrivals())?;
     let pairs: Vec<(ComponentId, EthAddr)> = (0..topo.hosts)
         .map(|i| (fabric.hosts[i], fabric.eth[peer_of(topo, i)]))
         .collect();
@@ -455,14 +465,14 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
         .schedule(SimTime::ZERO, beater, Ev::App(Box::new(HeartbeatCmd::Start)));
 
     let mut monitor = SuspicionMonitor::new(topo.hosts, options.window, &options.thresholds);
+    let mut scan = ArrivalScan::new(fabric.hosts.len());
     let mut engine = fabric.engine;
     let warm_end = SimTime::ZERO + options.warm;
     while engine.now() < warm_end {
-        let since = engine.now();
-        let step = (since + options.poll).min(warm_end);
+        let step = (engine.now() + options.poll).min(warm_end);
         let outcome =
             engine.run_budgeted(RunBudget::until(step).with_max_events(options.poll_event_budget));
-        scan_arrivals(&engine, &fabric.hosts, &mut monitor, since);
+        scan.read(&engine, &fabric.hosts, &mut monitor);
         if matches!(outcome, RunOutcome::BudgetExhausted) {
             break;
         }
@@ -470,6 +480,7 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
     Ok(WarmedDetect {
         snapshot: engine.snapshot(),
         monitor,
+        scan,
         hosts: fabric.hosts,
         leaves: fabric.leaves,
         eth: fabric.eth,
@@ -479,59 +490,96 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
     })
 }
 
-/// Reads every host's arrival ring and feeds the heartbeats stamped at or
-/// after `since`, the previous poll instant, into the monitor. Everything
-/// stamped earlier was in the ring when that poll read it; an entry at
-/// `since` itself may not have been, so it is read again, and the
-/// monitor's sequence dedupe drops it if it was.
-fn scan_arrivals(
-    engine: &Engine<Ev, NullProbe>,
-    hosts: &[ComponentId],
-    monitor: &mut SuspicionMonitor,
-    since: SimTime,
-) {
-    for &id in hosts {
-        let Some(host) = engine.component_as::<Host>(id) else {
-            continue;
-        };
-        for stamped in host.recent_arrivals().filter(|s| s.time >= since) {
-            let (_, datagram) = &stamped.value;
-            if datagram.dst_port != HEARTBEAT_PORT {
+/// How far the polls have read every host's arrival log.
+#[derive(Debug, Clone)]
+struct ArrivalScan {
+    /// Per host, at the last poll: deliveries its log had taken (held
+    /// plus evicted), and heartbeats it had received.
+    seen: Vec<(u64, u64)>,
+    /// Set once a log evicted a heartbeat no poll had read: the monitor
+    /// would see a gap the network never had.
+    lost: bool,
+}
+
+impl ArrivalScan {
+    fn new(hosts: usize) -> ArrivalScan {
+        ArrivalScan {
+            seen: vec![(0, 0); hosts],
+            lost: false,
+        }
+    }
+
+    /// Reads the deliveries every host's arrival log took since the last
+    /// poll — the newest records, counted from the log's eviction count —
+    /// and feeds their heartbeats into the monitor. A host that received
+    /// more heartbeats since then than those records hold lost one to
+    /// eviction, and sets [`lost`](ArrivalScan::lost).
+    fn read(
+        &mut self,
+        engine: &Engine<Ev, NullProbe>,
+        hosts: &[ComponentId],
+        monitor: &mut SuspicionMonitor,
+    ) {
+        for (&id, (logged, heartbeats)) in hosts.iter().zip(&mut self.seen) {
+            let Some(host) = engine.component_as::<Host>(id) else {
                 continue;
-            }
-            if let Some((pair, seq)) = decode_heartbeat(&datagram.payload) {
-                let pair = pair as usize;
-                if pair < monitor.pairs() {
-                    monitor.arrival(pair, seq, stamped.time);
+            };
+            let held = host.recent_arrivals().count() as u64;
+            let now_logged = host.arrivals_evicted() + held;
+            let fresh = (now_logged - *logged).min(held);
+            let mut read = 0;
+            for stamped in host.recent_arrivals().skip((held - fresh) as usize) {
+                let (_, datagram) = &stamped.value;
+                if datagram.dst_port != HEARTBEAT_PORT {
+                    continue;
+                }
+                read += 1;
+                if let Some((pair, seq)) = decode_heartbeat(&datagram.payload) {
+                    let pair = pair as usize;
+                    if pair < monitor.pairs() {
+                        monitor.arrival(pair, seq, stamped.time);
+                    }
                 }
             }
+            let now_heartbeats = host.rx_count(HEARTBEAT_PORT);
+            self.lost |= now_heartbeats - *heartbeats > read;
+            (*logged, *heartbeats) = (now_logged, now_heartbeats);
         }
     }
 }
 
 /// Drives the engine from its current time to `to` on the poll grid:
-/// run, scan arrivals, poll thresholds, repeat. Returns `false` if the
-/// per-step event budget was exhausted (the scenario is abandoned
-/// deterministically).
+/// run, scan arrivals, poll thresholds, repeat. Returns the scenario's
+/// [`DetectRun::outcome`] so far: `"complete"`, or why it was abandoned
+/// (deterministically) — the per-step event budget ran out, or a host's
+/// arrival log evicted a heartbeat before a poll read it (then, or during
+/// the warm-up; the poll that finds it does not judge).
 fn drive(
     engine: &mut Engine<Ev, NullProbe>,
     monitor: &mut SuspicionMonitor,
+    scan: &mut ArrivalScan,
     hosts: &[ComponentId],
     options: &DetectOptions,
     to: SimTime,
-) -> bool {
-    while engine.now() < to {
-        let since = engine.now();
-        let step = (since + options.poll).min(to);
+) -> &'static str {
+    while !scan.lost && engine.now() < to {
+        let step = (engine.now() + options.poll).min(to);
         let outcome =
             engine.run_budgeted(RunBudget::until(step).with_max_events(options.poll_event_budget));
-        scan_arrivals(engine, hosts, monitor, since);
+        scan.read(engine, hosts, monitor);
+        if scan.lost {
+            break;
+        }
         monitor.poll(step);
         if matches!(outcome, RunOutcome::BudgetExhausted) {
-            return false;
+            return "budget-exhausted";
         }
     }
-    true
+    if scan.lost {
+        "heartbeats-lost"
+    } else {
+        "complete"
+    }
 }
 
 impl WarmedDetect {
@@ -556,6 +604,7 @@ impl WarmedDetect {
         spec: &DetectSpec,
     ) -> Result<DetectRun, ScenarioError> {
         let monitor = &mut self.monitor.clone();
+        let scan = &mut self.scan.clone();
         let options = &self.options;
         let t0 = engine.now();
         let events0 = engine.events_processed();
@@ -575,7 +624,7 @@ impl WarmedDetect {
             schedule_script(engine, device, t_fault, &[Command::MatchMode(MatchMode::On)]);
         }
 
-        let mut on_budget = drive(engine, monitor, &self.hosts, options, t_fault);
+        let mut outcome = drive(engine, monitor, scan, &self.hosts, options, t_fault);
 
         // Apply the fault at the fault instant.
         match &spec.fault {
@@ -620,8 +669,8 @@ impl WarmedDetect {
             }
         }
 
-        if on_budget {
-            on_budget = drive(engine, monitor, &self.hosts, options, t_end);
+        if outcome == "complete" {
+            outcome = drive(engine, monitor, scan, &self.hosts, options, t_end);
         }
 
         // Extract per-threshold verdicts against the topology's prediction.
@@ -681,7 +730,7 @@ impl WarmedDetect {
             outcomes,
             registry_table,
             events: engine.events_processed() - events0,
-            outcome: if on_budget { "complete" } else { "budget-exhausted" },
+            outcome,
         })
     }
 
@@ -736,8 +785,11 @@ pub struct DetectRun {
     pub registry_table: String,
     /// Events the scenario processed past the fork point.
     pub events: u64,
-    /// `"complete"`, or `"budget-exhausted"` if the per-step event
-    /// budget tripped (deterministic either way).
+    /// `"complete"`; `"budget-exhausted"` if the per-step event budget
+    /// tripped; `"heartbeats-lost"` if a host took more deliveries between
+    /// two polls than its arrival log holds and a heartbeat was among those
+    /// evicted unread (see [`DetectOptions::poll`]). Deterministic either
+    /// way; the run stops judging at the poll that tripped.
     pub outcome: &'static str,
 }
 

@@ -109,7 +109,9 @@ pub(crate) fn campaign_workload(i: usize, host: &mut Host) {
     }
 }
 
-/// Arms every layer's flight recorder before anything interesting happens.
+/// Arms every layer's flight recorder, and every host's arrival log (the
+/// sampler reads delivered payloads from it), before anything interesting
+/// happens.
 pub(crate) fn arm_recorders(
     sim: &mut impl Simulation<Ev>,
     hosts: &[ComponentId],
@@ -122,6 +124,7 @@ pub(crate) fn arm_recorders(
             .ok_or(ScenarioError::WrongComponent("Host"))?;
         host.obs_mut().arm(RING);
         host.nic_mut().obs_mut().arm(RING);
+        host.arm_arrivals();
     }
     sim.component_as_mut::<Switch>(switch)
         .ok_or(ScenarioError::WrongComponent("Switch"))?

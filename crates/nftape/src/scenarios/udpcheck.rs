@@ -33,7 +33,7 @@ fn build(seed: u64) -> Result<Testbed, ScenarioError> {
         seed,
         ..TestbedOptions::default()
     };
-    Ok(build_testbed(options, |_, _| {})?)
+    Ok(build_testbed(options, |_, host: &mut Host| host.arm_arrivals())?)
 }
 
 fn run(
@@ -78,7 +78,7 @@ fn run(
     let mut result = RunResult::new(label, sends, delivered, 0.005 * sends as f64)
         .with_extra("checksum_drops", checksum_drops as f64);
     // Capture what the application actually read.
-    if let Some((_, datagram)) = h1.recent_datagrams().last() {
+    if let Some((_, datagram)) = h1.recent_arrivals().map(|s| &s.value).last() {
         let text = String::from_utf8_lossy(&datagram.payload).into_owned();
         result = result.with_extra("delivered_intact", (datagram.payload == MESSAGE) as u64 as f64);
         result.name = format!("{label} (app saw: {text:?})");

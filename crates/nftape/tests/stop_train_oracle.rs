@@ -75,6 +75,7 @@ fn bed(seed: u64, per_symbol: bool) -> Testbed {
         ..TestbedOptions::default()
     };
     let mut tb = build_testbed(options, |i, host: &mut Host| {
+        host.arm_arrivals();
         let nic = host.nic_mut();
         nic.set_can_map(false);
         for peer in (0..hosts).filter(|&p| p != i) {

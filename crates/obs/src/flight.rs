@@ -4,7 +4,11 @@
 //! memory — "the FPGA can be programmed to keep the bytes surrounding the
 //! fault injection event" (§3.2) — applied to every layer: the ring keeps
 //! the most recent `capacity` records, so when an injection trigger fires
-//! the recorder holds the events around it. Storage is reserved once at
+//! the recorder holds the events around it. The rings every component of
+//! a kind would carry are armable: the [`Recorder`](crate::Recorder) a
+//! component embeds and a host's arrival log are `None` until a reader
+//! arms them, so an unobserved 1,000-host run keeps no records, nor the
+//! wire images they would hold alive. Storage is reserved once at
 //! construction; a steady-state `push` writes in place and never touches
 //! the allocator, which is why this file opts into the allocation lint.
 //! Copies keep that where it can be had for nothing: `clone_from`

@@ -331,7 +331,8 @@ fn collect_evidence(
             .ok_or(ScenarioError::WrongComponent("Host"))?;
         delivered += sink.rx_count(SINK_PORT);
         corrupt_payloads += sink
-            .recent_datagrams()
+            .recent_arrivals()
+            .map(|s| &s.value)
             .filter(|(_, d)| d.dst_port == SINK_PORT && d.payload[..] != MESSAGE[..])
             .count() as u64;
     }

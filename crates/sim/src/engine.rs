@@ -753,10 +753,10 @@ impl<M: Clone + 'static, P: Probe + Clone> EngineSnapshot<M, P> {
     }
 
     /// [`fork`](EngineSnapshot::fork) into an engine that already exists,
-    /// reusing the storage it has grown: wheel buckets, both heaps, the
-    /// component table and the probe's vectors keep their capacity, so a
-    /// worker that runs one scenario after another on the same engine
-    /// stops allocating for them.
+    /// reusing the storage it has grown: the wheel's bucket storage
+    /// (through its spare stack), both heaps, the component table and the
+    /// probe's vectors, so a worker that runs one scenario after another
+    /// on the same engine stops allocating for them.
     ///
     /// *All* prior state of `target` is overwritten — its components
     /// (however many it had), every queued event, clock, counters, probe —

@@ -44,13 +44,20 @@
 // netfi-lint: deny(hot-path-alloc)
 //
 // Push and pop run once per simulated event. The only allocations allowed
-// here are the one-time constructor ones (allowlisted below); buckets and
-// both heaps retain their high-water capacity, so steady state performs
-// no per-event allocation. The capacity lives in the wheel, not in its
-// contents: `clone_from` overwrites a resident wheel bucket by bucket and
-// keeps what each bucket had reserved, so a worker that forks a donor into
-// the same engine point after point reaches that steady state too; a
-// fresh `clone()` starts from empty buckets and grows them once.
+// here are the one-time constructor ones (allowlisted below); both heaps
+// retain their high-water capacity, and bucket storage circulates: the
+// bucket the cursor leaves, drained, hands its `Vec` to a stack of spares,
+// and an empty bucket that receives an entry takes one back. The wheel so
+// keeps one bucket `Vec` more than it has ever had buckets occupied at
+// once — not one per slot, each as large as its busiest instant — and
+// steady state performs no per-event allocation. The cursor's own bucket
+// keeps its storage while it drains: on the 3-host test bed it empties on
+// two events in three and the next handler refills it, so handing it on
+// there would move a `Vec` out and back per event for nothing.
+// `clone_from` draws from and returns to the same stack, so a worker that
+// forks a donor into the same engine point after point reaches that
+// steady state too; a fresh `clone()` starts from empty buckets and grows
+// them once.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -153,8 +160,9 @@ struct Slot<T> {
 /// written by hand so that it costs what the wheel *holds*: `clone_from`
 /// visits only the buckets occupied in the source or in the destination
 /// (the union of the two occupancy bitmaps) and overwrites each in place,
-/// keeping the destination's bucket and heap capacity; `clone` is an
-/// empty wheel plus `clone_from`. Either way the copy pops exactly what
+/// keeping the destination's heap capacity and circulating its bucket
+/// storage through the spare stack; `clone` is an empty wheel plus
+/// `clone_from`. Either way the copy pops exactly what
 /// the original pops.
 pub struct TimingWheel<T> {
     /// Fixed-size (not a slice) so `idx & SLOT_MASK` provably fits and
@@ -174,6 +182,11 @@ pub struct TimingWheel<T> {
     /// Far-future events, cascaded in as the horizon advances.
     overflow: BinaryHeap<FarEntry<T>>,
     len: usize,
+    /// Storage of drained buckets, empty, last in first out. Every bucket
+    /// `Vec` with capacity is in a slot or here, and one is only made for
+    /// a slot that had none, so there are never more than [`SLOTS`]: the
+    /// stack is reserved at that size and never reallocates.
+    spare: Vec<Vec<Entry<T>>>,
 }
 
 impl<T> fmt::Debug for TimingWheel<T> {
@@ -203,18 +216,31 @@ impl<T: Clone> Clone for TimingWheel<T> {
     /// Overwrites `self` with `src`, whatever `self` held. Leans on the
     /// occupancy invariant: a slot whose bit is clear has empty `items`
     /// (and its `sorted` flag is never read before `place` resets it), so
-    /// the slots outside both bitmaps are already equal.
+    /// the slots outside both bitmaps are already equal. Buckets `src`
+    /// leaves empty hand their storage to the spare stack before buckets
+    /// `src` fills take from it, so a resident wheel that has held this
+    /// many buckets before makes no new one.
     fn clone_from(&mut self, src: &Self) {
         // Exhaustive on purpose: a field added to the wheel must fail to
-        // compile here, not go missing from every snapshot.
-        let TimingWheel { slots, occupied, base, late, overflow, len } = src;
-        for (word, (&theirs, &ours)) in occupied.iter().zip(&self.occupied).enumerate() {
-            let mut bits = theirs | ours;
-            while bits != 0 {
-                let idx = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.slots[idx].items.clone_from(&slots[idx].items);
-                self.slots[idx].sorted = slots[idx].sorted;
+        // compile here, not go missing from every snapshot. `spare` is
+        // storage, not state: each wheel keeps its own.
+        let TimingWheel { slots, occupied, base, late, overflow, len, spare: _ } = src;
+        for fill in [false, true] {
+            for (word, (&theirs, &ours)) in occupied.iter().zip(&self.occupied).enumerate() {
+                let mut bits = if fill { theirs } else { ours & !theirs };
+                while bits != 0 {
+                    let idx = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let slot = &mut self.slots[idx];
+                    if fill {
+                        Self::draw_storage(&mut self.spare, &mut slot.items);
+                        slot.items.clone_from(&slots[idx].items);
+                        slot.sorted = slots[idx].sorted;
+                    } else {
+                        slot.items.clear();
+                        Self::return_storage(&mut self.spare, &mut slot.items);
+                    }
+                }
             }
         }
         self.occupied = *occupied;
@@ -243,6 +269,27 @@ impl<T> TimingWheel<T> {
             late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
+            spare: Vec::with_capacity(SLOTS),
+        }
+    }
+
+    /// Moves the storage of `items`, an emptied bucket, onto the spare
+    /// stack.
+    #[inline]
+    fn return_storage(spare: &mut Vec<Vec<Entry<T>>>, items: &mut Vec<Entry<T>>) {
+        if items.capacity() > 0 {
+            spare.push(std::mem::take(items));
+        }
+    }
+
+    /// Gives `items`, an empty bucket about to be filled, the most recently
+    /// returned storage if it has none of its own.
+    #[inline]
+    fn draw_storage(spare: &mut Vec<Vec<Entry<T>>>, items: &mut Vec<Entry<T>>) {
+        if items.capacity() == 0 {
+            if let Some(storage) = spare.pop() {
+                *items = storage;
+            }
         }
     }
 
@@ -277,15 +324,17 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Puts an in-window entry into its bucket. A bucket the cursor has
-    /// not sorted yet takes an append; the bucket being drained takes it
-    /// into its sorted run while that is short, else into the `late` heap.
+    /// Puts an in-window entry into its bucket. An empty bucket takes
+    /// storage from the spare stack; a bucket the cursor has not sorted
+    /// yet takes an append; the bucket being drained takes it into its
+    /// sorted run while that is short, else into the `late` heap.
     #[inline]
     fn place(&mut self, bucket: u64, entry: Entry<T>) {
         let idx = (bucket & SLOT_MASK) as usize;
         self.occupied[idx / 64] |= 1 << (idx % 64);
         let slot = &mut self.slots[idx];
         if slot.items.is_empty() {
+            Self::draw_storage(&mut self.spare, &mut slot.items);
             slot.items.push(entry);
             slot.sorted = true;
         } else if slot.sorted && bucket == self.base {
@@ -354,7 +403,7 @@ impl<T> TimingWheel<T> {
                 if (self.overflow.peek().map(|e| e.0.time)?) > deadline {
                     return None;
                 }
-                self.base = first;
+                self.move_cursor(first);
                 self.cascade();
                 (first, (first & SLOT_MASK) as usize)
             }
@@ -375,12 +424,23 @@ impl<T> TimingWheel<T> {
         // after the pop is safe: overflow events lie beyond the *old*
         // horizon, so none of them can precede the entry just popped.
         if bucket > self.base {
-            self.base = bucket;
+            self.move_cursor(bucket);
             if !self.overflow.is_empty() {
                 self.cascade();
             }
         }
         Some((entry.time, entry.seq, entry.item))
+    }
+
+    /// Moves the cursor to `bucket`. Every event before it has popped, so
+    /// the bucket the cursor leaves is empty; the storage it kept while the
+    /// cursor drained it and handlers refilled it goes to the spare stack.
+    #[inline]
+    fn move_cursor(&mut self, bucket: u64) {
+        let left = &mut self.slots[(self.base & SLOT_MASK) as usize].items;
+        debug_assert!(left.is_empty(), "the cursor left events behind");
+        Self::return_storage(&mut self.spare, left);
+        self.base = bucket;
     }
 
     /// Finds the wheel bucket holding the minimal event, sorting it on
@@ -600,6 +660,72 @@ mod tests {
         let mut fork = w.clone();
         assert_eq!(fork.len(), w.len());
         assert_eq!(drain(&mut fork), drain(&mut w));
+    }
+
+    /// Bucket storage the wheel holds, in slots and on the spare stack:
+    /// how many `Vec`s have any capacity, and their capacity in entries.
+    fn retained(w: &TimingWheel<u32>) -> (usize, usize) {
+        let storage = w.slots.iter().map(|s| &s.items).chain(&w.spare);
+        storage
+            .filter(|v| v.capacity() > 0)
+            .fold((0, 0), |(n, cap), v| (n + 1, cap + v.capacity()))
+    }
+
+    #[test]
+    fn drained_buckets_pass_their_storage_on() {
+        // One rotation, every bucket in turn: a burst lands in the next
+        // bucket while the current one drains, so at most two buckets are
+        // ever occupied together.
+        const BURST: u64 = 200;
+        let mut w = TimingWheel::new();
+        let mut seq = 0;
+        let mut popped = 0;
+        let (mut high_water, mut widest) = (0, 0);
+        for bucket in 0..=SLOTS as u64 {
+            if bucket < SLOTS as u64 {
+                for k in 0..BURST {
+                    w.push(SimTime::from_ps(bucket * SLOT_PS + k * 997), seq, 0);
+                    seq += 1;
+                }
+            }
+            let occupied = w.occupied.iter().map(|b| b.count_ones()).sum::<u32>();
+            high_water = high_water.max(occupied as usize);
+            widest = widest.max(w.slots.iter().map(|s| s.items.capacity()).max().unwrap_or(0));
+            while w.peek_time().is_some_and(|t| t.as_ps() >> SLOT_SHIFT < bucket) {
+                assert!(w.pop().is_some());
+                popped += 1;
+            }
+        }
+        assert_eq!(drain(&mut w).len() as u64 + popped, BURST * SLOTS as u64);
+        assert_eq!(high_water, 2);
+        // Every bucket was filled once, yet the wheel keeps storage for
+        // the two that were occupied together, plus the cursor's own,
+        // not for all 1,024.
+        let (vecs, capacity) = retained(&w);
+        assert!(vecs <= high_water + 1, "{vecs} bucket Vecs kept");
+        assert!(capacity <= (high_water + 1) * widest, "{capacity} entries kept");
+        assert_eq!(w.spare.len() + 1, vecs, "all but the cursor's are spare");
+    }
+
+    #[test]
+    fn a_resident_copy_reuses_the_storage_it_holds() {
+        let mut src = TimingWheel::new();
+        let mut dst = TimingWheel::new();
+        for (i, ms) in [1u64, 3, 5, 7].into_iter().enumerate() {
+            src.push(SimTime::from_ms(ms), i as u64, i as u32);
+        }
+        for (i, ms) in [2u64, 4, 6, 8, 10].into_iter().enumerate() {
+            dst.push(SimTime::from_ms(ms), i as u64, i as u32);
+        }
+        dst.clone_from(&src);
+        // The copy's four buckets took from the five `dst` held: no new
+        // storage, one spare left over.
+        assert_eq!(retained(&dst).0, 5);
+        assert_eq!(dst.spare.len(), 1);
+        assert_eq!(drain(&mut dst), drain(&mut src));
+        // Drained, the cursor's bucket keeps its storage; the other three
+        // were handed on as the cursor left them.
+        assert_eq!(dst.spare.len(), 4);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use netfi_sim::metrics::Summary;
-use netfi_sim::queue::SLOT_PS;
+use netfi_sim::queue::{SLOT_PS, WHEEL_SPAN};
 use netfi_sim::engine::Probe;
 use netfi_sim::{
     Component, ComponentId, Context, DetRng, Engine, Fnv1a, NullProbe, RunBudget, ShardSpec,
@@ -145,9 +145,20 @@ impl Keys {
 /// between the bucket's sorted run and its late arrivals, with `pop_due`
 /// deadlines a few entry spacings past the last pop, landing between the
 /// two structures' minima.
+///
+/// One case in sixteen more *rotates*: pushes and pops in equal measure,
+/// pushes up to 128 buckets ahead, for at least two full turns of the
+/// wheel, so bucket after bucket fills, drains and hands its storage to
+/// the next one to fill.
+///
+/// Every case also overwrites, at a random point of its stream, a wheel
+/// that lives across cases — a worker's resident engine — with
+/// `clone_from`, and from then on drives it in step with the original:
+/// both must pop exactly what the reference pops.
 #[test]
 fn wheel_matches_reference_heap() {
     let mut rng = DetRng::new(0x7157_0009);
+    let mut resident: TimingWheel<u32> = TimingWheel::new();
     for case in 0..CASES {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
         let mut reference: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
@@ -165,9 +176,25 @@ fn wheel_matches_reference_heap() {
             }
             first + SLOT_PS - 1
         });
-        let ops = if dense.is_some() { 2_048 } else { 64 + rng.gen_index(192) };
-        for _ in 0..ops {
-            match rng.gen_index(8) {
+        let rotating = case % 16 == 8;
+        let ops = match (dense, rotating) {
+            (Some(_), _) => 2_048,
+            (None, true) => 6_144,
+            (None, false) => 64 + rng.gen_index(192),
+        };
+        let copy_at = rng.gen_index(ops);
+        let mut copied = false;
+        for op in 0..ops {
+            if op == copy_at {
+                resident.clone_from(&wheel);
+                copied = true;
+            }
+            // A rotating stream pops as often as it pushes.
+            let kind = match rng.gen_index(8) {
+                4 if rotating => 5,
+                kind => kind,
+            };
+            match kind {
                 // Push (biased: the queue must mostly grow or pops see
                 // nothing but empties).
                 0..=4 => {
@@ -177,6 +204,9 @@ fn wheel_matches_reference_heap() {
                         (_, Some(last)) => {
                             SimTime::from_ps(rng.gen_range(now.as_ps().min(last)..last + 1))
                         }
+                        (_, None) if rotating => {
+                            now + SimDuration::from_ps(rng.gen_range(0..128 * SLOT_PS))
+                        }
                         (2, _) => now + SimDuration::from_ps(rng.gen_range(0..1 << 10)),
                         (3, _) => now + SimDuration::from_ps(rng.gen_range(0..1 << 30)),
                         // Beyond the wheel span (2^34 ps): overflow path.
@@ -184,6 +214,9 @@ fn wheel_matches_reference_heap() {
                     };
                     let key = keys.next(&mut rng);
                     wheel.push(time, key, key as u32);
+                    if copied {
+                        resident.push(time, key, key as u32);
+                    }
                     reference.push(Reverse((time, key, key as u32)));
                     last_pushed = time;
                 }
@@ -192,6 +225,9 @@ fn wheel_matches_reference_heap() {
                     let got = wheel.pop();
                     let want = reference.pop().map(|Reverse((t, s, v))| (t, s, v));
                     assert_eq!(got, want, "pop diverged");
+                    if copied {
+                        assert_eq!(resident.pop(), want, "the resident copy's pop diverged");
+                    }
                     if let Some((t, _, _)) = got {
                         now = t;
                     }
@@ -210,23 +246,31 @@ fn wheel_matches_reference_heap() {
                         None
                     };
                     assert_eq!(got, want, "pop_due({deadline:?}) diverged");
+                    if copied {
+                        assert_eq!(resident.pop_due(deadline), want, "the resident copy diverged");
+                    }
                     if let Some((t, _, _)) = got {
                         now = t;
                     }
                 }
             }
+            let peek = reference.peek().map(|Reverse((t, _, _))| *t);
             assert_eq!(wheel.len(), reference.len(), "len diverged");
-            assert_eq!(
-                wheel.peek_time(),
-                reference.peek().map(|Reverse((t, _, _))| *t),
-                "peek diverged"
-            );
+            assert_eq!(wheel.peek_time(), peek, "peek diverged");
+            if copied {
+                assert_eq!(resident.len(), reference.len(), "the resident copy's len diverged");
+                assert_eq!(resident.peek_time(), peek, "the resident copy's peek diverged");
+            }
+        }
+        if rotating {
+            assert!(now.as_ps() >= 2 * WHEEL_SPAN, "the cursor turned less than twice");
         }
         // Drain: the full remaining order must match exactly.
         while let Some(Reverse(want)) = reference.pop() {
             assert_eq!(wheel.pop(), Some(want), "drain diverged");
+            assert_eq!(resident.pop(), Some(want), "the resident copy's drain diverged");
         }
-        assert!(wheel.is_empty());
+        assert!(wheel.is_empty() && resident.is_empty());
         assert_eq!(wheel.pop(), None);
     }
 }

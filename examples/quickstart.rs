@@ -36,7 +36,7 @@ fn main() {
             intercept_host: Some(1),
             ..TestbedOptions::default()
         },
-        |_, _| {},
+        |_, host: &mut Host| host.arm_arrivals(),
     ).unwrap();
     let device = tb.injector.expect("intercept_host splices a device");
 
@@ -94,7 +94,7 @@ fn main() {
         );
     send_udp(&mut tb, 1, b"Have a lot of fun!");
     let h0 = tb.engine.component_as::<Host>(tb.hosts[0]).expect("host");
-    let (_, delivered) = h0.recent_datagrams().last().expect("delivered");
+    let (_, delivered) = h0.recent_arrivals().map(|s| &s.value).last().expect("delivered");
     let text = String::from_utf8_lossy(&delivered.payload);
     println!("\nscenario 2: word swap 'Have' -> 'veHa' (checksum-neutral)");
     println!("  host 0's application read: {text:?}");

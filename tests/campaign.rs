@@ -83,3 +83,51 @@ fn udp_word_swap_reaches_application() {
     assert_eq!(r.received, r.sent);
     assert_eq!(r.extra("delivered_intact"), Some(0.0));
 }
+
+/// A poll slower than the hosts' arrival logs: a 10-host fabric's hosts
+/// each take a heartbeat every 5 ms and a background message every 2 ms,
+/// so 200 ms between polls is far more than the 64 deliveries a log
+/// holds. The oldest are evicted unread, and a monitor fed what is left
+/// would see heartbeat gaps the network never had; the campaign ends the
+/// scenario `heartbeats-lost` at the first such poll instead of judging it.
+/// The 60 ms warm-up (one poll) and a 20 ms poll stay inside the logs.
+#[test]
+fn a_poll_slower_than_the_arrival_log_ends_heartbeats_lost() {
+    use netfi::detect::Phi;
+    use netfi::nftape::detection::{run_detection, DetectOptions, DetectSpec};
+    use netfi::nftape::TopoOptions;
+
+    let options = DetectOptions {
+        topo: TopoOptions {
+            intercept_host: Some(1),
+            interval: SimDuration::from_ms(2),
+            ..TopoOptions::sized(10)
+        },
+        window: 8,
+        heartbeat: SimDuration::from_ms(5),
+        stagger: SimDuration::from_us(50),
+        poll: SimDuration::from_ms(200),
+        warm: SimDuration::from_ms(60),
+        margin: SimDuration::from_ms(20),
+        tail: SimDuration::from_ms(400),
+        thresholds: vec![Phi::from_int(2), Phi::from_int(5), Phi::from_int(8)],
+        reference: 1,
+        poll_event_budget: 5_000_000,
+    };
+    let specs = [DetectSpec::healthy("healthy"), DetectSpec::host_link("host-link-2", 2)];
+    let coarse = run_detection(&options, &specs, 1).unwrap();
+    for run in &coarse.runs {
+        assert_eq!(run.outcome, "heartbeats-lost", "{}", run.spec);
+        // Found in the scenario, not in the warm-up: it ran past the fork.
+        assert!(run.events > 0, "{}", run.spec);
+    }
+    assert!(coarse.render().contains("heartbeats-lost"));
+    assert_eq!(coarse.latency_samples(1), Vec::<u64>::new());
+
+    let fine = DetectOptions { poll: SimDuration::from_ms(20), ..options };
+    let fine = run_detection(&fine, &specs, 1).unwrap();
+    for run in &fine.runs {
+        assert_eq!(run.outcome, "complete", "{}", run.spec);
+    }
+    assert_eq!(fine.runs[1].outcomes[1].detected, [2, 6]);
+}
