@@ -124,7 +124,10 @@ fn every_rule_is_live_in_the_workspace() {
     // loads back to `Relaxed`.
     let shard = read("crates/sim/src/shard.rs");
     assert!(netfi_lint::scan_source(&shard).violations.is_empty());
-    let planted = shard.replace("exit.load(Ordering::Acquire)", "exit.load(Ordering::Relaxed)");
+    let planted = shard.replace(
+        "slot.halt.load(Ordering::Acquire)",
+        "slot.halt.load(Ordering::Relaxed)",
+    );
     assert_ne!(planted, shard, "plant site missing from shard.rs");
     let bad = netfi_lint::scan_source(&planted);
     assert!(

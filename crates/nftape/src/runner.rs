@@ -89,8 +89,10 @@ pub fn fan_out<T: Send, E: Send, W: FnMut(usize) -> Result<T, E>>(
             work();
         });
     }
-    // The scope re-raises a worker's panic, so here every slot is filled.
-    slots.into_iter().flatten().collect()
+    // The scope re-raises a worker's panic, so here every slot is filled,
+    // and `map_while` lets the collect reuse the slots' storage in place
+    // (`flatten` would copy every result into a second vector).
+    slots.into_iter().map_while(|slot| slot).collect()
 }
 
 /// Powers off `host`: it stays wired but ignores every later event — the

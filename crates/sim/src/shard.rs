@@ -27,13 +27,16 @@
 //!    shard's wheel at the window barrier, key intact. No sequence
 //!    numbers are re-assigned anywhere, so the merge is pure placement
 //!    and its order is irrelevant.
-//! 4. **One round driver.** Shards are statically chunked over the
-//!    worker threads. The calling thread is the first worker: it runs
-//!    chunk 0 inside each window and owns every shard between windows,
-//!    where it merges the mailboxes and opens the next window. The
-//!    threads meet twice a round at one spin-then-block phase barrier.
-//!    `workers = 1` spawns nothing and runs that same function alone, so
-//!    it is literally the reference for `workers = N`.
+//! 4. **One round driver.** Shard `s` runs on thread `s mod T` for the
+//!    whole run, and the calling thread is thread 0. Each thread does its
+//!    own between-window work: it files its shards' outboxes into
+//!    per-(source, destination) thread mailboxes, merges the mail
+//!    addressed to it into its own wheels, and publishes its next due
+//!    time, deliveries and stop flag; every thread then takes the same
+//!    window decision from what all of them published. The threads meet
+//!    twice a round at one spin-then-block phase barrier. `workers = 1`
+//!    spawns nothing and runs that same function alone, with no barrier
+//!    and no lock, so it is literally the reference for `workers = N`.
 //!
 //! Equality with the serial engine holds for *every* delivery, ties
 //! included. The argument is two short inductions. Per-source keys match:
@@ -111,6 +114,7 @@
 //! assert_eq!(sharded.cross_events(), 40);
 //! ```
 
+use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -175,8 +179,15 @@ struct Shard<M: 'static, P: Probe> {
 
 impl<M: 'static, P: Probe> Shard<M, P> {
     /// Delivers at most `cap` of the events due in the window ending at
-    /// `window_last` (inclusive): the serial loop, under [`Part`].
-    fn run_window(&mut self, window_last: SimTime, cap: u64, affinity: &[u16], locs: &[u32]) {
+    /// `window_last` (inclusive): the serial loop, under [`Part`]. Returns
+    /// how many it delivered.
+    fn run_window(
+        &mut self,
+        window_last: SimTime,
+        cap: u64,
+        affinity: &[u16],
+        locs: &[u32],
+    ) -> u64 {
         let mut part = Part {
             affinity,
             locs,
@@ -184,29 +195,17 @@ impl<M: 'static, P: Probe> Shard<M, P> {
             outbox: &mut self.outbox,
         };
         self.core
-            .run_window(window_last, cap, affinity.len() as u32, &mut part);
-    }
-}
-
-/// Shard `sid` of the chunked table, between windows: the first chunk
-/// is the caller's own, the rest are the lent chunks it holds.
-fn shard_at<'s, M, P: Probe>(
-    mine: &'s mut [Shard<M, P>],
-    held: &'s mut [MutexGuard<'_, &mut [Shard<M, P>]>],
-    sid: usize,
-) -> &'s mut Shard<M, P> {
-    match sid.checked_sub(mine.len()) {
-        None => &mut mine[sid],
-        Some(rest) => &mut held[rest / mine.len()][rest % mine.len()],
+            .run_window(window_last, cap, affinity.len() as u32, &mut part)
     }
 }
 
 /// Iterations a waiter spins on the barrier's generation before it
-/// blocks. A window of the 1,000-host fabric is ~25 µs of work per thread
-/// and a sleeper is back on its core only ~100 µs after the release (futex
-/// wake, inter-processor interrupt, a halted vCPU), so the wait is worth
-/// spinning through; the bound is in iterations, not time, because this
-/// crate reads no wall clock. It must outlast that wake-up: a thread that
+/// blocks. A round of the 1,000-host fabric at two threads is, per
+/// thread, 81 deliveries and the merge of ~14 cross-shard sends, 20–25 µs
+/// of work, and a sleeper is back on its core only ~100 µs after the
+/// release (futex wake, inter-processor interrupt, a halted vCPU), so the
+/// wait is worth spinning through; the bound is in iterations, not time,
+/// because this crate reads no wall clock. It must outlast that wake-up: a thread that
 /// blocked once comes late to the next phase, and a peer whose budget is
 /// shorter than the delay blocks in turn, which makes *it* late — the two
 /// then take turns sleeping. 8,192 iterations (~170 µs on a 2-vCPU box)
@@ -265,6 +264,10 @@ impl PhaseBarrier {
 
     /// Returns once all `parties` threads have called it this phase.
     fn wait(&self) {
+        // A lone party has nobody to wait for, and no system call to pay.
+        if self.parties == 1 {
+            return;
+        }
         // Nobody can end this phase before this thread arrives, so the
         // generation read here is the phase's own.
         let generation = self.generation.load(Ordering::Acquire);
@@ -306,6 +309,29 @@ impl PhaseBarrier {
     }
 }
 
+/// What one thread publishes once its mail is merged: its earliest due
+/// time (`u64::MAX` if none), the events and cross-shard sends of its
+/// last window, and whether a handler asked to stop or it trapped a
+/// panic. Written only between barriers B and A, so every thread reads
+/// the same values after A; one writer, many readers: a line of its own.
+#[derive(Default)]
+#[repr(align(64))]
+struct Slot {
+    next_ps: AtomicU64,
+    delivered: AtomicU64,
+    filed: AtomicU64,
+    halt: AtomicBool,
+}
+
+/// A `run_rounds` call's account, summed from the slots by every thread.
+#[derive(Default)]
+struct Tally {
+    rounds: u64,
+    cross: u64,
+    critical: u64,
+    budget_hit: bool,
+}
+
 /// Placement and timing facts of the round protocol, for a person
 /// reading a slow run — see [`ShardedEngine::sync_stats`].
 ///
@@ -321,6 +347,12 @@ pub struct SyncStats {
     pub blocked_waits: u64,
     /// Events delivered by each thread, the caller first.
     pub worker_events: Vec<u64>,
+    /// The round-critical delivery count: the sum over rounds of the
+    /// busiest thread's deliveries in that round. At `T` threads it is
+    /// `Σ worker_events / T` when every round splits evenly, and the
+    /// whole sum when one thread does all the work of every round. A
+    /// placement fact: it depends on the worker count, not on timing.
+    pub critical_events: u64,
 }
 
 /// The sharded engine: affinity groups of an [`crate::Engine`], run under
@@ -349,12 +381,15 @@ pub struct ShardedEngine<M: 'static, P: Probe = NullProbe> {
     spin: u32,
     /// Barrier waits of every run so far, `(spun, blocked)`.
     waits: (u64, u64),
+    /// [`SyncStats::critical_events`] of every run so far.
+    critical_events: u64,
 }
 
 impl<M: 'static, P: Probe> ShardedEngine<M, P> {
-    /// Shards per thread: contiguous ceil-div chunks, the caller's first.
-    fn chunk(&self) -> usize {
-        self.shards.len().div_ceil(self.workers.min(self.shards.len()))
+    /// Threads a round runs on: one per worker, but never more than
+    /// there are shards.
+    fn threads(&self) -> usize {
+        self.workers.min(self.shards.len())
     }
 
     /// Where the round protocol's time and work went so far: barrier
@@ -362,11 +397,13 @@ impl<M: 'static, P: Probe> ShardedEngine<M, P> {
     /// only — see [`SyncStats`] for why they must stay out of every
     /// digest, export and report row.
     pub fn sync_stats(&self) -> SyncStats {
-        let events = |chunk: &[Shard<M, P>]| chunk.iter().map(|s| s.core.events).sum();
+        let threads = self.threads();
+        let events = |me| self.shards.iter().skip(me).step_by(threads).map(|s| s.core.events).sum();
         SyncStats {
             spin_waits: self.waits.0,
             blocked_waits: self.waits.1,
-            worker_events: self.shards.chunks(self.chunk()).map(events).collect(),
+            worker_events: (0..threads).map(events).collect(),
+            critical_events: self.critical_events,
         }
     }
 }
@@ -385,6 +422,7 @@ impl<M: 'static, P: Probe> fmt::Debug for ShardedEngine<M, P> {
             .field("spin_waits", &sync.spin_waits)
             .field("blocked_waits", &sync.blocked_waits)
             .field("worker_events", &sync.worker_events)
+            .field("critical_events", &sync.critical_events)
             .finish()
     }
 }
@@ -468,6 +506,7 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
             cross_events: 0,
             spin,
             waits: (0, 0),
+            critical_events: 0,
         }
     }
 
@@ -503,149 +542,130 @@ impl<M: Send + 'static, P: Probe + Send> ShardedEngine<M, P> {
 
     /// The round driver; returns whether the event budget ended the run.
     ///
-    /// Shards are statically chunked over at most `workers` threads
-    /// (ceil-div chunking may need fewer). The calling thread is the
-    /// first of them: it runs chunk 0 inside each window and, between
-    /// windows, owns every shard — it pushes each outbox straight into
-    /// the destination wheels (keys intact, so the order is irrelevant)
-    /// and opens the next window from what it reads there. Chunks 1.. are
-    /// each lent to one scoped thread; with one chunk nothing is spawned,
-    /// no barrier is taken and the same code runs on the caller alone.
-    /// Every decision is a function of simulation state read between
-    /// windows, so the worker count cannot reach an output byte.
+    /// Shard `s` belongs to thread `s mod T` for the whole call, the caller
+    /// being thread 0. Each thread loops over its own shards: run the
+    /// window, file the outboxes by destination thread, barrier B, merge
+    /// its mail (keys intact, so order is irrelevant), publish its
+    /// [`Slot`], barrier A, and take the same decision as every thread
+    /// from all the slots. One thread spawns nothing and takes no barrier
+    /// or lock.
     fn run_rounds(&mut self, deadline: SimTime, max_events: u64) -> bool {
-        let nshards = self.shards.len();
-        let chunk = self.chunk();
-        let (affinity, locs): (&[u16], &[u32]) = (&self.affinity, &self.locs);
-        let (lookahead, rounds, cross_events, waits) = (
-            self.lookahead,
-            &mut self.rounds,
-            &mut self.cross_events,
-            &mut self.waits,
-        );
-        let start_events: u64 = self.shards.iter().map(|s| s.core.events).sum();
-        let (mine, rest) = self.shards.split_at_mut(chunk);
-        // Each further chunk is lent to one worker thread: the worker holds
-        // its lock while a window runs, the caller holds it between windows.
-        // The barrier orders the hand-over, so no lock is ever contended.
-        let lent: Vec<Mutex<&mut [Shard<M, P>]>> = rest.chunks_mut(chunk).map(Mutex::new).collect();
+        let threads = self.threads();
+        let (affinity, locs, lookahead) = (&self.affinity[..], &self.locs[..], self.lookahead);
+        // Shard `s` sits at `seat[s]`: thread `s % threads`, index
+        // `s / threads` of its list (a table: sends must not divide).
+        let seat: Vec<(usize, usize)> =
+            (0..self.shards.len()).map(|s| (s % threads, s / threads)).collect();
+        let mut owned: Vec<Vec<&mut Shard<M, P>>> = (0..threads).map(|_| Vec::new()).collect();
+        for (sid, shard) in self.shards.iter_mut().enumerate() {
+            owned[seat[sid].0].push(shard);
+        }
+        let barrier = PhaseBarrier::new(threads, self.spin);
+        let slots: Vec<Slot> = (0..threads).map(|_| Slot::default()).collect();
+        // `mail[from * threads + to]`: filed by `from` before barrier B,
+        // merged by `to` after it, so no lock is ever contended.
+        let mail: Vec<Mutex<Vec<CrossSend<M>>>> =
+            (0..threads * threads).map(|_| Mutex::default()).collect();
+        let trap: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
-        // Round state. The barrier orders every access: the caller writes
-        // the window, its cap and the exit order before barrier A and the
-        // workers read them after it; shard state changes hands under the
-        // lend locks. The atomics carry their own acquire/release edge as
-        // well, so the byte-identity argument rests on each hand-over by
-        // itself (the workspace lint rejects `Ordering::Relaxed` in
-        // determinism-scope crates for this reason).
-        let barrier = PhaseBarrier::new(lent.len() + 1, self.spin);
-        // With no chunk lent there is nobody to wait for.
-        let solo = lent.is_empty();
-        let sync = || {
-            if !solo {
-                barrier.wait();
-            }
-        };
-        let window_ps = AtomicU64::new(0);
-        let window_cap = AtomicU64::new(0);
-        let exit = AtomicBool::new(false);
-        // A component panic (e.g. the conservative-window assert) must
-        // not strand the other threads at the barrier, spinning or
-        // blocked: whoever ran the chunk traps the payload here and still
-        // reaches barrier B; the caller then orders the exit and
-        // re-raises it after the join.
-        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let run_chunk = |shards: &mut [Shard<M, P>]| {
-            let window_last = SimTime::from_ps(window_ps.load(Ordering::Acquire));
-            let cap = window_cap.load(Ordering::Acquire);
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                for shard in shards {
-                    shard.run_window(window_last, cap, affinity, locs);
-                }
-            }));
-            if let Err(payload) = ran {
-                lock(&panic_slot).get_or_insert(payload);
-            }
-        };
-
-        let mut budget_hit = false;
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "conservative-window fan-out: workers only execute pre-determined per-shard batches between barriers; merge order is a pure function of simulation state, so the schedule cannot reach any output byte"
-        )]
-        std::thread::scope(|scope| {
-            for lend in &lent {
-                let (barrier, exit, run_chunk) = (&barrier, &exit, &run_chunk);
-                scope.spawn(move || loop {
-                    barrier.wait(); // A: window opened (or exit).
-                    if exit.load(Ordering::Acquire) {
-                        break;
-                    }
-                    run_chunk(&mut lock(lend));
-                    barrier.wait(); // B: window drained, chunk handed back.
-                });
-            }
-
-            let mut held = Vec::with_capacity(lent.len());
-            let mut mailbox = Vec::new();
+        let drive = |me: usize, mine: &mut [&mut Shard<M, P>]| {
+            let mut tally = Tally::default();
+            // `post[to]`: this thread's sends for thread `to`'s shards.
+            let mut post: Vec<Vec<CrossSend<M>>> = (0..threads).map(|_| Vec::new()).collect();
+            let (mut ran, mut filed, mut delivered, mut failed) = (0, 0, 0, false);
             loop {
-                held.extend(lent.iter().map(lock));
-                let open = 'decide: {
-                    // After a panic shard state is suspect: touch none of it.
-                    if lock(&panic_slot).is_some() {
-                        break 'decide false;
+                // Own sends first; `post[me]` is then empty to take each
+                // peer's mailbox in turn.
+                for from in (me..threads).chain(0..me) {
+                    if from != me {
+                        std::mem::swap(&mut *lock(&mail[from * threads + me]), &mut post[me]);
                     }
-                    for sid in 0..nshards {
-                        std::mem::swap(&mut shard_at(mine, &mut held, sid).outbox, &mut mailbox);
-                        *cross_events += mailbox.len() as u64;
-                        for CrossSend { time, key, dst, payload } in mailbox.drain(..) {
-                            let to = shard_at(mine, &mut held, affinity[dst.index()] as usize);
-                            to.core.wheel.push(time, key, (dst, payload));
-                        }
+                    for CrossSend { time, key, dst, payload } in post[me].drain(..) {
+                        let to = &mut mine[seat[affinity[dst.index()] as usize].1];
+                        to.core.wheel.push(time, key, (dst, payload));
                     }
-                    let (mut next_ps, mut events, mut stopped) = (u64::MAX, 0u64, false);
-                    for sid in 0..nshards {
-                        let core = &mut shard_at(mine, &mut held, sid).core;
-                        next_ps =
-                            next_ps.min(core.wheel.peek_time().map_or(u64::MAX, |t| t.as_ps()));
-                        events += core.events;
-                        stopped |= core.stop;
-                    }
-                    // The budget is spent at round boundaries, and each
-                    // window runs under what is left of it, so the
-                    // decision is a pure function of simulation state.
-                    let delivered = events - start_events;
-                    budget_hit = delivered >= max_events;
-                    if stopped || budget_hit || next_ps == u64::MAX || next_ps > deadline.as_ps() {
-                        break 'decide false;
-                    }
-                    let last = next_ps.saturating_add(lookahead.as_ps() - 1);
-                    window_ps.store(last.min(deadline.as_ps()), Ordering::Release);
-                    window_cap.store(max_events - delivered, Ordering::Release);
-                    *rounds += 1;
-                    true
-                };
-                exit.store(!open, Ordering::Release);
-                held.clear();
-                sync(); // A: open the window, or release workers into their exit.
-                if !open {
+                }
+                let due = mine.iter_mut().filter_map(|s| s.core.wheel.peek_time());
+                let next_ps = due.min().map_or(u64::MAX, SimTime::as_ps);
+                slots[me].next_ps.store(next_ps, Ordering::Release);
+                slots[me].delivered.store(ran, Ordering::Release);
+                slots[me].filed.store(filed, Ordering::Release);
+                let stopped = mine.iter().any(|s| s.core.stop);
+                slots[me].halt.store(failed || stopped, Ordering::Release);
+                barrier.wait(); // A: every thread's mail merged and its slot published.
+                let (mut next_ps, mut busiest, mut halt) = (u64::MAX, 0, false);
+                for slot in &slots {
+                    next_ps = next_ps.min(slot.next_ps.load(Ordering::Acquire));
+                    let ran = slot.delivered.load(Ordering::Acquire);
+                    (delivered, busiest) = (delivered + ran, busiest.max(ran));
+                    tally.cross += slot.filed.load(Ordering::Acquire);
+                    halt |= slot.halt.load(Ordering::Acquire);
+                }
+                tally.critical += busiest;
+                // The budget is spent at round boundaries, and each window
+                // runs under what is left of it, so the decision is a pure
+                // function of simulation state.
+                tally.budget_hit = delivered >= max_events;
+                if halt || tally.budget_hit || next_ps == u64::MAX || next_ps > deadline.as_ps() {
                     break;
                 }
-                run_chunk(mine);
-                sync(); // B: wait for the batch.
+                let last = next_ps.saturating_add(lookahead.as_ps() - 1);
+                let window_last = SimTime::from_ps(last.min(deadline.as_ps()));
+                let cap = max_events - delivered;
+                tally.rounds += 1;
+                // Handlers, the only code that can panic mid-round, run
+                // trapped: this thread must still reach barrier B, or its
+                // peers would wait there forever. The first panic wins.
+                let window = |s: &mut &mut Shard<M, P>| {
+                    s.run_window(window_last, cap, affinity, locs)
+                };
+                match catch_unwind(AssertUnwindSafe(|| mine.iter_mut().map(window).sum())) {
+                    Err(payload) => {
+                        lock(&trap).get_or_insert(payload);
+                        failed = true;
+                    }
+                    Ok(count) => {
+                        (ran, filed) = (count, 0);
+                        for shard in mine.iter_mut() {
+                            filed += shard.outbox.len() as u64;
+                            for send in shard.outbox.drain(..) {
+                                post[seat[affinity[send.dst.index()] as usize].0].push(send);
+                            }
+                        }
+                        for to in (0..threads).filter(|&to| to != me) {
+                            std::mem::swap(&mut *lock(&mail[me * threads + to]), &mut post[to]);
+                        }
+                    }
+                }
+                barrier.wait(); // B: every window drained and its sends filed.
             }
+            tally
+        };
+
+        let (first, peers) = owned.split_at_mut(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "conservative-window fan-out: each thread runs a fixed shard set between barriers and every decision is a pure function of simulation state, so the schedule cannot reach any output byte"
+        )]
+        let tally = std::thread::scope(|scope| {
+            for (me, part) in (1..).zip(peers) {
+                let drive = &drive;
+                scope.spawn(move || drive(me, part));
+            }
+            drive(0, &mut first[0])
         });
 
         let (spun, blocked) = barrier.waits();
-        *waits = (waits.0 + spun, waits.1 + blocked);
-        if let Some(payload) = panic_slot
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
+        self.waits = (self.waits.0 + spun, self.waits.1 + blocked);
+        self.rounds += tally.rounds;
+        self.cross_events += tally.cross;
+        self.critical_events += tally.critical;
+        if let Some(payload) = trap.into_inner().unwrap_or_else(PoisonError::into_inner) {
             // The first component panic (its message intact) becomes
             // this call's panic, whichever thread it happened on.
             resume_unwind(payload);
         }
-        budget_hit
+        tally.budget_hit
     }
 }
 
@@ -876,29 +896,45 @@ mod tests {
         assert_eq!(sharded.now(), SimTime::from_us(3));
     }
 
+    /// A probe that knows which shard it was made for.
+    #[derive(Debug)]
+    struct ShardTag(usize);
+
+    impl Probe for ShardTag {}
+
     #[test]
-    fn uneven_shard_to_worker_chunking_terminates_and_matches_serial() {
-        // 5 shards over 4 workers: ceil-div chunking (chunks of 2) spawns
-        // 3 threads, fewer than `workers` — the barrier-sizing regression
-        // case that used to deadlock. Workers=3 chunks evenly and rides
-        // along as the control.
+    fn strided_ownership_matches_the_serial_ring() {
+        // 5 shards: thread `s % T` owns shard `s`, so 2 and 3 workers own
+        // unequal sets, 4 leaves one thread a single shard, and 8 is
+        // capped at 5 threads of one shard each.
         let delay = SimDuration::from_ns(25);
         let deadline = SimTime::from_ms(1);
         let (mut serial, ids) = ring(5, delay, 100);
         serial.run_until(deadline);
         let want = logs(&ids, &serial);
-        for workers in [3, 4] {
+        for workers in [2, 3, 4, 8] {
             let (engine, ids) = ring(5, delay, 100);
             let spec = ShardSpec {
                 affinity: vec![0, 1, 2, 3, 4],
                 lookahead: delay,
                 workers,
             };
-            let mut sharded = ShardedEngine::from_engine(engine, spec, |_| NullProbe);
+            let mut sharded = ShardedEngine::from_engine(engine, spec, ShardTag);
             sharded.run_until(deadline);
             assert_eq!(logs(&ids, &sharded), want, "workers={workers}");
             assert_eq!(sharded.events_processed(), serial.events_processed());
             assert_eq!(sharded.now(), serial.now());
+            // Shard-id order, whichever thread ran a shard.
+            assert!(sharded.probes().map(|tag| tag.0).eq(0..5), "workers={workers}");
+            for (shard, &id) in ids.iter().enumerate() {
+                let heard = sharded.component_as::<Relay>(id).unwrap().log.len() as u64;
+                assert_eq!(sharded.shard_events(shard), heard, "workers={workers}");
+            }
+            let threads = workers.min(5);
+            let per_thread: Vec<u64> = (0..threads)
+                .map(|me| (me..5).step_by(threads).map(|s| sharded.shard_events(s)).sum())
+                .collect();
+            assert_eq!(sharded.sync_stats().worker_events, per_thread, "workers={workers}");
         }
     }
 
@@ -954,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn any_chunking_matches_the_serial_ring() {
+    fn any_ownership_matches_the_serial_ring() {
         let delay = SimDuration::from_ns(25);
         let deadline = SimTime::from_ms(1);
         let hops = 500;
@@ -987,6 +1023,8 @@ mod tests {
                 (2 * sharded.rounds() + 1) * (threads - 1),
                 "{case}"
             );
+            // One token: every round delivers one event, on one thread.
+            assert_eq!(stats.critical_events, hops + 1, "{case}");
         }
     }
 
@@ -1164,6 +1202,31 @@ mod tests {
         };
         let mut sharded = ShardedEngine::from_engine(engine, spec, |_| NullProbe);
         sharded.run_until(SimTime::from_ms(1));
+    }
+
+    #[test]
+    fn a_panic_on_a_peer_thread_is_re_raised_with_no_waiter_stranded() {
+        // Component 0 sits in the last shard, owned by the last thread,
+        // and breaks the lookahead on its first send. Two threads wait
+        // for it spinning; sixteen outnumber the cores, so theirs block.
+        for components in [2, 16] {
+            let (engine, _) = ring(components, SimDuration::from_ns(1), 5);
+            let spec = ShardSpec {
+                affinity: (0..components as u16).rev().collect(),
+                lookahead: SimDuration::from_ns(100),
+                workers: components,
+            };
+            let mut sharded = ShardedEngine::from_engine(engine, spec, |_| NullProbe);
+            let raised = catch_unwind(AssertUnwindSafe(|| {
+                sharded.run_until(SimTime::from_ms(1));
+            }));
+            let payload = raised.expect_err("the peer's panic was swallowed");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("inside the conservative window"),
+                "threads={components}: {message:?}"
+            );
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@ echo "== test (offline) =="
 cargo test -q --workspace --offline
 # The two crates with `unsafe` kernels (CRC-8 fold, payload filler) are
 # tested again optimised: their differential tests must hold in the code
-# that ships, not only in the debug build.
-cargo test -q --release --offline -p netfi-myrinet -p netfi-netstack --lib
+# that ships, not only in the debug build. So is the sharded round
+# driver: a barrier or hand-over race shows in optimised code first.
+cargo test -q --release --offline -p netfi-myrinet -p netfi-netstack -p netfi-sim --lib
 
 echo "== clippy (-D warnings) =="
 # Panic-freedom, SAFETY comments and the determinism bans: the root
