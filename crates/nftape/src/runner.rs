@@ -50,6 +50,14 @@ pub fn default_workers() -> usize {
 /// the worker's previous item left behind — even one that failed or
 /// panicked half-way — cannot reach an output byte.
 ///
+/// Each worker is fed its indices in strictly increasing order — a
+/// contract, not an accident of the schedule: the claim iterator only
+/// moves forward. That is the other way per-worker state may stay sound
+/// without being overwritten per item: state that only ever moves
+/// forward with the index, and that each item reads at its own index
+/// whatever the worker saw before (the sampler's healthy prefix, run
+/// ahead to each point's arming instant and forked there).
+///
 /// # Errors
 ///
 /// Every index runs; the error of the lowest failing index is returned.
@@ -265,7 +273,7 @@ mod tests {
 
     #[test]
     fn fan_out_builds_one_state_per_worker_and_keeps_it_across_items() {
-        for (workers, n) in [(1, 5), (3, 64), (8, 2), (4, 0)] {
+        for (workers, n) in [(1, 5), (2, 64), (3, 64), (4, 64), (8, 2), (4, 0)] {
             let made = AtomicUsize::new(0);
             let out = fan_out(workers, n, || {
                 let worker = made.fetch_add(1, Ordering::SeqCst);
@@ -279,8 +287,9 @@ mod tests {
             let made = made.load(Ordering::SeqCst);
             assert_eq!(made, workers.min(n).max(1), "workers={workers} n={n}");
             assert!(out.iter().map(|&(i, ..)| i).eq(0..n));
-            // A worker claims indices in increasing order, so in index
-            // order each state's own count reads 1, 2, 3, …
+            // Each worker is fed strictly increasing indices (the
+            // documented contract), so in index order each state's own
+            // count reads 1, 2, 3, …
             let mut next = vec![1usize; made];
             for &(_, worker, served) in &out {
                 assert_eq!(served, next[worker], "workers={workers} n={n}");

@@ -1,26 +1,45 @@
 //! The sampled campaign driver: one warmed donor engine, N forked
 //! injection experiments, a classified record per experiment.
 //!
-//! Every sampled point replays the same bounded scenario on a private
-//! fork of one [`WarmedCampaign`] donor (warmed once through the 2.5 s
-//! map phase, exactly the chaos-grid amortization): program the drawn
-//! injector configuration with the trigger *disarmed*, stream a short
-//! fixed burst of campaign datagrams into the intercepted link, arm the
-//! trigger `Once` at the drawn instant over the device's serial line,
-//! and run to a fixed deadline under an event budget. The programming
-//! window is a fixed margin — wider than the longest serial script — so
-//! stream timing is byte-identical across every point and the healthy
-//! baseline, and the only difference between two runs is the drawn
-//! fault itself.
+//! Every sampled point is the same bounded scenario on a fork of one
+//! [`WarmedCampaign`] donor (warmed once through the 2.5 s map phase,
+//! exactly the chaos-grid amortization): the drawn injector
+//! configuration programmed with the trigger *disarmed*, a short fixed
+//! burst of campaign datagrams streamed into the intercepted link, the
+//! trigger armed `Once` at the drawn instant over the device's serial
+//! line, and a run to a fixed deadline under an event budget. The
+//! programming window is a fixed margin — wider than the longest serial
+//! script — so stream timing is byte-identical across every point and
+//! the healthy baseline, and the only difference between two runs is the
+//! drawn fault itself.
 //!
-//! Fan-out is the grid's: `netfi_nftape::runner::fan_out` gives every
-//! worker exactly one resident engine, made when the worker starts and
-//! kept until it ends; each point the worker claims begins by overwriting
-//! that engine whole with a fork of the donor (`WarmedCampaign::fork_into`),
-//! so its buckets, heaps and probe ring are reused, never rebuilt or
-//! freed between points, and nothing a point left behind can reach the
-//! next. Records come back in draw order. No output
-//! byte can depend on the worker count; the campaign
+//! So a point pays only from its arming instant on. Up to that instant
+//! every point *is* the healthy baseline: with the trigger off the device
+//! forwards every frame unchanged, and the programming bytes are read by
+//! the device's decoder, which nothing on the wire can see. The driver
+//! orders the points by `(t_arm_ns, index)` and gives each
+//! [`fan_out`] worker a *prefix* engine — a fork of the donor with the
+//! campaign stream scheduled, `run_baseline`'s schedule — that it runs
+//! forward to 1 ps before each point's arming instant (a worker's claims
+//! ascend, so it never runs backwards). There it forks the prefix into
+//! the worker's one resident point engine (`Engine::fork_into`, which
+//! reuses that engine's buckets, heaps and probe ring), feeds the drawn
+//! program through the device's own decoder
+//! ([`InjectorDevice::feed_serial`], the bytes `program_injector` would
+//! send), schedules the one-command arming script at the drawn instant
+//! and runs to the deadline on what the lead-in left of the event
+//! budget. The result is the point run byte-timed from the map-phase end
+//! — programming at wire speed, stream, arming — event for event: the
+//! stream keys still precede the arming keys, the arming byte is still
+//! the first delivery at its instant, and a budget-exhausted point stops
+//! on the same simulated event (the `#[cfg(test)]` byte-timed oracle,
+//! `run_point_byte_timed`, is compared point by point in this module's
+//! tests).
+//!
+//! Nothing a point left behind can reach the next: the fork overwrites
+//! the point engine whole, and the prefix only ever runs the healthy
+//! schedule. Records come back in draw order. No output byte can depend
+//! on the worker count; the campaign
 //! [`fingerprint`](SampledCampaign::fingerprint) is compared across
 //! workers 1/2/8 in `tests/determinism.rs`.
 
@@ -34,7 +53,7 @@ use netfi_myrinet::switch::Switch;
 use netfi_netstack::{Host, HostCmd, UdpDatagram, SINK_PORT};
 use netfi_nftape::grid::{warm_campaign, WarmedCampaign};
 use netfi_nftape::results::ScenarioError;
-use netfi_nftape::runner::{fan_out, program_injector, schedule_script};
+use netfi_nftape::runner::{commands_for_config, fan_out, schedule_script, script_bytes};
 use netfi_nftape::scenarios::udpcheck::MESSAGE;
 use netfi_obs::DispatchProbe;
 use netfi_sim::{Engine, Fnv1a, RunBudget, RunOutcome, SimDuration, SimTime};
@@ -268,15 +287,16 @@ fn schedule_stream(engine: &mut Engine<Ev, DispatchProbe>, warm: &WarmedCampaign
     }
 }
 
-/// Runs the bounded tail of a point (or baseline) scenario and collects
-/// its evidence.
+/// Runs the bounded tail of a point (or baseline) scenario, at most
+/// `max_events` more deliveries, and collects its evidence.
 fn finish(
     engine: &mut Engine<Ev, DispatchProbe>,
     warm: &WarmedCampaign,
     t_stream: SimTime,
+    max_events: u64,
 ) -> Result<RunEvidence, ScenarioError> {
     let deadline = t_stream + SEND_GAP * SENDS + SETTLE;
-    let outcome = engine.run_budgeted(RunBudget::until(deadline).with_max_events(POINT_EVENT_BUDGET));
+    let outcome = engine.run_budgeted(RunBudget::until(deadline).with_max_events(max_events));
     collect_evidence(engine, warm, outcome)
 }
 
@@ -347,55 +367,153 @@ fn collect_evidence(
     })
 }
 
-/// Runs the healthy baseline on a fork: the same stream at the same
-/// instants, no injector program, no arming.
-fn run_baseline(warm: &WarmedCampaign) -> Result<RunEvidence, ScenarioError> {
-    let engine = &mut warm.fork_engine();
+/// A fork of the donor with the campaign stream scheduled and nothing
+/// else — the healthy run every point shares up to its arming instant —
+/// and the stream's first instant.
+fn healthy_fork(warm: &WarmedCampaign) -> (Engine<Ev, DispatchProbe>, SimTime) {
+    let mut engine = warm.fork_engine();
     let t_stream = engine.now() + PROGRAM_MARGIN;
-    schedule_stream(engine, warm, t_stream);
-    finish(engine, warm, t_stream)
+    schedule_stream(&mut engine, warm, t_stream);
+    (engine, t_stream)
 }
 
-/// Runs one drawn point on `engine`, overwritten with a fork of the donor
-/// first: program disarmed, stream, arm `Once` at the drawn instant, run
-/// bounded, collect.
-fn run_point(
-    warm: &WarmedCampaign,
-    engine: &mut Engine<Ev, DispatchProbe>,
-    point: &InjectionPoint,
-    wire: &[u8],
-) -> Result<RunEvidence, ScenarioError> {
-    warm.fork_into(engine);
-    let t0 = engine.now();
-    let config = point_config(point, wire);
-    program_injector(engine, warm.device(), t0, point.dir, &config);
-    let t_stream = t0 + PROGRAM_MARGIN;
-    schedule_stream(engine, warm, t_stream);
-    // The programming script ended with the decoder's direction select
-    // still on `point.dir`, so a lone MATCH-MODE command re-arms exactly
-    // the drawn direction(s) at the drawn instant.
-    let t_arm = t_stream + SimDuration::from_ns(point.t_arm_ns);
+/// Runs the healthy baseline: the same stream at the same instants, no
+/// injector program, no arming.
+fn run_baseline(warm: &WarmedCampaign) -> Result<RunEvidence, ScenarioError> {
+    let (mut engine, t_stream) = healthy_fork(warm);
+    finish(&mut engine, warm, t_stream, POINT_EVENT_BUDGET)
+}
+
+/// The drawn arming instant of `point`.
+fn arming_instant(t_stream: SimTime, point: &InjectionPoint) -> SimTime {
+    t_stream + SimDuration::from_ns(point.t_arm_ns)
+}
+
+/// Schedules the arming script at `t_arm`. The programming script ended
+/// with the decoder's direction select on the drawn direction, so a lone
+/// MATCH-MODE command re-arms exactly the drawn direction(s).
+fn schedule_arming(engine: &mut Engine<Ev, DispatchProbe>, warm: &WarmedCampaign, t_arm: SimTime) {
     schedule_script(
         engine,
         warm.device(),
         t_arm,
         &[Command::MatchMode(MatchMode::Once)],
     );
-    finish(engine, warm, t_stream)
+}
+
+/// One [`fan_out`] worker's two engines: the healthy prefix, run forward
+/// to each point's arming instant, and the resident engine each point is
+/// forked into there.
+struct PointRunner<'w> {
+    warm: &'w WarmedCampaign,
+    prefix: Engine<Ev, DispatchProbe>,
+    /// The prefix's delivery count when it was forked from the donor.
+    forked_at: u64,
+    t_stream: SimTime,
+    engine: Engine<Ev, DispatchProbe>,
+}
+
+impl<'w> PointRunner<'w> {
+    fn new(warm: &'w WarmedCampaign) -> PointRunner<'w> {
+        let (prefix, t_stream) = healthy_fork(warm);
+        PointRunner {
+            warm,
+            forked_at: prefix.events_processed(),
+            prefix,
+            t_stream,
+            engine: warm.fork_engine(),
+        }
+    }
+
+    /// Runs one drawn point: the prefix forward to 1 ps before the arming
+    /// instant, forked into the point engine, the drawn program fed through
+    /// the device's decoder, `Once` armed at the drawn instant, and the
+    /// bounded tail run on what the lead-in left of `budget`.
+    ///
+    /// Points must come in non-decreasing arming order, and `budget` must
+    /// outlast the lead-in (the prefix's deliveries plus one per script
+    /// byte), as [`POINT_EVENT_BUDGET`] does by five orders of magnitude.
+    fn run(
+        &mut self,
+        point: &InjectionPoint,
+        wire: &[u8],
+        budget: u64,
+    ) -> Result<RunEvidence, ScenarioError> {
+        let warm = self.warm;
+        let t_arm = arming_instant(self.t_stream, point);
+        let fork_at = t_arm - SimDuration::from_ps(1);
+        debug_assert!(
+            self.prefix.now() <= fork_at,
+            "the prefix never runs backwards"
+        );
+        self.prefix.run_until(fork_at);
+        self.prefix.fork_into(&mut self.engine);
+        let engine = &mut self.engine;
+        let script = script_bytes(&commands_for_config(point.dir, &point_config(point, wire)));
+        engine
+            .component_as_mut::<InjectorDevice>(warm.device())
+            .ok_or(ScenarioError::WrongComponent("InjectorDevice"))?
+            .feed_serial(&script);
+        schedule_arming(engine, warm, t_arm);
+        // The byte-timed run delivered the same prefix and, before it
+        // armed, one event per script byte.
+        let lead = engine.events_processed() - self.forked_at + script.len() as u64;
+        debug_assert!(lead < budget, "the lead-in exhausted the budget");
+        finish(engine, warm, self.t_stream, budget.saturating_sub(lead))
+    }
+}
+
+/// The byte-timed oracle of [`PointRunner::run`]: `engine` overwritten
+/// with a fork of the donor at the map-phase end, the drawn program sent
+/// over the serial line at wire timing, the stream, `Once` armed at the
+/// drawn instant, the bounded run under `budget`.
+#[cfg(test)]
+fn run_point_byte_timed(
+    warm: &WarmedCampaign,
+    engine: &mut Engine<Ev, DispatchProbe>,
+    point: &InjectionPoint,
+    wire: &[u8],
+    budget: u64,
+) -> Result<RunEvidence, ScenarioError> {
+    warm.fork_into(engine);
+    let t0 = engine.now();
+    let config = point_config(point, wire);
+    netfi_nftape::runner::program_injector(engine, warm.device(), t0, point.dir, &config);
+    let t_stream = t0 + PROGRAM_MARGIN;
+    schedule_stream(engine, warm, t_stream);
+    schedule_arming(engine, warm, arming_instant(t_stream, point));
+    finish(engine, warm, t_stream, budget)
+}
+
+/// The draw indices of a campaign in arming order, `(t_arm_ns, index)`
+/// ascending. The keys are dropped once sorted, so the campaign holds
+/// four bytes a point while it runs.
+fn arming_order(seed: u64, points: u64, wire_len: usize) -> Vec<u32> {
+    const _: () = assert!(ARM_SPAN_NS <= u32::MAX as u64);
+    assert!(points <= 1 << 32, "a campaign draws at most 2^32 points");
+    let mut keyed: Vec<(u32, u32)> = (0..points)
+        .map(|i| {
+            let t_arm_ns = draw_point(seed, i, wire_len, ARM_SPAN_NS).t_arm_ns;
+            (t_arm_ns as u32, i as u32)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.iter().map(|&(_, i)| i).collect()
 }
 
 /// Draws and runs a full sampled campaign.
 ///
 /// The donor is warmed once; the baseline and every point run on forks
-/// of its snapshot. Results are byte-identical for any `workers`.
+/// of it. Results are byte-identical for any `workers`.
 ///
 /// # Errors
 ///
-/// Returns the first (in draw order) [`ScenarioError`], if any.
+/// Returns the error of the first failing point in arming order (see
+/// [`sample_warmed`]), if any.
 ///
 /// # Panics
 ///
-/// Panics if `workers` is zero.
+/// Panics if `workers` is zero or `points` exceeds 2³².
 pub fn run_sampled_campaign(opts: &SampleOptions) -> Result<SampledCampaign, ScenarioError> {
     sample_warmed(&warm_campaign(opts.seed)?, opts)
 }
@@ -404,32 +522,41 @@ pub fn run_sampled_campaign(opts: &SampleOptions) -> Result<SampledCampaign, Sce
 /// several campaigns (the worker-invariance tests, the benchmark's
 /// per-worker passes) warm once and sample many times.
 ///
+/// The baseline runs on its own fork of the donor. The points run in
+/// arming order, `(t_arm_ns, index)`, each worker forking its healthy
+/// prefix at every point's arming instant (see the module docs); the
+/// records are then put back in draw order in place.
+///
 /// # Errors
 ///
-/// Returns the first (in draw order) [`ScenarioError`], if any.
+/// Returns the error of the first failing point in arming order, if any.
 ///
 /// # Panics
 ///
-/// Panics if `opts.workers` is zero.
+/// Panics if `opts.workers` is zero or `opts.points` exceeds 2³².
 pub fn sample_warmed(
     warm: &WarmedCampaign,
     opts: &SampleOptions,
 ) -> Result<SampledCampaign, ScenarioError> {
     let wire = &campaign_wire();
     let baseline = run_baseline(warm)?;
+    let order = &arming_order(opts.seed, opts.points, wire.len());
     // Point `i` is a pure function of `(seed, i)`, so each worker draws
-    // the points it runs, on the one engine it keeps.
-    let records = fan_out(opts.workers, opts.points as usize, || {
-        let mut engine = warm.fork_engine();
-        move |i| {
-            let point = draw_point(opts.seed, i as u64, wire.len(), ARM_SPAN_NS);
-            run_point(warm, &mut engine, &point, wire).map(|evidence| PointRecord {
-                class: classify(&evidence, &baseline),
-                point,
-                evidence,
-            })
+    // the points it runs again rather than holding every draw.
+    let mut records = fan_out(opts.workers, order.len(), || {
+        let mut runner = PointRunner::new(warm);
+        move |k| {
+            let point = draw_point(opts.seed, u64::from(order[k]), wire.len(), ARM_SPAN_NS);
+            runner
+                .run(&point, wire, POINT_EVENT_BUDGET)
+                .map(|evidence| PointRecord {
+                    class: classify(&evidence, &baseline),
+                    point,
+                    evidence,
+                })
         }
     })?;
+    records.sort_unstable_by_key(|r| r.point.index);
     Ok(SampledCampaign {
         seed: opts.seed,
         baseline,
@@ -440,7 +567,7 @@ pub fn sample_warmed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netfi_core::command::DirSelect;
+    use netfi_phy::ControlSymbol;
 
     fn point(index: u64) -> InjectionPoint {
         draw_point(11, index, campaign_wire().len(), ARM_SPAN_NS)
@@ -529,20 +656,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn crafted_points_hit_their_classes() {
-        let warm = warm_campaign(11).expect("warm donor");
-        let wire = campaign_wire();
-        let baseline = run_baseline(&warm).expect("baseline");
-        // One resident engine for all five points, as a worker keeps it.
-        let mut engine = warm.fork_engine();
-        let mut run = |p: &InjectionPoint| {
-            let evidence = run_point(&warm, &mut engine, p, &wire).expect("point run");
-            (classify(&evidence, &baseline), evidence)
-        };
-        // A word swap on the aligned "Have" window with the CRC repaired:
-        // the checksum is order-invariant, the corruption is delivered.
-        let aliased = InjectionPoint {
+    /// A hand-built data-plane point: the aligned "Have" window of
+    /// direction B, word-swapped with the CRC repaired, armed at the
+    /// stream's first instant.
+    fn aliased() -> InjectionPoint {
+        InjectionPoint {
             index: 0,
             t_arm_ns: 0,
             dir: DirSelect::B,
@@ -552,7 +670,112 @@ mod tests {
             mode: CorruptKind::WordSwap,
             crc_refresh: true,
             control_swap: 0,
+        }
+    }
+
+    /// Runs `p` forked at its arming instant from a fresh prefix and
+    /// byte-timed from the map-phase end, asserts that both runs end on
+    /// the same instant with the same evidence, and returns it.
+    fn both_paths(warm: &WarmedCampaign, p: &InjectionPoint, budget: u64) -> RunEvidence {
+        let wire = campaign_wire();
+        let mut runner = PointRunner::new(warm);
+        let forked = runner.run(p, &wire, budget).expect("forked point");
+        let mut engine = warm.fork_engine();
+        let timed = run_point_byte_timed(warm, &mut engine, p, &wire, budget).expect("timed point");
+        assert_eq!(forked, timed, "{p:?}");
+        assert_eq!(runner.engine.now(), engine.now(), "{p:?}");
+        forked
+    }
+
+    #[test]
+    fn drawn_points_forked_at_their_arming_instant_match_the_byte_timed_oracle() {
+        let wire = campaign_wire();
+        for seed in [7, 11] {
+            let warm = warm_campaign(seed).expect("warm donor");
+            let opts = SampleOptions {
+                seed,
+                points: 512,
+                workers: 2,
+            };
+            let campaign = sample_warmed(&warm, &opts).expect("sampled campaign");
+            assert_eq!(campaign.baseline, run_baseline(&warm).expect("baseline"));
+            let mut engine = warm.fork_engine();
+            for (i, r) in campaign.records.iter().enumerate() {
+                assert_eq!(r.point, draw_point(seed, i as u64, wire.len(), ARM_SPAN_NS));
+                let timed =
+                    run_point_byte_timed(&warm, &mut engine, &r.point, &wire, POINT_EVENT_BUDGET)
+                        .expect("timed point");
+                assert_eq!(r.evidence, timed, "seed {seed} point {i}: {:?}", r.point);
+            }
+        }
+    }
+
+    #[test]
+    fn edge_points_match_the_byte_timed_oracle() {
+        let warm = warm_campaign(7).expect("warm donor");
+        // Armed at the stream's first send, and on direction B's first
+        // send instant, half a gap later.
+        for t_arm_ns in [0, SEND_GAP.as_ps() / 2_000] {
+            assert!(
+                both_paths(
+                    &warm,
+                    &InjectionPoint {
+                        t_arm_ns,
+                        ..aliased()
+                    },
+                    POINT_EVENT_BUDGET
+                )
+                .injections
+                    > 0
+            );
+        }
+        // A GAP→STOP swap on the way into the switch.
+        let gap_stop = InjectionPoint {
+            plane: Plane::Control,
+            control_swap: 5,
+            dir: DirSelect::A,
+            t_arm_ns: 1_000_000,
+            ..aliased()
         };
+        assert_eq!(CONTROL_SWAPS[5], (ControlSymbol::Gap, ControlSymbol::Stop));
+        both_paths(&warm, &gap_stop, POINT_EVENT_BUDGET);
+        // A budget that runs out after the arming instant: both paths
+        // stop on the same event.
+        let mut engine = warm.fork_engine();
+        let donor_events = engine.events_processed();
+        let p = InjectionPoint {
+            t_arm_ns: 2_000_000,
+            ..aliased()
+        };
+        run_point_byte_timed(&warm, &mut engine, &p, &campaign_wire(), POINT_EVENT_BUDGET)
+            .expect("timed point");
+        let budget = engine.events_processed() - donor_events - 20;
+        let evidence = both_paths(&warm, &p, budget);
+        assert_eq!(evidence.outcome, RunOutcome::BudgetExhausted);
+    }
+
+    #[test]
+    fn arming_order_ascends_and_covers_every_point() {
+        let wire_len = campaign_wire().len();
+        let order = arming_order(3, 300, wire_len);
+        let key = |i: u32| (draw_point(3, u64::from(i), wire_len, ARM_SPAN_NS).t_arm_ns, i);
+        assert!(order.windows(2).all(|w| key(w[0]) < key(w[1])));
+        let mut indices = order.clone();
+        indices.sort_unstable();
+        assert!(indices.into_iter().eq(0..300));
+    }
+
+    #[test]
+    fn crafted_points_hit_their_classes() {
+        let warm = warm_campaign(11).expect("warm donor");
+        let baseline = run_baseline(&warm).expect("baseline");
+        let run = |p: &InjectionPoint| {
+            let evidence = both_paths(&warm, p, POINT_EVENT_BUDGET);
+            (classify(&evidence, &baseline), evidence)
+        };
+        // A word swap on the aligned "Have" window with the CRC repaired:
+        // the checksum is order-invariant, the corruption is delivered.
+        let aliased = aliased();
         let (class, evidence) = run(&aliased);
         assert!(evidence.injections > 0);
         assert!(evidence.obs_injects > 0);

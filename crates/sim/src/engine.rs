@@ -693,12 +693,20 @@ impl<M: Clone + 'static, P: Probe + Clone> Engine<M, P> {
     pub fn snapshot(&self) -> EngineSnapshot<M, P> {
         // lint: allow(hot-path-alloc) snapshot capture and fork construction are campaign setup, not the event loop
         let mut copy = Engine::with_probe(self.core.probe.clone());
-        self.copy_into(&mut copy);
+        self.fork_into(&mut copy);
         EngineSnapshot(copy)
     }
 
-    /// The one engine copy: every field of `self` written over `target`'s.
-    fn copy_into(&self, target: &mut Engine<M, P>) {
+    /// Overwrites `target` with a fork of this live engine, reusing the
+    /// storage `target` has grown, exactly as
+    /// [`EngineSnapshot::fork_into`] does from a capture: the one engine
+    /// copy, every field of `self` written over `target`'s. `self` is
+    /// left as it was and may run on; `target` then replays what `self`
+    /// would from here on. This is how a driver forks a run that is
+    /// still advancing — the sampler's per-worker healthy prefix, forked
+    /// at each point's arming instant — without capturing a snapshot
+    /// per fork.
+    pub fn fork_into(&self, target: &mut Engine<M, P>) {
         let Engine { core, external_seq } = self;
         target.core.copy_from(core);
         target.external_seq = *external_seq;
@@ -763,7 +771,7 @@ impl<M: Clone + 'static, P: Probe + Clone> EngineSnapshot<M, P> {
     /// so the result equals a fresh fork whatever `target` ran before,
     /// including a scenario that failed or panicked half-way.
     pub fn fork_into(&self, target: &mut Engine<M, P>) {
-        self.0.copy_into(target);
+        self.0.fork_into(target);
     }
 }
 
@@ -1141,6 +1149,66 @@ mod tests {
             late.component_as::<Recorder>(r).unwrap().seen,
             early.component_as::<Recorder>(r).unwrap().seen
         );
+    }
+
+    /// Records every dispatch: the event trace two runs are compared by.
+    #[derive(Debug, Clone, Default)]
+    struct TraceProbe {
+        trace: Vec<(SimTime, ComponentId, u64)>,
+    }
+
+    impl Probe for TraceProbe {
+        fn on_dispatch(&mut self, now: SimTime, dst: ComponentId, events_processed: u64) {
+            self.trace.push((now, dst, events_processed));
+        }
+    }
+
+    #[test]
+    fn live_fork_into_a_dirty_engine_replays_like_a_snapshot_fork() {
+        let mut live = Engine::with_probe(TraceProbe::default());
+        let a = live.add_component(Box::new(PingPong { peer: None, remaining: 0, bounces: 0 }));
+        let b = live.add_component(Box::new(PingPong { peer: Some(a), remaining: 0, bounces: 0 }));
+        let r = live.add_component(Box::new(Recorder::default()));
+        live.component_as_mut::<PingPong>(a).unwrap().peer = Some(b);
+        live.schedule(SimTime::ZERO, a, 40);
+        for v in 0..8 {
+            live.schedule(SimTime::from_ns(3 + 17 * u64::from(v)), r, v);
+        }
+        // Far enough ahead to sit in the wheel's overflow heap.
+        live.schedule(SimTime::from_ms(30), r, 99);
+        live.run_until(SimTime::from_ns(61));
+
+        // A resident engine that ran something else: more components, a
+        // later clock, a wheel with entries the fork must not keep.
+        let mut resident = Engine::with_probe(TraceProbe::default());
+        for _ in 0..5 {
+            let id = resident.add_component(Box::new(Recorder::default()));
+            resident.schedule(SimTime::from_ns(7), id, 1);
+            resident.schedule(SimTime::from_ms(50), id, 2);
+        }
+        resident.run_until(SimTime::from_us(3));
+
+        let mut want = live.snapshot().fork();
+        live.fork_into(&mut resident);
+        // The live engine runs on untouched by the fork.
+        let mut donor_on = live.snapshot().fork();
+        for engine in [&mut want, &mut resident, &mut donor_on] {
+            engine.schedule(SimTime::from_ns(100), r, 7);
+            // The ping-pong stops the first run when its count reaches 0.
+            assert_eq!(engine.run_budgeted(RunBudget::until(SimTime::from_ms(40))), RunOutcome::Stopped);
+            engine.run_until(SimTime::from_ms(40));
+        }
+        assert_eq!(resident.component_count(), 3);
+        assert_eq!(resident.now(), want.now());
+        assert_eq!(resident.events_processed(), want.events_processed());
+        assert_eq!(resident.pending_events(), want.pending_events());
+        assert_eq!(resident.probe().trace, want.probe().trace);
+        assert_eq!(donor_on.probe().trace, want.probe().trace);
+        assert_eq!(
+            resident.component_as::<Recorder>(r).unwrap().seen,
+            want.component_as::<Recorder>(r).unwrap().seen
+        );
+        assert!(want.component_as::<Recorder>(r).unwrap().seen.contains(&(30_000_000, 99)));
     }
 
     /// Re-arms itself at the same instant forever: the canonical

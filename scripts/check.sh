@@ -18,8 +18,10 @@ cargo test -q --workspace --offline
 # The two crates with `unsafe` kernels (CRC-8 fold, payload filler) are
 # tested again optimised: their differential tests must hold in the code
 # that ships, not only in the debug build. So is the sharded round
-# driver: a barrier or hand-over race shows in optimised code first.
-cargo test -q --release --offline -p netfi-myrinet -p netfi-netstack -p netfi-sim --lib
+# driver: a barrier or hand-over race shows in optimised code first. And
+# so is the sampler, whose points forked at their arming instant must
+# match the byte-timed oracle in the build the benchmark measures.
+cargo test -q --release --offline -p netfi-myrinet -p netfi-netstack -p netfi-sim -p netfi-sample --lib
 
 echo "== clippy (-D warnings) =="
 # Panic-freedom, SAFETY comments and the determinism bans: the root

@@ -9,7 +9,10 @@
 //! A timing cannot guard that on a shared box; a counting allocator can,
 //! because the requests of a seeded run repeat exactly. At the parent of
 //! this guard one fork of the same donor made 47 requests for 79,853
-//! bytes, and a sampled point 256 for 115 KB.
+//! bytes, and a sampled point 256 for 115 KB. A sampled point now forks
+//! the worker's healthy prefix at its arming instant and runs only what
+//! follows it: 115.8 requests for 25.3 KB, where the point forked at the
+//! end of the map phase and run whole made 171 for 28.1 KB.
 //!
 //! An integration test is its own binary, so the `#[global_allocator]`
 //! below counts nothing but this file; it holds a single `#[test]`, so no
@@ -126,5 +129,5 @@ fn a_resident_fork_asks_for_what_the_donor_holds() {
     let requests = (long.requests - short.requests) as f64 / 128.0;
     let bytes = (long.bytes - short.bytes) as f64 / 128.0;
     println!("sampled point: {requests:.1} requests, {bytes:.0} bytes");
-    assert!(requests < 200.0 && bytes < 40_000.0);
+    assert!(requests < 140.0 && bytes < 32_000.0);
 }
