@@ -1,69 +1,6 @@
 //! §4.3.3: physical-address corruption campaigns.
 
-use netfi_nftape::scenarios::address::{
-    controller_address_collision, destination_corruption, nonexistent_address,
-    sender_address_corruption,
-};
-use netfi_nftape::Table;
-
-fn main() {
-    eprintln!("running address-corruption campaigns …");
-    let dest = destination_corruption(0x61646472, false).unwrap();
-    let dest_fixed = destination_corruption(0x61646472, true).unwrap();
-    let own = sender_address_corruption(0x61646472).unwrap();
-    let nonexist = nonexistent_address(0x61646472).unwrap();
-
-    let mut table = Table::new(
-        "Physical-address corruption outcomes",
-        &["Campaign", "Observed", "Paper says"],
-    );
-    table.row(&[
-        dest.name.clone(),
-        format!(
-            "{} sent, {} to intended, {} to wrong node, {} CRC drops",
-            dest.sent,
-            dest.received,
-            dest.extra("received_by_wrong_node").unwrap_or(0.0),
-            dest.extra("crc_drops").unwrap_or(0.0),
-        ),
-        "dropped; received by neither node — a result of the incorrect CRC-8".to_string(),
-    ]);
-    table.row(&[
-        dest_fixed.name.clone(),
-        format!(
-            "{} to intended, {} misaddressed drops (ablation: CRC recomputed)",
-            dest_fixed.received,
-            dest_fixed.extra("misaddressed_drops").unwrap_or(0.0),
-        ),
-        "(beyond paper: the address filter is the second line of defence)".to_string(),
-    ]);
-    table.row(&[
-        own.name.clone(),
-        format!(
-            "{} delivered, {} misaddressed drops, scouts answered={}, still in map={}",
-            own.received,
-            own.extra("misaddressed_drops").unwrap_or(0.0),
-            own.extra("scouts_still_answered").unwrap_or(0.0),
-            own.extra("still_in_map").unwrap_or(0.0) == 1.0,
-        ),
-        "unreachable, but still answers mapping; routing info unchanged".to_string(),
-    ]);
-    table.row(&[
-        nonexist.name.clone(),
-        format!(
-            "old address routable={}, new address routable={}, {} sends dropped",
-            nonexist.extra("old_address_routable").unwrap_or(0.0) == 1.0,
-            nonexist.extra("new_address_routable").unwrap_or(0.0) == 1.0,
-            nonexist.extra("packets_dropped_no_route").unwrap_or(0.0),
-        ),
-        "packets dropped; table updated — like replacing the computer".to_string(),
-    ]);
-    println!("{table}");
-
-    println!("\n--- controller-address collision (see also fig11_maps) ---");
-    let out = controller_address_collision(0x61646472).unwrap();
-    println!(
-        "inconsistent mapping rounds: {} (paper: \"unable to generate a consistent map\")",
-        out.inconsistent_rounds
-    );
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    print!("{}", netfi_bench::paper::exp_address()?);
+    Ok(())
 }

@@ -9,41 +9,10 @@
 //!
 //! Usage: `exp_gap_timeout [--window <secs>]`
 
-use netfi_bench::arg;
-use netfi_nftape::scenarios::control::gap_timeout;
-use netfi_nftape::Table;
-use netfi_sim::SimDuration;
+use netfi_bench::{arg, paper};
 
-fn main() {
-    let window = SimDuration::from_secs(arg("--window", 10u64));
-    eprintln!("running normal and GAP-corrupted arms ({window} window) …");
-    let normal = gap_timeout(false, window, 0x676170).unwrap();
-    let faulty = gap_timeout(true, window, 0x676170).unwrap();
-
-    let mut table = Table::new(
-        "GAP corruption: throughput under source blocking",
-        &[
-            "Condition",
-            "Sent",
-            "Received",
-            "Throughput",
-            "Long timeouts",
-            "Framing drops",
-        ],
-    );
-    for r in [&normal, &faulty] {
-        table.row(&[
-            r.name.clone(),
-            r.sent.to_string(),
-            r.received.to_string(),
-            format!(
-                "{:.1}% of normal",
-                r.received as f64 / normal.received.max(1) as f64 * 100.0
-            ),
-            format!("{:.0}", r.extra("long_timeout_releases").unwrap_or(0.0)),
-            format!("{:.0}", r.extra("framing_drops").unwrap_or(0.0)),
-        ]);
-    }
-    println!("{table}");
-    println!("paper: throughput drops to ~12% of normal under GAP faults");
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    let window = arg("--window", paper::ARMS_WINDOW_S);
+    print!("{}", paper::exp_gap_timeout(window)?);
+    Ok(())
 }

@@ -1,61 +1,6 @@
 //! §4.3.2: Myrinet packet-type and source-route corruption.
 
-use netfi_nftape::scenarios::ptype::{
-    data_packet_corruption, mapping_packet_corruption, route_misroute, route_msb_corruption,
-};
-use netfi_nftape::Table;
-
-fn main() {
-    eprintln!("running packet-type corruption campaigns …");
-    let mapping = mapping_packet_corruption(0x70747970).unwrap();
-    let data = data_packet_corruption(0x70747970).unwrap();
-    let msb = route_msb_corruption(0x70747970).unwrap();
-    let misroute = route_misroute(0x70747970).unwrap();
-
-    let mut table = Table::new(
-        "Packet-type / route corruption outcomes",
-        &["Campaign", "Observed", "Paper says"],
-    );
-    table.row(&[
-        mapping.name.clone(),
-        format!(
-            "node removed={} restored next round={} ({} sends failed meanwhile)",
-            mapping.extra("removed").unwrap_or(0.0) == 1.0,
-            mapping.extra("restored").unwrap_or(0.0) == 1.0,
-            mapping.extra("lost_no_route").unwrap_or(0.0),
-        ),
-        "node removed from network until the next mapping packet".to_string(),
-    ]);
-    table.row(&[
-        data.name.clone(),
-        format!(
-            "{} sent, {} delivered, {} unrecognized, routing table unchanged={}",
-            data.sent,
-            data.received,
-            data.extra("rx_unknown_type").unwrap_or(0.0),
-            data.extra("routing_table_unchanged").unwrap_or(0.0) == 1.0,
-        ),
-        "dropped by the receiving node; internal structures unchanged".to_string(),
-    ]);
-    table.row(&[
-        msb.name.clone(),
-        format!(
-            "{} route errors, {} delivered during fault, {} delivered after disarm",
-            msb.extra("route_errors").unwrap_or(0.0),
-            msb.received,
-            msb.extra("recovered_rx").unwrap_or(0.0),
-        ),
-        "consumed and handled as an error, without incident".to_string(),
-    ]);
-    table.row(&[
-        misroute.name.clone(),
-        format!(
-            "{} sent, {} misroute drops, {} accepted by wrong nodes",
-            misroute.sent,
-            misroute.extra("misroute_drops").unwrap_or(0.0),
-            misroute.extra("accepted_by_wrong_node").unwrap_or(0.0),
-        ),
-        "expected packet losses; none accepted by incorrect nodes".to_string(),
-    ]);
-    println!("{table}");
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    print!("{}", netfi_bench::paper::exp_packet_type()?);
+    Ok(())
 }

@@ -5,69 +5,13 @@
 //! have if the fault injector had not been in the data path." Also:
 //! "routes are correctly mapped through in both directions" — the mapping
 //! protocol works across the device.
+//!
+//! Usage: `exp_passthrough [--window <secs>]`
 
-use netfi_bench::arg;
-use netfi_myrinet::addr::EthAddr;
-use netfi_netstack::{build_testbed, Host, TestbedOptions, Workload, SINK_PORT};
-use netfi_nftape::Table;
-use netfi_sim::{SimDuration, SimTime};
+use netfi_bench::{arg, paper};
 
-fn run(with_injector: bool, window_secs: u64) -> (u64, u64, bool) {
-    let mut tb = build_testbed(
-        TestbedOptions {
-            hosts: 2,
-            intercept_host: with_injector.then_some(1),
-            ..TestbedOptions::default()
-        },
-        |i, host: &mut Host| {
-            if i == 0 {
-                // Saturating sender: large back-to-back bursts.
-                host.add_workload(Workload::Sender {
-                    dest: EthAddr::myricom(2),
-                    interval: SimDuration::from_ms(10),
-                    payload_len: 1024,
-                    forbidden: vec![],
-                    burst: 32,
-                });
-            }
-        },
-    ).unwrap();
-    tb.engine.run_until(SimTime::from_secs(2) + SimDuration::from_secs(window_secs));
-    let h1 = tb.engine.component_as::<Host>(tb.hosts[1]).unwrap();
-    let received = h1.rx_count(SINK_PORT);
-    let mapped = h1.nic().is_mapper(); // host 1 (highest address) must map
-    let h0 = tb.engine.component_as::<Host>(tb.hosts[0]).unwrap();
-    let sent = h0.sender_sent() - h0.nic().stats().tx_no_route;
-    (sent, received, mapped)
-}
-
-fn main() {
-    let window = arg("--window", 5u64);
-    eprintln!("running saturating transfer with and without the device …");
-    let (sent_direct, recv_direct, mapped_direct) = run(false, window);
-    let (sent_dev, recv_dev, mapped_dev) = run(true, window);
-
-    let mut table = Table::new(
-        "Pass-through transparency (saturating 4 KiB bursts)",
-        &["Path", "Sent", "Received", "Rate", "Mapping works"],
-    );
-    table.row(&[
-        "direct link".into(),
-        sent_direct.to_string(),
-        recv_direct.to_string(),
-        "100%".into(),
-        mapped_direct.to_string(),
-    ]);
-    table.row(&[
-        "through injector".into(),
-        sent_dev.to_string(),
-        recv_dev.to_string(),
-        format!("{:.2}%", recv_dev as f64 / recv_direct.max(1) as f64 * 100.0),
-        mapped_dev.to_string(),
-    ]);
-    println!("{table}");
-    println!(
-        "paper: no observable impact on the data transfer rate; routes map\n\
-         through in both directions."
-    );
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    let window = arg("--window", paper::PASSTHROUGH_WINDOW_S);
+    print!("{}", paper::exp_passthrough(window)?);
+    Ok(())
 }

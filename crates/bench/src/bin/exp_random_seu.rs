@@ -2,39 +2,7 @@
 //! injector's LFSR flip probability and watch which protection layer
 //! catches the corruption.
 
-use netfi_nftape::scenarios::random::{seu_arm, seu_sweep};
-use netfi_nftape::Table;
-
-fn main() {
-    eprintln!("sweeping SEU flip probabilities …");
-    let mut table = Table::new(
-        "Random SEU injection: loss and detection by layer",
-        &["p/segment", "Sent", "Received", "Loss", "CRC-8 drops", "UDP drops"],
-    );
-    for r in seu_sweep(0x736575).unwrap() {
-        table.row(&[
-            r.name.clone(),
-            r.sent.to_string(),
-            r.received.to_string(),
-            format!("{:.2}%", r.loss_rate() * 100.0),
-            format!("{:.0}", r.extra("crc8_drops").unwrap_or(0.0)),
-            format!("{:.0}", r.extra("udp_checksum_drops").unwrap_or(0.0)),
-        ]);
-    }
-    // The ablation arm: CRC repaired in flight, so detection falls to UDP.
-    let fixed = seu_arm(1e-1, true, 0x736575).unwrap();
-    table.row(&[
-        fixed.name.clone(),
-        fixed.sent.to_string(),
-        fixed.received.to_string(),
-        format!("{:.2}%", fixed.loss_rate() * 100.0),
-        format!("{:.0}", fixed.extra("crc8_drops").unwrap_or(0.0)),
-        format!("{:.0}", fixed.extra("udp_checksum_drops").unwrap_or(0.0)),
-    ]);
-    println!("{table}");
-    println!(
-        "shape: loss grows with p; the Myrinet CRC-8 is the catching layer\n\
-         unless the injector repairs it, in which case UDP's checksum takes\n\
-         over — the layered-protection story of §4.3."
-    );
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    print!("{}", netfi_bench::paper::exp_random_seu()?);
+    Ok(())
 }

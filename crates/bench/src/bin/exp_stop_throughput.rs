@@ -6,35 +6,10 @@
 //!
 //! Usage: `exp_stop_throughput [--window <secs>]`
 
-use netfi_bench::arg;
-use netfi_nftape::scenarios::control::stop_throughput;
-use netfi_nftape::Table;
-use netfi_sim::SimDuration;
+use netfi_bench::{arg, paper};
 
-fn main() {
-    let window = SimDuration::from_secs(arg("--window", 10u64));
-    eprintln!("running normal and faulty-STOP arms ({window} window) …");
-    let normal = stop_throughput(false, window, 0x73746f70).unwrap();
-    let faulty = stop_throughput(true, window, 0x73746f70).unwrap();
-
-    let mut table = Table::new(
-        "Faulty STOP conditions: request/response message rate",
-        &["Condition", "Completed", "Lost", "Msgs/min", "Relative"],
-    );
-    for r in [&normal, &faulty] {
-        table.row(&[
-            r.name.clone(),
-            r.received.to_string(),
-            r.lost().to_string(),
-            format!("{:.0}", r.extra("messages_per_minute").unwrap_or(0.0)),
-            format!(
-                "{:.1}%",
-                r.throughput() / normal.throughput().max(1e-9) * 100.0
-            ),
-        ]);
-    }
-    println!("{table}");
-    println!(
-        "paper: 5038 vs 48000 messages/minute = 10.5% of normal (≈90% decrease)"
-    );
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    let window = arg("--window", paper::ARMS_WINDOW_S);
+    print!("{}", paper::exp_stop_throughput(window)?);
+    Ok(())
 }

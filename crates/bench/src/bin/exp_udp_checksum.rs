@@ -1,30 +1,6 @@
 //! §4.3.4: UDP checksum aliasing.
 
-use netfi_nftape::scenarios::udpcheck::{aliasing_corruption, baseline, detected_corruption};
-use netfi_nftape::Table;
-
-fn main() {
-    eprintln!("running UDP checksum campaigns …");
-    let base = baseline(0x756470).unwrap();
-    let alias = aliasing_corruption(0x756470).unwrap();
-    let detected = detected_corruption(0x756470).unwrap();
-
-    let mut table = Table::new(
-        "UDP address/payload corruption ('Have a lot of fun!')",
-        &["Corruption", "Sent", "Delivered", "Checksum drops"],
-    );
-    for r in [&base, &alias, &detected] {
-        table.row(&[
-            r.name.clone(),
-            r.sent.to_string(),
-            r.received.to_string(),
-            format!("{:.0}", r.extra("checksum_drops").unwrap_or(0.0)),
-        ]);
-    }
-    println!("{table}");
-    println!(
-        "paper: the 16-bit-aligned word swap ('Have' -> 'veHa') satisfies the\n\
-         one's-complement checksum and reaches the application; other\n\
-         corruptions are detected and dropped."
-    );
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    print!("{}", netfi_bench::paper::exp_udp_checksum()?);
+    Ok(())
 }

@@ -4,32 +4,7 @@
 //! structural resource estimator over the emulated entities (see
 //! `netfi_core::synth`).
 
-use netfi_core::synth::{render_table1, table1};
-use netfi_nftape::Table;
-
-fn main() {
-    println!("{}", render_table1());
-
-    let mut table = Table::new(
-        "Table 1 (detail): per-column relative error of the structural model",
-        &["Entity", "Gates", "FGs", "Mux", "DFF"],
-    );
-    for row in table1() {
-        let err = |paper: u32, model: u32| -> String {
-            if paper == 0 && model == 0 {
-                "exact".to_string()
-            } else {
-                let p = paper.max(1) as f64;
-                format!("{:+.1}%", (model as f64 - paper as f64) / p * 100.0)
-            }
-        };
-        table.row(&[
-            row.name.to_string(),
-            err(row.paper.gates, row.model.gates),
-            err(row.paper.function_generators, row.model.function_generators),
-            err(row.paper.multiplexors, row.model.multiplexors),
-            err(row.paper.dffs, row.model.dffs),
-        ]);
-    }
-    println!("{table}");
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    print!("{}", netfi_bench::paper::table1_synthesis()?);
+    Ok(())
 }

@@ -4,47 +4,14 @@
 //!
 //! The paper passed two million small UDP packets per experiment; the
 //! default here is 20 000 per arm (scale up with `--packets` at the cost
-//! of run time — the *added latency* estimate converges long before that).
+//! of run time — each row is a constant of its arms' seeds long before
+//! that).
 
-use netfi_bench::arg;
-use netfi_nftape::scenarios::latency::{latency_table2, paper_table2};
-use netfi_nftape::Table;
+use netfi_bench::{arg, paper};
 
-fn main() {
-    let packets = arg("--packets", 20_000u64);
-    let experiments = arg("--experiments", 5usize);
-    eprintln!("running {experiments} experiments × 2 arms × {packets} packets …");
-    let rows = latency_table2(packets, experiments, 0x7461_626c_6532).unwrap();
-
-    let mut table = Table::new(
-        "Table 2: latency measurements (per-packet averages, ns)",
-        &[
-            "Experiment",
-            "Without injector",
-            "With injector",
-            "Added",
-            "Paper w/o",
-            "Paper w/",
-            "Paper added",
-        ],
-    );
-    let paper = paper_table2();
-    for row in &rows {
-        let (p_without, p_with) = paper.get(row.experiment - 1).copied().unwrap_or((0.0, 0.0));
-        table.row(&[
-            format!("{}", row.experiment),
-            format!("{:.0}", row.without_ns),
-            format!("{:.0}", row.with_ns),
-            format!("{:+.0}", row.added_ns()),
-            format!("{p_without:.0}"),
-            format!("{p_with:.0}"),
-            format!("{:+.0}", p_with - p_without),
-        ]);
-    }
-    println!("{table}");
-    let mean_added: f64 = rows.iter().map(|r| r.added_ns()).sum::<f64>() / rows.len() as f64;
-    println!(
-        "mean added latency: {mean_added:.0} ns  (true model value: 255 ns = \
-         250 ns pipeline + 5 ns extra cable; paper band: 75–1407 ns)"
-    );
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    let packets = arg("--packets", paper::TABLE2_PACKETS);
+    let experiments = arg("--experiments", paper::TABLE2_EXPERIMENTS);
+    print!("{}", paper::table2_latency(packets, experiments)?);
+    Ok(())
 }

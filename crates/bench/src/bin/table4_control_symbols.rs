@@ -2,56 +2,11 @@
 //!
 //! Usage: `table4_control_symbols [--window <secs>] [--duty-on <ms>]`
 
-use netfi_bench::arg;
-use netfi_nftape::scenarios::control::{
-    control_symbol_table, table4_paper_loss, table4_rows, ControlCampaignOptions,
-};
-use netfi_nftape::Table;
-use netfi_sim::SimDuration;
+use netfi_bench::{arg, paper};
 
-fn main() {
-    let window = arg("--window", 20u64);
-    let duty_on = arg("--duty-on", 400u64);
-    let opts = ControlCampaignOptions {
-        window: SimDuration::from_secs(window),
-        duty_on: SimDuration::from_ms(duty_on),
-        ..ControlCampaignOptions::default()
-    };
-    eprintln!(
-        "running 9 campaign rows, {window}s window, {duty_on}ms/1s duty …"
-    );
-    let results = control_symbol_table(&opts).unwrap();
-    let mut table = Table::new(
-        "Table 4: results of control symbol corruption campaign (model vs paper loss)",
-        &[
-            "Mask",
-            "Replacement",
-            "Sent",
-            "Received",
-            "Loss",
-            "Paper loss",
-            "Overflow",
-            "Framing",
-            "LongTO",
-        ],
-    );
-    for ((row, (mask, replacement)), (p_sent, p_recv)) in results
-        .iter()
-        .zip(table4_rows())
-        .zip(table4_paper_loss())
-    {
-        let paper_loss = 1.0 - p_recv as f64 / p_sent as f64;
-        table.row(&[
-            mask.to_string(),
-            replacement.to_string(),
-            row.sent.to_string(),
-            row.received.to_string(),
-            format!("{:.1}%", row.loss_rate() * 100.0),
-            format!("{:.1}%", paper_loss * 100.0),
-            format!("{:.0}", row.extra("overflow_drops").unwrap_or(0.0)),
-            format!("{:.0}", row.extra("framing_drops").unwrap_or(0.0)),
-            format!("{:.0}", row.extra("long_timeout_releases").unwrap_or(0.0)),
-        ]);
-    }
-    println!("{table}");
+fn main() -> Result<(), netfi_nftape::ScenarioError> {
+    let window = arg("--window", paper::TABLE4_WINDOW_S);
+    let duty_on = arg("--duty-on", paper::TABLE4_DUTY_ON_MS);
+    print!("{}", paper::table4_control_symbols(window, duty_on)?);
+    Ok(())
 }

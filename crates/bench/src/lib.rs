@@ -1,9 +1,10 @@
 //! `netfi-bench` — experiment regenerators and the repository's benchmark.
 //!
 //! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index); `cargo run -p netfi-bench --bin <name> --release`. Host-time
-//! cost — end to end and per layer — is measured by `benchmark` alone
-//! (`src/bin/benchmark/README.md`).
+//! index); `cargo run -p netfi-bench --bin <name> --release`. The binaries
+//! of EXPERIMENTS.md's paper sections print what [`paper`] renders, the
+//! one producer of each quoted table. Host-time cost — end to end and per
+//! layer — is measured by `benchmark` alone (`src/bin/benchmark/README.md`).
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -27,10 +28,12 @@
 //! | `ablation_fuzzy_decode` | ablation — tolerant control-symbol decoding |
 //! | `ablation_latency` | ablation — pipeline depth and slack vs latency |
 //! | `campaigns` | the paper's whole evaluation as one campaign list |
-//! | `all_experiments` | run everything, emit EXPERIMENTS data |
+//! | `all_experiments` | every [`paper`] section at its defaults, in EXPERIMENTS.md order |
 //! | `benchmark` | six workloads, end-to-end and per-layer host-time cost |
 
 #![warn(missing_docs)]
+
+pub mod paper;
 
 use std::str::FromStr;
 
@@ -71,8 +74,8 @@ mod tests {
         assert_eq!(arg_in(&args("bin --seed 3 --window 6"), "--seed", 7u64), Ok(3));
         let unparseable = arg_in(&args("bin --window abc"), "--window", 20u64).unwrap_err();
         assert!(unparseable.contains("--window") && unparseable.contains("\"abc\""));
-        let valueless = arg_in(&args("bin --quick"), "--quick", 0u8).unwrap_err();
-        assert!(valueless.contains("--quick") && valueless.contains("no value"));
+        let valueless = arg_in(&args("bin --packets"), "--packets", 0u64).unwrap_err();
+        assert!(valueless.contains("--packets") && valueless.contains("no value"));
     }
 
     /// The crate doc's binary table names exactly the targets under

@@ -18,25 +18,26 @@ use crate::scenarios::TrafficSnapshot;
 use netfi_core::trigger::MatchMode;
 use netfi_myrinet::addr::EthAddr;
 
+/// Warm-up before measurement (mapping must settle).
+const WARMUP: SimDuration = SimDuration::from_ms(2_500);
+/// Injection duty cycle period. The paper does not state its injection
+/// duty cycle; NFTAPE-style campaigns alternate inject and observe
+/// phases, which we reproduce with a periodic ON/OFF schedule.
+const DUTY_PERIOD: SimDuration = SimDuration::from_secs(1);
+/// Messages per sender burst.
+const BURST: usize = 24;
+/// Interval between bursts.
+const BURST_INTERVAL: SimDuration = SimDuration::from_us(17_000);
+/// Message payload length.
+const PAYLOAD_LEN: usize = 512;
+
 /// Options for the Table 4 campaign.
 #[derive(Debug, Clone)]
 pub struct ControlCampaignOptions {
-    /// Warm-up before measurement (mapping must settle).
-    pub warmup: SimDuration,
     /// Measurement window.
     pub window: SimDuration,
-    /// Injection duty cycle period. The paper does not state its
-    /// injection duty cycle; NFTAPE-style campaigns alternate inject and
-    /// observe phases, which we reproduce with a periodic ON/OFF schedule.
-    pub duty_period: SimDuration,
-    /// Portion of each period with the trigger armed.
+    /// Portion of each 1 s duty period with the trigger armed.
     pub duty_on: SimDuration,
-    /// Messages per sender burst.
-    pub burst: usize,
-    /// Interval between bursts.
-    pub burst_interval: SimDuration,
-    /// Message payload length.
-    pub payload_len: usize,
     /// NIC receive slack-buffer capacity (the high watermark stays at
     /// 3072): headroom above the watermark is the quantity the
     /// watermark-placement ablation sweeps.
@@ -48,13 +49,8 @@ pub struct ControlCampaignOptions {
 impl Default for ControlCampaignOptions {
     fn default() -> Self {
         ControlCampaignOptions {
-            warmup: SimDuration::from_ms(2_500),
             window: SimDuration::from_secs(20),
-            duty_period: SimDuration::from_secs(1),
             duty_on: SimDuration::from_ms(400),
-            burst: 24,
-            burst_interval: SimDuration::from_us(17_000),
-            payload_len: 512,
             nic_rx_capacity: 4608,
             seed: 0x7461_626c_6534, // "table4"
         }
@@ -118,9 +114,6 @@ fn build_campaign_net<P: Probe>(
         switch_config,
         ..TestbedOptions::default()
     };
-    let burst = opts.burst;
-    let interval = opts.burst_interval;
-    let payload_len = opts.payload_len;
     let nic_rx_capacity = opts.nic_rx_capacity;
     Ok(build_testbed_probed(options, probe, move |i, host: &mut Host| {
         // Hosts 0 and 2 converge on the intercepted host 1 (saturating its
@@ -139,10 +132,10 @@ fn build_campaign_net<P: Probe>(
         let skew = SimDuration::from_us(2_700) * i as u64;
         host.add_workload(Workload::Sender {
             dest,
-            interval: interval + skew,
-            payload_len,
+            interval: BURST_INTERVAL + skew,
+            payload_len: PAYLOAD_LEN,
             forbidden: forbidden.clone(),
-            burst,
+            burst: BURST,
         });
     })?)
 }
@@ -185,7 +178,7 @@ pub(crate) fn warm_table4<P: Probe + Clone>(
     let forbidden = ControlSymbol::ALL.map(ControlSymbol::encode).to_vec();
     let mut tb = build_campaign_net(opts, forbidden, probe)?;
     let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    let t0 = SimTime::ZERO + opts.warmup;
+    let t0 = SimTime::ZERO + WARMUP;
     tb.engine.run_until(t0.saturating_sub_duration(PROGRAM_LEAD));
     Ok(WarmedTable4 {
         snapshot: tb.engine.snapshot(),
@@ -202,25 +195,12 @@ pub(crate) fn warm_table4<P: Probe + Clone>(
 pub(crate) fn share_warm_up(a: &ControlCampaignOptions, b: &ControlCampaignOptions) -> bool {
     // Exhaustive, so a new option has to be sorted into one side.
     let ControlCampaignOptions {
-        warmup,
         window: _,
-        duty_period: _,
         duty_on: _,
-        burst,
-        burst_interval,
-        payload_len,
         nic_rx_capacity,
         seed,
     } = a;
-    (warmup, burst, burst_interval, payload_len, nic_rx_capacity, seed)
-        == (
-            &b.warmup,
-            &b.burst,
-            &b.burst_interval,
-            &b.payload_len,
-            &b.nic_rx_capacity,
-            &b.seed,
-        )
+    (nic_rx_capacity, seed) == (&b.nic_rx_capacity, &b.seed)
 }
 
 impl<P: Probe + Clone> WarmedTable4<P> {
@@ -266,14 +246,14 @@ impl<P: Probe + Clone> WarmedTable4<P> {
         let fork_instant = engine.now();
         program_injector(&mut engine, device, fork_instant, DirSelect::Both, &config);
 
-        let t0 = SimTime::ZERO + opts.warmup;
+        let t0 = SimTime::ZERO + WARMUP;
         let t1 = t0 + opts.window;
         schedule_duty_cycle(
             &mut engine,
             device,
             t0,
             t1,
-            opts.duty_period,
+            DUTY_PERIOD,
             opts.duty_on,
             MatchMode::On,
         );
@@ -442,7 +422,7 @@ pub fn stop_throughput(
 /// # Errors
 ///
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
-pub(crate) fn stop_throughput_arms(
+pub fn stop_throughput_arms(
     window: SimDuration,
     seed: u64,
 ) -> Result<Vec<RunResult>, ScenarioError> {
@@ -544,7 +524,7 @@ pub fn gap_timeout(
 /// # Errors
 ///
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
-pub(crate) fn gap_timeout_arms(
+pub fn gap_timeout_arms(
     window: SimDuration,
     seed: u64,
 ) -> Result<Vec<RunResult>, ScenarioError> {
@@ -626,7 +606,6 @@ mod tests {
 
     fn quick_opts() -> ControlCampaignOptions {
         ControlCampaignOptions {
-            warmup: SimDuration::from_ms(2_500),
             window: SimDuration::from_secs(4),
             ..ControlCampaignOptions::default()
         }
@@ -653,7 +632,7 @@ mod tests {
 
     /// The oracle: one row the way every row ran before rows forked a
     /// donor — a test bed of its own whose payloads avoid this row's two
-    /// symbols, programmed at 100 ms, warmed through all of `opts.warmup`.
+    /// symbols, programmed at 100 ms, warmed through all of [`WARMUP`].
     /// Returns the row and the events the engine dispatched for it.
     fn fresh_row(
         mask: ControlSymbol,
@@ -670,14 +649,14 @@ mod tests {
             .build();
         program_injector(&mut tb.engine, device, SimTime::from_ms(100), DirSelect::Both, &config);
 
-        let t0 = SimTime::ZERO + opts.warmup;
+        let t0 = SimTime::ZERO + WARMUP;
         let t1 = t0 + opts.window;
         schedule_duty_cycle(
             &mut tb.engine,
             device,
             t0,
             t1,
-            opts.duty_period,
+            DUTY_PERIOD,
             opts.duty_on,
             MatchMode::On,
         );
@@ -758,7 +737,7 @@ mod tests {
         // fresh row's engine counts the warm-up and the row together.
         let warm_events = {
             let mut tb = build_campaign_net(&opts, Vec::new(), NullProbe).unwrap();
-            tb.engine.run_until(SimTime::ZERO + opts.warmup - PROGRAM_LEAD);
+            tb.engine.run_until(SimTime::ZERO + WARMUP - PROGRAM_LEAD);
             tb.engine.events_processed()
         };
         let fresh: Vec<(RunResult, u64)> = table4_rows()

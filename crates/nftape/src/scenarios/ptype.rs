@@ -7,6 +7,7 @@
 
 use netfi_core::command::DirSelect;
 use netfi_core::config::InjectorConfig;
+use netfi_core::device::{Direction, InjectorDevice};
 use netfi_core::trigger::MatchMode;
 use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::switch::Switch;
@@ -194,9 +195,19 @@ pub fn route_msb_corruption(seed: u64) -> Result<RunResult, ScenarioError> {
         .with_extra("recovered_rx", recovered_rx as f64))
 }
 
+/// Events the switch's recorder holds over [`route_misroute`]'s window:
+/// its drops and STOP/GO edges, far more than the window makes.
+const MISROUTE_LOG: usize = 4_096;
+
 /// Misroutes packets by toggling route-byte bits toward an unused switch
 /// port: "these errors resulted in the expected packet losses, but none of
 /// the packets were accepted by the incorrect nodes."
+///
+/// `sent` is every packet host 1 passed through the device in the window:
+/// the 200 datagrams and its replies to the mapper's scouts (extra
+/// `mapping_frames`). `misroute_drops` counts the switch's drops of what
+/// came in from host 1 over the same window, so it cannot exceed `sent`;
+/// the switch also drops the mapper's scouts to its unwired ports.
 ///
 /// # Errors
 ///
@@ -233,18 +244,43 @@ pub fn route_misroute(seed: u64) -> Result<RunResult, ScenarioError> {
             })),
         );
     }
+    // What host 1 sends crosses the device host side first (A to B).
+    let through = |tb: &Testbed| {
+        tb.engine
+            .component_as::<InjectorDevice>(device)
+            .map(|d| d.channel_stats(Direction::AToB, tb.engine.now()))
+            .ok_or(ScenarioError::WrongComponent("InjectorDevice"))
+    };
     let rx0_before = host(&tb, 0)?.rx_count(SINK_PORT);
     let rx2_before = host(&tb, 2)?.rx_count(SINK_PORT);
+    let through_before = through(&tb)?;
+    // The switch's recorder says which input each drop came in on.
+    tb.engine
+        .component_as_mut::<Switch>(tb.switch)
+        .ok_or(ScenarioError::WrongComponent("Switch"))?
+        .obs_mut()
+        .arm(MISROUTE_LOG);
     tb.engine.run_for(SimDuration::from_ms(2_200));
 
     let delivered_h0 = host(&tb, 0)?.rx_count(SINK_PORT) - rx0_before;
     let delivered_h2 = host(&tb, 2)?.rx_count(SINK_PORT) - rx2_before;
-    let sw = tb
+    let through_after = through(&tb)?;
+    let sent = through_after.packets - through_before.packets;
+    let mapping = through_after.mapping_packets - through_before.mapping_packets;
+    let log = tb
         .engine
         .component_as::<Switch>(tb.switch)
-        .ok_or(ScenarioError::WrongComponent("Switch"))?;
-    Ok(RunResult::new("route low bits toggled", 200, delivered_h0, 2.0)
-        .with_extra("misroute_drops", sw.stats().misroute_drops as f64)
+        .ok_or(ScenarioError::WrongComponent("Switch"))?
+        .obs();
+    debug_assert_eq!(log.dropped(), 0, "the drop log overflowed");
+    // Host 1 is wired to switch port 1.
+    let drops = log
+        .events()
+        .filter(|e| e.value.name == "misroute_drop" && e.value.value == 1)
+        .count();
+    Ok(RunResult::new("route low bits toggled", sent, delivered_h0, 2.0)
+        .with_extra("mapping_frames", mapping as f64)
+        .with_extra("misroute_drops", drops as f64)
         .with_extra("accepted_by_wrong_node", delivered_h2 as f64))
 }
 
@@ -278,11 +314,15 @@ mod tests {
         assert!(r.extra("recovered_rx").unwrap() > 100.0, "{r:?}");
     }
 
+    /// The drops are host 1's own, over the window in which every frame it
+    /// passes through the device counts as sent, so they cannot exceed it.
     #[test]
     fn misroute_loses_packets_but_no_wrong_acceptance() {
         let r = route_misroute(19).unwrap();
         assert_eq!(r.received, 0, "{r:?}");
-        assert!(r.extra("misroute_drops").unwrap() >= 190.0, "{r:?}");
+        let drops = r.extra("misroute_drops").unwrap() as u64;
+        assert!(drops >= 190, "{r:?}");
+        assert!(drops <= r.sent, "{drops} drops of {} sent", r.sent);
         assert_eq!(r.extra("accepted_by_wrong_node"), Some(0.0), "{r:?}");
     }
 }

@@ -3,7 +3,9 @@
 # network access, zero external crates, no flags and no environment
 # variables of its own. Two questions, one home each:
 #   "is it the same bytes"  -> the test stage (tests/determinism.rs pins
-#                              every fingerprint, digest and golden hash)
+#                              every fingerprint, digest and golden hash;
+#                              tests/doc_tables.rs pins every table
+#                              EXPERIMENTS.md quotes to its producer)
 #   "is it the same speed"  -> the compare stage, against bench/baseline/
 set -euo pipefail
 
