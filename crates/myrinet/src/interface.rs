@@ -138,7 +138,26 @@ const SCOUT_WINDOW: SimDuration = SimDuration::from_ms(20);
 /// How long a deferring MCP waits before reclaiming the mapper role.
 const DEFERENCE_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
-/// Configuration for a [`HostInterface`].
+/// Receive slack-buffer capacity in bytes (paper Figures 7 and 9).
+const RX_CAPACITY: usize = 8192;
+/// Receive-buffer high watermark (STOP threshold).
+const RX_HIGH: usize = 4096;
+/// Receive-buffer low watermark (GO threshold).
+const RX_LOW: usize = 1024;
+/// Host drain rate (DMA / host bus), bits per second: the paper's hosts
+/// are slower than the 640 Mb/s link.
+const RX_DRAIN_BPS: u64 = 400_000_000;
+
+/// XORed into the MCP address to seed the mapper's confusion behaviour
+/// (Figure 11): `"netfi_if"`.
+const SEED_SALT: u64 = 0x6e65_7466_695f_6966;
+
+/// Where a [`HostInterface`] sits: its addresses, its attachment and the
+/// fabric it maps. The interface takes part in mapper election unless
+/// [`HostInterface::set_can_map`] turns that off, keeps the paper's
+/// receive buffer (8 KiB, 4 KiB / 1 KiB watermarks, 400 Mb/s drain) unless
+/// [`HostInterface::set_rx_params`] replaces it, and seeds its mapper from
+/// `addr`.
 #[derive(Debug, Clone)]
 pub struct InterfaceConfig {
     /// The MCP's unique 64-bit address (election key).
@@ -150,25 +169,10 @@ pub struct InterfaceConfig {
     /// The switch fabric (builder-provided; see module docs in
     /// [`crate::mapper`]).
     pub topology: Topology,
-    /// Whether this MCP participates in mapper election.
-    pub can_map: bool,
-    /// Seed for the mapper's confusion behaviour (Figure 11).
-    pub seed: u64,
-    /// Receive slack-buffer capacity in bytes (the NIC's slack buffer of
-    /// paper Figures 7 and 9).
-    pub rx_capacity: usize,
-    /// Receive-buffer high watermark (STOP threshold).
-    pub rx_high: usize,
-    /// Receive-buffer low watermark (GO threshold).
-    pub rx_low: usize,
-    /// Rate at which the host drains the NIC buffer (DMA / host-bus
-    /// bandwidth), bits per second. The paper's hosts are slower than the
-    /// 640 Mb/s link.
-    pub rx_drain_bps: u64,
 }
 
 impl InterfaceConfig {
-    /// A configuration with the paper's defaults.
+    /// The configuration of an interface at `attachment` in `topology`.
     pub fn new(
         addr: NodeAddress,
         eth: EthAddr,
@@ -180,12 +184,6 @@ impl InterfaceConfig {
             eth,
             attachment,
             topology,
-            can_map: true,
-            seed: addr.0 ^ 0x6e65_7466_695f_6966, // "netfi_if"
-            rx_capacity: 8192,
-            rx_high: 4096,
-            rx_low: 1024,
-            rx_drain_bps: 400_000_000,
         }
     }
 }
@@ -194,6 +192,10 @@ impl InterfaceConfig {
 #[derive(Debug, Clone)]
 pub struct HostInterface {
     config: InterfaceConfig,
+    /// Whether this MCP participates in mapper election.
+    can_map: bool,
+    /// Rate at which the host drains the receive buffer, bits per second.
+    rx_drain_bps: u64,
     eth_addr: EthAddr,
     egress: EgressPort,
     rx_sbuf: SlackBuffer,
@@ -222,18 +224,20 @@ pub struct HostInterface {
 impl HostInterface {
     /// Creates an interface (unwired; attach via the owning component).
     pub fn new(config: InterfaceConfig) -> HostInterface {
-        let rng = DetRng::new(config.seed);
+        let rng = DetRng::new(config.addr.0 ^ SEED_SALT);
         HostInterface {
+            can_map: true,
+            rx_drain_bps: RX_DRAIN_BPS,
             eth_addr: config.eth,
             egress: EgressPort::new(0),
-            rx_sbuf: SlackBuffer::new(config.rx_capacity, config.rx_high, config.rx_low),
+            rx_sbuf: SlackBuffer::new(RX_CAPACITY, RX_HIGH, RX_LOW),
             rx_queue: VecDeque::new(),
             rx_draining: false,
             gaps: LastGap::default(),
             routing: BTreeMap::new(),
             stats: InterfaceStats::default(),
             obs: Recorder::disarmed(),
-            mapping_active: config.can_map,
+            mapping_active: true,
             epoch: 0,
             round_pending: BTreeMap::new(),
             confused: false,
@@ -254,7 +258,7 @@ impl HostInterface {
 
     /// Kicks off periodic mapping (call once, at simulation start).
     pub fn start(&mut self, ctx: &mut Context<'_, Ev>) {
-        if self.config.can_map {
+        if self.can_map {
             self.round_gen += 1;
             ctx.send_self(
                 MAPPING_INTERVAL,
@@ -289,7 +293,7 @@ impl HostInterface {
     /// from a node run with static routes instead, as mapping cannot
     /// survive total framing loss.
     pub fn set_can_map(&mut self, on: bool) {
-        self.config.can_map = on;
+        self.can_map = on;
         self.mapping_active = on;
     }
 
@@ -302,7 +306,7 @@ impl HostInterface {
     pub fn set_rx_params(&mut self, capacity: usize, high: usize, low: usize, drain_bps: u64) {
         assert!(drain_bps > 0, "drain rate must be non-zero");
         self.rx_sbuf = SlackBuffer::new(capacity, high, low);
-        self.config.rx_drain_bps = drain_bps;
+        self.rx_drain_bps = drain_bps;
     }
 
     /// Counters.
@@ -491,7 +495,7 @@ impl HostInterface {
 
     /// Time to move `chars` characters across the host bus.
     fn drain_time(&self, chars: usize) -> netfi_sim::SimDuration {
-        netfi_sim::SimDuration::from_bits(chars as u64 * 8, self.config.rx_drain_bps)
+        netfi_sim::SimDuration::from_bits(chars as u64 * 8, self.rx_drain_bps)
     }
 
     fn start_drain(&mut self, ctx: &mut Context<'_, Ev>) {
@@ -627,7 +631,7 @@ impl HostInterface {
                     self.finish_round(ctx);
                 }
             timer_class::TAKEOVER
-                if gen == self.defer_gen && self.config.can_map && !self.mapping_active => {
+                if gen == self.defer_gen && self.can_map && !self.mapping_active => {
                     // The higher-addressed mapper went quiet: reclaim.
                     self.mapping_active = true;
                     self.round_gen += 1;
@@ -697,7 +701,7 @@ impl HostInterface {
             // and watch for the higher mapper to disappear.
             self.mapping_active = false;
             self.defer_gen += 1;
-            if self.config.can_map {
+            if self.can_map {
                 ctx.send_self(
                     DEFERENCE_TIMEOUT,
                     Ev::Timer {

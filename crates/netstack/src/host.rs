@@ -29,22 +29,25 @@ pub const SINK_PORT: u16 = 9999;
 /// Deliveries an armed arrival log keeps ([`Host::arm_arrivals`]).
 const ARRIVAL_LOG: usize = 64;
 
-/// Host timing parameters.
+/// A host's NIC configuration, jitter seed and software timing, from one
+/// of two profiles: [`HostConfig::fast`], or the paper-era one that
+/// [`TestbedOptions::paper_era_hosts`](crate::TestbedOptions::paper_era_hosts)
+/// selects.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
     /// The NIC configuration.
-    pub iface: InterfaceConfig,
+    iface: InterfaceConfig,
     /// Software cost of a send (system call, driver, DMA setup).
-    pub send_overhead: SimDuration,
+    send_overhead: SimDuration,
     /// Software cost of a receive (interrupt, copy, wakeup).
-    pub recv_overhead: SimDuration,
-    /// Uniform per-operation jitter added on top of each overhead.
-    pub overhead_jitter: SimDuration,
+    recv_overhead: SimDuration,
+    /// Upper bound of the uniform jitter added to each overhead.
+    overhead_jitter: SimDuration,
     /// Upper bound of the per-run calibration offset (interrupt-handler
     /// granularity), drawn once per host instance.
-    pub calibration_max: SimDuration,
-    /// Seed for this host's jitter stream.
-    pub seed: u64,
+    calibration_max: SimDuration,
+    /// Seed of the jitter and calibration draws.
+    seed: u64,
 }
 
 impl HostConfig {
@@ -61,7 +64,8 @@ impl HostConfig {
         }
     }
 
-    /// Fast host timing for protocol-focused tests (negligible overheads).
+    /// Fast host timing for protocol-focused runs: 500 ns per send or
+    /// receive, no jitter and no calibration offset.
     pub fn fast(iface: InterfaceConfig, seed: u64) -> HostConfig {
         HostConfig {
             iface,
@@ -271,11 +275,6 @@ impl Host {
     /// Mutable access to the recorder (arm it before an observed run).
     pub fn obs_mut(&mut self) -> &mut Recorder {
         &mut self.obs
-    }
-
-    /// Convenience: a paper-era host from interface parameters.
-    pub(crate) fn paper_era(iface: InterfaceConfig, seed: u64) -> Host {
-        Host::new(HostConfig::paper_era(iface, seed))
     }
 
     /// Attaches a workload (call before the simulation starts).
@@ -643,11 +642,11 @@ mod tests {
     /// `power_off` returns is scheduled.
     #[test]
     fn powered_off_mid_stop_releases_the_switch_16_characters_later() {
-        let (mut engine, sw, hosts) = build(2, |i, mut iface| {
-            iface.can_map = false;
-            // Host 1 drains 600 B in 2 ms: its buffer stops the switch.
-            iface.rx_drain_bps = 2_457_600;
+        let (mut engine, sw, hosts) = build(2, |i, iface| {
             let mut host = Host::new(HostConfig::fast(iface, i as u64));
+            host.nic_mut().set_can_map(false);
+            // Host 1 drains 600 B in 2 ms: its buffer stops the switch.
+            host.nic_mut().set_rx_params(8192, 4096, 1024, 2_457_600);
             let peer = 1 - i as u8;
             host.nic_mut().install_route(
                 EthAddr::myricom(u32::from(peer) + 1),
@@ -767,7 +766,7 @@ mod tests {
     #[test]
     fn paper_era_pingpong_is_about_235_us() {
         let (mut engine, _, hosts) = build(2, |i, iface| {
-            let mut h = Host::paper_era(iface, 7 + i as u64);
+            let mut h = Host::new(HostConfig::paper_era(iface, 7 + i as u64));
             if i == 0 {
                 h.add_workload(Workload::PingPong {
                     peer: EthAddr::myricom(2),

@@ -44,11 +44,12 @@ pub struct TestbedOptions {
     pub link: Link,
     /// Splice the injector between host `intercepted` and the switch.
     pub intercept_host: Option<usize>,
-    /// Host timing (None = fast hosts).
+    /// Paper-era host timing (~117.5 µs per send or receive, with
+    /// jitter) instead of [`HostConfig::fast`] hosts.
     pub paper_era_hosts: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Customize each host after construction (workloads etc.).
+    /// The switch's buffering and timeout parameters.
     pub switch_config: SwitchConfig,
 }
 
@@ -120,11 +121,12 @@ pub fn build_testbed_probed<P: Probe>(
         let addr = NodeAddress(100 + i as u64);
         let mac = EthAddr::myricom(i as u32 + 1);
         let iface = InterfaceConfig::new(addr, mac, (0, i as u8), topo.clone());
-        let mut host = if options.paper_era_hosts {
-            Host::paper_era(iface, options.seed.wrapping_add(i as u64))
+        let seed = options.seed.wrapping_add(i as u64);
+        let mut host = Host::new(if options.paper_era_hosts {
+            HostConfig::paper_era(iface, seed)
         } else {
-            Host::new(HostConfig::fast(iface, options.seed.wrapping_add(i as u64)))
-        };
+            HostConfig::fast(iface, seed)
+        });
         customize(i, &mut host);
         let h = engine.add_component(Box::new(host));
 

@@ -12,30 +12,6 @@ use netfi_sim::{NullProbe, Probe, SimDuration};
 use crate::results::{RunResult, ScenarioError};
 use crate::scenarios::{address, control, latency, ptype, random, udpcheck};
 
-/// A control symbol, as a campaign spec names it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SymbolSpec {
-    /// Packet separator.
-    Gap,
-    /// Flow-control resume.
-    Go,
-    /// Flow-control pause.
-    Stop,
-    /// Idle filler.
-    Idle,
-}
-
-impl From<SymbolSpec> for ControlSymbol {
-    fn from(s: SymbolSpec) -> ControlSymbol {
-        match s {
-            SymbolSpec::Gap => ControlSymbol::Gap,
-            SymbolSpec::Go => ControlSymbol::Go,
-            SymbolSpec::Stop => ControlSymbol::Stop,
-            SymbolSpec::Idle => ControlSymbol::Idle,
-        }
-    }
-}
-
 /// What to inject — one variant per campaign family of the paper's
 /// evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,9 +19,9 @@ pub enum FaultSpec {
     /// §4.3.1 Table 4: corrupt one control symbol into another.
     ControlSymbol {
         /// Symbol to match.
-        mask: SymbolSpec,
+        mask: ControlSymbol,
         /// Symbol to produce.
-        replacement: SymbolSpec,
+        replacement: ControlSymbol,
     },
     /// §4.3.1: faulty STOP conditions against a request/response program.
     FaultyStop,
@@ -168,7 +144,7 @@ fn run_on_donors<P: Probe + Clone>(
     let window = SimDuration::from_secs(spec.window_secs);
     let mut results = match &spec.fault {
         FaultSpec::ControlSymbol { mask, replacement } => {
-            let (mask, replacement) = ((*mask).into(), (*replacement).into());
+            let (mask, replacement) = (*mask, *replacement);
             let opts = table4_options(spec);
             let donor = donors
                 .iter()
@@ -219,17 +195,11 @@ fn run_on_donors<P: Probe + Clone>(
 pub fn paper_campaigns(seed: u64) -> Vec<CampaignSpec> {
     let mut out = Vec::new();
     for (i, (mask, replacement)) in control::table4_rows().into_iter().enumerate() {
-        let to_spec = |s: ControlSymbol| match s {
-            ControlSymbol::Gap => SymbolSpec::Gap,
-            ControlSymbol::Go => SymbolSpec::Go,
-            ControlSymbol::Stop => SymbolSpec::Stop,
-            ControlSymbol::Idle => SymbolSpec::Idle,
-        };
         out.push(CampaignSpec::new(
             format!("table4 row {}", i + 1),
             FaultSpec::ControlSymbol {
-                mask: to_spec(mask),
-                replacement: to_spec(replacement),
+                mask,
+                replacement,
             },
             seed,
         ));

@@ -77,6 +77,21 @@ const BURST_PAYLOAD: usize = 512;
 /// the fabric's background senders).
 const BURST_SRC_PORT: u16 = 6001;
 
+/// Per-pair heartbeat phase offset (decorrelates beats from the poll
+/// grid and from each other).
+const STAGGER: SimDuration = SimDuration::from_us(50);
+
+/// The suspicion threshold ladder, in the order reports quote it.
+const THRESHOLDS: [Phi; 3] = [Phi::from_int(2), Phi::from_int(5), Phi::from_int(8)];
+
+/// Index into [`THRESHOLDS`] of the reference threshold (θ = 5) the
+/// agreement score is computed at.
+const REFERENCE: usize = 1;
+
+/// Event budget per poll step — hang insurance; exhaustion abandons the
+/// scenario deterministically and tags its outcome.
+const POLL_EVENT_BUDGET: u64 = 5_000_000;
+
 /// Parameters of a detection campaign.
 #[derive(Debug, Clone)]
 pub struct DetectOptions {
@@ -87,9 +102,6 @@ pub struct DetectOptions {
     pub window: usize,
     /// Heartbeat period per pair.
     pub heartbeat: SimDuration,
-    /// Per-pair heartbeat phase offset (decorrelates beats from the poll
-    /// grid and from each other).
-    pub stagger: SimDuration,
     /// Monitor poll period — the detection-latency quantum. Each poll
     /// reads every host's 64-delivery arrival log: a host that takes more
     /// deliveries than that in one period may evict a heartbeat unread,
@@ -103,26 +115,20 @@ pub struct DetectOptions {
     pub margin: SimDuration,
     /// Post-fault observation window.
     pub tail: SimDuration,
-    /// The suspicion threshold ladder, in the order reports quote it.
-    pub thresholds: Vec<Phi>,
-    /// Index into `thresholds` of the reference threshold the agreement
-    /// score is computed at.
-    pub reference: usize,
-    /// Event budget per poll step — hang insurance; exhaustion abandons
-    /// the scenario deterministically and tags its outcome.
-    pub poll_event_budget: u64,
 }
 
 impl DetectOptions {
     /// A sized preset over [`TopoOptions::sized`]: host 1 intercepted by
     /// an injector, background senders slowed to 2 ms so heartbeats share
-    /// the wire with real traffic without drowning the event budget, and
-    /// a θ ∈ {2, 5, 8} ladder with θ = 5 as the reference.
+    /// the wire with real traffic without drowning the event budget.
+    /// Every campaign judges a θ ∈ {2, 5, 8} ladder with θ = 5 as the
+    /// reference.
     ///
-    /// The poll is 2 ms, and 1 ms on the radix-8 fabrics of up to 48
-    /// hosts: there the `burst` scenario's flows reach their receivers
-    /// uncongested, a datagram every 20 µs, and 2 ms of them evict
-    /// heartbeats from a 64-delivery arrival log before a poll reads them.
+    /// The poll is 2 ms, and 1 ms on the fabrics of up to 48 hosts, whose
+    /// [`radix`](TopoOptions::radix) is 8: there the `burst` scenario's
+    /// flows reach their receivers uncongested, a datagram every 20 µs,
+    /// and 2 ms of them evict heartbeats from a 64-delivery arrival log
+    /// before a poll reads them.
     pub fn sized(hosts: usize) -> DetectOptions {
         let topo = TopoOptions {
             intercept_host: Some(1),
@@ -130,17 +136,13 @@ impl DetectOptions {
             ..TopoOptions::sized(hosts)
         };
         DetectOptions {
-            poll: SimDuration::from_ms(if topo.radix <= 8 { 1 } else { 2 }),
+            poll: SimDuration::from_ms(if topo.radix() <= 8 { 1 } else { 2 }),
             topo,
             window: 16,
             heartbeat: SimDuration::from_ms(10),
-            stagger: SimDuration::from_us(50),
             warm: SimDuration::from_ms(300),
             margin: SimDuration::from_ms(50),
             tail: SimDuration::from_ms(600),
-            thresholds: vec![Phi::from_int(2), Phi::from_int(5), Phi::from_int(8)],
-            reference: 1,
-            poll_event_budget: 5_000_000,
         }
     }
 }
@@ -272,7 +274,7 @@ pub fn detect_specs(options: &DetectOptions) -> Vec<DetectSpec> {
     if topo.hosts > 2 {
         specs.push(DetectSpec::host_link("host-link-2", 2));
     }
-    if topo.leaves() > 1 && topo.spines > 0 {
+    if topo.spines() > 0 {
         specs.push(DetectSpec::trunk("trunk-0-0", 0, 0));
     }
     if topo.intercept_host.is_some() {
@@ -305,15 +307,6 @@ fn leaf_of(topo: &TopoOptions, i: usize) -> usize {
     i / topo.hosts_per_leaf()
 }
 
-/// Spines actually built: a single-leaf fabric has no trunks.
-fn effective_spines(topo: &TopoOptions) -> usize {
-    if topo.leaves() > 1 {
-        topo.spines
-    } else {
-        0
-    }
-}
-
 /// The heartbeat pairs `fault` should silence, derived purely from the
 /// fabric's wiring and its static ECMP routes (cross-leaf pair `i` rides
 /// spine `i mod spines`). This is the topology's *prediction*; the
@@ -328,7 +321,7 @@ fn effective_spines(topo: &TopoOptions) -> usize {
 /// short-period timeout self-recovers (see [`gap_stop_config`]).
 pub(crate) fn predicted_pairs(topo: &TopoOptions, fault: &DetectFault) -> Vec<u32> {
     let hosts = topo.hosts;
-    let spines = effective_spines(topo);
+    let spines = topo.spines();
     let mut pairs: Vec<u32> = match fault {
         DetectFault::Healthy | DetectFault::Burst => Vec::new(),
         DetectFault::NodeOff(h) | DetectFault::HostLink(h) => (0..hosts)
@@ -381,7 +374,7 @@ pub(crate) fn predicted_pairs(topo: &TopoOptions, fault: &DetectFault) -> Vec<u3
 /// are compared against.
 pub fn fabric_graph(topo: &TopoOptions) -> TopoGraph {
     let leaves = topo.leaves();
-    let spines = effective_spines(topo);
+    let spines = topo.spines();
     let mut g = TopoGraph::new();
     let leaf_nodes: Vec<usize> = (0..leaves)
         .map(|l| g.add_node(format!("leaf{l}"), NodeKind::Switch))
@@ -458,20 +451,20 @@ pub fn warm_detect(options: &DetectOptions) -> Result<WarmedDetect, ScenarioErro
     let beater = fabric.engine.add_component(Box::new(Heartbeater::new(HeartbeatPlan {
         pairs,
         interval: options.heartbeat,
-        stagger: options.stagger,
+        stagger: STAGGER,
     })));
     fabric
         .engine
         .schedule(SimTime::ZERO, beater, Ev::App(Box::new(HeartbeatCmd::Start)));
 
-    let mut monitor = SuspicionMonitor::new(topo.hosts, options.window, &options.thresholds);
+    let mut monitor = SuspicionMonitor::new(topo.hosts, options.window, &THRESHOLDS);
     let mut scan = ArrivalScan::new(fabric.hosts.len());
     let mut engine = fabric.engine;
     let warm_end = SimTime::ZERO + options.warm;
     while engine.now() < warm_end {
         let step = (engine.now() + options.poll).min(warm_end);
         let outcome =
-            engine.run_budgeted(RunBudget::until(step).with_max_events(options.poll_event_budget));
+            engine.run_budgeted(RunBudget::until(step).with_max_events(POLL_EVENT_BUDGET));
         scan.read(&engine, &fabric.hosts, &mut monitor);
         if matches!(outcome, RunOutcome::BudgetExhausted) {
             break;
@@ -565,7 +558,7 @@ fn drive(
     while !scan.lost && engine.now() < to {
         let step = (engine.now() + options.poll).min(to);
         let outcome =
-            engine.run_budgeted(RunBudget::until(step).with_max_events(options.poll_event_budget));
+            engine.run_budgeted(RunBudget::until(step).with_max_events(POLL_EVENT_BUDGET));
         scan.read(engine, hosts, monitor);
         if scan.lost {
             break;
@@ -657,15 +650,19 @@ impl WarmedDetect {
                 power_off(engine, id)?;
             }
             DetectFault::HostLink(h) => {
+                if *h >= options.topo.hosts {
+                    return Err(ScenarioError::WrongComponent("Host"));
+                }
                 let leaf = leaf_of(&options.topo, *h);
                 sever(engine, self.leaf(leaf)?, *h % options.topo.hosts_per_leaf())?;
             }
             DetectFault::Trunk { leaf, spine } => {
-                let spines = effective_spines(&options.topo);
-                if *spine < spines {
-                    let port = options.topo.radix - spines + spine;
-                    sever(engine, self.leaf(*leaf)?, port)?;
+                let spines = options.topo.spines();
+                if *spine >= spines {
+                    return Err(ScenarioError::WrongComponent("Switch port"));
                 }
+                let port = options.topo.radix() - spines + spine;
+                sever(engine, self.leaf(*leaf)?, port)?;
             }
         }
 
@@ -676,8 +673,8 @@ impl WarmedDetect {
         // Extract per-threshold verdicts against the topology's prediction.
         let predicted = predicted_pairs(&options.topo, &spec.fault);
         let pairs = monitor.pairs() as u32;
-        let mut outcomes = Vec::with_capacity(options.thresholds.len());
-        for (t, &threshold) in options.thresholds.iter().enumerate() {
+        let mut outcomes = Vec::with_capacity(THRESHOLDS.len());
+        for (t, &threshold) in THRESHOLDS.iter().enumerate() {
             let t = t as u32;
             let mut detected = Vec::new();
             let mut missed = Vec::new();
@@ -981,8 +978,8 @@ pub fn run_detection(
                 warm.run_on(&mut engine, &specs[i])
             }
         })?,
-        thresholds: options.thresholds.clone(),
-        reference: options.reference,
+        thresholds: THRESHOLDS.to_vec(),
+        reference: REFERENCE,
         topo_report: warm.report.render(),
     })
 }
@@ -1002,14 +999,10 @@ mod tests {
             },
             window: 8,
             heartbeat: SimDuration::from_ms(5),
-            stagger: SimDuration::from_us(50),
             poll: SimDuration::from_ms(1),
             warm: SimDuration::from_ms(100),
             margin: SimDuration::from_ms(20),
             tail: SimDuration::from_ms(200),
-            thresholds: vec![Phi::from_int(2), Phi::from_int(5), Phi::from_int(8)],
-            reference: 1,
-            poll_event_budget: 5_000_000,
         }
     }
 
@@ -1107,7 +1100,7 @@ mod tests {
             ))
             .expect("run");
         assert_eq!(run.predicted, vec![1]);
-        let reference = &run.outcomes[options.reference];
+        let reference = &run.outcomes[REFERENCE];
         assert_eq!(reference.detected, vec![1], "intercepted pair undetected");
         assert!(
             reference.false_alarm_pairs.is_empty(),

@@ -13,11 +13,21 @@ pub mod ptype;
 pub mod random;
 pub mod udpcheck;
 
+use netfi_core::device::{ChannelStats, Direction, InjectorDevice};
 use netfi_myrinet::event::Ev;
-use netfi_netstack::{Host, SINK_PORT};
+use netfi_netstack::{Host, Testbed, SINK_PORT};
 use netfi_sim::{ComponentId, Simulation};
 
 use crate::results::ScenarioError;
+
+/// What the test bed's injector has passed in `dir` by now.
+fn passed(tb: &Testbed, dir: Direction) -> Result<ChannelStats, ScenarioError> {
+    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    tb.engine
+        .component_as::<InjectorDevice>(device)
+        .map(|d| d.channel_stats(dir, tb.engine.now()))
+        .ok_or(ScenarioError::WrongComponent("InjectorDevice"))
+}
 
 /// A snapshot of network-wide message counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -7,7 +7,7 @@
 
 use netfi_core::command::DirSelect;
 use netfi_core::config::InjectorConfig;
-use netfi_core::device::{Direction, InjectorDevice};
+use netfi_core::device::Direction;
 use netfi_core::trigger::MatchMode;
 use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::switch::Switch;
@@ -16,6 +16,7 @@ use netfi_sim::{SimDuration, SimTime};
 
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::{program_injector, schedule_script};
+use crate::scenarios::passed;
 use netfi_core::command::Command;
 
 /// Shared scaffold: 3 hosts, injector on host 1 (index 1), host 0 sending
@@ -244,16 +245,10 @@ pub fn route_misroute(seed: u64) -> Result<RunResult, ScenarioError> {
             })),
         );
     }
-    // What host 1 sends crosses the device host side first (A to B).
-    let through = |tb: &Testbed| {
-        tb.engine
-            .component_as::<InjectorDevice>(device)
-            .map(|d| d.channel_stats(Direction::AToB, tb.engine.now()))
-            .ok_or(ScenarioError::WrongComponent("InjectorDevice"))
-    };
     let rx0_before = host(&tb, 0)?.rx_count(SINK_PORT);
     let rx2_before = host(&tb, 2)?.rx_count(SINK_PORT);
-    let through_before = through(&tb)?;
+    // What host 1 sends crosses the device host side first (A to B).
+    let through_before = passed(&tb, Direction::AToB)?;
     // The switch's recorder says which input each drop came in on.
     tb.engine
         .component_as_mut::<Switch>(tb.switch)
@@ -264,7 +259,7 @@ pub fn route_misroute(seed: u64) -> Result<RunResult, ScenarioError> {
 
     let delivered_h0 = host(&tb, 0)?.rx_count(SINK_PORT) - rx0_before;
     let delivered_h2 = host(&tb, 2)?.rx_count(SINK_PORT) - rx2_before;
-    let through_after = through(&tb)?;
+    let through_after = passed(&tb, Direction::AToB)?;
     let sent = through_after.packets - through_before.packets;
     let mapping = through_after.mapping_packets - through_before.mapping_packets;
     let log = tb

@@ -9,6 +9,7 @@
 
 use netfi_core::command::DirSelect;
 use netfi_core::config::InjectorConfig;
+use netfi_core::device::Direction;
 use netfi_core::trigger::MatchMode;
 use netfi_myrinet::addr::EthAddr;
 use netfi_netstack::{build_testbed, Host, TestbedOptions, Workload, SINK_PORT};
@@ -16,12 +17,18 @@ use netfi_sim::{SimDuration, SimTime};
 
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::program_injector;
+use crate::scenarios::passed;
 
 /// Runs one SEU arm at per-segment flip probability `p`.
 ///
 /// With `fix_crc` the Myrinet CRC-8 is repaired after each flip, so the
 /// corruption is carried to the UDP layer (and occasionally beyond); without
 /// it the network's own CRC does the catching.
+///
+/// `sent` counts every frame the device passed to host 1 over the window,
+/// datagrams and mapping frames alike (`mapping_frames` says how many of
+/// them were mapping frames): the SEU unit flips bits in both, and a
+/// frame that fails its CRC-8 cannot be told to have been a datagram.
 ///
 /// # Errors
 ///
@@ -61,16 +68,14 @@ pub fn seu_arm(p: f64, fix_crc: bool, seed: u64) -> Result<RunResult, ScenarioEr
     let rx0 = h1.rx_count(SINK_PORT);
     let crc0 = h1.nic().stats().rx_crc_drops;
     let udp0 = h1.udp_stats().rx_checksum_drops;
-    let sent0 = tb
-        .engine
-        .component_as::<Host>(tb.hosts[0])
-        .ok_or(wrong)?
-        .sender_sent();
+    // What reaches host 1 crosses the device switch side first (B to A).
+    let through0 = passed(&tb, Direction::BToA)?;
 
     tb.engine.run_for(SimDuration::from_secs(5));
 
-    let h0 = tb.engine.component_as::<Host>(tb.hosts[0]).ok_or(wrong)?;
-    let sent = h0.sender_sent() - sent0;
+    let through1 = passed(&tb, Direction::BToA)?;
+    let sent = through1.packets - through0.packets;
+    let mapping = through1.mapping_packets - through0.mapping_packets;
     let h1 = tb.engine.component_as::<Host>(tb.hosts[1]).ok_or(wrong)?;
     let delivered = h1.rx_count(SINK_PORT) - rx0;
     let crc_drops = h1.nic().stats().rx_crc_drops - crc0;
@@ -82,6 +87,7 @@ pub fn seu_arm(p: f64, fix_crc: bool, seed: u64) -> Result<RunResult, ScenarioEr
         delivered.min(sent),
         5.0,
     )
+    .with_extra("mapping_frames", mapping as f64)
     .with_extra("crc8_drops", crc_drops as f64)
     .with_extra("udp_checksum_drops", udp_drops as f64))
 }
@@ -119,7 +125,16 @@ mod tests {
         // the UDP checksum (a real property of short CRCs).
         let crc = high.extra("crc8_drops").unwrap();
         let udp = high.extra("udp_checksum_drops").unwrap();
-        assert!(crc as u64 + udp as u64 >= high.lost());
+        let mapping = high.extra("mapping_frames").unwrap();
+        // Every datagram lost was caught by one of the two layers …
+        assert!(crc as u64 + udp as u64 >= high.lost().saturating_sub(mapping as u64));
+        // … and every drop is a frame the device passed to host 1.
+        assert!(
+            crc as u64 + udp as u64 <= high.sent,
+            "{} drops of {} sent",
+            crc as u64 + udp as u64,
+            high.sent
+        );
         assert!(udp <= high.lost() as f64 * 0.05, "udp drops {udp}");
     }
 

@@ -2,13 +2,15 @@
 //! topologies that scale the paper's 3-host test bed to 1,000+ hosts.
 //!
 //! [`build_fabric`] wires real [`Host`]s, [`Switch`]es and interface
-//! components into an [`Engine`] from three knobs — host count, leaf
-//! switch radix, spine count — plus link parameters. The layout is the
-//! classic two-tier fat tree: every leaf switch carries `radix − spines`
-//! hosts on its low ports and one uplink per spine on its high ports;
-//! every spine carries one port per leaf. 10 hosts at radix 8 is 2
-//! leaves; 1,000 hosts at radix 64 is 17 leaves, inside the 64-port
-//! switch cap and the `u8` switch-id space.
+//! components into an [`Engine`] from one knob, the host count; the
+//! fabric's shape follows from it. The layout is the classic two-tier fat
+//! tree: every leaf switch carries `radix − 2` hosts on its low ports and
+//! one uplink to each of the two spines on its high ports; every spine
+//! carries one port per leaf. The radix ([`TopoOptions::radix`]) is the
+//! smallest standard one (8, 16 or 64) that keeps the fabric within 64
+//! leaves: 10 hosts at radix 8 is 2 leaves, 100 at radix 16 is 8, and
+//! 1,000 at radix 64 is 17, inside the 64-port switch cap and the `u8`
+//! switch-id space.
 //!
 //! **Routing at scale.** The paper's mapper recomputes every pairwise
 //! route each mapping round — O(N²) work that the 3-host test bed never
@@ -31,7 +33,7 @@
 //! leaves' worth of events, so it is the heaviest shard as it is. The
 //! only cross-shard links are the leaf–spine trunks, so the conservative
 //! lookahead is the *trunk* link's propagation delay — which is why
-//! [`TopoOptions`] splits `host_link` from `trunk_link`: short host
+//! host cables (3 m) and trunks (100 m) differ in length: short host
 //! cables keep per-hop latency realistic while longer trunk runs
 //! (machine-room scale) buy the sharded executor a wide synchronization
 //! window.
@@ -58,31 +60,29 @@ use netfi_sim::{
     ComponentId, Engine, Fnv1a, NullProbe, Probe, SimDuration, SimTime, Simulation,
 };
 
+/// Spine switches of a multi-leaf fabric.
+const SPINES: usize = 2;
+
+/// Host ↔ leaf cable length in meters (short server-room cables).
+const HOST_CABLE_M: f64 = 3.0;
+
+/// Leaf ↔ spine trunk length in meters: a 100 m machine-room run, ~500 ns
+/// of propagation — the fabric's conservative lookahead, the window the
+/// sharded executor batches within.
+const TRUNK_CABLE_M: f64 = 100.0;
+
+/// Payload bytes of each host's datagrams.
+const PAYLOAD_LEN: usize = 64;
+
 /// Parameters for [`build_fabric`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoOptions {
-    /// Number of hosts.
+    /// Number of hosts; the radix, leaf and spine counts follow from it.
     pub hosts: usize,
-    /// Ports per leaf switch; `radix − spines` of them hold hosts.
-    pub radix: usize,
-    /// Spine switches (each needs one port per leaf, capped at 64
-    /// leaves). Ignored when one leaf suffices — a single-switch fabric
-    /// has no trunks.
-    pub spines: usize,
-    /// Host ↔ leaf link parameters (short server-room cables).
-    pub host_link: Link,
-    /// Leaf ↔ spine trunk parameters. Its propagation delay is the
-    /// fabric's conservative lookahead, so longer trunks mean wider
-    /// sharded windows.
-    pub trunk_link: Link,
     /// Base RNG seed, decorrelated per host.
     pub seed: u64,
-    /// Interval between each host's sends.
+    /// Interval between each host's sends (one 64-byte datagram each).
     pub interval: SimDuration,
-    /// Payload bytes per datagram.
-    pub payload_len: usize,
-    /// Datagrams sent back-to-back per tick.
-    pub burst: usize,
     /// Splice an [`InjectorDevice`] into this host's link to its leaf
     /// (direction A = host → leaf). `None` leaves the fabric untouched —
     /// component order, and therefore every pinned fabric digest, is
@@ -94,48 +94,52 @@ impl Default for TopoOptions {
     fn default() -> Self {
         TopoOptions {
             hosts: 10,
-            radix: 8,
-            spines: 2,
-            host_link: Link::myrinet_640(3.0),
-            // 100 m machine-room trunk: ~500 ns of propagation = the
-            // conservative window the sharded executor batches within.
-            trunk_link: Link::myrinet_640(100.0),
             seed: 0x6661_6272_6963,
             interval: SimDuration::from_us(500),
-            payload_len: 64,
-            burst: 1,
             intercept_host: None,
         }
     }
 }
 
 impl TopoOptions {
-    /// A sized preset: picks the smallest standard radix (8/16/64) that
-    /// carries `hosts` without exceeding 64 leaves, leaving the other
-    /// knobs at their defaults.
+    /// The default options at `hosts` hosts.
     pub fn sized(hosts: usize) -> TopoOptions {
-        let radix = if hosts <= 48 {
-            8
-        } else if hosts <= 448 {
-            16
-        } else {
-            64
-        };
         TopoOptions {
             hosts,
-            radix,
             ..TopoOptions::default()
         }
     }
 
-    /// Hosts carried per leaf switch under these options.
-    pub(crate) fn hosts_per_leaf(&self) -> usize {
-        self.radix - self.spines
+    /// Ports per leaf switch: the smallest standard radix (8, 16 or 64)
+    /// that carries `hosts` without exceeding 64 leaves.
+    pub fn radix(&self) -> usize {
+        if self.hosts <= 48 {
+            8
+        } else if self.hosts <= 448 {
+            16
+        } else {
+            64
+        }
     }
 
-    /// Leaf switches needed for `hosts` under these options.
+    /// Hosts carried per leaf switch: the ports the spine uplinks leave.
+    pub(crate) fn hosts_per_leaf(&self) -> usize {
+        self.radix() - SPINES
+    }
+
+    /// Leaf switches needed for `hosts`.
     pub fn leaves(&self) -> usize {
         self.hosts.div_ceil(self.hosts_per_leaf())
+    }
+
+    /// Spine switches built: none when one leaf suffices — a
+    /// single-switch fabric has no trunks.
+    pub(crate) fn spines(&self) -> usize {
+        if self.leaves() > 1 {
+            SPINES
+        } else {
+            0
+        }
     }
 }
 
@@ -193,9 +197,8 @@ impl<P: Probe> Fabric<P> {
 ///
 /// # Panics
 ///
-/// Panics if the options are unsatisfiable: zero hosts, a radix that
-/// leaves no host ports, more than 64 leaves (the spine port space), or
-/// more than 255 switches (the `u8` switch-id space).
+/// Panics if the options are unsatisfiable: zero hosts, or more than 64
+/// leaves (the spine port space; more than 3,968 hosts).
 pub fn build_fabric(
     options: &TopoOptions,
     customize: impl FnMut(usize, &mut Host),
@@ -220,30 +223,26 @@ pub fn build_fabric_probed<P: Probe>(
     mut customize: impl FnMut(usize, &mut Host),
 ) -> Result<Fabric<P>, ConnectError> {
     assert!(options.hosts > 0, "a fabric needs at least one host");
-    assert!(
-        options.spines < options.radix,
-        "radix must leave at least one host port per leaf"
-    );
-    assert!(options.radix <= 64, "switch ports are capped at 64");
+    let radix = options.radix();
     let hosts_per_leaf = options.hosts_per_leaf();
     let leaves = options.leaves();
-    // One leaf needs no uplinks: degenerate to a single-switch fabric.
-    let spines = if leaves > 1 { options.spines } else { 0 };
+    let spines = options.spines();
     assert!(
         leaves <= 64,
         "spine switches are capped at 64 ports (one per leaf)"
     );
-    assert!(leaves + spines <= u8::MAX as usize, "switch ids are u8");
+    let host_link = Link::myrinet_640(HOST_CABLE_M);
+    let trunk_link = Link::myrinet_640(TRUNK_CABLE_M);
 
     // Ground-truth switch fabric: leaves 0..L, spines L..L+S. Leaf l's
     // uplink to spine s leaves on port (radix − spines + s) and lands on
     // spine port l.
-    let mut switch_ports: Vec<u8> = vec![options.radix as u8; leaves];
+    let mut switch_ports: Vec<u8> = vec![radix as u8; leaves];
     switch_ports.extend(std::iter::repeat_n(leaves as u8, spines));
     let mut trunks = Vec::new();
     for l in 0..leaves {
         for s in 0..spines {
-            let leaf_port = (options.radix - spines + s) as u8;
+            let leaf_port = (radix - spines + s) as u8;
             trunks.push(((l as u8, leaf_port), ((leaves + s) as u8, l as u8)));
         }
     }
@@ -260,7 +259,7 @@ pub fn build_fabric_probed<P: Probe>(
             affinity.push(l as u16);
             engine.add_component(Box::new(Switch::new(
                 format!("leaf{l}"),
-                options.radix,
+                radix,
                 SwitchConfig::default(),
             )))
         })
@@ -281,7 +280,7 @@ pub fn build_fabric_probed<P: Probe>(
             &mut engine,
             (leaf_ids[leaf as usize], leaf_port),
             (spine_ids[spine as usize - leaves], spine_port),
-            &options.trunk_link,
+            &trunk_link,
         )?;
     }
 
@@ -316,7 +315,7 @@ pub fn build_fabric_probed<P: Probe>(
                 vec![route_to_host(port_to)]
             } else {
                 let s = i % spines;
-                let uplink = (options.radix - spines + s) as u8;
+                let uplink = (radix - spines + s) as u8;
                 vec![
                     route_to_switch(uplink),
                     route_to_switch(leaf_to),
@@ -327,9 +326,9 @@ pub fn build_fabric_probed<P: Probe>(
             host.add_workload(Workload::Sender {
                 dest: mac(peer),
                 interval: options.interval,
-                payload_len: options.payload_len,
+                payload_len: PAYLOAD_LEN,
                 forbidden: vec![],
-                burst: options.burst,
+                burst: 1,
             });
         }
         customize(i, &mut host);
@@ -344,12 +343,12 @@ pub fn build_fabric_probed<P: Probe>(
             let dev = engine
                 .add_component(Box::new(InjectorDevice::with_name(format!("fi-host{i}"))));
             affinity.push(leaf as u16);
-            connect::<Host, InjectorDevice, _>(&mut engine, (h, 0), (dev, 0), &options.host_link)?;
+            connect::<Host, InjectorDevice, _>(&mut engine, (h, 0), (dev, 0), &host_link)?;
             connect::<InjectorDevice, Switch, _>(
                 &mut engine,
                 (dev, 1),
                 (leaf_ids[leaf as usize], port),
-                &options.host_link,
+                &host_link,
             )?;
             injector = Some(dev);
         } else {
@@ -357,7 +356,7 @@ pub fn build_fabric_probed<P: Probe>(
                 &mut engine,
                 (h, 0),
                 (leaf_ids[leaf as usize], port),
-                &options.host_link,
+                &host_link,
             )?;
         }
         engine.schedule(SimTime::ZERO, h, Ev::App(Box::new(HostCmd::Start)));
@@ -373,7 +372,7 @@ pub fn build_fabric_probed<P: Probe>(
         eth,
         injector,
         affinity,
-        lookahead: options.trunk_link.propagation_delay(),
+        lookahead: trunk_link.propagation_delay(),
     })
 }
 
@@ -496,7 +495,7 @@ mod tests {
             assert_eq!(switch_shards.len(), fabric.leaves.len() + fabric.spines.len());
             assert_eq!(switch_shards.len(), fabric.shard_count());
             // … and the window is what a trunk guarantees.
-            assert_eq!(fabric.lookahead, options.trunk_link.propagation_delay());
+            assert_eq!(fabric.lookahead, Link::myrinet_640(TRUNK_CABLE_M).propagation_delay());
         }
     }
 
@@ -580,11 +579,7 @@ mod tests {
 
     #[test]
     fn single_leaf_fabric_degenerates_cleanly() {
-        let options = TopoOptions {
-            hosts: 4,
-            radix: 8,
-            ..TopoOptions::default()
-        };
+        let options = TopoOptions::sized(4);
         let mut fabric = build_fabric(&options, |_, _| {}).unwrap();
         assert!(fabric.spines.is_empty());
         assert_eq!(fabric.shard_count(), 1);

@@ -93,7 +93,6 @@ fn udp_word_swap_reaches_application() {
 /// The 60 ms warm-up (one poll) and a 20 ms poll stay inside the logs.
 #[test]
 fn a_poll_slower_than_the_arrival_log_ends_heartbeats_lost() {
-    use netfi::detect::Phi;
     use netfi::nftape::detection::{run_detection, DetectOptions, DetectSpec};
     use netfi::nftape::TopoOptions;
 
@@ -105,14 +104,10 @@ fn a_poll_slower_than_the_arrival_log_ends_heartbeats_lost() {
         },
         window: 8,
         heartbeat: SimDuration::from_ms(5),
-        stagger: SimDuration::from_us(50),
         poll: SimDuration::from_ms(200),
         warm: SimDuration::from_ms(60),
         margin: SimDuration::from_ms(20),
         tail: SimDuration::from_ms(400),
-        thresholds: vec![Phi::from_int(2), Phi::from_int(5), Phi::from_int(8)],
-        reference: 1,
-        poll_event_budget: 5_000_000,
     };
     let specs = [DetectSpec::healthy("healthy"), DetectSpec::host_link("host-link-2", 2)];
     let coarse = run_detection(&options, &specs, 1).unwrap();
@@ -130,4 +125,44 @@ fn a_poll_slower_than_the_arrival_log_ends_heartbeats_lost() {
         assert_eq!(run.outcome, "complete", "{}", run.spec);
     }
     assert_eq!(fine.runs[1].outcomes[1].detected, [2, 6]);
+}
+
+/// A detection scenario that names a host or a spine the fabric does not
+/// have is an error, not a run that severs an empty port (host 11 sits on
+/// leaf 1's port 5, which no host occupies) or severs nothing (spine 9)
+/// and then reads healthy.
+#[test]
+fn a_fault_on_a_missing_host_or_spine_is_an_error() {
+    use netfi::nftape::detection::{warm_detect, DetectFault, DetectOptions, DetectSpec};
+    use netfi::nftape::{ScenarioError, TopoOptions};
+
+    let options = DetectOptions {
+        topo: TopoOptions {
+            intercept_host: Some(1),
+            interval: SimDuration::from_ms(2),
+            ..TopoOptions::sized(10)
+        },
+        window: 8,
+        heartbeat: SimDuration::from_ms(5),
+        poll: SimDuration::from_ms(20),
+        warm: SimDuration::from_ms(60),
+        margin: SimDuration::from_ms(20),
+        tail: SimDuration::from_ms(20),
+    };
+    let warm = warm_detect(&options).unwrap();
+    let run = |fault| {
+        warm.fork_run(&DetectSpec {
+            name: "missing".to_string(),
+            fault,
+        })
+    };
+    assert_eq!(run(DetectFault::HostLink(9)).unwrap().predicted, [3, 9]);
+    assert_eq!(
+        run(DetectFault::HostLink(11)),
+        Err(ScenarioError::WrongComponent("Host"))
+    );
+    assert_eq!(
+        run(DetectFault::Trunk { leaf: 0, spine: 9 }),
+        Err(ScenarioError::WrongComponent("Switch port"))
+    );
 }

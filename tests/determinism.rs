@@ -550,7 +550,6 @@ fn detection_across_workers(
 /// is pinned by the next test).
 #[test]
 fn detection_campaign_golden_fingerprint_across_worker_counts() {
-    use netfi::detect::Phi;
     use netfi::nftape::detection::DetectOptions;
     use netfi::nftape::TopoOptions;
 
@@ -562,14 +561,10 @@ fn detection_campaign_golden_fingerprint_across_worker_counts() {
         },
         window: 8,
         heartbeat: SimDuration::from_ms(5),
-        stagger: SimDuration::from_us(50),
         poll: SimDuration::from_ms(1),
         warm: SimDuration::from_ms(100),
         margin: SimDuration::from_ms(20),
         tail: SimDuration::from_ms(200),
-        thresholds: vec![Phi::from_int(2), Phi::from_int(5), Phi::from_int(8)],
-        reference: 1,
-        poll_event_budget: 5_000_000,
     };
     let w1 = detection_across_workers(&options, &[1, 2, 4]);
     assert_pinned("detection fingerprint", w1.fingerprint(), 0x1000_121D_01AF_A971);

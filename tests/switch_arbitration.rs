@@ -40,7 +40,7 @@ fn attempts_and_forwards(engine: &Engine<Ev>, switches: &[ComponentId]) -> (u64,
 
 #[test]
 fn a_forward_costs_a_few_attempts_not_a_walk() {
-    // 16 leaves of 64 ports and 3 spines, stride traffic, 40 sim-ms: the
+    // 17 leaves of 64 ports and 2 spines, stride traffic, 40 sim-ms: the
     // benchmark's `fabric1000`.
     let options = TopoOptions {
         seed: 7,
