@@ -246,7 +246,7 @@ pub fn exp_packet_type() -> Result<String, ScenarioError> {
         misroute.name.clone(),
         format!(
             "{} sent ({} mapping replies), {} misroute drops, {} accepted by wrong nodes",
-            misroute.sent,
+            misroute.extra("frames").unwrap_or(0.0),
             misroute.extra("mapping_frames").unwrap_or(0.0),
             misroute.extra("misroute_drops").unwrap_or(0.0),
             misroute.extra("accepted_by_wrong_node").unwrap_or(0.0),
@@ -360,17 +360,12 @@ pub fn exp_random_seu() -> Result<String, ScenarioError> {
     // The ablation arm: CRC repaired in flight, so detection falls to UDP.
     arms.push(random::seu_arm(1e-1, true, 0x736575)?);
     for r in &arms {
-        // Loss is of the datagrams: the mapping frames were never bound
-        // for the sink that counts what was received.
-        let mapping = r.extra("mapping_frames").unwrap_or(0.0) as u64;
-        let datagrams = r.sent.saturating_sub(mapping);
-        let lost = datagrams.saturating_sub(r.received);
         table.row(&[
             r.name.clone(),
-            r.sent.to_string(),
-            mapping.to_string(),
+            format!("{}", r.extra("frames").unwrap_or(0.0)),
+            format!("{}", r.extra("mapping_frames").unwrap_or(0.0)),
             r.received.to_string(),
-            format!("{:.2}%", lost as f64 * 100.0 / datagrams as f64),
+            format!("{:.2}%", r.loss_rate() * 100.0),
             format!("{:.0}", r.extra("crc8_drops").unwrap_or(0.0)),
             format!("{:.0}", r.extra("udp_checksum_drops").unwrap_or(0.0)),
         ]);

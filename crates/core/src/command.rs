@@ -208,9 +208,9 @@ impl CommandDecoder {
                 if self.line.is_empty() {
                     return None;
                 }
-                let line = String::from_utf8_lossy(&self.line).into_owned();
+                let parsed = parse_command(&String::from_utf8_lossy(&self.line));
                 self.line.clear();
-                Some(parse_command(&line))
+                Some(parsed)
             }
             _ => {
                 // Bound the line buffer: a runaway stream without
@@ -224,32 +224,47 @@ impl CommandDecoder {
     }
 }
 
-/// Renders a command back into its wire syntax (for campaign scripting).
-pub fn render_command(cmd: &Command) -> String {
-    match cmd {
-        Command::SelectDirection(DirSelect::A) => "DA".into(),
-        Command::SelectDirection(DirSelect::B) => "DB".into(),
-        Command::SelectDirection(DirSelect::Both) => "D*".into(),
-        Command::MatchMode(MatchMode::Off) => "M0".into(),
-        Command::MatchMode(MatchMode::On) => "M1".into(),
-        Command::MatchMode(MatchMode::Once) => "MO".into(),
-        Command::CompareData(v) => format!("C{v:08X}"),
-        Command::CompareMask(v) => format!("K{v:08X}"),
-        Command::CorruptMode(CorruptMode::Toggle) => "T".into(),
-        Command::CorruptMode(CorruptMode::Replace) => "R".into(),
-        Command::CorruptData(v) => format!("V{v:08X}"),
-        Command::CorruptMask(v) => format!("X{v:08X}"),
-        Command::CrcRecompute(false) => "G0".into(),
-        Command::CrcRecompute(true) => "G1".into(),
-        Command::ControlSwap { from, mask, to } => format!("S{from:02X}{mask:02X}{to:02X}"),
-        Command::ControlOff => "s".into(),
-        Command::RandomRate(v) => format!("N{v:08X}"),
-        Command::TrafficLog(false) => "L0".into(),
-        Command::TrafficLog(true) => "L1".into(),
-        Command::InjectNow => "I".into(),
-        Command::Rearm => "A".into(),
-        Command::QueryStats => "Q".into(),
-        Command::ResetStats => "Z".into(),
+/// Appends a command's wire syntax — the line, without its terminator —
+/// to `out` (for campaign scripting). Writes the bytes in place: a whole
+/// programming script renders into one buffer.
+pub fn write_command(cmd: &Command, out: &mut Vec<u8>) {
+    let text: &[u8] = match *cmd {
+        Command::SelectDirection(DirSelect::A) => b"DA",
+        Command::SelectDirection(DirSelect::B) => b"DB",
+        Command::SelectDirection(DirSelect::Both) => b"D*",
+        Command::MatchMode(MatchMode::Off) => b"M0",
+        Command::MatchMode(MatchMode::On) => b"M1",
+        Command::MatchMode(MatchMode::Once) => b"MO",
+        Command::CompareData(v) => return write_hex(out, b'C', v, 8),
+        Command::CompareMask(v) => return write_hex(out, b'K', v, 8),
+        Command::CorruptMode(CorruptMode::Toggle) => b"T",
+        Command::CorruptMode(CorruptMode::Replace) => b"R",
+        Command::CorruptData(v) => return write_hex(out, b'V', v, 8),
+        Command::CorruptMask(v) => return write_hex(out, b'X', v, 8),
+        Command::CrcRecompute(false) => b"G0",
+        Command::CrcRecompute(true) => b"G1",
+        Command::ControlSwap { from, mask, to } => {
+            return write_hex(out, b'S', u32::from_be_bytes([0, from, mask, to]), 6)
+        }
+        Command::ControlOff => b"s",
+        Command::RandomRate(v) => return write_hex(out, b'N', v, 8),
+        Command::TrafficLog(false) => b"L0",
+        Command::TrafficLog(true) => b"L1",
+        Command::InjectNow => b"I",
+        Command::Rearm => b"A",
+        Command::QueryStats => b"Q",
+        Command::ResetStats => b"Z",
+    };
+    out.extend_from_slice(text);
+}
+
+/// Appends `tag` and the low `digits` hex digits of `value`, upper case,
+/// most significant first — the fields [`parse_hex`] reads back.
+fn write_hex(out: &mut Vec<u8>, tag: u8, value: u32, digits: u32) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    out.push(tag);
+    for d in (0..digits).rev() {
+        out.push(HEX[(value >> (4 * d)) as usize & 0xF]);
     }
 }
 
@@ -257,57 +272,56 @@ pub fn render_command(cmd: &Command) -> String {
 mod tests {
     use super::*;
 
+    /// Every command of the language next to its wire syntax.
+    const VOCABULARY: [(&str, Command); 24] = [
+        ("DA", Command::SelectDirection(DirSelect::A)),
+        ("DB", Command::SelectDirection(DirSelect::B)),
+        ("D*", Command::SelectDirection(DirSelect::Both)),
+        ("M0", Command::MatchMode(MatchMode::Off)),
+        ("M1", Command::MatchMode(MatchMode::On)),
+        ("MO", Command::MatchMode(MatchMode::Once)),
+        ("C18180000", Command::CompareData(0x1818_0000)),
+        ("KFFFF0000", Command::CompareMask(0xFFFF_0000)),
+        ("T", Command::CorruptMode(CorruptMode::Toggle)),
+        ("R", Command::CorruptMode(CorruptMode::Replace)),
+        ("V19180000", Command::CorruptData(0x1918_0000)),
+        ("XFFFF0000", Command::CorruptMask(0xFFFF_0000)),
+        ("G0", Command::CrcRecompute(false)),
+        ("G1", Command::CrcRecompute(true)),
+        (
+            "S0FFF0C",
+            Command::ControlSwap {
+                from: 0x0F,
+                mask: 0xFF,
+                to: 0x0C,
+            },
+        ),
+        ("s", Command::ControlOff),
+        ("N000A0B0C", Command::RandomRate(0x000A_0B0C)),
+        ("L0", Command::TrafficLog(false)),
+        ("L1", Command::TrafficLog(true)),
+        ("I", Command::InjectNow),
+        ("A", Command::Rearm),
+        ("Q", Command::QueryStats),
+        ("Z", Command::ResetStats),
+        ("CDEADBEEF", Command::CompareData(0xDEAD_BEEF)),
+    ];
+
     #[test]
     fn parses_the_full_vocabulary() {
-        let cases = [
-            ("DA", Command::SelectDirection(DirSelect::A)),
-            ("DB", Command::SelectDirection(DirSelect::B)),
-            ("D*", Command::SelectDirection(DirSelect::Both)),
-            ("M0", Command::MatchMode(MatchMode::Off)),
-            ("M1", Command::MatchMode(MatchMode::On)),
-            ("MO", Command::MatchMode(MatchMode::Once)),
-            ("C18180000", Command::CompareData(0x1818_0000)),
-            ("KFFFF0000", Command::CompareMask(0xFFFF_0000)),
-            ("T", Command::CorruptMode(CorruptMode::Toggle)),
-            ("R", Command::CorruptMode(CorruptMode::Replace)),
-            ("V19180000", Command::CorruptData(0x1918_0000)),
-            ("XFFFF0000", Command::CorruptMask(0xFFFF_0000)),
-            ("G0", Command::CrcRecompute(false)),
-            ("G1", Command::CrcRecompute(true)),
-            (
-                "S0FFF0C",
-                Command::ControlSwap {
-                    from: 0x0F,
-                    mask: 0xFF,
-                    to: 0x0C,
-                },
-            ),
-            ("s", Command::ControlOff),
-            ("I", Command::InjectNow),
-            ("A", Command::Rearm),
-            ("Q", Command::QueryStats),
-            ("Z", Command::ResetStats),
-        ];
-        for (text, expected) in cases {
+        for (text, expected) in VOCABULARY {
             assert_eq!(parse_command(text), Ok(expected), "{text}");
         }
     }
 
     #[test]
-    fn render_roundtrips() {
-        let cmds = [
-            Command::SelectDirection(DirSelect::Both),
-            Command::CompareData(0xDEAD_BEEF),
-            Command::ControlSwap {
-                from: 0x0C,
-                mask: 0xFF,
-                to: 0x03,
-            },
-            Command::MatchMode(MatchMode::Once),
-            Command::InjectNow,
-        ];
-        for cmd in cmds {
-            assert_eq!(parse_command(&render_command(&cmd)), Ok(cmd));
+    fn writes_the_full_vocabulary() {
+        let mut out = b"prior".to_vec();
+        for (text, cmd) in VOCABULARY {
+            out.truncate(5);
+            write_command(&cmd, &mut out);
+            assert_eq!(&out[..5], b"prior", "{cmd:?} overwrote the buffer");
+            assert_eq!(&out[5..], text.as_bytes(), "{cmd:?}");
         }
     }
 

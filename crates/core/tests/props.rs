@@ -1,7 +1,7 @@
 //! Randomized property tests for the injector core, driven by seeded
 //! loops over [`DetRng`] (no external dependencies).
 
-use netfi_core::command::{parse_command, render_command, Command, CommandDecoder, DirSelect};
+use netfi_core::command::{parse_command, write_command, Command, CommandDecoder, DirSelect};
 use netfi_core::config::InjectorConfig;
 use netfi_core::corrupt::{CorruptMode, CorruptUnit};
 use netfi_core::fifo::{FifoInjector, FifoPipeline};
@@ -186,13 +186,21 @@ fn off_mode_is_identity() {
     }
 }
 
+/// A command's wire syntax, as its own line.
+fn rendered(cmd: &Command) -> Vec<u8> {
+    let mut line = Vec::new();
+    write_command(cmd, &mut line);
+    line
+}
+
 /// The command language roundtrips: render then parse is identity.
 #[test]
 fn command_render_parse_roundtrip() {
     let mut rng = DetRng::new(0xC04E_0007);
     for _ in 0..CASES {
         let cmd = random_command(&mut rng);
-        assert_eq!(parse_command(&render_command(&cmd)), Ok(cmd));
+        let line = String::from_utf8(rendered(&cmd)).unwrap();
+        assert_eq!(parse_command(&line), Ok(cmd));
     }
 }
 
@@ -207,7 +215,7 @@ fn serial_noise_decodes_to_commands_or_errors() {
     let mut rng = DetRng::new(0x5E41_A100);
     let mut stream: Vec<u8> = Vec::new();
     while stream.len() < 200_000 {
-        let mut line = render_command(&random_command(&mut rng)).into_bytes();
+        let mut line = rendered(&random_command(&mut rng));
         for _ in 0..rng.gen_index(3) {
             let at = rng.gen_index(line.len() + 1);
             let byte = *rng.choose(NOISE).unwrap_or(&0);
@@ -237,7 +245,7 @@ fn serial_noise_decodes_to_commands_or_errors() {
                 line.clear();
             }
             Some(Ok(cmd)) => {
-                let rendered = render_command(&cmd).into_bytes();
+                let rendered = rendered(&cmd);
                 let same = rendered.len() == line.len()
                     && rendered.iter().zip(&line).all(|(r, l)| {
                         r == l || (r.is_ascii_hexdigit() && r.eq_ignore_ascii_case(l))

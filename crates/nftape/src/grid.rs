@@ -36,7 +36,9 @@ use netfi_myrinet::event::Ev;
 use netfi_netstack::{HostCmd, UdpDatagram, SINK_PORT};
 use netfi_obs::{DispatchProbe, ObsEvent, Stamped};
 use netfi_phy::ControlSymbol;
-use netfi_sim::{ComponentId, Engine, EngineSnapshot, Fnv1a, SimDuration, SimTime, Simulation};
+use netfi_sim::{
+    ComponentId, Engine, EngineSnapshot, Fnv1a, NullProbe, SimDuration, SimTime, Simulation,
+};
 
 use crate::observed::{
     armed_testbed, collect, drive_map_phase, run_phase_budgeted, ObservedCampaign,
@@ -353,6 +355,14 @@ impl WarmedCampaign {
     /// it keeps. Nothing of what `engine` ran before survives.
     pub fn fork_into(&self, engine: &mut Engine<Ev, DispatchProbe>) {
         self.snapshot.fork_into(engine);
+    }
+
+    /// [`fork_into`](WarmedCampaign::fork_into) without the donor's
+    /// dispatch probe (see [`EngineSnapshot::fork_without_probe`]): what a
+    /// caller that never reads the probe forks, into an engine that
+    /// observes nothing — the `netfi-sample` sampler's prefix engines.
+    pub fn fork_without_probe(&self, engine: &mut Engine<Ev, NullProbe>) {
+        self.snapshot.fork_without_probe(engine);
     }
 
     /// Component ids of the campaign's hosts, in test-bed order.

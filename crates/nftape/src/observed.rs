@@ -109,9 +109,11 @@ pub(crate) fn campaign_workload(i: usize, host: &mut Host) {
     }
 }
 
-/// Arms every layer's flight recorder, and every host's arrival log (the
-/// sampler reads delivered payloads from it), before anything interesting
-/// happens.
+/// Arms every layer's flight recorder before anything interesting
+/// happens. No host's arrival log is armed here: no campaign export reads
+/// one, and a reader arms the hosts it reads on its own fork (the sampler
+/// arms its two stream sinks), so the donor's copies carry no map-phase
+/// deliveries.
 pub(crate) fn arm_recorders(
     sim: &mut impl Simulation<Ev>,
     hosts: &[ComponentId],
@@ -124,7 +126,6 @@ pub(crate) fn arm_recorders(
             .ok_or(ScenarioError::WrongComponent("Host"))?;
         host.obs_mut().arm(RING);
         host.nic_mut().obs_mut().arm(RING);
-        host.arm_arrivals();
     }
     sim.component_as_mut::<Switch>(switch)
         .ok_or(ScenarioError::WrongComponent("Switch"))?

@@ -6,7 +6,7 @@
 //! as [`Ev::Serial`] events, so campaigns exercise the device's real
 //! command decoder rather than poking its state directly.
 
-use netfi_core::command::{render_command, Command, DirSelect};
+use netfi_core::command::{write_command, Command, DirSelect};
 use netfi_core::config::InjectorConfig;
 use netfi_core::corrupt::CorruptMode;
 use netfi_core::trigger::MatchMode;
@@ -177,11 +177,12 @@ pub fn commands_for_config(dir: DirSelect, config: &InjectorConfig) -> Vec<Comma
     out
 }
 
-/// Renders commands to the byte stream the UART carries.
+/// Renders commands to the byte stream the UART carries, into one buffer
+/// sized for the longest line (a tag, eight hex digits and the newline).
 pub fn script_bytes(commands: &[Command]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(10 * commands.len());
     for cmd in commands {
-        out.extend_from_slice(render_command(cmd).as_bytes());
+        write_command(cmd, &mut out);
         out.push(b'\n');
     }
     out

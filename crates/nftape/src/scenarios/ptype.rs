@@ -204,11 +204,13 @@ const MISROUTE_LOG: usize = 4_096;
 /// port: "these errors resulted in the expected packet losses, but none of
 /// the packets were accepted by the incorrect nodes."
 ///
-/// `sent` is every packet host 1 passed through the device in the window:
-/// the 200 datagrams and its replies to the mapper's scouts (extra
-/// `mapping_frames`). `misroute_drops` counts the switch's drops of what
-/// came in from host 1 over the same window, so it cannot exceed `sent`;
-/// the switch also drops the mapper's scouts to its unwired ports.
+/// `sent` is the datagrams host 1 passed through the device in the window,
+/// so [`RunResult::loss_rate`] is the datagram loss. The extra `frames`
+/// is every packet it passed: those datagrams and its replies to the
+/// mapper's scouts (extra `mapping_frames`). `misroute_drops` counts the
+/// switch's drops of what came in from host 1 over the same window, so it
+/// cannot exceed `frames`; the switch also drops the mapper's scouts to
+/// its unwired ports.
 ///
 /// # Errors
 ///
@@ -260,8 +262,9 @@ pub fn route_misroute(seed: u64) -> Result<RunResult, ScenarioError> {
     let delivered_h0 = host(&tb, 0)?.rx_count(SINK_PORT) - rx0_before;
     let delivered_h2 = host(&tb, 2)?.rx_count(SINK_PORT) - rx2_before;
     let through_after = passed(&tb, Direction::AToB)?;
-    let sent = through_after.packets - through_before.packets;
+    let frames = through_after.packets - through_before.packets;
     let mapping = through_after.mapping_packets - through_before.mapping_packets;
+    let sent = frames - mapping;
     let log = tb
         .engine
         .component_as::<Switch>(tb.switch)
@@ -274,6 +277,7 @@ pub fn route_misroute(seed: u64) -> Result<RunResult, ScenarioError> {
         .filter(|e| e.value.name == "misroute_drop" && e.value.value == 1)
         .count();
     Ok(RunResult::new("route low bits toggled", sent, delivered_h0, 2.0)
+        .with_extra("frames", frames as f64)
         .with_extra("mapping_frames", mapping as f64)
         .with_extra("misroute_drops", drops as f64)
         .with_extra("accepted_by_wrong_node", delivered_h2 as f64))
@@ -310,14 +314,17 @@ mod tests {
     }
 
     /// The drops are host 1's own, over the window in which every frame it
-    /// passes through the device counts as sent, so they cannot exceed it.
+    /// passes through the device is counted, so they cannot exceed that.
     #[test]
     fn misroute_loses_packets_but_no_wrong_acceptance() {
         let r = route_misroute(19).unwrap();
         assert_eq!(r.received, 0, "{r:?}");
         let drops = r.extra("misroute_drops").unwrap() as u64;
         assert!(drops >= 190, "{r:?}");
-        assert!(drops <= r.sent, "{drops} drops of {} sent", r.sent);
+        let frames = r.extra("frames").unwrap() as u64;
+        assert!(drops <= frames, "{drops} drops of {frames} frames");
+        let mapping = r.extra("mapping_frames").unwrap() as u64;
+        assert_eq!(r.sent, frames - mapping, "{r:?}");
         assert_eq!(r.extra("accepted_by_wrong_node"), Some(0.0), "{r:?}");
     }
 }

@@ -23,7 +23,7 @@
 //! forward to 1 ps before each point's arming instant (a worker's claims
 //! ascend, so it never runs backwards). There it forks the prefix into
 //! the worker's one resident point engine (`Engine::fork_into`, which
-//! reuses that engine's buckets, heaps and probe ring), feeds the drawn
+//! reuses that engine's buckets and heaps), feeds the drawn
 //! program through the device's own decoder
 //! ([`InjectorDevice::feed_serial`], the bytes `program_injector` would
 //! send), schedules the one-command arming script at the drawn instant
@@ -35,6 +35,17 @@
 //! on the same simulated event (the `#[cfg(test)]` byte-timed oracle,
 //! `run_point_byte_timed`, is compared point by point in this module's
 //! tests).
+//!
+//! A point copies only what can reach its evidence. Both engines are
+//! `Engine<Ev, NullProbe>`: the prefix is forked from the donor without
+//! its dispatch probe ([`WarmedCampaign::fork_without_probe`]), which no
+//! record reads, so no fork copies the probe's ring and no delivery pays
+//! its bookkeeping. The donor arms no host's arrival log; each prefix
+//! arms the logs of the two stream sinks, hosts 0 and 1, as it is forked,
+//! so they hold the stream's deliveries and none of the map phase's.
+//! Corrupted payloads are the sinks' `SINK_PORT` deliveries, which the
+//! map phase makes none of, and no log comes near its 64 records, so
+//! the count is the one a log armed through the map phase would give.
 //!
 //! Nothing a point left behind can reach the next: the fork overwrites
 //! the point engine whole, and the prefix only ever runs the healthy
@@ -55,8 +66,7 @@ use netfi_nftape::grid::{warm_campaign, WarmedCampaign};
 use netfi_nftape::results::ScenarioError;
 use netfi_nftape::runner::{commands_for_config, fan_out, schedule_script, script_bytes};
 use netfi_nftape::scenarios::udpcheck::MESSAGE;
-use netfi_obs::DispatchProbe;
-use netfi_sim::{Engine, Fnv1a, RunBudget, RunOutcome, SimDuration, SimTime};
+use netfi_sim::{ComponentId, Engine, Fnv1a, RunBudget, RunOutcome, SimDuration, SimTime};
 
 use netfi_core::command::DirSelect;
 
@@ -266,7 +276,7 @@ fn point_config(point: &InjectionPoint, wire: &[u8]) -> InjectorConfig {
 /// `SENDS` from the intercepted host back to host 0 (direction A),
 /// interleaved half a gap apart so both directions of the spliced link
 /// carry the same wire image during the arming window.
-fn schedule_stream(engine: &mut Engine<Ev, DispatchProbe>, warm: &WarmedCampaign, t_stream: SimTime) {
+fn schedule_stream(engine: &mut Engine<Ev>, warm: &WarmedCampaign, t_stream: SimTime) {
     for k in 0..SENDS {
         engine.schedule(
             t_stream + SEND_GAP * k,
@@ -290,7 +300,7 @@ fn schedule_stream(engine: &mut Engine<Ev, DispatchProbe>, warm: &WarmedCampaign
 /// Runs the bounded tail of a point (or baseline) scenario, at most
 /// `max_events` more deliveries, and collects its evidence.
 fn finish(
-    engine: &mut Engine<Ev, DispatchProbe>,
+    engine: &mut Engine<Ev>,
     warm: &WarmedCampaign,
     t_stream: SimTime,
     max_events: u64,
@@ -303,7 +313,7 @@ fn finish(
 /// Reads the end-of-run evidence: obs recorder instants plus per-layer
 /// counters, summed exactly as documented on [`RunEvidence`].
 fn collect_evidence(
-    engine: &Engine<Ev, DispatchProbe>,
+    engine: &Engine<Ev>,
     warm: &WarmedCampaign,
     outcome: RunOutcome,
 ) -> Result<RunEvidence, ScenarioError> {
@@ -343,9 +353,7 @@ fn collect_evidence(
         .count() as u64;
     let mut delivered = 0;
     let mut corrupt_payloads = 0;
-    // Both stream endpoints are sinks: host 1 receives the forward burst,
-    // host 0 the reverse one.
-    for &h in &warm.hosts()[..2] {
+    for &h in stream_sinks(warm) {
         let sink = engine
             .component_as::<Host>(h)
             .ok_or(ScenarioError::WrongComponent("Host"))?;
@@ -367,20 +375,41 @@ fn collect_evidence(
     })
 }
 
+/// Both stream endpoints are sinks: host 1 receives the forward burst,
+/// host 0 the reverse one.
+fn stream_sinks(warm: &WarmedCampaign) -> &[ComponentId] {
+    &warm.hosts()[..2]
+}
+
+/// Overwrites `engine` with a fork of the donor at the map-phase end,
+/// without its dispatch probe, and arms the stream sinks' arrival logs,
+/// which [`collect_evidence`] reads corrupted payloads from.
+fn fork_donor(warm: &WarmedCampaign, engine: &mut Engine<Ev>) -> Result<(), ScenarioError> {
+    warm.fork_without_probe(engine);
+    for &h in stream_sinks(warm) {
+        engine
+            .component_as_mut::<Host>(h)
+            .ok_or(ScenarioError::WrongComponent("Host"))?
+            .arm_arrivals();
+    }
+    Ok(())
+}
+
 /// A fork of the donor with the campaign stream scheduled and nothing
 /// else — the healthy run every point shares up to its arming instant —
 /// and the stream's first instant.
-fn healthy_fork(warm: &WarmedCampaign) -> (Engine<Ev, DispatchProbe>, SimTime) {
-    let mut engine = warm.fork_engine();
+fn healthy_fork(warm: &WarmedCampaign) -> Result<(Engine<Ev>, SimTime), ScenarioError> {
+    let mut engine = Engine::new();
+    fork_donor(warm, &mut engine)?;
     let t_stream = engine.now() + PROGRAM_MARGIN;
     schedule_stream(&mut engine, warm, t_stream);
-    (engine, t_stream)
+    Ok((engine, t_stream))
 }
 
 /// Runs the healthy baseline: the same stream at the same instants, no
 /// injector program, no arming.
 fn run_baseline(warm: &WarmedCampaign) -> Result<RunEvidence, ScenarioError> {
-    let (mut engine, t_stream) = healthy_fork(warm);
+    let (mut engine, t_stream) = healthy_fork(warm)?;
     finish(&mut engine, warm, t_stream, POINT_EVENT_BUDGET)
 }
 
@@ -392,7 +421,7 @@ fn arming_instant(t_stream: SimTime, point: &InjectionPoint) -> SimTime {
 /// Schedules the arming script at `t_arm`. The programming script ended
 /// with the decoder's direction select on the drawn direction, so a lone
 /// MATCH-MODE command re-arms exactly the drawn direction(s).
-fn schedule_arming(engine: &mut Engine<Ev, DispatchProbe>, warm: &WarmedCampaign, t_arm: SimTime) {
+fn schedule_arming(engine: &mut Engine<Ev>, warm: &WarmedCampaign, t_arm: SimTime) {
     schedule_script(
         engine,
         warm.device(),
@@ -406,23 +435,23 @@ fn schedule_arming(engine: &mut Engine<Ev, DispatchProbe>, warm: &WarmedCampaign
 /// forked into there.
 struct PointRunner<'w> {
     warm: &'w WarmedCampaign,
-    prefix: Engine<Ev, DispatchProbe>,
+    prefix: Engine<Ev>,
     /// The prefix's delivery count when it was forked from the donor.
     forked_at: u64,
     t_stream: SimTime,
-    engine: Engine<Ev, DispatchProbe>,
+    engine: Engine<Ev>,
 }
 
 impl<'w> PointRunner<'w> {
-    fn new(warm: &'w WarmedCampaign) -> PointRunner<'w> {
-        let (prefix, t_stream) = healthy_fork(warm);
-        PointRunner {
+    fn new(warm: &'w WarmedCampaign) -> Result<PointRunner<'w>, ScenarioError> {
+        let (prefix, t_stream) = healthy_fork(warm)?;
+        Ok(PointRunner {
             warm,
             forked_at: prefix.events_processed(),
             prefix,
             t_stream,
-            engine: warm.fork_engine(),
-        }
+            engine: Engine::new(),
+        })
     }
 
     /// Runs one drawn point: the prefix forward to 1 ps before the arming
@@ -464,18 +493,19 @@ impl<'w> PointRunner<'w> {
 }
 
 /// The byte-timed oracle of [`PointRunner::run`]: `engine` overwritten
-/// with a fork of the donor at the map-phase end, the drawn program sent
-/// over the serial line at wire timing, the stream, `Once` armed at the
-/// drawn instant, the bounded run under `budget`.
+/// with a fork of the donor at the map-phase end (the same
+/// [`fork_donor`] the prefix starts from), the drawn program sent over
+/// the serial line at wire timing, the stream, `Once` armed at the drawn
+/// instant, the bounded run under `budget`.
 #[cfg(test)]
 fn run_point_byte_timed(
     warm: &WarmedCampaign,
-    engine: &mut Engine<Ev, DispatchProbe>,
+    engine: &mut Engine<Ev>,
     point: &InjectionPoint,
     wire: &[u8],
     budget: u64,
 ) -> Result<RunEvidence, ScenarioError> {
-    warm.fork_into(engine);
+    fork_donor(warm, engine)?;
     let t0 = engine.now();
     let config = point_config(point, wire);
     netfi_nftape::runner::program_injector(engine, warm.device(), t0, point.dir, &config);
@@ -548,6 +578,8 @@ pub fn sample_warmed(
         move |k| {
             let point = draw_point(opts.seed, u64::from(order[k]), wire.len(), ARM_SPAN_NS);
             runner
+                .as_mut()
+                .map_err(|e| *e)?
                 .run(&point, wire, POINT_EVENT_BUDGET)
                 .map(|evidence| PointRecord {
                     class: classify(&evidence, &baseline),
@@ -678,9 +710,9 @@ mod tests {
     /// the same instant with the same evidence, and returns it.
     fn both_paths(warm: &WarmedCampaign, p: &InjectionPoint, budget: u64) -> RunEvidence {
         let wire = campaign_wire();
-        let mut runner = PointRunner::new(warm);
+        let mut runner = PointRunner::new(warm).expect("prefix");
         let forked = runner.run(p, &wire, budget).expect("forked point");
-        let mut engine = warm.fork_engine();
+        let mut engine = Engine::new();
         let timed = run_point_byte_timed(warm, &mut engine, p, &wire, budget).expect("timed point");
         assert_eq!(forked, timed, "{p:?}");
         assert_eq!(runner.engine.now(), engine.now(), "{p:?}");
@@ -699,7 +731,7 @@ mod tests {
             };
             let campaign = sample_warmed(&warm, &opts).expect("sampled campaign");
             assert_eq!(campaign.baseline, run_baseline(&warm).expect("baseline"));
-            let mut engine = warm.fork_engine();
+            let mut engine = Engine::new();
             for (i, r) in campaign.records.iter().enumerate() {
                 assert_eq!(r.point, draw_point(seed, i as u64, wire.len(), ARM_SPAN_NS));
                 let timed =
@@ -741,7 +773,8 @@ mod tests {
         both_paths(&warm, &gap_stop, POINT_EVENT_BUDGET);
         // A budget that runs out after the arming instant: both paths
         // stop on the same event.
-        let mut engine = warm.fork_engine();
+        let mut engine = Engine::new();
+        fork_donor(&warm, &mut engine).expect("fork");
         let donor_events = engine.events_processed();
         let p = InjectionPoint {
             t_arm_ns: 2_000_000,

@@ -372,9 +372,10 @@ impl<M> Placement<M> for Whole {
 /// One executor: a component table, the wheel that feeds it, a clock and
 /// a probe. The serial [`Engine`] is one core holding every component; a
 /// [`crate::shard::ShardedEngine`] is one core per affinity group.
-/// `Core::copy_from` is the one copy behind [`Engine::snapshot`],
-/// [`EngineSnapshot::fork`] and [`EngineSnapshot::fork_into`]; a copied
-/// `stop` is harmless, since every run entry clears it before reading it.
+/// `Core::copy_state_from` is the one copy behind [`Engine::snapshot`],
+/// [`EngineSnapshot::fork`], [`EngineSnapshot::fork_into`] and the
+/// probe-less [`Engine::fork_without_probe`]; a copied `stop` is harmless,
+/// since every run entry clears it before reading it.
 pub(crate) struct Core<M: 'static, P: Probe> {
     /// One dense slot per component co-locating the component with its
     /// emission counter (the low half of the sub-tick keys it mints), so
@@ -392,19 +393,21 @@ pub(crate) struct Core<M: 'static, P: Probe> {
     pub(crate) probe: P,
 }
 
-impl<M: Clone + 'static, P: Probe + Clone> Core<M, P> {
-    /// Overwrites every field of `self` with `src`'s, in place: the arena,
-    /// the wheel and the probe keep the storage they have grown. (A core
-    /// is not `Clone`: nothing copies one except into an engine that
-    /// already has one.)
-    fn copy_from(&mut self, src: &Self) {
-        let Core { arena, wheel, now, events, stop, probe } = src;
+impl<M: Clone + 'static, P: Probe> Core<M, P> {
+    /// Overwrites every field of `self` but the probe with `src`'s, in
+    /// place: the arena and the wheel keep the storage they have grown
+    /// (a fork that keeps the probe clones it with `clone_from` after).
+    /// `src` may carry another probe type, which is how a probed donor
+    /// forks into an engine that observes nothing. (A core is not
+    /// `Clone`: nothing copies one except into an engine that already has
+    /// one.)
+    fn copy_state_from<Q: Probe>(&mut self, src: &Core<M, Q>) {
+        let Core { arena, wheel, now, events, stop, probe: _ } = src;
         self.arena.clone_from(arena);
         self.wheel.clone_from(wheel);
         self.now = *now;
         self.events = *events;
         self.stop = *stop;
-        self.probe.clone_from(probe);
     }
 }
 
@@ -707,8 +710,23 @@ impl<M: Clone + 'static, P: Probe + Clone> Engine<M, P> {
     /// at each point's arming instant — without capturing a snapshot
     /// per fork.
     pub fn fork_into(&self, target: &mut Engine<M, P>) {
+        self.fork_without_probe(target);
+        target.core.probe.clone_from(&self.core.probe);
+    }
+}
+
+impl<M: Clone + 'static, P: Probe> Engine<M, P> {
+    /// [`fork_into`](Engine::fork_into) with `target`'s own probe left as
+    /// it is: the components, the wheel, the clock and the counters are
+    /// copied, this engine's probe is neither copied nor read. `target`
+    /// replays the same trajectory as a probed fork would, event for
+    /// event. A driver that never reads the probe forks a probed donor
+    /// into an `Engine<M, NullProbe>` this way and pays neither for the
+    /// probe's copy nor for its bookkeeping on every delivery that
+    /// follows (the sampler's per-point engines).
+    pub fn fork_without_probe<Q: Probe>(&self, target: &mut Engine<M, Q>) {
         let Engine { core, external_seq } = self;
-        target.core.copy_from(core);
+        target.core.copy_state_from(core);
         target.external_seq = *external_seq;
     }
 }
@@ -772,6 +790,14 @@ impl<M: Clone + 'static, P: Probe + Clone> EngineSnapshot<M, P> {
     /// including a scenario that failed or panicked half-way.
     pub fn fork_into(&self, target: &mut Engine<M, P>) {
         self.0.fork_into(target);
+    }
+}
+
+impl<M: Clone + 'static, P: Probe> EngineSnapshot<M, P> {
+    /// [`fork_into`](EngineSnapshot::fork_into) with `target`'s own probe
+    /// left as it is (see [`Engine::fork_without_probe`]).
+    pub fn fork_without_probe<Q: Probe>(&self, target: &mut Engine<M, Q>) {
+        self.0.fork_without_probe(target);
     }
 }
 
@@ -1209,6 +1235,61 @@ mod tests {
             want.component_as::<Recorder>(r).unwrap().seen
         );
         assert!(want.component_as::<Recorder>(r).unwrap().seen.contains(&(30_000_000, 99)));
+    }
+
+    #[test]
+    fn a_fork_without_the_probe_runs_the_probed_trajectory() {
+        let mut live = Engine::with_probe(TraceProbe::default());
+        let a = live.add_component(Box::new(PingPong { peer: None, remaining: 0, bounces: 0 }));
+        let b = live.add_component(Box::new(PingPong { peer: Some(a), remaining: 0, bounces: 0 }));
+        let r = live.add_component(Box::new(Recorder::default()));
+        live.component_as_mut::<PingPong>(a).unwrap().peer = Some(b);
+        live.schedule(SimTime::ZERO, a, 30);
+        for v in 0..6 {
+            live.schedule(SimTime::from_ns(4 + 23 * u64::from(v)), r, v);
+        }
+        live.schedule(SimTime::from_ms(30), r, 99);
+        live.run_until(SimTime::from_ns(47));
+        assert!(!live.probe().trace.is_empty());
+
+        let mut probed = live.snapshot().fork();
+        let mut bare: Engine<u32> = Engine::new();
+        live.fork_without_probe(&mut bare);
+        // A target whose probe counted another run keeps its counts: the
+        // copy neither writes nor resets it.
+        let mut counted = Engine::with_probe(CountingProbe::default());
+        let c = counted.add_component(Box::new(PingPong { peer: None, remaining: 0, bounces: 0 }));
+        counted.component_as_mut::<PingPong>(c).unwrap().peer = Some(c);
+        counted.schedule(SimTime::ZERO, c, 3);
+        counted.run();
+        let seen = (counted.probe().dispatches, counted.probe().emitted);
+        assert_eq!(seen, (4, 3));
+        live.snapshot().fork_without_probe(&mut counted);
+        assert_eq!((counted.probe().dispatches, counted.probe().emitted), seen);
+
+        /// Runs `e` to 40 ms and returns what the three comparisons read.
+        fn finish<P: Probe>(
+            e: &mut Engine<u32, P>,
+            ids: [ComponentId; 3],
+        ) -> (SimTime, u64, usize, u32, u32, Vec<(u64, u32)>) {
+            e.schedule(SimTime::from_ns(100), ids[2], 7);
+            assert_eq!(e.run_budgeted(RunBudget::until(SimTime::from_ms(40))), RunOutcome::Stopped);
+            e.run_until(SimTime::from_ms(40));
+            (
+                e.now(),
+                e.events_processed(),
+                e.pending_events(),
+                e.component_as::<PingPong>(ids[0]).unwrap().bounces,
+                e.component_as::<PingPong>(ids[1]).unwrap().bounces,
+                e.component_as::<Recorder>(ids[2]).unwrap().seen.clone(),
+            )
+        }
+        let want = finish(&mut probed, [a, b, r]);
+        assert!(want.5.contains(&(30_000_000, 99)));
+        assert_eq!(finish(&mut bare, [a, b, r]), want);
+        assert_eq!(finish(&mut counted, [a, b, r]), want);
+        // Only the probe the target brought saw the run on from the fork.
+        assert_eq!(counted.probe().dispatches, seen.0 + want.1 - live.events_processed());
     }
 
     /// Re-arms itself at the same instant forever: the canonical

@@ -5,6 +5,7 @@
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use netfi::nftape::campaign::{run_campaign, CampaignSpec, FaultSpec};
 use netfi::nftape::scenarios::{address, control, ptype, udpcheck};
 use netfi::phy::ControlSymbol;
 use netfi::sim::SimDuration;
@@ -38,6 +39,28 @@ fn table4_gap_row_loses_messages_via_framing() {
         row.loss_rate()
     );
     assert!(row.extra("framing_drops").unwrap() > 0.0);
+}
+
+/// A random-SEU campaign's loss is of its datagrams: at 10⁻⁴ flips per
+/// segment every flip is a single bit the CRC-8 catches, so each datagram
+/// reported lost was dropped by the CRC-8 (or the UDP checksum). Mapping
+/// frames are counted apart, in the `frames` and `mapping_frames` extras,
+/// because the sink that counts what was received never sees one.
+#[test]
+fn a_random_seu_campaign_loses_only_what_a_check_dropped() {
+    let seu = FaultSpec::RandomSeu {
+        probability: 1e-4,
+        fix_crc: false,
+    };
+    let results = run_campaign(&CampaignSpec::new("seu", seu, 0x736575)).unwrap();
+    let [row] = &results[..] else {
+        panic!("one arm expected: {results:?}");
+    };
+    let drops = row.extra("crc8_drops").unwrap() + row.extra("udp_checksum_drops").unwrap();
+    assert!(row.lost() as f64 <= drops, "{row:?}");
+    let datagrams = row.extra("frames").unwrap() - row.extra("mapping_frames").unwrap();
+    assert_eq!(row.sent as f64, datagrams, "{row:?}");
+    assert!(row.sent > 900, "{row:?}");
 }
 
 #[test]

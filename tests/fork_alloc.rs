@@ -11,8 +11,14 @@
 //! this guard one fork of the same donor made 47 requests for 79,853
 //! bytes, and a sampled point 256 for 115 KB. A sampled point now forks
 //! the worker's healthy prefix at its arming instant and runs only what
-//! follows it: 115.8 requests for 25.3 KB, where the point forked at the
-//! end of the map phase and run whole made 171 for 28.1 KB.
+//! follows it: 171 requests for 28.1 KB when it was forked at the end of
+//! the map phase and run whole, 115.8 for 25.3 KB forked at its arming
+//! instant. It is now 85.0 for 18.0 KB: the sampler's engines carry no
+//! dispatch probe, the donor's hosts no arrival log (only the two
+//! stream sinks arm theirs, on the sampler's own fork), the program is
+//! rendered into one buffer, and the device decodes each line in place.
+//! The resident fork below, of the same donor, went from 40 requests for
+//! 18,357 bytes to 38 for 14,357 with the arrival logs gone.
 //!
 //! An integration test is its own binary, so the `#[global_allocator]`
 //! below counts nothing but this file; it holds a single `#[test]`, so no
@@ -108,7 +114,7 @@ fn a_resident_fork_asks_for_what_the_donor_holds() {
     println!("fork_into: {fork:?}; straight after another: {again:?}");
     assert_eq!(fork, again, "a fork's requests repeat exactly");
     // What is left is the components, re-made through `Component::fork`.
-    assert!(fork.bytes < 24 * 1024, "{fork:?}");
+    assert!(fork.bytes < 16 * 1024, "{fork:?}");
     // Neither the wheel's slot headers nor the probe's ring is rebuilt.
     assert!(fork.largest < 28 * 1024, "{fork:?}");
     println!("fork: {:?}", counted(|| warm.fork_engine()).1);
@@ -129,5 +135,5 @@ fn a_resident_fork_asks_for_what_the_donor_holds() {
     let requests = (long.requests - short.requests) as f64 / 128.0;
     let bytes = (long.bytes - short.bytes) as f64 / 128.0;
     println!("sampled point: {requests:.1} requests, {bytes:.0} bytes");
-    assert!(requests < 140.0 && bytes < 32_000.0);
+    assert!(requests < 95.0 && bytes < 20_000.0);
 }
