@@ -51,7 +51,8 @@ fn main() {
     println!("device's own capture memory (runs of identical symbols grouped):\n");
     let mut last: Option<(String, u64, netfi_sim::SimTime)> = None;
     let mut printed = 0;
-    for record in dev.traffic_log().iter() {
+    let log = dev.traffic_log().expect("the traffic log was switched on");
+    for record in log.iter() {
         let text = record.value.to_string();
         match &mut last {
             Some((prev, count, _first)) if *prev == text => *count += 1,
@@ -74,7 +75,7 @@ fn main() {
     }
     println!(
         "\n{} frames captured ({} dropped by the ring)",
-        dev.traffic_log().len(),
-        dev.traffic_log().dropped()
+        log.len(),
+        log.dropped()
     );
 }

@@ -140,7 +140,7 @@ struct CapturedRun {
 
 /// The capture memory for one direction: the last `capacity` injection
 /// records, oldest evicted first.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CaptureBuffer {
     /// The runs of the held records, oldest first.
     runs: VecDeque<CapturedRun>,
@@ -153,6 +153,14 @@ pub struct CaptureBuffer {
     /// Records held: the runs' offsets.
     len: usize,
 }
+
+netfi_sim::clone_in_place!(CaptureBuffer {
+    runs,
+    bytes,
+    origin,
+    capacity,
+    len,
+});
 
 impl CaptureBuffer {
     /// Creates a capture memory holding up to `capacity` records. It

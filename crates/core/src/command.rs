@@ -189,10 +189,12 @@ pub fn parse_command(line: &str) -> Result<Command, CommandError> {
 
 /// Streaming line assembler: feed serial bytes, get commands out at each
 /// terminator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct CommandDecoder {
     line: Vec<u8>,
 }
+
+netfi_sim::clone_in_place!(CommandDecoder { line });
 
 impl CommandDecoder {
     /// Creates an empty decoder.

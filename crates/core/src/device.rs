@@ -115,7 +115,7 @@ impl std::fmt::Display for TrafficRecord {
 }
 
 /// Monitoring counters for one direction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Packet frames observed.
     pub packets: u64,
@@ -130,12 +130,25 @@ pub struct ChannelStats {
     pub id_counts: BTreeMap<(EthAddr, EthAddr), u64>,
 }
 
-#[derive(Clone)]
+netfi_sim::clone_in_place!(ChannelStats {
+    packets,
+    controls,
+    data_packets,
+    mapping_packets,
+    id_counts => netfi_sim::clone::btree_map_from,
+});
+
 struct Channel {
     injector: FifoInjector,
     capture: CaptureBuffer,
     stats: ChannelStats,
 }
+
+netfi_sim::clone_in_place!(Channel {
+    injector,
+    capture,
+    stats,
+});
 
 /// How the device carries the repeats of a STOP train on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,7 +187,6 @@ const CAPTURE_CAPACITY: usize = 1024;
 const TRAFFIC_CAPACITY: usize = 4096;
 
 /// The in-line fault injector and monitor.
-#[derive(Clone)]
 pub struct InjectorDevice {
     /// Name for monitoring output.
     name: String,
@@ -188,12 +200,29 @@ pub struct InjectorDevice {
     dir_select: DirSelect,
     serial_out: Vec<u8>,
     traffic_log_enabled: bool,
-    traffic_log: FlightRecorder<TrafficRecord>,
+    /// The full-traffic capture memory: `None` — no storage — until the
+    /// log is first switched on, so a device that never logs reserves
+    /// none of its 4,096 records.
+    traffic_log: Option<FlightRecorder<TrafficRecord>>,
     /// The STOP train crossing each direction, if any.
     crossings: [Option<Crossing>; 2],
     /// Observability recorder (scope `"device"`), disarmed by default.
     obs: Recorder,
 }
+
+netfi_sim::clone_in_place!(InjectorDevice {
+    name,
+    dir_configs,
+    channels,
+    peers,
+    decoder,
+    dir_select,
+    serial_out,
+    traffic_log_enabled,
+    traffic_log,
+    crossings,
+    obs,
+});
 
 impl std::fmt::Debug for InjectorDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -221,7 +250,7 @@ impl InjectorDevice {
             dir_select: DirSelect::Both,
             serial_out: Vec::new(),
             traffic_log_enabled: false,
-            traffic_log: FlightRecorder::new(TRAFFIC_CAPACITY),
+            traffic_log: None,
             crossings: [None; 2],
             obs: Recorder::disarmed(),
         }
@@ -340,12 +369,23 @@ impl InjectorDevice {
     /// [`configure`](InjectorDevice::configure), without an instant).
     pub fn set_traffic_log(&mut self, on: bool) {
         self.check_no_train("set_traffic_log");
-        self.traffic_log_enabled = on;
+        self.switch_traffic_log(on);
     }
 
-    /// The full-traffic capture memory (most recent frames first evicted).
-    pub fn traffic_log(&self) -> &FlightRecorder<TrafficRecord> {
-        &self.traffic_log
+    /// The full-traffic capture memory (oldest frames evicted first);
+    /// `None` until the log is first switched on. Switching it off keeps
+    /// what it holds.
+    pub fn traffic_log(&self) -> Option<&FlightRecorder<TrafficRecord>> {
+        self.traffic_log.as_ref()
+    }
+
+    /// Switches the full-traffic capture on or off, reserving its memory
+    /// the first time it is switched on.
+    fn switch_traffic_log(&mut self, on: bool) {
+        self.traffic_log_enabled = on;
+        if on && self.traffic_log.is_none() {
+            self.traffic_log = Some(FlightRecorder::new(TRAFFIC_CAPACITY));
+        }
     }
 
     /// The device's cut-through latency on `dir`, given its output link.
@@ -387,14 +427,13 @@ impl InjectorDevice {
         chars: usize,
         summary: impl FnOnce() -> String,
     ) {
-        if self.traffic_log_enabled {
-            let summary = summary();
+        if let Some(log) = self.traffic_log.as_mut().filter(|_| self.traffic_log_enabled) {
             let record = TrafficRecord {
                 direction: dir,
-                summary,
+                summary: summary(),
                 chars,
             };
-            self.traffic_log.push(at, record);
+            log.push(at, record);
         }
     }
 
@@ -714,7 +753,7 @@ impl InjectorDevice {
                 return;
             }
             Command::TrafficLog(on) => {
-                self.traffic_log_enabled = on;
+                self.switch_traffic_log(on);
                 return;
             }
             Command::InjectNow => {
@@ -849,6 +888,10 @@ impl Component<Ev> for InjectorDevice {
 
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())
+    }
+
+    fn fork_onto(&self, dst: &mut Box<dyn Component<Ev>>) {
+        netfi_sim::clone_onto(self, dst)
     }
 }
 
@@ -1130,6 +1173,7 @@ mod tests {
         let device = engine.component_as::<InjectorDevice>(dev).unwrap();
         let log: Vec<String> = device
             .traffic_log()
+            .unwrap()
             .iter()
             .map(|r| r.value.to_string())
             .collect();
@@ -1144,7 +1188,7 @@ mod tests {
         send(&mut engine, a, Frame::control(ControlSymbol::Go));
         engine.run();
         let device = engine.component_as::<InjectorDevice>(dev).unwrap();
-        assert_eq!(device.traffic_log().len(), 2);
+        assert_eq!(device.traffic_log().map(FlightRecorder::len), Some(2));
     }
 
     #[test]

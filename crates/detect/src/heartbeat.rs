@@ -67,7 +67,7 @@ pub enum HeartbeatCmd {
 }
 
 /// What a [`Heartbeater`] drives: one entry per monitored pair.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HeartbeatPlan {
     /// `(sending host component, destination MAC)` per pair; the pair
     /// index in this list is the index carried in the payload.
@@ -80,6 +80,12 @@ pub struct HeartbeatPlan {
     pub stagger: SimDuration,
 }
 
+netfi_sim::clone_in_place!(HeartbeatPlan {
+    pairs,
+    interval,
+    stagger,
+});
+
 /// A simulation component that periodically commands hosts to emit
 /// heartbeat datagrams.
 ///
@@ -90,14 +96,17 @@ pub struct HeartbeatPlan {
 /// powered-off host ignores the command — its heartbeats stop, which is
 /// the point.
 ///
-/// State is plain owned data, so `fork` is `Box::new(self.clone())` and a
+/// State is plain owned data, so `fork` is `Box::new(self.clone())`,
+/// `fork_onto` copies over a resident heartbeater in place, and a
 /// snapshot taken mid-schedule resumes bit-identically.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Heartbeater {
     plan: HeartbeatPlan,
     /// Next sequence number per pair.
     seq: Vec<u64>,
 }
+
+netfi_sim::clone_in_place!(Heartbeater { plan, seq });
 
 impl Heartbeater {
     /// Creates a heartbeater for `plan`. Send it
@@ -166,6 +175,10 @@ impl Component<Ev> for Heartbeater {
 
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())
+    }
+
+    fn fork_onto(&self, dst: &mut Box<dyn Component<Ev>>) {
+        netfi_sim::clone_onto(self, dst)
     }
 }
 

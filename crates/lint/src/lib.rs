@@ -11,8 +11,10 @@
 //!   hashes in `tests/determinism.rs` pin this), so no cross-thread state
 //!   may reach an output byte through `Ordering::Relaxed`;
 //! - `fork-not-clone`: a `Component::fork` body must be
-//!   `Box::new(self.clone())`, so the snapshot copy of every component is
-//!   a `#[derive(Clone)]` the compiler keeps complete;
+//!   `Box::new(self.clone())` and a `Component::fork_onto` override's
+//!   `netfi_sim::clone_onto(self, dst)`, so the snapshot copy of every
+//!   component — fresh or over a resident one — is a `#[derive(Clone)]`
+//!   or `netfi_sim::clone_in_place!` the compiler keeps complete;
 //! - `hot-path-alloc`: the per-event path is allocation-free in the
 //!   modules that opt in with a `netfi-lint: deny(hot-path-alloc)`
 //!   comment after `//`;

@@ -101,8 +101,18 @@ pub(crate) fn scan_lines(lines: &[Line], unused: Option<&[(usize, String)]>) -> 
         if find_bounded(&line.code, "fork") && fork_is_hand_written(lines, idx) {
             findings.push((
                 "fork-not-clone",
-                "Component::fork must be `Box::new(self.clone())` on a #[derive(Clone)] type, \
-                 so a field added later cannot be left out of a snapshot"
+                "Component::fork must be `Box::new(self.clone())` on a type that takes its \
+                 Clone from #[derive(Clone)] or `netfi_sim::clone_in_place!`, so a field added \
+                 later cannot be left out of a snapshot"
+                    .to_string(),
+            ));
+        }
+        if find_bounded(&line.code, "fork_onto") && fork_onto_is_hand_written(lines, idx) {
+            findings.push((
+                "fork-not-clone",
+                "Component::fork_onto must be `netfi_sim::clone_onto(self, dst)` on a type that \
+                 takes its Clone from `netfi_sim::clone_in_place!` or #[derive(Clone)], so a \
+                 field added later cannot be left out of a resident fork"
                     .to_string(),
             ));
         }
@@ -169,22 +179,35 @@ fn parse_allow(rest: &str) -> Result<String, String> {
 }
 
 /// Is line `idx` the head of a `Component::fork` implementation whose
-/// body — the rest of that line or, if that is blank, the next line with
-/// code — is anything but `Box::new(self.clone())`?
+/// body is anything but `Box::new(self.clone())`?
 fn fork_is_hand_written(lines: &[Line], idx: usize) -> bool {
+    method_body(lines, idx, "fnfork(&self)->")
+        .is_some_and(|body| body != "Box::new(self.clone())")
+}
+
+/// Is line `idx` the head of a `Component::fork_onto` implementation
+/// whose body is anything but `netfi_sim::clone_onto(self, dst)`? The
+/// trait's provided default, `*dst = self.fork();`, is the one other body
+/// it admits: it copies nothing field by field either.
+fn fork_onto_is_hand_written(lines: &[Line], idx: usize) -> bool {
+    method_body(lines, idx, "fnfork_onto(&self,").is_some_and(|body| {
+        !["netfi_sim::clone_onto(self,dst)", "*dst=self.fork();"].contains(&body.as_str())
+    })
+}
+
+/// If line `idx` is the head of a method whose compacted signature
+/// contains `head` and a `Box<dyn …Component…>` after it, the method's
+/// body with all whitespace removed: the rest of that line or, if that
+/// is blank, the next line with code, without a closing `}`. `None` for
+/// any other line, and for a declaration (`…;`), which has no body.
+fn method_body(lines: &[Line], idx: usize, head: &str) -> Option<String> {
     let compact = |s: &str| s.chars().filter(|c| !c.is_whitespace()).collect::<String>();
-    let Some(head) = lines.get(idx).map(|l| compact(&l.code)) else {
-        return false;
-    };
-    let Some((_, tail)) = head.split_once("fnfork(&self)->Box<dyn") else {
-        return false;
-    };
-    // A declaration (`…;`) has no body to hold to the rule.
-    let Some((ret, same_line)) = tail.split_once('{') else {
-        return false;
-    };
-    if !find_bounded(ret, "Component") {
-        return false;
+    let line = compact(&lines.get(idx)?.code);
+    let (_, tail) = line.split_once(head)?;
+    let (signature, same_line) = tail.split_once('{')?;
+    let (_, boxed) = signature.split_once("Box<dyn")?;
+    if !find_bounded(boxed, "Component") {
+        return None;
     }
     let body = if same_line.is_empty() {
         lines
@@ -197,7 +220,7 @@ fn fork_is_hand_written(lines: &[Line], idx: usize) -> bool {
     } else {
         same_line.to_string()
     };
-    body.strip_suffix('}').unwrap_or(&body) != "Box::new(self.clone())"
+    Some(body.strip_suffix('}').unwrap_or(&body).to_string())
 }
 
 /// Appends every (rule, message) that fires on one code line.

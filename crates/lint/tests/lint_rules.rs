@@ -84,7 +84,22 @@ fn relaxed_atomic_fixture() {
 #[test]
 fn fork_not_clone_fixture() {
     let r = scan_source(include_str!("fixtures/fork_not_clone.rs"));
-    assert_findings(&r, &[(33, "fork-not-clone")]);
+    assert_findings(
+        &r,
+        &[
+            (41, "fork-not-clone"),
+            (44, "fork-not-clone"),
+            (61, "fork-not-clone"),
+        ],
+    );
+    // Each message names both ways a type may take its `Clone`.
+    for v in &r.violations {
+        for name in ["#[derive(Clone)]", "netfi_sim::clone_in_place!"] {
+            assert!(v.message.contains(name), "{}: {}", v.line, v.message);
+        }
+    }
+    assert!(r.violations[0].message.starts_with("Component::fork must"));
+    assert!(r.violations[1].message.contains("netfi_sim::clone_onto(self, dst)"));
 }
 
 #[test]

@@ -78,10 +78,10 @@ fn workspace_has_no_lint_violations() {
 
 /// Each rule fires at a site planted in a live workspace file: an
 /// allocation in the flight recorder (opted into `deny(hot-path-alloc)`),
-/// the switch's fork copied field by field, an ordering in the sharded
-/// executor downgraded to `Relaxed`, a caller-less `pub fn` in the flight
-/// recorder, a stranded allow-comment, and a leftover allow-comment for a
-/// rule clippy now owns.
+/// the switch's `fork` and `fork_onto` copied field by field, an ordering
+/// in the sharded executor downgraded to `Relaxed`, a caller-less `pub fn`
+/// in the flight recorder, a stranded allow-comment, and a leftover
+/// allow-comment for a rule clippy now owns.
 #[test]
 fn every_rule_is_live_in_the_workspace() {
     let flight = read("crates/obs/src/flight.rs");
@@ -119,6 +119,24 @@ fn every_rule_is_live_in_the_workspace() {
         .map(|v| (v.line, v.rule))
         .collect();
     assert_eq!(got, [(fork_line, "fork-not-clone")]);
+    // The same rule holds `Switch::fork_onto` to its one helper call.
+    let fork_onto_line = switch
+        .lines()
+        .position(|l| l.contains("fn fork_onto(&self, dst: &mut Box<dyn Component<Ev>>) {"))
+        .map(|i| i + 1)
+        .expect("Switch fork_onto fn in switch.rs");
+    let planted = switch.replacen(
+        "netfi_sim::clone_onto(self, dst)",
+        "*dst = Box::new(Switch { ports: self.ports.clone(), stats: self.stats })",
+        1,
+    );
+    assert_ne!(planted, switch, "fork_onto plant site missing from switch.rs");
+    let got: Vec<(usize, &str)> = netfi_lint::scan_source(&planted)
+        .violations
+        .iter()
+        .map(|v| (v.line, v.rule))
+        .collect();
+    assert_eq!(got, [(fork_onto_line, "fork-not-clone")]);
 
     // relaxed-atomic: downgrade one of the sharded executor's exit-flag
     // loads back to `Relaxed`.

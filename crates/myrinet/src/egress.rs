@@ -185,7 +185,7 @@ impl Cut {
 }
 
 /// The sending half of one link attachment.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EgressPort {
     port: u8,
     peer: Option<PortPeer>,
@@ -208,6 +208,22 @@ pub struct EgressPort {
     #[cfg(any(test, feature = "oracle"))]
     per_symbol: Option<u32>,
 }
+
+netfi_sim::clone_in_place!(EgressPort {
+    port,
+    peer,
+    queue,
+    flow,
+    held,
+    busy_until,
+    flow_gen,
+    stats,
+    refresh,
+    received,
+    timeout,
+    #[cfg(any(test, feature = "oracle"))]
+    per_symbol,
+});
 
 impl EgressPort {
     /// Creates an unwired egress port with the given local port number.

@@ -158,7 +158,7 @@ const SEED_SALT: u64 = 0x6e65_7466_695f_6966;
 /// receive buffer (8 KiB, 4 KiB / 1 KiB watermarks, 400 Mb/s drain) unless
 /// [`HostInterface::set_rx_params`] replaces it, and seeds its mapper from
 /// `addr`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct InterfaceConfig {
     /// The MCP's unique 64-bit address (election key).
     pub addr: NodeAddress,
@@ -170,6 +170,13 @@ pub struct InterfaceConfig {
     /// [`crate::mapper`]).
     pub topology: Topology,
 }
+
+netfi_sim::clone_in_place!(InterfaceConfig {
+    addr,
+    eth,
+    attachment,
+    topology,
+});
 
 impl InterfaceConfig {
     /// The configuration of an interface at `attachment` in `topology`.
@@ -189,7 +196,7 @@ impl InterfaceConfig {
 }
 
 /// The host interface.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HostInterface {
     config: InterfaceConfig,
     /// Whether this MCP participates in mapper election.
@@ -220,6 +227,31 @@ pub struct HostInterface {
     round_gen: u64,
     last_present: Vec<EthAddr>,
 }
+
+netfi_sim::clone_in_place!(HostInterface {
+    config,
+    can_map,
+    rx_drain_bps,
+    eth_addr,
+    egress,
+    rx_sbuf,
+    rx_queue,
+    rx_draining,
+    gaps,
+    routing => netfi_sim::clone::btree_map_from,
+    stats,
+    obs,
+    mapping_active,
+    epoch,
+    round_pending => netfi_sim::clone::btree_map_from,
+    confused,
+    last_map,
+    rng,
+    defer_gen,
+    window_gen,
+    round_gen,
+    last_present,
+});
 
 impl HostInterface {
     /// Creates an interface (unwired; attach via the owning component).

@@ -26,13 +26,15 @@ use crate::packet::{route_to_host, route_to_switch};
 pub type Attachment = (u8, u8);
 
 /// Static description of the switch fabric.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Topology {
     /// Ports per switch, indexed by switch id.
     pub switch_ports: Vec<u8>,
     /// Inter-switch cables: pairs of attachments.
     pub trunks: Vec<(Attachment, Attachment)>,
 }
+
+netfi_sim::clone_in_place!(Topology { switch_ports, trunks });
 
 impl Topology {
     /// A single switch with `ports` ports — the paper's test bed (Fig 10).
@@ -153,7 +155,7 @@ pub struct NodeInfo {
 }
 
 /// One generation of the network map.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct NetworkMap {
     /// Mapping round that produced this map.
     pub epoch: u32,
@@ -162,6 +164,11 @@ pub struct NetworkMap {
     /// addresses" (§4.3.3).
     pub nodes: BTreeMap<Attachment, NodeInfo>,
 }
+
+netfi_sim::clone_in_place!(NetworkMap {
+    epoch,
+    nodes => netfi_sim::clone::btree_map_from,
+});
 
 impl NetworkMap {
     /// Creates an empty map for `epoch`.

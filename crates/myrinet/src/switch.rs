@@ -127,7 +127,7 @@ fn wanted_output(head: &PacketFrame) -> u8 {
     wire::peek_route_byte(&head.bytes).map_or(NO_OUTPUT, |b| b & !ROUTE_SWITCH_FLAG)
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct InputPort {
     sbuf: SlackBuffer,
     queue: VecDeque<PacketFrame>,
@@ -144,6 +144,14 @@ struct InputPort {
     gaps: LastGap,
 }
 
+netfi_sim::clone_in_place!(InputPort {
+    sbuf,
+    queue,
+    awaiting_gap,
+    holding,
+    gaps,
+});
+
 impl InputPort {
     /// Whether the input still waits for a GAP at `now`, ahead of a frame
     /// arriving then (a GAP-train repeat of that instant sorts after it).
@@ -154,7 +162,7 @@ impl InputPort {
 }
 
 /// An N-port Myrinet crossbar switch.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Switch {
     name: String,
     inputs: Vec<InputPort>,
@@ -203,6 +211,30 @@ pub struct Switch {
     /// plain simulations pay a `None` branch per drop and nothing else.
     obs: Recorder,
 }
+
+netfi_sim::clone_in_place!(Switch {
+    name,
+    inputs,
+    egress,
+    hold_gen,
+    severed,
+    config,
+    stats,
+    rr_cursor,
+    occupied,
+    want,
+    candidates,
+    arbitration,
+    late,
+    source,
+    seen,
+    gap_release,
+    #[cfg(test)]
+    by_walk,
+    #[cfg(test)]
+    short_frames,
+    obs,
+});
 
 impl Switch {
     /// Creates a switch with `ports` ports (the paper's test bed uses an
@@ -899,6 +931,10 @@ impl Component<Ev> for Switch {
 
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())
+    }
+
+    fn fork_onto(&self, dst: &mut Box<dyn Component<Ev>>) {
+        netfi_sim::clone_onto(self, dst)
     }
 }
 

@@ -32,11 +32,19 @@ const ARRIVAL_LOG: usize = 64;
 /// A host's NIC configuration, jitter seed and software timing, from one
 /// of two profiles: [`HostConfig::fast`], or the paper-era one that
 /// [`TestbedOptions::paper_era_hosts`](crate::TestbedOptions::paper_era_hosts)
-/// selects.
+/// selects. [`Host::new`] moves the NIC configuration into the NIC and
+/// keeps the timing.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
     /// The NIC configuration.
     iface: InterfaceConfig,
+    /// Software timing and its seed.
+    timing: HostTiming,
+}
+
+/// The software timing of a [`HostConfig`]: what a [`Host`] keeps of it.
+#[derive(Debug, Clone, Copy)]
+struct HostTiming {
     /// Software cost of a send (system call, driver, DMA setup).
     send_overhead: SimDuration,
     /// Software cost of a receive (interrupt, copy, wakeup).
@@ -56,11 +64,13 @@ impl HostConfig {
     pub(crate) fn paper_era(iface: InterfaceConfig, seed: u64) -> HostConfig {
         HostConfig {
             iface,
-            send_overhead: SimDuration::from_ns(117_300),
-            recv_overhead: SimDuration::from_ns(117_300),
-            overhead_jitter: SimDuration::from_ns(400),
-            calibration_max: SimDuration::from_ns(700),
-            seed,
+            timing: HostTiming {
+                send_overhead: SimDuration::from_ns(117_300),
+                recv_overhead: SimDuration::from_ns(117_300),
+                overhead_jitter: SimDuration::from_ns(400),
+                calibration_max: SimDuration::from_ns(700),
+                seed,
+            },
         }
     }
 
@@ -69,11 +79,13 @@ impl HostConfig {
     pub fn fast(iface: InterfaceConfig, seed: u64) -> HostConfig {
         HostConfig {
             iface,
-            send_overhead: SimDuration::from_ns(500),
-            recv_overhead: SimDuration::from_ns(500),
-            overhead_jitter: SimDuration::ZERO,
-            calibration_max: SimDuration::ZERO,
-            seed,
+            timing: HostTiming {
+                send_overhead: SimDuration::from_ns(500),
+                recv_overhead: SimDuration::from_ns(500),
+                overhead_jitter: SimDuration::ZERO,
+                calibration_max: SimDuration::ZERO,
+                seed,
+            },
         }
     }
 }
@@ -194,10 +206,9 @@ struct PingState {
 /// A simulated host: NIC + OS + workloads, plus two armable rings for
 /// readers: the observability [`Recorder`] and the arrival log
 /// ([`arm_arrivals`](Host::arm_arrivals)). Both are empty until armed.
-#[derive(Clone)]
 pub struct Host {
     nic: HostInterface,
-    config: HostConfig,
+    timing: HostTiming,
     rng: DetRng,
     calibration: SimDuration,
     workloads: Vec<Workload>,
@@ -216,6 +227,21 @@ pub struct Host {
     obs: Recorder,
 }
 
+netfi_sim::clone_in_place!(Host {
+    nic,
+    timing,
+    rng,
+    calibration,
+    workloads,
+    ping,
+    sender_sent,
+    udp_stats,
+    rx_by_port => netfi_sim::clone::btree_map_from,
+    arrivals,
+    powered,
+    obs,
+});
+
 impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
@@ -228,14 +254,15 @@ impl std::fmt::Debug for Host {
 impl Host {
     /// Creates a host.
     pub fn new(config: HostConfig) -> Host {
-        let mut rng = DetRng::new(config.seed);
-        let calibration = if config.calibration_max == SimDuration::ZERO {
+        let HostConfig { iface, timing } = config;
+        let mut rng = DetRng::new(timing.seed);
+        let calibration = if timing.calibration_max == SimDuration::ZERO {
             SimDuration::ZERO
         } else {
-            SimDuration::from_ps(rng.gen_range(0..config.calibration_max.as_ps()))
+            SimDuration::from_ps(rng.gen_range(0..timing.calibration_max.as_ps()))
         };
         Host {
-            nic: HostInterface::new(config.iface.clone()),
+            nic: HostInterface::new(iface),
             rng,
             calibration,
             workloads: Vec::new(),
@@ -246,7 +273,7 @@ impl Host {
             arrivals: None,
             powered: true,
             obs: Recorder::disarmed(),
-            config,
+            timing,
         }
     }
 
@@ -343,19 +370,19 @@ impl Host {
     }
 
     fn op_delay(&mut self, base: SimDuration) -> SimDuration {
-        let jitter = if self.config.overhead_jitter == SimDuration::ZERO {
+        let jitter = if self.timing.overhead_jitter == SimDuration::ZERO {
             SimDuration::ZERO
         } else {
             SimDuration::from_ps(
                 self.rng
-                    .gen_range(0..self.config.overhead_jitter.as_ps()),
+                    .gen_range(0..self.timing.overhead_jitter.as_ps()),
             )
         };
         base + jitter + self.calibration
     }
 
     fn send_udp(&mut self, ctx: &mut Context<'_, Ev>, dest: EthAddr, datagram: UdpDatagram) {
-        let delay = self.op_delay(self.config.send_overhead);
+        let delay = self.op_delay(self.timing.send_overhead);
         ctx.send_self(
             delay,
             Ev::Send {
@@ -541,7 +568,7 @@ impl Component<Ev> for Host {
         match ev {
             Ev::Rx { frame, .. } => {
                 if let Some(Delivery { src, data, .. }) = self.nic.handle_rx(ctx, frame) {
-                    let delay = self.op_delay(self.config.recv_overhead);
+                    let delay = self.op_delay(self.timing.recv_overhead);
                     ctx.send_self(delay, Ev::Deliver { src, data });
                 }
             }
@@ -553,7 +580,7 @@ impl Component<Ev> for Host {
                     // Everything below APP_BASE belongs to the NIC.
                     if let Some(Delivery { src, data, .. }) = self.nic.handle_timer(ctx, kind, gen)
                     {
-                        let delay = self.op_delay(self.config.recv_overhead);
+                        let delay = self.op_delay(self.timing.recv_overhead);
                         ctx.send_self(delay, Ev::Deliver { src, data });
                     }
                 }
@@ -597,6 +624,10 @@ impl Component<Ev> for Host {
 
     fn fork(&self) -> Box<dyn Component<Ev>> {
         Box::new(self.clone())
+    }
+
+    fn fork_onto(&self, dst: &mut Box<dyn Component<Ev>>) {
+        netfi_sim::clone_onto(self, dst)
     }
 }
 

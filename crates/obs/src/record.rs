@@ -19,10 +19,12 @@ use crate::event::{ObsEvent, Stamped};
 use crate::flight::FlightRecorder;
 
 /// A runtime-armable bounded event recorder.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Recorder {
     ring: Option<FlightRecorder<ObsEvent>>,
 }
+
+netfi_sim::clone_in_place!(Recorder { ring });
 
 impl Recorder {
     /// A disarmed recorder: no storage, emissions are discarded.

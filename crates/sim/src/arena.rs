@@ -15,8 +15,9 @@
 //! index — and therefore its sub-tick key stream (see
 //! `crate::engine::tick_key`) — is identical to the old twin-`Vec`
 //! layout, byte for byte. Snapshots deep-copy slots via `Clone` (each
-//! component through [`Component::fork`]; `clone_from` reuses the slot
-//! table of a resident arena); shard
+//! component through [`Component::fork`]); `clone_from` reuses the slot
+//! table of a resident arena and copies each component over the one the
+//! slot holds through [`Component::fork_onto`]; shard
 //! decomposition consumes them via [`ComponentArena::into_slots`] and
 //! rebuilds per-shard arenas with [`ComponentArena::push_slot`],
 //! preserving each counter next to its component.
@@ -34,7 +35,6 @@ use crate::engine::Component;
 /// it mints). Keeping the counter inside the slot means a delivery's
 /// read-modify-write of the counter and its indirect call through the
 /// component share one cache line.
-#[derive(Clone)]
 pub(crate) struct ArenaSlot<M: 'static> {
     /// The component occupying this slot.
     pub(crate) component: Box<dyn Component<M>>,
@@ -42,6 +42,25 @@ pub(crate) struct ArenaSlot<M: 'static> {
     /// decomposition: resetting one would re-issue sub-tick keys already
     /// spent on queued events.
     pub(crate) emit: u64,
+}
+
+impl<M: 'static> Clone for ArenaSlot<M> {
+    fn clone(&self) -> Self {
+        let ArenaSlot { component, emit } = self;
+        ArenaSlot {
+            component: component.fork(),
+            emit: *emit,
+        }
+    }
+
+    /// Copies `src`'s component over the one this slot holds through
+    /// [`Component::fork_onto`] — in place when the component overrides
+    /// it — where a derived `clone_from` would drop it and re-make it.
+    fn clone_from(&mut self, src: &Self) {
+        let ArenaSlot { component, emit } = src;
+        component.fork_onto(&mut self.component);
+        self.emit = *emit;
+    }
 }
 
 /// The dense component table shared by the serial engine, snapshots and
@@ -59,7 +78,7 @@ impl<M: Clone + 'static> Clone for ComponentArena<M> {
 
     /// Overwrites `self` with `src`, whatever `self` held — more slots,
     /// fewer, or other components. The slot table keeps its allocation;
-    /// each component is still re-made through [`Component::fork`].
+    /// each slot that both hold is copied with [`ArenaSlot::clone_from`].
     fn clone_from(&mut self, src: &Self) {
         let ComponentArena { slots } = src;
         self.slots.clone_from(slots);

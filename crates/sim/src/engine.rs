@@ -98,11 +98,30 @@ pub trait Component<M>: 'static + Send + Sync + sealed::Upcast {
     /// processing — queues, RNG positions, counters, generation numbers,
     /// flow-control flags — so a forked engine replays bit-identically to
     /// the original (see [`EngineSnapshot`]). This is the object-safe seam
-    /// under `Clone`: put `#[derive(Clone)]` on the component, so a field
-    /// added later is copied without anyone remembering to, and write the
-    /// body as `Box::new(self.clone())` — `netfi-lint`'s `fork-not-clone`
-    /// rule rejects anything else outside test code.
+    /// under `Clone`: put `#[derive(Clone)]` on the component — or
+    /// [`clone_in_place!`](crate::clone_in_place), which also copies in
+    /// place (see [`fork_onto`](Component::fork_onto)) — so a field added
+    /// later is copied without anyone remembering to, and write the body
+    /// as `Box::new(self.clone())` — `netfi-lint`'s `fork-not-clone` rule
+    /// rejects anything else outside test code.
     fn fork(&self) -> Box<dyn Component<M>>;
+
+    /// Overwrites `dst` with a fork of `self`: what a resident fork
+    /// ([`Engine::fork_into`], [`EngineSnapshot::fork_into`]) calls for
+    /// every slot of the engine it writes over, `dst` being what that
+    /// engine held in the same slot.
+    ///
+    /// The default drops `dst` and re-makes the component through
+    /// [`fork`](Component::fork). A component whose state owns heap
+    /// storage overrides it with the one body
+    /// [`crate::clone_onto`]`(self, dst)`, which copies into `dst` in
+    /// place when it holds the same type — its queues, maps and rings
+    /// keep the storage they have grown — with the `clone_from` that
+    /// [`clone_in_place!`](crate::clone_in_place) writes. `netfi-lint`'s
+    /// `fork-not-clone` rule rejects any other override outside test code.
+    fn fork_onto(&self, dst: &mut Box<dyn Component<M>>) {
+        *dst = self.fork();
+    }
 }
 
 mod sealed {
@@ -127,11 +146,16 @@ mod sealed {
     }
 }
 
-/// What lets an `ArenaSlot` derive `Clone`, and so what the component
-/// table's and the executor core's copies are built from.
+/// What the component table's and the executor core's copies are built
+/// from: a fresh copy through [`Component::fork`], a copy over what a
+/// resident engine holds through [`Component::fork_onto`].
 impl<M: 'static> Clone for Box<dyn Component<M>> {
     fn clone(&self) -> Self {
         (**self).fork()
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        (**src).fork_onto(self);
     }
 }
 

@@ -28,8 +28,10 @@
 //!   deterministic state once and fork it into independent runnable
 //!   engines in O(state) — the warm-up amortisation behind the `nftape`
 //!   fork grid. A fork replays bit-identically to a fresh run reaching the
-//!   same state; the copy is `#[derive(Clone)]` from the executor core
-//!   down to every component and payload.
+//!   same state; the copy is `#[derive(Clone)]` or
+//!   [`clone_in_place!`] from the executor core down to every component
+//!   and payload, and a fork into a resident engine copies each component
+//!   over the one it holds ([`Component::fork_onto`]).
 //! - [`Fnv1a`]: the one FNV-1a fold behind every campaign fingerprint and
 //!   fabric digest.
 //!
@@ -64,6 +66,7 @@
 
 pub(crate) mod arena;
 pub mod bytes;
+pub mod clone;
 pub mod engine;
 pub mod fnv;
 pub mod metrics;
@@ -73,6 +76,7 @@ pub mod shard;
 pub mod time;
 
 pub use bytes::SharedBytes;
+pub use clone::clone_onto;
 pub use engine::{
     Component, ComponentId, Context, Engine, EngineSnapshot, NullProbe, Probe, RunBudget,
     RunOutcome, Simulation,

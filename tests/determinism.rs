@@ -135,7 +135,7 @@ fn event_trace_hash(seed: u64) -> u64 {
 
     let mut text = String::new();
     let dev = tb.engine.component_as::<InjectorDevice>(dev_id).unwrap();
-    for rec in dev.traffic_log().iter() {
+    for rec in dev.traffic_log().unwrap().iter() {
         use std::fmt::Write;
         writeln!(text, "{} {:?}", rec.time, rec.value).unwrap();
     }
