@@ -1063,26 +1063,25 @@ mod tests {
 
     #[test]
     fn directions_are_independent() {
-        let (mut engine, a, b, dev) = inline_setup();
-        // Corrupt only B->A.
-        engine
-            .component_as_mut::<InjectorDevice>(dev)
-            .unwrap()
-            .configure(
-                Direction::BToA,
-                InjectorConfig::control_swap(
-                    ControlSymbol::Go.encode(),
-                    ControlSymbol::Stop.encode(),
-                ),
-            );
-        send(&mut engine, a, Frame::control(ControlSymbol::Go));
-        send(&mut engine, b, Frame::control(ControlSymbol::Go));
-        engine.run();
-        let pa = engine.component_as::<Probe>(a).unwrap();
-        let pb = engine.component_as::<Probe>(b).unwrap();
-        // B received A's GO untouched; A received B's GO corrupted to STOP.
-        assert_eq!(pb.rx[0].1.as_control(), Some(ControlSymbol::Go));
-        assert_eq!(pa.rx[0].1.as_control(), Some(ControlSymbol::Stop));
+        // GO→STOP, and a code that is no Myrinet symbol (0x95, the first
+        // data character of Fibre Channel's R_RDY) swapped to IDLE.
+        let go = ControlSymbol::Go.encode();
+        for (from, to) in [(go, ControlSymbol::Stop.encode()), (0x95, 0x00)] {
+            let (mut engine, a, b, dev) = inline_setup();
+            // Corrupt only B->A.
+            engine
+                .component_as_mut::<InjectorDevice>(dev)
+                .unwrap()
+                .configure(Direction::BToA, InjectorConfig::control_swap(from, to));
+            send(&mut engine, a, Frame::Control(from));
+            send(&mut engine, b, Frame::Control(from));
+            engine.run();
+            let pa = engine.component_as::<Probe>(a).unwrap();
+            let pb = engine.component_as::<Probe>(b).unwrap();
+            // B received A's symbol untouched; A received B's swapped.
+            assert_eq!(pb.rx[0].1, Frame::Control(from), "{from:#04x}");
+            assert_eq!(pa.rx[0].1, Frame::Control(to), "{from:#04x}");
+        }
     }
 
     #[test]

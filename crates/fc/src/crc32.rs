@@ -88,6 +88,18 @@ pub fn verify(data_with_crc: &[u8]) -> bool {
     checksum(body) == u32::from_le_bytes(arr)
 }
 
+/// Rewrites the last four bytes of `data_with_crc` as the little-endian
+/// CRC-32 of the bytes before them, so [`verify`] passes again: the repair
+/// a device makes after corrupting an FC frame body. A slice shorter than
+/// four bytes is left as it is.
+pub fn reseal(data_with_crc: &mut [u8]) {
+    let Some(crc_at) = data_with_crc.len().checked_sub(4) else {
+        return;
+    };
+    let (body, crc_bytes) = data_with_crc.split_at_mut(crc_at);
+    crc_bytes.copy_from_slice(&checksum(body).to_le_bytes());
+}
+
 /// A streaming CRC-32 accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crc32 {

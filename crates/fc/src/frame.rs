@@ -52,7 +52,7 @@ pub enum Eof {
 
 /// Primitive signals relevant to the injector campaigns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Primitive {
+pub(crate) enum Primitive {
     /// Link filler.
     Idle,
     /// Buffer-to-buffer credit return — FC's flow-control symbol, the
@@ -75,7 +75,7 @@ fn ordered_set_tail(kind: OrderedSet) -> [u8; 3] {
 
 /// Any four-character ordered set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrderedSet {
+pub(crate) enum OrderedSet {
     /// A start-of-frame delimiter.
     Sof(Sof),
     /// An end-of-frame delimiter.
@@ -256,14 +256,23 @@ impl FcFrame {
         if self.payload.len() > 2112 {
             return Err(FcError::PayloadTooLong);
         }
-        let mut chars: Vec<Byte8> = Vec::new();
-        chars.extend(OrderedSet::Sof(self.sof).chars());
-        for b in self.body() {
-            chars.push(Byte8::Data(b));
-        }
-        chars.extend(OrderedSet::Eof(self.eof).chars());
-        chars
+        self.line_with_body(&self.body(), encoder)
+    }
+
+    /// Encodes `body` between this frame's SOF and EOF through 8b/10b, as
+    /// [`to_line`](FcFrame::to_line) does with [`body`](FcFrame::body):
+    /// the line a device downstream of an injection sends on, whether or
+    /// not it resealed the CRC-32 ([`crc32::reseal`]).
+    ///
+    /// # Errors
+    ///
+    /// [`FcError::LineCode`] if the encoder rejects a character.
+    pub fn line_with_body(&self, body: &[u8], encoder: &mut Encoder) -> Result<Vec<u16>, FcError> {
+        OrderedSet::Sof(self.sof)
+            .chars()
             .into_iter()
+            .chain(body.iter().map(|&b| Byte8::Data(b)))
+            .chain(OrderedSet::Eof(self.eof).chars())
             .map(|c| encoder.push(c).map_err(|_| FcError::LineCode))
             .collect()
     }
@@ -400,20 +409,16 @@ mod tests {
     #[test]
     fn corrupted_body_byte_is_crc_error() {
         let frame = sample();
-        let mut enc = Encoder::new();
-        // Corrupt a payload byte under the original CRC: build the line
-        // manually from a tampered body.
-        let mut chars: Vec<Byte8> = Vec::new();
-        chars.extend(OrderedSet::Sof(frame.sof).chars());
         let mut body = frame.body();
         body[24 + 3] ^= 0x01; // payload corruption without CRC fix
-        for b in body {
-            chars.push(Byte8::Data(b));
-        }
-        chars.extend(OrderedSet::Eof(frame.eof).chars());
-        let line: Vec<u16> = chars.into_iter().map(|c| enc.push(c).unwrap()).collect();
+        let line = frame.line_with_body(&body, &mut Encoder::new()).unwrap();
         let mut dec = Decoder::new();
         assert_eq!(decode_line(&line, &mut dec), Err(FcError::BadCrc));
+        // Resealed, the same corruption decodes as a valid frame.
+        crc32::reseal(&mut body);
+        let line = frame.line_with_body(&body, &mut Encoder::new()).unwrap();
+        let (rx, _) = decode_line(&line, &mut Decoder::new()).unwrap();
+        assert_eq!(rx.payload[3], frame.payload[3] ^ 0x01);
     }
 
     #[test]

@@ -353,7 +353,7 @@ impl EgressPort {
     /// symbols jump ahead of data and are transmitted even while this
     /// sender is itself stopped (control symbols interleave with data on
     /// the real link).
-    pub fn enqueue_control(&mut self, ctx: &mut Context<'_, Ev>, code: u8) {
+    pub(crate) fn enqueue_control(&mut self, ctx: &mut Context<'_, Ev>, code: u8) {
         self.enqueue_flow(ctx, Frame::Control(code));
     }
 

@@ -72,11 +72,6 @@ impl Link {
         Link::new(640_000_000, cable_meters)
     }
 
-    /// Fibre Channel full speed (1.0625 Gbaud line rate).
-    pub fn fibre_channel(cable_meters: f64) -> Link {
-        Link::new(1_062_500_000, cable_meters)
-    }
-
     /// Data rate in bits per second.
     pub fn data_rate_bps(&self) -> u64 {
         self.data_rate_bps
@@ -129,7 +124,6 @@ mod tests {
     fn presets_have_expected_rates() {
         assert_eq!(Link::myrinet_san(1.0).data_rate_bps(), 1_280_000_000);
         assert_eq!(Link::myrinet_640(1.0).data_rate_bps(), 640_000_000);
-        assert_eq!(Link::fibre_channel(1.0).data_rate_bps(), 1_062_500_000);
     }
 
     #[test]

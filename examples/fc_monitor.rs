@@ -6,26 +6,20 @@
 //! frames are encoded through 8b/10b, decoded at the PHY boundary, pushed
 //! through the *same* datapath used on Myrinet, and — when integrity repair
 //! is on — have their **CRC-32** resealed after an injection, so the
-//! corruption survives to the receiving N_Port. The datapath's own repair
-//! is Myrinet's CRC-8, so it stays off here.
+//! corruption survives to the receiver's decoder. The datapath's own repair
+//! is Myrinet's CRC-8, so it stays off here. Fibre Channel is modelled at
+//! codec level only: frames, CRC-32 and 8b/10b, no simulated FC link.
 //!
 //! Run with `cargo run --example fc_monitor`.
 
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use netfi::fc::crc32;
 use netfi::fc::frame::{decode_line, FcAddress, FcError, FcFrame};
 use netfi::injector::config::InjectorConfig;
 use netfi::injector::{FifoInjector, MatchMode};
-use netfi::phy::b8b10::{Byte8, Decoder, Encoder};
-
-fn line_from_body(frame: &FcFrame, body: &[u8], enc: &mut Encoder) -> Vec<u16> {
-    let mut chars: Vec<Byte8> = Vec::new();
-    chars.extend(netfi::fc::OrderedSet::Sof(frame.sof).chars());
-    chars.extend(body.iter().map(|&b| Byte8::Data(b)));
-    chars.extend(netfi::fc::OrderedSet::Eof(frame.eof).chars());
-    chars.into_iter().map(|c| enc.push(c).expect("valid")).collect()
-}
+use netfi::phy::b8b10::{Decoder, Encoder};
 
 fn run(repair: bool) {
     println!(
@@ -44,7 +38,6 @@ fn run(repair: bool) {
 
     let mut enc = Encoder::new();
     let mut dec = Decoder::new();
-    let mut rx_port = netfi::fc::NPort::new(4);
 
     for seq in 0..5u16 {
         let payload = if seq == 2 {
@@ -61,17 +54,14 @@ fn run(repair: bool) {
         if report.injected() {
             injected += 1;
             if repair {
-                let crc_at = body.len() - 4;
-                let crc = netfi::fc::crc32::checksum(&body[..crc_at]);
-                body[crc_at..].copy_from_slice(&crc.to_le_bytes());
+                crc32::reseal(&mut body);
                 repairs += 1;
             }
         }
 
-        let line = line_from_body(&frame, &body, &mut enc);
+        let line = frame.line_with_body(&body, &mut enc).expect("valid");
         match decode_line(&line, &mut dec) {
             Ok((rx, _)) => {
-                rx_port.receive(rx.clone());
                 let corrupted = report.injected();
                 println!(
                     "frame {seq}: delivered ({} bytes){}",
@@ -82,7 +72,6 @@ fn run(repair: bool) {
                         ""
                     }
                 );
-                let _ = rx_port.deliver();
             }
             Err(FcError::BadCrc) => {
                 println!(

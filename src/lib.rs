@@ -10,7 +10,7 @@
 //!   8b/10b, UART).
 //! - [`myrinet`] — the Myrinet network simulator (packets, switches, slack
 //!   buffers, flow control, mapping).
-//! - [`fc`] — the Fibre Channel substrate.
+//! - [`fc`] — the Fibre Channel codec (frames, CRC-32, ordered sets).
 //! - [`injector`] — **the paper's contribution**: the in-line adaptive
 //!   monitoring and fault-injection device.
 //! - [`netstack`] — UDP/addressing/workloads on simulated hosts.

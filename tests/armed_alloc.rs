@@ -17,16 +17,15 @@
 //! the packet each: a `to_vec` per captured offset, two growing offset
 //! vectors and the copy.
 //!
-//! An integration test is its own binary, so the `#[global_allocator]`
-//! below counts nothing but this file; it holds a single `#[test]`, so no
-//! sibling test thread allocates while a region is being counted.
+//! The counts come from the counting allocator in `tests/common/`, which
+//! counts only the thread that opened the region.
 
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+mod common;
 
+use common::{counted, Asked};
 use netfi::injector::config::InjectorConfig;
 use netfi::injector::{Direction, InjectorDevice};
 use netfi::myrinet::event::{connect, Attach, Ev, PortPeer};
@@ -36,64 +35,12 @@ use netfi::phy::{ControlSymbol, Link};
 use netfi::sim::bytes::SharedBytes;
 use netfi::sim::{Component, Context, Engine};
 
-/// The system allocator, counting every request made while `COUNTING`.
-struct Counting;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static REQUESTS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
-fn note(size: usize) {
-    if COUNTING.load(Ordering::SeqCst) {
-        REQUESTS.fetch_add(1, Ordering::SeqCst);
-        BYTES.fetch_add(size, Ordering::SeqCst);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain atomics and
-// never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from `System`; the rest is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// What one packet asked for: allocator requests, bytes, and copy-on-write
-/// copies of a wire image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Asked {
-    requests: usize,
-    bytes: usize,
-    copies: u64,
-}
-
-fn counted(region: impl FnOnce()) -> Asked {
-    REQUESTS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
+/// What a region asked of the allocator, and the copy-on-write copies of a
+/// wire image it made.
+fn counted_with_copies(region: impl FnOnce()) -> (Asked, u64) {
     let copies = SharedBytes::copy_count();
-    COUNTING.store(true, Ordering::SeqCst);
-    region();
-    COUNTING.store(false, Ordering::SeqCst);
-    Asked {
-        requests: REQUESTS.load(Ordering::SeqCst),
-        bytes: BYTES.load(Ordering::SeqCst),
-        copies: SharedBytes::copy_count() - copies,
-    }
+    let ((), asked) = counted(0, region);
+    (asked, SharedBytes::copy_count() - copies)
 }
 
 /// A link end that swallows what it receives.
@@ -142,7 +89,7 @@ fn an_armed_packet_costs_the_same_at_any_length() {
     // wire image is built before counting starts.
     let mut one = |len: usize| {
         let frame = Frame::packet(wire(len));
-        counted(|| {
+        counted_with_copies(|| {
             engine.schedule(engine.now(), dev, Ev::Rx { port: 0, frame });
             engine.run();
         })
@@ -153,15 +100,22 @@ fn an_armed_packet_costs_the_same_at_any_length() {
         one(1024);
         one(64);
     }
-    let small = one(64);
-    let large = one(1024);
-    println!("armed packet: 64 B {small:?}; 1,024 B {large:?}");
-    assert_eq!(one(64), small, "a packet's requests repeat exactly");
+    let (small, small_copies) = one(64);
+    let (large, large_copies) = one(1024);
+    println!(
+        "armed packet: 64 B {small:?}, {small_copies} copies; \
+         1,024 B {large:?}, {large_copies} copies"
+    );
+    assert_eq!(
+        one(64),
+        (small, small_copies),
+        "a packet's requests repeat exactly"
+    );
     assert_eq!(small.requests, large.requests, "{small:?} vs {large:?}");
     // Once the path's buffers have grown, a packet asks for nothing at all.
     assert_eq!(large.requests, 0, "{large:?}");
     assert_eq!(
-        (small.copies, large.copies),
+        (small_copies, large_copies),
         (0, 0),
         "a no-op plan copied the packet"
     );

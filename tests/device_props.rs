@@ -10,7 +10,7 @@ use netfi::injector::InjectorDevice;
 use netfi::myrinet::egress::{split_timer_kind, timer_class, EgressPort};
 use netfi::myrinet::event::{connect, Attach, Ev, PortPeer};
 use netfi::myrinet::frame::Frame;
-use netfi::phy::Link;
+use netfi::phy::{ControlSymbol, Link};
 use netfi::sim::{Component, Context, DetRng, Engine, SimTime};
 
 const CASES: usize = 32;
@@ -70,11 +70,20 @@ fn random_frame(rng: &mut DetRng) -> Frame {
             rng.fill_bytes(&mut bytes);
             Frame::packet(bytes)
         }
-        // Only the codes that survive tolerant decoding as STOP/GO would
-        // perturb flow control; send packets and GAP/IDLE-ish codes so the
-        // sender never pauses and ordering is trivially comparable.
-        1 => Frame::Control(0x0C),
-        _ => Frame::Control(0x00),
+        // Any control code but those tolerant decoding reads as STOP or GO,
+        // which would perturb flow control: GAP, IDLE, their one-bit
+        // neighbours and codes that are no Myrinet symbol at all (0x95
+        // starts Fibre Channel's R_RDY), so the sender never pauses and
+        // ordering is trivially comparable.
+        _ => loop {
+            let code = rng.next_u32() as u8;
+            if !matches!(
+                ControlSymbol::decode_tolerant(code),
+                Some(ControlSymbol::Stop | ControlSymbol::Go)
+            ) {
+                break Frame::Control(code);
+            }
+        },
     }
 }
 
@@ -112,13 +121,25 @@ fn run(frames: &[Frame], with_device: bool) -> Vec<Frame> {
 #[test]
 fn passthrough_device_is_a_longer_cable() {
     let mut rng = DetRng::new(0xDE71_CE01);
+    let mut foreign = 0;
     for _ in 0..CASES {
         let frames: Vec<Frame> = (0..1 + rng.gen_index(23))
             .map(|_| random_frame(&mut rng))
             .collect();
+        foreign += frames
+            .iter()
+            .filter(
+                |f| matches!(f, Frame::Control(c) if ControlSymbol::decode_tolerant(*c).is_none()),
+            )
+            .count();
         let direct = run(&frames, false);
         let through_device = run(&frames, true);
         assert_eq!(direct.len(), frames.len());
         assert_eq!(direct, through_device);
     }
+    println!("{foreign} control codes that are no Myrinet symbol");
+    assert!(
+        foreign > 0,
+        "the draw reached no code outside Myrinet's four"
+    );
 }

@@ -6,29 +6,12 @@
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use netfi::fc::frame::{decode_line, FcAddress, FcError, FcFrame, OrderedSet};
+use netfi::fc::crc32;
+use netfi::fc::frame::{decode_line, FcAddress, FcError, FcFrame};
 use netfi::injector::config::InjectorConfig;
 use netfi::injector::{FifoInjector, MatchMode};
 use netfi::myrinet::packet::{route_to_host, Packet, PacketType};
-use netfi::phy::b8b10::{Byte8, Decoder, Encoder};
-
-/// The 8b/10b line carrying `body` between `frame`'s delimiters.
-fn line_of(frame: &FcFrame, body: &[u8]) -> Vec<u16> {
-    let mut enc = Encoder::new();
-    let mut chars: Vec<Byte8> = Vec::new();
-    chars.extend(OrderedSet::Sof(frame.sof).chars());
-    chars.extend(body.iter().map(|&b| Byte8::Data(b)));
-    chars.extend(OrderedSet::Eof(frame.eof).chars());
-    chars.into_iter().map(|c| enc.push(c).unwrap()).collect()
-}
-
-/// Rewrites an FC body's trailing little-endian CRC-32 over the bytes
-/// before it, as `examples/fc_monitor.rs` does after an injection.
-fn reseal_crc32(body: &mut [u8]) {
-    let crc_at = body.len() - 4;
-    let crc = netfi::fc::crc32::checksum(&body[..crc_at]);
-    body[crc_at..].copy_from_slice(&crc.to_le_bytes());
-}
+use netfi::phy::b8b10::{Decoder, Encoder};
 
 fn shared_core() -> FifoInjector {
     FifoInjector::new(
@@ -65,8 +48,8 @@ fn same_core_corrupts_myrinet_and_fc() {
     let mut body = frame.body();
     let report = core.process_packet(&mut body);
     assert_eq!(report.injected_offsets.len(), 1);
-    let mut dec = Decoder::new();
-    assert_eq!(decode_line(&line_of(&frame, &body), &mut dec), Err(FcError::BadCrc));
+    let line = frame.line_with_body(&body, &mut Encoder::new()).unwrap();
+    assert_eq!(decode_line(&line, &mut Decoder::new()), Err(FcError::BadCrc));
 
     assert_eq!(core.stats().packets, 2);
     assert_eq!(core.stats().injections, 2);
@@ -85,8 +68,9 @@ fn resealed_fc_crc32_carries_the_corruption_to_the_receiver() {
     );
     let mut body = frame.body();
     assert!(core.process_packet(&mut body).injected());
-    reseal_crc32(&mut body);
-    let (rx, _) = decode_line(&line_of(&frame, &body), &mut Decoder::new()).unwrap();
+    crc32::reseal(&mut body);
+    let line = frame.line_with_body(&body, &mut Encoder::new()).unwrap();
+    let (rx, _) = decode_line(&line, &mut Decoder::new()).unwrap();
     assert_eq!(&rx.payload[..], b"feed me BEEG today");
     assert_eq!(rx.header, frame.header);
 
@@ -96,10 +80,8 @@ fn resealed_fc_crc32_carries_the_corruption_to_the_receiver() {
     let mut body = frame.body();
     assert!(seu.process_packet(&mut body).injected(), "p = 1.0 must flip bits");
     assert_ne!(body, frame.body());
-    assert_eq!(
-        decode_line(&line_of(&frame, &body), &mut Decoder::new()),
-        Err(FcError::BadCrc)
-    );
+    let line = frame.line_with_body(&body, &mut Encoder::new()).unwrap();
+    assert_eq!(decode_line(&line, &mut Decoder::new()), Err(FcError::BadCrc));
 }
 
 #[test]

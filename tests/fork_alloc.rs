@@ -23,89 +23,18 @@
 //! 0 requests, and a sampled point 26.7 for 1,162 bytes — what is left is
 //! the point's own program, events and evidence.
 //!
-//! An integration test is its own binary, so the `#[global_allocator]`
-//! below counts nothing but this file, and only on the thread that opened
-//! the region: the test harness's own thread may allocate while a region
-//! runs. A one-worker campaign runs its points on the calling thread, so
-//! nothing the test means to count is dropped.
+//! The counts come from the counting allocator in `tests/common/`, which
+//! counts only the thread that opened the region.
 
 // Tests and examples may unwrap: a failed assertion here is the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
+use common::counted;
 use netfi::nftape::grid::warm_campaign;
 use netfi::sample::{sample_warmed, SampleOptions};
 use netfi::sim::SimDuration;
-
-/// The system allocator, counting every request the counting thread
-/// makes while its `COUNTING` is set.
-struct Counting;
-
-thread_local! {
-    // `const`-initialised and without a destructor: reading it never
-    // allocates, so the allocator may.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-static REQUESTS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-fn note(size: usize) {
-    if COUNTING.with(Cell::get) {
-        REQUESTS.fetch_add(1, Ordering::SeqCst);
-        BYTES.fetch_add(size, Ordering::SeqCst);
-        LARGEST.fetch_max(size, Ordering::SeqCst);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain atomics and
-// never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from `System`; the rest is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// What one region asked for: requests, bytes, and the largest request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Asked {
-    requests: usize,
-    bytes: usize,
-    largest: usize,
-}
-
-fn counted<T>(region: impl FnOnce() -> T) -> (T, Asked) {
-    for counter in [&REQUESTS, &BYTES, &LARGEST] {
-        counter.store(0, Ordering::SeqCst);
-    }
-    COUNTING.with(|c| c.set(true));
-    let out = region();
-    COUNTING.with(|c| c.set(false));
-    let asked = Asked {
-        requests: REQUESTS.load(Ordering::SeqCst),
-        bytes: BYTES.load(Ordering::SeqCst),
-        largest: LARGEST.load(Ordering::SeqCst),
-    };
-    (out, asked)
-}
 
 #[test]
 fn a_resident_fork_asks_for_what_the_donor_holds() {
@@ -120,14 +49,14 @@ fn a_resident_fork_asks_for_what_the_donor_holds() {
     };
     settle();
     settle();
-    let ((), fork) = counted(|| warm.fork_into(&mut engine));
-    let ((), again) = counted(|| warm.fork_into(&mut engine));
+    let ((), fork) = counted(0, || warm.fork_into(&mut engine));
+    let ((), again) = counted(0, || warm.fork_into(&mut engine));
     println!("fork_into: {fork:?}; straight after another: {again:?}");
     assert_eq!(fork, again, "a fork's requests repeat exactly");
     // Nothing is re-made: not the wheel's slot headers, not the probe's
     // ring, not a component (38 requests, 14,357 bytes when they were).
     assert!(fork.requests <= 10 && fork.bytes < 2 * 1024, "{fork:?}");
-    println!("fork: {:?}", counted(|| warm.fork_engine()).1);
+    println!("fork: {:?}", counted(0, || warm.fork_engine()).1);
 
     // A sampled point on a resident engine: the difference between two
     // one-worker campaigns on the same donor takes the baseline run, the
@@ -138,7 +67,7 @@ fn a_resident_fork_asks_for_what_the_donor_holds() {
             points,
             workers: 1,
         };
-        counted(|| sample_warmed(&warm, &opts).unwrap()).1
+        counted(0, || sample_warmed(&warm, &opts).unwrap()).1
     };
     let (short, long) = (campaign(64), campaign(192));
     assert_eq!(long, campaign(192), "a campaign's requests repeat exactly");
