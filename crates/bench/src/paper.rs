@@ -11,6 +11,7 @@
 use netfi_core::synth::{render_table1, table1};
 use netfi_myrinet::addr::EthAddr;
 use netfi_netstack::{build_testbed, Host, TestbedOptions, Workload, SINK_PORT};
+use netfi_nftape::bed::read;
 use netfi_nftape::detection::{detect_specs, run_detection, DetectOptions};
 use netfi_nftape::scenarios::control::{
     control_symbol_table, gap_timeout_arms, stop_throughput_arms, table4_paper_loss, table4_rows,
@@ -402,11 +403,7 @@ fn passthrough_arm(with_injector: bool, window_s: u64) -> Result<(u64, u64, bool
     )?;
     tb.engine
         .run_until(SimTime::from_secs(2) + SimDuration::from_secs(window_s));
-    let host = |i: usize| {
-        tb.engine
-            .component_as::<Host>(tb.hosts[i])
-            .ok_or(ScenarioError::WrongComponent("Host"))
-    };
+    let host = |i: usize| read::<Host>(&tb.engine, tb.hosts[i]);
     let (h0, h1) = (host(0)?, host(1)?);
     let sent = h0.sender_sent() - h0.nic().stats().tx_no_route;
     // Host 1, the highest address, must be the one that maps.

@@ -112,9 +112,6 @@ pub struct SwitchStats {
 /// seed. Not part of [`SwitchStats`]: the fabric digests hash that struct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Arbitration {
-    /// Runs of the arbiter: one per event that could free an output or
-    /// change the head of an input.
-    pub service_calls: u64,
     /// Head-of-line inspections (`try_forward` calls), moved or not.
     pub attempts: u64,
 }
@@ -492,7 +489,6 @@ impl Switch {
         if self.by_walk {
             return self.service_by_walk(ctx);
         }
-        self.arbitration.service_calls += 1;
         while self.candidates != 0 {
             let ahead = self.candidates & (u64::MAX << self.rr_cursor);
             let first = if ahead != 0 { ahead } else { self.candidates };

@@ -30,8 +30,6 @@ pub struct Testbed<P: Probe = NullProbe> {
     pub switch: ComponentId,
     /// The fault injector, if one was spliced in.
     pub injector: Option<ComponentId>,
-    /// Host physical addresses, aligned with `hosts`.
-    pub eth: Vec<EthAddr>,
 }
 
 /// Options for [`build_testbed`].
@@ -114,7 +112,6 @@ pub fn build_testbed_probed<P: Probe>(
         options.switch_config.clone(),
     )));
     let mut hosts = Vec::new();
-    let mut eth = Vec::new();
     let mut injector = None;
 
     for i in 0..options.hosts {
@@ -142,7 +139,6 @@ pub fn build_testbed_probed<P: Probe>(
         }
         engine.schedule(SimTime::ZERO, h, Ev::App(Box::new(HostCmd::Start)));
         hosts.push(h);
-        eth.push(mac);
     }
 
     Ok(Testbed {
@@ -150,7 +146,6 @@ pub fn build_testbed_probed<P: Probe>(
         hosts,
         switch,
         injector,
-        eth,
     })
 }
 

@@ -9,6 +9,7 @@
 use netfi_phy::ControlSymbol;
 use netfi_sim::{NullProbe, Probe, SimDuration};
 
+use crate::bed::Warm;
 use crate::results::{RunResult, ScenarioError};
 use crate::scenarios::{address, control, latency, ptype, random, udpcheck};
 
@@ -99,7 +100,7 @@ fn table4_options(spec: &CampaignSpec) -> control::ControlCampaignOptions {
 /// options it was warmed under.
 type Table4Donor<P> = (
     control::ControlCampaignOptions,
-    Result<control::WarmedTable4<P>, ScenarioError>,
+    Result<Warm<P>, ScenarioError>,
 );
 
 /// Warms one Table 4 donor per set of [`FaultSpec::ControlSymbol`] specs
@@ -150,7 +151,7 @@ fn run_on_donors<P: Probe + Clone>(
                 .iter()
                 .find(|(with, _)| control::share_warm_up(with, &opts));
             vec![match donor {
-                Some((_, Ok(donor))) => donor.row(mask, replacement, &opts)?,
+                Some((_, Ok(donor))) => control::table4_row(donor, mask, replacement, &opts)?,
                 Some((_, Err(e))) => return Err(*e),
                 None => control::control_symbol_row(mask, replacement, &opts)?,
             }]

@@ -36,10 +36,9 @@ use netfi_myrinet::event::Ev;
 use netfi_netstack::{HostCmd, UdpDatagram, SINK_PORT};
 use netfi_obs::{DispatchProbe, ObsEvent, Stamped};
 use netfi_phy::ControlSymbol;
-use netfi_sim::{
-    ComponentId, Engine, EngineSnapshot, Fnv1a, NullProbe, SimDuration, SimTime, Simulation,
-};
+use netfi_sim::{Engine, Fnv1a, SimDuration, SimTime, Simulation};
 
+use crate::bed::{Bed, Warm};
 use crate::observed::{
     armed_testbed, collect, drive_map_phase, run_phase_budgeted, ObservedCampaign,
 };
@@ -278,27 +277,12 @@ impl GridResult {
 }
 
 /// A donor campaign warmed through the map phase, ready to be forked once
-/// per [`FailureSpec`]. Holds the engine snapshot plus everything a fork
-/// needs to replay the fault phases: component ids and the map-phase span
-/// events each scenario's bundle starts from.
+/// per [`FailureSpec`]: the warmed test bed plus the map-phase span events
+/// each scenario's bundle starts from.
+#[derive(Debug)]
 pub struct WarmedCampaign {
-    snapshot: EngineSnapshot<Ev, DispatchProbe>,
-    hosts: Vec<ComponentId>,
-    switch: ComponentId,
-    device: ComponentId,
+    warm: Warm<DispatchProbe>,
     map_phases: Vec<Stamped<ObsEvent>>,
-}
-
-impl std::fmt::Debug for WarmedCampaign {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WarmedCampaign")
-            .field("snapshot", &self.snapshot)
-            .field("hosts", &self.hosts)
-            .field("switch", &self.switch)
-            .field("device", &self.device)
-            .field("map_phases", &self.map_phases.len())
-            .finish()
-    }
 }
 
 impl WarmedCampaign {
@@ -320,7 +304,7 @@ impl WarmedCampaign {
         &self,
         spec: &FailureSpec,
     ) -> Result<ObservedCampaign, ScenarioError> {
-        self.run_on(&mut self.snapshot.fork(), spec)
+        self.run_on(&mut self.warm.fork(), spec)
     }
 
     /// Runs one scenario on `engine`, which must be a fork of this donor
@@ -330,54 +314,21 @@ impl WarmedCampaign {
         engine: &mut Engine<Ev, DispatchProbe>,
         spec: &FailureSpec,
     ) -> Result<ObservedCampaign, ScenarioError> {
-        run_and_collect(
-            engine,
-            spec,
-            &self.hosts,
-            self.switch,
-            self.device,
-            self.map_phases.clone(),
-        )
+        run_and_collect(engine, spec, &self.warm.bed, self.map_phases.clone())
     }
 
     /// Forks the donor engine without running anything — the
     /// O(occupied state) unit the grid's amortization argument prices (the
-    /// benchmark's `nftape.grid.fork_us` row), and the starting point for
-    /// callers that drive their own fault phases (the `netfi-sample`
-    /// sampler).
+    /// benchmark's `nftape.grid.fork_us` row).
     pub fn fork_engine(&self) -> Engine<Ev, DispatchProbe> {
-        self.snapshot.fork()
+        self.warm.fork()
     }
 
-    /// Overwrites `engine` with a fork of the donor, reusing the storage
-    /// `engine` has grown (see [`EngineSnapshot::fork_into`]): what a
-    /// [`fan_out`] worker calls at the top of every item on the one engine
-    /// it keeps. Nothing of what `engine` ran before survives.
-    pub fn fork_into(&self, engine: &mut Engine<Ev, DispatchProbe>) {
-        self.snapshot.fork_into(engine);
-    }
-
-    /// [`fork_into`](WarmedCampaign::fork_into) without the donor's
-    /// dispatch probe (see [`EngineSnapshot::fork_without_probe`]): what a
-    /// caller that never reads the probe forks, into an engine that
-    /// observes nothing — the `netfi-sample` sampler's prefix engines.
-    pub fn fork_without_probe(&self, engine: &mut Engine<Ev, NullProbe>) {
-        self.snapshot.fork_without_probe(engine);
-    }
-
-    /// Component ids of the campaign's hosts, in test-bed order.
-    pub fn hosts(&self) -> &[ComponentId] {
-        &self.hosts
-    }
-
-    /// Component id of the campaign's switch.
-    pub fn switch(&self) -> ComponentId {
-        self.switch
-    }
-
-    /// Component id of the injector device spliced into host 1's link.
-    pub fn device(&self) -> ComponentId {
-        self.device
+    /// The warmed test bed: its ids, and the forks a caller that drives
+    /// its own fault phases takes — `netfi-sample`'s sampler forks it
+    /// without the dispatch probe ([`Warm::fork_without_probe`]).
+    pub fn warm(&self) -> &Warm<DispatchProbe> {
+        &self.warm
     }
 }
 
@@ -388,13 +339,10 @@ impl WarmedCampaign {
 ///
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn warm_campaign(seed: u64) -> Result<WarmedCampaign, ScenarioError> {
-    let (mut tb, device) = armed_testbed(seed)?;
+    let (mut tb, bed) = armed_testbed(seed)?;
     let map_phases = drive_map_phase(&mut tb.engine);
     Ok(WarmedCampaign {
-        snapshot: tb.engine.snapshot(),
-        hosts: tb.hosts,
-        switch: tb.switch,
-        device,
+        warm: Warm::new(bed, &tb.engine),
         map_phases,
     })
 }
@@ -416,16 +364,9 @@ pub(crate) fn fresh_observed(
     seed: u64,
     spec: &FailureSpec,
 ) -> Result<ObservedCampaign, ScenarioError> {
-    let (mut tb, device) = armed_testbed(seed)?;
+    let (mut tb, bed) = armed_testbed(seed)?;
     let map_phases = drive_map_phase(&mut tb.engine);
-    run_and_collect(
-        &mut tb.engine,
-        spec,
-        &tb.hosts,
-        tb.switch,
-        device,
-        map_phases,
-    )
+    run_and_collect(&mut tb.engine, spec, &bed, map_phases)
 }
 
 /// The fault phases plus collection on a serial engine. Shared verbatim
@@ -434,13 +375,11 @@ pub(crate) fn fresh_observed(
 fn run_and_collect(
     engine: &mut Engine<Ev, DispatchProbe>,
     spec: &FailureSpec,
-    hosts: &[ComponentId],
-    switch: ComponentId,
-    device: ComponentId,
+    bed: &Bed,
     mut phases: Vec<Stamped<ObsEvent>>,
 ) -> Result<ObservedCampaign, ScenarioError> {
-    run_fault_phases(engine, spec, hosts, switch, device, &mut phases)?;
-    collect(engine, hosts, switch, device, phases, engine.probe())
+    run_fault_phases(engine, spec, bed, &mut phases)?;
+    collect(engine, bed, phases, engine.probe())
 }
 
 /// Applies the spec's failures and drives the program + inject phases on
@@ -450,9 +389,7 @@ fn run_and_collect(
 pub(crate) fn run_fault_phases(
     sim: &mut impl Simulation<Ev>,
     spec: &FailureSpec,
-    hosts: &[ComponentId],
-    switch: ComponentId,
-    device: ComponentId,
+    bed: &Bed,
     phases: &mut Vec<Stamped<ObsEvent>>,
 ) -> Result<(), ScenarioError> {
     let mut mark = |time: SimTime, value: ObsEvent| phases.push(Stamped { time, value });
@@ -460,12 +397,15 @@ pub(crate) fn run_fault_phases(
     // Apply the declarative failures, in spec order, before any fault
     // traffic: the scenario starts from a network that has already broken.
     for &n in &spec.deactivate_nodes {
-        let &id = hosts.get(n).ok_or(ScenarioError::WrongComponent("Host"))?;
+        let &id = bed
+            .hosts
+            .get(n)
+            .ok_or(ScenarioError::WrongComponent("Host"))?;
         power_off(sim, id)?;
         mark(sim.now(), ObsEvent::instant("grid", "node_off", n as u64));
     }
     for &port in &spec.deactivate_links {
-        sever(sim, switch, usize::from(port))?;
+        sever(sim, bed.switch, usize::from(port))?;
         mark(
             sim.now(),
             ObsEvent::instant("grid", "link_severed", u64::from(port)),
@@ -476,7 +416,7 @@ pub(crate) fn run_fault_phases(
     if let Some((dir, config)) = &spec.injector {
         mark(sim.now(), ObsEvent::begin("campaign", "program", 0));
         let program_at = sim.now();
-        let programmed = program_injector(sim, device, program_at, *dir, config);
+        let programmed = program_injector(sim, bed.device, program_at, *dir, config);
         run_phase_budgeted(sim, programmed);
         mark(sim.now(), ObsEvent::end("campaign", "program", 0));
     }
@@ -489,7 +429,7 @@ pub(crate) fn run_fault_phases(
         let at = sim.now() + SimDuration::from_ms(5) * k;
         sim.schedule(
             at,
-            hosts[0],
+            bed.hosts[0],
             Ev::App(Box::new(HostCmd::SendUdp {
                 dest: EthAddr::myricom(2),
                 datagram: UdpDatagram::new(6_000, SINK_PORT, MESSAGE.to_vec()),
@@ -535,7 +475,7 @@ pub fn fork_grid(
     let runs = fan_out(workers, specs.len(), || {
         let mut engine = warm.fork_engine();
         move |i| {
-            warm.fork_into(&mut engine);
+            warm.warm.fork_into(&mut engine);
             warm.run_on(&mut engine, &specs[i])
                 .map(|run| render(&specs[i], run))
         }
@@ -580,7 +520,7 @@ mod tests {
     #[test]
     fn fork_run_matches_fresh_run_byte_for_byte() {
         let warm = warm_campaign(11).unwrap();
-        assert!(warm.snapshot.pending_events() > 0);
+        assert!(warm.fork_engine().pending_events() > 0);
         for spec in [
             FailureSpec::healthy("healthy"),
             FailureSpec::node_off("node-off-0", 0),
@@ -621,7 +561,7 @@ mod tests {
             FailureSpec::node_off("node-off-0", 0),
         ];
         for spec in &specs {
-            warm.fork_into(&mut engine);
+            warm.warm.fork_into(&mut engine);
             let resident = warm.run_on(&mut engine, spec).map(|run| render(spec, run));
             match (resident, warm.fork_run(spec)) {
                 (Ok(resident), Ok(fresh)) => assert_eq!(resident, fresh, "spec {}", spec.name),

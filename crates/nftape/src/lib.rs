@@ -6,6 +6,9 @@
 //! proposed fault injection hardware and an external management and
 //! control framework". This crate plays that role in simulation:
 //!
+//! - [`bed`]: the warmed test bed a forked campaign starts from
+//!   ([`bed::Warm`]), its component ids ([`bed::Bed`]) and the one typed
+//!   read of them ([`bed::read`]).
 //! - [`runner`]: programs the injector over its *serial command protocol*
 //!   (the real control path), schedules duty-cycled injection phases.
 //! - [`results`] / [`report`]: run records in the paper's units and the
@@ -29,6 +32,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod bed;
 pub mod campaign;
 pub mod detection;
 pub mod grid;

@@ -28,8 +28,9 @@ use netfi_obs::event::sort_bundle;
 use netfi_obs::export::{chrome_trace, text_table};
 use netfi_obs::{DispatchProbe, EventKind, ObsEvent, Registry, Stamped};
 use netfi_sim::shard::{ShardSpec, ShardedEngine};
-use netfi_sim::{ComponentId, Fnv1a, RunBudget, RunOutcome, SimDuration, SimTime, Simulation};
+use netfi_sim::{Fnv1a, RunBudget, RunOutcome, SimDuration, SimTime, Simulation};
 
+use crate::bed::{read, read_mut, Bed};
 use crate::grid::{crc_repaired_spec, fresh_observed, run_fault_phases, warm_campaign};
 use crate::report::{registry_tables, Table};
 use crate::results::ScenarioError;
@@ -114,25 +115,14 @@ pub(crate) fn campaign_workload(i: usize, host: &mut Host) {
 /// one, and a reader arms the hosts it reads on its own fork (the sampler
 /// arms its two stream sinks), so the donor's copies carry no map-phase
 /// deliveries.
-pub(crate) fn arm_recorders(
-    sim: &mut impl Simulation<Ev>,
-    hosts: &[ComponentId],
-    switch: ComponentId,
-    device: ComponentId,
-) -> Result<(), ScenarioError> {
-    for &h in hosts {
-        let host = sim
-            .component_as_mut::<Host>(h)
-            .ok_or(ScenarioError::WrongComponent("Host"))?;
+pub(crate) fn arm_recorders(sim: &mut impl Simulation<Ev>, bed: &Bed) -> Result<(), ScenarioError> {
+    for &h in &bed.hosts {
+        let host = read_mut::<Host>(sim, h)?;
         host.obs_mut().arm(RING);
         host.nic_mut().obs_mut().arm(RING);
     }
-    sim.component_as_mut::<Switch>(switch)
-        .ok_or(ScenarioError::WrongComponent("Switch"))?
-        .obs_mut()
-        .arm(RING);
-    sim.component_as_mut::<InjectorDevice>(device)
-        .ok_or(ScenarioError::WrongComponent("InjectorDevice"))?
+    read_mut::<Switch>(sim, bed.switch)?.obs_mut().arm(RING);
+    read_mut::<InjectorDevice>(sim, bed.device)?
         .obs_mut()
         .arm(RING);
     Ok(())
@@ -157,19 +147,17 @@ pub(crate) fn drive_map_phase(sim: &mut impl Simulation<Ev>) -> Vec<Stamped<ObsE
 }
 
 /// The one campaign set-up: builds the fixed test bed with a dispatch
-/// probe and arms every recorder. Returns it with the injector's id,
-/// ready for the map phase.
-pub(crate) fn armed_testbed(
-    seed: u64,
-) -> Result<(Testbed<DispatchProbe>, ComponentId), ScenarioError> {
+/// probe and arms every recorder. Returns it with its ids, ready for the
+/// map phase.
+pub(crate) fn armed_testbed(seed: u64) -> Result<(Testbed<DispatchProbe>, Bed), ScenarioError> {
     let mut tb = build_testbed_probed(
         campaign_options(seed),
         DispatchProbe::new(RING),
         campaign_workload,
     )?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    arm_recorders(&mut tb.engine, &tb.hosts, tb.switch, device)?;
-    Ok((tb, device))
+    let bed = Bed::of(&tb)?;
+    arm_recorders(&mut tb.engine, &bed)?;
+    Ok((tb, bed))
 }
 
 /// Collects the run: merges every recorder into one sorted bundle and
@@ -178,9 +166,7 @@ pub(crate) fn armed_testbed(
 /// executor ran the campaign.
 pub(crate) fn collect(
     sim: &impl Simulation<Ev>,
-    hosts: &[ComponentId],
-    switch: ComponentId,
-    device: ComponentId,
+    bed: &Bed,
     phases: Vec<Stamped<ObsEvent>>,
     probe: &DispatchProbe,
 ) -> Result<ObservedCampaign, ScenarioError> {
@@ -188,35 +174,26 @@ pub(crate) fn collect(
     let mut dropped = 0;
 
     let mut report = MmonReport::default();
-    for &h in hosts {
-        let host = sim
-            .component_as::<Host>(h)
-            .ok_or(ScenarioError::WrongComponent("Host"))?;
+    for &h in &bed.hosts {
+        let host = read::<Host>(sim, h)?;
         events.extend(host.obs().events().copied());
         events.extend(host.nic().obs().events().copied());
         dropped += host.obs().dropped() + host.nic().obs().dropped();
         report.interfaces.push(InterfaceSnapshot::capture(host.nic()));
     }
-    let sw = sim
-        .component_as::<Switch>(switch)
-        .ok_or(ScenarioError::WrongComponent("Switch"))?;
+    let sw = read::<Switch>(sim, bed.switch)?;
     events.extend(sw.obs().events().copied());
     dropped += sw.obs().dropped();
     report.switches.push(SwitchSnapshot::capture(sw));
-    let dev = sim
-        .component_as::<InjectorDevice>(device)
-        .ok_or(ScenarioError::WrongComponent("InjectorDevice"))?;
+    let dev = read::<InjectorDevice>(sim, bed.device)?;
     events.extend(dev.obs().events().copied());
     dropped += dev.obs().dropped();
 
     sort_bundle(&mut events);
 
     let mut registry = report.to_registry();
-    for &h in hosts {
-        let host = sim
-            .component_as::<Host>(h)
-            .ok_or(ScenarioError::WrongComponent("Host"))?;
-        let u = host.udp_stats();
+    for &h in &bed.hosts {
+        let u = read::<Host>(sim, h)?.udp_stats();
         registry.add("udp.tx", u.tx);
         registry.add("udp.rx_ok", u.rx_ok);
         registry.add("udp.rx_checksum_drops", u.rx_checksum_drops);
@@ -316,34 +293,28 @@ pub fn observed_campaign_sharded(seed: u64, workers: usize) -> Result<ShardedObs
     let options = campaign_options(seed);
     let lookahead = options.link.propagation_delay();
     let tb = build_testbed(options, campaign_workload)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let bed = Bed::of(&tb)?;
 
     // Affinity: shard 0 is the switch; each host gets its own shard; the
     // injector lives in its intercepted host's shard (their splice is an
     // intra-shard link, free to be faster than the lookahead).
     let mut affinity = vec![0u16; tb.engine.component_count()];
-    for (i, h) in tb.hosts.iter().enumerate() {
+    for (i, h) in bed.hosts.iter().enumerate() {
         affinity[h.index()] = i as u16 + 1;
     }
-    affinity[device.index()] = affinity[tb.hosts[1].index()];
+    affinity[bed.device.index()] = affinity[bed.hosts[1].index()];
 
-    let Testbed {
-        engine,
-        hosts,
-        switch,
-        ..
-    } = tb;
     let spec = ShardSpec {
         affinity,
         lookahead,
         workers,
     };
-    let mut sim = ShardedEngine::from_engine(engine, spec, |_| DispatchProbe::new(RING));
-    arm_recorders(&mut sim, &hosts, switch, device)?;
+    let mut sim = ShardedEngine::from_engine(tb.engine, spec, |_| DispatchProbe::new(RING));
+    arm_recorders(&mut sim, &bed)?;
     let mut phases = drive_map_phase(&mut sim);
-    run_fault_phases(&mut sim, &crc_repaired_spec(), &hosts, switch, device, &mut phases)?;
+    run_fault_phases(&mut sim, &crc_repaired_spec(), &bed, &mut phases)?;
     let probe = DispatchProbe::merged(sim.probes());
-    let campaign = collect(&sim, &hosts, switch, device, phases, &probe)?;
+    let campaign = collect(&sim, &bed, phases, &probe)?;
     Ok(ShardedObserved {
         campaign,
         shards: sim.shard_count(),

@@ -16,7 +16,10 @@ pub enum ScenarioError {
     Build(ConnectError),
     /// The scenario needs the injector but the test bed has none.
     NoInjector,
-    /// A component id did not resolve to the expected type.
+    /// A component id did not resolve to the expected type (the type's
+    /// name, from [`read`](crate::bed::read)), or a spec named a host,
+    /// leaf, spine or switch port the test bed lacks (`"Host"`,
+    /// `"Switch"` or `"Switch port"`).
     WrongComponent(&'static str),
     /// The mapper has not produced a network map yet.
     NoMap,

@@ -16,6 +16,7 @@ use netfi_netstack::Host;
 use netfi_phy::serial::UartConfig;
 use netfi_sim::{ComponentId, SimDuration, SimTime, Simulation};
 
+use crate::bed::read_mut;
 use crate::results::ScenarioError;
 
 /// The default campaign fan-out width: one worker per available core.
@@ -113,10 +114,7 @@ pub fn fan_out<T: Send, E: Send, W: FnMut(usize) -> Result<T, E>>(
 /// Returns [`ScenarioError::WrongComponent`] if `host` is not a [`Host`].
 pub fn power_off(sim: &mut impl Simulation<Ev>, host: ComponentId) -> Result<(), ScenarioError> {
     let now = sim.now();
-    let cut = sim
-        .component_as_mut::<Host>(host)
-        .ok_or(ScenarioError::WrongComponent("Host"))?
-        .power_off(now);
+    let cut = read_mut::<Host>(sim, host)?.power_off(now);
     cut.schedule(sim, host);
     Ok(())
 }
@@ -136,9 +134,7 @@ pub fn sever(
     port: usize,
 ) -> Result<(), ScenarioError> {
     let now = sim.now();
-    let sw = sim
-        .component_as_mut::<Switch>(switch)
-        .ok_or(ScenarioError::WrongComponent("Switch"))?;
+    let sw = read_mut::<Switch>(sim, switch)?;
     let port = u8::try_from(port)
         .ok()
         .filter(|&p| usize::from(p) < sw.port_count())
@@ -351,7 +347,7 @@ mod tests {
         // `fan_out` shares the donor by reference; a component that grows
         // an `Rc`/`Cell` field must fail here, at the trait bound.
         fn assert_sync<T: Sync>() {}
-        assert_sync::<netfi_sim::EngineSnapshot<Ev, netfi_obs::DispatchProbe>>();
+        assert_sync::<crate::bed::Warm<netfi_obs::DispatchProbe>>();
         assert_sync::<crate::WarmedCampaign>();
         assert_sync::<crate::WarmedDetect>();
     }

@@ -14,6 +14,7 @@ use netfi_myrinet::mapper::Topology;
 use netfi_netstack::{build_testbed, Host, Testbed, TestbedOptions, Workload, SINK_PORT};
 use netfi_sim::{SimDuration, SimTime};
 
+use crate::bed::{read, read_mut, Bed};
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::program_injector;
 
@@ -49,12 +50,6 @@ fn build(seed: u64, with_injector: bool) -> Result<Testbed, ScenarioError> {
     })?)
 }
 
-fn host(tb: &Testbed, i: usize) -> Result<&Host, ScenarioError> {
-    tb.engine
-        .component_as::<Host>(tb.hosts[i])
-        .ok_or(ScenarioError::WrongComponent("Host"))
-}
-
 fn eth_word(addr: EthAddr) -> u32 {
     let o = addr.octets();
     u32::from_be_bytes([o[2], o[3], o[4], o[5]])
@@ -75,7 +70,7 @@ fn eth_word(addr: EthAddr) -> u32 {
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn destination_corruption(seed: u64, fix_crc: bool) -> Result<RunResult, ScenarioError> {
     let mut tb = build(seed, true)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let device = Bed::of(&tb)?.device;
     // Match the low four octets of the destination address (offset 7 of
     // the wire image: route, type[4], then dest[2..6]).
     let config = InjectorConfig::builder()
@@ -89,18 +84,20 @@ pub fn destination_corruption(seed: u64, fix_crc: bool) -> Result<RunResult, Sce
     let now = tb.engine.now();
     let programmed = program_injector(&mut tb.engine, device, now, DirSelect::A, &config);
     tb.engine.run_until(programmed + SimDuration::from_ms(2));
-    let sent_before = host(&tb, 1)?.sender_sent();
-    let rx0 = host(&tb, 0)?.rx_count(SINK_PORT);
-    let rx2 = host(&tb, 2)?.rx_count(SINK_PORT);
-    let crc0 = host(&tb, 0)?.nic().stats().rx_crc_drops;
-    let mis0 = host(&tb, 0)?.nic().stats().rx_misaddressed;
+    let sent_before = read::<Host>(&tb.engine, tb.hosts[1])?.sender_sent();
+    let rx2 = read::<Host>(&tb.engine, tb.hosts[2])?.rx_count(SINK_PORT);
+    let h0 = read::<Host>(&tb.engine, tb.hosts[0])?;
+    let rx0 = h0.rx_count(SINK_PORT);
+    let crc0 = h0.nic().stats().rx_crc_drops;
+    let mis0 = h0.nic().stats().rx_misaddressed;
     tb.engine.run_for(SimDuration::from_secs(3));
 
-    let sent = host(&tb, 1)?.sender_sent() - sent_before;
-    let to_intended = host(&tb, 0)?.rx_count(SINK_PORT) - rx0;
-    let to_wrong = host(&tb, 2)?.rx_count(SINK_PORT) - rx2;
-    let crc_drops = host(&tb, 0)?.nic().stats().rx_crc_drops - crc0;
-    let misaddressed = host(&tb, 0)?.nic().stats().rx_misaddressed - mis0;
+    let sent = read::<Host>(&tb.engine, tb.hosts[1])?.sender_sent() - sent_before;
+    let to_wrong = read::<Host>(&tb.engine, tb.hosts[2])?.rx_count(SINK_PORT) - rx2;
+    let h0 = read::<Host>(&tb.engine, tb.hosts[0])?;
+    let to_intended = h0.rx_count(SINK_PORT) - rx0;
+    let crc_drops = h0.nic().stats().rx_crc_drops - crc0;
+    let misaddressed = h0.nic().stats().rx_misaddressed - mis0;
 
     Ok(RunResult::new(
         if fix_crc {
@@ -130,23 +127,23 @@ pub fn sender_address_corruption(seed: u64) -> Result<RunResult, ScenarioError> 
     let mut tb = build(seed, false)?;
     tb.engine.run_until(SimTime::from_ms(2_500));
 
-    let rx1_before = host(&tb, 1)?.rx_count(SINK_PORT);
-    let scouts_before = host(&tb, 1)?.nic().stats().scouts_answered;
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
+    let rx1_before = h1.rx_count(SINK_PORT);
+    let scouts_before = h1.nic().stats().scouts_answered;
 
     // FAULT: host 1's register now claims host 0's address.
-    tb.engine
-        .component_as_mut::<Host>(tb.hosts[1])
-        .ok_or(ScenarioError::WrongComponent("Host"))?
+    read_mut::<Host>(&mut tb.engine, tb.hosts[1])?
         .nic_mut()
         .set_eth_addr(EthAddr::myricom(1));
 
     tb.engine.run_for(SimDuration::from_secs(3));
 
-    let delivered = host(&tb, 1)?.rx_count(SINK_PORT) - rx1_before;
-    let misaddressed = host(&tb, 1)?.nic().stats().rx_misaddressed;
-    let scouts = host(&tb, 1)?.nic().stats().scouts_answered - scouts_before;
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
+    let delivered = h1.rx_count(SINK_PORT) - rx1_before;
+    let misaddressed = h1.nic().stats().rx_misaddressed;
+    let scouts = h1.nic().stats().scouts_answered - scouts_before;
     // The mapper's map still shows a node at attachment (0, 1).
-    let mapper = host(&tb, 2)?;
+    let mapper = read::<Host>(&tb.engine, tb.hosts[2])?;
     let still_mapped = mapper
         .nic()
         .last_map()
@@ -187,23 +184,18 @@ pub fn controller_address_collision(seed: u64) -> Result<ControllerCollision, Sc
     let topo = Topology::single_switch(8);
     tb.engine.run_until(SimTime::from_ms(3_500));
 
-    let healthy = host(&tb, 2)?
-        .nic()
-        .last_map()
-        .ok_or(ScenarioError::NoMap)?
-        .clone();
-    let inconsistent_before = host(&tb, 2)?.nic().stats().inconsistent_maps;
+    let mapper = read::<Host>(&tb.engine, tb.hosts[2])?;
+    let healthy = mapper.nic().last_map().ok_or(ScenarioError::NoMap)?.clone();
+    let inconsistent_before = mapper.nic().stats().inconsistent_maps;
 
     // FAULT: host 1 claims the controller's (host 2's) address.
-    let controller_eth = host(&tb, 2)?.nic().eth_addr();
-    tb.engine
-        .component_as_mut::<Host>(tb.hosts[1])
-        .ok_or(ScenarioError::WrongComponent("Host"))?
+    let controller_eth = mapper.nic().eth_addr();
+    read_mut::<Host>(&mut tb.engine, tb.hosts[1])?
         .nic_mut()
         .set_eth_addr(controller_eth);
 
     tb.engine.run_for(SimDuration::from_secs(6));
-    let mapper = host(&tb, 2)?;
+    let mapper = read::<Host>(&tb.engine, tb.hosts[2])?;
     let damaged = mapper.nic().last_map().ok_or(ScenarioError::NoMap)?.clone();
     Ok(ControllerCollision {
         healthy_map: healthy.render(&topo),
@@ -227,18 +219,19 @@ pub fn nonexistent_address(seed: u64) -> Result<RunResult, ScenarioError> {
 
     let old = EthAddr::myricom(2);
     let new = EthAddr::myricom(0x42);
-    let no_route_before = host(&tb, 0)?.nic().stats().tx_no_route;
+    let no_route_before = read::<Host>(&tb.engine, tb.hosts[0])?
+        .nic()
+        .stats()
+        .tx_no_route;
 
-    tb.engine
-        .component_as_mut::<Host>(tb.hosts[1])
-        .ok_or(ScenarioError::WrongComponent("Host"))?
+    read_mut::<Host>(&mut tb.engine, tb.hosts[1])?
         .nic_mut()
         .set_eth_addr(new);
 
     // Two mapping rounds propagate the new identity.
     tb.engine.run_for(SimDuration::from_ms(2_200));
 
-    let h0 = host(&tb, 0)?;
+    let h0 = read::<Host>(&tb.engine, tb.hosts[0])?;
     let old_routable = h0.nic().routing_table().contains_key(&old);
     let new_routable = h0.nic().routing_table().contains_key(&new);
     // Packets to the old address now fail (host 0's sender targets it).

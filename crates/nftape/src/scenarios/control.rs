@@ -10,16 +10,18 @@ use netfi_netstack::{
     build_testbed, build_testbed_probed, Host, Testbed, TestbedOptions, Workload,
 };
 use netfi_phy::ControlSymbol;
-use netfi_sim::{ComponentId, Engine, EngineSnapshot, NullProbe, Probe, SimDuration, SimTime};
+use netfi_sim::{Engine, NullProbe, Probe, SimDuration, SimTime};
 
+use crate::bed::{read, Bed, Warm};
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::{program_injector, schedule_duty_cycle};
 use crate::scenarios::TrafficSnapshot;
 use netfi_core::trigger::MatchMode;
 use netfi_myrinet::addr::EthAddr;
 
-/// Warm-up before measurement (mapping must settle).
-const WARMUP: SimDuration = SimDuration::from_ms(2_500);
+/// When every window of this module opens: after 2.5 s of warm-up, for
+/// mapping to settle.
+const T0: SimTime = SimTime::from_ms(2_500);
 /// Injection duty cycle period. The paper does not state its injection
 /// duty cycle; NFTAPE-style campaigns alternate inject and observe
 /// phases, which we reproduce with a periodic ON/OFF schedule.
@@ -140,30 +142,30 @@ fn build_campaign_net<P: Probe>(
     })?)
 }
 
-/// How long before `t0` the donor stops and a row is programmed. One
+/// How long before [`T0`] the donor stops and a row is programmed. One
 /// `control_swap` script is ≈ 10 ms of serial line; NFTAPE likewise
 /// reprogrammed the device between rows without re-mapping the network.
 const PROGRAM_LEAD: SimDuration = SimDuration::from_ms(100);
 
-/// The Table 4 test bed warmed to [`PROGRAM_LEAD`] before `t0`, forked once
-/// per row (the shape of [`WarmedCampaign`](crate::grid::WarmedCampaign)).
+/// Runs `tb` up to [`PROGRAM_LEAD`] before [`T0`], the fork instant, and
+/// captures it: a donor forked once per Table 4 row or two-host arm.
 ///
-/// The donor is exact, not approximate: until a row's duty cycle arms it
-/// at `t0` the device passes everything through whatever swap it holds, so
-/// the 2.4 s every row would replay are one trajectory, run once. And a
-/// scheduled byte sorts ahead of every component's events of its instant
+/// The donor is exact, not approximate: until a fork programs and arms the
+/// device, the device passes everything through, so the 2.4 s every run
+/// would replay are one trajectory, run once. And a scheduled byte sorts
+/// ahead of every component's events of its instant
 /// (`Engine::schedule`'s key), in a fork as in a fresh bed, so when before
-/// `t0` a row's script was written cannot reorder anything after it.
-#[derive(Debug)]
-pub(crate) struct WarmedTable4<P: Probe = NullProbe> {
-    snapshot: EngineSnapshot<Ev, P>,
-    hosts: Vec<ComponentId>,
-    switch: ComponentId,
-    device: ComponentId,
-    opts: ControlCampaignOptions,
+/// [`T0`] a row's script was written cannot reorder anything after it.
+fn warm_to_fork_instant<P: Probe + Clone>(
+    mut tb: Testbed<P>,
+) -> Result<Warm<P>, ScenarioError> {
+    let bed = Bed::of(&tb)?;
+    tb.engine.run_until(T0.saturating_sub_duration(PROGRAM_LEAD));
+    Ok(Warm::new(bed, &tb.engine))
 }
 
-/// Builds the Table 4 test bed and runs it up to the fork instant.
+/// Builds the Table 4 test bed and runs it up to the fork instant. Every
+/// row whose options [`share_warm_up`] with `opts` forks it.
 ///
 /// # Errors
 ///
@@ -171,26 +173,16 @@ pub(crate) struct WarmedTable4<P: Probe = NullProbe> {
 pub(crate) fn warm_table4<P: Probe + Clone>(
     opts: &ControlCampaignOptions,
     probe: P,
-) -> Result<WarmedTable4<P>, ScenarioError> {
+) -> Result<Warm<P>, ScenarioError> {
     // §4.3.1 methodology: no corrupted symbol may appear in a payload.
     // One donor serves every row, so it avoids all four encodings (none of
     // which the printable filler alphabet contains to begin with).
     let forbidden = ControlSymbol::ALL.map(ControlSymbol::encode).to_vec();
-    let mut tb = build_campaign_net(opts, forbidden, probe)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    let t0 = SimTime::ZERO + WARMUP;
-    tb.engine.run_until(t0.saturating_sub_duration(PROGRAM_LEAD));
-    Ok(WarmedTable4 {
-        snapshot: tb.engine.snapshot(),
-        hosts: tb.hosts,
-        switch: tb.switch,
-        device,
-        opts: opts.clone(),
-    })
+    warm_to_fork_instant(build_campaign_net(opts, forbidden, probe)?)
 }
 
 /// Whether rows run under `a` and under `b` follow one trajectory up to
-/// the fork instant — agree on everything that acts before `t0` — and so
+/// the fork instant — agree on everything that acts before [`T0`] — and so
 /// can be forks of one donor.
 pub(crate) fn share_warm_up(a: &ControlCampaignOptions, b: &ControlCampaignOptions) -> bool {
     // Exhaustive, so a new option has to be sorted into one side.
@@ -203,106 +195,94 @@ pub(crate) fn share_warm_up(a: &ControlCampaignOptions, b: &ControlCampaignOptio
     (nic_rx_capacity, seed) == (&b.nic_rx_capacity, &b.seed)
 }
 
-impl<P: Probe + Clone> WarmedTable4<P> {
-    /// Runs one row on a fork of the donor: program the swap at the fork
-    /// instant (match mode Off), arm it by duty cycle from `t0`, run the
-    /// window and the cool-down, count messages network-wide.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScenarioError`] if the forked test bed cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts` and the donor's do not [`share_warm_up`].
-    pub(crate) fn row(
-        &self,
-        mask: ControlSymbol,
-        replacement: ControlSymbol,
-        opts: &ControlCampaignOptions,
-    ) -> Result<RunResult, ScenarioError> {
-        self.run_row(mask, replacement, opts).map(|(row, _)| row)
+/// Runs one row on a fork of `warm`, a donor [`warm_table4`] warmed under
+/// options that [`share_warm_up`] with `opts`: program the swap at the
+/// fork instant (match mode Off), arm it by duty cycle from [`T0`], run the
+/// window and the cool-down, count messages network-wide.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] if the forked test bed cannot be read.
+pub(crate) fn table4_row<P: Probe + Clone>(
+    warm: &Warm<P>,
+    mask: ControlSymbol,
+    replacement: ControlSymbol,
+    opts: &ControlCampaignOptions,
+) -> Result<RunResult, ScenarioError> {
+    run_row(warm, mask, replacement, opts).map(|(row, _)| row)
+}
+
+/// [`table4_row`], also returning the fork as the row leaves it.
+fn run_row<P: Probe + Clone>(
+    warm: &Warm<P>,
+    mask: ControlSymbol,
+    replacement: ControlSymbol,
+    opts: &ControlCampaignOptions,
+) -> Result<(RunResult, Engine<Ev, P>), ScenarioError> {
+    let mut engine = warm.fork();
+    let bed = &warm.bed;
+
+    let config = InjectorConfig::builder()
+        .match_mode(MatchMode::Off) // armed by the duty cycle
+        .control_swap(mask.encode(), replacement.encode())
+        .build();
+    let fork_instant = engine.now();
+    program_injector(
+        &mut engine,
+        bed.device,
+        fork_instant,
+        DirSelect::Both,
+        &config,
+    );
+
+    let t1 = T0 + opts.window;
+    schedule_duty_cycle(
+        &mut engine,
+        bed.device,
+        T0,
+        t1,
+        DUTY_PERIOD,
+        opts.duty_on,
+        MatchMode::On,
+    );
+
+    engine.run_until(T0);
+    let before = TrafficSnapshot::capture(&engine, &bed.hosts)?;
+    engine.run_until(t1);
+    // Cool-down: stop injecting, let in-flight messages settle.
+    engine.run_for(SimDuration::from_ms(200));
+    let delta = TrafficSnapshot::capture(&engine, &bed.hosts)?.delta(&before);
+
+    let mut nic_overflow = 0u64;
+    for &h in &bed.hosts {
+        nic_overflow += read::<Host>(&engine, h)?.nic().stats().rx_overflow_drops;
     }
+    let sw = read::<Switch>(&engine, bed.switch)?;
+    let row = RunResult::new(
+        format!("{mask}->{replacement}"),
+        delta.sent(),
+        delta.received.min(delta.sent()),
+        opts.window.as_secs_f64(),
+    )
+    .with_extra("overflow_drops", sw.stats().overflow_drops as f64)
+    .with_extra("nic_overflow_drops", nic_overflow as f64)
+    .with_extra("framing_drops", sw.stats().framing_drops as f64)
+    .with_extra(
+        "long_timeout_releases",
+        sw.stats().long_timeout_releases as f64,
+    );
+    Ok((row, engine))
+}
 
-    /// [`row`](WarmedTable4::row), also returning the fork as the row
-    /// leaves it.
-    fn run_row(
-        &self,
-        mask: ControlSymbol,
-        replacement: ControlSymbol,
-        opts: &ControlCampaignOptions,
-    ) -> Result<(RunResult, Engine<Ev, P>), ScenarioError> {
-        assert!(
-            share_warm_up(&self.opts, opts),
-            "donor warmed under different options"
-        );
-        let mut engine = self.snapshot.fork();
-        let device = self.device;
-
-        let config = InjectorConfig::builder()
-            .match_mode(MatchMode::Off) // armed by the duty cycle
-            .control_swap(mask.encode(), replacement.encode())
-            .build();
-        let fork_instant = engine.now();
-        program_injector(&mut engine, device, fork_instant, DirSelect::Both, &config);
-
-        let t0 = SimTime::ZERO + WARMUP;
-        let t1 = t0 + opts.window;
-        schedule_duty_cycle(
-            &mut engine,
-            device,
-            t0,
-            t1,
-            DUTY_PERIOD,
-            opts.duty_on,
-            MatchMode::On,
-        );
-
-        engine.run_until(t0);
-        let before = TrafficSnapshot::capture(&engine, &self.hosts)?;
-        engine.run_until(t1);
-        // Cool-down: stop injecting, let in-flight messages settle.
-        engine.run_for(SimDuration::from_ms(200));
-        let delta = TrafficSnapshot::capture(&engine, &self.hosts)?.delta(&before);
-
-        let mut nic_overflow = 0u64;
-        for &h in &self.hosts {
-            nic_overflow += engine
-                .component_as::<Host>(h)
-                .ok_or(ScenarioError::WrongComponent("Host"))?
-                .nic()
-                .stats()
-                .rx_overflow_drops;
-        }
-        let sw = engine
-            .component_as::<Switch>(self.switch)
-            .ok_or(ScenarioError::WrongComponent("Switch"))?;
-        let row = RunResult::new(
-            format!("{mask}->{replacement}"),
-            delta.sent(),
-            delta.received.min(delta.sent()),
-            opts.window.as_secs_f64(),
-        )
-        .with_extra("overflow_drops", sw.stats().overflow_drops as f64)
-        .with_extra("nic_overflow_drops", nic_overflow as f64)
-        .with_extra("framing_drops", sw.stats().framing_drops as f64)
-        .with_extra(
-            "long_timeout_releases",
-            sw.stats().long_timeout_releases as f64,
-        );
-        Ok((row, engine))
-    }
-
-    /// Runs the nine rows of Table 4, in the paper's order.
-    pub(crate) fn table(
-        &self,
-        opts: &ControlCampaignOptions,
-    ) -> Result<Vec<RunResult>, ScenarioError> {
-        table4_rows()
-            .into_iter()
-            .map(|(mask, replacement)| self.row(mask, replacement, opts))
-            .collect()
-    }
+/// Runs the nine rows of Table 4 on forks of `warm`, in the paper's order.
+fn table4<P: Probe + Clone>(
+    warm: &Warm<P>,
+    opts: &ControlCampaignOptions,
+) -> Result<Vec<RunResult>, ScenarioError> {
+    table4_rows()
+        .into_iter()
+        .map(|(mask, replacement)| table4_row(warm, mask, replacement, opts))
+        .collect()
 }
 
 /// Runs one row of Table 4: corrupt every `mask` control symbol crossing
@@ -320,7 +300,7 @@ pub fn control_symbol_row(
     replacement: ControlSymbol,
     opts: &ControlCampaignOptions,
 ) -> Result<RunResult, ScenarioError> {
-    warm_table4(opts, NullProbe)?.row(mask, replacement, opts)
+    table4_row(&warm_table4(opts, NullProbe)?, mask, replacement, opts)
 }
 
 /// Runs one row of Table 4 like [`control_symbol_row`], and also returns
@@ -336,11 +316,8 @@ pub fn control_symbol_row_device(
     opts: &ControlCampaignOptions,
 ) -> Result<(RunResult, InjectorDevice, SimTime), ScenarioError> {
     let warm = warm_table4(opts, NullProbe)?;
-    let (row, engine) = warm.run_row(mask, replacement, opts)?;
-    let device = engine
-        .component_as::<InjectorDevice>(warm.device)
-        .ok_or(ScenarioError::WrongComponent("InjectorDevice"))?
-        .clone();
+    let (row, engine) = run_row(&warm, mask, replacement, opts)?;
+    let device = read::<InjectorDevice>(&engine, warm.bed.device)?.clone();
     Ok((row, device, engine.now()))
 }
 
@@ -351,50 +328,21 @@ pub fn control_symbol_row_device(
 ///
 /// Returns the first row's [`ScenarioError`], if any.
 pub fn control_symbol_table(opts: &ControlCampaignOptions) -> Result<Vec<RunResult>, ScenarioError> {
-    warm_table4(opts, NullProbe)?.table(opts)
+    table4(&warm_table4(opts, NullProbe)?, opts)
 }
 
-/// When the window of the two-host experiments opens: after 2.5 s of
-/// mapping, as in Table 4.
-const ARMS_T0: SimTime = SimTime::from_ms(2_500);
-
-/// The two-host test bed of [`stop_throughput`] or [`gap_timeout`] warmed
-/// to [`PROGRAM_LEAD`] before its window, forked once per arm (the shape of
-/// [`WarmedTable4`]). The arms differ only in what the faulty one programs
-/// into the device at the fork instant, and until then the device passes
+/// A fork of a two-host donor ([`stop_throughput`]'s or [`gap_timeout`]'s),
+/// with `config`, if any, programmed into the device's host-to-switch
+/// direction (the intercepted host's transmissions) at the fork instant.
+/// The arms differ only in that program, and until then the device passes
 /// everything, so both arms share one warm-up.
-#[derive(Debug)]
-struct WarmedArms {
-    snapshot: EngineSnapshot<Ev>,
-    hosts: Vec<ComponentId>,
-    switch: ComponentId,
-    device: ComponentId,
-}
-
-impl WarmedArms {
-    /// Runs `tb` up to the fork instant.
-    fn warm(mut tb: Testbed) -> Result<WarmedArms, ScenarioError> {
-        let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-        tb.engine.run_until(ARMS_T0.saturating_sub_duration(PROGRAM_LEAD));
-        Ok(WarmedArms {
-            snapshot: tb.engine.snapshot(),
-            hosts: tb.hosts,
-            switch: tb.switch,
-            device,
-        })
+fn fork_arm(warm: &Warm, config: Option<&InjectorConfig>) -> Engine<Ev> {
+    let mut engine = warm.fork();
+    if let Some(config) = config {
+        let at = engine.now();
+        program_injector(&mut engine, warm.bed.device, at, DirSelect::A, config);
     }
-
-    /// A fork of the donor, with `config`, if any, programmed into the
-    /// device's host-to-switch direction (the intercepted host's
-    /// transmissions) at the fork instant.
-    fn fork(&self, config: Option<&InjectorConfig>) -> Engine<Ev> {
-        let mut engine = self.snapshot.fork();
-        if let Some(config) = config {
-            let at = engine.now();
-            program_injector(&mut engine, self.device, at, DirSelect::A, config);
-        }
-        engine
-    }
+    engine
 }
 
 /// §4.3.1 STOP experiment: a request/response program's message rate with
@@ -433,7 +381,7 @@ pub fn stop_throughput_arms(
         .collect()
 }
 
-fn warm_stop_throughput(seed: u64) -> Result<WarmedArms, ScenarioError> {
+fn warm_stop_throughput(seed: u64) -> Result<Warm, ScenarioError> {
     let options = TestbedOptions {
         hosts: 2,
         intercept_host: Some(1),
@@ -441,7 +389,7 @@ fn warm_stop_throughput(seed: u64) -> Result<WarmedArms, ScenarioError> {
         seed,
         ..TestbedOptions::default()
     };
-    WarmedArms::warm(build_testbed(options, |i, host: &mut Host| {
+    warm_to_fork_instant(build_testbed(options, |i, host: &mut Host| {
         if i == 0 {
             host.add_workload(Workload::Flood {
                 peer: EthAddr::myricom(2),
@@ -452,42 +400,34 @@ fn warm_stop_throughput(seed: u64) -> Result<WarmedArms, ScenarioError> {
     })?)
 }
 
-fn stop_arm(
-    warm: &WarmedArms,
-    faulty: bool,
-    window: SimDuration,
-) -> Result<RunResult, ScenarioError> {
+fn stop_arm(warm: &Warm, faulty: bool, window: SimDuration) -> Result<RunResult, ScenarioError> {
     // Corrupt only the host->switch direction (the replies), armed by the
     // duty cycle below.
     let config = InjectorConfig::builder()
         .match_mode(MatchMode::Off)
         .control_swap(ControlSymbol::Gap.encode(), ControlSymbol::Stop.encode())
         .build();
-    let mut engine = warm.fork(faulty.then_some(&config));
+    let mut engine = fork_arm(warm, faulty.then_some(&config));
     if faulty {
         // The fault is active 90 % of the time — the paper's injection
         // pacing is not stated; this duty reproduces its ~10 % residual
         // throughput.
         schedule_duty_cycle(
             &mut engine,
-            warm.device,
-            ARMS_T0,
-            ARMS_T0 + window,
+            warm.bed.device,
+            T0,
+            T0 + window,
             SimDuration::from_secs(1),
             SimDuration::from_ms(900),
             MatchMode::On,
         );
     }
-    engine.run_until(ARMS_T0);
-    let h0 = engine
-        .component_as::<Host>(warm.hosts[0])
-        .ok_or(ScenarioError::WrongComponent("Host"))?;
+    engine.run_until(T0);
+    let h0 = read::<Host>(&engine, warm.bed.hosts[0])?;
     let before = h0.ping_report(0).completed;
     let before_losses = h0.ping_report(0).losses;
-    engine.run_until(ARMS_T0 + window);
-    let h0 = engine
-        .component_as::<Host>(warm.hosts[0])
-        .ok_or(ScenarioError::WrongComponent("Host"))?;
+    engine.run_until(T0 + window);
+    let h0 = read::<Host>(&engine, warm.bed.hosts[0])?;
     let completed = h0.ping_report(0).completed - before;
     let losses = h0.ping_report(0).losses - before_losses;
     Ok(RunResult::new(
@@ -535,7 +475,7 @@ pub fn gap_timeout_arms(
         .collect()
 }
 
-fn warm_gap_timeout(seed: u64) -> Result<WarmedArms, ScenarioError> {
+fn warm_gap_timeout(seed: u64) -> Result<Warm, ScenarioError> {
     let interval = SimDuration::from_ms(6);
     let options = TestbedOptions {
         hosts: 2,
@@ -543,7 +483,7 @@ fn warm_gap_timeout(seed: u64) -> Result<WarmedArms, ScenarioError> {
         seed,
         ..TestbedOptions::default()
     };
-    WarmedArms::warm(build_testbed(options, |i, host: &mut Host| {
+    warm_to_fork_instant(build_testbed(options, |i, host: &mut Host| {
         // Pure data-path experiment: static routes, no mapping. Corrupting
         // every GAP a node emits also kills its mapping traffic (the node
         // self-isolates), which would measure a different effect than the
@@ -566,11 +506,7 @@ fn warm_gap_timeout(seed: u64) -> Result<WarmedArms, ScenarioError> {
     })?)
 }
 
-fn gap_arm(
-    warm: &WarmedArms,
-    faulty: bool,
-    window: SimDuration,
-) -> Result<RunResult, ScenarioError> {
+fn gap_arm(warm: &Warm, faulty: bool, window: SimDuration) -> Result<RunResult, ScenarioError> {
     // Armed at the fork instant, after the first mapping rounds settle, so
     // the campaign measures data-path blocking rather than a never-mapped
     // network.
@@ -578,15 +514,13 @@ fn gap_arm(
         .match_mode(MatchMode::On)
         .control_swap(ControlSymbol::Gap.encode(), ControlSymbol::Idle.encode())
         .build();
-    let mut engine = warm.fork(faulty.then_some(&config));
-    engine.run_until(ARMS_T0);
-    let before = TrafficSnapshot::capture(&engine, &warm.hosts)?;
-    engine.run_until(ARMS_T0 + window);
+    let mut engine = fork_arm(warm, faulty.then_some(&config));
+    engine.run_until(T0);
+    let before = TrafficSnapshot::capture(&engine, &warm.bed.hosts)?;
+    engine.run_until(T0 + window);
     engine.run_for(SimDuration::from_ms(100));
-    let delta = TrafficSnapshot::capture(&engine, &warm.hosts)?.delta(&before);
-    let sw = engine
-        .component_as::<Switch>(warm.switch)
-        .ok_or(ScenarioError::WrongComponent("Switch"))?;
+    let delta = TrafficSnapshot::capture(&engine, &warm.bed.hosts)?.delta(&before);
+    let sw = read::<Switch>(&engine, warm.bed.switch)?;
     Ok(RunResult::new(
         if faulty { "GAP corrupted" } else { "normal" },
         delta.sent(),
@@ -603,6 +537,7 @@ fn gap_arm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netfi_sim::ComponentId;
 
     fn quick_opts() -> ControlCampaignOptions {
         ControlCampaignOptions {
@@ -632,7 +567,7 @@ mod tests {
 
     /// The oracle: one row the way every row ran before rows forked a
     /// donor — a test bed of its own whose payloads avoid this row's two
-    /// symbols, programmed at 100 ms, warmed through all of [`WARMUP`].
+    /// symbols, programmed at 100 ms, warmed through to [`T0`].
     /// Returns the row and the events the engine dispatched for it.
     fn fresh_row(
         mask: ControlSymbol,
@@ -649,7 +584,7 @@ mod tests {
             .build();
         program_injector(&mut tb.engine, device, SimTime::from_ms(100), DirSelect::Both, &config);
 
-        let t0 = SimTime::ZERO + WARMUP;
+        let t0 = T0;
         let t1 = t0 + opts.window;
         schedule_duty_cycle(
             &mut tb.engine,
@@ -705,7 +640,7 @@ mod tests {
         for window_secs in [1, 3] {
             let opts = table4_opts(seed, window_secs);
             for (mask, replacement) in table4_rows() {
-                let forked = warm.row(mask, replacement, &opts).unwrap();
+                let forked = table4_row(&warm, mask, replacement, &opts).unwrap();
                 let (fresh, _) = fresh_row(mask, replacement, &opts);
                 assert_eq!(forked, fresh, "seed {seed}, window {window_secs} s");
             }
@@ -737,7 +672,7 @@ mod tests {
         // fresh row's engine counts the warm-up and the row together.
         let warm_events = {
             let mut tb = build_campaign_net(&opts, Vec::new(), NullProbe).unwrap();
-            tb.engine.run_until(SimTime::ZERO + WARMUP - PROGRAM_LEAD);
+            tb.engine.run_until(T0 - PROGRAM_LEAD);
             tb.engine.events_processed()
         };
         let fresh: Vec<(RunResult, u64)> = table4_rows()
@@ -749,7 +684,7 @@ mod tests {
         assert!(warm_events > 10_000, "a second warm-up could not hide");
 
         let dispatched = Dispatched::default();
-        let table = warm_table4(&opts, dispatched.clone()).unwrap().table(&opts).unwrap();
+        let table = table4(&warm_table4(&opts, dispatched.clone()).unwrap(), &opts).unwrap();
         assert_eq!(dispatched.take(), one_warm_nine_rows, "control_symbol_table");
         assert!(table.iter().eq(fresh.iter().map(|(row, _)| row)));
 

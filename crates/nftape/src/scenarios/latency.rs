@@ -12,6 +12,7 @@ use netfi_myrinet::addr::EthAddr;
 use netfi_netstack::{build_testbed, Host, TestbedOptions, Workload};
 use netfi_sim::{SimDuration, SimTime};
 
+use crate::bed::read;
 use crate::results::ScenarioError;
 
 /// One row of Table 2.
@@ -55,10 +56,7 @@ fn run_arm(with_injector: bool, packets: u64, seed: u64) -> Result<f64, Scenario
     let horizon = SimTime::from_secs(5)
         + SimDuration::from_ns((packets as f64 * 600_000.0) as u64);
     tb.engine.run_until(horizon);
-    let h0 = tb
-        .engine
-        .component_as::<Host>(tb.hosts[0])
-        .ok_or(ScenarioError::WrongComponent("Host"))?;
+    let h0 = read::<Host>(&tb.engine, tb.hosts[0])?;
     let report = h0.ping_report(0);
     assert!(
         report.done,

@@ -15,18 +15,19 @@ pub mod udpcheck;
 
 use netfi_core::device::{ChannelStats, Direction, InjectorDevice};
 use netfi_myrinet::event::Ev;
-use netfi_netstack::{Host, Testbed, SINK_PORT};
+use netfi_netstack::{Host, SINK_PORT};
 use netfi_sim::{ComponentId, Simulation};
 
+use crate::bed::read;
 use crate::results::ScenarioError;
 
-/// What the test bed's injector has passed in `dir` by now.
-fn passed(tb: &Testbed, dir: Direction) -> Result<ChannelStats, ScenarioError> {
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    tb.engine
-        .component_as::<InjectorDevice>(device)
-        .map(|d| d.channel_stats(dir, tb.engine.now()))
-        .ok_or(ScenarioError::WrongComponent("InjectorDevice"))
+/// What the injector `device` has passed in `dir` by now.
+fn passed(
+    sim: &impl Simulation<Ev>,
+    device: ComponentId,
+    dir: Direction,
+) -> Result<ChannelStats, ScenarioError> {
+    Ok(read::<InjectorDevice>(sim, device)?.channel_stats(dir, sim.now()))
 }
 
 /// A snapshot of network-wide message counters.
@@ -54,9 +55,7 @@ impl TrafficSnapshot {
     ) -> Result<TrafficSnapshot, ScenarioError> {
         let mut snap = TrafficSnapshot::default();
         for &h in hosts {
-            let host = sim
-                .component_as::<Host>(h)
-                .ok_or(ScenarioError::WrongComponent("Host"))?;
+            let host = read::<Host>(sim, h)?;
             snap.generated += host.sender_sent();
             snap.no_route += host.nic().stats().tx_no_route;
             snap.received += host.rx_count(SINK_PORT);

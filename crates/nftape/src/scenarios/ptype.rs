@@ -12,8 +12,9 @@ use netfi_core::trigger::MatchMode;
 use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::switch::Switch;
 use netfi_netstack::{build_testbed, Host, Testbed, TestbedOptions, Workload, SINK_PORT};
-use netfi_sim::{SimDuration, SimTime};
+use netfi_sim::{ComponentId, SimDuration, SimTime};
 
+use crate::bed::{read, read_mut, Bed};
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::{program_injector, schedule_script};
 use crate::scenarios::passed;
@@ -41,16 +42,9 @@ fn build(seed: u64) -> Result<Testbed, ScenarioError> {
     })?)
 }
 
-fn host(tb: &Testbed, i: usize) -> Result<&Host, ScenarioError> {
-    tb.engine
-        .component_as::<Host>(tb.hosts[i])
-        .ok_or(ScenarioError::WrongComponent("Host"))
-}
-
-fn disarm(tb: &mut Testbed, at: SimTime) -> Result<(), ScenarioError> {
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
-    schedule_script(&mut tb.engine, device, at, &[Command::MatchMode(MatchMode::Off)]);
-    Ok(())
+fn disarm(tb: &mut Testbed, device: ComponentId, at: SimTime) {
+    let off = [Command::MatchMode(MatchMode::Off)];
+    schedule_script(&mut tb.engine, device, at, &off);
 }
 
 /// Corrupts mapping packets (type `0x0005` → `0x0009`) heading to the
@@ -67,7 +61,7 @@ fn disarm(tb: &mut Testbed, at: SimTime) -> Result<(), ScenarioError> {
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn mapping_packet_corruption(seed: u64) -> Result<RunResult, ScenarioError> {
     let mut tb = build(seed)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let device = Bed::of(&tb)?.device;
     let config = InjectorConfig::builder()
         .match_mode(MatchMode::On)
         .compare(0x0005_0000, 0xFFFF_0000)
@@ -82,24 +76,20 @@ pub fn mapping_packet_corruption(seed: u64) -> Result<RunResult, ScenarioError> 
     let now = tb.engine.now();
     let programmed = program_injector(&mut tb.engine, device, now, DirSelect::B, &config);
     tb.engine.run_until(programmed);
-    let route_before = host(&tb, 0)?
-        .nic()
-        .routing_table()
-        .contains_key(&EthAddr::myricom(2));
-    let lost_before = host(&tb, 0)?.nic().stats().tx_no_route;
+    let h0 = read::<Host>(&tb.engine, tb.hosts[0])?;
+    let route_before = h0.nic().routing_table().contains_key(&EthAddr::myricom(2));
+    let lost_before = h0.nic().stats().tx_no_route;
     // Three mapping rounds with scouts corrupted.
     tb.engine.run_for(SimDuration::from_ms(3_200));
-    let removed = !host(&tb, 0)?
-        .nic()
-        .routing_table()
-        .contains_key(&EthAddr::myricom(2));
-    let lost_during = host(&tb, 0)?.nic().stats().tx_no_route - lost_before;
+    let h0 = read::<Host>(&tb.engine, tb.hosts[0])?;
+    let removed = !h0.nic().routing_table().contains_key(&EthAddr::myricom(2));
+    let lost_during = h0.nic().stats().tx_no_route - lost_before;
 
     // Disarm; the next mapping round restores the node.
     let now = tb.engine.now();
-    disarm(&mut tb, now)?;
+    disarm(&mut tb, device, now);
     tb.engine.run_for(SimDuration::from_ms(2_500));
-    let restored = host(&tb, 0)?
+    let restored = read::<Host>(&tb.engine, tb.hosts[0])?
         .nic()
         .routing_table()
         .contains_key(&EthAddr::myricom(2));
@@ -121,7 +111,7 @@ pub fn mapping_packet_corruption(seed: u64) -> Result<RunResult, ScenarioError> 
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn data_packet_corruption(seed: u64) -> Result<RunResult, ScenarioError> {
     let mut tb = build(seed)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let device = Bed::of(&tb)?.device;
     let config = InjectorConfig::builder()
         .match_mode(MatchMode::On)
         .compare(0x0004_0000, 0xFFFF_0000)
@@ -134,18 +124,21 @@ pub fn data_packet_corruption(seed: u64) -> Result<RunResult, ScenarioError> {
     let now = tb.engine.now();
     let programmed = program_injector(&mut tb.engine, device, now, DirSelect::B, &config);
     tb.engine.run_until(programmed + SimDuration::from_ms(2));
-    let table_before = host(&tb, 1)?.nic().routing_table().clone();
-    let rx_before = host(&tb, 1)?.rx_count(SINK_PORT);
-    let sent_before = host(&tb, 0)?.sender_sent();
-    let no_route_before = host(&tb, 0)?.nic().stats().tx_no_route;
-    let unknown_before = host(&tb, 1)?.nic().stats().rx_unknown_type;
+    let h0 = read::<Host>(&tb.engine, tb.hosts[0])?;
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
+    let table_before = h1.nic().routing_table().clone();
+    let rx_before = h1.rx_count(SINK_PORT);
+    let sent_before = h0.sender_sent();
+    let no_route_before = h0.nic().stats().tx_no_route;
+    let unknown_before = h1.nic().stats().rx_unknown_type;
     tb.engine.run_for(SimDuration::from_secs(3));
 
-    let delivered = host(&tb, 1)?.rx_count(SINK_PORT) - rx_before;
-    let sent = (host(&tb, 0)?.sender_sent() - sent_before)
-        - (host(&tb, 0)?.nic().stats().tx_no_route - no_route_before);
-    let unknown = host(&tb, 1)?.nic().stats().rx_unknown_type - unknown_before;
-    let table_unchanged = host(&tb, 1)?.nic().routing_table() == &table_before;
+    let h0 = read::<Host>(&tb.engine, tb.hosts[0])?;
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
+    let delivered = h1.rx_count(SINK_PORT) - rx_before;
+    let sent = (h0.sender_sent() - sent_before) - (h0.nic().stats().tx_no_route - no_route_before);
+    let unknown = h1.nic().stats().rx_unknown_type - unknown_before;
+    let table_unchanged = h1.nic().routing_table() == &table_before;
 
     Ok(RunResult::new("data 0x0004 -> 0x0009", sent, delivered, 3.0)
         .with_extra("rx_unknown_type", unknown as f64)
@@ -162,7 +155,7 @@ pub fn data_packet_corruption(seed: u64) -> Result<RunResult, ScenarioError> {
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn route_msb_corruption(seed: u64) -> Result<RunResult, ScenarioError> {
     let mut tb = build(seed)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let device = Bed::of(&tb)?.device;
     // The final route byte for host 1 is 0x01 followed by the type field's
     // three zero bytes.
     let config = InjectorConfig::builder()
@@ -176,20 +169,22 @@ pub fn route_msb_corruption(seed: u64) -> Result<RunResult, ScenarioError> {
     let now = tb.engine.now();
     let programmed = program_injector(&mut tb.engine, device, now, DirSelect::B, &config);
     tb.engine.run_until(programmed + SimDuration::from_ms(2));
-    let errors_before = host(&tb, 1)?.nic().stats().rx_route_errors;
-    let rx_before = host(&tb, 1)?.rx_count(SINK_PORT);
-    let sent_before = host(&tb, 0)?.sender_sent();
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
+    let errors_before = h1.nic().stats().rx_route_errors;
+    let rx_before = h1.rx_count(SINK_PORT);
+    let sent_before = read::<Host>(&tb.engine, tb.hosts[0])?.sender_sent();
     tb.engine.run_for(SimDuration::from_secs(2));
-    let armed_errors = host(&tb, 1)?.nic().stats().rx_route_errors - errors_before;
-    let armed_rx = host(&tb, 1)?.rx_count(SINK_PORT) - rx_before;
-    let sent = host(&tb, 0)?.sender_sent() - sent_before;
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
+    let armed_errors = h1.nic().stats().rx_route_errors - errors_before;
+    let armed_rx = h1.rx_count(SINK_PORT) - rx_before;
+    let sent = read::<Host>(&tb.engine, tb.hosts[0])?.sender_sent() - sent_before;
 
     // Disarm: traffic resumes without any lasting effect.
     let now = tb.engine.now();
-    disarm(&mut tb, now)?;
-    let rx_mid = host(&tb, 1)?.rx_count(SINK_PORT);
+    disarm(&mut tb, device, now);
+    let rx_mid = read::<Host>(&tb.engine, tb.hosts[1])?.rx_count(SINK_PORT);
     tb.engine.run_for(SimDuration::from_secs(2));
-    let recovered_rx = host(&tb, 1)?.rx_count(SINK_PORT) - rx_mid;
+    let recovered_rx = read::<Host>(&tb.engine, tb.hosts[1])?.rx_count(SINK_PORT) - rx_mid;
 
     Ok(RunResult::new("route MSB set at interface", sent, armed_rx, 2.0)
         .with_extra("route_errors", armed_errors as f64)
@@ -217,7 +212,7 @@ const MISROUTE_LOG: usize = 4_096;
 /// Returns a [`ScenarioError`] if the test bed cannot be built or read.
 pub fn route_misroute(seed: u64) -> Result<RunResult, ScenarioError> {
     let mut tb = build(seed)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let device = Bed::of(&tb)?.device;
     // Host 1's outbound final route byte is 0x00 (to host 0), followed by
     // the type field zeros; toggle it to port 6 (unwired).
     let config = InjectorConfig::builder()
@@ -247,29 +242,23 @@ pub fn route_misroute(seed: u64) -> Result<RunResult, ScenarioError> {
             })),
         );
     }
-    let rx0_before = host(&tb, 0)?.rx_count(SINK_PORT);
-    let rx2_before = host(&tb, 2)?.rx_count(SINK_PORT);
+    let rx0_before = read::<Host>(&tb.engine, tb.hosts[0])?.rx_count(SINK_PORT);
+    let rx2_before = read::<Host>(&tb.engine, tb.hosts[2])?.rx_count(SINK_PORT);
     // What host 1 sends crosses the device host side first (A to B).
-    let through_before = passed(&tb, Direction::AToB)?;
+    let through_before = passed(&tb.engine, device, Direction::AToB)?;
     // The switch's recorder says which input each drop came in on.
-    tb.engine
-        .component_as_mut::<Switch>(tb.switch)
-        .ok_or(ScenarioError::WrongComponent("Switch"))?
+    read_mut::<Switch>(&mut tb.engine, tb.switch)?
         .obs_mut()
         .arm(MISROUTE_LOG);
     tb.engine.run_for(SimDuration::from_ms(2_200));
 
-    let delivered_h0 = host(&tb, 0)?.rx_count(SINK_PORT) - rx0_before;
-    let delivered_h2 = host(&tb, 2)?.rx_count(SINK_PORT) - rx2_before;
-    let through_after = passed(&tb, Direction::AToB)?;
+    let delivered_h0 = read::<Host>(&tb.engine, tb.hosts[0])?.rx_count(SINK_PORT) - rx0_before;
+    let delivered_h2 = read::<Host>(&tb.engine, tb.hosts[2])?.rx_count(SINK_PORT) - rx2_before;
+    let through_after = passed(&tb.engine, device, Direction::AToB)?;
     let frames = through_after.packets - through_before.packets;
     let mapping = through_after.mapping_packets - through_before.mapping_packets;
     let sent = frames - mapping;
-    let log = tb
-        .engine
-        .component_as::<Switch>(tb.switch)
-        .ok_or(ScenarioError::WrongComponent("Switch"))?
-        .obs();
+    let log = read::<Switch>(&tb.engine, tb.switch)?.obs();
     debug_assert_eq!(log.dropped(), 0, "the drop log overflowed");
     // Host 1 is wired to switch port 1.
     let drops = log

@@ -15,6 +15,7 @@ use netfi_myrinet::addr::EthAddr;
 use netfi_netstack::{build_testbed, Host, TestbedOptions, Workload, SINK_PORT};
 use netfi_sim::{SimDuration, SimTime};
 
+use crate::bed::{read, Bed};
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::program_injector;
 use crate::scenarios::passed;
@@ -53,7 +54,7 @@ pub fn seu_arm(p: f64, fix_crc: bool, seed: u64) -> Result<RunResult, ScenarioEr
             });
         }
     })?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let device = Bed::of(&tb)?.device;
     let config = InjectorConfig::builder()
         .match_mode(MatchMode::Off) // SEU unit runs independently of the trigger
         .random_seu(p)
@@ -65,21 +66,20 @@ pub fn seu_arm(p: f64, fix_crc: bool, seed: u64) -> Result<RunResult, ScenarioEr
     let programmed = program_injector(&mut tb.engine, device, now, DirSelect::B, &config);
     tb.engine.run_until(programmed + SimDuration::from_ms(2));
 
-    let wrong = ScenarioError::WrongComponent("Host");
-    let h1 = tb.engine.component_as::<Host>(tb.hosts[1]).ok_or(wrong)?;
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
     let rx0 = h1.rx_count(SINK_PORT);
     let crc0 = h1.nic().stats().rx_crc_drops;
     let udp0 = h1.udp_stats().rx_checksum_drops;
     // What reaches host 1 crosses the device switch side first (B to A).
-    let through0 = passed(&tb, Direction::BToA)?;
+    let through0 = passed(&tb.engine, device, Direction::BToA)?;
 
     tb.engine.run_for(SimDuration::from_secs(5));
 
-    let through1 = passed(&tb, Direction::BToA)?;
+    let through1 = passed(&tb.engine, device, Direction::BToA)?;
     let frames = through1.packets - through0.packets;
     let mapping = through1.mapping_packets - through0.mapping_packets;
     let sent = frames - mapping;
-    let h1 = tb.engine.component_as::<Host>(tb.hosts[1]).ok_or(wrong)?;
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
     let delivered = h1.rx_count(SINK_PORT) - rx0;
     let crc_drops = h1.nic().stats().rx_crc_drops - crc0;
     let udp_drops = h1.udp_stats().rx_checksum_drops - udp0;

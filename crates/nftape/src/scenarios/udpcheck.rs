@@ -16,6 +16,7 @@ use netfi_myrinet::event::Ev;
 use netfi_netstack::{build_testbed, Host, Testbed, TestbedOptions, HostCmd, UdpDatagram, SINK_PORT};
 use netfi_sim::{SimDuration, SimTime};
 
+use crate::bed::{read, Bed};
 use crate::results::{RunResult, ScenarioError};
 use crate::runner::program_injector;
 
@@ -43,7 +44,7 @@ fn run(
     sends: u64,
 ) -> Result<RunResult, ScenarioError> {
     let mut tb = build(seed)?;
-    let device = tb.injector.ok_or(ScenarioError::NoInjector)?;
+    let device = Bed::of(&tb)?.device;
     // Match "Have" in the passing stream and replace it. The Myrinet CRC-8
     // is recomputed (the hardware does this before the EOF), so only the
     // UDP checksum stands between the corruption and the application.
@@ -69,10 +70,7 @@ fn run(
     }
     tb.engine.run_for(SimDuration::from_ms(5) * sends + SimDuration::from_ms(100));
 
-    let h1 = tb
-        .engine
-        .component_as::<Host>(tb.hosts[1])
-        .ok_or(ScenarioError::WrongComponent("Host"))?;
+    let h1 = read::<Host>(&tb.engine, tb.hosts[1])?;
     let delivered = h1.rx_count(SINK_PORT);
     let checksum_drops = h1.udp_stats().rx_checksum_drops;
     let mut result = RunResult::new(label, sends, delivered, 0.005 * sends as f64)

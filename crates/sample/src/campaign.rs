@@ -38,7 +38,7 @@
 //!
 //! A point copies only what can reach its evidence. Both engines are
 //! `Engine<Ev, NullProbe>`: the prefix is forked from the donor without
-//! its dispatch probe ([`WarmedCampaign::fork_without_probe`]), which no
+//! its dispatch probe ([`Warm::fork_without_probe`]), which no
 //! record reads, so no fork copies the probe's ring and no delivery pays
 //! its bookkeeping. The donor arms no host's arrival log; each prefix
 //! arms the logs of the two stream sinks, hosts 0 and 1, as it is forked,
@@ -62,11 +62,12 @@ use netfi_myrinet::addr::EthAddr;
 use netfi_myrinet::event::Ev;
 use netfi_myrinet::switch::Switch;
 use netfi_netstack::{Host, HostCmd, UdpDatagram, SINK_PORT};
+use netfi_nftape::bed::{read, read_mut, Bed, Warm};
 use netfi_nftape::grid::{warm_campaign, WarmedCampaign};
 use netfi_nftape::results::ScenarioError;
 use netfi_nftape::runner::{commands_for_config, fan_out, schedule_script, script_bytes};
 use netfi_nftape::scenarios::udpcheck::MESSAGE;
-use netfi_sim::{ComponentId, Engine, Fnv1a, RunBudget, RunOutcome, SimDuration, SimTime};
+use netfi_sim::{ComponentId, Engine, Fnv1a, Probe, RunBudget, RunOutcome, SimDuration, SimTime};
 
 use netfi_core::command::DirSelect;
 
@@ -276,11 +277,11 @@ fn point_config(point: &InjectionPoint, wire: &[u8]) -> InjectorConfig {
 /// `SENDS` from the intercepted host back to host 0 (direction A),
 /// interleaved half a gap apart so both directions of the spliced link
 /// carry the same wire image during the arming window.
-fn schedule_stream(engine: &mut Engine<Ev>, warm: &WarmedCampaign, t_stream: SimTime) {
+fn schedule_stream(engine: &mut Engine<Ev>, bed: &Bed, t_stream: SimTime) {
     for k in 0..SENDS {
         engine.schedule(
             t_stream + SEND_GAP * k,
-            warm.hosts()[0],
+            bed.hosts[0],
             Ev::App(Box::new(HostCmd::SendUdp {
                 dest: EthAddr::myricom(2),
                 datagram: UdpDatagram::new(SRC_PORT, SINK_PORT, MESSAGE.to_vec()),
@@ -288,7 +289,7 @@ fn schedule_stream(engine: &mut Engine<Ev>, warm: &WarmedCampaign, t_stream: Sim
         );
         engine.schedule(
             t_stream + SEND_GAP * k + SEND_GAP / 2,
-            warm.hosts()[1],
+            bed.hosts[1],
             Ev::App(Box::new(HostCmd::SendUdp {
                 dest: EthAddr::myricom(1),
                 datagram: UdpDatagram::new(SRC_PORT, SINK_PORT, MESSAGE.to_vec()),
@@ -301,44 +302,37 @@ fn schedule_stream(engine: &mut Engine<Ev>, warm: &WarmedCampaign, t_stream: Sim
 /// `max_events` more deliveries, and collects its evidence.
 fn finish(
     engine: &mut Engine<Ev>,
-    warm: &WarmedCampaign,
+    bed: &Bed,
     t_stream: SimTime,
     max_events: u64,
 ) -> Result<RunEvidence, ScenarioError> {
     let deadline = t_stream + SEND_GAP * SENDS + SETTLE;
     let outcome = engine.run_budgeted(RunBudget::until(deadline).with_max_events(max_events));
-    collect_evidence(engine, warm, outcome)
+    collect_evidence(engine, bed, outcome)
 }
 
 /// Reads the end-of-run evidence: obs recorder instants plus per-layer
 /// counters, summed exactly as documented on [`RunEvidence`].
 fn collect_evidence(
     engine: &Engine<Ev>,
-    warm: &WarmedCampaign,
+    bed: &Bed,
     outcome: RunOutcome,
 ) -> Result<RunEvidence, ScenarioError> {
     let now = engine.now();
     let mut crc_detections = 0;
     let mut timeout_detections = 0;
-    for &h in warm.hosts() {
-        let host = engine
-            .component_as::<Host>(h)
-            .ok_or(ScenarioError::WrongComponent("Host"))?;
+    for &h in &bed.hosts {
+        let host = read::<Host>(engine, h)?;
         let nic = host.nic().stats();
         crc_detections += nic.rx_crc_drops + nic.rx_malformed + nic.rx_truncated;
         let udp = host.udp_stats();
         crc_detections += udp.rx_checksum_drops + udp.rx_malformed;
         timeout_detections += host.nic().egress_stats(now).timeout_recoveries;
     }
-    let sw = engine
-        .component_as::<Switch>(warm.switch())
-        .ok_or(ScenarioError::WrongComponent("Switch"))?;
-    let s = sw.stats();
+    let s = read::<Switch>(engine, bed.switch)?.stats();
     crc_detections += s.framing_drops + s.truncation_drops + s.malformed_drops;
     timeout_detections += s.long_timeout_releases + s.gap_releases;
-    let dev = engine
-        .component_as::<InjectorDevice>(warm.device())
-        .ok_or(ScenarioError::WrongComponent("InjectorDevice"))?;
+    let dev = read::<InjectorDevice>(engine, bed.device)?;
     let injections = [Direction::AToB, Direction::BToA]
         .into_iter()
         .map(|d| {
@@ -353,10 +347,8 @@ fn collect_evidence(
         .count() as u64;
     let mut delivered = 0;
     let mut corrupt_payloads = 0;
-    for &h in stream_sinks(warm) {
-        let sink = engine
-            .component_as::<Host>(h)
-            .ok_or(ScenarioError::WrongComponent("Host"))?;
+    for &h in stream_sinks(bed) {
+        let sink = read::<Host>(engine, h)?;
         delivered += sink.rx_count(SINK_PORT);
         corrupt_payloads += sink
             .recent_arrivals()
@@ -377,20 +369,17 @@ fn collect_evidence(
 
 /// Both stream endpoints are sinks: host 1 receives the forward burst,
 /// host 0 the reverse one.
-fn stream_sinks(warm: &WarmedCampaign) -> &[ComponentId] {
-    &warm.hosts()[..2]
+fn stream_sinks(bed: &Bed) -> &[ComponentId] {
+    &bed.hosts[..2]
 }
 
 /// Overwrites `engine` with a fork of the donor at the map-phase end,
 /// without its dispatch probe, and arms the stream sinks' arrival logs,
 /// which [`collect_evidence`] reads corrupted payloads from.
-fn fork_donor(warm: &WarmedCampaign, engine: &mut Engine<Ev>) -> Result<(), ScenarioError> {
+fn fork_donor(warm: &Warm<impl Probe>, engine: &mut Engine<Ev>) -> Result<(), ScenarioError> {
     warm.fork_without_probe(engine);
-    for &h in stream_sinks(warm) {
-        engine
-            .component_as_mut::<Host>(h)
-            .ok_or(ScenarioError::WrongComponent("Host"))?
-            .arm_arrivals();
+    for &h in stream_sinks(&warm.bed) {
+        read_mut::<Host>(engine, h)?.arm_arrivals();
     }
     Ok(())
 }
@@ -398,19 +387,19 @@ fn fork_donor(warm: &WarmedCampaign, engine: &mut Engine<Ev>) -> Result<(), Scen
 /// A fork of the donor with the campaign stream scheduled and nothing
 /// else — the healthy run every point shares up to its arming instant —
 /// and the stream's first instant.
-fn healthy_fork(warm: &WarmedCampaign) -> Result<(Engine<Ev>, SimTime), ScenarioError> {
+fn healthy_fork(warm: &Warm<impl Probe>) -> Result<(Engine<Ev>, SimTime), ScenarioError> {
     let mut engine = Engine::new();
     fork_donor(warm, &mut engine)?;
     let t_stream = engine.now() + PROGRAM_MARGIN;
-    schedule_stream(&mut engine, warm, t_stream);
+    schedule_stream(&mut engine, &warm.bed, t_stream);
     Ok((engine, t_stream))
 }
 
 /// Runs the healthy baseline: the same stream at the same instants, no
 /// injector program, no arming.
-fn run_baseline(warm: &WarmedCampaign) -> Result<RunEvidence, ScenarioError> {
+fn run_baseline(warm: &Warm<impl Probe>) -> Result<RunEvidence, ScenarioError> {
     let (mut engine, t_stream) = healthy_fork(warm)?;
-    finish(&mut engine, warm, t_stream, POINT_EVENT_BUDGET)
+    finish(&mut engine, &warm.bed, t_stream, POINT_EVENT_BUDGET)
 }
 
 /// The drawn arming instant of `point`.
@@ -421,10 +410,10 @@ fn arming_instant(t_stream: SimTime, point: &InjectionPoint) -> SimTime {
 /// Schedules the arming script at `t_arm`. The programming script ended
 /// with the decoder's direction select on the drawn direction, so a lone
 /// MATCH-MODE command re-arms exactly the drawn direction(s).
-fn schedule_arming(engine: &mut Engine<Ev>, warm: &WarmedCampaign, t_arm: SimTime) {
+fn schedule_arming(engine: &mut Engine<Ev>, bed: &Bed, t_arm: SimTime) {
     schedule_script(
         engine,
-        warm.device(),
+        bed.device,
         t_arm,
         &[Command::MatchMode(MatchMode::Once)],
     );
@@ -434,7 +423,7 @@ fn schedule_arming(engine: &mut Engine<Ev>, warm: &WarmedCampaign, t_arm: SimTim
 /// to each point's arming instant, and the resident engine each point is
 /// forked into there.
 struct PointRunner<'w> {
-    warm: &'w WarmedCampaign,
+    bed: &'w Bed,
     prefix: Engine<Ev>,
     /// The prefix's delivery count when it was forked from the donor.
     forked_at: u64,
@@ -443,10 +432,10 @@ struct PointRunner<'w> {
 }
 
 impl<'w> PointRunner<'w> {
-    fn new(warm: &'w WarmedCampaign) -> Result<PointRunner<'w>, ScenarioError> {
+    fn new(warm: &'w Warm<impl Probe>) -> Result<PointRunner<'w>, ScenarioError> {
         let (prefix, t_stream) = healthy_fork(warm)?;
         Ok(PointRunner {
-            warm,
+            bed: &warm.bed,
             forked_at: prefix.events_processed(),
             prefix,
             t_stream,
@@ -468,7 +457,7 @@ impl<'w> PointRunner<'w> {
         wire: &[u8],
         budget: u64,
     ) -> Result<RunEvidence, ScenarioError> {
-        let warm = self.warm;
+        let bed = self.bed;
         let t_arm = arming_instant(self.t_stream, point);
         let fork_at = t_arm - SimDuration::from_ps(1);
         debug_assert!(
@@ -479,16 +468,13 @@ impl<'w> PointRunner<'w> {
         self.prefix.fork_into(&mut self.engine);
         let engine = &mut self.engine;
         let script = script_bytes(&commands_for_config(point.dir, &point_config(point, wire)));
-        engine
-            .component_as_mut::<InjectorDevice>(warm.device())
-            .ok_or(ScenarioError::WrongComponent("InjectorDevice"))?
-            .feed_serial(&script);
-        schedule_arming(engine, warm, t_arm);
+        read_mut::<InjectorDevice>(engine, bed.device)?.feed_serial(&script);
+        schedule_arming(engine, bed, t_arm);
         // The byte-timed run delivered the same prefix and, before it
         // armed, one event per script byte.
         let lead = engine.events_processed() - self.forked_at + script.len() as u64;
         debug_assert!(lead < budget, "the lead-in exhausted the budget");
-        finish(engine, warm, self.t_stream, budget.saturating_sub(lead))
+        finish(engine, bed, self.t_stream, budget.saturating_sub(lead))
     }
 }
 
@@ -499,7 +485,7 @@ impl<'w> PointRunner<'w> {
 /// instant, the bounded run under `budget`.
 #[cfg(test)]
 fn run_point_byte_timed(
-    warm: &WarmedCampaign,
+    warm: &Warm<impl Probe>,
     engine: &mut Engine<Ev>,
     point: &InjectionPoint,
     wire: &[u8],
@@ -508,11 +494,12 @@ fn run_point_byte_timed(
     fork_donor(warm, engine)?;
     let t0 = engine.now();
     let config = point_config(point, wire);
-    netfi_nftape::runner::program_injector(engine, warm.device(), t0, point.dir, &config);
+    let bed = &warm.bed;
+    netfi_nftape::runner::program_injector(engine, bed.device, t0, point.dir, &config);
     let t_stream = t0 + PROGRAM_MARGIN;
-    schedule_stream(engine, warm, t_stream);
-    schedule_arming(engine, warm, arming_instant(t_stream, point));
-    finish(engine, warm, t_stream, budget)
+    schedule_stream(engine, bed, t_stream);
+    schedule_arming(engine, bed, arming_instant(t_stream, point));
+    finish(engine, bed, t_stream, budget)
 }
 
 /// The draw indices of a campaign in arming order, `(t_arm_ns, index)`
@@ -568,6 +555,7 @@ pub fn sample_warmed(
     warm: &WarmedCampaign,
     opts: &SampleOptions,
 ) -> Result<SampledCampaign, ScenarioError> {
+    let warm = warm.warm();
     let wire = &campaign_wire();
     let baseline = run_baseline(warm)?;
     let order = &arming_order(opts.seed, opts.points, wire.len());
@@ -708,7 +696,7 @@ mod tests {
     /// Runs `p` forked at its arming instant from a fresh prefix and
     /// byte-timed from the map-phase end, asserts that both runs end on
     /// the same instant with the same evidence, and returns it.
-    fn both_paths(warm: &WarmedCampaign, p: &InjectionPoint, budget: u64) -> RunEvidence {
+    fn both_paths(warm: &Warm<impl Probe>, p: &InjectionPoint, budget: u64) -> RunEvidence {
         let wire = campaign_wire();
         let mut runner = PointRunner::new(warm).expect("prefix");
         let forked = runner.run(p, &wire, budget).expect("forked point");
@@ -723,19 +711,20 @@ mod tests {
     fn drawn_points_forked_at_their_arming_instant_match_the_byte_timed_oracle() {
         let wire = campaign_wire();
         for seed in [7, 11] {
-            let warm = warm_campaign(seed).expect("warm donor");
+            let donor = warm_campaign(seed).expect("warm donor");
             let opts = SampleOptions {
                 seed,
                 points: 512,
                 workers: 2,
             };
-            let campaign = sample_warmed(&warm, &opts).expect("sampled campaign");
-            assert_eq!(campaign.baseline, run_baseline(&warm).expect("baseline"));
+            let campaign = sample_warmed(&donor, &opts).expect("sampled campaign");
+            let warm = donor.warm();
+            assert_eq!(campaign.baseline, run_baseline(warm).expect("baseline"));
             let mut engine = Engine::new();
             for (i, r) in campaign.records.iter().enumerate() {
                 assert_eq!(r.point, draw_point(seed, i as u64, wire.len(), ARM_SPAN_NS));
                 let timed =
-                    run_point_byte_timed(&warm, &mut engine, &r.point, &wire, POINT_EVENT_BUDGET)
+                    run_point_byte_timed(warm, &mut engine, &r.point, &wire, POINT_EVENT_BUDGET)
                         .expect("timed point");
                 assert_eq!(r.evidence, timed, "seed {seed} point {i}: {:?}", r.point);
             }
@@ -744,13 +733,14 @@ mod tests {
 
     #[test]
     fn edge_points_match_the_byte_timed_oracle() {
-        let warm = warm_campaign(7).expect("warm donor");
+        let donor = warm_campaign(7).expect("warm donor");
+        let warm = donor.warm();
         // Armed at the stream's first send, and on direction B's first
         // send instant, half a gap later.
         for t_arm_ns in [0, SEND_GAP.as_ps() / 2_000] {
             assert!(
                 both_paths(
-                    &warm,
+                    warm,
                     &InjectionPoint {
                         t_arm_ns,
                         ..aliased()
@@ -770,20 +760,20 @@ mod tests {
             ..aliased()
         };
         assert_eq!(CONTROL_SWAPS[5], (ControlSymbol::Gap, ControlSymbol::Stop));
-        both_paths(&warm, &gap_stop, POINT_EVENT_BUDGET);
+        both_paths(warm, &gap_stop, POINT_EVENT_BUDGET);
         // A budget that runs out after the arming instant: both paths
         // stop on the same event.
         let mut engine = Engine::new();
-        fork_donor(&warm, &mut engine).expect("fork");
+        fork_donor(warm, &mut engine).expect("fork");
         let donor_events = engine.events_processed();
         let p = InjectionPoint {
             t_arm_ns: 2_000_000,
             ..aliased()
         };
-        run_point_byte_timed(&warm, &mut engine, &p, &campaign_wire(), POINT_EVENT_BUDGET)
+        run_point_byte_timed(warm, &mut engine, &p, &campaign_wire(), POINT_EVENT_BUDGET)
             .expect("timed point");
         let budget = engine.events_processed() - donor_events - 20;
-        let evidence = both_paths(&warm, &p, budget);
+        let evidence = both_paths(warm, &p, budget);
         assert_eq!(evidence.outcome, RunOutcome::BudgetExhausted);
     }
 
@@ -800,10 +790,11 @@ mod tests {
 
     #[test]
     fn crafted_points_hit_their_classes() {
-        let warm = warm_campaign(11).expect("warm donor");
-        let baseline = run_baseline(&warm).expect("baseline");
+        let donor = warm_campaign(11).expect("warm donor");
+        let warm = donor.warm();
+        let baseline = run_baseline(warm).expect("baseline");
         let run = |p: &InjectionPoint| {
-            let evidence = both_paths(&warm, p, POINT_EVENT_BUDGET);
+            let evidence = both_paths(warm, p, POINT_EVENT_BUDGET);
             (classify(&evidence, &baseline), evidence)
         };
         // A word swap on the aligned "Have" window with the CRC repaired:

@@ -189,3 +189,35 @@ fn a_fault_on_a_missing_host_or_spine_is_an_error() {
         Err(ScenarioError::WrongComponent("Switch port"))
     );
 }
+
+#[test]
+fn a_component_read_as_another_type_names_the_type_it_wanted() {
+    use netfi::injector::InjectorDevice;
+    use netfi::myrinet::switch::Switch;
+    use netfi::netstack::{build_testbed, Host, TestbedOptions};
+    use netfi::nftape::bed::{read, read_mut, Bed};
+    use netfi::nftape::ScenarioError;
+
+    let spliced = TestbedOptions {
+        intercept_host: Some(1),
+        ..TestbedOptions::default()
+    };
+    let mut tb = build_testbed(spliced, |_, _| {}).unwrap();
+    let bed = Bed::of(&tb).unwrap();
+    assert!(read::<Host>(&tb.engine, bed.hosts[0]).is_ok());
+    assert_eq!(
+        read::<Host>(&tb.engine, bed.switch).err(),
+        Some(ScenarioError::WrongComponent("Host"))
+    );
+    assert_eq!(
+        read::<Switch>(&tb.engine, bed.device).err(),
+        Some(ScenarioError::WrongComponent("Switch"))
+    );
+    assert_eq!(
+        read_mut::<InjectorDevice>(&mut tb.engine, bed.hosts[1]).err(),
+        Some(ScenarioError::WrongComponent("InjectorDevice"))
+    );
+
+    let plain = build_testbed(TestbedOptions::default(), |_, _| {}).unwrap();
+    assert_eq!(Bed::of(&plain), Err(ScenarioError::NoInjector));
+}

@@ -44,13 +44,13 @@ fn a_resident_fork_asks_for_what_the_donor_holds() {
     // run a point's worth of simulated time, twice.
     let mut engine = warm.fork_engine();
     let mut settle = || {
-        warm.fork_into(&mut engine);
+        warm.warm().fork_into(&mut engine);
         engine.run_for(SimDuration::from_ms(120));
     };
     settle();
     settle();
-    let ((), fork) = counted(0, || warm.fork_into(&mut engine));
-    let ((), again) = counted(0, || warm.fork_into(&mut engine));
+    let ((), fork) = counted(0, || warm.warm().fork_into(&mut engine));
+    let ((), again) = counted(0, || warm.warm().fork_into(&mut engine));
     println!("fork_into: {fork:?}; straight after another: {again:?}");
     assert_eq!(fork, again, "a fork's requests repeat exactly");
     // Nothing is re-made: not the wheel's slot headers, not the probe's

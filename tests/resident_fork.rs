@@ -114,7 +114,8 @@ fn a_resident_fork_onto_a_dirty_engine_equals_a_fresh_fork() {
     // host 1's arrival log armed, run 2 ms into light two-way traffic.
     let warm = warm_campaign(7).unwrap();
     let mut donor = warm.fork_engine();
-    let hosts = warm.hosts().to_vec();
+    let ids = &warm.warm().bed;
+    let hosts = ids.hosts.clone();
     let plan = HeartbeatPlan {
         pairs: vec![
             (hosts[0], EthAddr::myricom(2)),
@@ -126,8 +127,8 @@ fn a_resident_fork_onto_a_dirty_engine_equals_a_fresh_fork() {
     let beater = donor.add_component(Box::new(Heartbeater::new(plan)));
     let bed = Bed {
         hosts,
-        switch: warm.switch(),
-        device: warm.device(),
+        switch: ids.switch,
+        device: ids.device,
         beater,
     };
     let t0 = donor.now();
