@@ -327,7 +327,11 @@ fn the_o1_plan_and_lazy_capture_match_the_eager_path() {
             records,
             "case {case:#x}: iter"
         );
-        assert_eq!(capture.render(), ring.render(), "case {case:#x}: render");
+        let rendered: String = ring
+            .iter()
+            .map(|r| format!("[{}] {}\n", r.time, r.value))
+            .collect();
+        assert_eq!(capture.render(), rendered, "case {case:#x}: render");
         if ring.dropped() > 0 {
             reached[7 + sized] += 1;
         }

@@ -13,13 +13,13 @@
 //!   (the real control path), schedules duty-cycled injection phases.
 //! - [`results`] / [`report`]: run records in the paper's units and the
 //!   ASCII tables the regenerators print.
-//! - [`observed`]: the fixed campaign run with `netfi-obs` armed at every
+//! - [`grid`]: the test-bed campaign run with `netfi-obs` armed at every
 //!   layer — flight recorders, engine dispatch probe, metrics registry —
-//!   exported as a Chrome trace and a deterministic text table.
-//! - [`grid`]: the chaos grid — one map-warmed donor engine captured with
-//!   `Engine::snapshot` and forked per declarative [`grid::FailureSpec`]
-//!   (nodes powered off, links severed, injector programs), amortizing
-//!   the campaign warm-up across every scenario.
+//!   exported as a Chrome trace and a deterministic text table; and the
+//!   chaos grid, one map-warmed donor engine captured with
+//!   `Engine::snapshot` and forked per [`grid::FailureSpec`] (a node
+//!   powered off, a link severed or an injector program), amortizing the
+//!   campaign warm-up across every scenario.
 //! - [`detection`]: the failure-*analysis* loop — φ-accrual suspicion
 //!   monitors (`netfi-detect`) judged against injected faults on forks of
 //!   a warm generated fabric, scored by detection latency, false-positive
@@ -36,7 +36,6 @@ pub mod bed;
 pub mod campaign;
 pub mod detection;
 pub mod grid;
-pub mod observed;
 pub mod report;
 pub mod results;
 pub mod runner;
@@ -49,12 +48,9 @@ pub use detection::{
     DetectOptions, DetectResult, DetectRun, DetectSpec, ThresholdOutcome, WarmedDetect,
 };
 pub use grid::{
-    fork_grid, fresh_grid, grid_specs, warm_campaign, FailureSpec, GridResult, GridRun,
-    WarmedCampaign,
-};
-pub use observed::{
-    observed_campaign, observed_campaign_forked, observed_campaign_sharded, observed_suite,
-    ObservedCampaign, ObservedSuite, ShardedObserved,
+    fork_grid, fresh_grid, grid_specs, observed_campaign, observed_campaign_sharded,
+    warm_campaign, FailureSpec, GridFault, GridResult, GridRun, ObservedCampaign,
+    ShardedObserved, WarmedCampaign,
 };
 pub use report::Table;
 pub use results::{RunResult, ScenarioError};

@@ -25,8 +25,6 @@
 // `push` runs on instrumented hot paths (per-frame, per-drop). The only
 // allocation is the one-time slot reservation in the constructor.
 
-use std::fmt;
-
 use netfi_sim::SimTime;
 
 use crate::event::Stamped;
@@ -159,19 +157,6 @@ impl<T> FlightRecorder<T> {
     }
 }
 
-impl<T: fmt::Display> FlightRecorder<T> {
-    /// Renders the ring as one `[time] value` line per record, oldest
-    /// first (the format the old trace buffer used, kept for reports).
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for r in self.iter() {
-            let _ = writeln!(out, "[{}] {}", r.time, r.value);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,14 +234,5 @@ mod tests {
             let values: Vec<u64> = copy.iter().map(|r| r.value).collect();
             assert_eq!(values, (2..10).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn render_includes_timestamps() {
-        let mut ring = FlightRecorder::new(4);
-        ring.push(SimTime::from_ns(1), "hello");
-        let s = ring.render();
-        assert!(s.contains("1.000ns"));
-        assert!(s.contains("hello"));
     }
 }

@@ -190,24 +190,6 @@ impl LogHistogram {
             p99: self.quantile(0.99),
         }
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            if theirs.count == 0 {
-                continue;
-            }
-            if mine.count == 0 {
-                mine.min = theirs.min;
-                mine.max = theirs.max;
-            } else {
-                mine.min = mine.min.min(theirs.min);
-                mine.max = mine.max.max(theirs.max);
-            }
-            mine.count += theirs.count;
-        }
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -297,23 +279,6 @@ mod tests {
             .map(|(i, b)| (i, b.count))
             .collect();
         assert_eq!(buckets, vec![(0, 2), (4, 1)]);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        for v in 1..=50u64 {
-            a.record(v);
-        }
-        for v in 51..=100u64 {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 100);
-        assert_eq!(a.quantile(0.95), 95);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 100);
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl Registry {
         }
     }
 
-    /// Merges a whole histogram into the named slot.
-    pub(crate) fn merge_histogram(&mut self, name: &str, hist: &LogHistogram) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.merge(hist);
-        } else {
-            self.histograms.insert(name.to_string(), hist.clone());
-        }
-    }
-
     /// The named counter's value (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -93,20 +84,6 @@ impl Registry {
     /// `true` when nothing has been registered.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Folds another registry into this one (counters add, gauges are
-    /// overwritten by `other`, histograms merge).
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, value) in &other.counters {
-            self.add(name, *value);
-        }
-        for (name, value) in &other.gauges {
-            self.set_gauge(name, *value);
-        }
-        for (name, hist) in &other.histograms {
-            self.merge_histogram(name, hist);
-        }
     }
 }
 
@@ -150,20 +127,5 @@ mod tests {
         r.add("mid", 1);
         let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn merge_folds_everything() {
-        let mut a = Registry::new();
-        let mut b = Registry::new();
-        a.add("c", 1);
-        b.add("c", 2);
-        b.set_gauge("g", 7);
-        b.record("h", 10);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge("g"), Some(7));
-        assert_eq!(a.histogram("h").unwrap().count(), 1);
-        assert!(!a.is_empty());
     }
 }

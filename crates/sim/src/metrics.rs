@@ -61,7 +61,7 @@ impl Summary {
     }
 
     /// Sample variance (0 if fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -82,28 +82,6 @@ impl Summary {
     /// Largest observation, if any.
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.n as f64 * other.n as f64) / total as f64;
-        self.n = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -148,40 +126,5 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.to_string(), "n=0");
-    }
-
-    #[test]
-    fn summary_merge_matches_pooled() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut pooled = Summary::new();
-        for i in 0..50 {
-            let v = (i * 37 % 11) as f64;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            pooled.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), pooled.count());
-        assert!((a.mean() - pooled.mean()).abs() < 1e-9);
-        assert!((a.variance() - pooled.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), pooled.min());
-        assert_eq!(a.max(), pooled.max());
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        a.record(3.0);
-        let b = Summary::new();
-        let mut a2 = a;
-        a2.merge(&b);
-        assert_eq!(a2, a);
-        let mut e = Summary::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 1);
     }
 }

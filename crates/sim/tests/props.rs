@@ -5,7 +5,6 @@
 // Test components may unwrap: a panic here is a failed property.
 #![allow(clippy::unwrap_used)]
 
-use netfi_sim::metrics::Summary;
 use netfi_sim::queue::{SLOT_PS, WHEEL_SPAN};
 use netfi_sim::engine::Probe;
 use netfi_sim::{
@@ -73,41 +72,6 @@ fn rng_fork_determinism() {
         let mut b = parent.fork(key);
         for _ in 0..16 {
             assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-}
-
-fn sample_values(rng: &mut DetRng, max_len: usize, lo: f64, hi: f64) -> Vec<f64> {
-    let len = rng.gen_index(max_len + 1);
-    (0..len).map(|_| lo + rng.gen_f64() * (hi - lo)).collect()
-}
-
-/// Summary::merge equals pooled accumulation for arbitrary splits.
-#[test]
-fn summary_merge_pooled() {
-    let mut rng = DetRng::new(0x7157_0005);
-    for _ in 0..CASES {
-        let xs = sample_values(&mut rng, 64, -1e6, 1e6);
-        let ys = sample_values(&mut rng, 64, -1e6, 1e6);
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut pooled = Summary::new();
-        for &x in &xs {
-            a.record(x);
-            pooled.record(x);
-        }
-        for &y in &ys {
-            b.record(y);
-            pooled.record(y);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), pooled.count());
-        if pooled.count() > 0 {
-            assert!((a.mean() - pooled.mean()).abs() <= 1e-6 * (1.0 + pooled.mean().abs()));
-            assert!(
-                (a.variance() - pooled.variance()).abs()
-                    <= 1e-5 * (1.0 + pooled.variance().abs())
-            );
         }
     }
 }
