@@ -18,15 +18,30 @@
 //!   (8192 fine-grained slots) measured *slower* than this one purely from
 //!   slot-header cache misses.
 //! - **The bucket under the cursor**: a push into the bucket being
-//!   drained is a sorted insert while the run is short (under
+//!   drained is a sorted insert while its run is short (under
 //!   [`SHORT_RUN`](self) entries — the 3-host test beds never leave this
-//!   case); past that it leaves the run alone and goes to one min-heap of
-//!   late arrivals, O(log n), and the bucket's next event is the smaller
-//!   of the run's last entry and the heap's top. On a 1,000-host fabric
-//!   ~1,000 events share a slot and nearly every send lands in the slot
-//!   being drained: keeping a run that long sorted with `Vec::insert`
-//!   shifts half of it per push, which was more than half of that
-//!   fabric's wall time (`tests/wheel_complexity.rs` guards the bound).
+//!   case). A push that finds the run at that length *spawns* the bucket's
+//!   rung, after the ladder queue of Tang, Goh & Thng (ACM TOMACS 2005):
+//!   the bucket split into [`RUNG_SUBS`](self) sub-buckets of 2^14 ps
+//!   ([`RUNG_SHIFT`](self)). The run keeps the entries of its first
+//!   sub-bucket, the one under the rung's cursor; the rest move once into
+//!   the rung, and a later push past that sub-bucket is an O(1) append to
+//!   its own. When the run and the fallback heap below are empty, the
+//!   rung's next occupied sub-bucket becomes the run, sorted once, as an
+//!   outer bucket is. On a 1,000-host fabric ~1,000 events share an
+//!   instant, a few instants share a bucket, and nearly every send lands
+//!   in the bucket being drained, an instant or more ahead: those sends
+//!   are appends. A push into the sub-bucket being drained while its run
+//!   is long (same-instant sends) leaves the run alone and goes to one
+//!   min-heap of late arrivals, O(log n); the bucket's next event is the
+//!   smaller of the run's last entry and the heap's top, so the worst
+//!   case — every entry at one instant — stays logarithmic
+//!   (`tests/wheel_complexity.rs` guards it). Keeping a long run sorted
+//!   with `Vec::insert` shifts half of it per push, which was more than
+//!   half of that fabric's wall time; sending every push past a short run
+//!   to the heap, as the wheel did before the rung, was most of its engine
+//!   loop (traced `sim.engine.loop_ns` 84 ns, 29 with the rung, on a
+//!   quiet 2-vCPU VM).
 //! - **Far future** (beyond the wheel's horizon): events overflow into a
 //!   second min-heap and are re-cascaded into buckets as the cursor
 //!   advances and the horizon moves past them.
@@ -36,10 +51,10 @@
 //! order is total, a bucket's unstable sort is deterministic, and which
 //! structure holds an entry cannot show in the pop order. The property
 //! test in `crates/sim/tests/props.rs` pits the wheel against a reference
-//! `BinaryHeap` on randomized streams with duplicate timestamps and a
-//! densely populated draining bucket, and the golden event-trace hashes
-//! in `tests/determinism.rs` pin that nothing observable depends on the
-//! queue's layout.
+//! `BinaryHeap` on randomized streams with duplicate timestamps, a
+//! densely populated draining bucket and a spawned rung, and the golden
+//! event-trace hashes in `tests/determinism.rs` pin that nothing
+//! observable depends on the queue's layout.
 
 // netfi-lint: deny(hot-path-alloc)
 //
@@ -53,13 +68,19 @@
 // steady state performs no per-event allocation. The cursor's own bucket
 // keeps its storage while it drains: on the 3-host test bed it empties on
 // two events in three and the next handler refills it, so handing it on
-// there would move a `Vec` out and back per event for nothing.
-// `clone_from` draws from and returns to the same stack, so a worker that
-// forks a donor into the same engine point after point reaches that
-// steady state too; a fresh `clone()` starts from empty buckets and grows
-// them once.
+// there would move a `Vec` out and back per event for nothing. The rung
+// owns no bucket `Vec`: its sub-buckets are lists threaded by `u32` index
+// through one slab, made at the first spawn (with the lists' heads) and
+// grown to the most entries the rung has held at once, so a wheel that
+// never spawns allocates nothing for it. The runs it gathers land in the
+// cursor's bucket `Vec`, which keeps the larger storage when the cursor
+// moves, so that one `Vec`, not every one in circulation, grows to the
+// longest run. `clone_from` draws from and returns to the same storage,
+// so a worker that forks a donor into the same engine point after point
+// reaches that steady state too; a fresh `clone()` starts from empty
+// buckets and grows them once.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -87,12 +108,35 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 const WORDS: usize = SLOTS / 64;
 
 /// A sorted run shorter than this takes a push into the draining bucket
-/// as a sorted insert; a longer one leaves it to the `late` heap.
+/// as a sorted insert; at this length the bucket spawns its rung.
 /// Measured, not derived: with the 4–15 entries a 3-host campaign keeps
 /// in the draining bucket, shifting a few of them beats a heap push and
 /// pop (`paper_eval` ran 12 % slower through the heap); with a 1,000-host
-/// fabric's ~1,000 the heap wins 2.2×. 8, 16 and 32 read alike on both.
+/// fabric's ~1,000 the heap won 2.2×. 8, 16 and 32 read alike on both.
 const SHORT_RUN: usize = 16;
+
+/// log2 of a rung sub-bucket's width in picoseconds: 2^14 ps ≈ 16.4 ns,
+/// so a bucket's rung has 1,024 sub-buckets.
+///
+/// Swept on the 1,000-host fabric's serial 40 ms run (the median, over
+/// eight alternations, of each build's best of seven; 2-vCPU Xeon VM):
+/// 183.3 ms with no rung, 166.5 at 2^14, 174.0 at 2^15, 171.1 at 2^16.
+/// A finer grain splits more of the instants a coarser sub-bucket would
+/// share, so a gathered run is shorter and nearer sorted: replaying that
+/// run's push/pop trace through the wheel alone, sorting the gathered
+/// runs took 5–10 ms at 2^14, 10–15 at 2^15 and 10–17 at 2^16.
+const RUNG_SHIFT: u32 = 14;
+/// Sub-buckets in a rung: one wheel bucket at the rung's grain.
+const RUNG_SUBS: usize = 1 << (SLOT_SHIFT - RUNG_SHIFT);
+const RUNG_WORDS: usize = RUNG_SUBS / 64;
+/// The end of a rung list, and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The sub-bucket `time` falls in, inside its wheel bucket.
+#[inline(always)]
+fn sub_bucket(time: SimTime) -> usize {
+    (time.as_ps() >> RUNG_SHIFT) as usize & (RUNG_SUBS - 1)
+}
 
 /// One queued item: the ordering key plus the caller's payload.
 #[derive(Clone)]
@@ -143,6 +187,177 @@ struct Slot<T> {
     sorted: bool,
 }
 
+/// The bucket under the cursor at a finer grain, once its run has grown
+/// long: the bucket's entries past the rung's cursor, filed by sub-bucket.
+///
+/// The run and the `late` heap hold the bucket's entries up to and
+/// including the sub-bucket under the rung's cursor, the lists everything
+/// after it, so the run and the heap hold the bucket's minimum whenever
+/// they hold anything. An empty rung (`len == 0`) has an empty slab, a
+/// clear bitmap and no free list.
+struct Rung<T> {
+    /// `Some(the sub-bucket under the rung's cursor)` once the bucket
+    /// under the wheel's cursor has spawned; `None` again when that cursor
+    /// moves.
+    cursor: Option<usize>,
+    /// Entries the lists hold.
+    len: usize,
+    /// One bit per sub-bucket; set while its list holds an entry.
+    occupied: [u64; RUNG_WORDS],
+    /// The first cell of each sub-bucket's list, read only while its bit
+    /// is set; empty until the rung first files an entry.
+    heads: Vec<u32>,
+    /// The slab: an entry filed in a list per cell, `None` while the cell
+    /// is free.
+    cells: Vec<Option<Entry<T>>>,
+    /// The next cell of each cell's list, or of the free list from `free`.
+    /// Apart from the cells, so a gather walks its list through 4 bytes
+    /// a cell and the entries it moves load side by side.
+    links: Vec<u32>,
+    free: u32,
+}
+
+impl<T> Rung<T> {
+    /// An empty rung that has allocated nothing.
+    fn new() -> Self {
+        Rung {
+            cursor: None,
+            len: 0,
+            occupied: [0; RUNG_WORDS],
+            heads: Vec::default(),
+            cells: Vec::default(),
+            links: Vec::default(),
+            free: NIL,
+        }
+    }
+
+    /// Makes the lists' heads, once: a wheel whose bucket never spawns
+    /// never pays for them.
+    #[inline]
+    fn make_heads(&mut self) {
+        if self.heads.is_empty() {
+            self.heads.resize(RUNG_SUBS, NIL);
+        }
+    }
+
+    /// Files `entry` at the head of sub-bucket `sub`'s list, O(1).
+    #[inline]
+    fn file(&mut self, sub: usize, entry: Entry<T>) {
+        self.make_heads();
+        let bit = 1 << (sub % 64);
+        let word = &mut self.occupied[sub / 64];
+        let next = if *word & bit != 0 {
+            self.heads[sub]
+        } else {
+            NIL
+        };
+        *word |= bit;
+        let at = self.free;
+        match (
+            self.cells.get_mut(at as usize),
+            self.links.get_mut(at as usize),
+        ) {
+            (Some(cell), Some(link)) => {
+                *cell = Some(entry);
+                self.free = std::mem::replace(link, next);
+                self.heads[sub] = at;
+            }
+            _ => {
+                debug_assert!(self.cells.len() < NIL as usize, "the rung's slab is full");
+                self.heads[sub] = self.cells.len() as u32;
+                self.cells.push(Some(entry));
+                self.links.push(next);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Moves the first occupied sub-bucket after the rung's cursor into
+    /// `run`, which is empty, sorts it descending and moves the cursor
+    /// there. The emptied cells join the free list; the slab is cleared
+    /// once the rung holds nothing.
+    fn gather(&mut self, run: &mut Vec<Entry<T>>) {
+        let from = self.cursor.map_or(0, |at| at + 1);
+        let Some(sub) = self.next_occupied(from) else {
+            return;
+        };
+        self.cursor = Some(sub);
+        self.occupied[sub / 64] &= !(1 << (sub % 64));
+        let mut at = self.heads[sub];
+        while let (Some(cell), Some(link)) = (
+            self.cells.get_mut(at as usize),
+            self.links.get_mut(at as usize),
+        ) {
+            run.extend(cell.take());
+            let next = std::mem::replace(link, self.free);
+            self.free = at;
+            at = next;
+        }
+        self.len -= run.len();
+        if self.len == 0 {
+            self.cells.clear();
+            self.links.clear();
+            self.free = NIL;
+        }
+        // Keys are unique, so the unstable sort is deterministic. A list
+        // comes out newest first, which for the engine's sends of one
+        // instant is already descending.
+        run.sort_unstable_by_key(|e| Reverse(e.key()));
+    }
+
+    /// The first occupied sub-bucket at or after `from`.
+    #[inline]
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.occupied.get(word)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(word * 64 + bits.trailing_zeros() as usize);
+            }
+            word += 1;
+            bits = *self.occupied.get(word)?;
+        }
+    }
+}
+
+impl<T: Clone> Rung<T> {
+    /// Overwrites `self` with `src`. Touches the lists only when either
+    /// rung holds entries, and then copies `src`'s slab (at most the most
+    /// entries it has held at once since it was last empty) and the heads
+    /// of its occupied sub-buckets, into storage `self` keeps.
+    fn copy_from(&mut self, src: &Self) {
+        let Rung {
+            cursor,
+            len,
+            occupied,
+            heads,
+            cells,
+            links,
+            free,
+        } = src;
+        self.cursor = *cursor;
+        if *len == 0 && self.len == 0 {
+            return;
+        }
+        self.len = *len;
+        self.occupied = *occupied;
+        self.cells.clone_from(cells);
+        self.links.clone_from(links);
+        self.free = *free;
+        if *len > 0 {
+            self.make_heads();
+        }
+        for (word, &bits) in occupied.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let sub = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.heads[sub] = heads[sub];
+            }
+        }
+    }
+}
+
 /// A bucketed timing wheel ordered by ascending `(time, seq)`.
 ///
 /// `push` keys an item by `(time, seq)`, `pop` returns items in exactly
@@ -154,30 +369,35 @@ struct Slot<T> {
 /// `peek_time` never commits the cursor: the minimum is located through
 /// the occupancy bitmap without moving the wheel, so a caller that peeks,
 /// declines (deadline reached) and later schedules *earlier* events —
-/// still at or after the last popped time — stays correct.
+/// still at or after the last popped time — stays correct. (Locating may
+/// move the *rung's* cursor to the sub-bucket holding the minimum; a push
+/// at or before that sub-bucket then joins the run, so that is safe too.)
 ///
 /// `Clone` is the snapshot copy (see [`crate::engine::EngineSnapshot`]),
 /// written by hand so that it costs what the wheel *holds*: `clone_from`
 /// visits only the buckets occupied in the source or in the destination
 /// (the union of the two occupancy bitmaps) and overwrites each in place,
 /// keeping the destination's heap capacity and circulating its bucket
-/// storage through the spare stack; `clone` is an empty wheel plus
-/// `clone_from`. Either way the copy pops exactly what
-/// the original pops.
+/// storage through the spare stack, and touches the rung only when one
+/// of the two holds entries; `clone` is an empty wheel plus `clone_from`.
+/// Either way the copy pops exactly what the original pops.
 pub struct TimingWheel<T> {
     /// Fixed-size (not a slice) so `idx & SLOT_MASK` provably fits and
     /// the per-event indexing compiles without bounds checks.
     slots: Box<[Slot<T>; SLOTS]>,
-    /// One bit per slot index; set while the slot holds any event.
+    /// One bit per slot index; set while the slot holds any event
+    /// (counting, for bucket `base`, its `late` heap and its rung).
     occupied: [u64; WORDS],
     /// Absolute bucket number (`time_ps >> SLOT_SHIFT`) of the cursor.
     /// Every wheel-resident event's bucket is in `[base, base + SLOTS)`;
     /// every overflow event's bucket is `>= base + SLOTS`.
     base: u64,
-    /// Events pushed into bucket `base` while its sorted run was not
-    /// short. Every entry here belongs to bucket `base`, so the heap is
-    /// empty whenever `base` moves; the bucket's next event is the smaller
-    /// of its sorted run's `last()` and this heap's top.
+    /// Bucket `base`'s entries past its run's sub-bucket, once it spawned.
+    rung: Rung<T>,
+    /// Pushes into the sub-bucket that bucket `base`'s run drains while
+    /// the run is long. Every entry here belongs to bucket `base`, so the
+    /// heap is empty whenever `base` moves; the bucket's next event is the
+    /// smaller of its sorted run's `last()` and this heap's top.
     late: BinaryHeap<FarEntry<T>>,
     /// Far-future events, cascaded in as the horizon advances.
     overflow: BinaryHeap<FarEntry<T>>,
@@ -194,6 +414,7 @@ impl<T> fmt::Debug for TimingWheel<T> {
         f.debug_struct("TimingWheel")
             .field("len", &self.len)
             .field("base", &self.base)
+            .field("rung", &self.rung.len)
             .field("late", &self.late.len())
             .field("overflow", &self.overflow.len())
             .finish()
@@ -224,7 +445,16 @@ impl<T: Clone> Clone for TimingWheel<T> {
         // Exhaustive on purpose: a field added to the wheel must fail to
         // compile here, not go missing from every snapshot. `spare` is
         // storage, not state: each wheel keeps its own.
-        let TimingWheel { slots, occupied, base, late, overflow, len, spare: _ } = src;
+        let TimingWheel {
+            slots,
+            occupied,
+            base,
+            rung,
+            late,
+            overflow,
+            len,
+            spare: _,
+        } = src;
         for fill in [false, true] {
             for (word, (&theirs, &ours)) in occupied.iter().zip(&self.occupied).enumerate() {
                 let mut bits = if fill { theirs } else { ours & !theirs };
@@ -245,11 +475,13 @@ impl<T: Clone> Clone for TimingWheel<T> {
         }
         self.occupied = *occupied;
         self.base = *base;
+        self.rung.copy_from(rung);
         self.late.clone_from(late);
         self.overflow.clone_from(overflow);
         self.len = *len;
         debug_assert_eq!(
             self.slots.iter().map(|s| s.items.len()).sum::<usize>()
+                + self.rung.len
                 + self.late.len()
                 + self.overflow.len(),
             self.len,
@@ -266,6 +498,7 @@ impl<T> TimingWheel<T> {
             slots: Box::new(std::array::from_fn(|_| Slot { items: Vec::new(), sorted: true })),
             occupied: [0; WORDS],
             base: 0,
+            rung: Rung::new(),
             late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
@@ -325,33 +558,81 @@ impl<T> TimingWheel<T> {
     }
 
     /// Puts an in-window entry into its bucket. An empty bucket takes
-    /// storage from the spare stack; a bucket the cursor has not sorted
-    /// yet takes an append; the bucket being drained takes it into its
-    /// sorted run while that is short, else into the `late` heap.
+    /// storage from the spare stack, and a bucket the cursor has not
+    /// reached takes an append; the bucket under the cursor is
+    /// [`place_under_cursor`](Self::place_under_cursor)'s.
     #[inline]
     fn place(&mut self, bucket: u64, entry: Entry<T>) {
         let idx = (bucket & SLOT_MASK) as usize;
         self.occupied[idx / 64] |= 1 << (idx % 64);
+        if bucket == self.base {
+            self.place_under_cursor(idx, entry);
+            return;
+        }
         let slot = &mut self.slots[idx];
         if slot.items.is_empty() {
             Self::draw_storage(&mut self.spare, &mut slot.items);
-            slot.items.push(entry);
             slot.sorted = true;
-        } else if slot.sorted && bucket == self.base {
-            // Inserting into the run shifts half of it per push: O(n),
-            // with a 1,000-host fabric's ~1,000 events in this one slot.
-            // Past a few entries the O(log n) heap takes the push.
-            if slot.items.len() < SHORT_RUN {
-                let key = entry.key();
-                let at = slot.items.partition_point(|e| e.key() > key);
-                slot.items.insert(at, entry);
-            } else {
-                self.late.push(FarEntry(entry));
-            }
         } else {
-            slot.items.push(entry);
             slot.sorted = false;
         }
+        slot.items.push(entry);
+    }
+
+    /// Puts an entry into the bucket under the cursor, slot `idx`: past
+    /// the rung's cursor into the rung, else into the sorted run while it
+    /// is short, else into the `late` heap. A long run spawns the rung
+    /// first, if the bucket has none.
+    #[inline]
+    fn place_under_cursor(&mut self, idx: usize, entry: Entry<T>) {
+        let cursor = match self.rung.cursor {
+            Some(cursor) => cursor,
+            None if self.slots[idx].items.len() < SHORT_RUN => {
+                return self.insert_into_run(idx, entry);
+            }
+            None => self.spawn(idx),
+        };
+        let sub = sub_bucket(entry.time);
+        if sub > cursor {
+            self.rung.file(sub, entry);
+        } else if self.slots[idx].items.len() < SHORT_RUN {
+            self.insert_into_run(idx, entry);
+        } else {
+            self.late.push(FarEntry(entry));
+        }
+    }
+
+    /// Inserts `entry` at its place in the short sorted run of the bucket
+    /// under the cursor, slot `idx`.
+    #[inline]
+    fn insert_into_run(&mut self, idx: usize, entry: Entry<T>) {
+        let slot = &mut self.slots[idx];
+        debug_assert!(
+            slot.sorted || slot.items.is_empty(),
+            "the cursor's bucket is unsorted"
+        );
+        Self::draw_storage(&mut self.spare, &mut slot.items);
+        let key = entry.key();
+        let at = slot.items.partition_point(|e| e.key() > key);
+        slot.items.insert(at, entry);
+        slot.sorted = true;
+    }
+
+    /// Spawns the rung of the bucket under the cursor, slot `idx`, whose
+    /// run is long, and returns the rung's cursor: the run keeps its first
+    /// sub-bucket's entries, and the rest move into the rung's lists.
+    #[cold]
+    fn spawn(&mut self, idx: usize) -> usize {
+        let run = &mut self.slots[idx].items;
+        let cursor = run.last().map_or(0, |first| sub_bucket(first.time));
+        self.rung.cursor = Some(cursor);
+        // Descending: the later sub-buckets' entries are the run's front.
+        let later = run.partition_point(|e| sub_bucket(e.time) > cursor);
+        // Filed in ascending order, each list comes out descending.
+        for entry in run.drain(..later).rev() {
+            self.rung.file(sub_bucket(entry.time), entry);
+        }
+        cursor
     }
 
     /// The next event of the (sorted) bucket at `idx`: its time and
@@ -414,7 +695,7 @@ impl<T> TimingWheel<T> {
         }
         let slot = &mut self.slots[idx];
         let entry = if in_late { self.late.pop()?.0 } else { slot.items.pop()? };
-        if slot.items.is_empty() && self.late.is_empty() {
+        if slot.items.is_empty() && self.late.is_empty() && self.rung.len == 0 {
             self.occupied[idx / 64] &= !(1 << (idx % 64));
         }
         self.len -= 1;
@@ -433,19 +714,49 @@ impl<T> TimingWheel<T> {
     }
 
     /// Moves the cursor to `bucket`. Every event before it has popped, so
-    /// the bucket the cursor leaves is empty; the storage it kept while the
-    /// cursor drained it and handlers refilled it goes to the spare stack.
+    /// the bucket the cursor leaves is empty, its rung too, and the new
+    /// bucket starts without a rung. The storage the cursor leaves goes to
+    /// the spare stack — unless the bucket had spawned and that storage is
+    /// the larger: the runs a rung gathers grow it, and handing it on would
+    /// grow every bucket `Vec` in circulation to the longest run, so it
+    /// stays under the cursor (the new bucket's entries move into it) and
+    /// the new bucket's goes instead.
     #[inline]
     fn move_cursor(&mut self, bucket: u64) {
-        let left = &mut self.slots[(self.base & SLOT_MASK) as usize].items;
-        debug_assert!(left.is_empty(), "the cursor left events behind");
-        Self::return_storage(&mut self.spare, left);
+        let (from, to) = (
+            (self.base & SLOT_MASK) as usize,
+            (bucket & SLOT_MASK) as usize,
+        );
+        debug_assert!(
+            self.slots[from].items.is_empty(),
+            "the cursor left events behind"
+        );
+        debug_assert!(self.rung.len == 0, "the cursor left a rung behind");
+        if self.rung.cursor.is_some() {
+            self.rung.cursor = None;
+            if self.slots[from].items.capacity() > self.slots[to].items.capacity() {
+                self.keep_larger_storage(from, to);
+            }
+        }
+        Self::return_storage(&mut self.spare, &mut self.slots[from].items);
         self.base = bucket;
     }
 
+    /// Moves the entries of slot `to` into the larger, empty storage of
+    /// slot `from`, and swaps the two `Vec`s.
+    #[cold]
+    fn keep_larger_storage(&mut self, from: usize, to: usize) {
+        let mut larger = std::mem::take(&mut self.slots[from].items);
+        let arriving = &mut self.slots[to].items;
+        larger.append(arriving);
+        self.slots[from].items = std::mem::replace(arriving, larger);
+    }
+
     /// Finds the wheel bucket holding the minimal event, sorting it on
-    /// first touch. Returns `None` when every queued event is in the
-    /// overflow heap. Does not move `base`.
+    /// first touch — or, for the bucket under the cursor when its run and
+    /// `late` heap are empty, gathering its rung's next sub-bucket into the
+    /// run. Returns `None` when every queued event is in the overflow
+    /// heap. Does not move `base`.
     #[inline]
     fn locate_min(&mut self) -> Option<(u64, usize)> {
         let from = (self.base & SLOT_MASK) as usize;
@@ -453,9 +764,17 @@ impl<T> TimingWheel<T> {
         let bucket = self.base + distance as u64;
         let idx = (bucket & SLOT_MASK) as usize;
         let slot = &mut self.slots[idx];
-        if !slot.sorted {
+        if slot.items.is_empty() {
+            // Only bucket `base` is occupied with an empty run: what is
+            // left of it is in `late` or in the rung.
+            if self.late.is_empty() {
+                Self::draw_storage(&mut self.spare, &mut slot.items);
+                self.rung.gather(&mut slot.items);
+                slot.sorted = true;
+            }
+        } else if !slot.sorted {
             // Keys are unique, so the unstable sort is deterministic.
-            slot.items.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+            slot.items.sort_unstable_by_key(|e| Reverse(e.key()));
             slot.sorted = true;
         }
         Some((bucket, idx))
@@ -633,33 +952,49 @@ mod tests {
     #[test]
     fn fork_mid_drain_pops_identically() {
         // Build a wheel that exercises every state a fork must capture:
-        // a partially drained sorted bucket with late arrivals beside it,
-        // an unsorted bucket, and overflow entries awaiting a cascade.
+        // the bucket under the cursor spawned, partly drained, with late
+        // arrivals beside its run and entries in its rung; an unsorted
+        // bucket; and overflow entries awaiting a cascade.
         let mut w = TimingWheel::new();
         let mut seq = 0;
-        for k in [5u64, 3, 9, 1, 7] {
-            w.push(SimTime::from_ns(10 * k), seq, k as u32);
+        // Three instants 500 ns apart in bucket 0, the cursor's.
+        for k in 0..120u64 {
+            w.push(SimTime::from_ns(10 + 500 * (k % 3)), seq, k as u32);
             seq += 1;
         }
         for k in [40u64, 25, 60] {
             w.push(SimTime::from_ms(k), seq, k as u32);
             seq += 1;
         }
-        // Drain partway so the cursor sits inside a bucket.
-        let _ = w.pop();
-        let _ = w.pop();
-        for k in 0..2 * SHORT_RUN as u64 {
-            w.push(SimTime::from_ns(80 + k), seq, 8);
+        // Drain partway, then send at the instant being drained.
+        for _ in 0..5 {
+            assert_eq!(w.pop().map(|(t, ..)| t), Some(SimTime::from_ns(10)));
+        }
+        for _ in 0..2 * SHORT_RUN {
+            w.push(SimTime::from_ns(10), seq, 10);
             seq += 1;
         }
         w.push(SimTime::from_us(20), seq, 20);
         w.push(SimTime::from_us(19), seq + 1, 19);
         assert!(!w.late.is_empty() && !w.slots[0].items.is_empty());
+        assert_eq!(w.rung.len, 80, "the two later instants are in the rung");
         assert!(!w.slots[1].sorted);
 
         let mut fork = w.clone();
+        // A resident wheel with a rung of its own, at another cursor.
+        let mut resident = TimingWheel::new();
+        for k in 0..64u64 {
+            resident.push(SimTime::from_us(40 + k % 4), k, 0);
+        }
+        assert!(resident.pop().is_some());
+        resident.push(SimTime::from_us(41), 64, 0);
+        assert!(resident.rung.len > 0);
+        resident.clone_from(&w);
         assert_eq!(fork.len(), w.len());
-        assert_eq!(drain(&mut fork), drain(&mut w));
+        assert_eq!(resident.len(), w.len());
+        let want = drain(&mut w);
+        assert_eq!(drain(&mut fork), want);
+        assert_eq!(drain(&mut resident), want);
     }
 
     /// Bucket storage the wheel holds, in slots and on the spare stack:
@@ -675,7 +1010,8 @@ mod tests {
     fn drained_buckets_pass_their_storage_on() {
         // One rotation, every bucket in turn: a burst lands in the next
         // bucket while the current one drains, so at most two buckets are
-        // ever occupied together.
+        // ever occupied together. Bucket 0's burst lands under the cursor
+        // and spawns its rung; the others drain without a push.
         const BURST: u64 = 200;
         let mut w = TimingWheel::new();
         let mut seq = 0;
@@ -705,6 +1041,115 @@ mod tests {
         assert!(vecs <= high_water + 1, "{vecs} bucket Vecs kept");
         assert!(capacity <= (high_water + 1) * widest, "{capacity} entries kept");
         assert_eq!(w.spare.len() + 1, vecs, "all but the cursor's are spare");
+        // The rung kept its slab's capacity, no more than the burst it
+        // held once (doubling aside), and holds nothing.
+        assert!(w.rung.cells.capacity() <= 2 * BURST as usize);
+        assert!(w.rung.len == 0 && w.rung.cells.is_empty());
+    }
+
+    #[test]
+    fn sends_ahead_in_the_cursors_bucket_are_appends_to_the_rung() {
+        // The 1,000-host fabric's shape: 1,000 events at an instant, each
+        // sending one event 500 ns on, for 200 µs — a dozen buckets, each
+        // spawning its rung. Past the first instant (pushed all at once,
+        // so all but a short run went to the `late` heap) no send is at
+        // the instant being drained, so none reaches the heap; the rung's
+        // slab grows to what it holds at once (under two instants), not to
+        // what it has filed.
+        const FAN: u64 = 1_000;
+        let hop = SimTime::from_ns(500).as_ps();
+        let mut w = TimingWheel::new();
+        for seq in 0..FAN {
+            w.push(SimTime::from_ps(hop), seq, 0);
+        }
+        let (mut seq, mut held, mut last) = (FAN, 0, SimTime::ZERO);
+        while let Some((time, _, hops)) = w.pop() {
+            assert!(time >= last, "popped out of order");
+            last = time;
+            if hops < 400 {
+                w.push(SimTime::from_ps(time.as_ps() + hop), seq, hops + 1);
+                seq += 1;
+            }
+            held = held.max(w.rung.len);
+            let ahead = time.as_ps() > hop;
+            assert!(!ahead || w.late.is_empty(), "a send ahead went to the heap");
+        }
+        assert_eq!(seq, FAN * 401);
+        let fan = FAN as usize;
+        assert!((fan..2 * fan).contains(&held), "the rung held {held}");
+        let cells = w.rung.cells.capacity();
+        assert!(cells < 2 * held, "{cells} cells");
+    }
+
+    #[test]
+    fn the_cursor_keeps_the_storage_its_runs_grew() {
+        // Eight buckets filled ahead of the cursor, a few entries each;
+        // each, once under the cursor, sends 1,000 entries to a later
+        // instant of its own, which its rung gathers into one long run.
+        const LONG: u64 = 1_000;
+        let mut w = TimingWheel::new();
+        let mut seq = 0;
+        for bucket in 1..=8 {
+            for k in 0..4 {
+                w.push(SimTime::from_ps(bucket * SLOT_PS + k), seq, 0);
+                seq += 1;
+            }
+        }
+        for bucket in 1..=8 {
+            assert_eq!(w.pop().map(|(t, ..)| t.as_ps() >> SLOT_SHIFT), Some(bucket));
+            for _ in 0..LONG {
+                w.push(SimTime::from_ps(bucket * SLOT_PS + SLOT_PS / 2), seq, 0);
+                seq += 1;
+            }
+            let in_bucket = |t: SimTime| t.as_ps() >> SLOT_SHIFT == bucket;
+            while w.peek_time().is_some_and(in_bucket) {
+                assert!(w.pop().is_some());
+            }
+        }
+        assert!(w.is_empty());
+        // One `Vec` grew to the long runs and stayed under the cursor; the
+        // buckets' own went to the spare stack as small as they came.
+        let storage = w.slots.iter().map(|s| &s.items).chain(&w.spare);
+        let long = storage.filter(|v| v.capacity() >= LONG as usize).count();
+        assert_eq!(long, 1, "{long} bucket Vecs grew to a long run");
+    }
+
+    #[test]
+    fn one_instant_falls_back_to_the_heap() {
+        // Every entry at one instant: the rung spawns with nothing in its
+        // lists, and the pushes past its short run go to the `late` heap.
+        let mut w = TimingWheel::new();
+        let at = SimTime::from_us(3);
+        for seq in (0..100u64).rev() {
+            w.push(at, seq, seq as u32);
+        }
+        assert_eq!(w.pop(), Some((at, 0, 0)));
+        assert!(w.rung.cursor.is_some() && w.rung.len == 0);
+        assert_eq!(w.late.len() + w.slots[0].items.len(), 99);
+        assert!(w.late.len() >= 99 - SHORT_RUN);
+        let order: Vec<u64> = drain(&mut w).into_iter().map(|(_, s, _)| s).collect();
+        assert_eq!(order, (1..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_wheel_that_never_spawns_makes_no_rung() {
+        // The test bed's shape: a few events queued, most in the bucket
+        // under the cursor, which never holds a long run.
+        let mut w = TimingWheel::new();
+        for k in 0..4_096u64 {
+            w.push(SimTime::from_ns(100 * k), k, 0);
+            if w.len() > 8 {
+                assert!(w.pop().is_some());
+            }
+        }
+        let copy = w.clone();
+        for wheel in [&w, &copy] {
+            assert!(wheel.rung.cursor.is_none());
+            let rung = &wheel.rung;
+            let made = [&rung.heads, &rung.links].map(Vec::capacity);
+            assert_eq!(made, [0; 2], "heads and links made");
+            assert_eq!(rung.cells.capacity(), 0, "cells made");
+        }
     }
 
     #[test]

@@ -110,6 +110,17 @@ impl Keys {
 /// deadlines a few entry spacings past the last pop, landing between the
 /// two structures' minima.
 ///
+/// One case in sixteen more is the fabric's *instants*: at least 1,000
+/// keys at three to six instants 262 ns–2 µs apart in the bucket under
+/// the cursor, which spawns its rung, then 4,096 operations, pops as
+/// many as pushes, so the instants drain one after another. A push lands
+/// at the instant being drained (into the sub-bucket the run drains, past
+/// its short run: the fallback heap), at an instant ahead or 262 ns–2 µs
+/// ahead (the rung's lists); a `pop_due` deadline falls up to 1 µs past
+/// the last pop, so once an instant has drained it often falls before
+/// the next one, inside the rung. The resident copy is made in the first
+/// quarter of the stream, while the rung holds the later instants.
+///
 /// One case in sixteen more *rotates*: pushes and pops in equal measure,
 /// pushes up to 128 buckets ahead, for at least two full turns of the
 /// wheel, so bucket after bucket fills, drains and hands its storage to
@@ -140,22 +151,46 @@ fn wheel_matches_reference_heap() {
             }
             first + SLOT_PS - 1
         });
+        // The instants of the rung regime, in the cursor's bucket.
+        let instants = (case % 16 == 4).then(|| {
+            let mut at = rng.gen_range(0..SLOT_PS / 4);
+            let mut instants = Vec::new();
+            for _ in 0..3 + rng.gen_index(4) {
+                instants.push(SimTime::from_ps(at));
+                at += rng.gen_range(262_000..2_000_001);
+            }
+            for _ in 0..1_000 + rng.gen_index(512) {
+                let time = instants[rng.gen_index(instants.len())];
+                let key = keys.next(&mut rng);
+                wheel.push(time, key, key as u32);
+                reference.push(Reverse((time, key, key as u32)));
+            }
+            instants
+        });
         let rotating = case % 16 == 8;
         let ops = match (dense, rotating) {
             (Some(_), _) => 2_048,
+            _ if instants.is_some() => 4_096,
             (None, true) => 6_144,
             (None, false) => 64 + rng.gen_index(192),
         };
-        let copy_at = rng.gen_index(ops);
+        let copy_at = rng.gen_index(if instants.is_some() { ops / 4 } else { ops });
         let mut copied = false;
         for op in 0..ops {
             if op == copy_at {
                 resident.clone_from(&wheel);
                 copied = true;
+                if instants.is_some() {
+                    assert!(
+                        rung_len(&resident) > 0,
+                        "copied before the rung spawned or after it drained"
+                    );
+                }
             }
-            // A rotating stream pops as often as it pushes.
+            // A rotating stream pops as often as it pushes, and so does
+            // one of instants, which drains them one after another.
             let kind = match rng.gen_index(8) {
-                4 if rotating => 5,
+                4 if rotating || instants.is_some() => 5,
                 kind => kind,
             };
             match kind {
@@ -165,6 +200,12 @@ fn wheel_matches_reference_heap() {
                     let time = match (rng.gen_index(5), dense) {
                         (0, _) => now,
                         (1, _) => last_pushed.max(now),
+                        (_, None) if instants.is_some() => match &instants {
+                            Some(instants) if rng.gen_index(2) == 0 => {
+                                instants[rng.gen_index(instants.len())].max(now)
+                            }
+                            _ => now + SimDuration::from_ps(rng.gen_range(262_000..2_000_001)),
+                        },
                         (_, Some(last)) => {
                             SimTime::from_ps(rng.gen_range(now.as_ps().min(last)..last + 1))
                         }
@@ -198,7 +239,11 @@ fn wheel_matches_reference_heap() {
                 }
                 // Pop against a deadline that may or may not be reached.
                 _ => {
-                    let reach = if dense.is_some() { 1 << 15 } else { 1 << 35 };
+                    let reach = match (dense, &instants) {
+                        (Some(_), _) => 1 << 15,
+                        (None, Some(_)) => 1_000_000,
+                        (None, None) => 1 << 35,
+                    };
                     let deadline = now + SimDuration::from_ps(rng.gen_range(0..reach));
                     let due = reference
                         .peek()
@@ -237,6 +282,14 @@ fn wheel_matches_reference_heap() {
         assert!(wheel.is_empty() && resident.is_empty());
         assert_eq!(wheel.pop(), None);
     }
+}
+
+/// The entries a wheel's rung holds, as its `Debug` form reports them.
+fn rung_len(wheel: &TimingWheel<u32>) -> usize {
+    let debug = format!("{wheel:?}");
+    let field = debug.split("rung: ").nth(1).unwrap_or_default();
+    let value = field.split(',').next().unwrap_or_default();
+    value.parse().unwrap_or(0)
 }
 
 /// Drives `wheel` through `ops` steps of the adversarial push/pop stream

@@ -22,8 +22,11 @@ cargo test -q --workspace --offline
 # that ships, not only in the debug build. So is the sharded round
 # driver: a barrier or hand-over race shows in optimised code first. And
 # so is the sampler, whose points forked at their arming instant must
-# match the byte-timed oracle in the build the benchmark measures.
+# match the byte-timed oracle in the build the benchmark measures. And so
+# are the kernel's property tests: the timing wheel against a reference
+# heap, its rung and fallback heap included, in the code that ships.
 cargo test -q --release --offline -p netfi-myrinet -p netfi-netstack -p netfi-sim -p netfi-sample --lib
+cargo test -q --release --offline -p netfi-sim --test props
 
 echo "== clippy (-D warnings) =="
 # Panic-freedom, SAFETY comments and the determinism bans: the root

@@ -3,8 +3,9 @@
 //!
 //! An integration test is its own binary, so the `#[global_allocator]`
 //! below counts nothing but the test file that includes it, and only on
-//! the thread that opened the region: the test harness's own thread may
-//! allocate while a region runs. Counting every thread once made
+//! the thread that opened the region, into that thread's own tally: the
+//! test harness's own thread may allocate while a region runs, and two
+//! tests of one binary may count at once. Counting every thread once made
 //! `fork_alloc` fail 3 of 60 release runs by 4 requests from another
 //! thread. A one-worker campaign runs its points on the calling thread,
 //! and `fan_out` allocates its result slots there, so nothing a test means
@@ -12,36 +13,48 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The system allocator, counting the requests the counting thread makes
 /// while its `COUNTING` holds a threshold.
 struct Counting;
 
+const NOTHING: Asked = Asked {
+    requests: 0,
+    bytes: 0,
+    largest: 0,
+};
+
 thread_local! {
-    // The smallest request counted, while this thread counts.
-    // `const`-initialised and without a destructor: reading it never
-    // allocates, so the allocator may.
+    // The smallest request counted, while this thread counts, and what it
+    // has counted. `const`-initialised and without a destructor: reading
+    // them never allocates, so the allocator may.
     static COUNTING: Cell<Option<usize>> = const { Cell::new(None) };
+    static TALLY: Cell<Asked> = const { Cell::new(NOTHING) };
 }
-static REQUESTS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
     if COUNTING
         .with(Cell::get)
         .is_some_and(|at_least| size >= at_least)
     {
-        REQUESTS.fetch_add(1, Ordering::SeqCst);
-        BYTES.fetch_add(size, Ordering::SeqCst);
-        LARGEST.fetch_max(size, Ordering::SeqCst);
+        TALLY.with(|tally| {
+            let Asked {
+                requests,
+                bytes,
+                largest,
+            } = tally.get();
+            tally.set(Asked {
+                requests: requests + 1,
+                bytes: bytes + size,
+                largest: largest.max(size),
+            });
+        });
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain atomics and a
-// const thread-local, and never allocate.
+// upholds the `GlobalAlloc` contract; the threshold and the tally are
+// const thread-locals of `Copy` values, and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -73,16 +86,9 @@ pub struct Asked {
 /// Runs `region` and counts the allocator requests of at least `at_least`
 /// bytes that this thread makes while it runs (`0`: every request).
 pub fn counted<T>(at_least: usize, region: impl FnOnce() -> T) -> (T, Asked) {
-    for counter in [&REQUESTS, &BYTES, &LARGEST] {
-        counter.store(0, Ordering::SeqCst);
-    }
+    TALLY.with(|tally| tally.set(NOTHING));
     COUNTING.with(|c| c.set(Some(at_least)));
     let out = region();
     COUNTING.with(|c| c.set(None));
-    let asked = Asked {
-        requests: REQUESTS.load(Ordering::SeqCst),
-        bytes: BYTES.load(Ordering::SeqCst),
-        largest: LARGEST.load(Ordering::SeqCst),
-    };
-    (out, asked)
+    (out, TALLY.with(Cell::get))
 }

@@ -23,6 +23,12 @@
 //! 0 requests, and a sampled point 26.7 for 1,162 bytes — what is left is
 //! the point's own program, events and evidence.
 //!
+//!
+//! A wheel whose bucket under the cursor has spawned its rung holds that
+//! bucket's later instants in the rung's slab. A resident fork of such an
+//! engine copies the slab into the slab the target already has: 0
+//! requests, as for the test bed.
+//!
 //! The counts come from the counting allocator in `tests/common/`, which
 //! counts only the thread that opened the region.
 
@@ -34,7 +40,7 @@ mod common;
 use common::counted;
 use netfi::nftape::grid::warm_campaign;
 use netfi::sample::{sample_warmed, SampleOptions};
-use netfi::sim::SimDuration;
+use netfi::sim::{Component, Context, Engine, SimDuration, SimTime};
 
 #[test]
 fn a_resident_fork_asks_for_what_the_donor_holds() {
@@ -75,4 +81,46 @@ fn a_resident_fork_asks_for_what_the_donor_holds() {
     let bytes = (long.bytes - short.bytes) as f64 / 128.0;
     println!("sampled point: {requests:.1} requests, {bytes:.0} bytes");
     assert!(requests <= 45.0 && bytes < 4_000.0);
+}
+
+/// A component that takes whatever it is sent.
+#[derive(Clone)]
+struct Sink;
+
+impl Component<u64> for Sink {
+    fn on_event(&mut self, _ctx: &mut Context<'_, u64>, _payload: u64) {}
+    fn fork(&self) -> Box<dyn Component<u64>> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn a_resident_fork_of_a_spawned_rung_asks_for_nothing() {
+    // 1,000 events at each of four instants 500 ns apart, scheduled into
+    // the wheel bucket under the cursor: past a short run the bucket
+    // spawns its rung, which files the later instants. The donor then
+    // delivers the first instant, so the rung holds the other three.
+    let mut donor: Engine<u64> = Engine::new();
+    let sink = donor.add_component(Box::new(Sink));
+    for k in 0..4_000u64 {
+        donor.schedule(SimTime::from_ns(500 * (1 + k % 4)), sink, k);
+    }
+    donor.run_until(SimTime::from_ns(500));
+    assert_eq!(donor.pending_events(), 3_000);
+    let snapshot = donor.snapshot();
+
+    // A resident engine in steady state: forked into and run, twice.
+    let mut engine = snapshot.fork();
+    let mut settle = || {
+        snapshot.fork_into(&mut engine);
+        engine.run_until(SimTime::from_ns(1_500));
+    };
+    settle();
+    settle();
+    let ((), fork) = counted(0, || snapshot.fork_into(&mut engine));
+    println!("fork_into with a spawned rung: {fork:?}");
+    assert_eq!(fork.requests, 0, "{fork:?}");
+    assert_eq!(engine.pending_events(), 3_000);
+    engine.run();
+    assert_eq!(engine.events_processed(), 4_000);
 }
